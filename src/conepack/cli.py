@@ -170,9 +170,18 @@ def _emit(payload) -> None:
 # commands
 
 
+def _node_budget(args) -> int:
+    """The ``--budget`` value; the default node budget when it is absent."""
+    if args.budget is None:
+        return DEFAULT_NODE_BUDGET
+    if args.budget < 0:
+        raise InputError(f"--budget must be non-negative, got {args.budget}")
+    return args.budget
+
+
 def cmd_solve(args) -> int:
     kind, inst = _load(args.path)
-    budget = args.budget or DEFAULT_NODE_BUDGET
+    budget = _node_budget(args)
     if kind == "binpacking":
         sol = bin_packing(inst, mode=args.mode, node_budget=budget)
         _emit(_packing_json(kind, sol, args.mode))
@@ -256,18 +265,17 @@ class _Report:
         return 0 if all(c["ok"] for c in self.checks) else 4
 
 
-def _verify_binpacking(inst, args, report):
-    budget = args.budget or DEFAULT_NODE_BUDGET
-    sol = bin_packing(inst, mode=args.mode, node_budget=budget)
+def _verify_binpacking(inst, mode, budget, report):
+    sol = bin_packing(inst, mode=mode, node_budget=budget)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
     oracle = bp_brute_force(inst.sizes, inst.multiplicities)
     report.add("objective equals brute force", sol.objective == oracle,
                f"solver={sol.objective} oracle={oracle}")
-    other = "joint" if args.mode == "faithful" else "faithful"
+    other = "joint" if mode == "faithful" else "faithful"
     alt = bin_packing(inst, mode=other, node_budget=budget)
     report.add("modes agree", alt.objective == sol.objective,
-               f"{args.mode}={sol.objective} {other}={alt.objective}")
+               f"{mode}={sol.objective} {other}={alt.objective}")
     frac = fractional_opt(inst.sizes, inst.multiplicities)
     if inst.dim <= 2:
         report.add("round-up of the fractional optimum",
@@ -279,15 +287,14 @@ def _verify_binpacking(inst, args, report):
                    f"opt={sol.objective} ceil(frac)={rat_ceil(frac)}")
 
 
-def _verify_cuttingstock(inst, args, report):
-    budget = args.budget or DEFAULT_NODE_BUDGET
-    sol = cutting_stock(inst, mode=args.mode, node_budget=budget)
+def _verify_cuttingstock(inst, mode, budget, report):
+    sol = cutting_stock(inst, mode=mode, node_budget=budget)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
-    other = "joint" if args.mode == "faithful" else "faithful"
+    other = "joint" if mode == "faithful" else "faithful"
     alt = cutting_stock(inst, mode=other, node_budget=budget)
     report.add("modes agree", alt.objective == sol.objective,
-               f"{args.mode}={sol.objective} {other}={alt.objective}")
+               f"{mode}={sol.objective} {other}={alt.objective}")
     if len(inst.bin_types) == 1 and inst.bin_types[0] == (Rat(1), 1):
         oracle = bp_brute_force(inst.sizes, inst.multiplicities)
         report.add("objective equals brute force", sol.objective == oracle,
@@ -302,8 +309,7 @@ def _schedule_boxes(inst, per_dim_cap, total_cap):
     return [v for v in vecs if 0 < sum(v) <= total_cap]
 
 
-def _verify_scheduling(inst, args, report):
-    budget = args.budget or DEFAULT_NODE_BUDGET
+def _verify_scheduling(inst, mode, budget, report):
     if inst.variant in ("assignment", "preemptive"):
         for i in range(inst.m):
             poly = build_edf_polytope(inst, i)
@@ -313,7 +319,7 @@ def _verify_scheduling(inst, args, report):
                     bad += 1
             report.add(f"EDF polytope matches simulator (machine type {i})",
                        bad == 0, f"{bad} disagreements")
-        sol = preemptive_assign(inst, mode=args.mode, node_budget=budget)
+        sol = preemptive_assign(inst, mode=mode, node_budget=budget)
         for mtype, vec, schedule in sol.machines:
             validate_preemptive_schedule(inst, mtype, vec, schedule)
         report.add("assignment objective", True, f"cost={sol.objective}")
@@ -356,13 +362,14 @@ def _verify_polytope(poly, report):
 
 def cmd_verify(args) -> int:
     kind, inst = _load(args.path)
+    budget = _node_budget(args)
     report = _Report(args.json)
     if kind == "binpacking":
-        _verify_binpacking(inst, args, report)
+        _verify_binpacking(inst, args.mode, budget, report)
     elif kind == "cuttingstock":
-        _verify_cuttingstock(inst, args, report)
+        _verify_cuttingstock(inst, args.mode, budget, report)
     elif kind == "scheduling":
-        _verify_scheduling(inst, args, report)
+        _verify_scheduling(inst, args.mode, budget, report)
     else:
         _verify_polytope(inst, report)
     return report.finish()
@@ -415,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "scheduling solvers")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
-        if with_mode:
+    def common(p, solves=True):
+        if solves:
             p.add_argument("--mode", choices=("faithful", "joint"),
                            default="faithful")
-        p.add_argument("--budget", type=int, default=None,
-                       help="integer-program node budget")
+            p.add_argument("--budget", type=int, default=None,
+                           help="integer-program node budget")
         p.add_argument("--json", action="store_true",
                        help="structured output")
 
@@ -431,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="dump the parallelepiped cover")
     p.add_argument("path")
-    common(p, with_mode=False)
+    common(p, solves=False)
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("hull", help="dump integer hull vertices")
     p.add_argument("path")
-    common(p, with_mode=False)
+    common(p, solves=False)
     p.set_defaults(fn=cmd_hull)
 
     p = sub.add_parser("verify", help="cross-check solvers against oracles")

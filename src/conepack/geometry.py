@@ -228,6 +228,24 @@ class Polytope:
         return tuple(out)
 
 
+def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
+    """The box ``lo <= x <= hi``.
+
+    Rows come as ``x_j <= hi_j``, then ``-x_j <= -lo_j``, for each ``j`` in
+    turn; keep that order, since Bland's rule pivots by row index.
+    """
+    d = len(lo)
+    rows, rhs = [], []
+    for j in range(d):
+        unit = [0] * d
+        unit[j] = 1
+        rows.append(unit)
+        rhs.append(hi[j])
+        rows.append([-v for v in unit])
+        rhs.append(-lo[j])
+    return Polytope(rows, rhs)
+
+
 def coordinate_bounds(poly: Polytope):
     """Exact per-coordinate ranges.
 
@@ -612,10 +630,7 @@ class EllipsoidResult:
     ``center +- scale * (point - center)`` over the contacts provably
     contains every input point (verified with exact arithmetic).
     ``used_fallback`` reports that the float iteration's contact set failed
-    exact verification and all points were kept instead.  ``center`` and
-    ``shape`` are advisory floats describing the fitted ellipsoid
-    ``(x - center)^T shape (x - center) <= 1`` (degenerate directions get
-    pseudo-inverse treatment); only the contact set carries a guarantee.
+    exact verification and all points were kept instead.
     """
 
     contact_indices: tuple
@@ -623,8 +638,6 @@ class EllipsoidResult:
     scale: int
     iterations: int
     used_fallback: bool
-    center: tuple = ()
-    shape: tuple = ()
 
 
 MVEE_TOLERANCE = 1e-9
@@ -661,9 +674,8 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
             basis.append(v)
     t = len(basis)
     scale = max(1, _ceil_sqrt(t))
-    fctr = tuple(float(v) for v in ctr)
     if t == 0:
-        return EllipsoidResult((), 0, scale, 0, False, fctr, ())
+        return EllipsoidResult((), 0, scale, 0, False)
     solver = _ColumnSolver(basis)
     coords = []
     for v in diffs:
@@ -697,16 +709,6 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
         w *= 1.0 - beta
         w[kidx] += beta
 
-    shape: tuple = ()
-    try:
-        M = V.T @ (V * w[:, None])
-        basis_cols = np.array([[float(v[i]) for v in basis] for i in range(len(ctr))])
-        pinv = np.linalg.pinv(basis_cols)
-        S = pinv.T @ (np.linalg.inv(M) / t) @ pinv
-        shape = tuple(tuple(float(x) for x in row) for row in S)
-    except np.linalg.LinAlgError:
-        pass
-
     max_contacts = t * (t + 3) // 2
     contacts: list = []
     if ok:
@@ -719,8 +721,8 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
         contacts = sorted(nz)
         if not _verify_contact_hull(pts, ctr, contacts, scale):
             raise InternalError("full contact set failed hull verification")
-        return EllipsoidResult(tuple(contacts), t, scale, iterations, True, fctr, shape)
-    return EllipsoidResult(tuple(contacts), t, scale, iterations, False, fctr, shape)
+        return EllipsoidResult(tuple(contacts), t, scale, iterations, True)
+    return EllipsoidResult(tuple(contacts), t, scale, iterations, False)
 
 
 def _verify_contact_hull(pts, ctr, contacts, scale) -> bool:
@@ -840,16 +842,6 @@ def parallelepiped_cover(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -
     for cell in cell_partition(poly, budget=budget):
         cover.extend(_cell_parallelepipeds(poly, list(cell.members)))
     return cover
-
-
-def pp_coordinates(pp: Parallelepiped, point: Sequence) -> Optional[tuple]:
-    """Coefficients of ``point`` in ``pp``, or None when outside."""
-    return pp.coordinates(point)
-
-
-def pp_vertices(pp: Parallelepiped) -> list:
-    """All sign-pattern corners of ``pp`` as integer tuples."""
-    return pp.vertices()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ times.  Two schedulability encodings drive everything:
 
 Assignment problems (open machines of each type at a cost, meet the whole
 demand) reduce to the multi-polytope selection solver; the tardy variant
-(machine counts fixed, pay per dropped job copy) maximizes the scheduled
+(machine counts fixed, pay per dropped job copy) minimizes the dropped
 penalty mass with a binary search over selections from explicitly
 enumerated schedulable vectors.  All returned schedules are re-validated
 from scratch.
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError
-from .geometry import Polytope
+from .geometry import Polytope, box_polytope
 from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
-from .solver import (multi_polytope_select, select_from_generators,
-                     DEFAULT_GUESS_BUDGET)
+from .solver import (least_feasible, multi_polytope_select,
+                     select_from_generators, DEFAULT_GUESS_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +583,6 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
 # assignment variants
 
 
-def _demand_target(a: Sequence[int]) -> Polytope:
-    d = len(a)
-    rows, rhs = [], []
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = 1
-        rows.append(list(unit))
-        rhs.append(a[j])
-        rows.append([-v for v in unit])
-        rhs.append(-a[j])
-    return Polytope(rows, rhs)
-
-
 def _cheapest_single_hosts(inst: SchedulingInstance, hostable) -> int:
     """Cost bound: each copy on its own cheapest machine."""
     total = 0
@@ -637,28 +624,17 @@ def preemptive_assign(inst: SchedulingInstance,
         probe[j] = 1
         return polys[i].contains_int(probe)
 
-    hi = _cheapest_single_hosts(inst, hostable)
     parts = [(polys[i], inst.costs[i]) for i in range(inst.m)]
-    target = _demand_target(a)
+    target = box_polytope(a, a)
 
     def probe(budget):
         return multi_polytope_select(parts, target, budget, mode=mode,
                                      guess_budget=guess_budget,
                                      node_budget=node_budget)
 
-    best = probe(hi)
-    if not best.found:
-        raise InternalError("single-copy machines must cover the demand")
-    hi = best.total_cost
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res.found:
-            best = res
-            hi = min(mid, res.total_cost)
-        else:
-            lo = mid + 1
+    best, opt = least_feasible(probe, 0,
+                               _cheapest_single_hosts(inst, hostable),
+                               lambda res: res.total_cost)
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -674,7 +650,7 @@ def preemptive_assign(inst: SchedulingInstance,
                 placed[j] += mult * vec[j]
     if tuple(placed) != a:
         raise InternalError("assignment does not meet the demand")
-    if best.total_cost != hi:
+    if best.total_cost != opt:
         raise InternalError("objective drifted from the binary search bound")
     return ScheduleSolution(tuple(machines), best.total_cost)
 
@@ -729,27 +705,16 @@ def nonpreemptive_assign(inst: SchedulingInstance,
         probe[j] = 1
         return tuple(probe) in per_type[i]
 
-    hi = _cheapest_single_hosts(inst, hostable)
     groups = [sorted(per_type[i]) for i in range(inst.m)]
-    target = _demand_target(a)
+    target = box_polytope(a, a)
 
     def probe(budget):
         return select_from_generators(groups, list(inst.costs), target,
                                       budget, node_budget=node_budget)
 
-    best = probe(hi)
-    if not best.found:
-        raise InternalError("single-copy machines must cover the demand")
-    hi = best.total_cost
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res.found:
-            best = res
-            hi = min(mid, res.total_cost)
-        else:
-            lo = mid + 1
+    best, _opt = least_feasible(probe, 0,
+                                _cheapest_single_hosts(inst, hostable),
+                                lambda res: res.total_cost)
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -773,7 +738,8 @@ def tardy_min_penalty(inst: SchedulingInstance,
     machines the zero vector).  Selections are screened by a target that
     caps the per-type totals at the demand, forces the exact machine
     counts through indicator coordinates, and demands scheduled penalty
-    mass at least delta; a binary search maximizes delta.
+    mass at least delta; a binary search minimizes the dropped mass
+    ``cap - delta``.
     """
     if inst.counts is None:
         raise InputError("tardy variant needs machine counts and penalties")
@@ -794,48 +760,14 @@ def tardy_min_penalty(inst: SchedulingInstance,
                        + tuple(mark))
         groups.append(pts)
 
-    def target(delta):
-        dim = d + 1 + m
-        rows, rhs = [], []
-        for j in range(d):
-            unit = [0] * dim
-            unit[j] = 1
-            rows.append(list(unit))
-            rhs.append(a[j])
-            rows.append([-v for v in unit])
-            rhs.append(0)
-        row = [0] * dim
-        row[d] = 1
-        rows.append(list(row))
-        rhs.append(cap)
-        rows.append([-v for v in row])
-        rhs.append(-delta)
-        for i in range(m):
-            unit = [0] * dim
-            unit[d + 1 + i] = 1
-            rows.append(list(unit))
-            rhs.append(inst.counts[i])
-            rows.append([-v for v in unit])
-            rhs.append(-inst.counts[i])
-        return Polytope(rows, rhs)
-
-    def probe(delta):
-        return select_from_generators(groups, [0] * m, target(delta), 0,
+    def probe(dropped):
+        target = box_polytope([0] * d + [cap - dropped] + list(inst.counts),
+                              list(a) + [cap] + list(inst.counts))
+        return select_from_generators(groups, [0] * m, target, 0,
                                       node_budget=node_budget)
 
-    best = probe(0)
-    if not best.found:
-        raise InternalError("all-idle machines must always be selectable")
-    lo = int(best.target[d])
-    hi = cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        res = probe(mid)
-        if res.found:
-            best = res
-            lo = max(mid, int(res.target[d]))
-        else:
-            hi = mid - 1
+    best, dropped = least_feasible(probe, 0, cap,
+                                   lambda res: cap - int(res.target[d]))
     machines = []
     placed = [0] * d
     used = [0] * m
@@ -853,10 +785,9 @@ def tardy_min_penalty(inst: SchedulingInstance,
         raise InternalError("selection ignored the machine counts")
     if any(placed[j] > a[j] for j in range(d)):
         raise InternalError("scheduled more copies than demanded")
-    gained = sum(p * v for p, v in zip(pen, placed))
-    if gained != lo:
-        raise InternalError("scheduled penalty mass disagrees with the search")
-    return ScheduleSolution(tuple(machines), cap - gained, tuple(placed))
+    if cap - sum(p * v for p, v in zip(pen, placed)) != dropped:
+        raise InternalError("dropped penalty mass disagrees with the search")
+    return ScheduleSolution(tuple(machines), dropped, tuple(placed))
 
 
 # ---------------------------------------------------------------------------

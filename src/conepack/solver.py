@@ -13,12 +13,14 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   directions because every solvable target admits a witness of exactly
   this shape.
 
-``bin_packing`` lifts patterns by a unit coordinate that counts bins and
-binary-searches the bin count; ``cutting_stock`` and the machine-assignment
-problems reduce to ``multi_polytope_select``, which couples several
-candidate polytopes with selector and cost coordinates into one lifted
-intersection problem.  Every returned solution is re-verified exactly
-before it is surfaced.
+``bin_packing`` lifts patterns by a unit coordinate that counts bins;
+``cutting_stock`` and the machine-assignment problems reduce to
+``multi_polytope_select``, which couples several candidate polytopes with
+selector and cost coordinates into one lifted intersection problem.  Every
+optimiser, here and in ``scheduling``, finds its objective with
+``least_feasible``: a bisection that asks one such intersection question
+per probed bound.  Every returned solution is re-verified exactly before it
+is surfaced.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .errors import InfeasibleError, InputError, InternalError
 from .exactmath import ExactLp
 from .geometry import (
     Polytope,
+    box_polytope,
     coordinate_bounds,
     lattice_points,
     DEFAULT_LATTICE_BUDGET,
 )
 from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
-from .rational import Rat, ZERO, rat_ceil, rat_floor, as_int, dot
+from .rational import Rat, ZERO, rat_ceil, rat_floor, dot
 from .structure import (
     Combination,
     StructureSet,
@@ -138,12 +141,35 @@ class SelectResult:
 
 
 # ---------------------------------------------------------------------------
+# the objective search
+
+
+def least_feasible(probe, lo: int, hi: int, cost):
+    """Least objective value in ``[lo, hi]`` whose probe succeeds.
+
+    ``probe(v)`` looks for a solution of objective at most ``v`` and returns
+    a result with a ``found`` flag; ``cost(res)`` reads the objective of a
+    found solution, which may undercut ``v``.  The probe must be monotone
+    and ``probe(hi)`` must succeed.  Returns ``(best, optimum)``: the last
+    successful probe's result and the least feasible objective.
+    """
+    best = probe(hi)
+    if not best.found:
+        raise InternalError(f"no solution within the upper bound {hi}")
+    hi = cost(best)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        res = probe(mid)
+        if res.found:
+            best = res
+            hi = min(mid, cost(res))
+        else:
+            lo = mid + 1
+    return best, hi
+
+
+# ---------------------------------------------------------------------------
 # shared ILP plumbing
-
-
-def _eq_rows(row, value):
-    """An exact equality as two inequality rows."""
-    return [(tuple(row), value), (tuple(-v for v in row), -value)]
 
 
 def _target_box(target: Polytope, y_bounds):
@@ -394,62 +420,28 @@ def _joint_program(sset, generators, target, box, max_total_weight,
 # bin packing
 
 
-def _lifted_pattern_polytope(inst: BinPackingInstance) -> Polytope:
-    """Patterns with a unit counter coordinate: {(x, 1) : x >= 0, s.x <= 1}.
+def _pattern_polytope(sizes, capacity, a, counter=False) -> Polytope:
+    """Patterns of one bin: {x >= 0 : s.x <= capacity, x <= a}.
 
     The box x <= a is added: patterns exceeding the demand can never appear
-    in an exact decomposition of a.
+    in an exact decomposition of a.  ``counter`` appends a unit coordinate
+    that counts bins: {(x, 1)}.
     """
-    d = inst.dim
-    rows, rhs = [], []
-    scale = 1
-    for s in inst.sizes:
-        scale = scale * int(s.denominator) // _gcd(scale, int(s.denominator))
-    size_row = [as_int(s * scale) for s in inst.sizes] + [0]
-    rows.append(size_row)
-    rhs.append(scale)
+    d = len(sizes)
+    width = d + 1 if counter else d
+    rows = [list(sizes) + [0] * (width - d)]
+    rhs = [capacity]
     for j in range(d):
-        unit = [0] * (d + 1)
+        unit = [0] * width
         unit[j] = -1
         rows.append(unit)
         rhs.append(0)
-        cap = [0] * (d + 1)
-        cap[j] = 1
-        rows.append(cap)
-        rhs.append(inst.multiplicities[j])
-    last = [0] * (d + 1)
-    last[d] = 1
-    rows.append(last)
-    rhs.append(1)
-    rows.append([-v for v in last])
-    rhs.append(-1)
-    return Polytope(rows, rhs)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _count_window_target(a: Sequence[int], count_hi: int) -> Polytope:
-    """{a} x [0, count_hi] in d+1 dimensions."""
-    d = len(a)
-    rows, rhs = [], []
-    for j in range(d):
-        unit = [0] * (d + 1)
-        unit[j] = 1
-        rows.append(unit)
-        rhs.append(a[j])
         rows.append([-v for v in unit])
-        rhs.append(-a[j])
-    last = [0] * (d + 1)
-    last[d] = 1
-    rows.append(last)
-    rhs.append(count_hi)
-    rows.append([-v for v in last])
-    rhs.append(0)
-    return Polytope(rows, rhs)
+        rhs.append(a[j])
+    if counter:
+        rows += [[0] * d + [1], [0] * d + [-1]]
+        rhs += [1, -1]
+    return Polytope.from_rational(rows, rhs)
 
 
 def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
@@ -464,35 +456,23 @@ def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
     a = inst.multiplicities
     if all(v == 0 for v in a):
         return PackingSolution((), 0, None)
-    source = _lifted_pattern_polytope(inst)
+    source = _pattern_polytope(inst.sizes, 1, a, counter=True)
     sset = compute_structure_set(source)
     lo = rat_ceil(dot(inst.sizes, [Rat(v) for v in a]))
-    hi = sum(a)
-    best = None
 
     def probe(b):
-        return int_cone_intersect(source, _count_window_target(a, b),
+        return int_cone_intersect(source,
+                                  box_polytope(list(a) + [0], list(a) + [b]),
                                   mode=mode, structure=sset,
                                   guess_budget=guess_budget,
                                   node_budget=node_budget)
 
-    res = probe(hi)
-    if not res.found:
-        raise InternalError("one bin per item must always pack")
-    best = res
-    hi = res.combination.total_weight
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res.found:
-            best = res
-            hi = min(mid, res.combination.total_weight)
-        else:
-            lo = mid + 1
+    best, opt = least_feasible(probe, lo, sum(a),
+                               lambda res: res.combination.total_weight)
     solution = _packing_solution_from(best.combination, bin_type=0,
                                       record=best.guess)
     _verify_bin_packing(inst, solution)
-    if solution.objective != hi:
+    if solution.objective != opt:
         raise InternalError("objective drifted from the binary search bound")
     return solution
 
@@ -759,7 +739,6 @@ def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
                   guess_budget: int = DEFAULT_GUESS_BUDGET,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly."""
-    d = inst.dim
     a = inst.multiplicities
     if all(v == 0 for v in a):
         return PackingSolution((), 0, None)
@@ -772,64 +751,23 @@ def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
                 f"item type {j} (size {s}) fits no bin type")
         singles.append(min(fitting))
     hi = sum(aj * cj for aj, cj in zip(a, singles))
-
-    parts = []
-    for w, c in inst.bin_types:
-        rows, rhs = [], []
-        den = int(w.denominator)
-        scale = 1
-        for s in inst.sizes:
-            sden = int((s).denominator)
-            scale = scale * sden // _gcd(scale, sden)
-        scale = scale * den // _gcd(scale, den)
-        rows.append([as_int(s * scale) for s in inst.sizes])
-        rhs.append(as_int(w * scale))
-        for j in range(d):
-            unit = [0] * d
-            unit[j] = -1
-            rows.append(unit)
-            rhs.append(0)
-            cap = [0] * d
-            cap[j] = 1
-            rows.append(cap)
-            rhs.append(a[j])
-        parts.append((Polytope(rows, rhs), c))
-
-    t_rows, t_rhs = [], []
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = 1
-        t_rows.append(unit)
-        t_rhs.append(a[j])
-        t_rows.append([-v for v in unit])
-        t_rhs.append(-a[j])
-    target = Polytope(t_rows, t_rhs)
+    parts = [(_pattern_polytope(inst.sizes, w, a), c)
+             for w, c in inst.bin_types]
+    target = box_polytope(a, a)
 
     def probe(delta):
         return multi_polytope_select(parts, target, delta, mode=mode,
                                      guess_budget=guess_budget,
                                      node_budget=node_budget)
 
-    best = probe(hi)
-    if not best.found:
-        raise InternalError("single-item bins must pack everything")
-    hi = best.total_cost
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res.found:
-            best = res
-            hi = min(mid, res.total_cost)
-        else:
-            lo = mid + 1
+    best, opt = least_feasible(probe, 0, hi, lambda res: res.total_cost)
     patterns = []
     for i, combo in enumerate(best.part_combinations):
         for point, w in sorted(combo.weights.items()):
             patterns.append((point, i, w))
     solution = PackingSolution(tuple(patterns), best.total_cost, None)
     _verify_cutting_stock(inst, solution)
-    if solution.objective != hi:
+    if solution.objective != opt:
         raise InternalError("objective drifted from the binary search bound")
     return solution
 

@@ -1,6 +1,6 @@
 """Seeded random instance generators shared across test modules."""
 
-from conepack.geometry import Polytope, lattice_points
+from conepack.geometry import Polytope, box_polytope, lattice_points
 from conepack.rational import Rat
 from conepack.errors import ResourceError
 
@@ -28,30 +28,7 @@ def rand_bp_instance(rng, max_dim=3, max_den=20, max_items=10):
 
 def singleton_target(vals):
     """The one-point polytope {vals}."""
-    d = len(vals)
-    rows, rhs = [], []
-    for j, v in enumerate(vals):
-        unit = [0] * d
-        unit[j] = 1
-        rows.append(list(unit))
-        rhs.append(v)
-        rows.append([-x for x in unit])
-        rhs.append(-v)
-    return Polytope(rows, rhs)
-
-
-def box_polytope(lo, hi):
-    """The box [lo_1, hi_1] x ... as a polytope."""
-    d = len(lo)
-    rows, rhs = [], []
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = 1
-        rows.append(list(unit))
-        rhs.append(hi[j])
-        rows.append([-x for x in unit])
-        rhs.append(-lo[j])
-    return Polytope(rows, rhs)
+    return box_polytope(vals, vals)
 
 
 def rand_bounded_polytope(rng, max_dim=3, max_rows=6, coeff_cap=50,

@@ -245,6 +245,28 @@ class TestExitCodes:
         assert rc == 3
         assert "budget" in err
 
+    def test_budget_zero_is_honoured(self, tmp_path, capsys):
+        rc, _, err = run_cli(capsys, "solve",
+                             write(tmp_path, "i.txt", BP_SMALL),
+                             "--budget", "0")
+        assert rc == 3
+        assert "budget" in err
+
+    @pytest.mark.parametrize("command, text", [("solve", BP_SMALL),
+                                               ("verify", KNAPSACK)])
+    def test_negative_budget_is_2(self, tmp_path, capsys, command, text):
+        rc, _, err = run_cli(capsys, command, write(tmp_path, "i.txt", text),
+                             "--budget", "-1")
+        assert rc == 2
+        assert "--budget" in err
+
+    @pytest.mark.parametrize("command", ["cover", "hull"])
+    def test_geometry_commands_take_no_budget(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, write(tmp_path, "p.txt", KNAPSACK),
+                      "--budget", "5"])
+        assert exc.value.code == 2
+
 
 class TestBench:
     def test_deterministic_modulo_timing(self, capsys):

@@ -17,8 +17,6 @@ from conepack.geometry import (
     parallelepiped_cover,
     polytope_from_text,
     polytope_to_text,
-    pp_coordinates,
-    pp_vertices,
     slack_interval_endpoints,
     slack_interval_index,
 )
@@ -210,19 +208,19 @@ class TestCells:
 class TestParallelepiped:
     def test_vertices_point(self):
         pp = Parallelepiped((3,), ())
-        assert pp_vertices(pp) == [(3,)]
+        assert pp.vertices() == [(3,)]
 
     def test_vertices_square(self):
         pp = Parallelepiped((1, 1), ((1, 0), (0, 1)))
-        assert pp_vertices(pp) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert pp.vertices() == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
     def test_vertices_segment(self):
         pp = Parallelepiped((1,), ((1,),))
-        assert pp_vertices(pp) == [(0,), (2,)]
+        assert pp.vertices() == [(0,), (2,)]
 
     def test_half_integral_center(self):
         pp = Parallelepiped((rat(3, 2),), ((rat(3, 2),),))
-        assert pp_vertices(pp) == [(0,), (3,)]
+        assert pp.vertices() == [(0,), (3,)]
 
     def test_non_integral_vertex_rejected(self):
         with pytest.raises(InputError):
@@ -238,14 +236,14 @@ class TestParallelepiped:
 
     def test_coordinates(self):
         pp = Parallelepiped((1,), ((1,),))
-        assert pp_coordinates(pp, (0,)) == (-1,)
-        assert pp_coordinates(pp, (1,)) == (0,)
-        assert pp_coordinates(pp, (3,)) is None
+        assert pp.coordinates((0,)) == (-1,)
+        assert pp.coordinates((1,)) == (0,)
+        assert pp.coordinates((3,)) is None
 
     def test_coordinates_outside_span(self):
         pp = Parallelepiped((0, 0), ((1, 0),))
-        assert pp_coordinates(pp, (0, 1)) is None
-        assert pp_coordinates(pp, (rat(1, 2), 0)) == (rat(1, 2),)
+        assert pp.coordinates((0, 1)) is None
+        assert pp.coordinates((rat(1, 2), 0)) == (rat(1, 2),)
 
 
 class TestMvee:

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,8 +9,9 @@ from conepack.oracle import bp_brute_force, int_cone_brute
 from conepack.rational import Rat
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              PackingSolution, bin_packing, cutting_stock,
-                             int_cone_intersect, multi_polytope_select,
-                             select_from_generators, verify_solution)
+                             int_cone_intersect, least_feasible,
+                             multi_polytope_select, select_from_generators,
+                             verify_solution)
 from conepack.structure import combo_sum
 
 from genutil import rand_bp_instance, singleton_target, box_polytope
@@ -17,6 +19,41 @@ from genutil import rand_bp_instance, singleton_target, box_polytope
 
 def segment(lo, hi):
     return Polytope([[1], [-1]], [hi, -lo])
+
+
+class TestLeastFeasible:
+    @staticmethod
+    def fake_probe(threshold, slack, probed):
+        """Monotone: succeeds from ``threshold`` on, and then reports an
+        objective up to ``slack`` below the probed bound."""
+        def probe(v):
+            probed.append(v)
+            return SimpleNamespace(found=v >= threshold,
+                                   value=max(threshold, v - slack))
+        return probe
+
+    def test_finds_threshold(self):
+        for threshold in range(0, 31):
+            probed = []
+            best, opt = least_feasible(self.fake_probe(threshold, 0, probed),
+                                       0, 30, lambda res: res.value)
+            assert opt == threshold
+            assert best.found and best.value == threshold
+
+    def test_probe_sequence(self):
+        probed = []
+        best, opt = least_feasible(self.fake_probe(37, 5, probed), 0, 100,
+                                   lambda res: res.value)
+        # hits at 100 and 47 report 95 and 42, below the probed bound
+        assert probed == [100, 47, 21, 32, 37, 35, 36]
+        assert opt == 37 and best.value == 37
+
+    def test_infeasible_upper_end(self):
+        probed = []
+        with pytest.raises(InternalError):
+            least_feasible(self.fake_probe(11, 0, probed), 0, 10,
+                           lambda res: res.value)
+        assert probed == [10]
 
 
 class TestIntConeIntersect:
