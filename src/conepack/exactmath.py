@@ -15,12 +15,16 @@ no tolerances anywhere.  The two public entry points are
 The underlying ``ExactLp`` class is exposed for the branch-and-bound solver:
 it supports in-place variable bound changes with warm restarts (the basis is
 kept and repaired by the phase-1 routine) and cheap snapshot/restore, which
-is what makes exact branch and bound affordable.
+is what makes exact branch and bound affordable.  Its tableau holds no
+rationals: each row is a list of Python ints over one positive int
+denominator, updated by integer-preserving (Edmonds/Bareiss) elimination
+on the non-zero entries of the pivot row only, with every division exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
@@ -103,12 +107,55 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     return LinearSolveResult(UNIQUE, tuple(sol))
 
 
+def _integer_row(values):
+    """``values`` (``Rat``) as ``(ints, den)``: plain ints over the lcm of
+    their denominators, which leaves the row in lowest terms."""
+    dens = [int(v.denominator) for v in values]
+    d = lcm(*dens)
+    return [int(v.numerator) * (d // q) for v, q in zip(values, dens)], d
+
+
+def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list):
+    """Clear entry ``f`` of the integer row ``tgt / d`` against a pivot row.
+
+    The pivot row is ``row / piv`` with ``row[col] == piv > 0``; ``nz``
+    lists its non-zero ``(column, entry)`` pairs and ``f`` is
+    ``tgt[col]``.  Returns the new ``(row, den)``: ``tgt * p - f' * row``
+    over ``d * p``, where ``f' / p`` is ``f / piv`` in lowest terms, then
+    divided by the gcd of its entries and denominator.  Every division is
+    exact, so the rational entries are those Gauss-Jordan would give.
+    ``tgt`` itself may be updated in place.
+    """
+    g = gcd(f, piv)
+    p = piv // g
+    f //= g
+    if p != 1:
+        tgt = [a * p for a in tgt]
+        d *= p
+    for j, a in nz:
+        tgt[j] -= f * a
+    g = gcd(d, *tgt)
+    if g != 1:
+        tgt = [a // g for a in tgt]
+        d //= g
+    return tgt, d
+
+
 class ExactLp:
     """Bounded-variable exact simplex working set.
 
     Model: ``A x + s = b`` where each row's slack ``s_i`` has bounds
     ``[0, +inf)`` for a ``<=`` row and ``[0, 0]`` for a ``==`` row.
     Structural variables carry arbitrary (possibly absent) bounds.
+
+    The tableau ``B^-1 [A | I]`` is held as integer rows: entry ``(i, j)``
+    is ``tab[i][j] / den[i]`` with ``den[i] > 0`` and the row divided by
+    the gcd of its entries and ``den[i]``.  A pivot touches only the rows
+    with a non-zero entry in the pivot column, and subtracts only on the
+    pivot row's non-zero columns.  The basic values ``xb``, the nonbasic
+    values ``val`` and the bounds stay rationals.  The rational tableau is
+    the one a ``Rat`` Gauss-Jordan pivot would hold, so Bland's rule makes
+    the same choices either way.
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
@@ -128,17 +175,15 @@ class ExactLp:
             senses = ["<="] * m
         if len(senses) != m:
             raise InputError("senses length mismatch")
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if bound is not None and len(bound) != n:
+                raise InputError(
+                    f"{n} variables but {len(bound)} {name} bounds")
         self.m = m
         self.n = n
         self.ncols = n + m
         self.pivot_budget = pivot_budget
         self.pivots_used = 0
-        # tableau rows: current B^-1 [A | I], length ncols each
-        self.tab = []
-        for i in range(m):
-            row = [Rat(v) for v in rows[i]] + [ZERO] * m
-            row[n + i] = Rat(1)
-            self.tab.append(row)
         self.lo: list = [None] * self.ncols
         self.hi: list = [None] * self.ncols
         if lo is not None:
@@ -166,22 +211,30 @@ class ExactLp:
         self.basis = list(range(n, n + m))
         for i in range(m):
             self.state[n + i] = _BASIC
-        rhs_r = [Rat(v) for v in rhs]
+        # integer tableau rows [A_i * den_i | den_i e_i] over den_i
+        self.tab = []
+        self.den = []
         self.xb = []
+        moved = [(j, v) for j, v in enumerate(self.val[:n]) if v != 0]
         for i in range(m):
-            acc = rhs_r[i]
-            row = self.tab[i]
-            for j in range(n):
-                vj = self.val[j]
-                if vj != 0 and row[j] != 0:
+            row = [Rat(v) for v in rows[i]]
+            acc = Rat(rhs[i])
+            for j, vj in moved:
+                if row[j] != 0:
                     acc -= row[j] * vj
             self.xb.append(acc)
+            irow, d = _integer_row(row)
+            irow += [0] * m
+            irow[n + i] = d
+            self.tab.append(irow)
+            self.den.append(d)
 
     # -- bookkeeping ----------------------------------------------------
 
     def snapshot(self):
         return (
             [row[:] for row in self.tab],
+            self.den[:],
             self.basis[:],
             self.state[:],
             self.val[:],
@@ -191,8 +244,9 @@ class ExactLp:
         )
 
     def restore(self, snap) -> None:
-        tab, basis, state, val, xb, lo, hi = snap
+        tab, den, basis, state, val, xb, lo, hi = snap
         self.tab = [row[:] for row in tab]
+        self.den = den[:]
         self.basis = basis[:]
         self.state = state[:]
         self.val = val[:]
@@ -222,7 +276,7 @@ class ExactLp:
             for i in range(self.m):
                 coef = self.tab[i][j]
                 if coef != 0:
-                    self.xb[i] -= coef * delta
+                    self.xb[i] -= delta * coef / self.den[i]
         self.state[j], self.val[j] = new_state, new_val
 
     def values(self) -> tuple:
@@ -241,26 +295,32 @@ class ExactLp:
         if self.pivots_used > self.pivot_budget:
             raise ResourceError("simplex pivot budget", self.pivot_budget)
 
-    def _pivot(self, r: int, col: int, zrow=None) -> None:
+    def _pivot(self, r: int, col: int) -> None:
+        """Make column ``col`` basic in row ``r`` (the objective row too)."""
         self._charge_pivot()
-        row = self.tab[r]
+        tab, den = self.tab, self.den
+        row = tab[r]
         piv = row[col]
         if piv == 0:
             raise InternalError("pivot on zero element")
-        if piv != 1:
-            inv = 1 / piv
-            row = [v * inv for v in row]
-            self.tab[r] = row
+        if piv < 0:
+            row = [-a for a in row]
+            piv = -piv
+        g = gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+            piv //= g
+        tab[r] = row
+        den[r] = piv
+        nz = [(j, a) for j, a in enumerate(row) if a]
         for i in range(self.m):
             if i != r:
-                f = self.tab[i][col]
-                if f != 0:
-                    tgt = self.tab[i]
-                    self.tab[i] = [a - f * p for a, p in zip(tgt, row)]
-        if zrow is not None:
-            f = zrow[col]
-            if f != 0:
-                zrow[:] = [a - f * p for a, p in zip(zrow, row)]
+                f = tab[i][col]
+                if f:
+                    tab[i], den[i] = _eliminate(tab[i], den[i], f, piv, nz)
+        z = self._zrow
+        if z is not None and z[col]:
+            self._zrow, self._zden = _eliminate(z, self._zden, z[col], piv, nz)
 
     # -- ratio test -----------------------------------------------------
 
@@ -281,6 +341,8 @@ class ExactLp:
             if self.lo[j] is not None:
                 own_t = self.val[j] - self.lo[j]
 
+        # per unit step of ``j`` in ``direction``, basic ``i`` moves by
+        # ``rate / den[i]``, where ``rate`` is an integer
         best_t = None
         block_rows = []
         for i in range(self.m):
@@ -294,17 +356,17 @@ class ExactLp:
             t_i = None
             if phase1 and lo_b is not None and xb < lo_b:
                 if rate > 0:
-                    t_i = (lo_b - xb) / rate
+                    t_i = (lo_b - xb) * self.den[i] / rate
             elif phase1 and hi_b is not None and xb > hi_b:
                 if rate < 0:
-                    t_i = (xb - hi_b) / (-rate)
+                    t_i = (xb - hi_b) * self.den[i] / (-rate)
             else:
                 if rate > 0:
                     if hi_b is not None:
-                        t_i = (hi_b - xb) / rate
+                        t_i = (hi_b - xb) * self.den[i] / rate
                 else:
                     if lo_b is not None:
-                        t_i = (xb - lo_b) / (-rate)
+                        t_i = (xb - lo_b) * self.den[i] / (-rate)
             if t_i is None:
                 continue
             if best_t is None or t_i < best_t:
@@ -323,7 +385,7 @@ class ExactLp:
                 coef = self.tab[i][j]
                 if coef != 0:
                     rate = -coef if direction > 0 else coef
-                    self.xb[i] += rate * t
+                    self.xb[i] += t * rate / self.den[i]
             self.val[j] = self.val[j] + t if direction > 0 else self.val[j] - t
 
         if flip:
@@ -341,7 +403,7 @@ class ExactLp:
             raise InternalError("leaving variable did not stop on a bound")
         self.val[leave] = self.xb[r]
         entering_value = self.val[j]
-        self._pivot(r, j, zrow=self._zrow)
+        self._pivot(r, j)
         self.basis[r] = j
         self.state[j] = _BASIC
         self.xb[r] = entering_value
@@ -375,7 +437,13 @@ class ExactLp:
             if not bad:
                 return True
             # phase-1 reduced cost for nonbasic j:
-            #   d_j = sum(tab[i][j] for rows below lo) - sum(tab[i][j] for rows above hi)
+            #   d_j = sum(tab[i][j] / den[i] for rows below lo)
+            #       - sum(tab[i][j] / den[i] for rows above hi)
+            # only its sign is read, so it is taken times the lcm of those
+            # den[i], which keeps it an integer
+            common = lcm(*(self.den[i] for i, _side in bad))
+            weighted = [(self.tab[i], -side * (common // self.den[i]))
+                        for i, side in bad]
             enter = -1
             direction = 0
             for j in range(self.ncols):
@@ -384,11 +452,11 @@ class ExactLp:
                     continue
                 if self.lo[j] is not None and self.lo[j] == self.hi[j]:
                     continue  # fixed variable, no freedom
-                d = ZERO
-                for i, side in bad:
-                    coef = self.tab[i][j]
-                    if coef != 0:
-                        d = d + coef if side < 0 else d - coef
+                d = 0
+                for row, w in weighted:
+                    coef = row[j]
+                    if coef:
+                        d += w * coef
                 if d == 0:
                     continue
                 if st == _AT_LO and d < 0:
@@ -421,14 +489,18 @@ class ExactLp:
             cost = [-c for c in cost]
         if self._infeasible_rows():
             raise InternalError("optimize() requires a primal-feasible basis")
-        z = cost + [ZERO] * self.m
+        # reduced-cost row, held like a tableau row: z[j] / zden
+        z, zden = _integer_row(cost)
+        z += [0] * self.m
         for i in range(self.m):
             cb = z[self.basis[i]]
-            if cb != 0:
+            if cb:
                 row = self.tab[i]
-                z = [a - cb * p for a, p in zip(z, row)]
-        self._zrow = z
+                nz = [(j, a) for j, a in enumerate(row) if a]
+                z, zden = _eliminate(z, zden, cb, self.den[i], nz)
+        self._zrow, self._zden = z, zden
         while True:
+            z = self._zrow  # only the signs of the reduced costs are read
             enter = -1
             direction = 0
             for j in range(self.ncols):

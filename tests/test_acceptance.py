@@ -10,6 +10,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import (Polytope, in_convex_hull, integer_hull_vertices,
                                lattice_points, parallelepiped_cover)
@@ -79,6 +81,18 @@ def test_criterion_02_two_type_roundup():
             bad.append((sizes, mult, opt, target))
     report(2, not bad, f"100 two-type instances, {len(bad)} above the "
                        "rounded fractional optimum")
+
+
+@pytest.mark.parametrize("exponent", [12, 30])
+@pytest.mark.parametrize("sizes", [(Rat(5, 6), Rat(1, 7)),
+                                   (Rat(5, 7), Rat(2, 5))])
+def test_criterion_02_two_type_roundup_at_paper_scale(sizes, exponent):
+    """Criterion 2 with multiplicities in binary encoding, as in the paper."""
+    mult = [10 ** exponent + 7, 3 * 10 ** exponent // 2 + 1]
+    opt = bin_packing(BinPackingInstance(sizes, mult)).objective
+    target = rat_ceil(fractional_opt(sizes, mult))
+    report(2, opt == target, f"multiplicities ~10^{exponent}: "
+                             f"{opt} bins against the rounded LP {target}")
 
 
 def first_fit_decreasing(sizes, mult):

@@ -9,18 +9,22 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conepack.errors import InputError
 from conepack.exactmath import (
     INFEASIBLE,
     OPTIMAL,
     SINGULAR,
     UNBOUNDED,
     UNIQUE,
+    ExactLp,
     lp_feasible_point,
     lp_optimize,
     solve_linear_system,
 )
-from conepack.rational import Rat, dot
+from conepack.rational import Rat, dot, format_rat
 
 
 def test_linear_system_identity():
@@ -139,8 +143,8 @@ def _oracle_lp_max(rows, rhs, c, box):
     return best
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_lp_matches_vertex_enumeration(seed):
+def _enumeration_lp(seed):
+    """A random LP, and the same LP clamped inside the box |x_j| <= box."""
     rng = random.Random(1000 + seed)
     n = rng.randint(1, 3)
     m = rng.randint(1, 5)
@@ -160,6 +164,25 @@ def test_lp_matches_vertex_enumeration(seed):
         e2[j] = -1
         brows.append(e2)
         brhs.append(box)
+    return rows, rhs, c, box, brows, brhs
+
+
+def _bounded_lp(seed):
+    """A random LP with native bounds on every column."""
+    rng = random.Random(2000 + seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 4)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.randint(-2, 6) for _ in range(m)]
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    lo = [rng.randint(-3, 0) for _ in range(n)]
+    hi = [rng.randint(0, 3) for _ in range(n)]
+    return rows, rhs, c, lo, hi
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lp_matches_vertex_enumeration(seed):
+    rows, rhs, c, box, brows, brhs = _enumeration_lp(seed)
     res = lp_optimize(brows, brhs, c, sense="max")
     oracle = _oracle_lp_max(rows, rhs, c, box)
     if oracle is None:
@@ -176,14 +199,8 @@ def test_lp_matches_vertex_enumeration(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_lp_bounded_columns_match_row_encoding(seed):
     """Native variable bounds must agree with the same bounds written as rows."""
-    rng = random.Random(2000 + seed)
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 4)
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-    rhs = [rng.randint(-2, 6) for _ in range(m)]
-    c = [rng.randint(-3, 3) for _ in range(n)]
-    lo = [rng.randint(-3, 0) for _ in range(n)]
-    hi = [rng.randint(0, 3) for _ in range(n)]
+    rows, rhs, c, lo, hi = _bounded_lp(seed)
+    n = len(c)
     res_native = lp_optimize(rows, rhs, c, sense="max", lo=lo, hi=hi)
     rows2 = [r[:] for r in rows]
     rhs2 = rhs[:]
@@ -200,3 +217,124 @@ def test_lp_bounded_columns_match_row_encoding(seed):
     assert res_native.status == res_rows.status
     if res_native.status == OPTIMAL:
         assert res_native.value == res_rows.value
+
+
+# Pivot count and optimal vertex (or "infeasible") of each seeded LP above,
+# as Bland's rule found them on the Rat Gauss-Jordan tableau.  The integer
+# tableau holds the same rational entries, so it must retrace every step.
+PINNED_ENUMERATION = [
+    (2, "9 -20"), (1, "-1/4"), (7, "20 20 23/2"), (3, "-20 20"),
+    (2, "-20 20"), (1, "0 0"), (2, "-20 -23/3"), (1, "infeasible"),
+    (4, "-20 249/20 187/10"), (1, "-2/3"), (3, "-9/20 27/10 7/4"),
+    (3, "-45/4 -20"), (2, "20 20"), (2, "-1 1/4"), (2, "0 20 20"),
+    (1, "1/3"), (2, "13/12 -1/3"), (1, "1 0"), (3, "10/3 11/3"), (1, "20"),
+    (1, "1"), (4, "9 -20 1/3"), (1, "-1"), (2, "-5 -17/2"), (1, "1/2"),
+    (1, "0"), (1, "3/2"), (1, "20"), (2, "-1 3/2"), (4, "-20 -7 16"),
+    (1, "infeasible"), (7, "-249/16 -20 83/16"), (2, "1/3 1/3"),
+    (5, "-20 20 20"), (1, "2/3"), (4, "20 -23/4 20"), (2, "-20 31/2"),
+    (1, "-1/4"), (0, "infeasible"), (3, "-20 -21/17 105/17"),
+]
+PINNED_BOUNDED = [
+    (0, "2 2 -2 0"), (0, "infeasible"), (1, "-1/3"), (2, "2"), (1, "0"),
+    (1, "-1 0 -1/2 1"), (0, "1 0 1 -2"), (1, "-2 1"), (2, "-1/4 1/4"),
+    (2, "-2 -5/4 -7/8"), (1, "0 1"), (4, "2 -1"), (2, "2"), (0, "2 0 -3 0"),
+    (3, "-2 -1 0"), (2, "1"), (1, "0 2 -1 -3"), (1, "0 -1/3"), (0, "0 -2"),
+    (1, "1 5/2"), (2, "1 0"), (8, "1 -3 2 2"), (4, "-1 2 -1/3"),
+    (3, "-1 1 -2 -8/3"), (2, "0 2 0 1"),
+]
+
+
+def _assert_integer_tableau(lp):
+    assert len(lp.tab) == len(lp.den) == lp.m
+    for row, d in zip(lp.tab, lp.den):
+        assert type(d) is int and d > 0
+        assert len(row) == lp.ncols
+        assert all(type(a) is int for a in row)
+
+
+def _pinned_cases():
+    for seed, pin in enumerate(PINNED_ENUMERATION):
+        _rows, _rhs, c, _box, brows, brhs = _enumeration_lp(seed)
+        yield pytest.param(brows, brhs, c, None, None, pin,
+                           id=f"enumeration-{seed}")
+    for seed, pin in enumerate(PINNED_BOUNDED):
+        rows, rhs, c, lo, hi = _bounded_lp(seed)
+        yield pytest.param(rows, rhs, c, lo, hi, pin, id=f"bounded-{seed}")
+
+
+@pytest.mark.parametrize("rows,rhs,c,lo,hi,pin", _pinned_cases())
+def test_bland_trail_is_pinned(rows, rhs, c, lo, hi, pin):
+    lp = ExactLp(rows, rhs, lo=lo, hi=hi)
+    _assert_integer_tableau(lp)
+    if not lp.find_feasible():
+        outcome = "infeasible"
+    else:
+        _assert_integer_tableau(lp)
+        status, _value = lp.optimize(c, "max")
+        assert status == OPTIMAL
+        outcome = " ".join(format_rat(v) for v in lp.values())
+    _assert_integer_tableau(lp)
+    assert (lp.pivots_used, outcome) == pin
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ([0, 0, 0, 0], None),  # more bounds than columns, slacks included
+    ([0, 0, 0], None),     # the extra entry would bound the slack
+    ([5], None),
+    (None, [1]),
+    ([0, 0], [1, 1, 1]),
+])
+def test_bound_vectors_must_match_the_columns(lo, hi):
+    with pytest.raises(InputError):
+        lp_optimize([[1, 1]], [1], [1, 1], lo=lo, hi=hi)
+
+
+# -- warm starts: the sequence branch and bound runs ------------------------
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _warm_start_case(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_small, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(-2, 6), min_size=m, max_size=m))
+    senses = draw(st.lists(st.sampled_from(["<=", "=="]), min_size=m,
+                           max_size=m))
+    lo = [draw(st.integers(-3, 0)) for _ in range(n)]
+    hi = [draw(st.integers(0, 3)) for _ in range(n)]
+    # bound changes (variable, new lo, new hi), each applied after a solve
+    changes = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-3, 3),
+                  st.integers(-3, 3)), max_size=4))
+    return rows, rhs, senses, lo, hi, changes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_warm_start_case())
+def test_warm_start_matches_fresh_solve(case):
+    rows, rhs, senses, lo, hi, changes = case
+    lp = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+    lp.find_feasible()
+    lo, hi = lo[:], hi[:]
+    for j, a, b in changes:
+        snap = lp.snapshot()
+        lp.set_var_bounds(j, 0, 0)  # a sibling branch, then rewound
+        lp.find_feasible()
+        lp.restore(snap)
+        lp.set_var_bounds(j, a, b)
+        lo[j], hi[j] = a, b
+        lp.find_feasible()
+    _assert_integer_tableau(lp)
+    warm = lp.find_feasible()
+    fresh = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi).find_feasible()
+    assert warm == fresh
+    if warm:
+        x = lp.values()
+        for j, v in enumerate(x):
+            assert lo[j] <= v <= hi[j]
+        for row, b, sense in zip(rows, rhs, senses):
+            lhs = dot(row, x)
+            assert lhs == b if sense == "==" else lhs <= b
