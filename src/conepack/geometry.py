@@ -13,6 +13,13 @@ A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it.
 
+Linear algebra on points and directions runs in integers only: one
+fraction-free (Bareiss) elimination, ``_Frame``, picks independent
+vectors and keeps the adjugate and determinant of a nonsingular pivot
+block.  A ``Parallelepiped`` is such a frame over its directions scaled to
+integers, and tests membership as ``|adj . (L p - L c)| <= det`` plus an
+integer affine-span check.
+
 Everything user-visible is deterministic: lattice points and hull vertices
 come back lexicographically sorted, covers are built cell by cell in
 signature order.
@@ -21,15 +28,17 @@ signature order.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
-from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, is_integral, as_int
+from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, as_int
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
@@ -37,113 +46,98 @@ IntPoint = tuple  # tuple of ints
 
 
 # ---------------------------------------------------------------------------
-# small exact linear-algebra helpers
+# exact integer linear algebra
 
 
-class _RowReducer:
-    """Incremental exact row reduction; collects an independent subset."""
-
-    def __init__(self):
-        self.rows = []  # (reduced vector, pivot index)
-
-    def residual(self, vec):
-        v = list(vec)
-        for rv, pi in self.rows:
-            if v[pi] != 0:
-                f = v[pi] / rv[pi]
-                v = [a - f * b for a, b in zip(v, rv)]
-        return v
-
-    def try_add(self, vec) -> bool:
-        """Returns True (and absorbs vec) iff vec is independent of the rows."""
-        v = self.residual(vec)
-        for i, x in enumerate(v):
-            if x != 0:
-                self.rows.append((v, i))
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def _denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of exact rationals."""
+    scale = 1
+    for v in values:
+        if type(v) is not int:
+            scale = math.lcm(scale, int(Rat(v).denominator))
+    return scale
 
 
-def _invert(matrix):
-    """Exact inverse of a small square rational matrix (raises on singular)."""
-    k = len(matrix)
-    aug = [[Rat(v) for v in row] + [ONE if i == j else ZERO for j in range(k)]
-           for i, row in enumerate(matrix)]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise InputError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        if inv != 1:
-            aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                prow = aug[col]
-                aug[r] = [a - f * p for a, p in zip(aug[r], prow)]
-    return [row[k:] for row in aug]
+def _scaled(value, scale: int) -> int:
+    """``value * scale`` as a plain int; the product must be integral."""
+    if type(value) is int:
+        return value * scale
+    return as_int(Rat(value) * scale)
 
 
-class _ColumnSolver:
-    """Solves ``D alpha = rhs`` for a fixed full-column-rank D (d x k).
+class _Frame:
+    """Independent integer vectors and an exact integer solve against them.
 
-    Precomputes the inverse of an invertible k x k row-submatrix; each solve
-    is a small matrix-vector product plus an exact consistency check on the
-    remaining rows.  Returns None when the system is inconsistent.
+    Built by fraction-free Gauss-Jordan elimination (Bareiss 1968): the
+    input vectors are taken in order, and each is kept iff it is
+    independent of those kept before it, until ``limit`` are kept.  For
+    the ``k`` kept vectors ``vecs``, ``pivots`` names ``k`` coordinates
+    whose ``k x k`` block is nonsingular, ``det > 0`` is the absolute value
+    of its determinant and ``adj`` the matching adjugate, stored so that
+    ``sum_j mu_j vecs[j] = r`` has, if any, the one solution
+    ``mu_j = (adj[j] . r[pivots]) / det``.  Every value is a plain int.
     """
 
-    def __init__(self, columns: Sequence[Sequence]):
-        self.columns = [tuple(Rat(v) for v in col) for col in columns]
-        self.k = len(self.columns)
-        self.d = len(self.columns[0]) if self.k else 0
-        if self.k == 0:
-            self.pivot_rows = []
-            self.inv = []
-            return
-        red = _RowReducer()
-        pivot_rows = []
-        for i in range(self.d):
-            row = [col[i] for col in self.columns]
-            if red.try_add(row):
-                pivot_rows.append(i)
-            if len(pivot_rows) == self.k:
-                break
-        if len(pivot_rows) < self.k:
-            raise InputError("directions are linearly dependent")
-        self.pivot_rows = pivot_rows
-        sub = [[self.columns[j][i] for j in range(self.k)] for i in pivot_rows]
-        self.inv = _invert(sub)
+    __slots__ = ("vecs", "pivots", "adj", "det")
 
-    def solve(self, rhs: Sequence) -> Optional[tuple]:
-        rhs = [Rat(v) for v in rhs]
-        if self.k == 0:
-            return () if all(v == 0 for v in rhs) else None
-        alpha = []
-        for row in self.inv:
-            acc = ZERO
-            for f, i in zip(row, self.pivot_rows):
-                if f != 0:
-                    acc += f * rhs[i]
-            alpha.append(acc)
-        # exact consistency on every row
-        for i in range(self.d):
-            acc = ZERO
-            for j in range(self.k):
-                cij = self.columns[j][i]
-                if cij != 0 and alpha[j] != 0:
-                    acc += cij * alpha[j]
-            if acc != rhs[i]:
+    def __init__(self, vectors: Iterable[Sequence[int]],
+                 limit: Optional[int] = None):
+        kept, pivots, reduced, trans = [], [], [], []
+        det = 1
+        # invariant: reduced = trans . kept, and reduced[t] is det at
+        # pivots[t] and 0 at every other pivot
+        for vec in vectors:
+            if len(kept) == limit:
+                break
+            vec = tuple(vec)
+            coef = [vec[c] for c in pivots]
+            row = [det * v for v in vec]
+            aug = [0] * len(kept)
+            for f, red, tr in zip(coef, reduced, trans):
+                if f:
+                    row = [a - f * b for a, b in zip(row, red)]
+                    aug = [a - f * b for a, b in zip(aug, tr)]
+            col = next((i for i, v in enumerate(row) if v), None)
+            if col is None:
+                continue  # dependent on the kept vectors
+            aug.append(det)
+            p = row[col]
+            # every entry stays a minor of the kept vectors, so the
+            # division by the previous determinant is exact
+            for t, (red, tr) in enumerate(zip(reduced, trans)):
+                f = red[col]
+                reduced[t] = [(p * a - f * b) // det for a, b in zip(red, row)]
+                trans[t] = [(p * a - f * b) // det for a, b in zip(tr + [0], aug)]
+            kept.append(vec)
+            pivots.append(col)
+            reduced.append(row)
+            trans.append(aug)
+            det = p
+        sign = 1 if det > 0 else -1
+        self.vecs = tuple(kept)
+        self.pivots = tuple(pivots)
+        self.adj = tuple(tuple(sign * tr[j] for tr in trans)
+                         for j in range(len(kept)))
+        self.det = sign * det
+
+    def solve(self, r: Sequence[int],
+              bound: Optional[int] = None) -> Optional[list]:
+        """Integers ``num`` with ``sum_j num_j vecs[j] = det * r``, or None.
+
+        Also None as soon as some ``|num_j|`` exceeds ``bound``.
+        """
+        rp = [r[i] for i in self.pivots]
+        num = []
+        for row in self.adj:
+            v = sum(map(operator.mul, row, rp))
+            if bound is not None and abs(v) > bound:
                 return None
-        return tuple(alpha)
+            num.append(v)
+        rest = [self.det * v for v in r]
+        for n, vec in zip(num, self.vecs):
+            if n:
+                rest = [a - n * b for a, b in zip(rest, vec)]
+        return None if any(rest) else num
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +171,10 @@ class Polytope:
         """Clear denominators row by row to get integer data."""
         int_rows, int_rhs = [], []
         for row, b in zip(rows, rhs):
-            vals = [Rat(v) for v in row] + [Rat(b)]
-            scale = 1
-            for v in vals:
-                den = int(v.denominator)
-                scale = scale * den // math.gcd(scale, den)
-            int_rows.append([as_int(v * scale) for v in vals[:-1]])
-            int_rhs.append(as_int(vals[-1] * scale))
+            vals = list(row) + [b]
+            scale = _denominator_lcm(vals)
+            int_rows.append([_scaled(v, scale) for v in vals[:-1]])
+            int_rhs.append(_scaled(b, scale))
         return cls(int_rows, int_rhs)
 
     def __eq__(self, other):
@@ -350,16 +341,11 @@ def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
 
 
 def _chart(points):
-    """Affine chart: base point, independent difference basis, exact coords."""
+    """Affine chart of integer points: the first point and a frame of the
+    differences to it, kept in order until they span the affine hull."""
     base = points[0]
-    red = _RowReducer()
-    basis = []
-    for p in points[1:]:
-        v = [Rat(a) - Rat(b) for a, b in zip(p, base)]
-        if red.try_add(v):
-            basis.append(tuple(v))
-    solver = _ColumnSolver(basis) if basis else None
-    return base, basis, solver
+    diffs = (tuple(a - b for a, b in zip(p, base)) for p in points[1:])
+    return base, _Frame(diffs, limit=len(base))
 
 
 def _cross(o, a, b):
@@ -403,22 +389,22 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
     if len(pts) <= 2:
         return pts
-    base, basis, solver = _chart(pts)
-    k = len(basis)
+    base, frame = _chart(pts)
+    k = len(frame.vecs)
     if k == 0:
         return [pts[0]]
-    coords = []
-    for p in pts:
-        rhs = [Rat(a) - Rat(b) for a, b in zip(p, base)]
-        alpha = solver.solve(rhs)
-        if alpha is None:
-            raise InternalError("point escaped its own affine hull")
-        coords.append(alpha)
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: coords[i][0])
-        hi = max(range(len(pts)), key=lambda i: coords[i][0])
-        return sorted([pts[lo], pts[hi]])
-    if k == 2:
+    if k <= 2:
+        # chart coordinates times det > 0 keep every order and orientation
+        coords = []
+        for p in pts:
+            num = frame.solve([a - b for a, b in zip(p, base)])
+            if num is None:
+                raise InternalError("point escaped its own affine hull")
+            coords.append(tuple(num))
+        if k == 1:
+            lo = min(range(len(pts)), key=lambda i: coords[i][0])
+            hi = max(range(len(pts)), key=lambda i: coords[i][0])
+            return sorted([pts[lo], pts[hi]])
         idx = _hull_2d_vertices(coords)
         return sorted(pts[i] for i in idx)
     # rank >= 3: midpoint pruning, then exact LP filtering
@@ -458,6 +444,7 @@ def integer_hull_vertices(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) 
 # ---------------------------------------------------------------------------
 # slack-interval grid and cells
 
+# dim -> (ceilings of r^0, r^1, ..., the last power r^i itself)
 _grid_cache: dict = {}
 
 
@@ -467,7 +454,9 @@ def slack_interval_index(slack: int, dim: int) -> int:
     Interval endpoints: ``0, r^-1, 1, r, r^2, ...`` with ``r = 1 + 1/dim^2``.
     The index is the largest j with endpoint_j <= slack, so two integer
     slacks share an interval only if they agree within a factor r (slacks 0
-    and 1 sit in intervals of their own).
+    and 1 sit in intervals of their own).  For an integer slack,
+    ``r^i <= slack`` iff ``ceil(r^i) <= slack``, so the search runs on the
+    cached integer ceilings.
     """
     if slack < 0:
         raise InputError("negative slack")
@@ -477,38 +466,15 @@ def slack_interval_index(slack: int, dim: int) -> int:
         return 0
     if slack == 1:
         return 2
-    pows = _grid_cache.setdefault(dim, [ONE])  # pows[i] = r^i = endpoint_{i+2}
-    r = Rat(dim * dim + 1, dim * dim)
-    while pows[-1] <= slack:
-        pows.append(pows[-1] * r)
-    # largest i with pows[i] <= slack
-    lo, hi = 0, len(pows) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if pows[mid] <= slack:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 2
-
-
-def slack_interval_endpoints(index: int, dim: int) -> tuple:
-    """The exact rational endpoints ``[a, b]`` of interval ``index``."""
-    if index < 0:
-        raise InputError("negative interval index")
-    r = Rat(dim * dim + 1, dim * dim)
-    def endpoint(j):
-        if j == 0:
-            return ZERO
-        p = ONE
-        e = j - 2
-        if e >= 0:
-            for _ in range(e):
-                p *= r
-        else:
-            p = 1 / r
-        return p
-    return endpoint(index), endpoint(index + 1)
+    ceils, power = _grid_cache.get(dim, ([1], ONE))
+    if ceils[-1] <= slack:
+        r = Rat(dim * dim + 1, dim * dim)
+        while ceils[-1] <= slack:
+            power *= r
+            ceils.append(int(rat_ceil(power)))
+        _grid_cache[dim] = (ceils, power)
+    # (largest i with ceil(r^i) <= slack) + 2
+    return bisect_right(ceils, slack) + 1
 
 
 @dataclass(frozen=True)
@@ -545,59 +511,97 @@ def cell_partition(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list
 # parallelepipeds
 
 
-class Parallelepiped:
+class Parallelepiped(_Frame):
     """``{center + sum_i mu_i * dir_i : -1 <= mu_i <= 1}`` with integral vertices.
 
     The directions must be linearly independent and every one of the
     ``2^k`` vertices must be an integer point; both are validated on
     construction.  ``k = 0`` is the degenerate single-point case.
+
+    Held in integers only: ``center`` and the directions are scaled by the
+    lcm ``L`` of their denominators, and the frame of the scaled directions
+    keeps the adjugate ``adj`` and determinant ``det > 0`` of a nonsingular
+    ``k x k`` pivot block.  A point ``p`` is inside iff, with
+    ``r = L p - L center`` and ``num = adj . r[pivots]``, every
+    ``|num_j| <= det`` and ``sum_j num_j (L dir_j) = det * r`` on every
+    coordinate (the affine-span test); then ``mu = num / det``.
     """
 
+    __slots__ = ("_scale", "_center")
+
     def __init__(self, center: Sequence, directions: Sequence[Sequence]):
-        self.center = tuple(Rat(v) for v in center)
-        self.directions = tuple(tuple(Rat(v) for v in d) for d in directions)
-        self.k = len(self.directions)
-        self.dim = len(self.center)
-        for dvec in self.directions:
-            if len(dvec) != self.dim:
+        center = tuple(center)
+        directions = [tuple(d) for d in directions]
+        for dvec in directions:
+            if len(dvec) != len(center):
                 raise InputError("direction dimension mismatch")
             if all(v == 0 for v in dvec):
                 raise InputError("zero direction vector")
-        self._solver = _ColumnSolver(self.directions)  # raises if dependent
-        self._vertices = None
+        scale = _denominator_lcm(chain(center, *directions))
+        super().__init__(tuple(_scaled(v, scale) for v in d) for d in directions)
+        if len(self.vecs) < len(directions):
+            raise InputError("directions are linearly dependent")
+        self._scale = scale
+        self._center = tuple(_scaled(v, scale) for v in center)
         self.vertices()  # validates integrality eagerly
+
+    @property
+    def center(self) -> tuple:
+        return tuple(Rat(v, self._scale) for v in self._center)
+
+    @property
+    def directions(self) -> tuple:
+        return tuple(tuple(Rat(v, self._scale) for v in d) for d in self.vecs)
+
+    @property
+    def k(self) -> int:
+        return len(self.vecs)
+
+    @property
+    def dim(self) -> int:
+        return len(self._center)
 
     def __eq__(self, other):
         return (isinstance(other, Parallelepiped)
-                and self.center == other.center
-                and self.directions == other.directions)
+                and self._scale == other._scale
+                and self._center == other._center
+                and self.vecs == other.vecs)
 
     def __hash__(self):
-        return hash((self.center, self.directions))
+        return hash((self._scale, self._center, self.vecs))
 
     def __repr__(self):
         return f"Parallelepiped(center={self.center}, k={self.k})"
 
     def vertices(self) -> list:
         """All ``2^k`` sign-pattern corners as integer tuples, sorted."""
-        if self._vertices is not None:
-            return self._vertices
-        corners = []
-        for mask in range(1 << self.k):
-            v = list(self.center)
-            for i, dvec in enumerate(self.directions):
-                sign = 1 if (mask >> i) & 1 == 0 else -1
-                for t in range(self.dim):
-                    if dvec[t] != 0:
-                        v[t] += sign * dvec[t]
-            corner = []
-            for x in v:
-                if not is_integral(x):
-                    raise InputError(f"non-integral parallelepiped vertex {tuple(v)}")
-                corner.append(as_int(x))
-            corners.append(tuple(corner))
-        self._vertices = sorted(set(corners))
-        return self._vertices
+        corners = [self._center]
+        for dvec in self.vecs:
+            corners = [tuple(c + sign * v for c, v in zip(corner, dvec))
+                       for corner in corners for sign in (1, -1)]
+        scale = self._scale
+        out = set()
+        for corner in corners:
+            if any(x % scale for x in corner):
+                raise InputError("non-integral parallelepiped vertex "
+                                 f"{tuple(Rat(x, scale) for x in corner)}")
+            out.add(tuple(x // scale for x in corner))
+        return sorted(out)
+
+    def _numerators(self, point: Sequence) -> Optional[tuple]:
+        """``(num, den)`` with ``mu = num / den`` if the point is inside."""
+        if len(point) != self.dim:
+            raise InputError("point dimension mismatch")
+        q = _denominator_lcm(point)  # 1 for an integer point
+        scale = q * self._scale
+        r = [_scaled(x, scale) - q * c for x, c in zip(point, self._center)]
+        den = q * self.det
+        num = self.solve(r, den)
+        return None if num is None else (num, den)
+
+    def contains(self, point: Sequence) -> bool:
+        """Exact membership test, in integer arithmetic."""
+        return self._numerators(point) is not None
 
     def coordinates(self, point: Sequence) -> Optional[tuple]:
         """Exact coefficients of ``point`` if it lies in the parallelepiped.
@@ -605,17 +609,11 @@ class Parallelepiped:
         Returns the ``mu`` vector with ``|mu_i| <= 1`` when the point is
         inside (within the affine span and the coefficient box), else None.
         """
-        pt = [Rat(v) for v in point]
-        if len(pt) != self.dim:
-            raise InputError("point dimension mismatch")
-        rhs = [a - c for a, c in zip(pt, self.center)]
-        alpha = self._solver.solve(rhs)
-        if alpha is None:
+        hit = self._numerators(point)
+        if hit is None:
             return None
-        for a in alpha:
-            if a > 1 or a < -1:
-                return None
-        return alpha
+        num, den = hit
+        return tuple(Rat(n, den) for n in num)
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +665,22 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
         if mirror not in ptset:
             raise InputError("point set is not symmetric about the center")
     diffs = [tuple(x - c for x, c in zip(p, ctr)) for p in pts]
-    red = _RowReducer()
-    basis = []
-    for v in diffs:
-        if any(x != 0 for x in v) and red.try_add(v):
-            basis.append(v)
-    t = len(basis)
+    lcm = _denominator_lcm(x for v in diffs for x in v)
+    diffs = [tuple(_scaled(x, lcm) for x in v) for v in diffs]
+    frame = _Frame((v for v in diffs if any(v)), limit=len(ctr))
+    t = len(frame.vecs)
     scale = max(1, _ceil_sqrt(t))
     if t == 0:
         return EllipsoidResult((), 0, scale, 0, False)
-    solver = _ColumnSolver(basis)
     coords = []
     for v in diffs:
-        alpha = solver.solve(v)
-        if alpha is None:
+        num = frame.solve(v)
+        if num is None:
             raise InternalError("symmetric point escaped its own span")
-        coords.append(alpha)
+        coords.append(num)
 
-    nz = [i for i, c in enumerate(coords) if any(x != 0 for x in c)]
-    V = np.array([[float(coords[i][j]) for j in range(t)] for i in nz], dtype=float)
+    nz = [i for i, c in enumerate(coords) if any(c)]
+    V = np.array([[n / frame.det for n in coords[i]] for i in nz], dtype=float)
     n = len(nz)
     w = np.full(n, 1.0 / n)
     iterations = 0
@@ -747,7 +742,7 @@ def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
     if len(members) == 1:
         return [Parallelepiped(x0, ())]
     verts = extreme_points(members)
-    k = len(_chart(members)[1])
+    k = len(_chart(verts)[1].vecs)  # the vertices span the cell's affine hull
     if k == 1:
         e1, e2 = verts[0], verts[-1]
         center = tuple(Rat(a + b, 2) for a, b in zip(e1, e2))
@@ -763,10 +758,10 @@ def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
         dirs = []
         seen = set()
         for q in contact_points:
-            u = tuple(Rat(a) - Rat(b) for a, b in zip(q, x0))
-            if all(v == 0 for v in u):
+            u = tuple(a - b for a, b in zip(q, x0))
+            if not any(u):
                 continue
-            canon = u if u > tuple(ZERO for _ in u) else tuple(-v for v in u)
+            canon = u if u > (0,) * len(u) else tuple(-v for v in u)
             if canon not in seen:
                 seen.add(canon)
                 dirs.append(canon)
@@ -782,8 +777,7 @@ def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
                 if not uncovered:
                     break
                 chosen = [dirs[i] for i in combo]
-                red = _RowReducer()
-                if not all(red.try_add(list(u)) for u in chosen):
+                if len(_Frame(chosen).vecs) < size:
                     continue
                 pp = None
                 for c in range(scale, 0, -1):
@@ -794,7 +788,7 @@ def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
                         break
                 if pp is None:
                     continue
-                newly = [m for m in uncovered if pp.coordinates(m) is not None]
+                newly = [m for m in uncovered if pp.contains(m)]
                 if newly:
                     kept.append(pp)
                     uncovered.difference_update(newly)

@@ -276,11 +276,11 @@ def cover_verify(poly, cover: Sequence,
             if not point_in_poly(vi):
                 violations.append(("vertex-outside-polytope", i, vi))
 
-    def membership(pp, p):
-        cols = [list(direction) for direction in pp.directions]
+    def membership(frame, p):
+        center, cols = frame
         if not cols:
-            return all(Rat(a) == Rat(c) for a, c in zip(p, pp.center))
-        rhs = [Rat(a) - Rat(c) for a, c in zip(p, pp.center)]
+            return all(Rat(a) == Rat(c) for a, c in zip(p, center))
+        rhs = [Rat(a) - Rat(c) for a, c in zip(p, center)]
         matrix = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
         res = solve_linear_system(matrix, rhs)
         if res.status != UNIQUE:
@@ -308,11 +308,15 @@ def cover_verify(poly, cover: Sequence,
         raise ResourceError("cover verification scan", scan_budget,
                             f"box holds {cells} candidate points")
 
+    # each member's exact data, read once for the whole scan
+    frames = [(tuple(pp.center), [list(dvec) for dvec in pp.directions])
+              for pp in cover]
+
     def scan(j, prefix):
         if j == d:
             p = tuple(prefix)
             if point_in_poly(p):
-                if not any(membership(pp, p) for pp in cover):
+                if not any(membership(frame, p) for frame in frames):
                     violations.append(("point-uncovered", p))
             return
         for v in range(lo[j], hi[j] + 1):

@@ -21,6 +21,7 @@ termination.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
@@ -281,19 +282,34 @@ class StructureSet:
 
 def compute_structure_set(poly: Polytope,
                           budget: int = DEFAULT_LATTICE_BUDGET) -> StructureSet:
-    """Cover the polytope and index its lattice points by parallelepiped."""
+    """Cover the polytope and index its lattice points by parallelepiped.
+
+    The cover is walked in index order, and each parallelepiped claims the
+    still unassigned lattice points it contains; it tests only those inside
+    the bounding box of its vertices.  So every point goes to the lowest
+    index of a parallelepiped containing it.
+    """
     cover = tuple(parallelepiped_cover(poly, budget=budget))
     special = set()
-    for pp in cover:
-        special.update(pp.vertices())
     locator = {}
-    for p in lattice_points(poly, budget=budget):
-        for idx, pp in enumerate(cover):
-            if pp.coordinates(p) is not None:
+    unassigned = list(lattice_points(poly, budget=budget))  # sorted
+    for idx, pp in enumerate(cover):
+        verts = pp.vertices()
+        special.update(verts)
+        lo = tuple(map(min, zip(*verts)))
+        hi = tuple(map(max, zip(*verts)))
+        # every point of the box lies between lo and hi lexicographically
+        start = bisect_left(unassigned, lo)
+        stop = bisect_right(unassigned, hi)
+        missed = []
+        for p in unassigned[start:stop]:
+            if all(a <= x <= b for a, x, b in zip(lo, p, hi)) and pp.contains(p):
                 locator[p] = idx
-                break
-        else:
-            raise InternalError(f"lattice point {p} missed by the cover")
+            else:
+                missed.append(p)
+        unassigned[start:stop] = missed
+    if unassigned:
+        raise InternalError(f"lattice point {unassigned[0]} missed by the cover")
     return StructureSet(tuple(sorted(special)), cover, locator, poly)
 
 

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import (
@@ -17,7 +20,6 @@ from conepack.geometry import (
     parallelepiped_cover,
     polytope_from_text,
     polytope_to_text,
-    slack_interval_endpoints,
     slack_interval_index,
 )
 from conepack.rational import Rat, rat
@@ -93,6 +95,18 @@ class TestLatticePoints:
         for p in pts:
             assert 2 * p[0] + 3 * p[1] <= 7
         assert (2, 1) in pts and (3, 1) not in pts
+
+
+def slack_interval_endpoints(index, dim):
+    """The exact rational endpoints ``[a, b]`` of grid interval ``index``:
+    endpoint 0 is 0 and endpoint ``j >= 1`` is ``r^(j-2)``, with
+    ``r = 1 + 1/dim^2``."""
+    r = Rat(dim * dim + 1, dim * dim)
+
+    def endpoint(j):
+        return Rat(0) if j == 0 else r ** (j - 2)
+
+    return endpoint(index), endpoint(index + 1)
 
 
 def brute_extreme(points):
@@ -244,6 +258,94 @@ class TestParallelepiped:
         pp = Parallelepiped((0, 0), ((1, 0),))
         assert pp.coordinates((0, 1)) is None
         assert pp.coordinates((rat(1, 2), 0)) == (rat(1, 2),)
+
+
+def _oracle_coordinates(center, directions, point):
+    """``mu`` with ``point = center + sum mu_j dir_j`` and every
+    ``|mu_j| <= 1``, else None: Gauss-Jordan elimination on Fractions of
+    the d x k system, for independent directions."""
+    k = len(directions)
+    rows = [[Fraction(dvec[i]) for dvec in directions]
+            + [Fraction(point[i]) - Fraction(center[i])]
+            for i in range(len(center))]
+    for j in range(k):
+        piv = next(i for i in range(j, len(rows)) if rows[i][j] != 0)
+        rows[j], rows[piv] = rows[piv], rows[j]
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j] != 0:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
+    if any(row[k] != 0 for row in rows[k:]):
+        return None  # off the affine span
+    mu = tuple(rows[j][k] for j in range(k))
+    return mu if all(-1 <= m <= 1 for m in mu) else None
+
+
+def _rank(vectors):
+    """Rank by Fraction row echelon form."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_coef = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]),
+    # just outside the coefficient box
+    st.integers(2, 12).map(lambda n: Fraction(n + 1, n)),
+    st.integers(2, 12).map(lambda n: Fraction(-n - 1, n)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+
+
+@st.composite
+def _parallelepiped_queries(draw):
+    """A parallelepiped with integral vertices and points to test in it.
+
+    The edges ``e_j`` from an integral vertex are small integer vectors of
+    either sign, so the centre ``v0 + sum e_j / 2`` and the directions
+    ``e_j / 2`` are often half-integral; ``k`` runs from 0 to ``d``.
+    """
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d))
+    small = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    v0 = draw(small)
+    edges = draw(st.lists(small, min_size=k, max_size=k))
+    assume(_rank(edges) == k)
+    center = tuple(Fraction(2 * a + sum(e[i] for e in edges), 2)
+                   for i, a in enumerate(v0))
+    directions = tuple(tuple(Fraction(v, 2) for v in e) for e in edges)
+    queries = draw(st.lists(st.lists(st.integers(-5, 5), min_size=d,
+                                     max_size=d).map(tuple), max_size=6))
+    for _ in range(draw(st.integers(1, 6))):
+        mu = draw(st.lists(_coef, min_size=k, max_size=k))
+        # a random offset leaves the affine span whenever k < d, mostly
+        off = draw(st.one_of(st.just([0] * d), small))
+        queries.append(tuple(
+            c + o + sum(m * dvec[i] for m, dvec in zip(mu, directions))
+            for i, (c, o) in enumerate(zip(center, off))))
+    queries.append(center)
+    return center, directions, queries
+
+
+@settings(max_examples=300)
+@given(_parallelepiped_queries())
+def test_membership_matches_fraction_elimination(case):
+    center, directions, queries = case
+    pp = Parallelepiped(center, directions)
+    assert pp.center == center and pp.directions == directions
+    for q in queries:
+        want = _oracle_coordinates(center, directions, q)
+        assert pp.coordinates(q) == want
+        assert pp.contains(q) is (want is not None)
 
 
 class TestMvee:

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from conepack.errors import InputError
 from conepack.geometry import Parallelepiped, Polytope, in_convex_hull, lattice_points
-from conepack.rational import rat
+from conepack.rational import format_rat, rat
 from conepack.structure import (
     Combination,
     combo_sum,
@@ -181,6 +182,57 @@ class TestStructureSet:
         for pp in sset.cover:
             vertex_union.update(pp.vertices())
         assert set(sset.special_points) == vertex_union
+
+
+def _box3(hi, cuts=()):
+    rows, rhs = [], []
+    for j, h in enumerate(hi):
+        unit = [0, 0, 0]
+        unit[j] = 1
+        rows += [unit, [-v for v in unit]]
+        rhs += [h, 0]
+    for row, b in cuts:
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs
+
+
+# sha256 prefixes of (cover, special points, sorted locator), recorded with
+# the locator that tried every parallelepiped on every lattice point; the
+# two 2-d polygons after the knapsack have points in several
+# parallelepipeds, and the last two 3-d boxes have segment cells
+LOCATOR_PINS = [
+    ([[-1, 0], [0, -1], [26, 41]], [0, 0, 200], "8ad247141959924b"),
+    ([[-1, 0], [0, -1], [2, 3]], [0, 0, 60], "8a67d5bb685e5b09"),
+    ([[-1, 0], [1, -2], [-1, 3], [1, 1]], [0, 0, 40, 45], "5cc302dfd5b53a34"),
+    (*_box3((4, 4, 4), [([1, 1, 1], 6)]), "a1863ab0a8909ea4"),
+    (*_box3((1, 1, 80)), "1a6e7a6ad02ac2b8"),
+    (*_box3((1, 1, 60), [([1, 1, 3], 170)]), "cfd00a2598aa7c44"),
+]
+
+
+def _structure_digest(sset):
+    cover = [([format_rat(c) for c in pp.center],
+              [[format_rat(v) for v in dvec] for dvec in pp.directions])
+             for pp in sset.cover]
+    blob = repr((cover, sset.special_points, sorted(sset.locator.items())))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class TestLocator:
+    @pytest.mark.parametrize("rows,rhs,pin", LOCATOR_PINS, ids=[
+        "knapsack", "overlap-a", "overlap-b", "cut-box", "column",
+        "cut-column"])
+    def test_lowest_index_rule_is_pinned(self, rows, rhs, pin):
+        poly = Polytope(rows, rhs)
+        sset = compute_structure_set(poly)
+        pts = lattice_points(poly)
+        assert sorted(sset.locator) == pts
+        for p in pts:
+            first = next(idx for idx, pp in enumerate(sset.cover)
+                         if pp.coordinates(p) is not None)
+            assert sset.locator[p] == first
+        assert _structure_digest(sset) == pin
 
 
 class TestNormalize:
