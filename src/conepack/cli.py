@@ -203,10 +203,6 @@ def cmd_solve(args) -> int:
                      "use cover or hull")
 
 
-def _rat_str(v) -> str:
-    return str(v)
-
-
 def cmd_cover(args) -> int:
     kind, poly = _load(args.path)
     if kind != "polytope":
@@ -218,8 +214,8 @@ def cmd_cover(args) -> int:
                 tuple(tuple(dvec) for dvec in pp.directions))
 
     dump = [[
-        [_rat_str(c) for c in pp.center],
-        [[_rat_str(v) for v in dvec] for dvec in pp.directions],
+        [str(c) for c in pp.center],
+        [[str(v) for v in dvec] for dvec in pp.directions],
     ] for pp in sorted(cover, key=key)]
     if args.json:
         _emit({"cover": [{"center": c, "directions": d} for c, d in dump]})

@@ -162,8 +162,7 @@ class ExactLp:
     is the cheap path exercised by branch and bound.
     """
 
-    def __init__(self, rows, rhs, senses=None, lo=None, hi=None,
-                 pivot_budget: int = DEFAULT_PIVOT_BUDGET):
+    def __init__(self, rows, rhs, senses=None, lo=None, hi=None):
         m = len(rows)
         n = len(rows[0]) if m else 0
         for row in rows:
@@ -182,7 +181,6 @@ class ExactLp:
         self.m = m
         self.n = n
         self.ncols = n + m
-        self.pivot_budget = pivot_budget
         self.pivots_used = 0
         self.lo: list = [None] * self.ncols
         self.hi: list = [None] * self.ncols
@@ -292,8 +290,8 @@ class ExactLp:
 
     def _charge_pivot(self) -> None:
         self.pivots_used += 1
-        if self.pivots_used > self.pivot_budget:
-            raise ResourceError("simplex pivot budget", self.pivot_budget)
+        if self.pivots_used > DEFAULT_PIVOT_BUDGET:
+            raise ResourceError("simplex pivot budget", DEFAULT_PIVOT_BUDGET)
 
     def _pivot(self, r: int, col: int) -> None:
         """Make column ``col`` basic in row ``r`` (the objective row too)."""

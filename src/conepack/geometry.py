@@ -162,13 +162,14 @@ class Polytope:
         else:
             raise InputError("a polytope needs at least one constraint row")
         self.m = len(self.A)
-        self.delta = max(max(abs(v) for v in row) for row in self.A)
         self._bounds = None
         self._lattice = None
 
     @classmethod
     def from_rational(cls, rows: Sequence[Sequence], rhs: Sequence) -> "Polytope":
         """Clear denominators row by row to get integer data."""
+        if len(rows) != len(rhs):
+            raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
         int_rows, int_rhs = [], []
         for row, b in zip(rows, rhs):
             vals = list(row) + [b]
@@ -192,19 +193,6 @@ class Polytope:
             raise InputError(f"point has dim {len(point)}, polytope {self.dim}")
         for row, b in zip(self.A, self.b):
             if sum(c * x for c, x in zip(row, point)) > b:
-                return False
-        return True
-
-    def contains_rat(self, point: Sequence) -> bool:
-        pt = [Rat(v) for v in point]
-        if len(pt) != self.dim:
-            raise InputError(f"point has dim {len(pt)}, polytope {self.dim}")
-        for row, b in zip(self.A, self.b):
-            acc = ZERO
-            for c, x in zip(row, pt):
-                if c != 0:
-                    acc += c * x
-            if acc > b:
                 return False
         return True
 

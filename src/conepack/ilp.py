@@ -8,10 +8,8 @@ the most fractional coordinate is split.  Every answer is exact; a node
 budget turns pathological instances into a resource error instead of a
 wrong result.
 
-An optional unimodular change of basis (LLL reduction of the coordinate
-lattice under the metric ``A^T A + I``) can precondition elongated
-feasible regions.  It is off by default and never changes answers, only
-node counts.
+``lll_basis`` computes an LLL-reduced unimodular basis of the coordinate
+lattice under the metric ``A^T A + I``; the solver does not call it.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
-from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, is_integral, as_int
+from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -116,11 +114,8 @@ def _derive_bounds(problem: IlpProblem):
 
 
 def ilp_feasible(problem: IlpProblem,
-                 node_budget: int = DEFAULT_NODE_BUDGET,
-                 lll_reduce: bool = False) -> IlpResult:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> IlpResult:
     """Find an integer point of the system or certify there is none."""
-    if lll_reduce:
-        return _solve_reduced(problem, node_budget)
     derived = _derive_bounds(problem)
     if derived is None:
         return IlpResult(False, None, 0)
@@ -197,7 +192,7 @@ def _replace(tup, j, v):
 
 
 # ---------------------------------------------------------------------------
-# optional lattice preconditioning
+# lattice basis reduction
 
 
 def _metric_dot(M, u, v):
@@ -255,33 +250,3 @@ def lll_basis(rows: Sequence[Sequence[int]], n: int) -> list:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             k = max(k - 1, 1)
     return [[as_int(v) for v in row] for row in basis]
-
-
-def _solve_reduced(problem: IlpProblem, node_budget: int) -> IlpResult:
-    """Solve in LLL-reduced coordinates, mapping the witness back."""
-    n = problem.n
-    rows = [list(r) for r in problem.rows]
-    rhs = list(problem.rhs)
-    # fold explicit bounds into rows so the box survives the basis change
-    for j in range(n):
-        if problem.hi[j] is not None:
-            rows.append([1 if i == j else 0 for i in range(n)])
-            rhs.append(problem.hi[j])
-        if problem.lo[j] is not None:
-            rows.append([-1 if i == j else 0 for i in range(n)])
-            rhs.append(-problem.lo[j])
-    U = lll_basis(rows, n)
-    # x = U^T y, so row a becomes a U^T
-    new_rows = []
-    for row in rows:
-        new_rows.append(tuple(sum(row[i] * U[t][i] for i in range(n))
-                              for t in range(n)))
-    sub = IlpProblem.build(new_rows, rhs)
-    res = ilp_feasible(sub, node_budget=node_budget, lll_reduce=False)
-    if not res.feasible:
-        return res
-    y = res.witness
-    x = tuple(int(sum(U[t][i] * y[t] for t in range(n))) for i in range(n))
-    if not _satisfies(problem, x):
-        raise InternalError("reduced-space witness fails original system")
-    return IlpResult(True, x, res.nodes)

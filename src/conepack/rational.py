@@ -1,18 +1,18 @@
-"""Exact rational scalars and small dense vector/matrix helpers.
+"""Exact rational scalars: construction, rounding and text form.
 
 The rational type ``Rat`` is ``gmpy2.mpq`` when gmpy2 is importable and
 ``fractions.Fraction`` otherwise.  Both keep numerator/denominator in lowest
 terms with a positive denominator, compare exactly, and hash consistently
 with each other, so the choice never changes results -- only speed.
 
-Vectors are plain tuples, matrices are lists of lists.  Everything here is
-deterministic and allocation-light; it is the arithmetic bedrock for the
-exact simplex and the lattice geometry built on top of it.
+Vectors are plain tuples.  Everything here is deterministic and
+allocation-light; it is the arithmetic bedrock for the exact simplex and
+the lattice geometry built on top of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 try:  # pragma: no cover - exercised implicitly by every test run
     from gmpy2 import mpq as _mpq
@@ -32,18 +32,6 @@ def rat(num: RatLike, den: int | None = None) -> "Rat":
     if den is None:
         return Rat(num)
     return Rat(num, den)
-
-
-def parse_rat(text: str) -> "Rat":
-    """Parse ``p`` or ``p/q`` (ASCII, optional sign).  Raises ValueError."""
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Rat(num, den)
-    return Rat(int(text))
 
 
 def format_rat(value) -> str:
@@ -76,10 +64,6 @@ def rat_ceil(value) -> int:
     return -((-value.numerator) // value.denominator)
 
 
-def ratvec(values: Iterable[RatLike]) -> tuple:
-    return tuple(Rat(v) for v in values)
-
-
 def dot(a: Sequence, b: Sequence):
     """Exact inner product.  Lengths must match."""
     if len(a) != len(b):
@@ -88,20 +72,3 @@ def dot(a: Sequence, b: Sequence):
     for x, y in zip(a, b):
         total += x * y
     return total
-
-
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    """Inner product on machine/big ints (fast path for integer data)."""
-    return sum(x * y for x, y in zip(a, b))

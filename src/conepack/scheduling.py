@@ -31,7 +31,7 @@ from .errors import InfeasibleError, InputError, InternalError
 from .geometry import Polytope, box_polytope
 from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
 from .solver import (least_feasible, multi_polytope_select,
-                     select_from_generators, DEFAULT_GUESS_BUDGET)
+                     select_from_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +598,6 @@ def _cheapest_single_hosts(inst: SchedulingInstance, hostable) -> int:
 
 def preemptive_assign(inst: SchedulingInstance,
                       mode: str = "faithful",
-                      guess_budget: int = DEFAULT_GUESS_BUDGET,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> ScheduleSolution:
     """Cheapest machine multiset covering the demand with EDF schedules."""
     if inst.costs is None:
@@ -629,7 +628,6 @@ def preemptive_assign(inst: SchedulingInstance,
 
     def probe(budget):
         return multi_polytope_select(parts, target, budget, mode=mode,
-                                     guess_budget=guess_budget,
                                      node_budget=node_budget)
 
     best, opt = least_feasible(probe, 0,

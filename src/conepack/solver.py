@@ -36,10 +36,9 @@ from .geometry import (
     box_polytope,
     coordinate_bounds,
     lattice_points,
-    DEFAULT_LATTICE_BUDGET,
 )
 from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
-from .rational import Rat, ZERO, rat_ceil, rat_floor, dot
+from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, dot
 from .structure import (
     Combination,
     StructureSet,
@@ -73,13 +72,6 @@ class BinPackingInstance:
         if any(a < 0 for a in self.multiplicities):
             raise InputError("multiplicities must be non-negative")
         self.dim = len(self.sizes)
-
-    @property
-    def delta(self) -> int:
-        """Largest number in the instance: denominators and multiplicities."""
-        return max([int(s.denominator) for s in self.sizes]
-                   + [int(s.numerator) for s in self.sizes]
-                   + list(self.multiplicities) + [1])
 
     def __repr__(self):
         return f"BinPackingInstance(sizes={self.sizes}, a={self.multiplicities})"
@@ -174,6 +166,9 @@ def least_feasible(probe, lo: int, hi: int, cost):
 
 def _target_box(target: Polytope, y_bounds):
     """Integer bounds for each target coordinate, honoring overrides."""
+    if y_bounds is not None and len(y_bounds) != target.dim:
+        raise InputError(f"{len(y_bounds)} y_bounds for a target of "
+                         f"dimension {target.dim}")
     bounds = coordinate_bounds(target)
     if bounds is None:
         return None
@@ -238,9 +233,14 @@ def _combination_rows(generators, target, box, extra_free=0,
 
 def _run_combination_ilp(generators, target, box, gen_hi=None,
                          extra_free=0, source=None, free_box=None,
-                         max_total_weight=None,
-                         node_budget=DEFAULT_NODE_BUDGET):
-    """Solve for generator weights (and free points); None when infeasible."""
+                         cap=None, node_budget=DEFAULT_NODE_BUDGET):
+    """Solve for generator weights (and free points); None when infeasible.
+
+    ``cap`` is an optional row ``(coefficients, bound)`` on the generator
+    weights, appended after the rows of ``_combination_rows``.  Returns one
+    ``(point, weight)`` pair per generator, in order, then each free point
+    with weight 1.
+    """
     n = len(generators)
     d = target.dim
     rows, rhs = _combination_rows(generators, target, box,
@@ -251,27 +251,22 @@ def _run_combination_ilp(generators, target, box, gen_hi=None,
         for a, b in free_box:
             lo.append(a)
             hi.append(b)
-    if max_total_weight is not None:
-        rows.append([1] * n + [0] * (extra_free * d))
-        rhs.append(max_total_weight)
+    if cap is not None:
+        coefficients, bound = cap
+        rows.append(list(coefficients) + [0] * (extra_free * d))
+        rhs.append(bound)
     problem = IlpProblem.build(rows, rhs, lo=lo, hi=hi)
     try:
         res = ilp_feasible(problem, node_budget=node_budget)
     except InputError as exc:
         raise InputError(
             f"cannot bound the combination program ({exc}); "
-            "pass max_total_weight") from exc
+            "bound the target or cap the total weight") from exc
     if not res.feasible:
         return None
     x = res.witness
-    weights = {}
-    for g, w in zip(generators, x[:n]):
-        if w:
-            weights[g] = weights.get(g, 0) + w
-    for t in range(extra_free):
-        pt = tuple(x[n + t * d:n + (t + 1) * d])
-        weights[pt] = weights.get(pt, 0) + 1
-    return weights
+    return list(zip(generators, x)) + [
+        (x[n + t * d:n + (t + 1) * d], 1) for t in range(extra_free)]
 
 
 def _relaxation_feasible(generators, target, box, extra_free=0, source=None):
@@ -294,8 +289,6 @@ def int_cone_intersect(source: Polytope, target: Polytope,
                        y_bounds: Optional[Sequence] = None,
                        max_total_weight: Optional[int] = None,
                        structure: Optional[StructureSet] = None,
-                       guess_budget: int = DEFAULT_GUESS_BUDGET,
-                       lattice_budget: int = DEFAULT_LATTICE_BUDGET,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> IntConeResult:
     """Find a point of the target reachable as an integer combination.
 
@@ -316,18 +309,18 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     box = _target_box(target, y_bounds)
     if box is None or any(a > b for a, b in box):
         return IntConeResult(False, None, None, mode, 0)
-    lattice = lattice_points(source, budget=lattice_budget)
+    lattice = lattice_points(source)
     generators = [p for p in lattice if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
     if not _relaxation_feasible(generators, target, box):
         return IntConeResult(False, None, None, mode, 0)
     sset = structure if structure is not None \
-        else compute_structure_set(source, budget=lattice_budget)
+        else compute_structure_set(source)
     lattice_set = set(lattice)
 
-    def finish(weights, mode_used, guesses, guess=None):
-        combo = Combination(weights, dim=source.dim)
+    def finish(pairs, mode_used, guesses, guess=None):
+        combo = Combination(pairs, dim=source.dim)
         y = combo_sum(combo)
         for p in combo.weights:
             if p not in lattice_set:
@@ -343,28 +336,28 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
     guesses = 0
     if mode == "faithful":
-        status, guesses, weights, guess = _faithful_search(
-            sset, generators, target, box, guess_budget, node_budget)
+        status, guesses, pairs, guess = _faithful_search(
+            sset, generators, target, box, node_budget)
         if status == "found":
-            return finish(weights, "faithful", guesses, guess)
+            return finish(pairs, "faithful", guesses, guess)
         # Exhausted or out of budget: either way the joint program below
         # settles the answer.  Guessed subsets span only the vertices of a
         # few parallelepipeds, and a reachable target may normalize onto
         # vertices outside every such span, so exhaustion alone cannot
         # certify Empty.
 
-    weights = _joint_program(sset, generators, target, box,
-                             max_total_weight, node_budget)
-    if weights is None:
+    pairs = _joint_program(sset, generators, target, box,
+                           max_total_weight, node_budget)
+    if pairs is None:
         return IntConeResult(False, None, None, "joint", guesses)
-    return finish(weights, "joint", guesses)
+    return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, box, guess_budget, node_budget):
+def _faithful_search(sset, generators, target, box, node_budget):
     """Guess-driven search.
 
-    Returns (status, guesses, weights, guess) where status is "found",
-    "exhausted" or "budget"; weights and guess are set only on a hit.
+    Returns (status, guesses, pairs, guess) where status is "found",
+    "exhausted" or "budget"; pairs and guess are set only on a hit.
     """
     d = sset.polytope.dim
     cover = sset.cover
@@ -382,7 +375,7 @@ def _faithful_search(sset, generators, target, box, guess_budget, node_budget):
                 continue
             for subset in _combinations(range(len(cover)), size):
                 guesses += 1
-                if guesses > guess_budget:
+                if guesses > DEFAULT_GUESS_BUDGET:
                     return ("budget", guesses - 1, None, None)
                 special = sorted({v for i in subset
                                   for v in cover[i].vertices()
@@ -392,11 +385,11 @@ def _faithful_search(sset, generators, target, box, guess_budget, node_budget):
                 if not _relaxation_feasible(special, target, box,
                                             extra_free=k, source=source):
                     continue
-                weights = _run_combination_ilp(
+                pairs = _run_combination_ilp(
                     special, target, box, extra_free=k, source=source,
                     free_box=free_box, node_budget=node_budget)
-                if weights is not None:
-                    return ("found", guesses, weights, (len(special), k))
+                if pairs is not None:
+                    return ("found", guesses, pairs, (len(special), k))
     return ("exhausted", guesses, None, None)
 
 
@@ -411,8 +404,9 @@ def _joint_program(sset, generators, target, box, max_total_weight,
     special = sset.special_set
     gens = sorted(generators)
     hi = [None if g in special else 1 for g in gens]
-    return _run_combination_ilp(gens, target, box, gen_hi=hi,
-                                max_total_weight=max_total_weight,
+    cap = None if max_total_weight is None \
+        else ([1] * len(gens), max_total_weight)
+    return _run_combination_ilp(gens, target, box, gen_hi=hi, cap=cap,
                                 node_budget=node_budget)
 
 
@@ -445,7 +439,6 @@ def _pattern_polytope(sizes, capacity, a, counter=False) -> Polytope:
 
 
 def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
-                guess_budget: int = DEFAULT_GUESS_BUDGET,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> PackingSolution:
     """Minimum number of unit bins packing all items, exactly.
 
@@ -464,14 +457,13 @@ def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
         return int_cone_intersect(source,
                                   box_polytope(list(a) + [0], list(a) + [b]),
                                   mode=mode, structure=sset,
-                                  guess_budget=guess_budget,
                                   node_budget=node_budget)
 
     best, opt = least_feasible(probe, lo, sum(a),
                                lambda res: res.combination.total_weight)
     solution = _packing_solution_from(best.combination, bin_type=0,
                                       record=best.guess)
-    _verify_bin_packing(inst, solution)
+    verify_solution(inst, solution)
     if solution.objective != opt:
         raise InternalError("objective drifted from the binary search bound")
     return solution
@@ -486,36 +478,13 @@ def _packing_solution_from(combo: Combination, bin_type: int,
     return PackingSolution(tuple(patterns), objective, record)
 
 
-def _verify_bin_packing(inst: BinPackingInstance, sol: PackingSolution):
-    d = inst.dim
-    total = [0] * d
-    count = 0
-    for pattern, _bt, mult in sol.patterns:
-        if mult < 1:
-            raise InternalError("non-positive multiplicity in solution")
-        load = dot(inst.sizes, [Rat(v) for v in pattern])
-        if load > 1:
-            raise InternalError(f"pattern {pattern} overfills a bin")
-        if any(v < 0 for v in pattern):
-            raise InternalError(f"negative pattern {pattern}")
-        for j in range(d):
-            total[j] += mult * pattern[j]
-        count += mult
-    if tuple(total) != inst.multiplicities:
-        raise InternalError("solution does not meet the demand exactly")
-    if count != sol.objective:
-        raise InternalError("objective does not count the bins")
-
-
 # ---------------------------------------------------------------------------
 # multi-polytope selection
 
 
 def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
                           mode: str = "faithful",
-                          guess_budget: int = DEFAULT_GUESS_BUDGET,
-                          node_budget: int = DEFAULT_NODE_BUDGET,
-                          lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SelectResult:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> SelectResult:
     """Reach the target with copies drawn from several candidate polytopes.
 
     ``parts`` is a list of (Polytope over the target's dimension, positive
@@ -623,15 +592,10 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
 
     y_bounds = [None] * d + [None] + [(0, budget)] * n
     res = int_cone_intersect(lifted, lifted_target, mode=mode,
-                             y_bounds=y_bounds,
-                             guess_budget=guess_budget,
-                             node_budget=node_budget,
-                             lattice_budget=lattice_budget)
+                             y_bounds=y_bounds, node_budget=node_budget)
     if not res.found:
         return SelectResult(False, None)
-    per_part = [dict() for _ in range(n)]
-    total_cost = 0
-    reached = [0] * d
+    picks = []
     for point, w in res.combination.weights.items():
         x, gamma = point[:d], point[d]
         sel = point[d + 1:]
@@ -642,17 +606,8 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
             raise InternalError(f"lifted point {point} mislabels its cost")
         if not polys[i].contains_int(x):
             raise InternalError(f"pattern {x} escapes part {i}")
-        per_part[i][x] = per_part[i].get(x, 0) + w
-        total_cost += costs[i] * w
-        for j in range(d):
-            reached[j] += w * x[j]
-    if total_cost > budget:
-        raise InternalError("selection exceeds the cost budget")
-    if not target.contains_int(tuple(reached)):
-        raise InternalError("selection misses the target")
-    return SelectResult(True, tuple(reached),
-                        tuple(Combination(p, dim=d) for p in per_part),
-                        total_cost)
+        picks.append((i, x, w))
+    return _selection(picks, costs, target, budget)
 
 
 def select_from_generators(groups: Sequence, costs: Sequence[int],
@@ -665,7 +620,8 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     is a finite list of integer points in the target's dimension (already
     projected from whatever auxiliary space defined them), a copy from
     group i costs ``c_i``, and the weighted sum must land in the target
-    with total cost at most ``budget``.  One joint integer program decides.
+    with total cost at most ``budget``.  One joint integer program decides:
+    the combination program over all generators, capped by their costs.
     """
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
@@ -686,46 +642,41 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
             if all(v == 0 for v in pt):
                 continue  # contributes nothing; dropping keeps answers
             tagged.append((i, pt))
-    rows, rhs = [], []
-    n = len(tagged)
-    for q, qb in zip(target.A, target.b):
-        rows.append([sum(qi * g[j] for j, qi in enumerate(q))
-                     for _i, g in tagged])
-        rhs.append(qb)
-    for j, (lo, hi) in enumerate(box):
-        coeff = [g[j] for _i, g in tagged]
-        rows.append(coeff)
-        rhs.append(hi)
-        rows.append([-v for v in coeff])
-        rhs.append(-lo)
-    rows.append([costs[i] for i, _g in tagged])
-    rhs.append(budget)
-    if n == 0:
-        feasible = all(b >= 0 for b in rhs) and \
-            all(lo <= 0 <= hi for lo, hi in box)
-        if feasible and target.contains_int((0,) * d):
-            return SelectResult(True, (0,) * d,
-                                tuple(Combination(dim=d) for _ in groups), 0)
+    if not tagged:
+        # the empty sum is the only reachable point
+        if target.contains_int((0,) * d) and \
+                all(lo <= 0 <= hi for lo, hi in box):
+            return _selection([], costs, target, budget)
         return SelectResult(False, None)
-    problem = IlpProblem.build(rows, rhs, lo=[0] * n)
-    try:
-        res = ilp_feasible(problem, node_budget=node_budget)
-    except InputError as exc:
-        raise InputError(f"selection program is unbounded ({exc}); "
-                         "tighten the target or bounds") from exc
-    if not res.feasible:
+    owners = [i for i, _pt in tagged]
+    pairs = _run_combination_ilp([pt for _i, pt in tagged], target, box,
+                                 cap=([costs[i] for i in owners], budget),
+                                 node_budget=node_budget)
+    if pairs is None:
         return SelectResult(False, None)
-    per_part = [dict() for _ in groups]
+    return _selection([(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w],
+                      costs, target, budget)
+
+
+def _selection(picks, costs, target: Polytope, budget: int) -> SelectResult:
+    """The verified result of ``(part, point, copies)`` picks.
+
+    One ``Combination`` per part, in the order of ``costs``; raises
+    InternalError when the picks overspend the budget or miss the target.
+    """
+    d = target.dim
+    per_part = [dict() for _ in costs]
     total_cost = 0
     reached = [0] * d
-    for (i, g), w in zip(tagged, res.witness):
-        if w:
-            per_part[i][g] = per_part[i].get(g, 0) + w
-            total_cost += costs[i] * w
-            for j in range(d):
-                reached[j] += w * g[j]
-    if total_cost > budget or not target.contains_int(tuple(reached)):
-        raise InternalError("selection verification failed")
+    for i, x, w in picks:
+        per_part[i][x] = per_part[i].get(x, 0) + w
+        total_cost += costs[i] * w
+        for j in range(d):
+            reached[j] += w * x[j]
+    if total_cost > budget:
+        raise InternalError("selection exceeds the cost budget")
+    if not target.contains_int(tuple(reached)):
+        raise InternalError("selection misses the target")
     return SelectResult(True, tuple(reached),
                         tuple(Combination(p, dim=d) for p in per_part),
                         total_cost)
@@ -736,7 +687,6 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
 
 
 def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
-                  guess_budget: int = DEFAULT_GUESS_BUDGET,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly."""
     a = inst.multiplicities
@@ -757,7 +707,6 @@ def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
 
     def probe(delta):
         return multi_polytope_select(parts, target, delta, mode=mode,
-                                     guess_budget=guess_budget,
                                      node_budget=node_budget)
 
     best, opt = least_feasible(probe, 0, hi, lambda res: res.total_cost)
@@ -766,30 +715,33 @@ def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
         for point, w in sorted(combo.weights.items()):
             patterns.append((point, i, w))
     solution = PackingSolution(tuple(patterns), best.total_cost, None)
-    _verify_cutting_stock(inst, solution)
+    verify_solution(inst, solution)
     if solution.objective != opt:
         raise InternalError("objective drifted from the binary search bound")
     return solution
 
 
 def verify_solution(inst, sol: PackingSolution) -> None:
-    """Exact validity check of a packing solution; InternalError on failure."""
+    """Exact validity check of a packing solution; InternalError on failure.
+
+    Bin packing is checked as cutting stock with one bin type of capacity 1
+    and cost 1, so its objective counts the bins.
+    """
     if isinstance(inst, BinPackingInstance):
-        _verify_bin_packing(inst, sol)
+        bin_types = ((ONE, 1),)
     elif isinstance(inst, CuttingStockInstance):
-        _verify_cutting_stock(inst, sol)
+        bin_types = inst.bin_types
     else:
         raise InputError(f"cannot verify solutions for {type(inst).__name__}")
-
-
-def _verify_cutting_stock(inst: CuttingStockInstance, sol: PackingSolution):
     d = inst.dim
     total = [0] * d
     cost = 0
     for pattern, bt, mult in sol.patterns:
         if mult < 1:
             raise InternalError("non-positive multiplicity in solution")
-        w, c = inst.bin_types[bt]
+        if bt not in range(len(bin_types)):
+            raise InternalError(f"pattern {pattern} names no bin type {bt!r}")
+        w, c = bin_types[bt]
         load = dot(inst.sizes, [Rat(v) for v in pattern])
         if load > w:
             raise InternalError(f"pattern {pattern} overfills bin type {bt}")

@@ -123,11 +123,6 @@ def combo_sum(combo: Combination) -> tuple:
     return tuple(acc)
 
 
-def _potential(weights: Mapping[tuple, int]) -> int:
-    # strictly midpoint-convex and exact: squared euclidean norm
-    return sum(w * sum(v * v for v in p) for p, w in weights.items())
-
-
 def _first_parity_pair(points: Sequence[tuple]):
     for i in range(len(points)):
         pi = tuple(v & 1 for v in points[i])

@@ -1,10 +1,13 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from conepack.errors import InfeasibleError, InputError, InternalError
+from conepack import solver
 from conepack.geometry import Polytope, lattice_points
+from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
 from conepack.rational import Rat
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
@@ -146,6 +149,12 @@ class TestIntConeIntersect:
             int_cone_intersect(src, ray)
         res = int_cone_intersect(src, ray, y_bounds=[(3, 10)])
         assert res.found and res.target[0] >= 3
+
+    @pytest.mark.parametrize("y_bounds", [[], [(3, 10), (0, 1)]])
+    def test_y_bounds_must_match_the_target_dimension(self, y_bounds):
+        ray = Polytope([[-1]], [-3])
+        with pytest.raises(InputError):
+            int_cone_intersect(segment(1, 2), ray, y_bounds=y_bounds)
 
 
 class TestBinPacking:
@@ -358,6 +367,61 @@ class TestSelectFromGenerators:
                                      singleton_target([2]), 9)
         assert not res.found
 
+    @pytest.mark.parametrize("y_bounds", [[], [(3, 10), (0, 1)]])
+    def test_y_bounds_must_match_the_target_dimension(self, y_bounds):
+        ray = Polytope([[-1]], [-3])
+        with pytest.raises(InputError):
+            select_from_generators([[(1,)]], [1], ray, 9, y_bounds=y_bounds)
+
+
+def _seeded_selections():
+    """Thirty small selections, a third through ``multi_polytope_select``."""
+    rng = random.Random(20260418)
+    out = []
+    for k in range(30):
+        d = 1 + k % 2
+        a = [rng.randint(2, 6) for _ in range(d)]
+        target = box_polytope([max(0, v - rng.randint(0, 3)) for v in a], a)
+        budget = rng.randint(1, 12)
+        if k % 3 == 2:
+            parts = [(box_polytope([0] * d,
+                                   [rng.randint(1, 3) for _ in range(d)]),
+                      rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            res = multi_polytope_select(parts, target, budget)
+        else:
+            m = rng.randint(1, 3)
+            # a shared pool, so groups repeat points at different costs
+            pool = [tuple(rng.randint(0, 3) for _ in range(d))
+                    for _ in range(4)]
+            groups = [rng.sample(pool, rng.randint(0, 4)) for _ in range(m)]
+            costs = [rng.randint(0, 3) for _ in range(m)]
+            res = select_from_generators(groups, costs, target, budget)
+        out.append((res.found, res.target,
+                    [sorted(c.weights.items()) for c in res.part_combinations],
+                    res.total_cost))
+    return out
+
+
+def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
+    # Bland's rule pivots by row index, so the integer programs are pinned
+    # row for row, and the witnesses they yield with them.
+    programs = []
+
+    def recording(problem, **kwargs):
+        programs.append((problem.rows, problem.rhs, problem.lo, problem.hi))
+        return ilp_feasible(problem, **kwargs)
+
+    monkeypatch.setattr(solver, "ilp_feasible", recording)
+    results = _seeded_selections()
+    assert sum(found for found, *_ in results) == 18
+    assert len(programs) == 55
+
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    assert digest(programs) == "fa016dbdac8fedae"
+    assert digest(results) == "6717902405867f73"
+
 
 class TestVerifySolution:
     def test_bin_packing_roundtrip(self):
@@ -381,6 +445,22 @@ class TestVerifySolution:
         inst = CuttingStockInstance([Rat(1, 2)], [2],
                                     [(Rat(1), 3), (Rat(1, 2), 2)])
         verify_solution(inst, cutting_stock(inst))
+
+    @pytest.mark.parametrize("bin_type", [-1, 1])
+    def test_bin_packing_rejects_unknown_bin_type(self, bin_type):
+        inst = BinPackingInstance([Rat(1, 2)], [2])
+        sol = PackingSolution((((2,), bin_type, 1),), 1, None)
+        with pytest.raises(InternalError):
+            verify_solution(inst, sol)
+
+    @pytest.mark.parametrize("bin_type", [-1, 2])
+    def test_cutting_stock_rejects_unknown_bin_type(self, bin_type):
+        # valid if the index named the last bin type (capacity 1/2, cost 2)
+        inst = CuttingStockInstance([Rat(1, 2)], [2],
+                                    [(Rat(1), 3), (Rat(1, 2), 2)])
+        sol = PackingSolution((((1,), bin_type, 2),), 4, None)
+        with pytest.raises(InternalError):
+            verify_solution(inst, sol)
 
     def test_unknown_instance(self):
         with pytest.raises(InputError):
