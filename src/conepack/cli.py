@@ -1,5 +1,5 @@
 """Command-line front end: solve instance files, dump covers and hulls,
-cross-check solvers against the brute-force oracles, benchmark.
+cross-check solvers against the brute-force oracles.
 
 Exit codes: 0 solved / all checks pass, 1 infeasible, 2 parse or usage
 error, 3 resource budget exceeded, 4 solver/oracle disagreement or
@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
+from contextlib import nullcontext
 
+from .budget import limit
 from .errors import (InfeasibleError, InputError, InternalError,
                      ResourceError)
 from .geometry import (integer_hull_vertices, parallelepiped_cover,
@@ -28,7 +28,6 @@ from .scheduling import (build_edf_polytope, edf_simulate,
                          validate_preemptive_schedule)
 from .solver import (BinPackingInstance, CuttingStockInstance, bin_packing,
                      cutting_stock, verify_solution)
-from .ilp import DEFAULT_NODE_BUDGET
 
 KINDS = ("binpacking", "cuttingstock", "scheduling", "polytope")
 
@@ -170,33 +169,23 @@ def _emit(payload) -> None:
 # commands
 
 
-def _node_budget(args) -> int:
-    """The ``--budget`` value; the default node budget when it is absent."""
-    if args.budget is None:
-        return DEFAULT_NODE_BUDGET
-    if args.budget < 0:
-        raise InputError(f"--budget must be non-negative, got {args.budget}")
-    return args.budget
-
-
 def cmd_solve(args) -> int:
     kind, inst = _load(args.path)
-    budget = _node_budget(args)
     if kind == "binpacking":
-        sol = bin_packing(inst, mode=args.mode, node_budget=budget)
+        sol = bin_packing(inst, mode=args.mode)
         _emit(_packing_json(kind, sol, args.mode))
         return 0
     if kind == "cuttingstock":
-        sol = cutting_stock(inst, mode=args.mode, node_budget=budget)
+        sol = cutting_stock(inst, mode=args.mode)
         _emit(_packing_json(kind, sol, args.mode))
         return 0
     if kind == "scheduling":
         if inst.variant == "nonpreemptive":
-            sol = nonpreemptive_assign(inst, node_budget=budget)
+            sol = nonpreemptive_assign(inst)
         elif inst.variant == "tardy":
-            sol = tardy_min_penalty(inst, node_budget=budget)
+            sol = tardy_min_penalty(inst)
         else:
-            sol = preemptive_assign(inst, mode=args.mode, node_budget=budget)
+            sol = preemptive_assign(inst, mode=args.mode)
         _emit(_schedule_json(inst, sol))
         return 0
     raise InputError("polytope files have no solve semantics; "
@@ -261,15 +250,15 @@ class _Report:
         return 0 if all(c["ok"] for c in self.checks) else 4
 
 
-def _verify_binpacking(inst, mode, budget, report):
-    sol = bin_packing(inst, mode=mode, node_budget=budget)
+def _verify_binpacking(inst, mode, report):
+    sol = bin_packing(inst, mode=mode)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
     oracle = bp_brute_force(inst.sizes, inst.multiplicities)
     report.add("objective equals brute force", sol.objective == oracle,
                f"solver={sol.objective} oracle={oracle}")
     other = "joint" if mode == "faithful" else "faithful"
-    alt = bin_packing(inst, mode=other, node_budget=budget)
+    alt = bin_packing(inst, mode=other)
     report.add("modes agree", alt.objective == sol.objective,
                f"{mode}={sol.objective} {other}={alt.objective}")
     frac = fractional_opt(inst.sizes, inst.multiplicities)
@@ -283,12 +272,12 @@ def _verify_binpacking(inst, mode, budget, report):
                    f"opt={sol.objective} ceil(frac)={rat_ceil(frac)}")
 
 
-def _verify_cuttingstock(inst, mode, budget, report):
-    sol = cutting_stock(inst, mode=mode, node_budget=budget)
+def _verify_cuttingstock(inst, mode, report):
+    sol = cutting_stock(inst, mode=mode)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
     other = "joint" if mode == "faithful" else "faithful"
-    alt = cutting_stock(inst, mode=other, node_budget=budget)
+    alt = cutting_stock(inst, mode=other)
     report.add("modes agree", alt.objective == sol.objective,
                f"{mode}={sol.objective} {other}={alt.objective}")
     if len(inst.bin_types) == 1 and inst.bin_types[0] == (Rat(1), 1):
@@ -305,7 +294,7 @@ def _schedule_boxes(inst, per_dim_cap, total_cap):
     return [v for v in vecs if 0 < sum(v) <= total_cap]
 
 
-def _verify_scheduling(inst, mode, budget, report):
+def _verify_scheduling(inst, mode, report):
     if inst.variant in ("assignment", "preemptive"):
         for i in range(inst.m):
             poly = build_edf_polytope(inst, i)
@@ -315,7 +304,7 @@ def _verify_scheduling(inst, mode, budget, report):
                     bad += 1
             report.add(f"EDF polytope matches simulator (machine type {i})",
                        bad == 0, f"{bad} disagreements")
-        sol = preemptive_assign(inst, mode=mode, node_budget=budget)
+        sol = preemptive_assign(inst, mode=mode)
         for mtype, vec, schedule in sol.machines:
             validate_preemptive_schedule(inst, mtype, vec, schedule)
         report.add("assignment objective", True, f"cost={sol.objective}")
@@ -323,8 +312,7 @@ def _verify_scheduling(inst, mode, budget, report):
     for i in range(inst.m):
         bad = 0
         for x in _schedule_boxes(inst, 2, 5):
-            mine = nonpreemptive_completable(x, inst, i,
-                                             node_budget=budget) is not None
+            mine = nonpreemptive_completable(x, inst, i) is not None
             brute = nonpreemptive_brute_counts(x, inst, i,
                                                horizon_cap=10 ** 6) is not None
             if mine != brute:
@@ -332,12 +320,12 @@ def _verify_scheduling(inst, mode, budget, report):
         report.add(f"cycle polytope matches brute force (machine type {i})",
                    bad == 0, f"{bad} disagreements")
     if inst.variant == "nonpreemptive":
-        sol = nonpreemptive_assign(inst, node_budget=budget)
+        sol = nonpreemptive_assign(inst)
         for mtype, vec, schedule in sol.machines:
             validate_nonpreemptive_schedule(inst, mtype, vec, schedule)
         report.add("assignment objective", True, f"cost={sol.objective}")
     else:
-        sol = tardy_min_penalty(inst, node_budget=budget)
+        sol = tardy_min_penalty(inst)
         paid = sum(p * (a - s) for p, a, s in
                    zip(inst.penalties, inst.multiplicities, sol.scheduled))
         report.add("penalty accounting", paid == sol.objective,
@@ -358,53 +346,16 @@ def _verify_polytope(poly, report):
 
 def cmd_verify(args) -> int:
     kind, inst = _load(args.path)
-    budget = _node_budget(args)
     report = _Report(args.json)
     if kind == "binpacking":
-        _verify_binpacking(inst, args.mode, budget, report)
+        _verify_binpacking(inst, args.mode, report)
     elif kind == "cuttingstock":
-        _verify_cuttingstock(inst, args.mode, budget, report)
+        _verify_cuttingstock(inst, args.mode, report)
     elif kind == "scheduling":
-        _verify_scheduling(inst, args.mode, budget, report)
+        _verify_scheduling(inst, args.mode, report)
     else:
         _verify_polytope(inst, report)
     return report.finish()
-
-
-def _bench_instance(rng, dmax):
-    d = rng.randint(1, dmax)
-    sizes, mults = [], []
-    for _ in range(d):
-        den = rng.randint(2, 10)
-        num = rng.randint(1, den)
-        sizes.append(Rat(num, den))
-        mults.append(rng.randint(1, 4))
-    return BinPackingInstance(sizes, mults)
-
-
-def cmd_bench(args) -> int:
-    seed = args.seed if args.deterministic else int(time.time() * 1000) % 2**31
-    rng = random.Random(seed)
-    rows = []
-    for i in range(args.count):
-        inst = _bench_instance(rng, args.dmax)
-        t0 = time.perf_counter()
-        fast = bin_packing(inst, mode="faithful")
-        t1 = time.perf_counter()
-        joint = bin_packing(inst, mode="joint")
-        t2 = time.perf_counter()
-        if fast.objective != joint.objective:
-            raise InternalError(
-                f"modes disagree on bench instance {i}: "
-                f"{fast.objective} vs {joint.objective}")
-        rows.append((i, inst.dim, sum(inst.multiplicities), fast.objective,
-                     t1 - t0, t2 - t1))
-    sys.stdout.write(f"# bench seed={seed} count={args.count} "
-                     f"(time columns are wall-clock, non-deterministic)\n")
-    sys.stdout.write("# i d items opt faithful_s joint_s\n")
-    for i, d, items, opt, tf, tj in rows:
-        sys.stdout.write(f"{i} {d} {items} {opt} {tf:.4f} {tj:.4f}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=("faithful", "joint"),
                            default="faithful")
             p.add_argument("--budget", type=int, default=None,
-                           help="integer-program node budget")
+                           help="work budget of the whole request: simplex "
+                                "pivots plus branch-and-bound nodes")
         p.add_argument("--json", action="store_true",
                        help="structured output")
 
@@ -446,21 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     common(p)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing table on seeded instances")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--dmax", type=int, default=2)
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.set_defaults(fn=cmd_bench)
     return ap
+
+
+def _request_limit(args):
+    """The work limit of ``--budget``; no limit when it is absent."""
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        return nullcontext()
+    if budget < 0:
+        raise InputError(f"--budget must be non-negative, got {budget}")
+    return limit(budget)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _request_limit(args):
+            return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -5,9 +5,9 @@ Three failure classes are distinguished everywhere in the package:
 * ``InputError`` -- the caller handed us something malformed (wrong
   dimensions, non-integral data where integers are required, an unbounded
   polytope where a bounded one is needed).  Subclass of ``ValueError``.
-* ``ResourceError`` -- an explicit work budget was exhausted (lattice
-  enumeration budget, branch-and-bound node budget, simplex pivot cap).
-  The message always names the budget that tripped.
+* ``ResourceError`` -- an explicit work budget was exhausted (the request
+  work budget of ``budget.limit``; per-call lattice, node and pivot caps;
+  oracle enumeration caps).  The message names the budget that tripped.
 * ``InternalError`` -- an invariant that the algorithms guarantee was
   found violated at runtime.  Always a bug, never a caller mistake.
 """

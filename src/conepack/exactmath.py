@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .rational import Rat, ZERO, dot
 
@@ -292,6 +293,7 @@ class ExactLp:
         self.pivots_used += 1
         if self.pivots_used > DEFAULT_PIVOT_BUDGET:
             raise ResourceError("simplex pivot budget", DEFAULT_PIVOT_BUDGET)
+        charge()
 
     def _pivot(self, r: int, col: int) -> None:
         """Make column ``col`` basic in row ``r`` (the objective row too)."""

@@ -5,8 +5,8 @@ relaxations: each node repairs feasibility of a warm-started simplex
 tableau after a bound change, an integral relaxation point (or a
 successful rounding of a fractional one) ends the search, and otherwise
 the most fractional coordinate is split.  Every answer is exact; a node
-budget turns pathological instances into a resource error instead of a
-wrong result.
+cap per call and the request's ``budget.limit``, charged once per node,
+turn pathological instances into a resource error, not a wrong result.
 
 ``lll_basis`` computes an LLL-reduced unimodular basis of the coordinate
 lattice under the metric ``A^T A + I``; the solver does not call it.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
 from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int
@@ -113,8 +114,7 @@ def _derive_bounds(problem: IlpProblem):
     return lo, hi
 
 
-def ilp_feasible(problem: IlpProblem,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> IlpResult:
+def ilp_feasible(problem: IlpProblem) -> IlpResult:
     """Find an integer point of the system or certify there is none."""
     derived = _derive_bounds(problem)
     if derived is None:
@@ -140,8 +140,9 @@ def ilp_feasible(problem: IlpProblem,
             j, a, b = bound
             lp.set_var_bounds(j, Rat(a), Rat(b))
         nodes += 1
-        if nodes > node_budget:
-            raise ResourceError("ilp node budget", node_budget)
+        if nodes > DEFAULT_NODE_BUDGET:
+            raise ResourceError("ilp node budget", DEFAULT_NODE_BUDGET)
+        charge(node=True)
         if not lp.find_feasible():
             continue
         x = lp.values()

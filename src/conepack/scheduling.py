@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError
 from .geometry import Polytope, box_polytope
-from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
+from .ilp import IlpProblem, ilp_feasible
 from .solver import (least_feasible, multi_polytope_select,
                      select_from_generators)
 
@@ -437,8 +437,7 @@ def build_nonpreemptive_polytope(inst: SchedulingInstance,
 
 
 def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
-                              machine_type: int,
-                              node_budget: int = DEFAULT_NODE_BUDGET):
+                              machine_type: int):
     """Integral cycle variables completing x, or None.
 
     Solves the cycle polytope with x fixed.  Two equivalence-preserving
@@ -484,8 +483,7 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     for k in range(1, layout.cycles + 1):
         hi[layout.tau(k)] = delta
         hi[layout.y(0, k)] = dummy
-    res = ilp_feasible(IlpProblem.build(rows, rhs, lo=lo, hi=hi),
-                       node_budget=node_budget)
+    res = ilp_feasible(IlpProblem.build(rows, rhs, lo=lo, hi=hi))
     if not res.feasible:
         return None
     aux = _pad_cycles(res.witness, layout, CycleLayout(d), delta)
@@ -597,8 +595,7 @@ def _cheapest_single_hosts(inst: SchedulingInstance, hostable) -> int:
 
 
 def preemptive_assign(inst: SchedulingInstance,
-                      mode: str = "faithful",
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> ScheduleSolution:
+                      mode: str = "faithful") -> ScheduleSolution:
     """Cheapest machine multiset covering the demand with EDF schedules."""
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
@@ -627,8 +624,7 @@ def preemptive_assign(inst: SchedulingInstance,
     target = box_polytope(a, a)
 
     def probe(budget):
-        return multi_polytope_select(parts, target, budget, mode=mode,
-                                     node_budget=node_budget)
+        return multi_polytope_select(parts, target, budget, mode=mode)
 
     best, opt = least_feasible(probe, 0,
                                _cheapest_single_hosts(inst, hostable),
@@ -654,8 +650,7 @@ def preemptive_assign(inst: SchedulingInstance,
 
 
 def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
-                        box_hi: Sequence[int],
-                        node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+                        box_hi: Sequence[int]) -> dict:
     """All non-preemptively schedulable vectors within the box, with proofs.
 
     Maps x -> cycle auxiliaries.  Dropping copies keeps a schedule
@@ -672,8 +667,7 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
         if any(all(x[j] >= b[j] for j in range(d)) for b in infeasible):
             infeasible.add(x)
             continue
-        aux = nonpreemptive_completable(x, inst, machine_type,
-                                        node_budget=node_budget)
+        aux = nonpreemptive_completable(x, inst, machine_type)
         if aux is None:
             infeasible.add(x)
         else:
@@ -681,8 +675,7 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     return feasible
 
 
-def nonpreemptive_assign(inst: SchedulingInstance,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> ScheduleSolution:
+def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
     """Cheapest machine multiset covering the demand without preemption.
 
     Machine-type capabilities are the integer projections of their cycle
@@ -695,8 +688,7 @@ def nonpreemptive_assign(inst: SchedulingInstance,
     if all(v == 0 for v in a):
         return ScheduleSolution((), 0)
     d = inst.d
-    per_type = [schedulable_vectors(inst, i, a, node_budget=node_budget)
-                for i in range(inst.m)]
+    per_type = [schedulable_vectors(inst, i, a) for i in range(inst.m)]
 
     def hostable(i, j):
         probe = [0] * d
@@ -708,7 +700,7 @@ def nonpreemptive_assign(inst: SchedulingInstance,
 
     def probe(budget):
         return select_from_generators(groups, list(inst.costs), target,
-                                      budget, node_budget=node_budget)
+                                      budget)
 
     best, _opt = least_feasible(probe, 0,
                                 _cheapest_single_hosts(inst, hostable),
@@ -728,8 +720,7 @@ def nonpreemptive_assign(inst: SchedulingInstance,
     return ScheduleSolution(tuple(machines), best.total_cost)
 
 
-def tardy_min_penalty(inst: SchedulingInstance,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> ScheduleSolution:
+def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
     """Minimum total penalty of job copies left unscheduled.
 
     Machine counts are fixed; each machine gets a schedulable vector (idle
@@ -746,8 +737,7 @@ def tardy_min_penalty(inst: SchedulingInstance,
     m = inst.m
     pen = inst.penalties
     cap = sum(p * v for p, v in zip(pen, a))
-    per_type = [schedulable_vectors(inst, i, a, node_budget=node_budget)
-                for i in range(m)]
+    per_type = [schedulable_vectors(inst, i, a) for i in range(m)]
     groups = []
     for i in range(m):
         pts = []
@@ -761,8 +751,7 @@ def tardy_min_penalty(inst: SchedulingInstance,
     def probe(dropped):
         target = box_polytope([0] * d + [cap - dropped] + list(inst.counts),
                               list(a) + [cap] + list(inst.counts))
-        return select_from_generators(groups, [0] * m, target, 0,
-                                      node_budget=node_budget)
+        return select_from_generators(groups, [0] * m, target, 0)
 
     best, dropped = least_feasible(probe, 0, cap,
                                    lambda res: cap - int(res.target[d]))

@@ -37,7 +37,7 @@ from .geometry import (
     coordinate_bounds,
     lattice_points,
 )
-from .ilp import IlpProblem, ilp_feasible, DEFAULT_NODE_BUDGET
+from .ilp import IlpProblem, ilp_feasible
 from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, dot
 from .structure import (
     Combination,
@@ -164,11 +164,15 @@ def least_feasible(probe, lo: int, hi: int, cost):
 # shared ILP plumbing
 
 
-def _target_box(target: Polytope, y_bounds):
-    """Integer bounds for each target coordinate, honoring overrides."""
+def _check_y_bounds(target: Polytope, y_bounds) -> None:
     if y_bounds is not None and len(y_bounds) != target.dim:
         raise InputError(f"{len(y_bounds)} y_bounds for a target of "
                          f"dimension {target.dim}")
+
+
+def _target_box(target: Polytope, y_bounds):
+    """Integer bounds for each target coordinate, honoring overrides."""
+    _check_y_bounds(target, y_bounds)
     bounds = coordinate_bounds(target)
     if bounds is None:
         return None
@@ -233,7 +237,7 @@ def _combination_rows(generators, target, box, extra_free=0,
 
 def _run_combination_ilp(generators, target, box, gen_hi=None,
                          extra_free=0, source=None, free_box=None,
-                         cap=None, node_budget=DEFAULT_NODE_BUDGET):
+                         cap=None):
     """Solve for generator weights (and free points); None when infeasible.
 
     ``cap`` is an optional row ``(coefficients, bound)`` on the generator
@@ -257,7 +261,7 @@ def _run_combination_ilp(generators, target, box, gen_hi=None,
         rhs.append(bound)
     problem = IlpProblem.build(rows, rhs, lo=lo, hi=hi)
     try:
-        res = ilp_feasible(problem, node_budget=node_budget)
+        res = ilp_feasible(problem)
     except InputError as exc:
         raise InputError(
             f"cannot bound the combination program ({exc}); "
@@ -288,8 +292,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
                        mode: str = "faithful",
                        y_bounds: Optional[Sequence] = None,
                        max_total_weight: Optional[int] = None,
-                       structure: Optional[StructureSet] = None,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> IntConeResult:
+                       structure: Optional[StructureSet] = None) -> IntConeResult:
     """Find a point of the target reachable as an integer combination.
 
     Searches for ``y = sum_x lambda_x x`` with non-negative integer weights
@@ -303,6 +306,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         raise InputError("source and target dimensions differ")
     if mode not in ("faithful", "joint"):
         raise InputError(f"unknown mode {mode!r}")
+    _check_y_bounds(target, y_bounds)
     if target.contains_int((0,) * target.dim):
         return IntConeResult(True, (0,) * target.dim,
                              Combination(dim=source.dim), mode, 0)
@@ -337,7 +341,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     guesses = 0
     if mode == "faithful":
         status, guesses, pairs, guess = _faithful_search(
-            sset, generators, target, box, node_budget)
+            sset, generators, target, box, max_total_weight)
         if status == "found":
             return finish(pairs, "faithful", guesses, guess)
         # Exhausted or out of budget: either way the joint program below
@@ -346,16 +350,17 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         # vertices outside every such span, so exhaustion alone cannot
         # certify Empty.
 
-    pairs = _joint_program(sset, generators, target, box,
-                           max_total_weight, node_budget)
+    pairs = _joint_program(sset, generators, target, box, max_total_weight)
     if pairs is None:
         return IntConeResult(False, None, None, "joint", guesses)
     return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, box, node_budget):
+def _faithful_search(sset, generators, target, box, max_total_weight):
     """Guess-driven search.
 
+    Each guess's k free points weigh one each, so its special points may
+    carry at most ``max_total_weight - k`` when the total weight is capped.
     Returns (status, guesses, pairs, guess) where status is "found",
     "exhausted" or "budget"; pairs and guess are set only on a hit.
     """
@@ -371,7 +376,8 @@ def _faithful_search(sset, generators, target, box, node_budget):
     for total in range(1, pp_cap + k_cap + 1):
         for size in range(0, min(total, pp_cap) + 1):
             k = total - size
-            if k > k_cap:
+            if k > k_cap or (max_total_weight is not None
+                             and k > max_total_weight):
                 continue
             for subset in _combinations(range(len(cover)), size):
                 guesses += 1
@@ -385,16 +391,17 @@ def _faithful_search(sset, generators, target, box, node_budget):
                 if not _relaxation_feasible(special, target, box,
                                             extra_free=k, source=source):
                     continue
+                cap = None if max_total_weight is None \
+                    else ([1] * len(special), max_total_weight - k)
                 pairs = _run_combination_ilp(
                     special, target, box, extra_free=k, source=source,
-                    free_box=free_box, node_budget=node_budget)
+                    free_box=free_box, cap=cap)
                 if pairs is not None:
                     return ("found", guesses, pairs, (len(special), k))
     return ("exhausted", guesses, None, None)
 
 
-def _joint_program(sset, generators, target, box, max_total_weight,
-                   node_budget):
+def _joint_program(sset, generators, target, box, max_total_weight):
     """One decisive program over all generators.
 
     Cover vertices get unbounded integer weights; every other lattice point
@@ -406,8 +413,7 @@ def _joint_program(sset, generators, target, box, max_total_weight,
     hi = [None if g in special else 1 for g in gens]
     cap = None if max_total_weight is None \
         else ([1] * len(gens), max_total_weight)
-    return _run_combination_ilp(gens, target, box, gen_hi=hi, cap=cap,
-                                node_budget=node_budget)
+    return _run_combination_ilp(gens, target, box, gen_hi=hi, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +444,8 @@ def _pattern_polytope(sizes, capacity, a, counter=False) -> Polytope:
     return Polytope.from_rational(rows, rhs)
 
 
-def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
-                node_budget: int = DEFAULT_NODE_BUDGET) -> PackingSolution:
+def bin_packing(inst: BinPackingInstance,
+                mode: str = "faithful") -> PackingSolution:
     """Minimum number of unit bins packing all items, exactly.
 
     Binary search on the bin count b: b bins suffice iff the lifted pattern
@@ -456,8 +462,7 @@ def bin_packing(inst: BinPackingInstance, mode: str = "faithful",
     def probe(b):
         return int_cone_intersect(source,
                                   box_polytope(list(a) + [0], list(a) + [b]),
-                                  mode=mode, structure=sset,
-                                  node_budget=node_budget)
+                                  mode=mode, structure=sset)
 
     best, opt = least_feasible(probe, lo, sum(a),
                                lambda res: res.combination.total_weight)
@@ -483,8 +488,7 @@ def _packing_solution_from(combo: Combination, bin_type: int,
 
 
 def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
-                          mode: str = "faithful",
-                          node_budget: int = DEFAULT_NODE_BUDGET) -> SelectResult:
+                          mode: str = "faithful") -> SelectResult:
     """Reach the target with copies drawn from several candidate polytopes.
 
     ``parts`` is a list of (Polytope over the target's dimension, positive
@@ -592,7 +596,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
 
     y_bounds = [None] * d + [None] + [(0, budget)] * n
     res = int_cone_intersect(lifted, lifted_target, mode=mode,
-                             y_bounds=y_bounds, node_budget=node_budget)
+                             y_bounds=y_bounds)
     if not res.found:
         return SelectResult(False, None)
     picks = []
@@ -612,8 +616,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
 
 def select_from_generators(groups: Sequence, costs: Sequence[int],
                            target: Polytope, budget: int,
-                           y_bounds: Optional[Sequence] = None,
-                           node_budget: int = DEFAULT_NODE_BUDGET) -> SelectResult:
+                           y_bounds: Optional[Sequence] = None) -> SelectResult:
     """Selection over explicitly listed generator points per part.
 
     The integer-projection variant of ``multi_polytope_select``: each group
@@ -650,8 +653,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
         return SelectResult(False, None)
     owners = [i for i, _pt in tagged]
     pairs = _run_combination_ilp([pt for _i, pt in tagged], target, box,
-                                 cap=([costs[i] for i in owners], budget),
-                                 node_budget=node_budget)
+                                 cap=([costs[i] for i in owners], budget))
     if pairs is None:
         return SelectResult(False, None)
     return _selection([(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w],
@@ -686,28 +688,28 @@ def _selection(picks, costs, target: Polytope, budget: int) -> SelectResult:
 # cutting stock
 
 
-def cutting_stock(inst: CuttingStockInstance, mode: str = "faithful",
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> PackingSolution:
+def cutting_stock(inst: CuttingStockInstance,
+                  mode: str = "faithful") -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly."""
     a = inst.multiplicities
     if all(v == 0 for v in a):
         return PackingSolution((), 0, None)
-    # cost of the cheapest bin type that fits one copy of each item alone
-    singles = []
-    for j, s in enumerate(inst.sizes):
+    # each demanded copy alone in the cheapest bin type that fits it
+    hi = 0
+    for j, (s, aj) in enumerate(zip(inst.sizes, a)):
+        if aj == 0:
+            continue
         fitting = [c for w, c in inst.bin_types if s <= w]
         if not fitting:
             raise InfeasibleError(
                 f"item type {j} (size {s}) fits no bin type")
-        singles.append(min(fitting))
-    hi = sum(aj * cj for aj, cj in zip(a, singles))
+        hi += aj * min(fitting)
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
     target = box_polytope(a, a)
 
     def probe(delta):
-        return multi_polytope_select(parts, target, delta, mode=mode,
-                                     node_budget=node_budget)
+        return multi_polytope_select(parts, target, delta, mode=mode)
 
     best, opt = least_feasible(probe, 0, hi, lambda res: res.total_cost)
     patterns = []
@@ -737,6 +739,9 @@ def verify_solution(inst, sol: PackingSolution) -> None:
     total = [0] * d
     cost = 0
     for pattern, bt, mult in sol.patterns:
+        if len(pattern) != d:
+            raise InternalError(f"pattern {pattern} has {len(pattern)} "
+                                f"entries for {d} item types")
         if mult < 1:
             raise InternalError("non-positive multiplicity in solution")
         if bt not in range(len(bin_types)):

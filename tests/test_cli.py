@@ -245,6 +245,14 @@ class TestExitCodes:
         assert rc == 3
         assert "budget" in err
 
+    def test_budget_names_the_work_spent(self, tmp_path, capsys):
+        rc, _, err = run_cli(capsys, "solve",
+                             write(tmp_path, "i.txt", BP_SMALL),
+                             "--budget", "5")
+        assert rc == 3
+        assert "request work budget" in err
+        assert " pivots, " in err and " nodes" in err
+
     def test_budget_zero_is_honoured(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "solve",
                              write(tmp_path, "i.txt", BP_SMALL),
@@ -266,31 +274,6 @@ class TestExitCodes:
             cli.main([command, write(tmp_path, "p.txt", KNAPSACK),
                       "--budget", "5"])
         assert exc.value.code == 2
-
-
-class TestBench:
-    def test_deterministic_modulo_timing(self, capsys):
-        rc1, out1, _ = run_cli(capsys, "bench", "--count", "3")
-        rc2, out2, _ = run_cli(capsys, "bench", "--count", "3")
-        assert rc1 == rc2 == 0
-
-        def strip_times(text):
-            rows = []
-            for ln in text.splitlines():
-                if ln.startswith("#"):
-                    rows.append(ln)
-                else:
-                    rows.append(" ".join(ln.split()[:4]))
-            return rows
-
-        assert strip_times(out1) == strip_times(out2)
-
-    def test_seed_changes_instances(self, capsys):
-        _, out1, _ = run_cli(capsys, "bench", "--count", "4", "--seed", "1")
-        _, out2, _ = run_cli(capsys, "bench", "--count", "4", "--seed", "2")
-        rows1 = [ln for ln in out1.splitlines() if not ln.startswith("#")]
-        rows2 = [ln for ln in out2.splitlines() if not ln.startswith("#")]
-        assert [r.split()[:4] for r in rows1] != [r.split()[:4] for r in rows2]
 
 
 def test_console_entry_point(tmp_path):

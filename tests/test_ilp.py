@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conepack.budget import limit
 from conepack.errors import InputError, ResourceError
 from conepack.ilp import IlpProblem, ilp_feasible, lll_basis
 
@@ -51,9 +52,9 @@ class TestBasics:
         # fractional vertex everywhere near the relaxation optimum
         rows = [[2, 2, 2], [-2, -2, -2]]
         p = IlpProblem.build(rows, [3, -3], lo=[0, 0, 0], hi=[1, 1, 1])
-        with pytest.raises(ResourceError) as err:
-            ilp_feasible(p, node_budget=1)
-        assert err.value.budget_name == "ilp node budget"
+        with pytest.raises(ResourceError) as err, limit(1):
+            ilp_feasible(p)
+        assert err.value.budget_name == "request work budget"
         assert not ilp_feasible(p).feasible  # sum is odd, halves are not integral
 
     def test_witness_respects_bounds(self):

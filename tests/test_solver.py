@@ -155,6 +155,20 @@ class TestIntConeIntersect:
         ray = Polytope([[-1]], [-3])
         with pytest.raises(InputError):
             int_cone_intersect(segment(1, 2), ray, y_bounds=y_bounds)
+        # checked before the shortcut for a target holding the origin
+        with pytest.raises(InputError):
+            int_cone_intersect(segment(1, 2), segment(0, 3),
+                               y_bounds=y_bounds)
+
+    @pytest.mark.parametrize("mode", ["faithful", "joint"])
+    def test_max_total_weight_caps_both_modes(self, mode):
+        # 4 = 2 + 2 takes two copies; from {1, 2} no single copy reaches 4
+        res = int_cone_intersect(segment(1, 2), singleton_target([4]),
+                                 mode=mode, max_total_weight=2)
+        assert res.found and res.combination.total_weight == 2
+        res = int_cone_intersect(segment(1, 2), singleton_target([4]),
+                                 mode=mode, max_total_weight=1)
+        assert not res.found
 
 
 class TestBinPacking:
@@ -275,6 +289,13 @@ class TestCuttingStock:
     def test_zero_demand(self):
         inst = CuttingStockInstance([Rat(1, 2)], [0], [(Rat(1), 1)])
         assert cutting_stock(inst).objective == 0
+
+    def test_undemanded_type_may_fit_no_bin(self):
+        inst = CuttingStockInstance([Rat(2), Rat(1, 2)], [0, 2],
+                                    [(Rat(1), 1)])
+        sol = cutting_stock(inst)
+        assert sol.objective == 1
+        assert sol.patterns == (((0, 2), 0, 1),)
 
     def test_single_unit_type_matches_bin_packing(self):
         rng = random.Random(808)
@@ -459,6 +480,13 @@ class TestVerifySolution:
         inst = CuttingStockInstance([Rat(1, 2)], [2],
                                     [(Rat(1), 3), (Rat(1, 2), 2)])
         sol = PackingSolution((((1,), bin_type, 2),), 4, None)
+        with pytest.raises(InternalError):
+            verify_solution(inst, sol)
+
+    @pytest.mark.parametrize("pattern", [(), (1, 1)])
+    def test_rejects_pattern_of_wrong_length(self, pattern):
+        inst = BinPackingInstance([Rat(1, 2)], [2])
+        sol = PackingSolution(((pattern, 0, 1),), 1, None)
         with pytest.raises(InternalError):
             verify_solution(inst, sol)
 
