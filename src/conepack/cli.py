@@ -59,6 +59,13 @@ def _parse_int(token: str, lineno: int) -> int:
                          f"{token!r}") from exc
 
 
+def _parse_count(line: str, lineno: int, what: str) -> int:
+    toks = line.split()
+    if len(toks) != 1:
+        raise InputError(f"line {lineno}: expected {what}, got {line!r}")
+    return _parse_int(toks[0], lineno)
+
+
 def _take(entries, idx, lineno_hint):
     if idx >= len(entries):
         raise InputError(f"line {lineno_hint}: unexpected end of file")
@@ -67,7 +74,7 @@ def _take(entries, idx, lineno_hint):
 
 def _parse_items(entries, idx):
     lineno, line = _take(entries, idx, entries[-1][0] + 1 if entries else 1)
-    d = _parse_int(line.split()[0], lineno)
+    d = _parse_count(line, lineno, "the number of item types")
     if d < 1:
         raise InputError(f"line {lineno}: need at least one item type")
     sizes, mults = [], []
@@ -100,7 +107,7 @@ def parse_instance_text(text: str):
     if kind == "cuttingstock":
         sizes, mults, idx = _parse_items(rest, 0)
         lineno, line = _take(rest, idx, rest[-1][0] + 1)
-        m = _parse_int(line.split()[0], lineno)
+        m = _parse_count(line, lineno, "the number of bin types")
         if m < 1:
             raise InputError(f"line {lineno}: need at least one bin type")
         bin_types = []

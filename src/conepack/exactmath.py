@@ -1,7 +1,8 @@
 """Exact rational linear algebra and linear programming.
 
-Everything here computes over exact rationals (``rational.Rat``); there are
-no tolerances anywhere.  The two public entry points are
+Everything here is exact; there are no tolerances anywhere.  Inputs and
+answers are exact rationals (``rational.Rat``) or ints.  The two public
+entry points are
 
 * ``solve_linear_system`` -- Gaussian elimination returning either the
   unique solution or ``singular`` (covers rank deficiency *and*
@@ -15,10 +16,14 @@ no tolerances anywhere.  The two public entry points are
 The underlying ``ExactLp`` class is exposed for the branch-and-bound solver:
 it supports in-place variable bound changes with warm restarts (the basis is
 kept and repaired by the phase-1 routine) and cheap snapshot/restore, which
-is what makes exact branch and bound affordable.  Its tableau holds no
-rationals: each row is a list of Python ints over one positive int
+is what makes exact branch and bound affordable.  It holds no rationals:
+each tableau row is a list of Python ints over one positive int
 denominator, updated by integer-preserving (Edmonds/Bareiss) elimination
 on the non-zero entries of the pivot row only, with every division exact.
+Each basic value is an int over its row's denominator times one common
+scale, carried through the same elimination, and the nonbasic values and
+bounds are ints times that scale, so the ratio test and phase 1 compare
+ints by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -108,24 +113,36 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     return LinearSolveResult(UNIQUE, tuple(sol))
 
 
+def _num_den(value):
+    """``value`` (an int or anything ``Rat`` accepts) as ``(num, den)``."""
+    if type(value) is int:
+        return value, 1
+    value = Rat(value)
+    return int(value.numerator), int(value.denominator)
+
+
 def _integer_row(values):
-    """``values`` (``Rat``) as ``(ints, den)``: plain ints over the lcm of
-    their denominators, which leaves the row in lowest terms."""
-    dens = [int(v.denominator) for v in values]
-    d = lcm(*dens)
-    return [int(v.numerator) * (d // q) for v, q in zip(values, dens)], d
+    """``values`` as ``(ints, den)``: plain ints over the lcm of their
+    denominators, which leaves the row in lowest terms."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    pairs = [_num_den(v) for v in values]
+    d = lcm(*(q for _p, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
-def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list):
+def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list, b: int, pb: int):
     """Clear entry ``f`` of the integer row ``tgt / d`` against a pivot row.
 
     The pivot row is ``row / piv`` with ``row[col] == piv > 0``; ``nz``
     lists its non-zero ``(column, entry)`` pairs and ``f`` is
-    ``tgt[col]``.  Returns the new ``(row, den)``: ``tgt * p - f' * row``
-    over ``d * p``, where ``f' / p`` is ``f / piv`` in lowest terms, then
-    divided by the gcd of its entries and denominator.  Every division is
-    exact, so the rational entries are those Gauss-Jordan would give.
-    ``tgt`` itself may be updated in place.
+    ``tgt[col]``.  ``b`` and ``pb`` are the two rows' constant terms,
+    carried through the same elimination.  Returns the new ``(row, den,
+    b)``: ``tgt * p - f' * row`` over ``d * p``, where ``f' / p`` is
+    ``f / piv`` in lowest terms, then divided by the gcd of its entries
+    and denominator.  Every division is exact, so the rational entries
+    are those Gauss-Jordan would give.  ``tgt`` itself may be updated in
+    place.
     """
     g = gcd(f, piv)
     p = piv // g
@@ -133,13 +150,16 @@ def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list):
     if p != 1:
         tgt = [a * p for a in tgt]
         d *= p
+        b *= p
     for j, a in nz:
         tgt[j] -= f * a
+    b -= f * pb
     g = gcd(d, *tgt)
     if g != 1:
         tgt = [a // g for a in tgt]
         d //= g
-    return tgt, d
+        b //= g
+    return tgt, d, b
 
 
 class ExactLp:
@@ -149,14 +169,21 @@ class ExactLp:
     ``[0, +inf)`` for a ``<=`` row and ``[0, 0]`` for a ``==`` row.
     Structural variables carry arbitrary (possibly absent) bounds.
 
-    The tableau ``B^-1 [A | I]`` is held as integer rows: entry ``(i, j)``
-    is ``tab[i][j] / den[i]`` with ``den[i] > 0`` and the row divided by
-    the gcd of its entries and ``den[i]``.  A pivot touches only the rows
+    Nothing here is a rational.  The tableau ``B^-1 [A | I]`` is held as
+    integer rows: entry ``(i, j)`` is ``tab[i][j] / den[i]`` with
+    ``den[i] > 0``.  The basic variable of row ``i`` has the value
+    ``bn[i] / (den[i] * scale)``, where ``scale`` is the lcm of the
+    denominators of the right-hand sides and bounds (1 when they are all
+    integers).  Nonbasic values ``val`` and bounds ``lo``/``hi`` are ints
+    times ``scale``.  Each row is divided by the gcd of its entries and
+    ``den[i]``.  That gcd divides ``bn[i]`` too, because ``bn[i]`` is the
+    row's slack entries times the right-hand sides and its nonbasic
+    entries times their values, all ints.  A pivot touches only the rows
     with a non-zero entry in the pivot column, and subtracts only on the
-    pivot row's non-zero columns.  The basic values ``xb``, the nonbasic
-    values ``val`` and the bounds stay rationals.  The rational tableau is
-    the one a ``Rat`` Gauss-Jordan pivot would hold, so Bland's rule makes
-    the same choices either way.
+    pivot row's non-zero columns.  The rational tableau and values are
+    the ones a ``Rat`` Gauss-Jordan pivot would hold, so Bland's rule
+    makes the same choices either way; ``Rat`` is built only by
+    ``values`` and by ``optimize``'s result.
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
@@ -183,50 +210,48 @@ class ExactLp:
         self.n = n
         self.ncols = n + m
         self.pivots_used = 0
-        self.lo: list = [None] * self.ncols
-        self.hi: list = [None] * self.ncols
-        if lo is not None:
-            for j, v in enumerate(lo):
-                self.lo[j] = None if v is None else Rat(v)
-        if hi is not None:
-            for j, v in enumerate(hi):
-                self.hi[j] = None if v is None else Rat(v)
+        rhs = [_num_den(v) for v in rhs]
+        lo = [None if v is None else _num_den(v) for v in lo or [None] * n]
+        hi = [None if v is None else _num_den(v) for v in hi or [None] * n]
+        scale = lcm(*(q for _p, q in rhs),
+                    *(b[1] for b in lo + hi if b is not None))
+        self.scale = scale
+        self.lo: list = [None if b is None else b[0] * (scale // b[1])
+                         for b in lo] + [0] * m
+        self.hi: list = [None if b is None else b[0] * (scale // b[1])
+                         for b in hi] + [None] * m
         for i, sense in enumerate(senses):
-            if sense == "<=":
-                self.lo[n + i], self.hi[n + i] = ZERO, None
-            elif sense == "==":
-                self.lo[n + i], self.hi[n + i] = ZERO, ZERO
-            else:
+            if sense == "==":
+                self.hi[n + i] = 0
+            elif sense != "<=":
                 raise InputError(f"unsupported row sense {sense!r} (use '<=' or '==')")
-        self.state = [0] * self.ncols
-        self.val = [ZERO] * self.ncols  # meaningful for nonbasic vars
+        self.state = [_BASIC] * self.ncols
+        self.val = [0] * self.ncols  # meaningful for nonbasic vars
         for j in range(n):
             if self.lo[j] is not None:
                 self.state[j], self.val[j] = _AT_LO, self.lo[j]
             elif self.hi[j] is not None:
                 self.state[j], self.val[j] = _AT_UP, self.hi[j]
             else:
-                self.state[j], self.val[j] = _FREE, ZERO
+                self.state[j] = _FREE
         self.basis = list(range(n, n + m))
-        for i in range(m):
-            self.state[n + i] = _BASIC
-        # integer tableau rows [A_i * den_i | den_i e_i] over den_i
+        # integer tableau rows [A_i * den_i | den_i e_i] over den_i, and the
+        # slack values b_i - A_i x times den_i * scale
         self.tab = []
         self.den = []
-        self.xb = []
-        moved = [(j, v) for j, v in enumerate(self.val[:n]) if v != 0]
+        self.bn = []
+        moved = [(j, v) for j, v in enumerate(self.val[:n]) if v]
         for i in range(m):
-            row = [Rat(v) for v in rows[i]]
-            acc = Rat(rhs[i])
-            for j, vj in moved:
-                if row[j] != 0:
-                    acc -= row[j] * vj
-            self.xb.append(acc)
-            irow, d = _integer_row(row)
+            irow, d = _integer_row(rows[i])
+            p, q = rhs[i]
+            b = p * (scale // q) * d
+            for j, v in moved:
+                b -= irow[j] * v
             irow += [0] * m
             irow[n + i] = d
             self.tab.append(irow)
             self.den.append(d)
+            self.bn.append(b)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -234,34 +259,60 @@ class ExactLp:
         return (
             [row[:] for row in self.tab],
             self.den[:],
+            self.bn[:],
             self.basis[:],
             self.state[:],
             self.val[:],
-            self.xb[:],
             self.lo[:],
             self.hi[:],
+            self.scale,
         )
 
     def restore(self, snap) -> None:
-        tab, den, basis, state, val, xb, lo, hi = snap
+        tab, den, bn, basis, state, val, lo, hi, scale = snap
         self.tab = [row[:] for row in tab]
         self.den = den[:]
+        self.bn = bn[:]
         self.basis = basis[:]
         self.state = state[:]
         self.val = val[:]
-        self.xb = xb[:]
         self.lo = lo[:]
         self.hi = hi[:]
+        self.scale = scale
+
+    def _rescale(self, scale: int) -> None:
+        """Hold every value and bound times ``scale``, a multiple of the
+        current scale."""
+        k = scale // self.scale
+        self.lo = [None if v is None else v * k for v in self.lo]
+        self.hi = [None if v is None else v * k for v in self.hi]
+        self.val = [v * k for v in self.val]
+        self.bn = [v * k for v in self.bn]
+        self.scale = scale
+
+    def _shift(self, j: int, delta: int) -> None:
+        """Move nonbasic ``j`` by ``delta`` (times scale); the basics follow."""
+        self.val[j] += delta
+        bn = self.bn
+        for i, row in enumerate(self.tab):
+            coef = row[j]
+            if coef:
+                bn[i] -= delta * coef
 
     def set_var_bounds(self, j: int, lo, hi) -> None:
         """Replace the bounds of structural variable ``j`` in place."""
         if not 0 <= j < self.n:
             raise InputError(f"variable index {j} out of range")
-        self.lo[j] = None if lo is None else Rat(lo)
-        self.hi[j] = None if hi is None else Rat(hi)
+        lo = None if lo is None else _num_den(lo)
+        hi = None if hi is None else _num_den(hi)
+        need = lcm(*(b[1] for b in (lo, hi) if b is not None))
+        if self.scale % need:
+            self._rescale(lcm(self.scale, need))
+        scale = self.scale
+        self.lo[j] = None if lo is None else lo[0] * (scale // lo[1])
+        self.hi[j] = None if hi is None else hi[0] * (scale // hi[1])
         if self.state[j] == _BASIC:
             return  # phase 1 repairs any violation on the next solve
-        old = self.val[j]
         if self.lo[j] is not None and (self.state[j] == _AT_LO or self.hi[j] is None):
             new_state, new_val = _AT_LO, self.lo[j]
         elif self.hi[j] is not None:
@@ -269,24 +320,21 @@ class ExactLp:
         elif self.lo[j] is not None:
             new_state, new_val = _AT_LO, self.lo[j]
         else:
-            new_state, new_val = _FREE, ZERO
-        if new_val != old:
-            delta = new_val - old
-            for i in range(self.m):
-                coef = self.tab[i][j]
-                if coef != 0:
-                    self.xb[i] -= delta * coef / self.den[i]
-        self.state[j], self.val[j] = new_state, new_val
+            new_state, new_val = _FREE, 0
+        if new_val != self.val[j]:
+            self._shift(j, new_val - self.val[j])
+        self.state[j] = new_state
 
     def values(self) -> tuple:
         """Current values of the structural variables."""
+        scale = self.scale
         out = [ZERO] * self.n
         for j in range(self.n):
             if self.state[j] != _BASIC:
-                out[j] = self.val[j]
+                out[j] = Rat(self.val[j], scale)
         for i, b in enumerate(self.basis):
             if b < self.n:
-                out[b] = self.xb[i]
+                out[b] = Rat(self.bn[i], self.den[i] * scale)
         return tuple(out)
 
     def _charge_pivot(self) -> None:
@@ -295,32 +343,49 @@ class ExactLp:
             raise ResourceError("simplex pivot budget", DEFAULT_PIVOT_BUDGET)
         charge()
 
-    def _pivot(self, r: int, col: int) -> None:
-        """Make column ``col`` basic in row ``r`` (the objective row too)."""
+    def _pivot(self, r: int, col: int, bound: int) -> None:
+        """Make column ``col`` basic in row ``r`` (the objective row too).
+
+        The leaving variable becomes nonbasic at ``bound`` (times scale).
+        Each row's constant first takes in the entering variable's old
+        value, so that it holds the terms of the nonbasics that stay; the
+        elimination carries it with its row, and the leaving variable's
+        term at ``bound`` then comes out of it.
+        """
         self._charge_pivot()
-        tab, den = self.tab, self.den
+        tab, den, bn = self.tab, self.den, self.bn
+        entering = self.val[col]
+        leave = self.basis[r]
         row = tab[r]
         piv = row[col]
         if piv == 0:
             raise InternalError("pivot on zero element")
+        b = bn[r] + piv * entering
         if piv < 0:
             row = [-a for a in row]
             piv = -piv
+            b = -b
         g = gcd(*row)
         if g != 1:
             row = [a // g for a in row]
             piv //= g
+            b //= g
         tab[r] = row
         den[r] = piv
+        bn[r] = b - row[leave] * bound
         nz = [(j, a) for j, a in enumerate(row) if a]
         for i in range(self.m):
             if i != r:
                 f = tab[i][col]
                 if f:
-                    tab[i], den[i] = _eliminate(tab[i], den[i], f, piv, nz)
+                    new, den[i], c = _eliminate(tab[i], den[i], f, piv, nz,
+                                                bn[i] + f * entering, b)
+                    tab[i] = new
+                    bn[i] = c - new[leave] * bound
         z = self._zrow
         if z is not None and z[col]:
-            self._zrow, self._zden = _eliminate(z, self._zden, z[col], piv, nz)
+            self._zrow, self._zden, _ = _eliminate(z, self._zden, z[col], piv,
+                                                   nz, 0, 0)
 
     # -- ratio test -----------------------------------------------------
 
@@ -333,91 +398,89 @@ class ExactLp:
         it turns feasible); feasible basics are blocked at whichever of
         their bounds they would exit through.
         """
-        own_t = None
+        lo, hi, bn, den, basis = self.lo, self.hi, self.bn, self.den, self.basis
+        own = None
         if direction > 0:
-            if self.hi[j] is not None:
-                own_t = self.hi[j] - self.val[j]
-        else:
-            if self.lo[j] is not None:
-                own_t = self.val[j] - self.lo[j]
+            if hi[j] is not None:
+                own = hi[j] - self.val[j]
+        elif lo[j] is not None:
+            own = self.val[j] - lo[j]
 
         # per unit step of ``j`` in ``direction``, basic ``i`` moves by
-        # ``rate / den[i]``, where ``rate`` is an integer
-        best_t = None
+        # ``rate / den[i]``; row ``i`` blocks at the step ``num / q``
+        # (times scale), with ``q > 0``, and steps compare crosswise
+        best_num = best_q = None
         block_rows = []
-        for i in range(self.m):
-            coef = self.tab[i][j]
-            if coef == 0:
+        for i, row in enumerate(self.tab):
+            coef = row[j]
+            if not coef:
                 continue
             rate = -coef if direction > 0 else coef
-            b = self.basis[i]
-            xb = self.xb[i]
-            lo_b, hi_b = self.lo[b], self.hi[b]
-            t_i = None
-            if phase1 and lo_b is not None and xb < lo_b:
+            b = basis[i]
+            x = bn[i]
+            d = den[i]
+            lo_b, hi_b = lo[b], hi[b]
+            num = None
+            if phase1 and lo_b is not None and x < lo_b * d:
                 if rate > 0:
-                    t_i = (lo_b - xb) * self.den[i] / rate
-            elif phase1 and hi_b is not None and xb > hi_b:
+                    num, q = lo_b * d - x, rate
+            elif phase1 and hi_b is not None and x > hi_b * d:
                 if rate < 0:
-                    t_i = (xb - hi_b) * self.den[i] / (-rate)
-            else:
-                if rate > 0:
-                    if hi_b is not None:
-                        t_i = (hi_b - xb) * self.den[i] / rate
-                else:
-                    if lo_b is not None:
-                        t_i = (xb - lo_b) * self.den[i] / (-rate)
-            if t_i is None:
+                    num, q = x - hi_b * d, -rate
+            elif rate > 0:
+                if hi_b is not None:
+                    num, q = hi_b * d - x, rate
+            elif lo_b is not None:
+                num, q = x - lo_b * d, -rate
+            if num is None:
                 continue
-            if best_t is None or t_i < best_t:
-                best_t = t_i
-                block_rows = [i]
-            elif t_i == best_t:
+            if best_num is None:
+                best_num, best_q, block_rows = num, q, [i]
+                continue
+            diff = num * best_q - best_num * q
+            if diff < 0:
+                best_num, best_q, block_rows = num, q, [i]
+            elif diff == 0:
                 block_rows.append(i)
 
-        if best_t is None and own_t is None:
+        if best_num is None and own is None:
             return False  # unbounded ray
 
-        flip = own_t is not None and (best_t is None or own_t <= best_t)
-        t = own_t if flip else best_t
-        if t != 0:
-            for i in range(self.m):
-                coef = self.tab[i][j]
-                if coef != 0:
-                    rate = -coef if direction > 0 else coef
-                    self.xb[i] += t * rate / self.den[i]
-            self.val[j] = self.val[j] + t if direction > 0 else self.val[j] - t
-
-        if flip:
+        if own is not None and (best_num is None or own * best_q <= best_num):
+            if own:
+                self._shift(j, own if direction > 0 else -own)
             self.state[j] = _AT_UP if direction > 0 else _AT_LO
             return True
 
-        # pivot: leaving row with lowest basic-variable index among blockers
-        r = min(block_rows, key=lambda i: self.basis[i])
-        leave = self.basis[r]
-        if self.lo[leave] is not None and self.xb[r] == self.lo[leave]:
-            self.state[leave] = _AT_LO
-        elif self.hi[leave] is not None and self.xb[r] == self.hi[leave]:
-            self.state[leave] = _AT_UP
+        # pivot: leaving row with lowest basic-variable index among blockers;
+        # its value after the step, times scale, is ``reached / at``
+        r = min(block_rows, key=basis.__getitem__)
+        leave = basis[r]
+        coef = self.tab[r][j]
+        rate = -coef if direction > 0 else coef
+        reached = bn[r] * best_q + best_num * rate
+        at = den[r] * best_q
+        if lo[leave] is not None and reached == lo[leave] * at:
+            state, bound = _AT_LO, lo[leave]
+        elif hi[leave] is not None and reached == hi[leave] * at:
+            state, bound = _AT_UP, hi[leave]
         else:
             raise InternalError("leaving variable did not stop on a bound")
-        self.val[leave] = self.xb[r]
-        entering_value = self.val[j]
-        self._pivot(r, j)
-        self.basis[r] = j
+        self._pivot(r, j, bound)
+        self.state[leave], self.val[leave] = state, bound
+        basis[r] = j
         self.state[j] = _BASIC
-        self.xb[r] = entering_value
         return True
 
     # -- phase 1 ---------------------------------------------------------
 
     def _infeasible_rows(self):
         bad = []
-        for i in range(self.m):
-            b = self.basis[i]
-            if self.lo[b] is not None and self.xb[i] < self.lo[b]:
+        lo, hi, bn, den = self.lo, self.hi, self.bn, self.den
+        for i, b in enumerate(self.basis):
+            if lo[b] is not None and bn[i] < lo[b] * den[i]:
                 bad.append((i, -1))
-            elif self.hi[b] is not None and self.xb[i] > self.hi[b]:
+            elif hi[b] is not None and bn[i] > hi[b] * den[i]:
                 bad.append((i, 1))
         return bad
 
@@ -482,22 +545,22 @@ class ExactLp:
         """
         if sense not in ("max", "min"):
             raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
-        cost = [Rat(c) for c in objective]
-        if len(cost) != self.n:
+        if len(objective) != self.n:
             raise InputError("objective length mismatch")
-        if sense == "max":
-            cost = [-c for c in cost]
         if self._infeasible_rows():
             raise InternalError("optimize() requires a primal-feasible basis")
         # reduced-cost row, held like a tableau row: z[j] / zden
-        z, zden = _integer_row(cost)
+        z, zden = _integer_row(objective)
+        if sense == "max":
+            z = [-c for c in z]
         z += [0] * self.m
         for i in range(self.m):
             cb = z[self.basis[i]]
             if cb:
                 row = self.tab[i]
                 nz = [(j, a) for j, a in enumerate(row) if a]
-                z, zden = _eliminate(z, zden, cb, self.den[i], nz)
+                z, zden, _ = _eliminate(z, zden, cb, self.den[i], nz,
+                                        0, 0)
         self._zrow, self._zden = z, zden
         while True:
             z = self._zrow  # only the signs of the reduced costs are read

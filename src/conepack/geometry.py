@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
-from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, as_int
+from .rational import Rat, ONE, rat_ceil, rat_floor, as_int
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
@@ -316,15 +316,13 @@ def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
     if not pts:
         return False
     d = len(pts[0])
-    pt = [Rat(v) for v in point]
-    if len(pt) != d:
+    rhs = list(point) + [1]
+    if len(rhs) != d + 1:
         raise InputError("dimension mismatch in hull membership test")
     n = len(pts)
-    rows = [[Rat(p[k]) for p in pts] for k in range(d)]
-    rows.append([ONE] * n)
-    rhs = pt + [ONE]
-    lp = ExactLp(rows, rhs, senses=["=="] * (d + 1),
-                 lo=[ZERO] * n, hi=[None] * n)
+    rows = [[p[k] for p in pts] for k in range(d)]
+    rows.append([1] * n)
+    lp = ExactLp(rows, rhs, senses=["=="] * (d + 1), lo=[0] * n)
     return lp.find_feasible()
 
 

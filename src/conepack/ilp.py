@@ -123,8 +123,7 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
     if any(a > b for a, b in zip(lo, hi)):
         return IlpResult(False, None, 0)
 
-    lp = ExactLp(problem.rows, problem.rhs,
-                 lo=[Rat(v) for v in lo], hi=[Rat(v) for v in hi])
+    lp = ExactLp(problem.rows, problem.rhs, lo=lo, hi=hi)
     nodes = 0
     witness = None
     # explicit depth-first stack; "restore" entries rewind the warm-started
@@ -138,7 +137,7 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
         _kind, lo_cur, hi_cur, bound = entry
         if bound is not None:
             j, a, b = bound
-            lp.set_var_bounds(j, Rat(a), Rat(b))
+            lp.set_var_bounds(j, a, b)
         nodes += 1
         if nodes > DEFAULT_NODE_BUDGET:
             raise ResourceError("ilp node budget", DEFAULT_NODE_BUDGET)

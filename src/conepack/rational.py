@@ -6,8 +6,9 @@ terms with a positive denominator, compare exactly, and hash consistently
 with each other, so the choice never changes results -- only speed.
 
 Vectors are plain tuples.  Everything here is deterministic and
-allocation-light; it is the arithmetic bedrock for the exact simplex and
-the lattice geometry built on top of it.
+allocation-light.  The hot loops of the exact simplex and of parallelepiped
+membership run on plain ints; ``Rat`` is their input and answer type, and
+the arithmetic of the geometry, the oracles and the instance data.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import IlpProblem, ilp_feasible
-from .rational import Rat, ZERO, ONE, rat_ceil, rat_floor, dot
+from .rational import Rat, ONE, as_int, rat_ceil, rat_floor, dot
 from .structure import (
     Combination,
     StructureSet,
@@ -54,12 +54,27 @@ DEFAULT_GUESS_BUDGET = 64
 # instances and solutions
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; an ``InputError`` unless it is integral."""
+    try:
+        return as_int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} {value} must be an integer") from exc
+
+
+def _multiplicities(values) -> tuple:
+    out = tuple(_integer(a, "multiplicity") for a in values)
+    if any(a < 0 for a in out):
+        raise InputError("multiplicities must be non-negative")
+    return out
+
+
 class BinPackingInstance:
     """Item sizes in (0, 1] with integer multiplicities."""
 
     def __init__(self, sizes: Sequence, multiplicities: Sequence[int]):
         self.sizes = tuple(Rat(s) for s in sizes)
-        self.multiplicities = tuple(int(a) for a in multiplicities)
+        self.multiplicities = _multiplicities(multiplicities)
         if len(self.sizes) != len(self.multiplicities):
             raise InputError("sizes and multiplicities must align")
         if not self.sizes:
@@ -69,8 +84,6 @@ class BinPackingInstance:
                 raise InputError(f"item size {s} must be positive")
             if s > 1:
                 raise InputError(f"item size {s} exceeds the bin capacity 1")
-        if any(a < 0 for a in self.multiplicities):
-            raise InputError("multiplicities must be non-negative")
         self.dim = len(self.sizes)
 
     def __repr__(self):
@@ -83,13 +96,14 @@ class CuttingStockInstance:
     def __init__(self, sizes: Sequence, multiplicities: Sequence[int],
                  bin_types: Sequence):
         self.sizes = tuple(Rat(s) for s in sizes)
-        self.multiplicities = tuple(int(a) for a in multiplicities)
+        self.multiplicities = _multiplicities(multiplicities)
         if len(self.sizes) != len(self.multiplicities):
             raise InputError("sizes and multiplicities must align")
         for s in self.sizes:
             if s <= 0:
                 raise InputError(f"item size {s} must be positive")
-        self.bin_types = tuple((Rat(w), int(c)) for w, c in bin_types)
+        self.bin_types = tuple((Rat(w), _integer(c, "bin cost"))
+                               for w, c in bin_types)
         if not self.bin_types:
             raise InputError("at least one bin type required")
         for w, c in self.bin_types:
@@ -279,8 +293,7 @@ def _relaxation_feasible(generators, target, box, extra_free=0, source=None):
                                   extra_free=extra_free, source=source)
     n = len(generators)
     nf = extra_free * (target.dim if extra_free else 0)
-    lp = ExactLp(rows, rhs, lo=[ZERO] * n + [None] * nf,
-                 hi=[None] * (n + nf))
+    lp = ExactLp(rows, rhs, lo=[0] * n + [None] * nf)
     return lp.find_feasible()
 
 

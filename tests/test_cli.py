@@ -127,6 +127,26 @@ class TestParseErrors:
         assert rc == 2
         assert "line 4" in err
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("binpacking\n2 junk\n1/2 1\n1/3 1\n", 2),
+        ("cuttingstock\n1 1\n1/2 1\n1\n1 1\n", 2),
+        ("cuttingstock\n1\n1/2 1\n1 x\n1 1\n", 4),
+    ])
+    def test_trailing_tokens_on_a_count_line(self, tmp_path, capsys, text,
+                                             lineno):
+        rc, _, err = run_cli(capsys, "solve", write(tmp_path, "i.txt", text))
+        assert rc == 2
+        assert f"line {lineno}" in err
+
+    @pytest.mark.parametrize("text", [
+        "cuttingstock\n1\n1/2 -1\n1\n1 1\n",
+        "binpacking\n1\n1/2 -1\n",
+    ])
+    def test_negative_multiplicity_is_2(self, tmp_path, capsys, text):
+        rc, _, err = run_cli(capsys, "solve", write(tmp_path, "i.txt", text))
+        assert rc == 2
+        assert "non-negative" in err
+
     def test_empty_file(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "solve",
                              write(tmp_path, "i.txt", "\n\n"))

@@ -338,3 +338,82 @@ def test_warm_start_matches_fresh_solve(case):
         for row, b, sense in zip(rows, rhs, senses):
             lhs = dot(row, x)
             assert lhs == b if sense == "==" else lhs <= b
+
+
+# -- integer state: values and bounds held as ints times a common scale ------
+
+
+def _assert_integer_state(lp):
+    assert type(lp.scale) is int and lp.scale > 0
+    assert len(lp.bn) == lp.m and all(type(v) is int for v in lp.bn)
+    assert len(lp.val) == lp.ncols and all(type(v) is int for v in lp.val)
+    for bounds in (lp.lo, lp.hi):
+        assert len(bounds) == lp.ncols
+        assert all(v is None or type(v) is int for v in bounds)
+
+
+@pytest.mark.parametrize("rows,rhs,c,lo,hi,pin", _pinned_cases())
+def test_pinned_solves_hold_only_ints(rows, rhs, c, lo, hi, pin):
+    lp = ExactLp(rows, rhs, lo=lo, hi=hi)
+    _assert_integer_state(lp)
+    if lp.find_feasible():
+        _assert_integer_state(lp)
+        lp.optimize(c, "max")
+    _assert_integer_state(lp)
+
+
+_quarter = st.builds(Rat, st.integers(-12, 24), st.integers(1, 4))
+# a later bound's denominator divides no earlier one, so the scale grows
+_seventh = st.builds(Rat, st.integers(-21, 21), st.sampled_from([5, 7]))
+_width = st.builds(Rat, st.integers(0, 21), st.sampled_from([1, 5, 7]))
+_coef = st.one_of(_small, st.builds(Rat, st.integers(-6, 6),
+                                    st.sampled_from([2, 3])))
+
+
+@st.composite
+def _rational_warm_start_case(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_coef, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(_quarter, min_size=m, max_size=m))
+    senses = draw(st.lists(st.sampled_from(["<=", "=="]), min_size=m,
+                           max_size=m))
+    lo = [draw(_quarter) - 4 for _ in range(n)]
+    hi = [a + draw(_quarter) % 5 for a in lo]
+    c = draw(st.lists(_small, min_size=n, max_size=n))
+    changes = [(j, a, a + w) for j, a, w in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), _seventh, _width), max_size=4))]
+    return rows, rhs, senses, lo, hi, c, changes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_warm_start_case())
+def test_rational_data_warm_start_matches_fresh_solve(case):
+    rows, rhs, senses, lo, hi, c, changes = case
+    lp = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+    lp.find_feasible()
+    lo, hi = lo[:], hi[:]
+    for j, a, b in changes:
+        snap = lp.snapshot()
+        lp.set_var_bounds(j, 0, 0)  # a sibling branch, then rewound
+        lp.find_feasible()
+        lp.restore(snap)
+        lp.set_var_bounds(j, a, b)
+        lo[j], hi[j] = a, b
+        lp.find_feasible()
+    _assert_integer_tableau(lp)
+    _assert_integer_state(lp)
+    warm = lp.find_feasible()
+    fresh = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+    assert warm == fresh.find_feasible()
+    if not warm:
+        return
+    assert lp.optimize(c, "max") == fresh.optimize(c, "max")
+    _assert_integer_state(lp)
+    x = lp.values()
+    for j, v in enumerate(x):
+        assert lo[j] <= v <= hi[j]
+    for row, b, sense in zip(rows, rhs, senses):
+        lhs = dot(row, x)
+        assert lhs == b if sense == "==" else lhs <= b

@@ -198,6 +198,14 @@ class TestBinPacking:
         with pytest.raises(InputError):
             BinPackingInstance([Rat(0)], [1])
 
+    @pytest.mark.parametrize("a", [2.7, Rat(5, 2), -1])
+    def test_multiplicity_must_be_a_non_negative_integer(self, a):
+        with pytest.raises(InputError):
+            BinPackingInstance([Rat(1, 2)], [a])
+
+    def test_integral_rational_multiplicity_accepted(self):
+        assert BinPackingInstance([Rat(1, 2)], [Rat(3)]).multiplicities == (3,)
+
     def test_guess_record_on_faithful_hit(self):
         sol = bin_packing(BinPackingInstance([Rat(1, 2)], [3]))
         assert sol.guess_record is not None
@@ -289,6 +297,21 @@ class TestCuttingStock:
     def test_zero_demand(self):
         inst = CuttingStockInstance([Rat(1, 2)], [0], [(Rat(1), 1)])
         assert cutting_stock(inst).objective == 0
+
+    @pytest.mark.parametrize("a", [-1, 2.7, Rat(1, 2)])
+    def test_multiplicity_must_be_a_non_negative_integer(self, a):
+        with pytest.raises(InputError):
+            CuttingStockInstance([Rat(1, 2)], [a], [(Rat(1), 1)])
+
+    @pytest.mark.parametrize("cost", [1.9, Rat(3, 2)])
+    def test_bin_cost_must_be_an_integer(self, cost):
+        with pytest.raises(InputError):
+            CuttingStockInstance([Rat(1, 2)], [1], [(Rat(1), cost)])
+
+    def test_integral_rational_cost_and_multiplicity_accepted(self):
+        inst = CuttingStockInstance([Rat(1, 2)], [Rat(2)], [(Rat(1), Rat(3))])
+        assert inst.multiplicities == (2,) and inst.bin_types == ((1, 3),)
+        assert cutting_stock(inst).objective == 3
 
     def test_undemanded_type_may_fit_no_bin(self):
         inst = CuttingStockInstance([Rat(2), Rat(1, 2)], [0, 2],
