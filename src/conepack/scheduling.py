@@ -28,14 +28,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError
-from .geometry import Polytope, box_polytope
+from .geometry import Polytope, box_polytope, lattice_points
 from .ilp import IlpProblem, ilp_feasible
-from .solver import (least_feasible, multi_polytope_select,
+from .solver import (_integer, _multiplicities, configuration_window,
+                     least_feasible, multi_polytope_select,
                      select_from_generators)
 
 
 # ---------------------------------------------------------------------------
 # instance
+
+
+def _integers(values, what: str) -> Optional[tuple]:
+    """``values`` as a tuple of ints (None stays None); an ``InputError``
+    unless each is integral."""
+    return None if values is None else tuple(_integer(v, what)
+                                             for v in values)
 
 
 class SchedulingInstance:
@@ -51,8 +59,8 @@ class SchedulingInstance:
                  counts: Optional[Sequence[int]] = None,
                  penalties: Optional[Sequence[int]] = None,
                  variant: Optional[str] = None):
-        self.windows = tuple(tuple((int(r), int(dl), int(p))
-                                   for r, dl, p in per_machine)
+        self.windows = tuple(tuple(_integers(w, "window entry")
+                                   for w in per_machine)
                              for per_machine in windows)
         self.m = len(self.windows)
         if self.m == 0:
@@ -63,22 +71,24 @@ class SchedulingInstance:
         if self.d == 0:
             raise InputError("at least one job type required")
         for i, per_machine in enumerate(self.windows):
-            for j, (r, dl, p) in enumerate(per_machine):
+            for j, window in enumerate(per_machine):
+                if len(window) != 3:
+                    raise InputError(f"job {j} on machine type {i}: window "
+                                     f"{window} is not (release, deadline, "
+                                     "length)")
+                r, dl, p = window
                 if r < 0 or dl < r:
                     raise InputError(
                         f"job {j} on machine type {i}: window [{r}, {dl}]")
                 if p < 1:
                     raise InputError(
                         f"job {j} on machine type {i}: length {p} < 1")
-        self.multiplicities = tuple(int(v) for v in multiplicities)
+        self.multiplicities = _multiplicities(multiplicities)
         if len(self.multiplicities) != self.d:
             raise InputError("multiplicities must cover every job type")
-        if any(v < 0 for v in self.multiplicities):
-            raise InputError("multiplicities must be non-negative")
-        self.costs = None if costs is None else tuple(int(c) for c in costs)
-        self.counts = None if counts is None else tuple(int(v) for v in counts)
-        self.penalties = (None if penalties is None
-                          else tuple(int(v) for v in penalties))
+        self.costs = _integers(costs, "machine cost")
+        self.counts = _integers(counts, "machine count")
+        self.penalties = _integers(penalties, "penalty")
         if self.costs is not None:
             if len(self.costs) != self.m:
                 raise InputError("one cost per machine type required")
@@ -581,22 +591,21 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
 # assignment variants
 
 
-def _cheapest_single_hosts(inst: SchedulingInstance, hostable) -> int:
-    """Cost bound: each copy on its own cheapest machine."""
-    total = 0
+def _check_hostable(inst: SchedulingInstance, hostable) -> None:
+    """InfeasibleError naming a demanded job type no machine type can run."""
     for j, count in enumerate(inst.multiplicities):
-        if count == 0:
-            continue
-        options = [inst.costs[i] for i in range(inst.m) if hostable(i, j)]
-        if not options:
+        if count and not any(hostable(i, j) for i in range(inst.m)):
             raise InfeasibleError(f"job type {j} fits no machine type")
-        total += count * min(options)
-    return total
 
 
 def preemptive_assign(inst: SchedulingInstance,
                       mode: str = "faithful") -> ScheduleSolution:
-    """Cheapest machine multiset covering the demand with EDF schedules."""
+    """Cheapest machine multiset covering the demand with EDF schedules.
+
+    Binary search on the total cost through ``multi_polytope_select`` over
+    the EDF polytopes clipped to the demand, in the window of their
+    configuration LP (``solver.configuration_window``).
+    """
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities
@@ -620,15 +629,16 @@ def preemptive_assign(inst: SchedulingInstance,
         probe[j] = 1
         return polys[i].contains_int(probe)
 
+    _check_hostable(inst, hostable)
     parts = [(polys[i], inst.costs[i]) for i in range(inst.m)]
     target = box_polytope(a, a)
+    lo, hi = configuration_window(
+        [(lattice_points(poly), c) for poly, c in parts], a)
 
     def probe(budget):
         return multi_polytope_select(parts, target, budget, mode=mode)
 
-    best, opt = least_feasible(probe, 0,
-                               _cheapest_single_hosts(inst, hostable),
-                               lambda res: res.total_cost)
+    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -680,7 +690,9 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
 
     Machine-type capabilities are the integer projections of their cycle
     polytopes; they are enumerated explicitly inside the demand box and
-    fed to the generator-list selection solver.
+    fed to the generator-list selection solver, whose cost budget is
+    bisected in the window of the configuration LP over the same vectors
+    (``solver.configuration_window``).
     """
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
@@ -695,16 +707,16 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
         probe[j] = 1
         return tuple(probe) in per_type[i]
 
+    _check_hostable(inst, hostable)
     groups = [sorted(per_type[i]) for i in range(inst.m)]
     target = box_polytope(a, a)
+    lo, hi = configuration_window(list(zip(groups, inst.costs)), a)
 
     def probe(budget):
         return select_from_generators(groups, list(inst.costs), target,
                                       budget)
 
-    best, _opt = least_feasible(probe, 0,
-                                _cheapest_single_hosts(inst, hostable),
-                                lambda res: res.total_cost)
+    best, _opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):

@@ -19,8 +19,12 @@ of a polytope's lattice points lands in a target polytope, in two modes:
 selector and cost coordinates into one lifted intersection problem.  Every
 optimiser, here and in ``scheduling``, finds its objective with
 ``least_feasible``: a bisection that asks one such intersection question
-per probed bound.  Every returned solution is re-verified exactly before it
-is surfaced.
+per probed bound.  The four covering searches (bin packing, cutting stock
+and the two machine assignments) bisect inside the window of their
+configuration LP, ``configuration_window``, which is less than d times the
+dearest cost wide; so their number of probes depends on d and the costs,
+not on the multiplicities.  Every returned solution is re-verified exactly
+before it is surfaced.
 """
 
 from __future__ import annotations
@@ -172,6 +176,34 @@ def least_feasible(probe, lo: int, hi: int, cost):
         else:
             lo = mid + 1
     return best, hi
+
+
+def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
+    """The window ``(lo, hi)`` of a covering search from its configuration LP.
+
+    ``parts`` lists ``(points, cost)``: the non-negative integer points of
+    a down-closed set (patterns, schedulable vectors) and the cost of one
+    copy.  Solves min sum c_p l_p subject to sum l_p p = a and l >= 0
+    (Gilmore & Gomory 1961).  Every exact cover of ``a`` is a solution, so
+    ``lo`` is the optimum rounded up.  A basic optimum has at most
+    ``len(a)`` non-zero weights; rounding each up covers at least ``a``,
+    and down-closure trims that to exactly ``a``.  So ``hi = sum c_p
+    ceil(l_p)`` is the cost of a cover, and ``hi - lo < len(a) * max c``.
+    """
+    columns, costs = [], []
+    for points, cost in parts:
+        for p in points:
+            if any(p):
+                columns.append(p)
+                costs.append(cost)
+    d = len(a)
+    lp = ExactLp([[p[j] for p in columns] for j in range(d)], list(a),
+                 senses=["=="] * d, lo=[0] * len(columns))
+    if not lp.find_feasible():
+        raise InfeasibleError("no combination of the parts meets the demand")
+    _status, value = lp.optimize(costs, sense="min")
+    hi = sum(c * rat_ceil(w) for c, w in zip(costs, lp.values()))
+    return rat_ceil(value), hi
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +494,24 @@ def bin_packing(inst: BinPackingInstance,
     """Minimum number of unit bins packing all items, exactly.
 
     Binary search on the bin count b: b bins suffice iff the lifted pattern
-    polytope reaches {a} x [0, b].  The lower end is the fractional volume
-    bound ceil(s . a); the upper end is one bin per item.
+    polytope reaches {a} x [0, b].  The window comes from the configuration
+    LP over the same patterns (``configuration_window``): it is less than d
+    bins wide, so the number of probes does not grow with the multiplicities.
     """
     a = inst.multiplicities
     if all(v == 0 for v in a):
         return PackingSolution((), 0, None)
     source = _pattern_polytope(inst.sizes, 1, a, counter=True)
     sset = compute_structure_set(source)
-    lo = rat_ceil(dot(inst.sizes, [Rat(v) for v in a]))
+    lo, hi = configuration_window(
+        [([p[:-1] for p in lattice_points(source)], 1)], a)
 
     def probe(b):
         return int_cone_intersect(source,
                                   box_polytope(list(a) + [0], list(a) + [b]),
                                   mode=mode, structure=sset)
 
-    best, opt = least_feasible(probe, lo, sum(a),
+    best, opt = least_feasible(probe, lo, hi,
                                lambda res: res.combination.total_weight)
     solution = _packing_solution_from(best.combination, bin_type=0,
                                       record=best.guess)
@@ -703,28 +737,30 @@ def _selection(picks, costs, target: Polytope, budget: int) -> SelectResult:
 
 def cutting_stock(inst: CuttingStockInstance,
                   mode: str = "faithful") -> PackingSolution:
-    """Cheapest multiset of bins (by type) packing all items exactly."""
+    """Cheapest multiset of bins (by type) packing all items exactly.
+
+    Binary search on the total cost through ``multi_polytope_select``, in
+    the window of the configuration LP over every bin type's patterns
+    (``configuration_window``), which is less than d times the dearest
+    bin's cost wide.
+    """
     a = inst.multiplicities
     if all(v == 0 for v in a):
         return PackingSolution((), 0, None)
-    # each demanded copy alone in the cheapest bin type that fits it
-    hi = 0
     for j, (s, aj) in enumerate(zip(inst.sizes, a)):
-        if aj == 0:
-            continue
-        fitting = [c for w, c in inst.bin_types if s <= w]
-        if not fitting:
+        if aj and all(s > w for w, _c in inst.bin_types):
             raise InfeasibleError(
                 f"item type {j} (size {s}) fits no bin type")
-        hi += aj * min(fitting)
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
     target = box_polytope(a, a)
+    lo, hi = configuration_window(
+        [(lattice_points(poly), c) for poly, c in parts], a)
 
     def probe(delta):
         return multi_polytope_select(parts, target, delta, mode=mode)
 
-    best, opt = least_feasible(probe, 0, hi, lambda res: res.total_cost)
+    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
     patterns = []
     for i, combo in enumerate(best.part_combinations):
         for point, w in sorted(combo.weights.items()):

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from conepack import scheduling
 from conepack.errors import InfeasibleError, InputError
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
 from conepack.rational import Rat
+from conepack.solver import multi_polytope_select
 from conepack.scheduling import (CycleLayout, SchedulingInstance,
                                  build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
@@ -194,6 +196,20 @@ class TestPreemptiveAssign:
         with pytest.raises(InfeasibleError):
             preemptive_assign(inst)
 
+    def test_search_starts_from_the_configuration_window(self, monkeypatch):
+        probes = []
+
+        def counting(parts, target, budget, **kwargs):
+            probes.append(budget)
+            return multi_polytope_select(parts, target, budget, **kwargs)
+
+        monkeypatch.setattr(scheduling, "multi_polytope_select", counting)
+        inst = SchedulingInstance([[(0, 4, 2), (1, 4, 1)],
+                                   [(0, 6, 3), (0, 6, 1)]], [40, 40],
+                                  costs=[2, 3], variant="preemptive")
+        assert preemptive_assign(inst).objective == 60
+        assert probes == [60]
+
     def test_bin_packing_embedding(self):
         # items of size s_j become jobs with window [0, B] and length
         # s_j * B; machines of unit cost are bins
@@ -266,6 +282,12 @@ class TestNonpreemptiveAssign:
     def test_zero_demand(self):
         inst = SchedulingInstance([[(0, 2, 1)]], [0], costs=[1])
         assert nonpreemptive_assign(inst).machines == ()
+
+    def test_unhostable_job(self):
+        inst = SchedulingInstance([[(0, 2, 5)]], [1], costs=[1],
+                                  variant="nonpreemptive")
+        with pytest.raises(InfeasibleError):
+            nonpreemptive_assign(inst)
 
 
 class TestTardy:
@@ -357,3 +379,28 @@ class TestTextFormat:
             SchedulingInstance([[(0, 2, 1)]], [1], counts=[1])
         with pytest.raises(InputError):
             SchedulingInstance([[(0, 2, 1)]], [-1], costs=[1])
+        with pytest.raises(InputError):
+            SchedulingInstance([[(0, 2)]], [1], costs=[1])  # no length
+
+    @pytest.mark.parametrize("field", ["window", "multiplicity", "cost",
+                                       "count", "penalty"])
+    @pytest.mark.parametrize("value", [2.7, Rat(5, 2)])
+    def test_non_integral_data_rejected(self, field, value):
+        data = {"window": 4, "multiplicity": 2, "cost": 1, "count": 1,
+                "penalty": 3}
+        data[field] = value
+        if field in ("count", "penalty"):
+            objective = {"counts": [data["count"]],
+                         "penalties": [data["penalty"]]}
+        else:
+            objective = {"costs": [data["cost"]], "variant": "preemptive"}
+        with pytest.raises(InputError):
+            SchedulingInstance([[(0, data["window"], 2)]],
+                               [data["multiplicity"]], **objective)
+
+    def test_integral_rationals_accepted(self):
+        inst = SchedulingInstance([[(Rat(0), Rat(4), Rat(2))]], [Rat(2)],
+                                  costs=[Rat(3)], variant="preemptive")
+        assert inst.windows == (((0, 4, 2),),)
+        assert inst.multiplicities == (2,) and inst.costs == (3,)
+        assert preemptive_assign(inst).objective == 3

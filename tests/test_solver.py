@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack import solver
@@ -11,7 +14,8 @@ from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
 from conepack.rational import Rat
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
-                             PackingSolution, bin_packing, cutting_stock,
+                             PackingSolution, bin_packing,
+                             configuration_window, cutting_stock,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
                              verify_solution)
@@ -340,6 +344,100 @@ class TestCuttingStock:
             assert sol.objective == cheapest_packing_cost(
                 [Rat(s) for s in sizes], mult, types), (sizes, mult, types)
 
+
+
+def patterns(sizes, capacity, a):
+    """Every x with 0 <= x <= a and sizes . x <= capacity."""
+    return [x for x in itertools.product(*(range(v + 1) for v in a))
+            if sum(s * v for s, v in zip(sizes, x)) <= capacity]
+
+
+class TestConfigurationWindow:
+    def test_halves(self):
+        # three halves: the LP packs 3/2 bins of (2,), which rounds to 2
+        assert configuration_window([(patterns([Rat(1, 2)], 1, [3]), 1)],
+                                    [3]) == (2, 2)
+
+    def test_costs_weigh_the_parts(self):
+        # one item of size 1/2: a half bin for 1 beats a full bin for 3
+        parts = [(patterns([Rat(1, 2)], 1, [1]), 3),
+                 (patterns([Rat(1, 2)], Rat(1, 2), [1]), 1)]
+        assert configuration_window(parts, [1]) == (1, 1)
+
+    def test_zero_points_and_demand(self):
+        assert configuration_window([([(0, 0), (1, 0), (0, 1)], 2)],
+                                    [0, 0]) == (0, 0)
+
+    def test_uncoverable_demand(self):
+        with pytest.raises(InfeasibleError):
+            configuration_window([([(0, 0), (1, 0)], 1)], [1, 1])
+
+
+_size = st.builds(lambda q, p: Rat(p, q), st.integers(2, 7),
+                  st.integers(1, 7)).filter(lambda s: s <= 1)
+
+
+@st.composite
+def _desk_instance(draw):
+    """Sizes, multiplicities (at most 7 items) and two bin types, the
+    first of capacity 1, so every item fits a bin."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(_size, min_size=d, max_size=d))
+    a = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)
+             .filter(lambda a: 0 < sum(a) <= 7))
+    small = draw(st.sampled_from([Rat(1, 2), Rat(2, 3)]))
+    bin_types = [(Rat(1), draw(st.integers(1, 4))),
+                 (small, draw(st.integers(1, 3)))]
+    return sizes, a, bin_types
+
+
+@settings(max_examples=30, deadline=None)
+@given(_desk_instance())
+def test_bin_packing_matches_brute_force_inside_its_window(case):
+    sizes, a, _types = case
+    opt = bp_brute_force(sizes, a)
+    assert bin_packing(BinPackingInstance(sizes, a)).objective == opt
+    lo, hi = configuration_window([(patterns(sizes, 1, a), 1)], a)
+    assert lo <= opt <= hi and hi - lo < len(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_desk_instance())
+def test_cutting_stock_optimum_lies_inside_its_window(case):
+    sizes, a, bin_types = case
+    parts = [(patterns(sizes, w, a), c) for w, c in bin_types]
+    opt = cheapest_packing_cost(sizes, a, bin_types)
+    inst = CuttingStockInstance(sizes, a, bin_types)
+    assert cutting_stock(inst).objective == opt
+    lo, hi = configuration_window(parts, a)
+    assert lo <= opt <= hi
+    assert hi - lo < len(a) * max(c for _w, c in bin_types)
+
+
+PAPER_SCALE = 10 ** 30
+
+
+@pytest.mark.parametrize("inst", [
+    BinPackingInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2),
+    BinPackingInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)], [PAPER_SCALE] * 3),
+    CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2,
+                         [(Rat(1), 3), (Rat(1, 2), 2)]),
+    CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
+                         [PAPER_SCALE] * 3, [(Rat(1), 1)]),
+], ids=["binpacking-d2", "binpacking-d3", "cuttingstock-d2",
+        "cuttingstock-d3"])
+def test_paper_scale_search_takes_few_probes(inst, monkeypatch):
+    probes = []
+
+    def counting(*args, **kwargs):
+        probes.append(args[1])
+        return int_cone_intersect(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "int_cone_intersect", counting)
+    solve = bin_packing if isinstance(inst, BinPackingInstance) \
+        else cutting_stock
+    verify_solution(inst, solve(inst))
+    assert 1 <= len(probes) <= 3
 
 class TestMultiPolytopeSelect:
     def test_pick_the_cheap_part(self):
