@@ -17,13 +17,14 @@ The underlying ``ExactLp`` class is exposed for the branch-and-bound solver:
 it supports in-place variable bound changes with warm restarts (the basis is
 kept and repaired by the phase-1 routine) and cheap snapshot/restore, which
 is what makes exact branch and bound affordable.  It holds no rationals:
-each tableau row is a list of Python ints over one positive int
-denominator, updated by integer-preserving (Edmonds/Bareiss) elimination
-on the non-zero entries of the pivot row only, with every division exact.
-Each basic value is an int over its row's denominator times one common
-scale, carried through the same elimination, and the nonbasic values and
-bounds are ints times that scale, so the ratio test and phase 1 compare
-ints by cross-multiplication.
+each constraint row is cleared together with its right-hand side into
+plain ints, each tableau row is a list of Python ints over one positive
+int denominator, updated by integer-preserving (Edmonds/Bareiss)
+elimination on the non-zero entries of the pivot row only, with every
+division exact.  Variable bounds are integers, so each basic value is an
+int over its row's denominator, carried through the same elimination, and
+the nonbasic values and bounds are ints; the ratio test and phase 1
+compare ints by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
-from .rational import Rat, ZERO, dot
+from .rational import Rat, ZERO, dot, integer
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -113,22 +114,22 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     return LinearSolveResult(UNIQUE, tuple(sol))
 
 
-def _num_den(value):
-    """``value`` (an int or anything ``Rat`` accepts) as ``(num, den)``."""
-    if type(value) is int:
-        return value, 1
-    value = Rat(value)
-    return int(value.numerator), int(value.denominator)
-
-
 def _integer_row(values):
     """``values`` as ``(ints, den)``: plain ints over the lcm of their
     denominators, which leaves the row in lowest terms."""
     if all(type(v) is int for v in values):
         return list(values), 1
-    pairs = [_num_den(v) for v in values]
-    d = lcm(*(q for _p, q in pairs))
-    return [p * (d // q) for p, q in pairs], d
+    values = [Rat(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _bound(value):
+    """A variable bound as an int (None stays None); an ``InputError``
+    unless it is integral."""
+    if value is None or type(value) is int:
+        return value
+    return integer(value, "variable bound")
 
 
 def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list, b: int, pb: int):
@@ -167,23 +168,25 @@ class ExactLp:
 
     Model: ``A x + s = b`` where each row's slack ``s_i`` has bounds
     ``[0, +inf)`` for a ``<=`` row and ``[0, 0]`` for a ``==`` row.
-    Structural variables carry arbitrary (possibly absent) bounds.
+    Structural variables carry integer (possibly absent) bounds.  A row
+    with rationals is multiplied, right-hand side included, by the lcm of
+    its denominators; its slack is scaled by the same positive factor,
+    which keeps its bounds.
 
     Nothing here is a rational.  The tableau ``B^-1 [A | I]`` is held as
     integer rows: entry ``(i, j)`` is ``tab[i][j] / den[i]`` with
-    ``den[i] > 0``.  The basic variable of row ``i`` has the value
-    ``bn[i] / (den[i] * scale)``, where ``scale`` is the lcm of the
-    denominators of the right-hand sides and bounds (1 when they are all
-    integers).  Nonbasic values ``val`` and bounds ``lo``/``hi`` are ints
-    times ``scale``.  Each row is divided by the gcd of its entries and
-    ``den[i]``.  That gcd divides ``bn[i]`` too, because ``bn[i]`` is the
-    row's slack entries times the right-hand sides and its nonbasic
-    entries times their values, all ints.  A pivot touches only the rows
-    with a non-zero entry in the pivot column, and subtracts only on the
-    pivot row's non-zero columns.  The rational tableau and values are
-    the ones a ``Rat`` Gauss-Jordan pivot would hold, so Bland's rule
-    makes the same choices either way; ``Rat`` is built only by
-    ``values`` and by ``optimize``'s result.
+    ``den[i] > 0``, and every row starts at ``den[i] = 1``.  The basic
+    variable of row ``i`` has the value ``bn[i] / den[i]``; nonbasic
+    values ``val`` and bounds ``lo``/``hi`` are ints.  Each row is divided
+    by the gcd of its entries and ``den[i]``.  That gcd divides ``bn[i]``
+    too, because ``bn[i]`` is the row's slack entries times the integer
+    right-hand sides and its nonbasic entries times their integer values.
+    A pivot touches only the rows with a non-zero entry in the pivot
+    column, and subtracts only on the pivot row's non-zero columns.  The
+    rational tableau and values are the ones a ``Rat`` Gauss-Jordan pivot
+    on the cleared rows would hold, so Bland's rule makes the same choices
+    either way; ``Rat`` is built only by ``values`` and by ``optimize``'s
+    result.
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
@@ -210,16 +213,8 @@ class ExactLp:
         self.n = n
         self.ncols = n + m
         self.pivots_used = 0
-        rhs = [_num_den(v) for v in rhs]
-        lo = [None if v is None else _num_den(v) for v in lo or [None] * n]
-        hi = [None if v is None else _num_den(v) for v in hi or [None] * n]
-        scale = lcm(*(q for _p, q in rhs),
-                    *(b[1] for b in lo + hi if b is not None))
-        self.scale = scale
-        self.lo: list = [None if b is None else b[0] * (scale // b[1])
-                         for b in lo] + [0] * m
-        self.hi: list = [None if b is None else b[0] * (scale // b[1])
-                         for b in hi] + [None] * m
+        self.lo: list = [_bound(v) for v in lo or [None] * n] + [0] * m
+        self.hi: list = [_bound(v) for v in hi or [None] * n] + [None] * m
         for i, sense in enumerate(senses):
             if sense == "==":
                 self.hi[n + i] = 0
@@ -235,22 +230,20 @@ class ExactLp:
             else:
                 self.state[j] = _FREE
         self.basis = list(range(n, n + m))
-        # integer tableau rows [A_i * den_i | den_i e_i] over den_i, and the
-        # slack values b_i - A_i x times den_i * scale
+        # integer tableau rows [D_i A_i | e_i] over 1, where D_i clears the
+        # row and its right-hand side, and the slack values D_i (b_i - A_i x)
         self.tab = []
-        self.den = []
+        self.den = [1] * m
         self.bn = []
         moved = [(j, v) for j, v in enumerate(self.val[:n]) if v]
         for i in range(m):
-            irow, d = _integer_row(rows[i])
-            p, q = rhs[i]
-            b = p * (scale // q) * d
+            irow, _d = _integer_row([*rows[i], rhs[i]])
+            b = irow.pop()
             for j, v in moved:
                 b -= irow[j] * v
             irow += [0] * m
-            irow[n + i] = d
+            irow[n + i] = 1
             self.tab.append(irow)
-            self.den.append(d)
             self.bn.append(b)
 
     # -- bookkeeping ----------------------------------------------------
@@ -265,11 +258,10 @@ class ExactLp:
             self.val[:],
             self.lo[:],
             self.hi[:],
-            self.scale,
         )
 
     def restore(self, snap) -> None:
-        tab, den, bn, basis, state, val, lo, hi, scale = snap
+        tab, den, bn, basis, state, val, lo, hi = snap
         self.tab = [row[:] for row in tab]
         self.den = den[:]
         self.bn = bn[:]
@@ -278,20 +270,9 @@ class ExactLp:
         self.val = val[:]
         self.lo = lo[:]
         self.hi = hi[:]
-        self.scale = scale
-
-    def _rescale(self, scale: int) -> None:
-        """Hold every value and bound times ``scale``, a multiple of the
-        current scale."""
-        k = scale // self.scale
-        self.lo = [None if v is None else v * k for v in self.lo]
-        self.hi = [None if v is None else v * k for v in self.hi]
-        self.val = [v * k for v in self.val]
-        self.bn = [v * k for v in self.bn]
-        self.scale = scale
 
     def _shift(self, j: int, delta: int) -> None:
-        """Move nonbasic ``j`` by ``delta`` (times scale); the basics follow."""
+        """Move nonbasic ``j`` by ``delta``; the basics follow."""
         self.val[j] += delta
         bn = self.bn
         for i, row in enumerate(self.tab):
@@ -300,17 +281,10 @@ class ExactLp:
                 bn[i] -= delta * coef
 
     def set_var_bounds(self, j: int, lo, hi) -> None:
-        """Replace the bounds of structural variable ``j`` in place."""
+        """Replace the integer bounds of structural variable ``j`` in place."""
         if not 0 <= j < self.n:
             raise InputError(f"variable index {j} out of range")
-        lo = None if lo is None else _num_den(lo)
-        hi = None if hi is None else _num_den(hi)
-        need = lcm(*(b[1] for b in (lo, hi) if b is not None))
-        if self.scale % need:
-            self._rescale(lcm(self.scale, need))
-        scale = self.scale
-        self.lo[j] = None if lo is None else lo[0] * (scale // lo[1])
-        self.hi[j] = None if hi is None else hi[0] * (scale // hi[1])
+        self.lo[j], self.hi[j] = _bound(lo), _bound(hi)
         if self.state[j] == _BASIC:
             return  # phase 1 repairs any violation on the next solve
         if self.lo[j] is not None and (self.state[j] == _AT_LO or self.hi[j] is None):
@@ -327,14 +301,13 @@ class ExactLp:
 
     def values(self) -> tuple:
         """Current values of the structural variables."""
-        scale = self.scale
         out = [ZERO] * self.n
         for j in range(self.n):
             if self.state[j] != _BASIC:
-                out[j] = Rat(self.val[j], scale)
+                out[j] = Rat(self.val[j])
         for i, b in enumerate(self.basis):
             if b < self.n:
-                out[b] = Rat(self.bn[i], self.den[i] * scale)
+                out[b] = Rat(self.bn[i], self.den[i])
         return tuple(out)
 
     def _charge_pivot(self) -> None:
@@ -346,7 +319,7 @@ class ExactLp:
     def _pivot(self, r: int, col: int, bound: int) -> None:
         """Make column ``col`` basic in row ``r`` (the objective row too).
 
-        The leaving variable becomes nonbasic at ``bound`` (times scale).
+        The leaving variable becomes nonbasic at ``bound``.
         Each row's constant first takes in the entering variable's old
         value, so that it holds the terms of the nonbasics that stay; the
         elimination carries it with its row, and the leaving variable's
@@ -407,8 +380,8 @@ class ExactLp:
             own = self.val[j] - lo[j]
 
         # per unit step of ``j`` in ``direction``, basic ``i`` moves by
-        # ``rate / den[i]``; row ``i`` blocks at the step ``num / q``
-        # (times scale), with ``q > 0``, and steps compare crosswise
+        # ``rate / den[i]``; row ``i`` blocks at the step ``num / q``,
+        # with ``q > 0``, and steps compare crosswise
         best_num = best_q = None
         block_rows = []
         for i, row in enumerate(self.tab):
@@ -453,7 +426,7 @@ class ExactLp:
             return True
 
         # pivot: leaving row with lowest basic-variable index among blockers;
-        # its value after the step, times scale, is ``reached / at``
+        # its value after the step is ``reached / at``
         r = min(block_rows, key=basis.__getitem__)
         leave = basis[r]
         coef = self.tab[r][j]
@@ -598,7 +571,7 @@ def lp_optimize(rows, rhs, objective, sense: str = "max",
                 senses=None, lo=None, hi=None) -> LpResult:
     """Exact LP solve: optimize ``objective`` over ``rows . x (<=|==) rhs``.
 
-    Variables are free unless ``lo``/``hi`` are given.  Returns an
+    Variables are free unless integer ``lo``/``hi`` are given.  Returns an
     ``LpResult`` whose ``vertex`` is an exact basic optimal solution.
     """
     lp = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)

@@ -250,11 +250,13 @@ def coordinate_bounds(poly: Polytope):
     return out
 
 
-def lattice_points(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
+def lattice_points(poly: Polytope) -> list:
     """All integer points of a bounded polytope, lexicographically sorted.
 
     Raises ``InputError`` on unbounded input and ``ResourceError`` when the
-    bounding-box volume exceeds ``budget``.
+    bounding-box volume exceeds ``DEFAULT_LATTICE_BUDGET``, read at call
+    time.  The points are cached on the polytope, so the cap applies to its
+    first enumeration.
     """
     if poly._lattice is not None:
         return poly._lattice
@@ -273,8 +275,9 @@ def lattice_points(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list
             return []
         ranges.append(range(a, b + 1))
         size *= b - a + 1
-        if size > budget:
-            raise ResourceError("lattice enumeration budget", budget,
+        if size > DEFAULT_LATTICE_BUDGET:
+            raise ResourceError("lattice enumeration budget",
+                                DEFAULT_LATTICE_BUDGET,
                                 f"bounding box holds {size}+ points")
     rows = poly.A
     rhs = poly.b
@@ -422,9 +425,10 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
     return sorted(survivors)
 
 
-def integer_hull_vertices(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
-    """Vertices of the convex hull of the polytope's lattice points."""
-    return extreme_points(lattice_points(poly, budget=budget))
+def integer_hull_vertices(poly: Polytope) -> list:
+    """Vertices of the convex hull of the polytope's lattice points (within
+    the lattice cap of ``lattice_points``)."""
+    return extreme_points(lattice_points(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +480,14 @@ class Cell:
     anchor: tuple
 
 
-def cell_partition(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
+def cell_partition(poly: Polytope) -> list:
     """Group the lattice points by their slack-signature.
 
     Returns cells sorted by signature; every lattice point lands in exactly
     one cell, and two points share a cell iff every one of their slacks
     falls in the same grid interval.
     """
-    pts = lattice_points(poly, budget=budget)
+    pts = lattice_points(poly)
     d = poly.dim
     cells: dict = {}
     for p in pts:
@@ -796,7 +800,7 @@ def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
     return kept
 
 
-def parallelepiped_cover(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
+def parallelepiped_cover(poly: Polytope) -> list:
     """Integral parallelepipeds inside ``poly`` covering all its lattice points.
 
     Construction: dimension 1 collapses to a single segment (or point);
@@ -805,9 +809,10 @@ def parallelepiped_cover(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -
     member, with directions picked from ellipsoid contact points of the
     symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
     all hull vertices.  Containment in the polytope is enforced by exact
-    vertex checks, shrinking the scale integrally when needed.
+    vertex checks, shrinking the scale integrally when needed.  The points
+    come from ``lattice_points``, under its cap.
     """
-    pts = lattice_points(poly, budget=budget)
+    pts = lattice_points(poly)
     if not pts:
         return []
     if poly.dim == 1:
@@ -819,7 +824,7 @@ def parallelepiped_cover(poly: Polytope, budget: int = DEFAULT_LATTICE_BUDGET) -
         direction = ((Rat(hi[0] - lo[0], 2),),)
         return [Parallelepiped(center, direction)]
     cover = []
-    for cell in cell_partition(poly, budget=budget):
+    for cell in cell_partition(poly):
         cover.extend(_cell_parallelepipeds(poly, list(cell.members)))
     return cover
 

@@ -1,9 +1,8 @@
 """Exact rational scalars: construction, rounding and text form.
 
-The rational type ``Rat`` is ``gmpy2.mpq`` when gmpy2 is importable and
-``fractions.Fraction`` otherwise.  Both keep numerator/denominator in lowest
-terms with a positive denominator, compare exactly, and hash consistently
-with each other, so the choice never changes results -- only speed.
+The rational type ``Rat`` is ``fractions.Fraction``: numerator and
+denominator in lowest terms with a positive denominator, exact comparison,
+and a hash equal to that of an equal int.
 
 Vectors are plain tuples.  Everything here is deterministic and
 allocation-light.  The hot loops of the exact simplex and of parallelepiped
@@ -13,22 +12,18 @@ the arithmetic of the geometry, the oracles and the instance data.
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from typing import Sequence, Union
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    from gmpy2 import mpq as _mpq
+from .errors import InputError
 
-    Rat = _mpq
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat  # type: ignore[assignment]
-
-RatLike = Union[int, str, "Rat"]
+RatLike = Union[int, str, Rat]
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(num: RatLike, den: int | None = None) -> "Rat":
+def rat(num: RatLike, den: int | None = None) -> Rat:
     """Build an exact rational from an int, a ``p/q`` string, or a pair."""
     if den is None:
         return Rat(num)
@@ -53,6 +48,15 @@ def as_int(value) -> int:
     if value.denominator != 1:
         raise ValueError(f"{format_rat(value)} is not an integer")
     return int(value.numerator)
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int; an ``InputError`` naming ``what`` unless it is
+    integral."""
+    try:
+        return as_int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} {value} must be an integer") from exc
 
 
 def rat_floor(value) -> int:

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 from .errors import InfeasibleError, InputError, InternalError
 from .geometry import Polytope, box_polytope, lattice_points
 from .ilp import IlpProblem, ilp_feasible
-from .solver import (_integer, _multiplicities, configuration_window,
+from .rational import integer
+from .solver import (_multiplicities, configuration_window,
                      least_feasible, multi_polytope_select,
                      select_from_generators)
 
@@ -42,7 +43,7 @@ from .solver import (_integer, _multiplicities, configuration_window,
 def _integers(values, what: str) -> Optional[tuple]:
     """``values`` as a tuple of ints (None stays None); an ``InputError``
     unless each is integral."""
-    return None if values is None else tuple(_integer(v, what)
+    return None if values is None else tuple(integer(v, what)
                                              for v in values)
 
 
@@ -185,6 +186,20 @@ def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
         unit[j] = -1
         rows.append(unit)
         rhs.append(0)
+    return Polytope(rows, rhs)
+
+
+def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
+                          box_hi: Sequence[int]) -> Polytope:
+    """``build_edf_polytope`` with the rows ``x_j <= box_hi[j]`` appended."""
+    base = build_edf_polytope(inst, machine_type)
+    rows = [list(r) for r in base.A]
+    rhs = list(base.b)
+    for j in range(inst.d):
+        unit = [0] * inst.d
+        unit[j] = 1
+        rows.append(unit)
+        rhs.append(box_hi[j])
     return Polytope(rows, rhs)
 
 
@@ -612,17 +627,7 @@ def preemptive_assign(inst: SchedulingInstance,
     if all(v == 0 for v in a):
         return ScheduleSolution((), 0)
     d = inst.d
-    polys = []
-    for i in range(inst.m):
-        base = build_edf_polytope(inst, i)
-        rows = [list(r) for r in base.A]
-        rhs = list(base.b)
-        for j in range(d):
-            unit = [0] * d
-            unit[j] = 1
-            rows.append(unit)
-            rhs.append(a[j])
-        polys.append(Polytope(rows, rhs))
+    polys = [_clipped_edf_polytope(inst, i, a) for i in range(inst.m)]
 
     def hostable(i, j):
         probe = [0] * d
@@ -663,17 +668,20 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
                         box_hi: Sequence[int]) -> dict:
     """All non-preemptively schedulable vectors within the box, with proofs.
 
-    Maps x -> cycle auxiliaries.  Dropping copies keeps a schedule
-    feasible, so supersets of infeasible vectors are skipped outright.
+    Maps x -> cycle auxiliaries.  A non-preemptive schedule is also a
+    preemptive one, so the candidates are the lattice points of the EDF
+    polytope clipped to the box, which the horizon bounds however large
+    the box is; they are tried by total count, then lexicographically.
+    Dropping copies keeps a schedule feasible, so supersets of infeasible
+    vectors are skipped outright.
     """
     d = inst.d
     feasible = {}
     infeasible = set()
-    grid = [()]
-    for j in range(d):
-        grid = [g + (v,) for g in grid for v in range(box_hi[j] + 1)]
-    grid.sort(key=lambda g: (sum(g), g))
-    for x in grid:
+    candidates = sorted(
+        lattice_points(_clipped_edf_polytope(inst, machine_type, box_hi)),
+        key=lambda g: (sum(g), g))
+    for x in candidates:
         if any(all(x[j] >= b[j] for j in range(d)) for b in infeasible):
             infeasible.add(x)
             continue
@@ -689,10 +697,10 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
     """Cheapest machine multiset covering the demand without preemption.
 
     Machine-type capabilities are the integer projections of their cycle
-    polytopes; they are enumerated explicitly inside the demand box and
-    fed to the generator-list selection solver, whose cost budget is
-    bisected in the window of the configuration LP over the same vectors
-    (``solver.configuration_window``).
+    polytopes; they are enumerated explicitly (``schedulable_vectors``)
+    inside the demand box and fed to the generator-list selection solver,
+    whose cost budget is bisected in the window of the configuration LP
+    over the same vectors (``solver.configuration_window``).
     """
     if inst.costs is None:
         raise InputError("assignment needs machine costs")

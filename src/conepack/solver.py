@@ -42,7 +42,7 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import IlpProblem, ilp_feasible
-from .rational import Rat, ONE, as_int, rat_ceil, rat_floor, dot
+from .rational import Rat, ONE, integer, rat_ceil, rat_floor, dot
 from .structure import (
     Combination,
     StructureSet,
@@ -58,16 +58,8 @@ DEFAULT_GUESS_BUDGET = 64
 # instances and solutions
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; an ``InputError`` unless it is integral."""
-    try:
-        return as_int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} {value} must be an integer") from exc
-
-
 def _multiplicities(values) -> tuple:
-    out = tuple(_integer(a, "multiplicity") for a in values)
+    out = tuple(integer(a, "multiplicity") for a in values)
     if any(a < 0 for a in out):
         raise InputError("multiplicities must be non-negative")
     return out
@@ -106,7 +98,7 @@ class CuttingStockInstance:
         for s in self.sizes:
             if s <= 0:
                 raise InputError(f"item size {s} must be positive")
-        self.bin_types = tuple((Rat(w), _integer(c, "bin cost"))
+        self.bin_types = tuple((Rat(w), integer(c, "bin cost"))
                                for w, c in bin_types)
         if not self.bin_types:
             raise InputError("at least one bin type required")
@@ -311,7 +303,7 @@ def _run_combination_ilp(generators, target, box, gen_hi=None,
     except InputError as exc:
         raise InputError(
             f"cannot bound the combination program ({exc}); "
-            "bound the target or cap the total weight") from exc
+            "bound the target") from exc
     if not res.feasible:
         return None
     x = res.witness
@@ -336,7 +328,6 @@ def _relaxation_feasible(generators, target, box, extra_free=0, source=None):
 def int_cone_intersect(source: Polytope, target: Polytope,
                        mode: str = "faithful",
                        y_bounds: Optional[Sequence] = None,
-                       max_total_weight: Optional[int] = None,
                        structure: Optional[StructureSet] = None) -> IntConeResult:
     """Find a point of the target reachable as an integer combination.
 
@@ -344,8 +335,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     over the source's lattice points and ``y`` inside the target, returning
     the witness combination (normalized: support at most ``2^{2d+1}``) or a
     decisive Empty.  ``y_bounds`` supplies (lo, hi) pairs for target
-    coordinates the target rows leave unbounded; ``max_total_weight`` is
-    required when generators of mixed sign defeat bound derivation.
+    coordinates the target rows leave unbounded.
     """
     if source.dim != target.dim:
         raise InputError("source and target dimensions differ")
@@ -386,7 +376,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     guesses = 0
     if mode == "faithful":
         status, guesses, pairs, guess = _faithful_search(
-            sset, generators, target, box, max_total_weight)
+            sset, generators, target, box)
         if status == "found":
             return finish(pairs, "faithful", guesses, guess)
         # Exhausted or out of budget: either way the joint program below
@@ -395,17 +385,15 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         # vertices outside every such span, so exhaustion alone cannot
         # certify Empty.
 
-    pairs = _joint_program(sset, generators, target, box, max_total_weight)
+    pairs = _joint_program(sset, generators, target, box)
     if pairs is None:
         return IntConeResult(False, None, None, "joint", guesses)
     return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, box, max_total_weight):
+def _faithful_search(sset, generators, target, box):
     """Guess-driven search.
 
-    Each guess's k free points weigh one each, so its special points may
-    carry at most ``max_total_weight - k`` when the total weight is capped.
     Returns (status, guesses, pairs, guess) where status is "found",
     "exhausted" or "budget"; pairs and guess are set only on a hit.
     """
@@ -421,8 +409,7 @@ def _faithful_search(sset, generators, target, box, max_total_weight):
     for total in range(1, pp_cap + k_cap + 1):
         for size in range(0, min(total, pp_cap) + 1):
             k = total - size
-            if k > k_cap or (max_total_weight is not None
-                             and k > max_total_weight):
+            if k > k_cap:
                 continue
             for subset in _combinations(range(len(cover)), size):
                 guesses += 1
@@ -436,17 +423,15 @@ def _faithful_search(sset, generators, target, box, max_total_weight):
                 if not _relaxation_feasible(special, target, box,
                                             extra_free=k, source=source):
                     continue
-                cap = None if max_total_weight is None \
-                    else ([1] * len(special), max_total_weight - k)
                 pairs = _run_combination_ilp(
                     special, target, box, extra_free=k, source=source,
-                    free_box=free_box, cap=cap)
+                    free_box=free_box)
                 if pairs is not None:
                     return ("found", guesses, pairs, (len(special), k))
     return ("exhausted", guesses, None, None)
 
 
-def _joint_program(sset, generators, target, box, max_total_weight):
+def _joint_program(sset, generators, target, box):
     """One decisive program over all generators.
 
     Cover vertices get unbounded integer weights; every other lattice point
@@ -456,9 +441,7 @@ def _joint_program(sset, generators, target, box, max_total_weight):
     special = sset.special_set
     gens = sorted(generators)
     hi = [None if g in special else 1 for g in gens]
-    cap = None if max_total_weight is None \
-        else ([1] * len(gens), max_total_weight)
-    return _run_combination_ilp(gens, target, box, gen_hi=hi, cap=cap)
+    return _run_combination_ilp(gens, target, box, gen_hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +645,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
 
 
 def select_from_generators(groups: Sequence, costs: Sequence[int],
-                           target: Polytope, budget: int,
-                           y_bounds: Optional[Sequence] = None) -> SelectResult:
+                           target: Polytope, budget: int) -> SelectResult:
     """Selection over explicitly listed generator points per part.
 
     The integer-projection variant of ``multi_polytope_select``: each group
@@ -676,7 +658,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
     d = target.dim
-    box = _target_box(target, y_bounds)
+    box = _target_box(target, None)
     if box is None or any(a > b for a, b in box):
         return SelectResult(False, None)
     if budget < 0:

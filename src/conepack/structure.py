@@ -31,7 +31,6 @@ from .geometry import (
     Polytope,
     lattice_points,
     parallelepiped_cover,
-    DEFAULT_LATTICE_BUDGET,
 )
 from .rational import as_int, is_integral
 
@@ -95,21 +94,6 @@ class Combination:
     def __repr__(self):
         inner = ", ".join(f"{p}:{w}" for p, w in sorted(self.weights.items()))
         return f"Combination({{{inner}}})"
-
-    def to_json(self) -> list:
-        return [{"point": list(p), "weight": w}
-                for p, w in sorted(self.weights.items())]
-
-    @classmethod
-    def from_json(cls, data) -> "Combination":
-        if not isinstance(data, list):
-            raise InputError("combination JSON must be a list")
-        items = []
-        for entry in data:
-            if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
-                raise InputError(f"bad combination entry {entry!r}")
-            items.append((tuple(entry["point"]), entry["weight"]))
-        return cls(items)
 
 
 def combo_sum(combo: Combination) -> tuple:
@@ -271,12 +255,8 @@ class StructureSet:
     def __post_init__(self):
         self.special_set = frozenset(self.special_points)
 
-    def locate(self, point) -> Optional[int]:
-        return self.locator.get(tuple(point))
 
-
-def compute_structure_set(poly: Polytope,
-                          budget: int = DEFAULT_LATTICE_BUDGET) -> StructureSet:
+def compute_structure_set(poly: Polytope) -> StructureSet:
     """Cover the polytope and index its lattice points by parallelepiped.
 
     The cover is walked in index order, and each parallelepiped claims the
@@ -284,10 +264,10 @@ def compute_structure_set(poly: Polytope,
     the bounding box of its vertices.  So every point goes to the lowest
     index of a parallelepiped containing it.
     """
-    cover = tuple(parallelepiped_cover(poly, budget=budget))
+    cover = tuple(parallelepiped_cover(poly))
     special = set()
     locator = {}
-    unassigned = list(lattice_points(poly, budget=budget))  # sorted
+    unassigned = list(lattice_points(poly))  # sorted
     for idx, pp in enumerate(cover):
         verts = pp.vertices()
         special.update(verts)

@@ -1,5 +1,8 @@
 """Seeded random instance generators shared across test modules."""
 
+import pytest
+
+from conepack import geometry
 from conepack.geometry import Polytope, box_polytope, lattice_points
 from conepack.rational import Rat
 from conepack.errors import ResourceError
@@ -59,7 +62,10 @@ def rand_bounded_polytope(rng, max_dim=3, max_rows=6, coeff_cap=50,
             rhs.append(rng.randint(-coeff_cap, coeff_cap))
         poly = Polytope(rows, rhs)
         try:
-            pts = lattice_points(poly, budget=lattice_budget)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "DEFAULT_LATTICE_BUDGET",
+                              lattice_budget)
+                pts = lattice_points(poly)
         except ResourceError:
             continue
         if pts or not require_lattice:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conepack import geometry
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import (Polytope, in_convex_hull, integer_hull_vertices,
                                lattice_points, parallelepiped_cover)
@@ -153,7 +154,8 @@ def test_criterion_03_three_type_gap_witness():
                   f"ceil(frac)={target}, brute={brute}, solver={solver}")
 
 
-def test_criterion_04_cover_correctness():
+def test_criterion_04_cover_correctness(monkeypatch):
+    monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 8000)
     rng = random.Random(20260404)
     done = 0
     failures = []
@@ -164,10 +166,10 @@ def test_criterion_04_cover_correctness():
         rhs = [rng.randint(-50, 50) for _ in range(m)]
         try:
             poly = Polytope(rows, rhs)
-            lattice_points(poly, budget=8000)
+            lattice_points(poly)
         except (InputError, ResourceError):
             continue
-        cover = parallelepiped_cover(poly, budget=8000)
+        cover = parallelepiped_cover(poly)
         rep = cover_verify(poly, cover)
         if not rep.ok:
             failures.append((rows, rhs, rep.violations[:2]))

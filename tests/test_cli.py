@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,8 +302,12 @@ def test_console_entry_point(tmp_path):
     """The module runs as a subprocess and round-trips JSON."""
     path = tmp_path / "i.txt"
     path.write_text(BP_SMALL)
+    # the subprocess imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "conepack.cli", "solve", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["opt"] == 2

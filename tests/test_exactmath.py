@@ -180,10 +180,21 @@ def _bounded_lp(seed):
     return rows, rhs, c, lo, hi
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_lp_matches_vertex_enumeration(seed):
-    rows, rhs, c, box, brows, brhs = _enumeration_lp(seed)
-    res = lp_optimize(brows, brhs, c, sense="max")
+def _rational_enumeration_lp(seed):
+    """A random LP with rational rows and right-hand sides, and the box
+    ``|x_j| <= box`` given as integer variable bounds."""
+    rng = random.Random(3000 + seed)
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 5)
+    box = 20
+    rows = [[Rat(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(m)]
+    rhs = [Rat(rng.randint(-6, 16), rng.randint(1, 6)) for _ in range(m)]
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    return rows, rhs, c, box
+
+
+def _assert_matches_enumeration(res, rows, rhs, c, box):
     oracle = _oracle_lp_max(rows, rhs, c, box)
     if oracle is None:
         assert res.status == INFEASIBLE
@@ -191,9 +202,25 @@ def test_lp_matches_vertex_enumeration(seed):
         assert res.status == OPTIMAL
         assert res.value == oracle
         # the returned point must be feasible and achieve the value
-        for row, b in zip(brows, brhs):
+        for row, b in zip(rows, rhs):
             assert dot(row, res.vertex) <= b
+        assert all(-box <= v <= box for v in res.vertex)
         assert dot(c, res.vertex) == res.value
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lp_matches_vertex_enumeration(seed):
+    rows, rhs, c, box, brows, brhs = _enumeration_lp(seed)
+    res = lp_optimize(brows, brhs, c, sense="max")
+    _assert_matches_enumeration(res, rows, rhs, c, box)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rational_lp_matches_vertex_enumeration(seed):
+    rows, rhs, c, box = _rational_enumeration_lp(seed)
+    n = len(c)
+    res = lp_optimize(rows, rhs, c, sense="max", lo=[-box] * n, hi=[box] * n)
+    _assert_matches_enumeration(res, rows, rhs, c, box)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -277,6 +304,25 @@ def test_bland_trail_is_pinned(rows, rhs, c, lo, hi, pin):
     assert (lp.pivots_used, outcome) == pin
 
 
+@pytest.mark.parametrize("bad", [Rat(1, 2), Rat(-5, 3), 0.5, "1/3"])
+def test_bounds_must_be_integers(bad):
+    for lo, hi in (([bad, 0], None), (None, [3, bad])):
+        with pytest.raises(InputError):
+            lp_optimize([[1, 1]], [1], [1, 1], lo=lo, hi=hi)
+        with pytest.raises(InputError):
+            ExactLp([[1, 1]], [1], lo=lo, hi=hi)
+    lp = ExactLp([[1, 1]], [1], lo=[0, 0], hi=[3, 3])
+    with pytest.raises(InputError):
+        lp.set_var_bounds(0, bad, 3)
+    with pytest.raises(InputError):
+        lp.set_var_bounds(1, 0, bad)
+    assert lp.lo[:2] == [0, 0] and lp.hi[:2] == [3, 3]
+    # an integral Rat is an integer bound
+    lp.set_var_bounds(0, Rat(0), Rat(4, 2))
+    assert lp.hi[0] == 2 and type(lp.hi[0]) is int
+    assert lp.find_feasible()
+
+
 @pytest.mark.parametrize("lo,hi", [
     ([0, 0, 0, 0], None),  # more bounds than columns, slacks included
     ([0, 0, 0], None),     # the extra entry would bound the slack
@@ -340,11 +386,10 @@ def test_warm_start_matches_fresh_solve(case):
             assert lhs == b if sense == "==" else lhs <= b
 
 
-# -- integer state: values and bounds held as ints times a common scale ------
+# -- integer state: values and bounds held as ints ---------------------------
 
 
 def _assert_integer_state(lp):
-    assert type(lp.scale) is int and lp.scale > 0
     assert len(lp.bn) == lp.m and all(type(v) is int for v in lp.bn)
     assert len(lp.val) == lp.ncols and all(type(v) is int for v in lp.val)
     for bounds in (lp.lo, lp.hi):
@@ -363,9 +408,6 @@ def test_pinned_solves_hold_only_ints(rows, rhs, c, lo, hi, pin):
 
 
 _quarter = st.builds(Rat, st.integers(-12, 24), st.integers(1, 4))
-# a later bound's denominator divides no earlier one, so the scale grows
-_seventh = st.builds(Rat, st.integers(-21, 21), st.sampled_from([5, 7]))
-_width = st.builds(Rat, st.integers(0, 21), st.sampled_from([1, 5, 7]))
 _coef = st.one_of(_small, st.builds(Rat, st.integers(-6, 6),
                                     st.sampled_from([2, 3])))
 
@@ -379,11 +421,12 @@ def _rational_warm_start_case(draw):
     rhs = draw(st.lists(_quarter, min_size=m, max_size=m))
     senses = draw(st.lists(st.sampled_from(["<=", "=="]), min_size=m,
                            max_size=m))
-    lo = [draw(_quarter) - 4 for _ in range(n)]
-    hi = [a + draw(_quarter) % 5 for a in lo]
+    lo = [draw(st.integers(-7, 2)) for _ in range(n)]
+    hi = [a + draw(st.integers(0, 4)) for a in lo]
     c = draw(st.lists(_small, min_size=n, max_size=n))
     changes = [(j, a, a + w) for j, a, w in draw(st.lists(
-        st.tuples(st.integers(0, n - 1), _seventh, _width), max_size=4))]
+        st.tuples(st.integers(0, n - 1), st.integers(-4, 4),
+                  st.integers(0, 4)), max_size=4))]
     return rows, rhs, senses, lo, hi, c, changes
 
 

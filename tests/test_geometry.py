@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conepack import geometry
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import (
     Cell,
@@ -92,11 +93,13 @@ class TestLatticePoints:
         with pytest.raises(InputError):
             lattice_points(poly)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 50)
         poly = Polytope([[-1], [1]], [0, 100])
         with pytest.raises(ResourceError) as err:
-            lattice_points(poly, budget=50)
+            lattice_points(poly)
         assert err.value.budget_name == "lattice enumeration budget"
+        assert err.value.limit == 50
 
     def test_membership_filter_is_exact(self):
         poly = Polytope([[2, 3], [-1, 0], [0, -1]], [7, 0, 0])
@@ -437,7 +440,8 @@ class TestParallelepipedCover:
         poly = Polytope([[-1, 0], [0, -1], [1, 0], [0, 1]], [0, 0, 2, 2])
         assert_valid_cover(poly, parallelepiped_cover(poly))
 
-    def test_random_small_polytopes(self):
+    def test_random_small_polytopes(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 6000)
         rng = random.Random(40917)
         done = 0
         while done < 25:
@@ -447,12 +451,12 @@ class TestParallelepipedCover:
             rhs = [rng.randint(-6, 12) for _ in range(m)]
             try:
                 poly = Polytope(rows, rhs)
-                pts = lattice_points(poly, budget=6000)
+                pts = lattice_points(poly)
             except (InputError, ResourceError):
                 continue
             if not pts:
                 continue
-            assert_valid_cover(poly, parallelepiped_cover(poly, budget=6000))
+            assert_valid_cover(poly, parallelepiped_cover(poly))
             done += 1
 
 

@@ -339,6 +339,48 @@ class TestTardy:
         assert sol.scheduled == (1, 1)
 
 
+class TestSchedulableVectors:
+    def test_only_edf_feasible_vectors_are_tried(self, monkeypatch):
+        tried = []
+
+        def recording(x, inst, i):
+            tried.append((x, inst, i))
+            return nonpreemptive_completable(x, inst, i)
+
+        monkeypatch.setattr(scheduling, "nonpreemptive_completable",
+                            recording)
+        # (1, 2) and (2, 1) overload [0, 5], yet each of their subsets fits
+        windows = [[(0, 4, 2), (1, 5, 2)]]
+        nonpreemptive_assign(SchedulingInstance(windows, [2, 2], costs=[1]))
+        tardy_min_penalty(SchedulingInstance(windows, [2, 2], counts=[1],
+                                             penalties=[1, 2]))
+        assert tried
+        for x, inst, i in tried:
+            assert build_edf_polytope(inst, i).contains_int(x)
+
+    def test_a_million_copies(self):
+        # a machine runs at most 12 units of work in [0, 12], and four
+        # copies of each type fill it exactly
+        inst = SchedulingInstance([[(0, 12, 1), (0, 12, 2)]],
+                                  [10 ** 6, 10 ** 6], costs=[1])
+        sol = nonpreemptive_assign(inst)
+        assert sol.objective == 250_000
+        assert len(sol.machines) == 250_000
+        placed = [0, 0]
+        for _i, vec, _schedule in sol.machines:
+            placed[0] += vec[0]
+            placed[1] += vec[1]
+        assert placed == [10 ** 6, 10 ** 6]
+        # two machines fit one copy of type 0 and two of type 1 each; the
+        # rest is dropped at 5 and 1 a copy
+        inst = SchedulingInstance([[(4, 5, 1), (0, 2, 1)]],
+                                  [10 ** 6, 2 * 10 ** 6], counts=[2],
+                                  penalties=[5, 1])
+        sol = tardy_min_penalty(inst)
+        assert sol.scheduled == (2, 4)
+        assert sol.objective == (10 ** 6 - 2) * 5 + (2 * 10 ** 6 - 4)
+
+
 class TestTextFormat:
     def test_assignment_round_trip(self):
         txt = scheduling_to_text(FIXTURE)

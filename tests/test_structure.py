@@ -36,14 +36,6 @@ class TestCombination:
         assert combo_sum(Combination({(1, 0): 2, (0, 3): 1})) == (2, 3)
         assert combo_sum(Combination({(7, 0): 1, (6, 1): 1})) == (13, 1)
 
-    def test_json_roundtrip(self):
-        c = Combination({(1, 2): 3, (0, 5): 1})
-        assert Combination.from_json(c.to_json()) == c
-        with pytest.raises(InputError):
-            Combination.from_json([{"point": [1]}])
-        with pytest.raises(InputError):
-            Combination.from_json({"point": [1], "weight": 1})
-
 
 class TestReduceSupport:
     def test_d1_example(self):
@@ -164,20 +156,20 @@ class TestStructureSet:
         sset = compute_structure_set(poly)
         assert sset.special_points == ((2,),)
         assert len(sset.cover) == 1
-        assert sset.locate((2,)) == 0
+        assert sset.locator[(2,)] == 0
 
     def test_segment(self):
         poly = Polytope([[-1], [1]], [0, 3])
         sset = compute_structure_set(poly)
         assert set(sset.special_points) == {(0,), (3,)}
         for x in range(4):
-            assert sset.locate((x,)) is not None
+            assert (x,) in sset.locator
 
     def test_knapsack_locator_total(self):
         poly = Polytope([[-1, 0], [0, -1], [26, 41]], [0, 0, 200])
         sset = compute_structure_set(poly)
         pts = lattice_points(poly)
-        assert all(sset.locate(p) is not None for p in pts)
+        assert all(p in sset.locator for p in pts)
         vertex_union = set()
         for pp in sset.cover:
             vertex_union.update(pp.vertices())
