@@ -499,10 +499,14 @@ class TestSelectFromGenerators:
                                      singleton_target([2]), 9)
         assert not res.found
 
-    def test_unbounded_target_is_rejected(self):
-        ray = Polytope([[-1]], [-3])  # x >= 3, no upper bound
-        with pytest.raises(InputError):
-            select_from_generators([[(1,)]], [1], ray, 9)
+    @pytest.mark.parametrize("groups, target", [
+        ([[(1,)]], Polytope([[-1]], [-3])),  # x >= 3, no upper bound
+        # checked before the shortcut for a target holding the origin
+        ([[]], Polytope([[1, 0], [-1, 0], [0, -1]], [3, 0, 0])),
+    ], ids=["ray", "origin_in_target"])
+    def test_unbounded_target_is_rejected(self, groups, target):
+        with pytest.raises(InputError, match="unbounded"):
+            select_from_generators(groups, [1], target, 9)
 
 
 def _seeded_selections():
