@@ -190,7 +190,14 @@ class ExactLp:
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
-    is the cheap path exercised by branch and bound.
+    is the cheap path exercised by branch and bound, by the bound
+    derivations and by the faithful search's relaxations.
+
+    ``DEFAULT_PIVOT_BUDGET`` caps the pivots of one object over all its
+    solves, so a tableau shared by several questions shares one cap: one
+    probe's relaxation prefilter and its guesses, or all the LPs of one
+    bound derivation.  Every pivot is also charged once to the request's
+    ``budget.limit``.
     """
 
     def __init__(self, rows, rhs, senses=None, lo=None, hi=None):

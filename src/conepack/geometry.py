@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
-from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
+from .exactmath import ExactLp
 from .rational import Rat, ONE, rat_ceil, rat_floor, as_int
 
 DEFAULT_LATTICE_BUDGET = 200_000
@@ -211,7 +211,9 @@ def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     """The box ``lo <= x <= hi``.
 
     Rows come as ``x_j <= hi_j``, then ``-x_j <= -lo_j``, for each ``j`` in
-    turn; keep that order, since Bland's rule pivots by row index.
+    turn; keep that order, since Bland's rule pivots by row index.  A
+    non-empty box knows its coordinate bounds, so ``coordinate_bounds``
+    solves no LP for it.
     """
     d = len(lo)
     rows, rhs = [], []
@@ -222,7 +224,10 @@ def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
         rhs.append(hi[j])
         rows.append([-v for v in unit])
         rhs.append(-lo[j])
-    return Polytope(rows, rhs)
+    box = Polytope(rows, rhs)
+    if all(a <= b for a, b in zip(lo, hi)):
+        box._bounds = [(Rat(a), Rat(b)) for a, b in zip(lo, hi)]
+    return box
 
 
 def coordinate_bounds(poly: Polytope):
@@ -230,22 +235,23 @@ def coordinate_bounds(poly: Polytope):
 
     Returns a list of ``(lo, hi)`` pairs of rationals, with ``None`` marking
     an unbounded side, or ``None`` altogether when the polytope is empty.
-    Cached on the polytope.
+    Cached on the polytope.  One tableau serves every side: phase 1 runs
+    once, then each objective is optimized from the last one's basis (an
+    unbounded side leaves the basis as it was).  Optimal values are unique,
+    so the bounds do not depend on the basis a solve starts from.
     """
     if poly._bounds is not None:
         return poly._bounds if poly._bounds != "empty" else None
+    lp = ExactLp(poly.A, poly.b)
+    if not lp.find_feasible():
+        poly._bounds = "empty"
+        return None
     out = []
     for j in range(poly.dim):
         c = [0] * poly.dim
         c[j] = 1
-        res_min = lp_optimize(poly.A, poly.b, c, sense="min")
-        if res_min.status == INFEASIBLE:
-            poly._bounds = "empty"
-            return None
-        lo = res_min.value if res_min.status == OPTIMAL else None
-        res_max = lp_optimize(poly.A, poly.b, c, sense="max")
-        hi = res_max.value if res_max.status == OPTIMAL else None
-        out.append((lo, hi))
+        # an unbounded side comes back as (UNBOUNDED, None)
+        out.append(tuple(lp.optimize(c, sense)[1] for sense in ("min", "max")))
     poly._bounds = out
     return out
 

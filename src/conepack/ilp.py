@@ -8,6 +8,11 @@ the most fractional coordinate is split.  Every answer is exact; a node
 cap per call and the request's ``budget.limit``, charged once per node,
 turn pathological instances into a resource error, not a wrong result.
 
+Variable bounds the problem leaves missing are derived first, one side at
+a time, on one tableau of their own.  The branch and bound starts from a
+fresh tableau under the derived bounds: its root vertex, and so the
+witness, must not depend on the basis the derivation ended in.
+
 ``lll_basis`` computes an LLL-reduced unimodular basis of the coordinate
 lattice under the metric ``A^T A + I``; the solver does not call it.
 """
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
-from .exactmath import ExactLp, lp_optimize, OPTIMAL, INFEASIBLE
+from .exactmath import ExactLp, UNBOUNDED
 from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -90,27 +95,34 @@ def _derive_bounds(problem: IlpProblem):
     """Fill missing variable bounds from the LP relaxation, exactly.
 
     Returns (lo, hi) integer lists, None when the relaxation is empty, or
-    raises InputError when some variable is unbounded.
+    raises InputError when some variable is unbounded.  The bounds are
+    derived one side at a time on one tableau, each rounded bound
+    tightening it in place before the next side is optimized.  Phase 1 runs
+    again before each optimization, so None comes back exactly when some
+    side's relaxation, under the bounds derived before it, is empty.
     """
     lo = list(problem.lo)
     hi = list(problem.hi)
+    lp = None
     for j in range(problem.n):
         for side, sense in ((0, "min"), (1, "max")):
             if (lo[j] if side == 0 else hi[j]) is not None:
                 continue
+            if lp is None:
+                lp = ExactLp(problem.rows, problem.rhs, lo=lo, hi=hi)
+            if not lp.find_feasible():
+                return None
             c = [0] * problem.n
             c[j] = 1
-            res = lp_optimize(problem.rows, problem.rhs, c, sense=sense,
-                              lo=lo, hi=hi)
-            if res.status == INFEASIBLE:
-                return None
-            if res.status != OPTIMAL:
+            status, value = lp.optimize(c, sense)
+            if status == UNBOUNDED:
                 raise InputError(
                     f"variable {j} is unbounded; supply explicit bounds")
             if side == 0:
-                lo[j] = rat_ceil(res.value)
+                lo[j] = rat_ceil(value)
             else:
-                hi[j] = rat_floor(res.value)
+                hi[j] = rat_floor(value)
+            lp.set_var_bounds(j, lo[j], hi[j])
     return lo, hi
 
 

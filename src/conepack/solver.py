@@ -311,14 +311,69 @@ def _run_combination_ilp(generators, target, box, gen_hi=None,
         (x[n + t * d:n + (t + 1) * d], 1) for t in range(extra_free)]
 
 
-def _relaxation_feasible(generators, target, box, extra_free=0, source=None):
-    """Rational feasibility of the combination program (fast prefilter)."""
-    rows, rhs = _combination_rows(generators, target, box,
-                                  extra_free=extra_free, source=source)
-    n = len(generators)
-    nf = extra_free * (target.dim if extra_free else 0)
-    lp = ExactLp(rows, rhs, lo=[0] * n + [None] * nf)
-    return lp.find_feasible()
+class _Relaxation:
+    """Rational relaxations of one probe's combination programs.
+
+    ``feasible(special, k)`` decides whether non-negative rational weights
+    on ``special``, a subset of ``generators``, plus ``k`` free points of
+    ``source`` can reach the target within ``box``.  Two tableaux over all
+    the generators answer every call; each is built on first use from
+    ``_combination_rows`` and then only has variable bounds moved.
+
+    * ``k == 0``: one weight column per generator.
+    * ``k > 0``: the generator columns, one free point ``w`` and its count
+      ``mu``, with the source rows read as ``A w - mu b <= 0`` and ``mu``
+      fixed at ``k``.  A sum of ``k`` points of a convex set is a point of
+      ``k`` times that set, so this is the program with ``k`` free points.
+
+    A generator outside ``special`` is fixed at 0.  A call moves only the
+    columns whose bounds changed since the tableau's last call, then runs
+    phase 1 from its current basis: the answer is a verdict, not a vertex,
+    so the pivot path may depend on earlier calls.  A row that repeats an
+    earlier one exactly, right-hand side included, is dropped; a box
+    target's rows repeat the box.
+    """
+
+    def __init__(self, generators, target, box, source):
+        self._generators = generators
+        self._target, self._box, self._source = target, box, source
+        self._column = {g: i for i, g in enumerate(generators)}
+        self._lps = {}   # free points or not -> tableau
+        self._on = {}    # free points or not -> generator columns switched on
+        self._count = 0  # the k at which the free-point tableau fixes mu
+
+    def _build(self, free):
+        n = len(self._generators)
+        rows, rhs = _combination_rows(self._generators, self._target,
+                                      self._box, extra_free=int(free),
+                                      source=self._source)
+        lo = [0] * n
+        if free:
+            m = self._source.m
+            rows = [row + [0] for row in rows[:-m]] + \
+                [row + [-b] for row, b in zip(rows[-m:], self._source.b)]
+            rhs = rhs[:-m] + [0] * m
+            lo += [None] * (self._target.dim + 1)
+        unique = dict.fromkeys(zip(map(tuple, rows), rhs))
+        self._lps[free] = ExactLp([row for row, _b in unique],
+                                  [b for _row, b in unique], lo=lo)
+        self._on[free] = set(range(n))
+
+    def feasible(self, special, k=0):
+        free = k > 0
+        if free not in self._lps:
+            self._build(free)
+        lp, was = self._lps[free], self._on[free]
+        on = {self._column[g] for g in special}
+        for j in was - on:
+            lp.set_var_bounds(j, 0, 0)
+        for j in on - was:
+            lp.set_var_bounds(j, 0, None)
+        self._on[free] = on
+        if free and k != self._count:
+            lp.set_var_bounds(lp.n - 1, k, k)
+            self._count = k
+        return lp.find_feasible()
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +391,10 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     the witness combination (normalized: support at most ``2^{2d+1}``) or a
     decisive Empty.  ``y_bounds`` supplies (lo, hi) pairs for target
     coordinates the target rows leave unbounded.
+
+    The rational relaxation over all generators is a prefilter: when it is
+    infeasible the answer is Empty without an integer program.  Its
+    ``_Relaxation`` then checks each guess of the faithful search.
     """
     if source.dim != target.dim:
         raise InputError("source and target dimensions differ")
@@ -352,7 +411,8 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     generators = [p for p in lattice if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
-    if not _relaxation_feasible(generators, target, box):
+    relax = _Relaxation(generators, target, box, source)
+    if not relax.feasible(generators):
         return IntConeResult(False, None, None, mode, 0)
     sset = structure if structure is not None \
         else compute_structure_set(source)
@@ -376,7 +436,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     guesses = 0
     if mode == "faithful":
         status, guesses, pairs, guess = _faithful_search(
-            sset, generators, target, box)
+            sset, generators, target, box, relax)
         if status == "found":
             return finish(pairs, "faithful", guesses, guess)
         # Exhausted or out of budget: either way the joint program below
@@ -391,8 +451,11 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, box):
+def _faithful_search(sset, generators, target, box, relax):
     """Guess-driven search.
+
+    Each guess is first checked by the probe's ``_Relaxation``, ``relax``;
+    only a guess whose relaxation is feasible gets its integer program.
 
     Returns (status, guesses, pairs, guess) where status is "found",
     "exhausted" or "budget"; pairs and guess are set only on a hit.
@@ -420,8 +483,7 @@ def _faithful_search(sset, generators, target, box):
                                   if v in genset})
                 if not special and k == 0:
                     continue
-                if not _relaxation_feasible(special, target, box,
-                                            extra_free=k, source=source):
+                if not relax.feasible(special, k):
                     continue
                 pairs = _run_combination_ilp(
                     special, target, box, extra_free=k, source=source,

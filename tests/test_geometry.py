@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conepack import geometry
 from conepack.errors import InputError, ResourceError
+from conepack.exactmath import INFEASIBLE, OPTIMAL, lp_optimize
 from conepack.geometry import (
     Cell,
     Parallelepiped,
     Polytope,
+    box_polytope,
     cell_partition,
     coordinate_bounds,
     extreme_points,
@@ -61,6 +63,54 @@ class TestCoordinateBounds:
     def test_cached(self):
         poly = Polytope([[-1], [1]], [0, 5])
         assert coordinate_bounds(poly) is coordinate_bounds(poly)
+
+    @staticmethod
+    def fresh_bounds(poly):
+        """Reference: two fresh LPs per coordinate."""
+        out = []
+        for j in range(poly.dim):
+            c = [int(i == j) for i in range(poly.dim)]
+            sides = [lp_optimize(poly.A, poly.b, c, sense=sense)
+                     for sense in ("min", "max")]
+            if any(res.status == INFEASIBLE for res in sides):
+                return None
+            out.append(tuple(res.value if res.status == OPTIMAL else None
+                             for res in sides))
+        return out
+
+    def test_one_tableau_matches_fresh_lps(self):
+        rng = random.Random(40417)
+        kinds = {"empty": 0, "unbounded": 0, "bounded": 0}
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            m = rng.randint(1, 3 * d + 3)
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+            rhs = [rng.randint(-3, 9) for _ in range(m)]
+            expected = self.fresh_bounds(Polytope(rows, rhs))
+            assert coordinate_bounds(Polytope(rows, rhs)) == expected
+            if expected is None:
+                kinds["empty"] += 1
+            elif any(None in side for side in expected):
+                kinds["unbounded"] += 1
+            else:
+                kinds["bounded"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_box_bounds_match_lp_bounds(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            d = rng.randint(1, 4)
+            lo = [rng.randint(-5, 5) for _ in range(d)]
+            hi = [a + rng.randint(0, 4) for a in lo]
+            box = box_polytope(lo, hi)
+            assert box._bounds is not None  # seeded, no LP solved
+            assert coordinate_bounds(box) == \
+                coordinate_bounds(Polytope(box.A, box.b))
+            assert coordinate_bounds(box) == self.fresh_bounds(box)
+
+    def test_empty_box_has_no_bounds(self):
+        assert coordinate_bounds(box_polytope([2], [1])) is None
+        assert coordinate_bounds(box_polytope([0, 2], [3, 1])) is None
 
 
 class TestLatticePoints:

@@ -5,7 +5,9 @@ import pytest
 
 from conepack.budget import limit
 from conepack.errors import InputError, ResourceError
-from conepack.ilp import IlpProblem, ilp_feasible, lll_basis
+from conepack.exactmath import INFEASIBLE, OPTIMAL, lp_optimize
+from conepack.ilp import IlpProblem, _derive_bounds, ilp_feasible, lll_basis
+from conepack.rational import rat_ceil, rat_floor
 
 
 def exhaustive(problem, box):
@@ -89,6 +91,79 @@ class TestOracle:
                 assert all(sum(c * v for c, v in zip(row, x)) <= b
                            for row, b in zip(p.rows, p.rhs))
                 assert all(a <= v <= b for v, (a, b) in zip(x, box))
+
+
+def fresh_derive_bounds(problem):
+    """Reference: one fresh LP per missing bound, each under the bounds
+    derived before it."""
+    lo, hi = list(problem.lo), list(problem.hi)
+    for j in range(problem.n):
+        for side, sense in ((0, "min"), (1, "max")):
+            if (lo[j] if side == 0 else hi[j]) is not None:
+                continue
+            c = [int(i == j) for i in range(problem.n)]
+            res = lp_optimize(problem.rows, problem.rhs, c, sense=sense,
+                              lo=lo, hi=hi)
+            if res.status == INFEASIBLE:
+                return None
+            if res.status != OPTIMAL:
+                raise InputError(f"variable {j} is unbounded")
+            if side == 0:
+                lo[j] = rat_ceil(res.value)
+            else:
+                hi[j] = rat_floor(res.value)
+    return lo, hi
+
+
+def derive_or_error(derive, problem):
+    try:
+        return derive(problem)
+    except InputError:
+        return "unbounded"
+
+
+class TestDeriveBounds:
+    def test_rounded_bound_empties_the_relaxation(self):
+        # x = 1/2: the rounded lower bound 1 leaves the max LP no point
+        p = IlpProblem.build([[2], [-2]], [1, -1])
+        assert fresh_derive_bounds(p) is None
+        assert _derive_bounds(p) is None
+
+    def test_last_rounded_bound_is_returned(self):
+        # only the lower bound is missing, so no LP sees the rounded one
+        p = IlpProblem.build([[2], [-2]], [1, -1], hi=[5])
+        assert _derive_bounds(p) == fresh_derive_bounds(p) == ([1], [5])
+        assert not ilp_feasible(p).feasible
+
+    def test_unbounded_variable(self):
+        p = IlpProblem.build([[-1, 0], [0, -1], [0, 1]], [0, 0, 3])
+        assert derive_or_error(fresh_derive_bounds, p) == "unbounded"
+        with pytest.raises(InputError):
+            _derive_bounds(p)
+
+    def test_no_missing_bound_solves_no_lp(self):
+        # lo > hi is left for ilp_feasible to reject
+        p = IlpProblem.build([[1]], [-5], lo=[2], hi=[1])
+        assert _derive_bounds(p) == ([2], [1])
+
+    def test_one_tableau_matches_fresh_lps(self):
+        rng = random.Random(20417)
+        seen = {"empty": 0, "unbounded": 0, "bounded": 0}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            rhs = [rng.randint(-8, 8) for _ in range(m)]
+            lo = [rng.choice([None, None, rng.randint(-3, 1)])
+                  for _ in range(n)]
+            hi = [rng.choice([None, None, rng.randint(-1, 3)])
+                  for _ in range(n)]
+            p = IlpProblem.build(rows, rhs, lo=lo, hi=hi)
+            expected = derive_or_error(fresh_derive_bounds, p)
+            assert derive_or_error(_derive_bounds, p) == expected
+            key = expected if expected in (None, "unbounded") else "bounded"
+            seen["empty" if key is None else key] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestLll:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack import solver
+from conepack.exactmath import ExactLp
 from conepack.geometry import Polytope, lattice_points
 from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
@@ -21,7 +22,8 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              verify_solution)
 from conepack.structure import combo_sum
 
-from genutil import rand_bp_instance, singleton_target, box_polytope
+from genutil import (box_polytope, rand_bounded_polytope, rand_bp_instance,
+                     singleton_target)
 
 
 def segment(lo, hi):
@@ -163,6 +165,65 @@ class TestIntConeIntersect:
         with pytest.raises(InputError):
             int_cone_intersect(segment(1, 2), segment(0, 3),
                                y_bounds=y_bounds)
+
+
+def fresh_relaxation(special, k, target, box, source):
+    """Reference: a fresh LP over ``special`` and ``k`` free blocks."""
+    rows, rhs = solver._combination_rows(special, target, box, extra_free=k,
+                                         source=source)
+    lo = [0] * len(special) + [None] * (k * target.dim)
+    return ExactLp(rows, rhs, lo=lo).find_feasible()
+
+
+class TestRelaxation:
+    @staticmethod
+    def case(rng):
+        """A source, a target near a sum of a few of its generators (a box,
+        or a box with one more row), and the generators."""
+        while True:
+            source = rand_bounded_polytope(rng, max_dim=3, max_rows=5,
+                                           coeff_cap=9, box_cap=3)
+            gens = [p for p in lattice_points(source) if any(p)]
+            if gens:
+                break
+        d = source.dim
+        picks = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+        y = [sum(p[j] for p in picks) + rng.randint(-1, 1) for j in range(d)]
+        r = rng.randint(0, 1)
+        target = box_polytope([v - r for v in y], [v + r for v in y])
+        if rng.random() < 0.5:
+            cut = [rng.randint(-2, 2) for _ in range(d)]
+            target = Polytope(target.A + [cut], target.b + (
+                sum(c * v for c, v in zip(cut, y)) + rng.randint(-1, 1),))
+        return source, target, gens
+
+    def test_warm_verdicts_match_fresh_lps(self):
+        rng = random.Random(31337)
+        verdicts = []  # (free points, last verdict on that tableau, verdict)
+        for _ in range(120):
+            source, target, gens = self.case(rng)
+            box = solver._target_box(target, None)
+            if box is None or any(a > b for a, b in box):
+                continue
+            relax = solver._Relaxation(gens, target, box, source)
+            last = {}
+            for _ in range(rng.randint(2, 10)):
+                if rng.random() < 0.1:
+                    special = gens
+                else:
+                    special = sorted(rng.sample(
+                        gens, rng.randint(0, min(4, len(gens)))))
+                k = rng.randint(0, 3)
+                got = relax.feasible(special, k)
+                assert got == fresh_relaxation(special, k, target, box,
+                                               source), (special, k)
+                free = k > 0
+                if free in last:
+                    verdicts.append((free, last[free], got))
+                last[free] = got
+        # on both tableaux, warm starts follow both verdicts
+        for key in itertools.product((True, False), repeat=3):
+            assert verdicts.count(key) >= 10, (key, verdicts.count(key))
 
 
 class TestBinPacking:
