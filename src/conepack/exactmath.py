@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
-from .rational import Rat, ZERO, dot, integer
+from .rational import Rat, ZERO, integer
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -530,9 +530,9 @@ class ExactLp:
         if self._infeasible_rows():
             raise InternalError("optimize() requires a primal-feasible basis")
         # reduced-cost row, held like a tableau row: z[j] / zden
-        z, zden = _integer_row(objective)
-        if sense == "max":
-            z = [-c for c in z]
+        cost, cden = _integer_row(objective)
+        z = [-c for c in cost] if sense == "max" else cost[:]
+        zden = cden
         z += [0] * self.m
         for i in range(self.m):
             cb = z[self.basis[i]]
@@ -567,9 +567,18 @@ class ExactLp:
                 self._zrow = None
                 return UNBOUNDED, None
         self._zrow = None
-        vals = self.values()
-        value = dot([Rat(c) for c in objective], vals)
-        return OPTIMAL, value
+        # the objective value cost . x / cden, summed over the lcm of the
+        # basic rows' denominators
+        num = sum(c * v for c, v, st in zip(cost, self.val, self.state)
+                  if c and st != _BASIC)
+        den = 1
+        for i, b in enumerate(self.basis):
+            if b < self.n and cost[b]:
+                d = self.den[i]
+                common = lcm(den, d)
+                num = num * (common // den) + cost[b] * self.bn[i] * (common // d)
+                den = common
+        return OPTIMAL, Rat(num, den * cden)
 
     _zrow = None
 

@@ -4,8 +4,9 @@ A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
 ``Polytope.from_rational`` to clear denominators).  On top of it:
 
 * exact coordinate bounds and bounded lattice-point enumeration,
-* exact convex-hull machinery in any small dimension (vertex filtering by
-  exact LP; a monotone-chain path for rank-2 point sets),
+* exact convex-hull machinery in any small dimension (a monotone chain
+  for rank-2 point sets, beneath-beyond on integer determinants for rank
+  3, vertex filtering by exact LP above),
 * the slack-interval grid that groups lattice points into cells whose
   constraint slacks agree within a factor ``1 + 1/d^2``,
 * minimum-volume enclosing ellipsoid contact points (float iteration,
@@ -374,12 +375,83 @@ def _hull_2d_vertices(coords):
     return sorted(set(lower[:-1] + upper[:-1]))
 
 
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _hull_3d_vertices(coords):
+    """Vertices of the convex hull of distinct 3-d integer points of rank 3.
+
+    Beneath-beyond (Preparata & Shamos 1985, ch. 3) on integer
+    orientation determinants.  The hull is kept as outward triangles
+    ``(u, v, w, n, h)``: ``n`` is the normal ``(v - u) x (w - u)`` and the
+    triangle's plane is ``n.x = h``.  It starts from the first four
+    affinely independent points; each later point ``q`` removes the
+    triangles that see it (``n.q > h``) and closes the hole with triangles
+    from ``q`` to the horizon edges.  A triangle whose plane holds ``q``
+    stays, so a face may be split into several coplanar triangles.  At the
+    end a point is a hull vertex iff its triangles lie on at least three
+    distinct planes; on one it is inside a face, on two inside an edge.
+    Returns sorted indices into ``coords``.
+    """
+    c = coords
+    first = [0, 1]
+    u = _sub(c[1], c[0])
+    i = next(i for i in range(2, len(c)) if any(_cross3(u, _sub(c[i], c[0]))))
+    n = _cross3(u, _sub(c[i], c[0]))
+    j = next(j for j in range(i + 1, len(c)) if _dot3(n, _sub(c[j], c[0])))
+    first += [i, j]
+
+    def triangle(a, b, e):
+        n = _cross3(_sub(c[b], c[a]), _sub(c[e], c[a]))
+        return (a, b, e, n, _dot3(n, c[a]))
+
+    tris = []
+    for a, b, e, o in ((first[0], first[1], first[2], first[3]),
+                       (first[0], first[1], first[3], first[2]),
+                       (first[0], first[2], first[3], first[1]),
+                       (first[1], first[2], first[3], first[0])):
+        t = triangle(a, b, e)
+        tris.append(t if _dot3(t[3], c[o]) < t[4] else triangle(a, e, b))
+    for q in range(len(c)):
+        if q in first:
+            continue
+        p = c[q]
+        seen = [t for t in tris if _dot3(t[3], p) > t[4]]
+        if not seen:
+            continue
+        edges = {e for a, b, w, _n, _h in seen
+                 for e in ((a, b), (b, w), (w, a))}
+        tris = [t for t in tris if _dot3(t[3], p) <= t[4]]
+        tris += [triangle(a, b, q) for a, b in edges if (b, a) not in edges]
+    planes: dict = {}
+    for a, b, e, n, _h in tris:
+        g = math.gcd(*n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
+        for v in (a, b, e):
+            planes.setdefault(v, set()).add(n)
+    return sorted(v for v, normals in planes.items() if len(normals) >= 3)
+
+
 def extreme_points(points: Iterable[Sequence[int]]) -> list:
     """Vertices of the convex hull of a finite integer point set.
 
-    Exact in every dimension: rank <= 2 cases run on integer/rational
-    arithmetic directly; higher ranks prune midpoints cheaply and settle
-    the rest with exact LP membership tests.  Sorted lexicographically.
+    Exact in every dimension.  Points of rank <= 3 are mapped to integer
+    coordinates in their affine hull (``_chart``): rank 1 takes the two
+    ends, rank 2 a monotone chain and rank 3 ``_hull_3d_vertices``, after
+    pruning the points that sit midway between two others along a
+    coordinate axis.  Higher ranks prune the same way and settle the rest
+    with exact LP membership tests.  Sorted lexicographically.
     """
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
     if len(pts) <= 2:
@@ -388,7 +460,26 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
     k = len(frame.vecs)
     if k == 0:
         return [pts[0]]
-    if k <= 2:
+    if k >= 3:
+        # a point midway between two others is no vertex, and dropping
+        # non-vertices leaves the hull and its rank as they were
+        ptset = set(pts)
+        d = len(pts[0])
+        candidates = []
+        for p in pts:
+            pruned = False
+            for t in range(d):
+                up = list(p)
+                up[t] += 1
+                dn = list(p)
+                dn[t] -= 1
+                if tuple(up) in ptset and tuple(dn) in ptset:
+                    pruned = True
+                    break
+            if not pruned:
+                candidates.append(p)
+        pts = candidates
+    if k <= 3:
         # chart coordinates times det > 0 keep every order and orientation
         coords = []
         for p in pts:
@@ -400,26 +491,14 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
             lo = min(range(len(pts)), key=lambda i: coords[i][0])
             hi = max(range(len(pts)), key=lambda i: coords[i][0])
             return sorted([pts[lo], pts[hi]])
-        idx = _hull_2d_vertices(coords)
-        return sorted(pts[i] for i in idx)
-    # rank >= 3: midpoint pruning, then exact LP filtering
-    ptset = set(pts)
-    d = len(pts[0])
-    candidates = []
-    for p in pts:
-        pruned = False
-        for t in range(d):
-            up = list(p)
-            up[t] += 1
-            dn = list(p)
-            dn[t] -= 1
-            if tuple(up) in ptset and tuple(dn) in ptset:
-                pruned = True
-                break
-        if not pruned:
-            candidates.append(p)
-    # iterative filtering: removing a non-vertex never changes the hull
-    survivors = list(candidates)
+        if k == 2:
+            idx = _hull_2d_vertices(coords)
+        else:
+            idx = _hull_3d_vertices(coords)
+        return [pts[i] for i in idx]
+    # rank >= 4: iterative filtering, since removing a non-vertex never
+    # changes the hull
+    survivors = pts
     i = 0
     while i < len(survivors):
         p = survivors[i]
@@ -491,15 +570,24 @@ def cell_partition(poly: Polytope) -> list:
 
     Returns cells sorted by signature; every lattice point lands in exactly
     one cell, and two points share a cell iff every one of their slacks
-    falls in the same grid interval.
+    falls in the same grid interval.  Each slack ``b - a.p`` is an int, and
+    the interval index of each distinct slack is looked up once per call.
     """
-    pts = lattice_points(poly)
+    pts = lattice_points(poly)  # sorted, so every cell's members are too
     d = poly.dim
+    rows = list(zip(poly.A, poly.b))
+    index: dict = {}
     cells: dict = {}
     for p in pts:
-        sig = tuple(slack_interval_index(s, d) for s in poly.slacks(p))
-        cells.setdefault(sig, []).append(p)
-    return [Cell(sig, tuple(sorted(members)), min(members))
+        sig = []
+        for row, b in rows:
+            s = b - sum(map(operator.mul, row, p))
+            j = index.get(s)
+            if j is None:
+                j = index[s] = slack_interval_index(s, d)
+            sig.append(j)
+        cells.setdefault(tuple(sig), []).append(p)
+    return [Cell(sig, tuple(members), members[0])
             for sig, members in sorted(cells.items())]
 
 
@@ -521,12 +609,21 @@ class Parallelepiped(_Frame):
     ``r = L p - L center`` and ``num = adj . r[pivots]``, every
     ``|num_j| <= det`` and ``sum_j num_j (L dir_j) = det * r`` on every
     coordinate (the affine-span test); then ``mu = num / det``.
+
+    A point (no directions, an all-int center) skips the elimination: it
+    sets the values the general path would give, ``L = det = 1`` and empty
+    ``vecs``, ``pivots`` and ``adj``.
     """
 
     __slots__ = ("_scale", "_center")
 
     def __init__(self, center: Sequence, directions: Sequence[Sequence]):
         center = tuple(center)
+        if not directions and all(type(v) is int for v in center):
+            self.vecs = self.pivots = self.adj = ()
+            self.det = self._scale = 1
+            self._center = center
+            return
         directions = [tuple(d) for d in directions]
         for dvec in directions:
             if len(dvec) != len(center):
@@ -571,6 +668,8 @@ class Parallelepiped(_Frame):
 
     def vertices(self) -> list:
         """All ``2^k`` sign-pattern corners as integer tuples, sorted."""
+        if not self.vecs and self._scale == 1:
+            return [self._center]
         corners = [self._center]
         for dvec in self.vecs:
             corners = [tuple(c + sign * v for c, v in zip(corner, dvec))

@@ -588,7 +588,10 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     total cost must stay within ``budget``.  Implemented by coupling the
     parts into one lifted polytope with a cost coordinate and one selector
     coordinate per part, then intersecting its integer cone with
-    ``target x [0, budget] x (free selectors)``.
+    ``target x [0, budget] x (free selectors)``.  The lifted lattice is
+    assembled from the parts' lattices and the lifted target's bounds from
+    the target's, so no enumeration box spans the cost range, and costs
+    may be as large as their binary encoding allows.
     """
     n = len(parts)
     if n == 0:
@@ -675,7 +678,16 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     rows.append(pad(None, -1, None))
     rhs.append(0)
     lifted = Polytope(rows, rhs)
+    # its integer points are exactly (x, c_i, e_i) for x in part i: the one
+    # selector on pins the cost, and M relaxes the other parts' rows on the
+    # box; the enumeration box would hold the whole cost range instead
+    lifted._lattice = sorted(
+        x + (costs[i],) + tuple(int(i == t) for t in range(n))
+        for i, poly in enumerate(polys) for x in lattice_points(poly))
 
+    target_bounds = coordinate_bounds(target)
+    if target_bounds is None:
+        return SelectResult(False, None)
     t_rows, t_rhs = [], []
     for q, qb in zip(target.A, target.b):
         t_rows.append(pad(q, 0, None))
@@ -685,6 +697,10 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     t_rows.append(pad(None, -1, None))
     t_rhs.append(0)
     lifted_target = Polytope(t_rows, t_rhs)
+    # the target, cost and selector blocks share no row, so these are the
+    # LP bounds
+    lifted_target._bounds = (list(target_bounds) + [(Rat(0), Rat(budget))]
+                             + [(None, None)] * n)
 
     y_bounds = [None] * d + [None] + [(0, budget)] * n
     res = int_cone_intersect(lifted, lifted_target, mode=mode,

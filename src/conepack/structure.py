@@ -260,17 +260,22 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     """Cover the polytope and index its lattice points by parallelepiped.
 
     The cover is walked in index order, and each parallelepiped claims the
-    still unassigned lattice points it contains; it tests only those inside
-    the bounding box of its vertices.  So every point goes to the lowest
-    index of a parallelepiped containing it.
+    still unclaimed lattice points it contains.  A point (``k = 0``) claims
+    itself with one dict lookup.  Any other tests only the points inside
+    the bounding box of its vertices, and skips those already claimed.  So
+    every point goes to the lowest index of a parallelepiped containing it.
     """
     cover = tuple(parallelepiped_cover(poly))
     special = set()
     locator = {}
-    unassigned = list(lattice_points(poly))  # sorted
+    # sorted; the points that no k > 0 element has claimed yet
+    unassigned = list(lattice_points(poly))
     for idx, pp in enumerate(cover):
         verts = pp.vertices()
         special.update(verts)
+        if not pp.vecs:
+            locator.setdefault(verts[0], idx)
+            continue
         lo = tuple(map(min, zip(*verts)))
         hi = tuple(map(max, zip(*verts)))
         # every point of the box lies between lo and hi lexicographically
@@ -278,13 +283,16 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
         stop = bisect_right(unassigned, hi)
         missed = []
         for p in unassigned[start:stop]:
+            if p in locator:
+                continue
             if all(a <= x <= b for a, x, b in zip(lo, p, hi)) and pp.contains(p):
                 locator[p] = idx
             else:
                 missed.append(p)
         unassigned[start:stop] = missed
-    if unassigned:
-        raise InternalError(f"lattice point {unassigned[0]} missed by the cover")
+    missing = next((p for p in unassigned if p not in locator), None)
+    if missing is not None:
+        raise InternalError(f"lattice point {missing} missed by the cover")
     return StructureSet(tuple(sorted(special)), cover, locator, poly)
 
 

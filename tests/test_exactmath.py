@@ -460,3 +460,26 @@ def test_rational_data_warm_start_matches_fresh_solve(case):
     for row, b, sense in zip(rows, rhs, senses):
         lhs = dot(row, x)
         assert lhs == b if sense == "==" else lhs <= b
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_optimize_value_is_the_objective_at_the_optimum(seed):
+    """``optimize`` sums its value from the integer state; it must equal
+    the objective at ``values()``, for rational objectives and both senses,
+    also after a warm re-solve from the last basis."""
+    rng = random.Random(4000 + seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 5)
+    rows = [[Rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(m)]
+    rhs = [Rat(rng.randint(-4, 12), rng.randint(1, 5)) for _ in range(m)]
+    lp = ExactLp(rows, rhs, lo=[-9] * n, hi=[9] * n)
+    if not lp.find_feasible():
+        return
+    for _ in range(4):
+        c = [Rat(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        sense = rng.choice(["max", "min"])
+        status, value = lp.optimize(c, sense)
+        assert status == OPTIMAL
+        assert type(value) is Rat
+        assert value == dot(c, lp.values())

@@ -27,6 +27,8 @@ from conepack.geometry import (
 )
 from conepack.rational import Rat, rat
 
+from genutil import rand_bounded_polytope
+
 
 def knapsack_fig() -> Polytope:
     # x >= 0, 13/100 x1 + 41/200 x2 <= 1, denominators cleared
@@ -178,6 +180,63 @@ def brute_extreme(points):
             if not in_convex_hull(p, [q for q in pts if q != p])]
 
 
+def _affine_rank(points):
+    """Rank of the differences to the first point, by Fraction elimination."""
+    rows = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points]
+    rank = 0
+    for col in range(len(points[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _rank3_set(rng, kind):
+    """A seeded point set meant to have affine rank 3 (callers check).
+
+    ``cube``: random points of a small cube; ``lift4d``: the same lifted
+    onto a hyperplane of 4-space; ``planes``: points on two parallel
+    planes; ``edges``: box corners plus points along the segments between
+    them; ``polytope``: the lattice points of a random 3-d polytope;
+    ``four``: four points.  Every set but ``four`` and ``polytope`` repeats
+    a few of its points.
+    """
+    if kind == "four":
+        return [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
+    if kind == "polytope":
+        rows = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                [0, 0, -1]]
+        rhs = [rng.randint(1, 3), 0, rng.randint(1, 3), 0, rng.randint(1, 3), 0]
+        for _ in range(rng.randint(0, 3)):
+            rows.append([rng.randint(-3, 3) for _ in range(3)])
+            rhs.append(rng.randint(0, 6))
+        pts = lattice_points(Polytope(rows, rhs))
+        return pts if len(pts) <= 40 else None
+    n = rng.randint(4, 14)
+    if kind in ("cube", "lift4d"):
+        pts = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(n)]
+        if kind == "lift4d":
+            pts = [(x, y, z, 2 * x - y + z + 1) for x, y, z in pts]
+    elif kind == "planes":
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((0, 2)))
+               for _ in range(n)]
+    else:
+        corners = [tuple(rng.choice((0, 4)) for _ in range(3))
+                   for _ in range(rng.randint(4, 8))]
+        pts = list(corners)
+        for _ in range(n):
+            a, b = rng.sample(corners, 2)
+            t = rng.randint(0, 4)
+            pts.append(tuple(x + t * (y - x) // 4 for x, y in zip(a, b)))
+    return pts + [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+
+
 class TestHulls:
     def test_knapsack_hull_vertices(self):
         verts = integer_hull_vertices(knapsack_fig())
@@ -210,6 +269,26 @@ class TestHulls:
             n = rng.randint(3, 12)
             pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n)]
             assert extreme_points(pts) == sorted(brute_extreme(pts))
+
+    def test_rank3_hull_matches_definition_without_lps(self, monkeypatch):
+        """The rank-3 path against the LP definition on 240 seeded sets: it
+        must solve no LP, so ``in_convex_hull`` raises inside it."""
+        def no_lp(*args):
+            raise AssertionError("rank-3 hull ran an LP")
+
+        rng = random.Random(31337)
+        kinds = ["cube", "lift4d", "planes", "edges", "polytope", "four"]
+        seen = dict.fromkeys(kinds, 0)
+        while min(seen.values()) < 40:
+            kind = kinds[sum(seen.values()) % len(kinds)]
+            pts = _rank3_set(rng, kind)
+            if pts is None or _affine_rank(pts) != 3:
+                continue
+            seen[kind] += 1
+            expected = sorted(brute_extreme(pts))
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "in_convex_hull", no_lp)
+                assert extreme_points(pts) == expected, (kind, pts)
 
     def test_in_convex_hull(self):
         square = [(0, 0), (2, 0), (0, 2), (2, 2)]
@@ -265,6 +344,23 @@ class TestCells:
         cells = cell_partition(poly)
         assert len(cells) == 1 and cells[0].anchor == (4,)
 
+    def test_matches_the_slack_vector_loop(self):
+        def slack_vector_cells(poly):
+            d = poly.dim
+            cells = {}
+            for p in lattice_points(poly):
+                sig = tuple(slack_interval_index(s, d)
+                            for s in poly.slacks(p))
+                cells.setdefault(sig, []).append(p)
+            return [Cell(sig, tuple(sorted(members)), min(members))
+                    for sig, members in sorted(cells.items())]
+
+        rng = random.Random(52711)
+        for _ in range(60):
+            poly = rand_bounded_polytope(rng, max_dim=4, box_cap=6,
+                                         lattice_budget=3000)
+            assert cell_partition(poly) == slack_vector_cells(poly)
+
     def test_partition_properties(self):
         poly = knapsack_fig()
         cells = cell_partition(poly)
@@ -315,6 +411,28 @@ class TestParallelepiped:
         assert pp.coordinates((0,)) == (-1,)
         assert pp.coordinates((1,)) == (0,)
         assert pp.coordinates((3,)) is None
+
+    def test_point_matches_the_general_path(self):
+        # a Rat center takes the general path; an all-int center does not
+        rng = random.Random(7309)
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            c = tuple(rng.randint(-6, 6) for _ in range(d))
+            point = Parallelepiped(c, ())
+            general = Parallelepiped(tuple(Rat(v) for v in c), ())
+            assert point == general and hash(point) == hash(general)
+            for attr in ("vecs", "pivots", "adj", "det", "_scale", "_center"):
+                assert getattr(point, attr) == getattr(general, attr), attr
+            assert point.k == general.k == 0 and point.dim == general.dim
+            assert point.center == general.center
+            assert point.vertices() == general.vertices() == [c]
+            probes = [c, tuple(Rat(v) for v in c),
+                      tuple(v + rng.randint(-1, 1) for v in c),
+                      tuple(v + Rat(rng.randint(-2, 2), 3) for v in c)]
+            for q in probes:
+                assert point.contains(q) == general.contains(q)
+                assert point.coordinates(q) == general.coordinates(q)
+            assert point.coordinates(c) == ()
 
     def test_coordinates_outside_span(self):
         pp = Parallelepiped((0, 0), ((1, 0),))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conepack import scheduling
+from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
 from conepack.rational import Rat
@@ -209,6 +210,19 @@ class TestPreemptiveAssign:
                                   costs=[2, 3], variant="preemptive")
         assert preemptive_assign(inst).objective == 60
         assert probes == [60]
+
+    @pytest.mark.parametrize("big", [10 ** 6, 10 ** 30])
+    def test_large_machine_costs(self, big):
+        # two cheap machines of type 1 beat one dear machine of type 0 plus
+        # one of type 1, and the dear type alone needs two machines
+        inst = SchedulingInstance([[(0, 4, 1), (0, 4, 2)],
+                                   [(0, 2, 1), (0, 2, 1)]], [2, 2],
+                                  costs=[big, big // 2 + 1],
+                                  variant="preemptive")
+        with limit(20_000):
+            sol = preemptive_assign(inst)
+        assert sol.objective == 2 * (big // 2 + 1)
+        assert [m[:2] for m in sol.machines] == [(1, (1, 1)), (1, (1, 1))]
 
     def test_bin_packing_embedding(self):
         # items of size s_j become jobs with window [0, B] and length

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack import solver
 from conepack.exactmath import ExactLp
@@ -394,6 +395,17 @@ class TestCuttingStock:
             sol = cutting_stock(inst)
             assert sol.objective == cheapest_packing_cost(
                 [Rat(s) for s in sizes], mult, types), (sizes, mult, types)
+
+    @pytest.mark.parametrize("big", [10 ** 5, 10 ** 30])
+    def test_large_bin_costs(self, big):
+        # the lifted polytope's cost coordinate ranges over [0, big]; its
+        # lattice comes from the parts, not from that box
+        inst = CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [2, 3],
+                                    [(Rat(1), big), (Rat(1, 2), big // 2 + 1)])
+        with limit(20_000):
+            sol = cutting_stock(inst)
+        assert sol.objective == big + big // 2 + 1
+        assert sol.patterns == (((2, 1), 0, 1), ((0, 2), 1, 1))
 
 
 

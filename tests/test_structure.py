@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conepack import structure
 from conepack.errors import InputError
 from conepack.geometry import Parallelepiped, Polytope, in_convex_hull, lattice_points
 from conepack.rational import format_rat, rat
@@ -225,6 +226,28 @@ class TestLocator:
                          if pp.coordinates(p) is not None)
             assert sset.locator[p] == first
         assert _structure_digest(sset) == pin
+
+
+    def test_mixed_cover_keeps_the_lowest_index(self, monkeypatch):
+        # points claim with a dict lookup, segments by a box scan; neither
+        # may take a point an earlier element holds, nor lose one to a
+        # later element
+        cover = [Parallelepiped((1,), ((1,),)),   # 0, 1, 2
+                 Parallelepiped((2,), ()),        # 2, held by 0
+                 Parallelepiped((5,), ()),        # 5
+                 Parallelepiped((4,), ((1,),)),   # 3, 4; 5 held by 2
+                 Parallelepiped((3,), ()),        # 3, held by 3
+                 Parallelepiped((6,), ()),        # 6
+                 Parallelepiped((5,), ((1,),))]   # 4, 5, 6 all held
+        monkeypatch.setattr(structure, "parallelepiped_cover",
+                            lambda poly: list(cover))
+        sset = compute_structure_set(Polytope([[1], [-1]], [6, 0]))
+        assert sset.locator == {(0,): 0, (1,): 0, (2,): 0, (5,): 2,
+                                (3,): 3, (4,): 3, (6,): 5}
+        for p, idx in sset.locator.items():
+            assert idx == next(i for i, pp in enumerate(cover)
+                               if pp.contains(p))
+        assert sset.special_points == ((0,), (2,), (3,), (4,), (5,), (6,))
 
 
 class TestNormalize:
