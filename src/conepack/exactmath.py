@@ -25,6 +25,18 @@ division exact.  Variable bounds are integers, so each basic value is an
 int over its row's denominator, carried through the same elimination, and
 the nonbasic values and bounds are ints; the ratio test and phase 1
 compare ints by cross-multiplication.
+
+An ``ExactLp`` also keeps the infeasibility proof of every phase 1 that
+fails: the weighted sum of the violated tableau rows, an inequality
+``phi . x <= c`` that every solution meets, although the least value of
+``phi . x`` over that call's bounds exceeds ``c`` (a Farkas certificate
+read off the phase-1 row).  The rows and right-hand sides never
+change, only bounds do, so a proof stays valid for the object's life,
+across ``snapshot``/``restore`` too.  Each later ``find_feasible`` first
+tries the stored proofs on the current bounds and, when one still
+refutes them, returns False with no pivot and the tableau untouched.  This
+is conflict learning from infeasible LPs (Achterberg, *Conflict analysis
+in mixed integer programming*, 2007), kept exact.
 """
 
 from __future__ import annotations
@@ -193,11 +205,22 @@ class ExactLp:
     is the cheap path exercised by branch and bound, by the bound
     derivations and by the faithful search's relaxations.
 
+    Each phase 1 that fails stores its proof (``_keep_proof``), and each
+    ``find_feasible`` tries the stored proofs before it pivots
+    (``_refuted``).  A proof is implied by the rows alone, so it holds
+    under any later bounds, whatever basis or snapshot the object is in;
+    it refutes them when its least value over them still exceeds its
+    right-hand side.  A refuted call returns False and leaves the tableau,
+    basis and values as they were.  The list is not capped: a proof is
+    stored only when no stored one refutes the bounds, and no tableau of
+    the benchmark catalogues keeps more than 14.
+
     ``DEFAULT_PIVOT_BUDGET`` caps the pivots of one object over all its
     solves, so a tableau shared by several questions shares one cap: one
     probe's relaxation prefilter and its guesses, or all the LPs of one
     bound derivation.  Every pivot is also charged once to the request's
-    ``budget.limit``.
+    ``budget.limit``.  Both count real pivots only; a refuted call spends
+    neither.
     """
 
     def __init__(self, rows, rhs, senses=None, lo=None, hi=None):
@@ -220,6 +243,7 @@ class ExactLp:
         self.n = n
         self.ncols = n + m
         self.pivots_used = 0
+        self._proofs = []  # (coefs, c) per failed phase 1; see _keep_proof
         self.lo: list = [_bound(v) for v in lo or [None] * n] + [0] * m
         self.hi: list = [_bound(v) for v in hi or [None] * n] + [None] * m
         for i, sense in enumerate(senses):
@@ -468,12 +492,16 @@ class ExactLp:
         """Phase 1: repair the current basis to primal feasibility.
 
         Returns True when a feasible point is reached, False when the
-        constraints admit none.  Deterministic (Bland's rule).
+        constraints admit none.  Deterministic (Bland's rule).  A stored
+        proof that refutes the current bounds answers False first, with
+        no pivot and no change to the tableau.
         """
         for j in range(self.n):
             lo, hi = self.lo[j], self.hi[j]
             if lo is not None and hi is not None and lo > hi:
                 return False
+        if self._refuted():
+            return False
         self._zrow = None
         while True:
             bad = self._infeasible_rows()
@@ -511,9 +539,49 @@ class ExactLp:
                 if enter >= 0:
                     break
             if enter < 0:
+                self._keep_proof(weighted, bad)
                 return False
             if not self._step(enter, direction, phase1=True):
                 raise InternalError("phase 1 found an unbounded improving ray")
+
+    def _keep_proof(self, weighted, bad) -> None:
+        """Store the proof of a failed phase 1 as ``(coefs, c)``.
+
+        Phase 1's sum of the violated tableau rows, ``weighted``, is a row
+        ``phi`` over all ``n + m`` columns ``z``.  Tableau rows are
+        equations of the system, so every solution has ``phi . z == c``,
+        its value at the current basic point.  Phase 1 found no column to
+        enter, so on every slack ``phi`` is >= 0 or the slack is an
+        equality's, fixed at 0; slacks are never negative.  So every
+        solution has ``phi . x <= c`` over the structural columns ``x``,
+        kept as the sparse ``coefs``, while the least value of ``phi . x``
+        over the current bounds exceeds ``c``.
+        """
+        phi = [sum(w * row[j] for row, w in weighted) for j in range(self.n)]
+        # phi . z at the current point: phi is w * den[i] on the basic
+        # column of bad row i and 0 on the other basics, and nonbasic
+        # slacks sit at 0
+        c = sum(w * self.bn[i] for (i, _side), (_row, w) in zip(bad, weighted))
+        c += sum(a * v for a, v, st in zip(phi, self.val, self.state)
+                 if a and st != _BASIC)
+        self._proofs.append(([(j, a) for j, a in enumerate(phi) if a], c))
+
+    def _refuted(self) -> bool:
+        """True when a stored proof shows the current bounds admit no
+        point: ``phi . x`` exceeds ``c`` at its minimum over the bounds.
+        A proof that needs a missing bound says nothing."""
+        lo, hi = self.lo, self.hi
+        for coefs, c in self._proofs:
+            least = 0
+            for j, a in coefs:
+                bound = lo[j] if a > 0 else hi[j]
+                if bound is None:
+                    break
+                least += a * bound
+            else:
+                if least > c:
+                    return True
+        return False
 
     # -- phase 2 ---------------------------------------------------------
 

@@ -13,6 +13,14 @@ a time, on one tableau of their own.  The branch and bound starts from a
 fresh tableau under the derived bounds: its root vertex, and so the
 witness, must not depend on the basis the derivation ended in.
 
+The node tableau keeps the infeasibility proof of every node it finds
+empty (``ExactLp``), and a later node whose bounds a stored proof still
+refutes is pruned without a pivot.  Such a node is still counted and
+charged as a node.  A pruned node leaves the tableau as it was, and the
+next node starts from a ``restore``, so the nodes visited and the witness
+are the ones a plain phase 1 would give.  The derivation stops at its
+first empty verdict, so its proofs never answer anything.
+
 ``lll_basis`` computes an LLL-reduced unimodular basis of the coordinate
 lattice under the metric ``A^T A + I``; the solver does not call it.
 """

@@ -240,10 +240,15 @@ def _combination_rows(generators, target, box, extra_free=0,
     n = len(generators)
     nf = extra_free * d
     rows, rhs = [], []
+    columns = [[g[i] for g in generators] for i in range(d)]
 
     def sum_coeffs(q):
-        # coefficients of q . (sum lambda_g g + sum w_t) over all variables
-        coeff = [sum(qi * g[i] for i, qi in enumerate(q)) for g in generators]
+        # coefficients of q . (sum lambda_g g + sum w_t) over all variables;
+        # target and box rows are mostly unit rows, so skip q's zeros
+        coeff = [0] * n
+        for qi, column in zip(q, columns):
+            if qi:
+                coeff = [c + qi * v for c, v in zip(coeff, column)]
         for _ in range(extra_free):
             coeff.extend(q)
         return coeff
@@ -329,9 +334,13 @@ class _Relaxation:
     A generator outside ``special`` is fixed at 0.  A call moves only the
     columns whose bounds changed since the tableau's last call, then runs
     phase 1 from its current basis: the answer is a verdict, not a vertex,
-    so the pivot path may depend on earlier calls.  A row that repeats an
-    earlier one exactly, right-hand side included, is dropped; a box
-    target's rows repeat the box.
+    so the pivot path may depend on earlier calls.  Most guesses are
+    Empty, and each tableau keeps the infeasibility proof of every Empty
+    verdict (``ExactLp``).  A proof ``phi . x <= c`` still refutes a later
+    guess that switches on no generator with a negative coefficient in
+    ``phi``, and such a guess is answered without a pivot.  A row that
+    repeats an earlier one exactly, right-hand side included, is dropped;
+    a box target's rows repeat the box.
     """
 
     def __init__(self, generators, target, box, source):

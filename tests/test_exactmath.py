@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conepack.budget import limit
 from conepack.errors import InputError
 from conepack.exactmath import (
     INFEASIBLE,
@@ -483,3 +484,109 @@ def test_optimize_value_is_the_objective_at_the_optimum(seed):
         assert status == OPTIMAL
         assert type(value) is Rat
         assert value == dot(c, lp.values())
+
+
+# -- infeasibility proofs: repeated Empty verdicts without pivots -------------
+
+
+def _refuted_call(lp):
+    """``find_feasible`` and whether a stored proof answered it: False with
+    no pivot spent and no proof added, although every bound pair is in
+    order (phase 1 stores a proof whenever it fails)."""
+    pivots, proofs = lp.pivots_used, len(lp._proofs)
+    verdict = lp.find_feasible()
+    in_order = all(a is None or b is None or a <= b
+                   for a, b in zip(lp.lo, lp.hi))
+    refuted = (not verdict and in_order and lp.pivots_used == pivots
+               and len(lp._proofs) == proofs)
+    return verdict, refuted
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_proof_verdicts_match_fresh_solves(rational):
+    """Bound changes and snapshot/restore on one tableau: every verdict
+    equals a fresh ``ExactLp``'s under the same bounds, and stored proofs
+    answer some of the calls."""
+    refuted_calls = 0
+    for seed in range(40):
+        rng = random.Random(9100 + seed)
+        n = rng.randint(2, 4)
+        m = rng.randint(2, 5)
+
+        def coef():
+            if rational and rng.random() < 0.5:
+                return Rat(rng.randint(-6, 6), rng.choice([2, 3]))
+            return rng.randint(-3, 3)
+
+        rows = [[coef() for _ in range(n)] for _ in range(m)]
+        rhs = [Rat(rng.randint(-4, 12), rng.randint(1, 4)) if rational
+               else rng.randint(-2, 6) for _ in range(m)]
+        senses = [rng.choice(["<=", "<=", "=="]) for _ in range(m)]
+        lo = [rng.randint(-3, 0) for _ in range(n)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        lp = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+        saved = []
+        for _ in range(30):
+            action = rng.random()
+            if action < 0.2:
+                saved.append((lp.snapshot(), lo[:], hi[:]))
+            elif action < 0.4 and saved:
+                snap, lo, hi = saved.pop()
+                lp.restore(snap)
+            else:
+                j = rng.randrange(n)
+                a = rng.choice([None, rng.randint(-3, 3)])
+                b = rng.choice([None, (a or 0) + rng.randint(-1, 4)])
+                lp.set_var_bounds(j, a, b)
+                lo[j], hi[j] = a, b
+            verdict, refuted = _refuted_call(lp)
+            fresh = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+            assert verdict == fresh.find_feasible(), (seed, lo, hi)
+            refuted_calls += refuted
+            if verdict:
+                x = lp.values()
+                for v, a, b in zip(x, lo, hi):
+                    assert (a is None or a <= v) and (b is None or v <= b)
+                for row, r, sense in zip(rows, rhs, senses):
+                    lhs = dot(row, x)
+                    assert lhs == r if sense == "==" else lhs <= r
+    assert refuted_calls > 0
+
+
+def _proof_case():
+    # x == y and x + y <= 1 leave y <= 1/2; z takes no part
+    return ExactLp([[1, -1, 0], [1, 1, 0], [0, 0, 1]], [0, 1, 3],
+                   senses=["==", "<=", "<="], lo=[0, 1, 0], hi=[5, 5, 1])
+
+
+def test_refuted_call_spends_no_pivot_and_no_budget():
+    lp = _proof_case()
+    assert not lp.find_feasible()
+    assert lp.pivots_used > 0 and len(lp._proofs) == 1
+    pivots, state = lp.pivots_used, lp.snapshot()
+    with limit(0):  # any pivot would exceed it
+        assert lp.find_feasible() is False
+    assert lp.pivots_used == pivots
+    assert lp.snapshot() == state
+
+
+def test_proof_survives_widening_a_column_it_does_not_use():
+    lp = _proof_case()
+    assert not lp.find_feasible()
+    pivots = lp.pivots_used
+    lp.set_var_bounds(0, -5, 9)
+    lp.set_var_bounds(2, None, None)
+    with limit(0):
+        assert _refuted_call(lp) == (False, True)
+    assert lp.pivots_used == pivots
+
+
+def test_widening_a_column_the_proof_uses_runs_phase1_again():
+    lp = _proof_case()
+    assert not lp.find_feasible()
+    pivots = lp.pivots_used
+    lp.set_var_bounds(1, 0, 5)
+    assert lp.find_feasible()
+    assert lp.pivots_used > pivots
+    x = lp.values()
+    assert x[0] == x[1] and x[0] + x[1] <= 1 and x[1] >= 0

@@ -407,6 +407,40 @@ class TestCuttingStock:
         assert sol.objective == big + big // 2 + 1
         assert sol.patterns == (((2, 1), 0, 1), ((0, 2), 1, 1))
 
+    def test_stored_proofs_keep_witnesses_and_nodes(self, monkeypatch):
+        # node-heavy: its Empty probe takes most of the branch and bound
+        inst = CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
+                                    [40] * 3, [(Rat(1), 3), (Rat(1, 2), 2)])
+        inner = solver.ilp_feasible
+
+        def solve():
+            nodes = []
+
+            def counted(problem):
+                res = inner(problem)
+                nodes.append(res.nodes)
+                return res
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "ilp_feasible", counted)
+                return cutting_stock(inst), nodes
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactLp, "_refuted", lambda lp: False)
+            plain, plain_nodes = solve()
+        refuted = []
+        check = ExactLp._refuted
+
+        def counted_check(lp):
+            refuted.append(check(lp))
+            return refuted[-1]
+
+        monkeypatch.setattr(ExactLp, "_refuted", counted_check)
+        sol, nodes = solve()
+        assert sol == plain
+        assert nodes == plain_nodes and sum(nodes) > 400
+        assert any(refuted)
+
 
 
 def patterns(sizes, capacity, a):
