@@ -3,7 +3,9 @@
 A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
 ``Polytope.from_rational`` to clear denominators).  On top of it:
 
-* exact coordinate bounds and bounded lattice-point enumeration,
+* exact coordinate bounds, their inward rounding to an integer box
+  (``integer_box``, which rejects an unbounded coordinate), and
+  lattice-point enumeration over that box,
 * exact convex-hull machinery in any small dimension (a monotone chain
   for rank-2 point sets, beneath-beyond on integer determinants for rank
   3, vertex filtering by exact LP above),
@@ -257,35 +259,48 @@ def coordinate_bounds(poly: Polytope):
     return out
 
 
-def lattice_points(poly: Polytope) -> list:
-    """All integer points of a bounded polytope, lexicographically sorted.
+def integer_box(poly: Polytope):
+    """``coordinate_bounds`` rounded inward to ``(lo, hi)`` int pairs.
 
-    Raises ``InputError`` on unbounded input and ``ResourceError`` when the
-    bounding-box volume exceeds ``DEFAULT_LATTICE_BUDGET``, read at call
-    time.  The points are cached on the polytope, so the cap applies to its
-    first enumeration.
+    Returns ``None`` when the polytope is empty or when some coordinate's
+    range holds no integer, so the polytope holds no lattice point.  Reads
+    the coordinates in order and raises ``InputError`` at the first one
+    that is unbounded.
     """
-    if poly._lattice is not None:
-        return poly._lattice
     bounds = coordinate_bounds(poly)
     if bounds is None:
-        poly._lattice = []
-        return []
-    ranges = []
-    size = 1
+        return None
+    out = []
     for j, (lo, hi) in enumerate(bounds):
         if lo is None or hi is None:
             raise InputError(f"polytope is unbounded in coordinate {j}")
         a, b = rat_ceil(lo), rat_floor(hi)
         if a > b:
-            poly._lattice = []
-            return []
-        ranges.append(range(a, b + 1))
-        size *= b - a + 1
-        if size > DEFAULT_LATTICE_BUDGET:
-            raise ResourceError("lattice enumeration budget",
-                                DEFAULT_LATTICE_BUDGET,
-                                f"bounding box holds {size}+ points")
+            return None
+        out.append((a, b))
+    return out
+
+
+def lattice_points(poly: Polytope) -> list:
+    """All integer points of a bounded polytope, lexicographically sorted.
+
+    Enumerates the polytope's ``integer_box``, so it raises ``InputError``
+    on unbounded input, and ``ResourceError`` when that box holds more than
+    ``DEFAULT_LATTICE_BUDGET`` points, read at call time.  The points are
+    cached on the polytope, so the cap applies to its first enumeration.
+    """
+    if poly._lattice is not None:
+        return poly._lattice
+    box = integer_box(poly)
+    if box is None:
+        poly._lattice = []
+        return []
+    size = math.prod(b - a + 1 for a, b in box)
+    if size > DEFAULT_LATTICE_BUDGET:
+        raise ResourceError("lattice enumeration budget",
+                            DEFAULT_LATTICE_BUDGET,
+                            f"bounding box holds {size} points")
+    ranges = [range(a, b + 1) for a, b in box]
     rows = poly.A
     rhs = poly.b
     d = poly.dim

@@ -39,10 +39,11 @@ from .geometry import (
     Polytope,
     box_polytope,
     coordinate_bounds,
+    integer_box,
     lattice_points,
 )
 from .ilp import IlpProblem, ilp_feasible
-from .rational import Rat, ONE, integer, rat_ceil, rat_floor, dot
+from .rational import Rat, ONE, integer, rat_ceil, dot
 from .structure import (
     Combination,
     StructureSet,
@@ -200,32 +201,6 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
 
 # ---------------------------------------------------------------------------
 # shared ILP plumbing
-
-
-def _check_y_bounds(target: Polytope, y_bounds) -> None:
-    if y_bounds is not None and len(y_bounds) != target.dim:
-        raise InputError(f"{len(y_bounds)} y_bounds for a target of "
-                         f"dimension {target.dim}")
-
-
-def _target_box(target: Polytope, y_bounds):
-    """Integer bounds for each target coordinate, honoring overrides."""
-    _check_y_bounds(target, y_bounds)
-    bounds = coordinate_bounds(target)
-    if bounds is None:
-        return None
-    out = []
-    for j, (lo, hi) in enumerate(bounds):
-        olo = ohi = None
-        if y_bounds is not None and y_bounds[j] is not None:
-            olo, ohi = y_bounds[j]
-        lo = lo if lo is not None else olo
-        hi = hi if hi is not None else ohi
-        if lo is None or hi is None:
-            raise InputError(
-                f"target unbounded in coordinate {j}; supply y_bounds")
-        out.append((rat_ceil(lo), rat_floor(hi)))
-    return out
 
 
 def _combination_rows(generators, target, box, extra_free=0,
@@ -391,15 +366,15 @@ class _Relaxation:
 
 def int_cone_intersect(source: Polytope, target: Polytope,
                        mode: str = "faithful",
-                       y_bounds: Optional[Sequence] = None,
                        structure: Optional[StructureSet] = None) -> IntConeResult:
     """Find a point of the target reachable as an integer combination.
 
     Searches for ``y = sum_x lambda_x x`` with non-negative integer weights
     over the source's lattice points and ``y`` inside the target, returning
     the witness combination (normalized: support at most ``2^{2d+1}``) or a
-    decisive Empty.  ``y_bounds`` supplies (lo, hi) pairs for target
-    coordinates the target rows leave unbounded.
+    decisive Empty.  The target must be bounded: its ``integer_box`` bounds
+    the program's sum, and an unbounded coordinate raises ``InputError``,
+    even when the target holds the origin.
 
     The rational relaxation over all generators is a prefilter: when it is
     infeasible the answer is Empty without an integer program.  Its
@@ -409,13 +384,12 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         raise InputError("source and target dimensions differ")
     if mode not in ("faithful", "joint"):
         raise InputError(f"unknown mode {mode!r}")
-    _check_y_bounds(target, y_bounds)
+    box = integer_box(target)
+    if box is None:
+        return IntConeResult(False, None, None, mode, 0)
     if target.contains_int((0,) * target.dim):
         return IntConeResult(True, (0,) * target.dim,
                              Combination(dim=source.dim), mode, 0)
-    box = _target_box(target, y_bounds)
-    if box is None or any(a > b for a, b in box):
-        return IntConeResult(False, None, None, mode, 0)
     lattice = lattice_points(source)
     generators = [p for p in lattice if any(v != 0 for v in p)]
     if not generators:
@@ -444,9 +418,9 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
     guesses = 0
     if mode == "faithful":
-        status, guesses, pairs, guess = _faithful_search(
-            sset, generators, target, box, relax)
-        if status == "found":
+        guesses, hit = _faithful_search(sset, generators, target, box, relax)
+        if hit is not None:
+            pairs, guess = hit
             return finish(pairs, "faithful", guesses, guess)
         # Exhausted or out of budget: either way the joint program below
         # settles the answer.  Guessed subsets span only the vertices of a
@@ -466,8 +440,9 @@ def _faithful_search(sset, generators, target, box, relax):
     Each guess is first checked by the probe's ``_Relaxation``, ``relax``;
     only a guess whose relaxation is feasible gets its integer program.
 
-    Returns (status, guesses, pairs, guess) where status is "found",
-    "exhausted" or "budget"; pairs and guess are set only on a hit.
+    Returns ``(guesses, hit)``, where ``hit`` is ``(pairs, guess)`` for the
+    first guess whose program is feasible, or None when the guesses run
+    out or pass ``DEFAULT_GUESS_BUDGET``.
     """
     d = sset.polytope.dim
     cover = sset.cover
@@ -475,8 +450,7 @@ def _faithful_search(sset, generators, target, box, relax):
     k_cap = 1 << (2 * d)
     genset = set(generators)
     source = sset.polytope
-    src_bounds = coordinate_bounds(source)
-    free_box = [(rat_ceil(lo), rat_floor(hi)) for lo, hi in src_bounds]
+    free_box = integer_box(source)
     guesses = 0
     for total in range(1, pp_cap + k_cap + 1):
         for size in range(0, min(total, pp_cap) + 1):
@@ -486,7 +460,7 @@ def _faithful_search(sset, generators, target, box, relax):
             for subset in _combinations(range(len(cover)), size):
                 guesses += 1
                 if guesses > DEFAULT_GUESS_BUDGET:
-                    return ("budget", guesses - 1, None, None)
+                    return guesses - 1, None
                 special = sorted({v for i in subset
                                   for v in cover[i].vertices()
                                   if v in genset})
@@ -498,8 +472,8 @@ def _faithful_search(sset, generators, target, box, relax):
                     special, target, box, extra_free=k, source=source,
                     free_box=free_box)
                 if pairs is not None:
-                    return ("found", guesses, pairs, (len(special), k))
-    return ("exhausted", guesses, None, None)
+                    return guesses, (pairs, (len(special), k))
+    return guesses, None
 
 
 def _joint_program(sset, generators, target, box):
@@ -597,10 +571,12 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     total cost must stay within ``budget``.  Implemented by coupling the
     parts into one lifted polytope with a cost coordinate and one selector
     coordinate per part, then intersecting its integer cone with
-    ``target x [0, budget] x (free selectors)``.  The lifted lattice is
-    assembled from the parts' lattices and the lifted target's bounds from
-    the target's, so no enumeration box spans the cost range, and costs
-    may be as large as their binary encoding allows.
+    ``target x [0, budget]^(1+n)``: the cost and each of the ``n``
+    selectors lie in ``[0, budget]``, so the lifted target is bounded
+    wherever the target is.  The lifted lattice is assembled from the
+    parts' lattices and the lifted target's bounds from the target's, so
+    no enumeration box spans the cost range, and costs may be as large as
+    their binary encoding allows.
     """
     n = len(parts)
     if n == 0:
@@ -618,19 +594,11 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     if budget < 0:
         return SelectResult(False, None)
 
-    part_bounds = []
-    for poly in polys:
-        bounds = coordinate_bounds(poly)
-        if bounds is None:
-            part_bounds.append(None)
-            continue
-        if any(lo is None or hi is None for lo, hi in bounds):
-            raise InputError("every part must be bounded")
-        part_bounds.append([(rat_ceil(lo), rat_floor(hi)) for lo, hi in bounds])
-    if all(b is None for b in part_bounds):
+    boxes = [box for box in map(integer_box, polys) if box is not None]
+    if not boxes:
         return SelectResult(False, None)
-    glo = [min(b[j][0] for b in part_bounds if b is not None) for j in range(d)]
-    ghi = [max(b[j][1] for b in part_bounds if b is not None) for j in range(d)]
+    glo = [min(box[j][0] for box in boxes) for j in range(d)]
+    ghi = [max(box[j][1] for box in boxes) for j in range(d)]
 
     D = d + 1 + n  # x coords, cost coord, selector coords
     rows, rhs = [], []
@@ -697,23 +665,15 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     target_bounds = coordinate_bounds(target)
     if target_bounds is None:
         return SelectResult(False, None)
-    t_rows, t_rhs = [], []
-    for q, qb in zip(target.A, target.b):
-        t_rows.append(pad(q, 0, None))
-        t_rhs.append(qb)
-    t_rows.append(pad(None, 1, None))
-    t_rhs.append(budget)
-    t_rows.append(pad(None, -1, None))
-    t_rhs.append(0)
-    lifted_target = Polytope(t_rows, t_rhs)
-    # the target, cost and selector blocks share no row, so these are the
-    # LP bounds
-    lifted_target._bounds = (list(target_bounds) + [(Rat(0), Rat(budget))]
-                             + [(None, None)] * n)
+    # the cost and every selector lie in [0, budget]
+    spend = box_polytope([0] * (1 + n), [budget] * (1 + n))
+    lifted_target = Polytope(
+        [pad(q) for q in target.A] + [[0] * d + list(r) for r in spend.A],
+        target.b + spend.b)
+    # the two blocks share no row, so these are the LP bounds
+    lifted_target._bounds = list(target_bounds) + coordinate_bounds(spend)
 
-    y_bounds = [None] * d + [None] + [(0, budget)] * n
-    res = int_cone_intersect(lifted, lifted_target, mode=mode,
-                             y_bounds=y_bounds)
+    res = int_cone_intersect(lifted, lifted_target, mode=mode)
     if not res.found:
         return SelectResult(False, None)
     picks = []
@@ -745,8 +705,8 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
     d = target.dim
-    box = _target_box(target, None)
-    if box is None or any(a > b for a, b in box):
+    box = integer_box(target)
+    if box is None:
         return SelectResult(False, None)
     if budget < 0:
         return SelectResult(False, None)
@@ -763,8 +723,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
             tagged.append((i, pt))
     if not tagged:
         # the empty sum is the only reachable point
-        if target.contains_int((0,) * d) and \
-                all(lo <= 0 <= hi for lo, hi in box):
+        if target.contains_int((0,) * d):
             return _selection([], costs, target, budget)
         return SelectResult(False, None)
     owners = [i for i, _pt in tagged]

@@ -17,6 +17,7 @@ from conepack.geometry import (
     coordinate_bounds,
     extreme_points,
     in_convex_hull,
+    integer_box,
     integer_hull_vertices,
     lattice_points,
     mvee_contact_points,
@@ -25,7 +26,7 @@ from conepack.geometry import (
     polytope_to_text,
     slack_interval_index,
 )
-from conepack.rational import Rat, rat
+from conepack.rational import Rat, rat, rat_ceil, rat_floor
 
 from genutil import rand_bounded_polytope
 
@@ -113,6 +114,75 @@ class TestCoordinateBounds:
     def test_empty_box_has_no_bounds(self):
         assert coordinate_bounds(box_polytope([2], [1])) is None
         assert coordinate_bounds(box_polytope([0, 2], [3, 1])) is None
+
+
+class TestIntegerBox:
+    @staticmethod
+    def fresh_box(poly):
+        """Reference: fresh ``coordinate_bounds`` rounded inward, or
+        "unbounded"."""
+        bounds = coordinate_bounds(Polytope(poly.A, poly.b))
+        if bounds is None:
+            return None
+        if any(None in side for side in bounds):
+            return "unbounded"
+        box = [(rat_ceil(lo), rat_floor(hi)) for lo, hi in bounds]
+        return None if any(a > b for a, b in box) else box
+
+    def box_or_unbounded(self, poly):
+        try:
+            return integer_box(poly)
+        except InputError:
+            return "unbounded"
+
+    def test_matches_rounded_fresh_bounds(self):
+        rng = random.Random(1313)
+        kinds = {"none": 0, "unbounded": 0, "box": 0}
+        for _ in range(200):
+            d = rng.randint(1, 3)
+            m = rng.randint(1, 3 * d + 3)
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+            rhs = [rng.randint(-3, 9) for _ in range(m)]
+            poly = Polytope(rows, rhs)
+            expected = self.fresh_box(poly)
+            assert self.box_or_unbounded(poly) == expected
+            kinds["box" if isinstance(expected, list) else
+                  "none" if expected is None else expected] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_seeded_boxes_match_rounded_fresh_bounds(self):
+        rng = random.Random(1314)
+        for _ in range(50):
+            d = rng.randint(1, 4)
+            lo = [rng.randint(-5, 5) for _ in range(d)]
+            hi = [a + rng.randint(-1, 4) for a in lo]
+            box = box_polytope(lo, hi)
+            assert integer_box(box) == self.fresh_box(box)
+
+    def test_no_integer_in_a_range(self):
+        third = Polytope([[3], [-3]], [2, -1])  # 1/3 <= x <= 2/3
+        assert coordinate_bounds(third) == [(rat(1, 3), rat(2, 3))]
+        assert integer_box(third) is None
+        assert lattice_points(third) == []
+
+    def test_empty_polytope(self):
+        assert integer_box(Polytope([[1], [-1]], [0, -1])) is None
+        assert integer_box(box_polytope([0, 2], [3, 1])) is None
+
+    def test_names_the_unbounded_coordinate(self):
+        # 0 <= x <= 2 and y >= x: bounded in x, not in y
+        poly = Polytope([[1, 0], [-1, 0], [1, -1]], [2, 0, 0])
+        with pytest.raises(InputError, match="unbounded in coordinate 1"):
+            integer_box(poly)
+
+    def test_box_polytope_solves_no_lp(self, monkeypatch):
+        box = box_polytope([-1, 0], [2, 3])
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solved an LP for a seeded box")
+
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        assert integer_box(box) == [(-1, 2), (0, 3)]
 
 
 class TestLatticePoints:

@@ -11,10 +11,12 @@ from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack import solver
 from conepack.exactmath import ExactLp
-from conepack.geometry import Polytope, lattice_points
+from conepack.geometry import (Polytope, coordinate_bounds, integer_box,
+                               lattice_points)
 from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
 from conepack.rational import Rat
+from conepack.scheduling import SchedulingInstance, preemptive_assign
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              PackingSolution, bin_packing,
                              configuration_window, cutting_stock,
@@ -154,18 +156,13 @@ class TestIntConeIntersect:
         ray = Polytope([[-1]], [-3])  # x >= 3, no upper bound
         with pytest.raises(InputError):
             int_cone_intersect(src, ray)
-        res = int_cone_intersect(src, ray, y_bounds=[(3, 10)])
-        assert res.found and res.target[0] >= 3
 
-    @pytest.mark.parametrize("y_bounds", [[], [(3, 10), (0, 1)]])
-    def test_y_bounds_must_match_the_target_dimension(self, y_bounds):
-        ray = Polytope([[-1]], [-3])
-        with pytest.raises(InputError):
-            int_cone_intersect(segment(1, 2), ray, y_bounds=y_bounds)
-        # checked before the shortcut for a target holding the origin
-        with pytest.raises(InputError):
-            int_cone_intersect(segment(1, 2), segment(0, 3),
-                               y_bounds=y_bounds)
+    def test_unbounded_target_holding_the_origin_is_rejected(self):
+        # checked before the shortcut for a target holding the origin, as
+        # select_from_generators does
+        ray = Polytope([[-1]], [0])  # x >= 0, no upper bound
+        with pytest.raises(InputError, match="unbounded in coordinate 0"):
+            int_cone_intersect(segment(1, 2), ray)
 
 
 def fresh_relaxation(special, k, target, box, source):
@@ -203,8 +200,8 @@ class TestRelaxation:
         verdicts = []  # (free points, last verdict on that tableau, verdict)
         for _ in range(120):
             source, target, gens = self.case(rng)
-            box = solver._target_box(target, None)
-            if box is None or any(a > b for a, b in box):
+            box = integer_box(target)
+            if box is None:
                 continue
             relax = solver._Relaxation(gens, target, box, source)
             last = {}
@@ -578,6 +575,17 @@ class TestMultiPolytopeSelect:
                                     singleton_target([1]), -1)
         assert not res.found
 
+    def test_unbounded_part_is_rejected(self):
+        ray = Polytope([[-1]], [0])  # x >= 0, no upper bound
+        with pytest.raises(InputError, match="unbounded"):
+            multi_polytope_select([(singleton_target([1]), 1), (ray, 1)],
+                                  singleton_target([2]), 3)
+
+    def test_unbounded_target_is_rejected(self):
+        ray = Polytope([[-1]], [-1])  # x >= 1, no upper bound
+        with pytest.raises(InputError, match="unbounded in coordinate 0"):
+            multi_polytope_select([(singleton_target([1]), 1)], ray, 3)
+
 
 class TestSelectFromGenerators:
     def test_basic_choice(self):
@@ -644,6 +652,39 @@ def _seeded_selections():
     return out
 
 
+def test_lifted_targets_seed_their_lp_bounds(monkeypatch):
+    # the target's rows and the [0, budget] box of the cost and selector
+    # coordinates share no row, so the bounds seeded side by side are the
+    # lifted target's LP bounds
+    targets = []
+    inner = solver.int_cone_intersect
+
+    def recording(source, target, **kwargs):
+        targets.append(target)
+        return inner(source, target, **kwargs)
+
+    monkeypatch.setattr(solver, "int_cone_intersect", recording)
+    _seeded_selections()
+    assert len(targets) == 10
+    # a target that is not a box: its own bounds come from an LP
+    corner = Polytope([[1, 1], [-1, 0], [0, -1]], [5, -2, -1])
+    parts = [(box_polytope([0, 0], [2, 1]), 1),
+             (box_polytope([0, 0], [1, 3]), 2)]
+    assert multi_polytope_select(parts, corner, 6).found
+    for sizes, mult, types in [
+            ([Rat(1, 2)], [2], [(Rat(1), 3), (Rat(1, 2), 2)]),
+            ([Rat(1, 3), Rat(1, 4)], [2, 3], [(Rat(1), 5), (Rat(1, 2), 3)]),
+            ([Rat(2, 5), Rat(1, 3)], [3, 2], [(Rat(1), 2), (Rat(2, 3), 1)])]:
+        cutting_stock(CuttingStockInstance(sizes, mult, types))
+    preemptive_assign(SchedulingInstance(
+        [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
+        costs=[3, 2], variant="preemptive"))
+    assert len(targets) > 15
+    for t in targets:
+        assert t._bounds is not None
+        assert t._bounds == coordinate_bounds(Polytope(t.A, t.b))
+
+
 def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     # Bland's rule pivots by row index, so the integer programs are pinned
     # row for row, and the witnesses they yield with them.
@@ -661,7 +702,7 @@ def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     def digest(value):
         return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
-    assert digest(programs) == "fa016dbdac8fedae"
+    assert digest(programs) == "655b23dcf7a08cfa"
     assert digest(results) == "6717902405867f73"
 
 
