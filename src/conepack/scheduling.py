@@ -724,7 +724,7 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
         return select_from_generators(groups, list(inst.costs), target,
                                       budget)
 
-    best, _opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
+    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -737,6 +737,8 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
                 placed[j] += mult * vec[j]
     if tuple(placed) != a:
         raise InternalError("assignment does not meet the demand")
+    if best.total_cost != opt:
+        raise InternalError("objective drifted from the binary search bound")
     return ScheduleSolution(tuple(machines), best.total_cost)
 
 

@@ -16,7 +16,7 @@ of a polytope's lattice points lands in a target polytope, in two modes:
 ``bin_packing`` lifts patterns by a unit coordinate that counts bins;
 ``cutting_stock`` and the machine-assignment problems reduce to
 ``multi_polytope_select``, which couples several candidate polytopes with
-selector and cost coordinates into one lifted intersection problem.  Every
+one selector coordinate each into one lifted intersection problem.  Every
 optimiser, here and in ``scheduling``, finds its objective with
 ``least_feasible``: a bisection that asks one such intersection question
 per probed bound.  The four covering searches (bin packing, cutting stock
@@ -203,13 +203,12 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
 # shared ILP plumbing
 
 
-def _combination_rows(generators, target, box, extra_free=0,
-                      source=None):
+def _combination_rows(generators, target, extra_free=0, source=None):
     """Rows of 'sum of weighted generators (+ free points) lies in target'.
 
     Variables: one weight per generator, then ``extra_free`` blocks of
     ``d`` coordinates each (free lattice points of ``source``).  Equality
-    targets are expressed through the target rows themselves plus the box.
+    targets are expressed through the target rows themselves.
     """
     d = target.dim
     n = len(generators)
@@ -219,7 +218,7 @@ def _combination_rows(generators, target, box, extra_free=0,
 
     def sum_coeffs(q):
         # coefficients of q . (sum lambda_g g + sum w_t) over all variables;
-        # target and box rows are mostly unit rows, so skip q's zeros
+        # target rows are mostly unit rows, so skip q's zeros
         coeff = [0] * n
         for qi, column in zip(q, columns):
             if qi:
@@ -231,14 +230,6 @@ def _combination_rows(generators, target, box, extra_free=0,
     for q, qb in zip(target.A, target.b):
         rows.append(sum_coeffs(q))
         rhs.append(qb)
-    for j, (lo, hi) in enumerate(box):
-        unit = [0] * d
-        unit[j] = 1
-        coeff = sum_coeffs(unit)
-        rows.append(coeff)
-        rhs.append(hi)
-        rows.append([-v for v in coeff])
-        rhs.append(-lo)
     if extra_free:
         if source is None:
             raise InternalError("free points need their source polytope")
@@ -253,9 +244,8 @@ def _combination_rows(generators, target, box, extra_free=0,
     return rows, rhs
 
 
-def _run_combination_ilp(generators, target, box, gen_hi=None,
-                         extra_free=0, source=None, free_box=None,
-                         cap=None):
+def _run_combination_ilp(generators, target, gen_hi=None, extra_free=0,
+                         source=None, free_box=None, cap=None):
     """Solve for generator weights (and free points); None when infeasible.
 
     ``cap`` is an optional row ``(coefficients, bound)`` on the generator
@@ -265,7 +255,7 @@ def _run_combination_ilp(generators, target, box, gen_hi=None,
     """
     n = len(generators)
     d = target.dim
-    rows, rhs = _combination_rows(generators, target, box,
+    rows, rhs = _combination_rows(generators, target,
                                   extra_free=extra_free, source=source)
     lo = [0] * n
     hi = list(gen_hi) if gen_hi is not None else [None] * n
@@ -296,9 +286,9 @@ class _Relaxation:
 
     ``feasible(special, k)`` decides whether non-negative rational weights
     on ``special``, a subset of ``generators``, plus ``k`` free points of
-    ``source`` can reach the target within ``box``.  Two tableaux over all
-    the generators answer every call; each is built on first use from
-    ``_combination_rows`` and then only has variable bounds moved.
+    ``source`` can reach the target.  Two tableaux over all the generators
+    answer every call; each is built on first use from ``_combination_rows``
+    and then only has variable bounds moved.
 
     * ``k == 0``: one weight column per generator.
     * ``k > 0``: the generator columns, one free point ``w`` and its count
@@ -313,14 +303,12 @@ class _Relaxation:
     Empty, and each tableau keeps the infeasibility proof of every Empty
     verdict (``ExactLp``).  A proof ``phi . x <= c`` still refutes a later
     guess that switches on no generator with a negative coefficient in
-    ``phi``, and such a guess is answered without a pivot.  A row that
-    repeats an earlier one exactly, right-hand side included, is dropped;
-    a box target's rows repeat the box.
+    ``phi``, and such a guess is answered without a pivot.
     """
 
-    def __init__(self, generators, target, box, source):
+    def __init__(self, generators, target, source):
         self._generators = generators
-        self._target, self._box, self._source = target, box, source
+        self._target, self._source = target, source
         self._column = {g: i for i, g in enumerate(generators)}
         self._lps = {}   # free points or not -> tableau
         self._on = {}    # free points or not -> generator columns switched on
@@ -329,7 +317,7 @@ class _Relaxation:
     def _build(self, free):
         n = len(self._generators)
         rows, rhs = _combination_rows(self._generators, self._target,
-                                      self._box, extra_free=int(free),
+                                      extra_free=int(free),
                                       source=self._source)
         lo = [0] * n
         if free:
@@ -338,9 +326,7 @@ class _Relaxation:
                 [row + [-b] for row, b in zip(rows[-m:], self._source.b)]
             rhs = rhs[:-m] + [0] * m
             lo += [None] * (self._target.dim + 1)
-        unique = dict.fromkeys(zip(map(tuple, rows), rhs))
-        self._lps[free] = ExactLp([row for row, _b in unique],
-                                  [b for _row, b in unique], lo=lo)
+        self._lps[free] = ExactLp(rows, rhs, lo=lo)
         self._on[free] = set(range(n))
 
     def feasible(self, special, k=0):
@@ -372,9 +358,9 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     Searches for ``y = sum_x lambda_x x`` with non-negative integer weights
     over the source's lattice points and ``y`` inside the target, returning
     the witness combination (normalized: support at most ``2^{2d+1}``) or a
-    decisive Empty.  The target must be bounded: its ``integer_box`` bounds
-    the program's sum, and an unbounded coordinate raises ``InputError``,
-    even when the target holds the origin.
+    decisive Empty.  The target must be bounded, since its rows bound the
+    program's sum: ``integer_box`` raises ``InputError`` at an unbounded
+    coordinate, even when the target holds the origin.
 
     The rational relaxation over all generators is a prefilter: when it is
     infeasible the answer is Empty without an integer program.  Its
@@ -384,8 +370,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         raise InputError("source and target dimensions differ")
     if mode not in ("faithful", "joint"):
         raise InputError(f"unknown mode {mode!r}")
-    box = integer_box(target)
-    if box is None:
+    if integer_box(target) is None:
         return IntConeResult(False, None, None, mode, 0)
     if target.contains_int((0,) * target.dim):
         return IntConeResult(True, (0,) * target.dim,
@@ -394,7 +379,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     generators = [p for p in lattice if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
-    relax = _Relaxation(generators, target, box, source)
+    relax = _Relaxation(generators, target, source)
     if not relax.feasible(generators):
         return IntConeResult(False, None, None, mode, 0)
     sset = structure if structure is not None \
@@ -418,7 +403,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
     guesses = 0
     if mode == "faithful":
-        guesses, hit = _faithful_search(sset, generators, target, box, relax)
+        guesses, hit = _faithful_search(sset, generators, target, relax)
         if hit is not None:
             pairs, guess = hit
             return finish(pairs, "faithful", guesses, guess)
@@ -428,13 +413,13 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         # vertices outside every such span, so exhaustion alone cannot
         # certify Empty.
 
-    pairs = _joint_program(sset, generators, target, box)
+    pairs = _joint_program(sset, generators, target)
     if pairs is None:
         return IntConeResult(False, None, None, "joint", guesses)
     return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, box, relax):
+def _faithful_search(sset, generators, target, relax):
     """Guess-driven search.
 
     Each guess is first checked by the probe's ``_Relaxation``, ``relax``;
@@ -469,14 +454,14 @@ def _faithful_search(sset, generators, target, box, relax):
                 if not relax.feasible(special, k):
                     continue
                 pairs = _run_combination_ilp(
-                    special, target, box, extra_free=k, source=source,
+                    special, target, extra_free=k, source=source,
                     free_box=free_box)
                 if pairs is not None:
                     return guesses, (pairs, (len(special), k))
     return guesses, None
 
 
-def _joint_program(sset, generators, target, box):
+def _joint_program(sset, generators, target):
     """One decisive program over all generators.
 
     Cover vertices get unbounded integer weights; every other lattice point
@@ -486,7 +471,7 @@ def _joint_program(sset, generators, target, box):
     special = sset.special_set
     gens = sorted(generators)
     hi = [None if g in special else 1 for g in gens]
-    return _run_combination_ilp(gens, target, box, gen_hi=hi)
+    return _run_combination_ilp(gens, target, gen_hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +554,16 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     ``parts`` is a list of (Polytope over the target's dimension, positive
     integer cost); a copy of a lattice point of part i costs ``c_i`` and the
     total cost must stay within ``budget``.  Implemented by coupling the
-    parts into one lifted polytope with a cost coordinate and one selector
-    coordinate per part, then intersecting its integer cone with
-    ``target x [0, budget]^(1+n)``: the cost and each of the ``n``
-    selectors lie in ``[0, budget]``, so the lifted target is bounded
-    wherever the target is.  The lifted lattice is assembled from the
-    parts' lattices and the lifted target's bounds from the target's, so
-    no enumeration box spans the cost range, and costs may be as large as
-    their binary encoding allows.
+    parts into one lifted polytope with one selector coordinate per part,
+    whose integer points are ``(x, e_i)`` for x in part i, then intersecting
+    its integer cone with ``target x {s >= 0 : c . s <= budget}``: the
+    selectors of a combination count its copies from each part, so
+    ``c . s`` is its cost, and the lifted target is bounded wherever the
+    target is.  The lifted lattice is assembled from the parts' lattices
+    and the lifted target's bounds from the target's, so no enumeration box
+    spans the budget, and costs may be as large as their binary encoding
+    allows.  When no part holds a lattice point, the empty selection is
+    the only one, as in ``select_from_generators``.
     """
     n = len(parts)
     if n == 0:
@@ -595,96 +582,55 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
         return SelectResult(False, None)
 
     boxes = [box for box in map(integer_box, polys) if box is not None]
+    if integer_box(target) is None:
+        return SelectResult(False, None)
     if not boxes:
+        # the empty sum is the only reachable point
+        if target.contains_int((0,) * d):
+            return _selection([], costs, target, budget)
         return SelectResult(False, None)
     glo = [min(box[j][0] for box in boxes) for j in range(d)]
     ghi = [max(box[j][1] for box in boxes) for j in range(d)]
 
-    D = d + 1 + n  # x coords, cost coord, selector coords
+    selectors = [tuple(int(i == t) for t in range(n)) for i in range(n)]
     rows, rhs = [], []
-
-    def pad(row_x=None, cost=0, sel=None):
-        row = list(row_x) if row_x is not None else [0] * d
-        row.append(cost)
-        row.extend(sel if sel is not None else [0] * n)
-        return row
-
-    cmax = max(costs)
-    for i, poly in enumerate(polys):
+    for e, poly in zip(selectors, polys):
         for a_row, b in zip(poly.A, poly.b):
             # a.x <= b + M(1 - z_i), with M the worst violation on the box
             worst = sum(v * (ghi[j] if v > 0 else glo[j])
                         for j, v in enumerate(a_row))
             M = max(0, worst - b)
-            sel = [0] * n
-            sel[i] = M
-            rows.append(pad(a_row, 0, sel))
+            rows.append(list(a_row) + [M * v for v in e])
             rhs.append(b + M)
-        # cost coordinate pinned to c_i when z_i = 1:
-        # sign=+1 relaxes to the global cap, sign=-1 to the global floor
-        for sign in (1, -1):
-            bound = cmax if sign > 0 else 0
-            gap = (bound - costs[i]) if sign > 0 else (costs[i] - bound)
-            sel = [0] * n
-            sel[i] = gap
-            row = pad(None, sign, sel)
-            rows.append(row)
-            rhs.append(sign * costs[i] + gap)
-    # exactly one selector on, each in [0,1]
-    rows.append(pad(None, 0, [1] * n))
-    rhs.append(1)
-    rows.append(pad(None, 0, [-1] * n))
-    rhs.append(-1)
-    for i in range(n):
-        sel = [0] * n
-        sel[i] = 1
-        rows.append(pad(None, 0, sel))
-        rhs.append(1)
-        rows.append(pad(None, 0, [-v for v in sel]))
-        rhs.append(0)
-    # global box keeps the lift bounded
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = 1
-        rows.append(pad(unit, 0, None))
-        rhs.append(ghi[j])
-        rows.append(pad([-v for v in unit], 0, None))
-        rhs.append(-glo[j])
-    rows.append(pad(None, 1, None))
-    rhs.append(cmax)
-    rows.append(pad(None, -1, None))
-    rhs.append(0)
-    lifted = Polytope(rows, rhs)
-    # its integer points are exactly (x, c_i, e_i) for x in part i: the one
-    # selector on pins the cost, and M relaxes the other parts' rows on the
-    # box; the enumeration box would hold the whole cost range instead
-    lifted._lattice = sorted(
-        x + (costs[i],) + tuple(int(i == t) for t in range(n))
-        for i, poly in enumerate(polys) for x in lattice_points(poly))
+    # exactly one selector on, each non-negative
+    zeros = [0] * d
+    rows += [zeros + [1] * n, zeros + [-1] * n]
+    rhs += [1, -1]
+    negated = [zeros + [-v for v in e] for e in selectors]
+    lifted = Polytope(rows + negated, rhs + [0] * n)
+    # its integer points are exactly (x, e_i) for x in part i: the one
+    # selector on keeps part i's rows, and M relaxes the other parts' rows
+    # on the box, which holds every part's lattice
+    lifted._lattice = sorted(x + e for e, poly in zip(selectors, polys)
+                             for x in lattice_points(poly))
 
-    target_bounds = coordinate_bounds(target)
-    if target_bounds is None:
-        return SelectResult(False, None)
-    # the cost and every selector lie in [0, budget]
-    spend = box_polytope([0] * (1 + n), [budget] * (1 + n))
+    # a combination's selectors count its copies from each part
     lifted_target = Polytope(
-        [pad(q) for q in target.A] + [[0] * d + list(r) for r in spend.A],
-        target.b + spend.b)
-    # the two blocks share no row, so these are the LP bounds
-    lifted_target._bounds = list(target_bounds) + coordinate_bounds(spend)
+        [list(q) + [0] * n for q in target.A] + [zeros + costs] + negated,
+        target.b + (budget,) + (0,) * n)
+    # the blocks share no coordinate, so these are the LP bounds
+    lifted_target._bounds = coordinate_bounds(target) + [
+        (Rat(0), Rat(budget, c)) for c in costs]
 
     res = int_cone_intersect(lifted, lifted_target, mode=mode)
     if not res.found:
         return SelectResult(False, None)
     picks = []
     for point, w in res.combination.weights.items():
-        x, gamma = point[:d], point[d]
-        sel = point[d + 1:]
-        if sum(sel) != 1 or any(v not in (0, 1) for v in sel):
+        x, sel = point[:d], point[d:]
+        if sel not in selectors:
             raise InternalError(f"lifted point {point} has a broken selector")
-        i = sel.index(1)
-        if gamma != costs[i]:
-            raise InternalError(f"lifted point {point} mislabels its cost")
+        i = selectors.index(sel)
         if not polys[i].contains_int(x):
             raise InternalError(f"pattern {x} escapes part {i}")
         picks.append((i, x, w))
@@ -705,8 +651,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
     d = target.dim
-    box = integer_box(target)
-    if box is None:
+    if integer_box(target) is None:
         return SelectResult(False, None)
     if budget < 0:
         return SelectResult(False, None)
@@ -727,7 +672,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
             return _selection([], costs, target, budget)
         return SelectResult(False, None)
     owners = [i for i, _pt in tagged]
-    pairs = _run_combination_ilp([pt for _i, pt in tagged], target, box,
+    pairs = _run_combination_ilp([pt for _i, pt in tagged], target,
                                  cap=([costs[i] for i in owners], budget))
     if pairs is None:
         return SelectResult(False, None)

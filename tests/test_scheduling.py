@@ -7,7 +7,7 @@ import pytest
 
 from conepack import scheduling
 from conepack.budget import limit
-from conepack.errors import InfeasibleError, InputError
+from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
 from conepack.rational import Rat
 from conepack.solver import multi_polytope_select
@@ -301,6 +301,18 @@ class TestNonpreemptiveAssign:
         inst = SchedulingInstance([[(0, 2, 5)]], [1], costs=[1],
                                   variant="nonpreemptive")
         with pytest.raises(InfeasibleError):
+            nonpreemptive_assign(inst)
+
+    def test_objective_must_match_the_search(self, monkeypatch):
+        inner = scheduling.least_feasible
+
+        def drifting(*args):
+            best, opt = inner(*args)
+            return best, opt - 1
+
+        monkeypatch.setattr(scheduling, "least_feasible", drifting)
+        inst = SchedulingInstance([[(0, 6, 2), (0, 6, 3)]], [1, 1], costs=[2])
+        with pytest.raises(InternalError, match="objective drifted"):
             nonpreemptive_assign(inst)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
-from conepack import solver
+from conepack import scheduling, solver
 from conepack.exactmath import ExactLp
 from conepack.geometry import (Polytope, coordinate_bounds, integer_box,
                                lattice_points)
@@ -165,9 +166,9 @@ class TestIntConeIntersect:
             int_cone_intersect(segment(1, 2), ray)
 
 
-def fresh_relaxation(special, k, target, box, source):
+def fresh_relaxation(special, k, target, source):
     """Reference: a fresh LP over ``special`` and ``k`` free blocks."""
-    rows, rhs = solver._combination_rows(special, target, box, extra_free=k,
+    rows, rhs = solver._combination_rows(special, target, extra_free=k,
                                          source=source)
     lo = [0] * len(special) + [None] * (k * target.dim)
     return ExactLp(rows, rhs, lo=lo).find_feasible()
@@ -200,10 +201,9 @@ class TestRelaxation:
         verdicts = []  # (free points, last verdict on that tableau, verdict)
         for _ in range(120):
             source, target, gens = self.case(rng)
-            box = integer_box(target)
-            if box is None:
+            if integer_box(target) is None:
                 continue
-            relax = solver._Relaxation(gens, target, box, source)
+            relax = solver._Relaxation(gens, target, source)
             last = {}
             for _ in range(rng.randint(2, 10)):
                 if rng.random() < 0.1:
@@ -213,7 +213,7 @@ class TestRelaxation:
                         gens, rng.randint(0, min(4, len(gens)))))
                 k = rng.randint(0, 3)
                 got = relax.feasible(special, k)
-                assert got == fresh_relaxation(special, k, target, box,
+                assert got == fresh_relaxation(special, k, target,
                                                source), (special, k)
                 free = k > 0
                 if free in last:
@@ -586,6 +586,21 @@ class TestMultiPolytopeSelect:
         with pytest.raises(InputError, match="unbounded in coordinate 0"):
             multi_polytope_select([(singleton_target([1]), 1)], ray, 3)
 
+    # as select_from_generators with empty groups: the empty sum is the only
+    # reachable point, and the target is checked before that shortcut
+    def test_parts_without_lattice_points_reach_the_origin(self):
+        empty = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
+        res = multi_polytope_select([(empty, 1)], box_polytope([0], [0]), 5)
+        assert res.found and res.total_cost == 0
+        assert res.target == (0,)
+        assert [c.weights for c in res.part_combinations] == [{}]
+
+    def test_parts_without_lattice_points_check_the_target(self):
+        empty = Polytope([[1], [-1]], [0, -1])
+        ray = Polytope([[-1]], [0])  # x >= 0, no upper bound
+        with pytest.raises(InputError, match="unbounded in coordinate 0"):
+            multi_polytope_select([(empty, 1)], ray, 5)
+
 
 class TestSelectFromGenerators:
     def test_basic_choice(self):
@@ -652,20 +667,26 @@ def _seeded_selections():
     return out
 
 
-def test_lifted_targets_seed_their_lp_bounds(monkeypatch):
-    # the target's rows and the [0, budget] box of the cost and selector
-    # coordinates share no row, so the bounds seeded side by side are the
-    # lifted target's LP bounds
-    targets = []
-    inner = solver.int_cone_intersect
+def _recorded_lifts(monkeypatch):
+    """``(lift, lifted target, number of parts)`` of ten seeded selections,
+    a target that is not a box, three cutting-stock instances and one
+    preemptive assignment."""
+    lifts, parts_count = [], []
+    inner, select = solver.int_cone_intersect, solver.multi_polytope_select
 
     def recording(source, target, **kwargs):
-        targets.append(target)
+        lifts.append((source, target, parts_count[-1]))
         return inner(source, target, **kwargs)
 
+    def counting(parts, *args, **kwargs):
+        parts_count.append(len(parts))
+        return select(parts, *args, **kwargs)
+
     monkeypatch.setattr(solver, "int_cone_intersect", recording)
+    for module in (solver, scheduling, sys.modules[__name__]):
+        monkeypatch.setattr(module, "multi_polytope_select", counting)
     _seeded_selections()
-    assert len(targets) == 10
+    assert len(lifts) == 10
     # a target that is not a box: its own bounds come from an LP
     corner = Polytope([[1, 1], [-1, 0], [0, -1]], [5, -2, -1])
     parts = [(box_polytope([0, 0], [2, 1]), 1),
@@ -679,10 +700,26 @@ def test_lifted_targets_seed_their_lp_bounds(monkeypatch):
     preemptive_assign(SchedulingInstance(
         [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
         costs=[3, 2], variant="preemptive"))
-    assert len(targets) > 15
-    for t in targets:
+    assert len(lifts) > 15
+    return lifts
+
+
+def test_lifted_targets_seed_their_lp_bounds(monkeypatch):
+    # the target's rows and the spend rows c . s <= budget, s >= 0 of the
+    # selector coordinates share no coordinate, so the bounds seeded side
+    # by side are the lifted target's LP bounds
+    for _lift, t, _n in _recorded_lifts(monkeypatch):
         assert t._bounds is not None
         assert t._bounds == coordinate_bounds(Polytope(t.A, t.b))
+
+
+def test_lifts_seed_their_lattice(monkeypatch):
+    # the seeded lattice is the lift's own, one selector on per point, so
+    # the rows the lift leaves out were implied
+    for lift, _t, n in _recorded_lifts(monkeypatch):
+        assert lift._lattice == lattice_points(Polytope(lift.A, lift.b))
+        for point in lift._lattice:
+            assert sorted(point[-n:]) == [0] * (n - 1) + [1]
 
 
 def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
@@ -697,12 +734,12 @@ def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     monkeypatch.setattr(solver, "ilp_feasible", recording)
     results = _seeded_selections()
     assert sum(found for found, *_ in results) == 18
-    assert len(programs) == 55
+    assert len(programs) == 28
 
     def digest(value):
         return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
-    assert digest(programs) == "655b23dcf7a08cfa"
+    assert digest(programs) == "c74e0582aa9ce464"
     assert digest(results) == "6717902405867f73"
 
 
