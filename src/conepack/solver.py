@@ -5,9 +5,10 @@ of a polytope's lattice points lands in a target polytope, in two modes:
 
 * ``faithful``: guess a small set of cover parallelepipeds (their vertices
   may carry arbitrary weights) plus a handful of free lattice points, and
-  solve one small integer program per guess, cheapest guesses first.  A
-  hit is returned immediately; otherwise the joint program settles the
-  answer.
+  solve one small integer program per guess.  The lead guess is the cover
+  elements that hold the support of the rational prefilter's point, with
+  no free points; then come the cheapest guesses first.  A hit is
+  returned immediately; otherwise the joint program settles the answer.
 * ``joint``: one integer program with a weight variable per cover vertex
   and a 0/1 variable per remaining lattice point.  Decisive in both
   directions because every solvable target admits a witness of exactly
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations as _combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError
@@ -115,9 +117,10 @@ class CuttingStockInstance:
 class PackingSolution:
     """Patterns with bin types and multiplicities, plus the exact objective.
 
-    ``guess_record`` documents how the witness was found: a tuple of the
-    special-point subset size and the number of free points for the
-    faithful mode, or None for the joint mode.
+    ``guess_record`` documents how the witness was found: for the faithful
+    mode a tuple of the number of special points guessed and the number of
+    free points (the lead guess has none, and its special points may span
+    more than ``2^d`` cover elements), or None for the joint mode.
     """
 
     patterns: tuple            # ((pattern, bin_type_index, multiplicity), ...)
@@ -177,8 +180,9 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     ``parts`` lists ``(points, cost)``: the non-negative integer points of
     a down-closed set (patterns, schedulable vectors) and the cost of one
     copy.  Solves min sum c_p l_p subject to sum l_p p = a and l >= 0
-    (Gilmore & Gomory 1961).  Every exact cover of ``a`` is a solution, so
-    ``lo`` is the optimum rounded up.  A basic optimum has at most
+    (Gilmore & Gomory 1961).  Every exact cover of ``a`` is a solution
+    whose cost is a multiple of the costs' gcd, so ``lo`` is the optimum
+    rounded up to such a multiple.  A basic optimum has at most
     ``len(a)`` non-zero weights; rounding each up covers at least ``a``,
     and down-closure trims that to exactly ``a``.  So ``hi = sum c_p
     ceil(l_p)`` is the cost of a cover, and ``hi - lo < len(a) * max c``.
@@ -196,7 +200,8 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
         raise InfeasibleError("no combination of the parts meets the demand")
     _status, value = lp.optimize(costs, sense="min")
     hi = sum(c * rat_ceil(w) for c, w in zip(costs, lp.values()))
-    return rat_ceil(value), hi
+    g = gcd(*costs) or 1  # no columns, or only costless ones
+    return -(-rat_ceil(value) // g) * g, hi
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +350,12 @@ class _Relaxation:
             self._count = k
         return lp.find_feasible()
 
+    def support(self):
+        """The generators weighted at the point of the last feasible verdict
+        without free points; a basic point has at most one per row."""
+        weights = self._lps[False].values()
+        return [g for g, w in zip(self._generators, weights) if w]
+
 
 # ---------------------------------------------------------------------------
 # the intersection solver
@@ -422,12 +433,17 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 def _faithful_search(sset, generators, target, relax):
     """Guess-driven search.
 
-    Each guess is first checked by the probe's ``_Relaxation``, ``relax``;
-    only a guess whose relaxation is feasible gets its integer program.
+    The lead guess holds the cover elements of the prefilter's support,
+    ``relax.support()``, with no free points: the prefilter's point is a
+    rational witness on their vertices, so their program is the likeliest
+    to hit.  On a miss the enumeration follows, cheapest guesses
+    first.  Each guess is first checked by the probe's ``_Relaxation``,
+    ``relax``; only a guess whose relaxation is feasible gets its integer
+    program.
 
     Returns ``(guesses, hit)``, where ``hit`` is ``(pairs, guess)`` for the
     first guess whose program is feasible, or None when the guesses run
-    out or pass ``DEFAULT_GUESS_BUDGET``.
+    out or pass ``DEFAULT_GUESS_BUDGET``; the lead guess counts against it.
     """
     d = sset.polytope.dim
     cover = sset.cover
@@ -436,7 +452,20 @@ def _faithful_search(sset, generators, target, relax):
     genset = set(generators)
     source = sset.polytope
     free_box = integer_box(source)
-    guesses = 0
+
+    def attempt(subset, k):
+        special = sorted({v for i in subset for v in cover[i].vertices()
+                          if v in genset})
+        if (not special and k == 0) or not relax.feasible(special, k):
+            return None
+        pairs = _run_combination_ilp(special, target, extra_free=k,
+                                     source=source, free_box=free_box)
+        return None if pairs is None else (pairs, (len(special), k))
+
+    guesses = 1
+    hit = attempt({sset.locator[g] for g in relax.support()}, 0)
+    if hit is not None:
+        return guesses, hit
     for total in range(1, pp_cap + k_cap + 1):
         for size in range(0, min(total, pp_cap) + 1):
             k = total - size
@@ -446,18 +475,9 @@ def _faithful_search(sset, generators, target, relax):
                 guesses += 1
                 if guesses > DEFAULT_GUESS_BUDGET:
                     return guesses - 1, None
-                special = sorted({v for i in subset
-                                  for v in cover[i].vertices()
-                                  if v in genset})
-                if not special and k == 0:
-                    continue
-                if not relax.feasible(special, k):
-                    continue
-                pairs = _run_combination_ilp(
-                    special, target, extra_free=k, source=source,
-                    free_box=free_box)
-                if pairs is not None:
-                    return guesses, (pairs, (len(special), k))
+                hit = attempt(subset, k)
+                if hit is not None:
+                    return guesses, hit
     return guesses, None
 
 

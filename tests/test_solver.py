@@ -5,7 +5,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepack.budget import limit
@@ -24,7 +24,7 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
                              verify_solution)
-from conepack.structure import combo_sum
+from conepack.structure import combo_sum, compute_structure_set
 
 from genutil import (box_polytope, rand_bounded_polytope, rand_bp_instance,
                      singleton_target)
@@ -222,6 +222,66 @@ class TestRelaxation:
         # on both tableaux, warm starts follow both verdicts
         for key in itertools.product((True, False), repeat=3):
             assert verdicts.count(key) >= 10, (key, verdicts.count(key))
+
+    def test_support_is_a_small_feasible_guess(self):
+        rng = random.Random(4243)
+        checked = 0
+        for _ in range(60):
+            source, target, gens = self.case(rng)
+            if integer_box(target) is None:
+                continue
+            relax = solver._Relaxation(gens, target, source)
+            if not relax.feasible(gens):
+                continue
+            support = relax.support()
+            # a basic point: at most one non-zero weight per target row
+            assert set(support) <= set(gens)
+            assert len(support) <= target.m
+            assert fresh_relaxation(support, 0, target, source)
+            checked += 1
+        assert checked >= 20
+
+
+def _bin_packing_probes(sizes, a):
+    """Bin packing's probe of a bin count, and its window, as
+    ``bin_packing`` builds them."""
+    source = solver._pattern_polytope(sizes, 1, a, counter=True)
+    sset = compute_structure_set(source)
+    window = configuration_window(
+        [([p[:-1] for p in lattice_points(source)], 1)], a)
+
+    def probe(b):
+        return int_cone_intersect(
+            source, box_polytope(list(a) + [0], list(a) + [b]),
+            structure=sset)
+    return probe, window
+
+
+class TestLeadGuess:
+    def test_the_window_top_hits_at_the_first_guess(self):
+        rng = random.Random(15015)
+        for _ in range(30):
+            sizes, a = rand_bp_instance(rng)
+            if not any(a):
+                continue
+            probe, (_lo, hi) = _bin_packing_probes(sizes, a)
+            res = probe(hi)
+            assert res.found and res.mode_used == "faithful", (sizes, a)
+            assert res.guesses_tried == 1, (sizes, a)
+
+    def test_a_missed_lead_counts_against_the_guess_budget(self,
+                                                           monkeypatch):
+        # the lead guess can miss: here the enumeration hits at guess 61
+        sizes, a = [Rat(5, 8), Rat(1, 2), Rat(1, 3)], [4, 3, 4]
+        probe, window = _bin_packing_probes(sizes, a)
+        assert window == (6, 6)
+        res = probe(6)
+        assert res.mode_used == "faithful" and res.guesses_tried == 61
+        # a budget of one guess is spent by the lead alone
+        monkeypatch.setattr(solver, "DEFAULT_GUESS_BUDGET", 1)
+        res = probe(6)
+        assert res.found and res.mode_used == "joint"
+        assert res.guesses_tried == 1
 
 
 class TestBinPacking:
@@ -466,6 +526,15 @@ class TestConfigurationWindow:
         with pytest.raises(InfeasibleError):
             configuration_window([([(0, 0), (1, 0)], 1)], [1, 1])
 
+    def test_low_end_rounds_up_to_the_costs_gcd(self):
+        # the LP spends 15/2, but every cover costs a multiple of 3
+        parts = [([(0,), (1,), (2,)], 3), ([(0,), (1,)], 6)]
+        assert configuration_window(parts, [5]) == (9, 9)
+
+    def test_no_columns(self):
+        # only the zero point: no cost to take the gcd of
+        assert configuration_window([([(0, 0)], 2)], [0, 0]) == (0, 0)
+
 
 _size = st.builds(lambda q, p: Rat(p, q), st.integers(2, 7),
                   st.integers(1, 7)).filter(lambda s: s <= 1)
@@ -532,6 +601,54 @@ def test_paper_scale_search_takes_few_probes(inst, monkeypatch):
         else cutting_stock
     verify_solution(inst, solve(inst))
     assert 1 <= len(probes) <= 3
+
+
+def test_paper_scale_window_of_dear_bins_is_exact():
+    # every cover costs a multiple of 3, so the window's low end is the
+    # optimum; probing the LP's own bound, which is not such a multiple,
+    # would ask for an Empty proof at 10^30
+    sizes = [Rat(1, 3), Rat(1, 4), Rat(2, 7)]
+    a = [PAPER_SCALE] * 3
+    assert configuration_window([(patterns(sizes, 1, [3, 4, 3]), 3)], a) \
+        == (3 * (11 * PAPER_SCALE // 12 + 1),) * 2
+    with limit(20_000):
+        sol = cutting_stock(CuttingStockInstance(sizes, a, [(Rat(1), 3)]))
+    assert sol.objective == 3 * (11 * PAPER_SCALE // 12 + 1)
+
+
+# scale factors up to the paper's, half of them the paper's exactly
+_factor = st.one_of(st.just(PAPER_SCALE), st.integers(1, PAPER_SCALE))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_size, min_size=1, max_size=3),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3), _factor)
+def test_bin_packing_scales_between_its_lp_and_copies(sizes, a, t):
+    # ceil(t LP(a)) <= OPT(t a) <= t OPT(a): the LP over all patterns scales
+    # with the demand, and t copies of an optimal packing of a pack t a
+    a = a[:len(sizes)]
+    assume(any(a))
+    scaled = [t * v for v in a]
+    with limit(20_000):
+        opt = bin_packing(BinPackingInstance(sizes, a)).objective
+        opt_scaled = bin_packing(BinPackingInstance(sizes, scaled)).objective
+    # every pattern of a unit bin, whatever the demand
+    unclipped = patterns(sizes, 1, [int(1 / s) for s in sizes])
+    lp_bound, _hi = configuration_window([(unclipped, 1)], scaled)
+    assert lp_bound <= opt_scaled <= t * opt
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(_size, st.one_of(st.integers(0, 4), _factor)),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_bin_packing_ignores_the_order_of_item_types(types, rng):
+    permuted = rng.sample(types, len(types))
+    with limit(20_000):
+        solutions = [bin_packing(BinPackingInstance(*zip(*ts)))
+                     for ts in (types, permuted)]
+    assert solutions[0].objective == solutions[1].objective
+
 
 class TestMultiPolytopeSelect:
     def test_pick_the_cheap_part(self):
@@ -734,13 +851,13 @@ def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     monkeypatch.setattr(solver, "ilp_feasible", recording)
     results = _seeded_selections()
     assert sum(found for found, *_ in results) == 18
-    assert len(programs) == 28
+    assert len(programs) == 29
 
     def digest(value):
         return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
-    assert digest(programs) == "c74e0582aa9ce464"
-    assert digest(results) == "6717902405867f73"
+    assert digest(programs) == "e0f533e300e90ba0"
+    assert digest(results) == "8996edaccfd0b940"
 
 
 class TestVerifySolution:
