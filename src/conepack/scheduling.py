@@ -31,9 +31,8 @@ from .errors import InfeasibleError, InputError, InternalError
 from .geometry import Polytope, box_polytope, lattice_points
 from .ilp import IlpProblem, ilp_feasible
 from .rational import integer
-from .solver import (_multiplicities, configuration_window,
-                     least_feasible, multi_polytope_select,
-                     select_from_generators)
+from .solver import (_multiplicities, cheapest_cover, least_feasible,
+                     multi_polytope_select, select_from_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +616,8 @@ def preemptive_assign(inst: SchedulingInstance,
                       mode: str = "faithful") -> ScheduleSolution:
     """Cheapest machine multiset covering the demand with EDF schedules.
 
-    Binary search on the total cost through ``multi_polytope_select`` over
-    the EDF polytopes clipped to the demand, in the window of their
-    configuration LP (``solver.configuration_window``).
+    ``solver.cheapest_cover`` over the EDF polytopes clipped to the demand,
+    each probe a ``multi_polytope_select``.
     """
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
@@ -636,14 +634,10 @@ def preemptive_assign(inst: SchedulingInstance,
 
     _check_hostable(inst, hostable)
     parts = [(polys[i], inst.costs[i]) for i in range(inst.m)]
-    target = box_polytope(a, a)
-    lo, hi = configuration_window(
-        [(lattice_points(poly), c) for poly, c in parts], a)
-
-    def probe(budget):
-        return multi_polytope_select(parts, target, budget, mode=mode)
-
-    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
+    best = cheapest_cover(
+        a, [(lattice_points(poly), c) for poly, c in parts],
+        lambda target, budget: multi_polytope_select(parts, target, budget,
+                                                     mode=mode))
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -659,8 +653,6 @@ def preemptive_assign(inst: SchedulingInstance,
                 placed[j] += mult * vec[j]
     if tuple(placed) != a:
         raise InternalError("assignment does not meet the demand")
-    if best.total_cost != opt:
-        raise InternalError("objective drifted from the binary search bound")
     return ScheduleSolution(tuple(machines), best.total_cost)
 
 
@@ -698,9 +690,8 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
 
     Machine-type capabilities are the integer projections of their cycle
     polytopes; they are enumerated explicitly (``schedulable_vectors``)
-    inside the demand box and fed to the generator-list selection solver,
-    whose cost budget is bisected in the window of the configuration LP
-    over the same vectors (``solver.configuration_window``).
+    inside the demand box and fed to ``solver.cheapest_cover``, each probe
+    a ``select_from_generators`` over them.
     """
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
@@ -717,14 +708,10 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
 
     _check_hostable(inst, hostable)
     groups = [sorted(per_type[i]) for i in range(inst.m)]
-    target = box_polytope(a, a)
-    lo, hi = configuration_window(list(zip(groups, inst.costs)), a)
-
-    def probe(budget):
-        return select_from_generators(groups, list(inst.costs), target,
-                                      budget)
-
-    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
+    best = cheapest_cover(
+        a, list(zip(groups, inst.costs)),
+        lambda target, budget: select_from_generators(
+            groups, list(inst.costs), target, budget))
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):
@@ -737,8 +724,6 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
                 placed[j] += mult * vec[j]
     if tuple(placed) != a:
         raise InternalError("assignment does not meet the demand")
-    if best.total_cost != opt:
-        raise InternalError("objective drifted from the binary search bound")
     return ScheduleSolution(tuple(machines), best.total_cost)
 
 

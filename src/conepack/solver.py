@@ -14,16 +14,17 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   directions because every solvable target admits a witness of exactly
   this shape.
 
-``bin_packing`` lifts patterns by a unit coordinate that counts bins;
-``cutting_stock`` and the machine-assignment problems reduce to
+Bin packing is cutting stock with the one bin type ``(1, 1)``.  Cutting
+stock and the machine-assignment problems reduce to
 ``multi_polytope_select``, which couples several candidate polytopes with
 one selector coordinate each into one lifted intersection problem.  Every
 optimiser, here and in ``scheduling``, finds its objective with
 ``least_feasible``: a bisection that asks one such intersection question
-per probed bound.  The four covering searches (bin packing, cutting stock
-and the two machine assignments) bisect inside the window of their
-configuration LP, ``configuration_window``, which is less than d times the
-dearest cost wide; so their number of probes depends on d and the costs,
+per probed bound.  The three covering searches (cutting stock and the two
+machine assignments) run it through ``cheapest_cover``, which bisects over
+the multiples of the costs' gcd inside the window of their configuration
+LP, ``configuration_window``; that window is less than d times the
+dearest cost wide, so their number of probes depends on d and the costs,
 not on the multiplicities.  Every returned solution is re-verified exactly
 before it is surfaced.
 """
@@ -68,27 +69,6 @@ def _multiplicities(values) -> tuple:
     return out
 
 
-class BinPackingInstance:
-    """Item sizes in (0, 1] with integer multiplicities."""
-
-    def __init__(self, sizes: Sequence, multiplicities: Sequence[int]):
-        self.sizes = tuple(Rat(s) for s in sizes)
-        self.multiplicities = _multiplicities(multiplicities)
-        if len(self.sizes) != len(self.multiplicities):
-            raise InputError("sizes and multiplicities must align")
-        if not self.sizes:
-            raise InputError("at least one item type required")
-        for s in self.sizes:
-            if s <= 0:
-                raise InputError(f"item size {s} must be positive")
-            if s > 1:
-                raise InputError(f"item size {s} exceeds the bin capacity 1")
-        self.dim = len(self.sizes)
-
-    def __repr__(self):
-        return f"BinPackingInstance(sizes={self.sizes}, a={self.multiplicities})"
-
-
 class CuttingStockInstance:
     """Bin packing with several bin types of given capacity and cost."""
 
@@ -113,19 +93,28 @@ class CuttingStockInstance:
         self.dim = len(self.sizes)
 
 
+class BinPackingInstance(CuttingStockInstance):
+    """Item sizes in (0, 1] with integer multiplicities: cutting stock with
+    the one bin type of capacity 1 and cost 1, so the cost counts bins."""
+
+    def __init__(self, sizes: Sequence, multiplicities: Sequence[int]):
+        super().__init__(sizes, multiplicities, [(ONE, 1)])
+        if not self.sizes:
+            raise InputError("at least one item type required")
+        for s in self.sizes:
+            if s > 1:
+                raise InputError(f"item size {s} exceeds the bin capacity 1")
+
+    def __repr__(self):
+        return f"BinPackingInstance(sizes={self.sizes}, a={self.multiplicities})"
+
+
 @dataclass(frozen=True)
 class PackingSolution:
-    """Patterns with bin types and multiplicities, plus the exact objective.
-
-    ``guess_record`` documents how the witness was found: for the faithful
-    mode a tuple of the number of special points guessed and the number of
-    free points (the lead guess has none, and its special points may span
-    more than ``2^d`` cover elements), or None for the joint mode.
-    """
+    """Patterns with bin types and multiplicities, plus the exact objective."""
 
     patterns: tuple            # ((pattern, bin_type_index, multiplicity), ...)
     objective: int
-    guess_record: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,6 @@ class IntConeResult:
     combination: Optional[Combination]
     mode_used: str = ""
     guesses_tried: int = 0
-    guess: Optional[tuple] = None      # (special points used, free points)
 
 
 @dataclass(frozen=True)
@@ -202,6 +190,28 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     hi = sum(c * rat_ceil(w) for c, w in zip(costs, lp.values()))
     g = gcd(*costs) or 1  # no columns, or only costless ones
     return -(-rat_ceil(value) // g) * g, hi
+
+
+def cheapest_cover(a: Sequence[int], parts: Sequence, select):
+    """The cheapest selection that reaches the demand ``a`` exactly.
+
+    ``parts`` lists ``(points, cost)`` as ``configuration_window`` takes
+    them, and ``select(target, budget)`` returns a ``SelectResult`` that
+    reaches ``target`` at total cost at most ``budget``, or is not found.
+    Every cover costs a multiple of the costs' gcd ``g``, so
+    ``least_feasible`` bisects over the budgets ``v * g`` inside the
+    configuration LP's window.
+    Returns the selection; InternalError when its cost is not the optimum.
+    """
+    target = box_polytope(a, a)
+    lo, hi = configuration_window(parts, a)
+    g = gcd(*(c for _points, c in parts)) or 1
+    best, opt = least_feasible(lambda v: select(target, v * g),
+                               lo // g, hi // g,
+                               lambda res: res.total_cost // g)
+    if best.total_cost != opt * g:
+        raise InternalError("objective drifted from the binary search bound")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +407,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         else compute_structure_set(source)
     lattice_set = set(lattice)
 
-    def finish(pairs, mode_used, guesses, guess=None):
+    def finish(pairs, mode_used, guesses):
         combo = Combination(pairs, dim=source.dim)
         y = combo_sum(combo)
         for p in combo.weights:
@@ -410,14 +420,13 @@ def int_cone_intersect(source: Polytope, target: Polytope,
             raise InternalError("normalization changed the reached point")
         if len(normal.weights) > 2 ** (2 * source.dim + 1):
             raise InternalError("normalized support exceeds its bound")
-        return IntConeResult(True, y, normal, mode_used, guesses, guess)
+        return IntConeResult(True, y, normal, mode_used, guesses)
 
     guesses = 0
     if mode == "faithful":
-        guesses, hit = _faithful_search(sset, generators, target, relax)
-        if hit is not None:
-            pairs, guess = hit
-            return finish(pairs, "faithful", guesses, guess)
+        guesses, pairs = _faithful_search(sset, generators, target, relax)
+        if pairs is not None:
+            return finish(pairs, "faithful", guesses)
         # Exhausted or out of budget: either way the joint program below
         # settles the answer.  Guessed subsets span only the vertices of a
         # few parallelepipeds, and a reachable target may normalize onto
@@ -441,9 +450,11 @@ def _faithful_search(sset, generators, target, relax):
     ``relax``; only a guess whose relaxation is feasible gets its integer
     program.
 
-    Returns ``(guesses, hit)``, where ``hit`` is ``(pairs, guess)`` for the
+    Returns ``(guesses, pairs)``, where ``pairs`` is the witness of the
     first guess whose program is feasible, or None when the guesses run
     out or pass ``DEFAULT_GUESS_BUDGET``; the lead guess counts against it.
+    The free points' box is computed at the first guess that has any: on
+    a lift it costs two LPs per coordinate, and the lead guess has none.
     """
     d = sset.polytope.dim
     cover = sset.cover
@@ -451,21 +462,23 @@ def _faithful_search(sset, generators, target, relax):
     k_cap = 1 << (2 * d)
     genset = set(generators)
     source = sset.polytope
-    free_box = integer_box(source)
+    free_box = None
 
     def attempt(subset, k):
+        nonlocal free_box
         special = sorted({v for i in subset for v in cover[i].vertices()
                           if v in genset})
         if (not special and k == 0) or not relax.feasible(special, k):
             return None
-        pairs = _run_combination_ilp(special, target, extra_free=k,
-                                     source=source, free_box=free_box)
-        return None if pairs is None else (pairs, (len(special), k))
+        if k and free_box is None:
+            free_box = integer_box(source)
+        return _run_combination_ilp(special, target, extra_free=k,
+                                    source=source, free_box=free_box)
 
     guesses = 1
-    hit = attempt({sset.locator[g] for g in relax.support()}, 0)
-    if hit is not None:
-        return guesses, hit
+    pairs = attempt({sset.locator[g] for g in relax.support()}, 0)
+    if pairs is not None:
+        return guesses, pairs
     for total in range(1, pp_cap + k_cap + 1):
         for size in range(0, min(total, pp_cap) + 1):
             k = total - size
@@ -475,9 +488,9 @@ def _faithful_search(sset, generators, target, relax):
                 guesses += 1
                 if guesses > DEFAULT_GUESS_BUDGET:
                     return guesses - 1, None
-                hit = attempt(subset, k)
-                if hit is not None:
-                    return guesses, hit
+                pairs = attempt(subset, k)
+                if pairs is not None:
+                    return guesses, pairs
     return guesses, None
 
 
@@ -492,75 +505,6 @@ def _joint_program(sset, generators, target):
     gens = sorted(generators)
     hi = [None if g in special else 1 for g in gens]
     return _run_combination_ilp(gens, target, gen_hi=hi)
-
-
-# ---------------------------------------------------------------------------
-# bin packing
-
-
-def _pattern_polytope(sizes, capacity, a, counter=False) -> Polytope:
-    """Patterns of one bin: {x >= 0 : s.x <= capacity, x <= a}.
-
-    The box x <= a is added: patterns exceeding the demand can never appear
-    in an exact decomposition of a.  ``counter`` appends a unit coordinate
-    that counts bins: {(x, 1)}.
-    """
-    d = len(sizes)
-    width = d + 1 if counter else d
-    rows = [list(sizes) + [0] * (width - d)]
-    rhs = [capacity]
-    for j in range(d):
-        unit = [0] * width
-        unit[j] = -1
-        rows.append(unit)
-        rhs.append(0)
-        rows.append([-v for v in unit])
-        rhs.append(a[j])
-    if counter:
-        rows += [[0] * d + [1], [0] * d + [-1]]
-        rhs += [1, -1]
-    return Polytope.from_rational(rows, rhs)
-
-
-def bin_packing(inst: BinPackingInstance,
-                mode: str = "faithful") -> PackingSolution:
-    """Minimum number of unit bins packing all items, exactly.
-
-    Binary search on the bin count b: b bins suffice iff the lifted pattern
-    polytope reaches {a} x [0, b].  The window comes from the configuration
-    LP over the same patterns (``configuration_window``): it is less than d
-    bins wide, so the number of probes does not grow with the multiplicities.
-    """
-    a = inst.multiplicities
-    if all(v == 0 for v in a):
-        return PackingSolution((), 0, None)
-    source = _pattern_polytope(inst.sizes, 1, a, counter=True)
-    sset = compute_structure_set(source)
-    lo, hi = configuration_window(
-        [([p[:-1] for p in lattice_points(source)], 1)], a)
-
-    def probe(b):
-        return int_cone_intersect(source,
-                                  box_polytope(list(a) + [0], list(a) + [b]),
-                                  mode=mode, structure=sset)
-
-    best, opt = least_feasible(probe, lo, hi,
-                               lambda res: res.combination.total_weight)
-    solution = _packing_solution_from(best.combination, bin_type=0,
-                                      record=best.guess)
-    verify_solution(inst, solution)
-    if solution.objective != opt:
-        raise InternalError("objective drifted from the binary search bound")
-    return solution
-
-
-def _packing_solution_from(combo: Combination, bin_type: int,
-                           record) -> PackingSolution:
-    patterns = []
-    for point, w in sorted(combo.weights.items()):
-        patterns.append((point[:-1], bin_type, w))
-    objective = combo.total_weight
-    return PackingSolution(tuple(patterns), objective, record)
 
 
 # ---------------------------------------------------------------------------
@@ -725,57 +669,75 @@ def _selection(picks, costs, target: Polytope, budget: int) -> SelectResult:
 
 
 # ---------------------------------------------------------------------------
-# cutting stock
+# bin packing and cutting stock
+
+
+def _pattern_polytope(sizes, capacity, a) -> Polytope:
+    """Patterns of one bin: {x >= 0 : s.x <= capacity, x <= a}.
+
+    The box x <= a is added: patterns exceeding the demand can never appear
+    in an exact decomposition of a.  Sizes are positive, so the exact
+    coordinate bounds are ``0 <= x_j <= min(a_j, capacity / s_j)`` and no
+    LP is solved for them.
+    """
+    d = len(sizes)
+    rows = [list(sizes)]
+    rhs = [capacity]
+    for j in range(d):
+        unit = [0] * d
+        unit[j] = -1
+        rows.append(unit)
+        rhs.append(0)
+        rows.append([-v for v in unit])
+        rhs.append(a[j])
+    poly = Polytope.from_rational(rows, rhs)
+    poly._bounds = [(Rat(0), min(Rat(aj), Rat(capacity) / s))
+                    for s, aj in zip(sizes, a)]
+    return poly
+
+
+def bin_packing(inst: BinPackingInstance,
+                mode: str = "faithful") -> PackingSolution:
+    """Minimum number of unit bins packing all items, exactly: the cutting
+    stock problem with the one bin type ``(1, 1)``."""
+    if not isinstance(inst, BinPackingInstance):
+        raise InputError(f"bin packing needs a BinPackingInstance, "
+                         f"not {type(inst).__name__}")
+    return cutting_stock(inst, mode)
 
 
 def cutting_stock(inst: CuttingStockInstance,
                   mode: str = "faithful") -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly.
 
-    Binary search on the total cost through ``multi_polytope_select``, in
-    the window of the configuration LP over every bin type's patterns
-    (``configuration_window``), which is less than d times the dearest
-    bin's cost wide.
+    ``cheapest_cover`` over the bin types' pattern polytopes, each probe a
+    ``multi_polytope_select``.
     """
     a = inst.multiplicities
     if all(v == 0 for v in a):
-        return PackingSolution((), 0, None)
+        return PackingSolution((), 0)
     for j, (s, aj) in enumerate(zip(inst.sizes, a)):
         if aj and all(s > w for w, _c in inst.bin_types):
             raise InfeasibleError(
                 f"item type {j} (size {s}) fits no bin type")
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
-    target = box_polytope(a, a)
-    lo, hi = configuration_window(
-        [(lattice_points(poly), c) for poly, c in parts], a)
-
-    def probe(delta):
-        return multi_polytope_select(parts, target, delta, mode=mode)
-
-    best, opt = least_feasible(probe, lo, hi, lambda res: res.total_cost)
+    best = cheapest_cover(
+        a, [(lattice_points(poly), c) for poly, c in parts],
+        lambda target, budget: multi_polytope_select(parts, target, budget,
+                                                     mode=mode))
     patterns = []
     for i, combo in enumerate(best.part_combinations):
         for point, w in sorted(combo.weights.items()):
             patterns.append((point, i, w))
-    solution = PackingSolution(tuple(patterns), best.total_cost, None)
+    solution = PackingSolution(tuple(patterns), best.total_cost)
     verify_solution(inst, solution)
-    if solution.objective != opt:
-        raise InternalError("objective drifted from the binary search bound")
     return solution
 
 
 def verify_solution(inst, sol: PackingSolution) -> None:
-    """Exact validity check of a packing solution; InternalError on failure.
-
-    Bin packing is checked as cutting stock with one bin type of capacity 1
-    and cost 1, so its objective counts the bins.
-    """
-    if isinstance(inst, BinPackingInstance):
-        bin_types = ((ONE, 1),)
-    elif isinstance(inst, CuttingStockInstance):
-        bin_types = inst.bin_types
-    else:
+    """Exact validity check of a packing solution; InternalError on failure."""
+    if not isinstance(inst, CuttingStockInstance):
         raise InputError(f"cannot verify solutions for {type(inst).__name__}")
     d = inst.dim
     total = [0] * d
@@ -786,9 +748,9 @@ def verify_solution(inst, sol: PackingSolution) -> None:
                                 f"entries for {d} item types")
         if mult < 1:
             raise InternalError("non-positive multiplicity in solution")
-        if bt not in range(len(bin_types)):
+        if bt not in range(len(inst.bin_types)):
             raise InternalError(f"pattern {pattern} names no bin type {bt!r}")
-        w, c = bin_types[bt]
+        w, c = inst.bin_types[bt]
         load = dot(inst.sizes, [Rat(v) for v in pattern])
         if load > w:
             raise InternalError(f"pattern {pattern} overfills bin type {bt}")

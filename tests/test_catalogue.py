@@ -18,8 +18,8 @@ import pytest
 WORKLOADS = Path(__file__).resolve().parent.parent / "conebench" / "workloads.py"
 
 PINS = {
-    "binpack": (120, "86cfb8f11d106c84"),
-    "stock": (60, "fe687385af541558"),
+    "binpack": (120, "be35449b01c5799a"),
+    "stock": (60, "892fdee9ae10339c"),
     "cover": (40, "f5e3d2acbeb8ed5d"),
     "sched-np": (8, "0929678206ac70db"),
 }

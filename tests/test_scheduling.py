@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conepack import scheduling
+from conepack import scheduling, solver
 from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
@@ -304,13 +304,13 @@ class TestNonpreemptiveAssign:
             nonpreemptive_assign(inst)
 
     def test_objective_must_match_the_search(self, monkeypatch):
-        inner = scheduling.least_feasible
+        inner = solver.least_feasible
 
         def drifting(*args):
             best, opt = inner(*args)
             return best, opt - 1
 
-        monkeypatch.setattr(scheduling, "least_feasible", drifting)
+        monkeypatch.setattr(solver, "least_feasible", drifting)
         inst = SchedulingInstance([[(0, 6, 2), (0, 6, 3)]], [1, 1], costs=[2])
         with pytest.raises(InternalError, match="objective drifted"):
             nonpreemptive_assign(inst)

@@ -24,7 +24,7 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
                              verify_solution)
-from conepack.structure import combo_sum, compute_structure_set
+from conepack.structure import combo_sum
 
 from genutil import (box_polytope, rand_bounded_polytope, rand_bp_instance,
                      singleton_target)
@@ -242,29 +242,34 @@ class TestRelaxation:
         assert checked >= 20
 
 
-def _bin_packing_probes(sizes, a):
+def _bin_packing_probes(monkeypatch, sizes, a):
     """Bin packing's probe of a bin count, and its window, as
-    ``bin_packing`` builds them."""
-    source = solver._pattern_polytope(sizes, 1, a, counter=True)
-    sset = compute_structure_set(source)
-    window = configuration_window(
-        [([p[:-1] for p in lattice_points(source)], 1)], a)
+    ``bin_packing`` builds them; a probe returns the ``IntConeResult``
+    that ``multi_polytope_select`` gets from ``int_cone_intersect``."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(int_cone_intersect(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "int_cone_intersect", recording)
+    part = solver._pattern_polytope(sizes, 1, a)
+    window = configuration_window([(lattice_points(part), 1)], a)
 
     def probe(b):
-        return int_cone_intersect(
-            source, box_polytope(list(a) + [0], list(a) + [b]),
-            structure=sset)
+        multi_polytope_select([(part, 1)], box_polytope(a, a), b)
+        return results[-1]
     return probe, window
 
 
 class TestLeadGuess:
-    def test_the_window_top_hits_at_the_first_guess(self):
+    def test_the_window_top_hits_at_the_first_guess(self, monkeypatch):
         rng = random.Random(15015)
         for _ in range(30):
             sizes, a = rand_bp_instance(rng)
             if not any(a):
                 continue
-            probe, (_lo, hi) = _bin_packing_probes(sizes, a)
+            probe, (_lo, hi) = _bin_packing_probes(monkeypatch, sizes, a)
             res = probe(hi)
             assert res.found and res.mode_used == "faithful", (sizes, a)
             assert res.guesses_tried == 1, (sizes, a)
@@ -273,7 +278,7 @@ class TestLeadGuess:
                                                            monkeypatch):
         # the lead guess can miss: here the enumeration hits at guess 61
         sizes, a = [Rat(5, 8), Rat(1, 2), Rat(1, 3)], [4, 3, 4]
-        probe, window = _bin_packing_probes(sizes, a)
+        probe, window = _bin_packing_probes(monkeypatch, sizes, a)
         assert window == (6, 6)
         res = probe(6)
         assert res.mode_used == "faithful" and res.guesses_tried == 61
@@ -319,11 +324,11 @@ class TestBinPacking:
     def test_integral_rational_multiplicity_accepted(self):
         assert BinPackingInstance([Rat(1, 2)], [Rat(3)]).multiplicities == (3,)
 
-    def test_guess_record_on_faithful_hit(self):
-        sol = bin_packing(BinPackingInstance([Rat(1, 2)], [3]))
-        assert sol.guess_record is not None
-        special, free = sol.guess_record
-        assert special >= 0 and 0 <= free
+    def test_cutting_stock_instance_rejected(self):
+        # even one with the single bin type (1, 1)
+        inst = CuttingStockInstance([Rat(1, 2)], [3], [(Rat(1), 1)])
+        with pytest.raises(InputError):
+            bin_packing(inst)
 
     def test_matches_brute_force(self):
         rng = random.Random(31337)
@@ -504,6 +509,39 @@ def patterns(sizes, capacity, a):
     """Every x with 0 <= x <= a and sizes . x <= capacity."""
     return [x for x in itertools.product(*(range(v + 1) for v in a))
             if sum(s * v for s, v in zip(sizes, x)) <= capacity]
+
+
+def test_pattern_polytopes_seed_their_exact_bounds():
+    # sizes are positive, so x_j ranges over [0, min(a_j, capacity / s_j)]
+    rng = random.Random(16016)
+    oversized = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        sizes = [Rat(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(d)]
+        capacity = Rat(rng.randint(1, 6), rng.randint(1, 3))
+        a = [rng.randint(0, 5) for _ in range(d)]
+        poly = solver._pattern_polytope(sizes, capacity, a)
+        assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
+        oversized += sum(aj > 0 and s > capacity for s, aj in zip(sizes, a))
+    assert oversized >= 5
+
+
+class TestCheapestCover:
+    def test_bisects_over_the_costs_lattice(self, monkeypatch):
+        # every cover costs a multiple of gcd(9, 6) = 3, so no budget
+        # between two multiples is probed
+        budgets = []
+        inner = solver.multi_polytope_select
+
+        def recording(parts, target, budget, **kwargs):
+            budgets.append(budget)
+            return inner(parts, target, budget, **kwargs)
+
+        monkeypatch.setattr(solver, "multi_polytope_select", recording)
+        inst = CuttingStockInstance([Rat(3, 7), Rat(2, 9)], [2, 9],
+                                    [(Rat(1), 9), (Rat(1, 2), 6)])
+        assert cutting_stock(inst).objective == 33
+        assert budgets == [36, 33, 30]
 
 
 class TestConfigurationWindow:
@@ -868,13 +906,13 @@ class TestVerifySolution:
 
     def test_detects_demand_mismatch(self):
         inst = BinPackingInstance([Rat(1, 2)], [3])
-        bogus = PackingSolution((((1,), 0, 2),), 2, None)
+        bogus = PackingSolution((((1,), 0, 2),), 2)
         with pytest.raises(InternalError):
             verify_solution(inst, bogus)
 
     def test_detects_overfull_pattern(self):
         inst = BinPackingInstance([Rat(1, 2)], [3])
-        bogus = PackingSolution((((3,), 0, 1),), 1, None)
+        bogus = PackingSolution((((3,), 0, 1),), 1)
         with pytest.raises(InternalError):
             verify_solution(inst, bogus)
 
@@ -886,7 +924,7 @@ class TestVerifySolution:
     @pytest.mark.parametrize("bin_type", [-1, 1])
     def test_bin_packing_rejects_unknown_bin_type(self, bin_type):
         inst = BinPackingInstance([Rat(1, 2)], [2])
-        sol = PackingSolution((((2,), bin_type, 1),), 1, None)
+        sol = PackingSolution((((2,), bin_type, 1),), 1)
         with pytest.raises(InternalError):
             verify_solution(inst, sol)
 
@@ -895,17 +933,17 @@ class TestVerifySolution:
         # valid if the index named the last bin type (capacity 1/2, cost 2)
         inst = CuttingStockInstance([Rat(1, 2)], [2],
                                     [(Rat(1), 3), (Rat(1, 2), 2)])
-        sol = PackingSolution((((1,), bin_type, 2),), 4, None)
+        sol = PackingSolution((((1,), bin_type, 2),), 4)
         with pytest.raises(InternalError):
             verify_solution(inst, sol)
 
     @pytest.mark.parametrize("pattern", [(), (1, 1)])
     def test_rejects_pattern_of_wrong_length(self, pattern):
         inst = BinPackingInstance([Rat(1, 2)], [2])
-        sol = PackingSolution(((pattern, 0, 1),), 1, None)
+        sol = PackingSolution(((pattern, 0, 1),), 1)
         with pytest.raises(InternalError):
             verify_solution(inst, sol)
 
     def test_unknown_instance(self):
         with pytest.raises(InputError):
-            verify_solution(object(), PackingSolution((), 0, None))
+            verify_solution(object(), PackingSolution((), 0))
