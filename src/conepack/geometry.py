@@ -5,7 +5,8 @@ A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
 
 * exact coordinate bounds, their inward rounding to an integer box
   (``integer_box``, which rejects an unbounded coordinate), and
-  lattice-point enumeration over that box,
+  lattice-point enumeration over that box, one integer interval of
+  admitted values per depth,
 * exact convex-hull machinery in any small dimension (a monotone chain
   for rank-2 point sets, beneath-beyond on integer determinants for rank
   3, vertex filtering by exact LP above),
@@ -288,6 +289,17 @@ def lattice_points(poly: Polytope) -> list:
     on unbounded input, and ``ResourceError`` when that box holds more than
     ``DEFAULT_LATTICE_BUDGET`` points, read at call time.  The points are
     cached on the polytope, so the cap applies to its first enumeration.
+
+    The search fixes the coordinates in order, depth first.  At each depth
+    a row ``i`` with coefficient ``c`` still admits the value ``v`` iff
+    ``c v <= room``, where ``room`` is the row's slack after the fixed
+    coordinates less the least the later coordinates can add over the box.
+    That test is linear in ``v``, so the admitted values form one integer
+    interval: ``v <= room // c`` for ``c > 0``, ``v >= -(room // -c)`` for
+    ``c < 0``, and nothing at all when ``c == 0`` and ``room < 0``.  Each
+    depth intersects these intervals with the box range and descends into
+    every value of the result, so no value that fails a row is tried, and
+    the points come out sorted.
     """
     if poly._lattice is not None:
         return poly._lattice
@@ -300,33 +312,56 @@ def lattice_points(poly: Polytope) -> list:
         raise ResourceError("lattice enumeration budget",
                             DEFAULT_LATTICE_BUDGET,
                             f"bounding box holds {size} points")
-    ranges = [range(a, b + 1) for a, b in box]
-    rows = poly.A
-    rhs = poly.b
     d = poly.dim
-    # per-depth bound on what the remaining coordinates can still subtract
-    # from each row's partial sum, for early pruning
-    remain_min = [[0] * len(rows) for _ in range(d + 1)]
+    # floor[i]: the least the coordinates from the current depth on can
+    # add to row i over the box, filled from the last depth back; each
+    # depth keeps (row, coefficient, floor after this depth) for its
+    # nonzero coefficients
+    floor = [0] * poly.m
+    active = [None] * d
     for depth in range(d - 1, -1, -1):
-        rng = ranges[depth]
-        for i, row in enumerate(rows):
+        lo, hi = box[depth]
+        active[depth] = terms = []
+        for i, row in enumerate(poly.A):
             c = row[depth]
-            best = min(c * rng[0], c * rng[-1])
-            remain_min[depth][i] = remain_min[depth + 1][i] + best
+            if c:
+                terms.append((i, c, floor[i]))
+                floor[i] += c * lo if c > 0 else c * hi
+    # the interval test skips a row where its coefficient is zero: the row
+    # passed at its last earlier nonzero depth, whose floor covers this
+    # one; a row whose leading coefficients are zero has no such depth,
+    # so it is checked once here, at the root
+    if any(b < f for b, f in zip(poly.b, floor)):
+        poly._lattice = []
+        return []
     out = []
+    last = d - 1
 
-    def descend(depth, prefix, sums):
-        if depth == d:
-            out.append(tuple(prefix))
+    def descend(depth, prefix, room):
+        lo, hi = box[depth]
+        terms = active[depth]
+        for i, c, f in terms:
+            r = room[i] - f
+            if c > 0:
+                top = r // c
+                if top < hi:
+                    hi = top
+            else:
+                bottom = -(r // -c)
+                if bottom > lo:
+                    lo = bottom
+        if lo > hi:
             return
-        for v in ranges[depth]:
-            new_sums = [s + row[depth] * v for s, row in zip(sums, rows)]
-            if all(s + r <= b for s, r, b in
-                   zip(new_sums, remain_min[depth + 1], rhs)):
-                descend(depth + 1, prefix + [v], new_sums)
+        if depth == last:
+            out.extend(prefix + (v,) for v in range(lo, hi + 1))
+            return
+        for v in range(lo, hi + 1):
+            left = list(room)
+            for i, c, _f in terms:
+                left[i] -= c * v
+            descend(depth + 1, prefix + (v,), left)
 
-    descend(0, [], [0] * len(rows))
-    out.sort()
+    descend(0, (), list(poly.b))
     poly._lattice = out
     return out
 
@@ -442,13 +477,15 @@ def _hull_3d_vertices(coords):
         if q in first:
             continue
         p = c[q]
-        seen = [t for t in tris if _dot3(t[3], p) > t[4]]
+        seen, kept = [], []
+        for t in tris:
+            (seen if _dot3(t[3], p) > t[4] else kept).append(t)
         if not seen:
             continue
         edges = {e for a, b, w, _n, _h in seen
                  for e in ((a, b), (b, w), (w, a))}
-        tris = [t for t in tris if _dot3(t[3], p) <= t[4]]
-        tris += [triangle(a, b, q) for a, b in edges if (b, a) not in edges]
+        tris = kept + [triangle(a, b, q) for a, b in edges
+                       if (b, a) not in edges]
     planes: dict = {}
     for a, b, e, n, _h in tris:
         g = math.gcd(*n)
@@ -461,39 +498,28 @@ def _hull_3d_vertices(coords):
 def extreme_points(points: Iterable[Sequence[int]]) -> list:
     """Vertices of the convex hull of a finite integer point set.
 
-    Exact in every dimension.  Points of rank <= 3 are mapped to integer
-    coordinates in their affine hull (``_chart``): rank 1 takes the two
-    ends, rank 2 a monotone chain and rank 3 ``_hull_3d_vertices``, after
-    pruning the points that sit midway between two others along a
-    coordinate axis.  Higher ranks prune the same way and settle the rest
-    with exact LP membership tests.  Sorted lexicographically.
+    Exact in every dimension.  First the points that sit midway between
+    two others along a coordinate axis are pruned: such a point is no
+    vertex, and dropping non-vertices keeps the hull, so it keeps the
+    affine rank and the lexicographically smallest and largest points.
+    Candidates of rank <= 3 are then mapped to integer coordinates in their
+    affine hull (``_chart``): rank 1 takes the two ends, rank 2 a monotone
+    chain and rank 3 ``_hull_3d_vertices``.  Higher ranks settle the
+    candidates with exact LP membership tests.  Sorted lexicographically.
     """
-    pts = sorted(set(tuple(int(v) for v in p) for p in points))
+    ptset = set(tuple(map(int, p)) for p in points)
+    pts = []
+    for p in sorted(ptset):
+        for t, x in enumerate(p):
+            if (p[:t] + (x + 1,) + p[t + 1:] in ptset
+                    and p[:t] + (x - 1,) + p[t + 1:] in ptset):
+                break
+        else:
+            pts.append(p)
     if len(pts) <= 2:
         return pts
     base, frame = _chart(pts)
     k = len(frame.vecs)
-    if k == 0:
-        return [pts[0]]
-    if k >= 3:
-        # a point midway between two others is no vertex, and dropping
-        # non-vertices leaves the hull and its rank as they were
-        ptset = set(pts)
-        d = len(pts[0])
-        candidates = []
-        for p in pts:
-            pruned = False
-            for t in range(d):
-                up = list(p)
-                up[t] += 1
-                dn = list(p)
-                dn[t] -= 1
-                if tuple(up) in ptset and tuple(dn) in ptset:
-                    pruned = True
-                    break
-            if not pruned:
-                candidates.append(p)
-        pts = candidates
     if k <= 3:
         # chart coordinates times det > 0 keep every order and orientation
         coords = []
@@ -585,23 +611,28 @@ def cell_partition(poly: Polytope) -> list:
 
     Returns cells sorted by signature; every lattice point lands in exactly
     one cell, and two points share a cell iff every one of their slacks
-    falls in the same grid interval.  Each slack ``b - a.p`` is an int, and
-    the interval index of each distinct slack is looked up once per call.
+    falls in the same grid interval.  The slacks are computed a row at a
+    time over the coordinate columns of the points, skipping zero
+    coefficients, so each is an int; the interval index of each distinct
+    slack is looked up once per call, and a point's signature is its entry
+    in every row's column of indices.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
     d = poly.dim
-    rows = list(zip(poly.A, poly.b))
+    cols = list(zip(*pts))
     index: dict = {}
+    sig_cols = []
+    for row, b in zip(poly.A, poly.b):
+        slack = [b] * len(pts)
+        for c, col in zip(row, cols):
+            if c:
+                slack = [s - c * x for s, x in zip(slack, col)]
+        for s in set(slack).difference(index):
+            index[s] = slack_interval_index(s, d)
+        sig_cols.append(list(map(index.__getitem__, slack)))
     cells: dict = {}
-    for p in pts:
-        sig = []
-        for row, b in rows:
-            s = b - sum(map(operator.mul, row, p))
-            j = index.get(s)
-            if j is None:
-                j = index[s] = slack_interval_index(s, d)
-            sig.append(j)
-        cells.setdefault(tuple(sig), []).append(p)
+    for sig, p in zip(zip(*sig_cols), pts):
+        cells.setdefault(sig, []).append(p)
     return [Cell(sig, tuple(members), members[0])
             for sig, members in sorted(cells.items())]
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -230,6 +231,82 @@ class TestLatticePoints:
             assert 2 * p[0] + 3 * p[1] <= 7
         assert (2, 1) in pts and (3, 1) not in pts
 
+    @staticmethod
+    def brute_lattice(poly):
+        """Reference: the integer box, filtered by membership."""
+        box = integer_box(poly)
+        if box is None:
+            return []
+        ranges = [range(a, b + 1) for a, b in box]
+        return [p for p in product(*ranges) if poly.contains_int(p)]
+
+    @staticmethod
+    def seeded_polytope(rng, d):
+        """A box of side up to 6 and up to four cuts whose coefficients are
+        often zero and often negative; a cut may come with its opposite,
+        which makes an equality (or a slab one unit thick)."""
+        rows, rhs = [], []
+        for j in range(d):
+            unit = [0] * d
+            unit[j] = 1
+            lo = rng.randint(-3, 2)
+            rows += [unit, [-v for v in unit]]
+            rhs += [lo + rng.randint(0, 6), -lo]
+        for _ in range(rng.randint(0, 4)):
+            row = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(d)]
+            b = rng.randint(-6, 12)
+            rows.append(row)
+            rhs.append(b)
+            if rng.random() < 0.35:
+                rows.append([-v for v in row])
+                rhs.append(rng.randint(0, 1) - b)
+        return Polytope(rows, rhs)
+
+    def test_matches_the_box_scan(self):
+        rng = random.Random(6011)
+        seen = {"points": 0, "empty": 0, "equality": 0, "zero": 0,
+                "negative": 0}
+        for case in range(400):
+            poly = self.seeded_polytope(rng, 1 + case % 4)
+            pts = lattice_points(poly)
+            assert pts == self.brute_lattice(poly), (poly.A, poly.b)
+            assert all(p < q for p, q in zip(pts, pts[1:]))
+            seen["points" if pts else "empty"] += 1
+            cuts = poly.A[2 * poly.dim:]
+            seen["equality"] += any(tuple(-v for v in r) in cuts
+                                    for r in cuts)
+            seen["zero"] += any(0 in r for r in cuts)
+            seen["negative"] += any(v < 0 for r in cuts for v in r)
+        assert min(seen.values()) >= 40, seen
+
+    def test_empty_with_a_non_empty_box(self):
+        # 2x + 2y - 2z = 1 has no integer point, though every coordinate's
+        # LP range is [0, 3]
+        poly = Polytope([[2, 2, -2], [-2, -2, 2], [1, 0, 0], [-1, 0, 0],
+                         [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                        [1, -1, 3, 0, 3, 0, 3, 0])
+        assert integer_box(poly) == [(0, 3)] * 3
+        assert lattice_points(poly) == []
+        # y + z >= 1/2 with 0 <= y, z <= 1/2 rounds to y = z = 0, which
+        # fails the one row that x does not touch
+        poly = Polytope([[1, 0, 0], [-1, 0, 0], [0, 2, 0], [0, -1, 0],
+                         [0, 0, 2], [0, 0, -1], [0, -2, -2]],
+                        [3, 0, 1, 0, 1, 0, -1])
+        assert integer_box(poly) == [(0, 3), (0, 0), (0, 0)]
+        assert lattice_points(poly) == []
+
+    def test_budget_caps_the_box_not_the_points(self, monkeypatch):
+        # the diagonal x = y of a 101 x 101 box: 101 points in a box of
+        # 10,201
+        poly = Polytope([[1, -1], [-1, 1], [1, 0], [-1, 0], [0, 1], [0, -1]],
+                        [0, 0, 100, 0, 100, 0])
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 10_200)
+        with pytest.raises(ResourceError) as err:
+            lattice_points(poly)
+        assert err.value.limit == 10_200
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 10_201)
+        assert lattice_points(poly) == [(v, v) for v in range(101)]
+
 
 def slack_interval_endpoints(index, dim):
     """The exact rational endpoints ``[a, b]`` of grid interval ``index``:
@@ -359,6 +436,40 @@ class TestHulls:
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "in_convex_hull", no_lp)
                 assert extreme_points(pts) == expected, (kind, pts)
+
+    def test_axis_runs_in_ranks_one_and_two(self):
+        """Collinear runs along an axis and L-shapes in an axis plane,
+        embedded in 2 to 4 coordinates, where pruning drops the inner
+        points of every run."""
+        rng = random.Random(7207)
+        for case in range(60):
+            d = rng.randint(2, 4)
+            base = [rng.randint(-3, 3) for _ in range(d)]
+            s, t = rng.sample(range(d), 2)
+            pts = []
+
+            def run(start, axis, length):
+                for step in range(length + 1):
+                    p = list(start)
+                    p[axis] += step
+                    pts.append(tuple(p))
+
+            run(base, s, rng.randint(2, 6))
+            if case % 2:
+                # an L: a second run from a point of the first, along t
+                corner = list(rng.choice(pts))
+                run(corner, t, rng.randint(2, 6))
+                if case % 4 == 3:
+                    # a third run, parallel to the first, closes a U
+                    far = list(pts[-1])
+                    run(far, s, rng.randint(1, 6))
+            pts += rng.sample(pts, 2)  # duplicates
+            rng.shuffle(pts)
+            hull = extreme_points(pts)
+            assert hull == sorted(brute_extreme(pts)), pts
+            assert min(pts) in hull and max(pts) in hull
+            if case % 2 == 0:
+                assert hull == [min(pts), max(pts)]
 
     def test_in_convex_hull(self):
         square = [(0, 0), (2, 0), (0, 2), (2, 2)]

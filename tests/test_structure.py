@@ -1,11 +1,19 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from conepack import structure
+from conepack import oracle, structure
 from conepack.errors import InputError
-from conepack.geometry import Parallelepiped, Polytope, in_convex_hull, lattice_points
+from conepack.geometry import (
+    Parallelepiped,
+    Polytope,
+    cell_partition,
+    in_convex_hull,
+    integer_hull_vertices,
+    lattice_points,
+)
 from conepack.rational import format_rat, rat
 from conepack.structure import (
     Combination,
@@ -248,6 +256,41 @@ class TestLocator:
             assert idx == next(i for i, pp in enumerate(cover)
                                if pp.contains(p))
         assert sset.special_points == ((0,), (2,), (3,), (4,), (5,), (6,))
+
+
+# 3-d slabs 40 long in x: the slack grid is coarse along x, so some cells
+# are segments and the cover holds k = 1 elements
+SLAB_PINS = [
+    (*_box3((40, 3, 3)), 656, 624, {0: 592, 1: 32},
+     [(0, 0, 0), (0, 0, 3), (0, 3, 0), (0, 3, 3),
+      (40, 0, 0), (40, 0, 3), (40, 3, 0), (40, 3, 3)],
+     "4554751425d917b1"),
+    (*_box3((40, 4, 4), [([1, 2, 3], 44)]), 868, 855, {0: 842, 1: 13},
+     [(0, 0, 0), (0, 0, 4), (0, 4, 0), (0, 4, 4), (24, 4, 4), (32, 0, 4),
+      (36, 4, 0), (38, 0, 2), (40, 0, 0), (40, 0, 1), (40, 2, 0)],
+     "8e65712e3aaac573"),
+]
+
+
+@pytest.mark.parametrize("rows,rhs,points,cells,per_k,hull,pin", SLAB_PINS,
+                         ids=["box", "cut-box"])
+def test_flat_slabs_build_segment_elements(rows, rhs, points, cells, per_k,
+                                           hull, pin):
+    poly = Polytope(rows, rhs)
+    sset = compute_structure_set(poly)
+    pts = lattice_points(poly)
+    assert len(pts) == points
+    assert len(cell_partition(poly)) == cells
+    assert Counter(pp.k for pp in sset.cover) == per_k
+    report = oracle.cover_verify(poly, sset.cover)
+    assert report.ok, report.violations[:2]
+    assert sorted(sset.locator) == pts
+    assert _structure_digest(sset) == pin
+    assert integer_hull_vertices(poly) == hull
+    # the pinned vertices are extreme, and their hull holds every point
+    for v in hull:
+        assert not in_convex_hull(v, [w for w in hull if w != v])
+    assert all(in_convex_hull(p, hull) for p in pts)
 
 
 class TestNormalize:
