@@ -10,19 +10,21 @@ A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
 * exact convex-hull machinery in any small dimension (a monotone chain
   for rank-2 point sets, beneath-beyond on integer determinants for rank
   3, vertex filtering by exact LP above),
-* the slack-interval grid that groups lattice points into cells whose
-  constraint slacks agree within a factor ``1 + 1/d^2``,
+* the slack-interval grid that groups lattice points into
+  ``(signature, members)`` cells whose slacks agree within ``1 + 1/d^2``,
 * minimum-volume enclosing ellipsoid contact points (float iteration,
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
-  points of the polytope while staying inside it.
+  points of the polytope while staying inside it (a one-point cell by
+  the point itself).
 
 Linear algebra on points and directions runs in integers only: one
 fraction-free (Bareiss) elimination, ``_Frame``, picks independent
 vectors and keeps the adjugate and determinant of a nonsingular pivot
 block.  A ``Parallelepiped`` is such a frame over its directions scaled to
 integers, and tests membership as ``|adj . (L p - L c)| <= det`` plus an
-integer affine-span check.
+integer affine-span check.  ``Parallelepiped.point`` builds a lattice
+point's ``k = 0`` element directly, with no elimination.
 
 Everything user-visible is deterministic: lattice points and hull vertices
 come back lexicographically sorted, covers are built cell by cell in
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
-from .rational import Rat, ONE, rat_ceil, rat_floor, as_int
+from .rational import Rat, ONE, rat_ceil, rat_floor, as_int, integer
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
@@ -498,16 +500,20 @@ def _hull_3d_vertices(coords):
 def extreme_points(points: Iterable[Sequence[int]]) -> list:
     """Vertices of the convex hull of a finite integer point set.
 
-    Exact in every dimension.  First the points that sit midway between
-    two others along a coordinate axis are pruned: such a point is no
-    vertex, and dropping non-vertices keeps the hull, so it keeps the
-    affine rank and the lexicographically smallest and largest points.
-    Candidates of rank <= 3 are then mapped to integer coordinates in their
-    affine hull (``_chart``): rank 1 takes the two ends, rank 2 a monotone
-    chain and rank 3 ``_hull_3d_vertices``.  Higher ranks settle the
+    Exact in every dimension; a non-integral coordinate raises
+    ``InputError``.  First the points that sit midway between two others
+    along a coordinate axis are pruned: such a point is no vertex, and
+    dropping non-vertices keeps the hull, so it keeps the affine rank and
+    the lexicographically smallest and largest points.  Rank 1 takes those
+    two ends.  Rank 2 runs a monotone chain and rank 3 ``_hull_3d_vertices``,
+    on the points themselves at full rank and on integer coordinates in
+    their affine hull (``_chart``) below it.  Higher ranks settle the
     candidates with exact LP membership tests.  Sorted lexicographically.
     """
-    ptset = set(tuple(map(int, p)) for p in points)
+    ptset = set(map(tuple, points))
+    if not set(map(type, chain.from_iterable(ptset))) <= {int}:
+        ptset = {tuple(integer(v, "hull point coordinate") for v in p)
+                 for p in ptset}
     pts = []
     for p in sorted(ptset):
         for t, x in enumerate(p):
@@ -520,23 +526,20 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
         return pts
     base, frame = _chart(pts)
     k = len(frame.vecs)
+    if k == 1:
+        return [pts[0], pts[-1]]  # a line's points in lexicographic order
     if k <= 3:
-        # chart coordinates times det > 0 keep every order and orientation
-        coords = []
-        for p in pts:
-            num = frame.solve([a - b for a, b in zip(p, base)])
-            if num is None:
-                raise InternalError("point escaped its own affine hull")
-            coords.append(tuple(num))
-        if k == 1:
-            lo = min(range(len(pts)), key=lambda i: coords[i][0])
-            hi = max(range(len(pts)), key=lambda i: coords[i][0])
-            return sorted([pts[lo], pts[hi]])
-        if k == 2:
-            idx = _hull_2d_vertices(coords)
-        else:
-            idx = _hull_3d_vertices(coords)
-        return [pts[i] for i in idx]
+        coords = pts
+        if k < len(base):
+            # chart coordinates times det > 0 keep every orientation
+            coords = []
+            for p in pts:
+                num = frame.solve([a - b for a, b in zip(p, base)])
+                if num is None:
+                    raise InternalError("point escaped its own affine hull")
+                coords.append(tuple(num))
+        hull = _hull_2d_vertices if k == 2 else _hull_3d_vertices
+        return [pts[i] for i in hull(coords)]
     # rank >= 4: iterative filtering, since removing a non-vertex never
     # changes the hull
     survivors = pts
@@ -593,29 +596,18 @@ def slack_interval_index(slack: int, dim: int) -> int:
     return bisect_right(ceils, slack) + 1
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Lattice points sharing one slack-interval signature.
-
-    ``signature`` holds one interval index per constraint row; ``anchor``
-    is the lexicographically smallest member.
-    """
-
-    signature: tuple
-    members: tuple
-    anchor: tuple
-
-
 def cell_partition(poly: Polytope) -> list:
     """Group the lattice points by their slack-signature.
 
-    Returns cells sorted by signature; every lattice point lands in exactly
-    one cell, and two points share a cell iff every one of their slacks
-    falls in the same grid interval.  The slacks are computed a row at a
-    time over the coordinate columns of the points, skipping zero
-    coefficients, so each is an int; the interval index of each distinct
-    slack is looked up once per call, and a point's signature is its entry
-    in every row's column of indices.
+    Returns ``(signature, members)`` pairs sorted by signature, where
+    ``signature`` holds one interval index per constraint row and
+    ``members`` is the sorted tuple of the cell's lattice points.  Every
+    lattice point lands in exactly one cell, and two points share a cell
+    iff every one of their slacks falls in the same grid interval.  The
+    slacks are computed a row at a time over the coordinate columns of the
+    points, skipping zero coefficients, so each is an int; the interval
+    index of each distinct slack is looked up once per call, and a point's
+    signature is its entry in every row's column of indices.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
     d = poly.dim
@@ -633,8 +625,7 @@ def cell_partition(poly: Polytope) -> list:
     cells: dict = {}
     for sig, p in zip(zip(*sig_cols), pts):
         cells.setdefault(sig, []).append(p)
-    return [Cell(sig, tuple(members), members[0])
-            for sig, members in sorted(cells.items())]
+    return [(sig, tuple(members)) for sig, members in sorted(cells.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +647,14 @@ class Parallelepiped(_Frame):
     ``|num_j| <= det`` and ``sum_j num_j (L dir_j) = det * r`` on every
     coordinate (the affine-span test); then ``mu = num / det``.
 
-    A point (no directions, an all-int center) skips the elimination: it
-    sets the values the general path would give, ``L = det = 1`` and empty
-    ``vecs``, ``pivots`` and ``adj``.
+    ``Parallelepiped.point`` builds the single-point element of a lattice
+    point without the elimination or the checks.
     """
 
     __slots__ = ("_scale", "_center")
 
     def __init__(self, center: Sequence, directions: Sequence[Sequence]):
         center = tuple(center)
-        if not directions and all(type(v) is int for v in center):
-            self.vecs = self.pivots = self.adj = ()
-            self.det = self._scale = 1
-            self._center = center
-            return
         directions = [tuple(d) for d in directions]
         for dvec in directions:
             if len(dvec) != len(center):
@@ -683,6 +668,16 @@ class Parallelepiped(_Frame):
         self._scale = scale
         self._center = tuple(_scaled(v, scale) for v in center)
         self.vertices()  # validates integrality eagerly
+
+    @classmethod
+    def point(cls, p: tuple) -> "Parallelepiped":
+        """The ``k = 0`` element at the int tuple ``p``, taken as it is:
+        ``L = det = 1`` and empty ``vecs``, ``pivots`` and ``adj``."""
+        pp = cls.__new__(cls)
+        pp.vecs = pp.pivots = pp.adj = ()
+        pp.det = pp._scale = 1
+        pp._center = p
+        return pp
 
     @property
     def center(self) -> tuple:
@@ -877,11 +872,10 @@ def _verify_contact_hull(pts, ctr, contacts, scale) -> bool:
 # the cover construction
 
 
-def _cell_parallelepipeds(poly: Polytope, members: list) -> list:
-    """Cover one cell's lattice points with integral parallelepipeds in P."""
+def _cell_parallelepipeds(poly: Polytope, members: tuple) -> list:
+    """Cover a cell of two or more lattice points with integral
+    parallelepipeds in P."""
     x0 = members[0]
-    if len(members) == 1:
-        return [Parallelepiped(x0, ())]
     verts = extreme_points(members)
     k = len(_chart(verts)[1].vecs)  # the vertices span the cell's affine hull
     if k == 1:
@@ -955,9 +949,10 @@ def parallelepiped_cover(poly: Polytope) -> list:
     """Integral parallelepipeds inside ``poly`` covering all its lattice points.
 
     Construction: dimension 1 collapses to a single segment (or point);
-    otherwise lattice points are grouped into slack cells and each cell is
-    covered by parallelepipeds anchored at its lexicographically smallest
-    member, with directions picked from ellipsoid contact points of the
+    otherwise lattice points are grouped into slack cells.  A one-point
+    cell is covered by ``Parallelepiped.point``.  A larger cell is covered
+    by parallelepipeds anchored at its lexicographically smallest member,
+    with directions picked from ellipsoid contact points of the
     symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
     all hull vertices.  Containment in the polytope is enforced by exact
     vertex checks, shrinking the scale integrally when needed.  The points
@@ -970,25 +965,21 @@ def parallelepiped_cover(poly: Polytope) -> list:
         lo = pts[0]
         hi = pts[-1]
         if lo == hi:
-            return [Parallelepiped(lo, ())]
+            return [Parallelepiped.point(lo)]
         center = (Rat(lo[0] + hi[0], 2),)
         direction = ((Rat(hi[0] - lo[0], 2),),)
         return [Parallelepiped(center, direction)]
     cover = []
-    for cell in cell_partition(poly):
-        cover.extend(_cell_parallelepipeds(poly, list(cell.members)))
+    for _sig, members in cell_partition(poly):
+        if len(members) == 1:
+            cover.append(Parallelepiped.point(members[0]))
+        else:
+            cover.extend(_cell_parallelepipeds(poly, members))
     return cover
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def polytope_to_text(poly: Polytope) -> str:
-    lines = [f"{len(poly.A)} {poly.dim}"]
-    for row, b in zip(poly.A, poly.b):
-        lines.append(" ".join(str(v) for v in row) + f" {b}")
-    return "\n".join(lines) + "\n"
 
 
 def polytope_from_text(text: str) -> Polytope:

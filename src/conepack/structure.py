@@ -260,10 +260,12 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     """Cover the polytope and index its lattice points by parallelepiped.
 
     The cover is walked in index order, and each parallelepiped claims the
-    still unclaimed lattice points it contains.  A point (``k = 0``) claims
-    itself with one dict lookup.  Any other tests only the points inside
-    the bounding box of its vertices, and skips those already claimed.  So
-    every point goes to the lowest index of a parallelepiped containing it.
+    still unclaimed lattice points it contains.  A point (``k = 0``) is its
+    own vertex: it is added to the special set and claims itself with one
+    dict lookup, without listing vertices.  Any other tests only the points
+    inside the bounding box of its vertices, and skips those already
+    claimed.  So every point goes to the lowest index of a parallelepiped
+    containing it.
     """
     cover = tuple(parallelepiped_cover(poly))
     special = set()
@@ -271,11 +273,13 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     # sorted; the points that no k > 0 element has claimed yet
     unassigned = list(lattice_points(poly))
     for idx, pp in enumerate(cover):
+        if not pp.vecs:
+            p = pp._center  # integral, so stored unscaled
+            special.add(p)
+            locator.setdefault(p, idx)
+            continue
         verts = pp.vertices()
         special.update(verts)
-        if not pp.vecs:
-            locator.setdefault(verts[0], idx)
-            continue
         lo = tuple(map(min, zip(*verts)))
         hi = tuple(map(max, zip(*verts)))
         # every point of the box lies between lo and hi lexicographically

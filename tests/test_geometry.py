@@ -10,7 +10,6 @@ from conepack import geometry
 from conepack.errors import InputError, ResourceError
 from conepack.exactmath import INFEASIBLE, OPTIMAL, lp_optimize
 from conepack.geometry import (
-    Cell,
     Parallelepiped,
     Polytope,
     box_polytope,
@@ -24,7 +23,6 @@ from conepack.geometry import (
     mvee_contact_points,
     parallelepiped_cover,
     polytope_from_text,
-    polytope_to_text,
     slack_interval_index,
 )
 from conepack.rational import Rat, rat, rat_ceil, rat_floor
@@ -384,6 +382,14 @@ def _rank3_set(rng, kind):
     return pts + [rng.choice(pts) for _ in range(rng.randint(1, 3))]
 
 
+def no_lp(*args):
+    raise AssertionError("the hull ran an LP")
+
+
+def no_chart(*args):
+    raise AssertionError("the hull solved chart coordinates")
+
+
 class TestHulls:
     def test_knapsack_hull_vertices(self):
         verts = integer_hull_vertices(knapsack_fig())
@@ -419,10 +425,9 @@ class TestHulls:
 
     def test_rank3_hull_matches_definition_without_lps(self, monkeypatch):
         """The rank-3 path against the LP definition on 240 seeded sets: it
-        must solve no LP, so ``in_convex_hull`` raises inside it."""
-        def no_lp(*args):
-            raise AssertionError("rank-3 hull ran an LP")
-
+        must solve no LP, so ``in_convex_hull`` raises inside it.  Sets in
+        3-space must not solve chart coordinates either; the ``lift4d`` sets
+        in 4-space still go through the chart."""
         rng = random.Random(31337)
         kinds = ["cube", "lift4d", "planes", "edges", "polytope", "four"]
         seen = dict.fromkeys(kinds, 0)
@@ -435,7 +440,61 @@ class TestHulls:
             expected = sorted(brute_extreme(pts))
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "in_convex_hull", no_lp)
+                if len(pts[0]) == 3:
+                    # full rank: the hull runs on the points, not a chart
+                    patch.setattr(geometry._Frame, "solve", no_chart)
                 assert extreme_points(pts) == expected, (kind, pts)
+
+    def test_rank2_plane_hull_matches_definition_without_charts(
+            self, monkeypatch):
+        """Rank-2 sets in the plane against the LP definition: the monotone
+        chain runs on the points themselves, with no LP and no chart."""
+        rng = random.Random(27183)
+        done = 0
+        while done < 60:
+            n = rng.randint(3, 14)
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+            if _affine_rank(pts) != 2:
+                continue
+            done += 1
+            expected = sorted(brute_extreme(pts))
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "in_convex_hull", no_lp)
+                patch.setattr(geometry._Frame, "solve", no_chart)
+                assert extreme_points(pts) == expected, pts
+
+    def test_lower_rank_sets_hull_on_their_chart(self):
+        """Rank 2 in 3-space as ``(x, x, y)`` and rank 3 in 4-space as
+        ``(x, y, x + y, z)``: their leading coordinates lose rank, so the
+        hull must run on chart coordinates to match the LP definition."""
+        rng = random.Random(60221)
+        done = 0
+        while done < 60:
+            n = rng.randint(4, 14)
+            draws = [tuple(rng.randint(-2, 2) for _ in range(3))
+                     for _ in range(n)]
+            if done % 2:
+                pts = [(x, x, y) for x, y, _z in draws]
+                rank = 2
+            else:
+                pts = [(x, y, x + y, z) for x, y, z in draws]
+                rank = 3
+            if _affine_rank(pts) != rank:
+                continue
+            done += 1
+            assert extreme_points(pts) == sorted(brute_extreme(pts)), pts
+
+    def test_non_integral_coordinates_rejected(self):
+        F = Fraction
+        with pytest.raises(InputError):
+            extreme_points([(F(1, 2), 0), (0, 1), (1, 1), (2, 0)])
+        with pytest.raises(InputError):
+            extreme_points([(0.7, 0), (0, 1), (1, 1), (2, 0)])
+        # integral Fractions are taken as the ints they equal
+        got = extreme_points([(F(2, 2), F(0)), (0, 1), (F(4, 2), 1), (0, 0)])
+        assert got == [(0, 0), (0, 1), (1, 0), (2, 1)]
+        assert all(type(v) is int for p in got for v in p)
 
     def test_axis_runs_in_ranks_one_and_two(self):
         """Collinear runs along an axis and L-shapes in an axis plane,
@@ -518,12 +577,12 @@ class TestCells:
         poly = Polytope([[-1], [1]], [0, 1])
         cells = cell_partition(poly)
         assert len(cells) == 2
-        assert {c.members for c in cells} == {((0,),), ((1,),)}
+        assert {members for _sig, members in cells} == {((0,),), ((1,),)}
 
     def test_single_point_one_cell(self):
         poly = Polytope([[1], [-1]], [4, -4])
         cells = cell_partition(poly)
-        assert len(cells) == 1 and cells[0].anchor == (4,)
+        assert len(cells) == 1 and cells[0][1][0] == (4,)
 
     def test_matches_the_slack_vector_loop(self):
         def slack_vector_cells(poly):
@@ -533,7 +592,7 @@ class TestCells:
                 sig = tuple(slack_interval_index(s, d)
                             for s in poly.slacks(p))
                 cells.setdefault(sig, []).append(p)
-            return [Cell(sig, tuple(sorted(members)), min(members))
+            return [(sig, tuple(sorted(members)))
                     for sig, members in sorted(cells.items())]
 
         rng = random.Random(52711)
@@ -546,14 +605,14 @@ class TestCells:
         poly = knapsack_fig()
         cells = cell_partition(poly)
         seen = []
-        for cell in cells:
-            assert cell.anchor == min(cell.members)
-            for p in cell.members:
+        for signature, members in cells:
+            assert members[0] == min(members)
+            for p in members:
                 # every slack must land inside its signature interval
-                for s, j in zip(poly.slacks(p), cell.signature):
+                for s, j in zip(poly.slacks(p), signature):
                     lo, hi = slack_interval_endpoints(j, poly.dim)
                     assert lo <= s <= hi
-            seen.extend(cell.members)
+            seen.extend(members)
         assert sorted(seen) == lattice_points(poly)
         assert len(seen) == len(set(seen))
 
@@ -578,6 +637,8 @@ class TestParallelepiped:
     def test_non_integral_vertex_rejected(self):
         with pytest.raises(InputError):
             Parallelepiped((rat(1, 2),), ((rat(1, 4),),))
+        with pytest.raises(InputError):
+            Parallelepiped((rat(1, 2), 0), ())
 
     def test_dependent_directions_rejected(self):
         with pytest.raises(InputError):
@@ -594,25 +655,30 @@ class TestParallelepiped:
         assert pp.coordinates((3,)) is None
 
     def test_point_matches_the_general_path(self):
-        # a Rat center takes the general path; an all-int center does not
+        # Parallelepiped.point skips the elimination; an int or a Rat
+        # center with no directions takes the general path
         rng = random.Random(7309)
         for _ in range(40):
             d = rng.randint(1, 4)
             c = tuple(rng.randint(-6, 6) for _ in range(d))
-            point = Parallelepiped(c, ())
-            general = Parallelepiped(tuple(Rat(v) for v in c), ())
-            assert point == general and hash(point) == hash(general)
-            for attr in ("vecs", "pivots", "adj", "det", "_scale", "_center"):
-                assert getattr(point, attr) == getattr(general, attr), attr
-            assert point.k == general.k == 0 and point.dim == general.dim
-            assert point.center == general.center
-            assert point.vertices() == general.vertices() == [c]
-            probes = [c, tuple(Rat(v) for v in c),
-                      tuple(v + rng.randint(-1, 1) for v in c),
-                      tuple(v + Rat(rng.randint(-2, 2), 3) for v in c)]
-            for q in probes:
-                assert point.contains(q) == general.contains(q)
-                assert point.coordinates(q) == general.coordinates(q)
+            point = Parallelepiped.point(c)
+            for general in (Parallelepiped(c, ()),
+                            Parallelepiped(tuple(Rat(v) for v in c), ())):
+                assert point == general and hash(point) == hash(general)
+                assert repr(point) == repr(general)
+                for attr in ("vecs", "pivots", "adj", "det", "_scale",
+                             "_center"):
+                    assert getattr(point, attr) == getattr(general, attr), attr
+                assert point.k == general.k == 0
+                assert point.dim == general.dim
+                assert point.center == general.center
+                assert point.vertices() == general.vertices() == [c]
+                probes = [c, tuple(Rat(v) for v in c),
+                          tuple(v + rng.randint(-1, 1) for v in c),
+                          tuple(v + Rat(rng.randint(-2, 2), 3) for v in c)]
+                for q in probes:
+                    assert point.contains(q) == general.contains(q)
+                    assert point.coordinates(q) == general.coordinates(q)
             assert point.coordinates(c) == ()
 
     def test_coordinates_outside_span(self):
@@ -810,10 +876,9 @@ class TestParallelepipedCover:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        poly = knapsack_fig()
-        again = polytope_from_text(polytope_to_text(poly))
-        assert again == poly
+    def test_parses_the_knapsack_text(self):
+        text = "3 2\n-1 0 0\n0 -1 0\n26 41 200\n"
+        assert polytope_from_text(text) == knapsack_fig()
 
     def test_parse_errors(self):
         with pytest.raises(InputError):

@@ -13,6 +13,7 @@ from conepack.geometry import (
     in_convex_hull,
     integer_hull_vertices,
     lattice_points,
+    slack_interval_index,
 )
 from conepack.rational import format_rat, rat
 from conepack.structure import (
@@ -256,6 +257,39 @@ class TestLocator:
             assert idx == next(i for i, pp in enumerate(cover)
                                if pp.contains(p))
         assert sset.special_points == ((0,), (2,), (3,), (4,), (5,), (6,))
+
+
+def test_cover_like_polytopes_are_covered_by_bare_points():
+    """3-d boxes with sides 3 to 9 cut by one to three random halfspaces,
+    drawn as the benchmark's ``cover`` workload draws them.  Sides up to 9
+    put every coordinate slack in an interval of its own, so each cell is
+    one lattice point and each cover element a ``k = 0`` point, in the
+    order of the points' slack signatures."""
+    rng = random.Random(90317)
+    done = 0
+    while done < 12:
+        box = [rng.randint(3, 9) for _ in range(3)]
+        cuts = []
+        for _ in range(rng.randint(1, 3)):
+            row = [rng.randint(-6, 6) for _ in range(3)]
+            if any(row):
+                cuts.append((row, rng.randint(5, 40)))
+        poly = Polytope(*_box3(box, cuts))
+        pts = lattice_points(poly)
+        if not 45 <= len(pts) <= 583:
+            continue
+        done += 1
+        signed = sorted((tuple(slack_interval_index(s, 3)
+                               for s in poly.slacks(p)), p) for p in pts)
+        assert len({sig for sig, _p in signed}) == len(pts)
+        order = [p for _sig, p in signed]
+        sset = compute_structure_set(poly)
+        assert all(pp.k == 0 for pp in sset.cover)
+        assert list(sset.cover) == [Parallelepiped.point(p) for p in order]
+        assert sset.special_points == tuple(pts)
+        assert sset.locator == {p: i for i, p in enumerate(order)}
+        report = oracle.cover_verify(poly, sset.cover)
+        assert report.ok, report.violations[:2]
 
 
 # 3-d slabs 40 long in x: the slack grid is coarse along x, so some cells
