@@ -23,10 +23,12 @@ optimiser, here and in ``scheduling``, finds its objective with
 per probed bound.  The three covering searches (cutting stock and the two
 machine assignments) run it through ``cheapest_cover``, which bisects over
 the multiples of the costs' gcd inside the window of their configuration
-LP, ``configuration_window``; that window is less than d times the
-dearest cost wide, so their number of probes depends on d and the costs,
-not on the multiplicities.  Every returned solution is re-verified exactly
-before it is surfaced.
+LP, ``configuration_window``.  The LP's basic weights, rounded up and
+trimmed, are a cover that answers at the window's top, so a probe runs
+only for the budgets below that cover's cost, and a closed window runs
+none.  The window is less than d times the dearest cost wide, so their
+number of probes depends on d and the costs, not on the multiplicities.
+Every returned solution is re-verified exactly before it is surfaced.
 """
 
 from __future__ import annotations
@@ -163,33 +165,66 @@ def least_feasible(probe, lo: int, hi: int, cost):
 
 
 def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
-    """The window ``(lo, hi)`` of a covering search from its configuration LP.
+    """The window ``(lo, hi, cover)`` of a covering search from its
+    configuration LP.
 
     ``parts`` lists ``(points, cost)``: the non-negative integer points of
     a down-closed set (patterns, schedulable vectors) and the cost of one
     copy.  Solves min sum c_p l_p subject to sum l_p p = a and l >= 0
     (Gilmore & Gomory 1961).  Every exact cover of ``a`` is a solution
     whose cost is a multiple of the costs' gcd, so ``lo`` is the optimum
-    rounded up to such a multiple.  A basic optimum has at most
-    ``len(a)`` non-zero weights; rounding each up covers at least ``a``,
-    and down-closure trims that to exactly ``a``.  So ``hi = sum c_p
-    ceil(l_p)`` is the cost of a cover, and ``hi - lo < len(a) * max c``.
+    rounded up to such a multiple.
+
+    A basic optimum has at most ``len(a)`` non-zero weights; ``ceil(l_p)``
+    copies of each cover at least ``a``, and down-closure trims that to
+    exactly ``a``.  Only copies that hold excess are peeled off, a batch
+    at a time, and each is trimmed coordinate by coordinate; a copy
+    trimmed to zero is dropped.  So the work is bounded by the excess and
+    the dimension, never by the weights.  ``cover`` lists the resulting
+    ``(part index, point, copies)`` picks and ``hi`` is their cost, at
+    most ``sum c_p ceil(l_p)``, so ``hi - lo < len(a) * max c``.  A trimmed
+    point missing from its part's points raises InternalError.
     """
-    columns, costs = [], []
-    for points, cost in parts:
+    columns, owners = [], []
+    for i, (points, _cost) in enumerate(parts):
         for p in points:
             if any(p):
                 columns.append(p)
-                costs.append(cost)
+                owners.append(i)
+    costs = [parts[i][1] for i in owners]
     d = len(a)
     lp = ExactLp([[p[j] for p in columns] for j in range(d)], list(a),
                  senses=["=="] * d, lo=[0] * len(columns))
     if not lp.find_feasible():
         raise InfeasibleError("no combination of the parts meets the demand")
     _status, value = lp.optimize(costs, sense="min")
-    hi = sum(c * rat_ceil(w) for c, w in zip(costs, lp.values()))
+    rounded = [(owners[k], columns[k], rat_ceil(w))
+               for k, w in enumerate(lp.values()) if w]
+    excess = [-v for v in a]
+    for _i, p, n in rounded:
+        excess = [e + n * v for e, v in zip(excess, p)]
+    cover, members = [], {}
+    for i, p, n in rounded:
+        while n and any(e and v for e, v in zip(excess, p)):
+            # k copies trimmed alike: as many as the excess empties in
+            # every shared coordinate, or else one, trimmed to what is left
+            k = min([n] + [e // v for e, v in zip(excess, p) if e and v]) or 1
+            cut = [min(e, v) for e, v in zip(excess, p)]
+            excess = [e - k * c for e, c in zip(excess, cut)]
+            n -= k
+            q = tuple(v - c for v, c in zip(p, cut))
+            if any(q):
+                if i not in members:
+                    members[i] = set(parts[i][0])
+                if q not in members[i]:
+                    raise InternalError(f"trimmed point {q} is not a point "
+                                        f"of part {i}")
+                cover.append((i, q, k))
+        if n:
+            cover.append((i, p, n))
+    hi = sum(parts[i][1] * n for i, _p, n in cover)
     g = gcd(*costs) or 1  # no columns, or only costless ones
-    return -(-rat_ceil(value) // g) * g, hi
+    return -(-rat_ceil(value) // g) * g, hi, cover
 
 
 def cheapest_cover(a: Sequence[int], parts: Sequence, select):
@@ -198,17 +233,21 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     ``parts`` lists ``(points, cost)`` as ``configuration_window`` takes
     them, and ``select(target, budget)`` returns a ``SelectResult`` that
     reaches ``target`` at total cost at most ``budget``, or is not found.
-    Every cover costs a multiple of the costs' gcd ``g``, so
+    The window's own cover answers at its top, so ``select`` runs only for
+    budgets below that cover's cost, and not at all when the window is
+    closed.  Every cover costs a multiple of the costs' gcd ``g``, so
     ``least_feasible`` bisects over the budgets ``v * g`` inside the
-    configuration LP's window.
+    window.
     Returns the selection; InternalError when its cost is not the optimum.
     """
     target = box_polytope(a, a)
-    lo, hi = configuration_window(parts, a)
-    g = gcd(*(c for _points, c in parts)) or 1
-    best, opt = least_feasible(lambda v: select(target, v * g),
-                               lo // g, hi // g,
-                               lambda res: res.total_cost // g)
+    lo, hi, cover = configuration_window(parts, a)
+    costs = [c for _points, c in parts]
+    top = _selection(cover, costs, target, hi)
+    g = gcd(*costs) or 1
+    best, opt = least_feasible(
+        lambda v: top if v * g >= hi else select(target, v * g),
+        lo // g, hi // g, lambda res: res.total_cost // g)
     if best.total_cost != opt * g:
         raise InternalError("objective drifted from the binary search bound")
     return best

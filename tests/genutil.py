@@ -1,8 +1,10 @@
 """Seeded random instance generators shared across test modules."""
 
+import math
+
 import pytest
 
-from conepack import geometry
+from conepack import geometry, solver
 from conepack.geometry import Polytope, box_polytope, lattice_points
 from conepack.rational import Rat
 from conepack.errors import ResourceError
@@ -27,6 +29,23 @@ def rand_bp_instance(rng, max_dim=3, max_den=20, max_items=10):
         mult.append(c - prev)
         prev = c
     return sizes, mult
+
+
+def mode_verdicts(inst, opt):
+    """``multi_polytope_select``'s verdicts on a cutting stock (or bin
+    packing) instance, faithful then joint, at the optimum ``opt`` and one
+    step of the costs' gcd below it.
+
+    A closed configuration window answers without either mode, so the
+    modes are compared on the probes themselves.
+    """
+    mult = inst.multiplicities
+    parts = [(solver._pattern_polytope(inst.sizes, w, mult), c)
+             for w, c in inst.bin_types]
+    step = math.gcd(*(c for _w, c in inst.bin_types))
+    target = box_polytope(mult, mult)
+    return [solver.multi_polytope_select(parts, target, b, mode=mode).found
+            for b in (opt, opt - step) for mode in ("faithful", "joint")]
 
 
 def singleton_target(vals):

@@ -18,8 +18,8 @@ import pytest
 WORKLOADS = Path(__file__).resolve().parent.parent / "conebench" / "workloads.py"
 
 PINS = {
-    "binpack": (120, "be35449b01c5799a"),
-    "stock": (60, "892fdee9ae10339c"),
+    "binpack": (120, "441e1f36855f278c"),
+    "stock": (60, "4b34326366e02757"),
     "cover": (40, "f5e3d2acbeb8ed5d"),
     "sched-np": (8, "0929678206ac70db"),
 }

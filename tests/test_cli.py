@@ -24,6 +24,8 @@ def write(tmp_path, name, text):
 
 
 BP_SMALL = "binpacking\n1\n1/2 3\n"
+# window (3, 4) and optimum 3: one probe runs below the window's own cover
+BP_OPEN = "binpacking\n2\n1/2 4\n1/4 3\n"
 KNAPSACK = "polytope\n3 2\n26 41 200\n-1 0 0\n0 -1 0\n"
 SCHED_PRE = ("scheduling\n3 1 preemptive\n"
              "0 0 0 300 150\n0 1 100 102 1\n0 2 200 202 1\n"
@@ -269,7 +271,7 @@ class TestExitCodes:
 
     def test_budget_names_the_work_spent(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "solve",
-                             write(tmp_path, "i.txt", BP_SMALL),
+                             write(tmp_path, "i.txt", BP_OPEN),
                              "--budget", "5")
         assert rc == 3
         assert "request work budget" in err

@@ -16,7 +16,7 @@ from conepack.geometry import (Polytope, coordinate_bounds, integer_box,
                                lattice_points)
 from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
-from conepack.rational import Rat
+from conepack.rational import Rat, rat_ceil
 from conepack.scheduling import SchedulingInstance, preemptive_assign
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              PackingSolution, bin_packing,
@@ -26,8 +26,8 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              verify_solution)
 from conepack.structure import combo_sum
 
-from genutil import (box_polytope, rand_bounded_polytope, rand_bp_instance,
-                     singleton_target)
+from genutil import (box_polytope, mode_verdicts, rand_bounded_polytope,
+                     rand_bp_instance, singleton_target)
 
 
 def segment(lo, hi):
@@ -254,7 +254,7 @@ def _bin_packing_probes(monkeypatch, sizes, a):
 
     monkeypatch.setattr(solver, "int_cone_intersect", recording)
     part = solver._pattern_polytope(sizes, 1, a)
-    window = configuration_window([(lattice_points(part), 1)], a)
+    window = configuration_window([(lattice_points(part), 1)], a)[:2]
 
     def probe(b):
         multi_polytope_select([(part, 1)], box_polytope(a, a), b)
@@ -346,6 +346,9 @@ class TestBinPacking:
             a = bin_packing(inst, mode="faithful")
             b = bin_packing(inst, mode="joint")
             assert a.objective == b.objective
+            # most windows close, so also compare the probes themselves
+            assert mode_verdicts(inst, a.objective) \
+                == [True, True, False, False], (sizes, mult)
 
 
 def cheapest_packing_cost(sizes, demand, bin_types):
@@ -458,6 +461,34 @@ class TestCuttingStock:
             assert sol.objective == cheapest_packing_cost(
                 [Rat(s) for s in sizes], mult, types), (sizes, mult, types)
 
+    def test_modes_agree_inside_an_open_window(self, monkeypatch):
+        # two bin types leave integrality gaps: one gcd step below the
+        # optimum the rational prefilter passes, so the faithful search
+        # falls through and the joint program proves Empty
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(int_cone_intersect(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "int_cone_intersect", recording)
+        types = [(Rat(1), 3), (Rat(1, 2), 2)]
+        for sizes, mult, opt in [
+                ([Rat(2, 5), Rat(1, 5), Rat(1, 2)], [4, 5, 3], 14),
+                ([Rat(1, 8), Rat(1, 3), Rat(1, 5)], [3, 1, 3], 5),
+                ([Rat(3, 8), Rat(4, 7), Rat(1, 5)], [5, 1, 5], 12)]:
+            inst = CuttingStockInstance(sizes, mult, types)
+            assert cheapest_packing_cost(sizes, mult, types) == opt
+            assert cutting_stock(inst, mode="faithful").objective == opt
+            assert cutting_stock(inst, mode="joint").objective == opt
+            lo, _hi, _cover = configuration_window(
+                [(patterns(sizes, w, mult), c) for w, c in types], mult)
+            assert lo == opt - 1
+            results.clear()
+            assert mode_verdicts(inst, opt) == [True, True, False, False]
+            assert results[2].mode_used == "joint"
+            assert results[2].guesses_tried == solver.DEFAULT_GUESS_BUDGET
+
     @pytest.mark.parametrize("big", [10 ** 5, 10 ** 30])
     def test_large_bin_costs(self, big):
         # the lifted polytope's cost coordinate ranges over [0, big]; its
@@ -529,7 +560,8 @@ def test_pattern_polytopes_seed_their_exact_bounds():
 class TestCheapestCover:
     def test_bisects_over_the_costs_lattice(self, monkeypatch):
         # every cover costs a multiple of gcd(9, 6) = 3, so no budget
-        # between two multiples is probed
+        # between two multiples is probed; the window's own cover of cost
+        # 36 answers at its top, so only the budgets below it are probed
         budgets = []
         inner = solver.multi_polytope_select
 
@@ -541,24 +573,26 @@ class TestCheapestCover:
         inst = CuttingStockInstance([Rat(3, 7), Rat(2, 9)], [2, 9],
                                     [(Rat(1), 9), (Rat(1, 2), 6)])
         assert cutting_stock(inst).objective == 33
-        assert budgets == [36, 33, 30]
+        assert budgets == [33, 30]
 
 
 class TestConfigurationWindow:
     def test_halves(self):
-        # three halves: the LP packs 3/2 bins of (2,), which rounds to 2
+        # three halves: the LP packs 3/2 bins of (2,), which rounds to 2;
+        # the second copy holds one half too many and is trimmed to (1,)
         assert configuration_window([(patterns([Rat(1, 2)], 1, [3]), 1)],
-                                    [3]) == (2, 2)
+                                    [3]) == (2, 2, [(0, (1,), 1),
+                                                    (0, (2,), 1)])
 
     def test_costs_weigh_the_parts(self):
         # one item of size 1/2: a half bin for 1 beats a full bin for 3
         parts = [(patterns([Rat(1, 2)], 1, [1]), 3),
                  (patterns([Rat(1, 2)], Rat(1, 2), [1]), 1)]
-        assert configuration_window(parts, [1]) == (1, 1)
+        assert configuration_window(parts, [1]) == (1, 1, [(1, (1,), 1)])
 
     def test_zero_points_and_demand(self):
         assert configuration_window([([(0, 0), (1, 0), (0, 1)], 2)],
-                                    [0, 0]) == (0, 0)
+                                    [0, 0]) == (0, 0, [])
 
     def test_uncoverable_demand(self):
         with pytest.raises(InfeasibleError):
@@ -567,11 +601,25 @@ class TestConfigurationWindow:
     def test_low_end_rounds_up_to_the_costs_gcd(self):
         # the LP spends 15/2, but every cover costs a multiple of 3
         parts = [([(0,), (1,), (2,)], 3), ([(0,), (1,)], 6)]
-        assert configuration_window(parts, [5]) == (9, 9)
+        assert configuration_window(parts, [5]) == (9, 9, [(0, (1,), 1),
+                                                           (0, (2,), 2)])
+
+    def test_trimmed_points_must_belong_to_their_part(self):
+        # {(2,)} is not down-closed: 3/2 copies round up to two, and the
+        # trimmed copy (1,) is no point of the part
+        with pytest.raises(InternalError, match="not a point of part 0"):
+            configuration_window([([(2,)], 1)], [3])
+
+    def test_copies_are_trimmed_in_batches(self):
+        # eleven copies of (1, 2) hold eight items of size 1/10 too many:
+        # eight of them are trimmed alike, as one pick and in one step
+        sizes, a = [Rat(1, 10), Rat(4, 9)], [13, 22]
+        assert configuration_window([(patterns(sizes, 1, a), 1)], a) \
+            == (12, 12, [(0, (0, 2), 8), (0, (1, 2), 3), (0, (10, 0), 1)])
 
     def test_no_columns(self):
         # only the zero point: no cost to take the gcd of
-        assert configuration_window([([(0, 0)], 2)], [0, 0]) == (0, 0)
+        assert configuration_window([([(0, 0)], 2)], [0, 0]) == (0, 0, [])
 
 
 _size = st.builds(lambda q, p: Rat(p, q), st.integers(2, 7),
@@ -598,7 +646,7 @@ def test_bin_packing_matches_brute_force_inside_its_window(case):
     sizes, a, _types = case
     opt = bp_brute_force(sizes, a)
     assert bin_packing(BinPackingInstance(sizes, a)).objective == opt
-    lo, hi = configuration_window([(patterns(sizes, 1, a), 1)], a)
+    lo, hi, _cover = configuration_window([(patterns(sizes, 1, a), 1)], a)
     assert lo <= opt <= hi and hi - lo < len(a)
 
 
@@ -610,7 +658,7 @@ def test_cutting_stock_optimum_lies_inside_its_window(case):
     opt = cheapest_packing_cost(sizes, a, bin_types)
     inst = CuttingStockInstance(sizes, a, bin_types)
     assert cutting_stock(inst).objective == opt
-    lo, hi = configuration_window(parts, a)
+    lo, hi, _cover = configuration_window(parts, a)
     assert lo <= opt <= hi
     assert hi - lo < len(a) * max(c for _w, c in bin_types)
 
@@ -618,16 +666,20 @@ def test_cutting_stock_optimum_lies_inside_its_window(case):
 PAPER_SCALE = 10 ** 30
 
 
-@pytest.mark.parametrize("inst", [
-    BinPackingInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2),
-    BinPackingInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)], [PAPER_SCALE] * 3),
-    CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2,
-                         [(Rat(1), 3), (Rat(1, 2), 2)]),
-    CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
-                         [PAPER_SCALE] * 3, [(Rat(1), 1)]),
+# the probes recorded: the three closed windows take none, because the
+# window's own cover answers at its top, and the open window (1.75e30,
+# 1.75e30 + 2) takes two below that cover's cost
+@pytest.mark.parametrize("inst, count", [
+    (BinPackingInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2), 0),
+    (BinPackingInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
+                        [PAPER_SCALE] * 3), 0),
+    (CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2,
+                          [(Rat(1), 3), (Rat(1, 2), 2)]), 2),
+    (CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
+                          [PAPER_SCALE] * 3, [(Rat(1), 1)]), 0),
 ], ids=["binpacking-d2", "binpacking-d3", "cuttingstock-d2",
         "cuttingstock-d3"])
-def test_paper_scale_search_takes_few_probes(inst, monkeypatch):
+def test_paper_scale_search_takes_few_probes(inst, count, monkeypatch):
     probes = []
 
     def counting(*args, **kwargs):
@@ -638,7 +690,7 @@ def test_paper_scale_search_takes_few_probes(inst, monkeypatch):
     solve = bin_packing if isinstance(inst, BinPackingInstance) \
         else cutting_stock
     verify_solution(inst, solve(inst))
-    assert 1 <= len(probes) <= 3
+    assert len(probes) == count
 
 
 def test_paper_scale_window_of_dear_bins_is_exact():
@@ -647,7 +699,8 @@ def test_paper_scale_window_of_dear_bins_is_exact():
     # would ask for an Empty proof at 10^30
     sizes = [Rat(1, 3), Rat(1, 4), Rat(2, 7)]
     a = [PAPER_SCALE] * 3
-    assert configuration_window([(patterns(sizes, 1, [3, 4, 3]), 3)], a) \
+    assert configuration_window([(patterns(sizes, 1, [3, 4, 3]), 3)],
+                                a)[:2] \
         == (3 * (11 * PAPER_SCALE // 12 + 1),) * 2
     with limit(20_000):
         sol = cutting_stock(CuttingStockInstance(sizes, a, [(Rat(1), 3)]))
@@ -656,6 +709,57 @@ def test_paper_scale_window_of_dear_bins_is_exact():
 
 # scale factors up to the paper's, half of them the paper's exactly
 _factor = st.one_of(st.just(PAPER_SCALE), st.integers(1, PAPER_SCALE))
+
+
+def _lp_round_up(parts, a):
+    """``sum c_p ceil(l_p)`` over a basic optimum of the configuration LP,
+    the cover cost before trimming."""
+    columns = [(p, c) for points, c in parts for p in points if any(p)]
+    lp = ExactLp([[p[j] for p, _c in columns] for j in range(len(a))],
+                 list(a), senses=["=="] * len(a), lo=[0] * len(columns))
+    assert lp.find_feasible()
+    lp.optimize([c for _p, c in columns], sense="min")
+    return sum(c * rat_ceil(w) for (_p, c), w in zip(columns, lp.values()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_size, min_size=2, max_size=3),
+       st.lists(st.one_of(_factor, st.integers(1, 9)), min_size=3,
+                max_size=3),
+       st.lists(st.tuples(st.sampled_from([Rat(1), Rat(1, 2), Rat(2, 3)]),
+                          st.integers(1, 5)), min_size=1, max_size=2))
+def test_window_top_cover_is_a_trimmed_round_up(sizes, a, bin_types):
+    # the cover that answers at the window's top reaches a exactly with
+    # lattice points of its parts, and trimming only lowers the round-up
+    a = a[:len(sizes)]
+    assume(all(s <= max(w for w, _c in bin_types) for s in sizes))
+    polys = [solver._pattern_polytope(sizes, w, a) for w, _c in bin_types]
+    parts = [(lattice_points(poly), c)
+             for poly, (_w, c) in zip(polys, bin_types)]
+    lo, hi, cover = configuration_window(parts, a)
+    reached = [0] * len(a)
+    for i, q, n in cover:
+        assert n >= 1 and any(q)
+        assert polys[i].contains_int(q) and q in parts[i][0]
+        reached = [r + n * v for r, v in zip(reached, q)]
+    assert reached == a
+    assert hi == sum(parts[i][1] * n for i, _q, n in cover)
+    assert lo <= hi <= _lp_round_up(parts, a)
+    assert hi - lo < len(a) * max(c for _w, c in bin_types)
+
+
+def test_closed_window_answers_without_a_probe(monkeypatch):
+    # 10^30 items of sizes 1/3 and 1/4: the window is closed, so its own
+    # cover answers and no intersection question is asked
+    def refuse(*args, **kwargs):
+        raise AssertionError("probed a closed window")
+
+    monkeypatch.setattr(solver, "multi_polytope_select", refuse)
+    inst = BinPackingInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2)
+    with limit(2000):
+        sol = bin_packing(inst)
+    verify_solution(inst, sol)
+    assert sol.objective == 7 * PAPER_SCALE // 12 + 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -672,7 +776,7 @@ def test_bin_packing_scales_between_its_lp_and_copies(sizes, a, t):
         opt_scaled = bin_packing(BinPackingInstance(sizes, scaled)).objective
     # every pattern of a unit bin, whatever the demand
     unclipped = patterns(sizes, 1, [int(1 / s) for s in sizes])
-    lp_bound, _hi = configuration_window([(unclipped, 1)], scaled)
+    lp_bound, _hi, _cover = configuration_window([(unclipped, 1)], scaled)
     assert lp_bound <= opt_scaled <= t * opt
 
 
@@ -824,8 +928,9 @@ def _seeded_selections():
 
 def _recorded_lifts(monkeypatch):
     """``(lift, lifted target, number of parts)`` of ten seeded selections,
-    a target that is not a box, three cutting-stock instances and one
-    preemptive assignment."""
+    a target that is not a box, five cutting-stock instances and one
+    preemptive assignment.  A closed configuration window answers without
+    a lift, so the last two cutting-stock instances have open windows."""
     lifts, parts_count = [], []
     inner, select = solver.int_cone_intersect, solver.multi_polytope_select
 
@@ -850,7 +955,9 @@ def _recorded_lifts(monkeypatch):
     for sizes, mult, types in [
             ([Rat(1, 2)], [2], [(Rat(1), 3), (Rat(1, 2), 2)]),
             ([Rat(1, 3), Rat(1, 4)], [2, 3], [(Rat(1), 5), (Rat(1, 2), 3)]),
-            ([Rat(2, 5), Rat(1, 3)], [3, 2], [(Rat(1), 2), (Rat(2, 3), 1)])]:
+            ([Rat(2, 5), Rat(1, 3)], [3, 2], [(Rat(1), 2), (Rat(2, 3), 1)]),
+            ([Rat(3, 7), Rat(2, 9)], [2, 9], [(Rat(1), 9), (Rat(1, 2), 6)]),
+            ([Rat(1, 2), Rat(1, 4)], [4, 3], [(Rat(1), 1)])]:
         cutting_stock(CuttingStockInstance(sizes, mult, types))
     preemptive_assign(SchedulingInstance(
         [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
