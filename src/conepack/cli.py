@@ -26,8 +26,8 @@ from .scheduling import (build_edf_polytope, edf_simulate,
                          preemptive_assign, scheduling_from_text,
                          tardy_min_penalty, validate_nonpreemptive_schedule,
                          validate_preemptive_schedule)
-from .solver import (BinPackingInstance, CuttingStockInstance, bin_packing,
-                     cutting_stock, verify_solution)
+from .solver import (BinPackingInstance, CuttingStockInstance, cutting_stock,
+                     verify_solution)
 
 KINDS = ("binpacking", "cuttingstock", "scheduling", "polytope")
 
@@ -178,11 +178,7 @@ def _emit(payload) -> None:
 
 def cmd_solve(args) -> int:
     kind, inst = _load(args.path)
-    if kind == "binpacking":
-        sol = bin_packing(inst, mode=args.mode)
-        _emit(_packing_json(kind, sol, args.mode))
-        return 0
-    if kind == "cuttingstock":
+    if kind in ("binpacking", "cuttingstock"):
         sol = cutting_stock(inst, mode=args.mode)
         _emit(_packing_json(kind, sol, args.mode))
         return 0
@@ -257,29 +253,9 @@ class _Report:
         return 0 if all(c["ok"] for c in self.checks) else 4
 
 
-def _verify_binpacking(inst, mode, report):
-    sol = bin_packing(inst, mode=mode)
-    verify_solution(inst, sol)
-    report.add("solution verifies", True)
-    oracle = bp_brute_force(inst.sizes, inst.multiplicities)
-    report.add("objective equals brute force", sol.objective == oracle,
-               f"solver={sol.objective} oracle={oracle}")
-    other = "joint" if mode == "faithful" else "faithful"
-    alt = bin_packing(inst, mode=other)
-    report.add("modes agree", alt.objective == sol.objective,
-               f"{mode}={sol.objective} {other}={alt.objective}")
-    frac = fractional_opt(inst.sizes, inst.multiplicities)
-    if inst.dim <= 2:
-        report.add("round-up of the fractional optimum",
-                   sol.objective == rat_ceil(frac),
-                   f"opt={sol.objective} ceil(frac)={rat_ceil(frac)}")
-    else:
-        report.add("fractional lower bound",
-                   sol.objective >= rat_ceil(frac),
-                   f"opt={sol.objective} ceil(frac)={rat_ceil(frac)}")
-
-
-def _verify_cuttingstock(inst, mode, report):
+def _verify_packing(inst, mode, report):
+    """Bin packing and cutting stock alike; with the one unit bin type
+    ``(1, 1)`` the instance is bin packing, and its oracles apply."""
     sol = cutting_stock(inst, mode=mode)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
@@ -287,10 +263,18 @@ def _verify_cuttingstock(inst, mode, report):
     alt = cutting_stock(inst, mode=other)
     report.add("modes agree", alt.objective == sol.objective,
                f"{mode}={sol.objective} {other}={alt.objective}")
-    if len(inst.bin_types) == 1 and inst.bin_types[0] == (Rat(1), 1):
-        oracle = bp_brute_force(inst.sizes, inst.multiplicities)
-        report.add("objective equals brute force", sol.objective == oracle,
-                   f"solver={sol.objective} oracle={oracle}")
+    if inst.bin_types != ((1, 1),):
+        return
+    oracle = bp_brute_force(inst.sizes, inst.multiplicities)
+    report.add("objective equals brute force", sol.objective == oracle,
+               f"solver={sol.objective} oracle={oracle}")
+    bound = rat_ceil(fractional_opt(inst.sizes, inst.multiplicities))
+    detail = f"opt={sol.objective} ceil(frac)={bound}"
+    if inst.dim <= 2:
+        report.add("round-up of the fractional optimum",
+                   sol.objective == bound, detail)
+    else:
+        report.add("fractional lower bound", sol.objective >= bound, detail)
 
 
 def _schedule_boxes(inst, per_dim_cap, total_cap):
@@ -354,10 +338,8 @@ def _verify_polytope(poly, report):
 def cmd_verify(args) -> int:
     kind, inst = _load(args.path)
     report = _Report(args.json)
-    if kind == "binpacking":
-        _verify_binpacking(inst, args.mode, report)
-    elif kind == "cuttingstock":
-        _verify_cuttingstock(inst, args.mode, report)
+    if kind in ("binpacking", "cuttingstock"):
+        _verify_packing(inst, args.mode, report)
     elif kind == "scheduling":
         _verify_scheduling(inst, args.mode, report)
     else:

@@ -1,7 +1,7 @@
 """Rational polytopes, their lattice points, and parallelepiped covers.
 
-A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b`` (use
-``Polytope.from_rational`` to clear denominators).  On top of it:
+A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b``.  On
+top of it:
 
 * exact coordinate bounds, their inward rounding to an integer box
   (``integer_box``, which rejects an unbounded coordinate), and
@@ -170,19 +170,6 @@ class Polytope:
         self.m = len(self.A)
         self._bounds = None
         self._lattice = None
-
-    @classmethod
-    def from_rational(cls, rows: Sequence[Sequence], rhs: Sequence) -> "Polytope":
-        """Clear denominators row by row to get integer data."""
-        if len(rows) != len(rhs):
-            raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
-        int_rows, int_rhs = [], []
-        for row, b in zip(rows, rhs):
-            vals = list(row) + [b]
-            scale = _denominator_lcm(vals)
-            int_rows.append([_scaled(v, scale) for v in vals[:-1]])
-            int_rhs.append(_scaled(b, scale))
-        return cls(int_rows, int_rhs)
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.A == other.A and self.b == other.b

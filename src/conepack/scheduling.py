@@ -25,9 +25,10 @@ from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from .errors import InfeasibleError, InputError, InternalError
+from .errors import InputError, InternalError
 from .geometry import Polytope, box_polytope, lattice_points
 from .ilp import IlpProblem, ilp_feasible
 from .rational import integer
@@ -605,11 +606,32 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
 # assignment variants
 
 
-def _check_hostable(inst: SchedulingInstance, hostable) -> None:
-    """InfeasibleError naming a demanded job type no machine type can run."""
-    for j, count in enumerate(inst.multiplicities):
-        if count and not any(hostable(i, j) for i in range(inst.m)):
-            raise InfeasibleError(f"job type {j} fits no machine type")
+def _machines(best, d: int, schedule_of) -> tuple:
+    """The machines of a selection and the job copies they place.
+
+    Each copy of a point picked from part i becomes one ``(i, vector,
+    schedule)`` entry, parts in order and points sorted; the vector is the
+    point's first ``d`` coordinates, and ``schedule_of(i, vector)`` returns
+    its validated schedule on machine type i.  Returns ``(machines,
+    placed)``, where ``placed`` totals the vectors per job type.
+    """
+    machines = []
+    placed = [0] * d
+    for i, combo in enumerate(best.part_combinations):
+        for point, mult in sorted(combo.weights.items()):
+            vec = point[:d]
+            machines += [(i, vec, schedule_of(i, vec))] * mult
+            placed = [t + mult * v for t, v in zip(placed, vec)]
+    return tuple(machines), tuple(placed)
+
+
+def _cyclic_schedule(inst: SchedulingInstance, per_type, i: int,
+                     vec: tuple) -> tuple:
+    """The validated schedule of ``vec`` on machine type i, read from its
+    cycle auxiliaries in ``per_type[i]`` (see ``schedulable_vectors``)."""
+    schedule = extract_cyclic_schedule(per_type[i][vec], inst, i)
+    validate_nonpreemptive_schedule(inst, i, vec, schedule)
+    return schedule
 
 
 def preemptive_assign(inst: SchedulingInstance,
@@ -622,38 +644,25 @@ def preemptive_assign(inst: SchedulingInstance,
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities
-    if all(v == 0 for v in a):
-        return ScheduleSolution((), 0)
-    d = inst.d
-    polys = [_clipped_edf_polytope(inst, i, a) for i in range(inst.m)]
-
-    def hostable(i, j):
-        probe = [0] * d
-        probe[j] = 1
-        return polys[i].contains_int(probe)
-
-    _check_hostable(inst, hostable)
-    parts = [(polys[i], inst.costs[i]) for i in range(inst.m)]
+    parts = [(_clipped_edf_polytope(inst, i, a), inst.costs[i])
+             for i in range(inst.m)]
     best = cheapest_cover(
         a, [(lattice_points(poly), c) for poly, c in parts],
         lambda target, budget: multi_polytope_select(parts, target, budget,
                                                      mode=mode))
-    machines = []
-    placed = [0] * d
-    for i, combo in enumerate(best.part_combinations):
-        for vec, mult in sorted(combo.weights.items()):
-            sim = edf_simulate(vec, inst, i)
-            if not sim.feasible:
-                raise InternalError(
-                    f"selected vector {vec} fails its own simulation")
-            validate_preemptive_schedule(inst, i, vec, sim.schedule)
-            for _ in range(mult):
-                machines.append((i, vec, sim.schedule))
-            for j in range(d):
-                placed[j] += mult * vec[j]
-    if tuple(placed) != a:
+
+    def simulated(i, vec):
+        sim = edf_simulate(vec, inst, i)
+        if not sim.feasible:
+            raise InternalError(
+                f"selected vector {vec} fails its own simulation")
+        validate_preemptive_schedule(inst, i, vec, sim.schedule)
+        return sim.schedule
+
+    machines, placed = _machines(best, inst.d, simulated)
+    if placed != a:
         raise InternalError("assignment does not meet the demand")
-    return ScheduleSolution(tuple(machines), best.total_cost)
+    return ScheduleSolution(machines, best.total_cost)
 
 
 def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
@@ -696,35 +705,17 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities
-    if all(v == 0 for v in a):
-        return ScheduleSolution((), 0)
-    d = inst.d
     per_type = [schedulable_vectors(inst, i, a) for i in range(inst.m)]
-
-    def hostable(i, j):
-        probe = [0] * d
-        probe[j] = 1
-        return tuple(probe) in per_type[i]
-
-    _check_hostable(inst, hostable)
     groups = [sorted(per_type[i]) for i in range(inst.m)]
     best = cheapest_cover(
         a, list(zip(groups, inst.costs)),
         lambda target, budget: select_from_generators(
             groups, list(inst.costs), target, budget))
-    machines = []
-    placed = [0] * d
-    for i, combo in enumerate(best.part_combinations):
-        for vec, mult in sorted(combo.weights.items()):
-            schedule = extract_cyclic_schedule(per_type[i][vec], inst, i)
-            validate_nonpreemptive_schedule(inst, i, vec, schedule)
-            for _ in range(mult):
-                machines.append((i, vec, schedule))
-            for j in range(d):
-                placed[j] += mult * vec[j]
-    if tuple(placed) != a:
+    machines, placed = _machines(best, inst.d,
+                                 partial(_cyclic_schedule, inst, per_type))
+    if placed != a:
         raise InternalError("assignment does not meet the demand")
-    return ScheduleSolution(tuple(machines), best.total_cost)
+    return ScheduleSolution(machines, best.total_cost)
 
 
 def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
@@ -762,26 +753,17 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
 
     best, dropped = least_feasible(probe, 0, cap,
                                    lambda res: cap - int(res.target[d]))
-    machines = []
-    placed = [0] * d
-    used = [0] * m
-    for i, combo in enumerate(best.part_combinations):
-        for point, mult in sorted(combo.weights.items()):
-            vec = point[:d]
-            schedule = extract_cyclic_schedule(per_type[i][vec], inst, i)
-            validate_nonpreemptive_schedule(inst, i, vec, schedule)
-            for _ in range(mult):
-                machines.append((i, vec, schedule))
-            used[i] += mult
-            for j in range(d):
-                placed[j] += mult * vec[j]
-    if tuple(used) != inst.counts:
+    machines, placed = _machines(best, d,
+                                 partial(_cyclic_schedule, inst, per_type))
+    used = tuple(sum(combo.weights.values())
+                 for combo in best.part_combinations)
+    if used != inst.counts:
         raise InternalError("selection ignored the machine counts")
     if any(placed[j] > a[j] for j in range(d)):
         raise InternalError("scheduled more copies than demanded")
     if cap - sum(p * v for p, v in zip(pen, placed)) != dropped:
         raise InternalError("dropped penalty mass disagrees with the search")
-    return ScheduleSolution(tuple(machines), dropped, tuple(placed))
+    return ScheduleSolution(machines, dropped, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -796,11 +778,11 @@ def scheduling_to_text(inst: SchedulingInstance) -> str:
             r, dl, p = inst.windows[i][j]
             lines.append(f"{i} {j} {r} {dl} {p}")
     lines.append(" ".join(str(v) for v in inst.multiplicities))
-    if variant == "assignment":
-        lines.append(" ".join(str(c) for c in inst.costs))
-    else:
+    if variant == "tardy":
         lines.append(" ".join(str(v) for v in inst.counts))
         lines.append(" ".join(str(v) for v in inst.penalties))
+    else:
+        lines.append(" ".join(str(c) for c in inst.costs))
     return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations as _combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError
@@ -51,7 +51,6 @@ from .ilp import IlpProblem, ilp_feasible
 from .rational import Rat, ONE, integer, rat_ceil, dot
 from .structure import (
     Combination,
-    StructureSet,
     combo_sum,
     compute_structure_set,
     normalize_combination,
@@ -184,6 +183,11 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     ``(part index, point, copies)`` picks and ``hi`` is their cost, at
     most ``sum c_p ceil(l_p)``, so ``hi - lo < len(a) * max c``.  A trimmed
     point missing from its part's points raises InternalError.
+
+    A demanded coordinate that no point covers raises InfeasibleError
+    naming it, before any LP is built; for down-closed parts every other
+    demand is met, so the LP's own InfeasibleError only guards parts that
+    are not down-closed.  Zero demand gives the window ``(0, 0, [])``.
     """
     columns, owners = [], []
     for i, (points, _cost) in enumerate(parts):
@@ -191,6 +195,9 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
             if any(p):
                 columns.append(p)
                 owners.append(i)
+    for j, aj in enumerate(a):
+        if aj and not any(p[j] for p in columns):
+            raise InfeasibleError(f"type {j} fits no machine or bin type")
     costs = [parts[i][1] for i in owners]
     d = len(a)
     lp = ExactLp([[p[j] for p in columns] for j in range(d)], list(a),
@@ -237,7 +244,7 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     budgets below that cover's cost, and not at all when the window is
     closed.  Every cover costs a multiple of the costs' gcd ``g``, so
     ``least_feasible`` bisects over the budgets ``v * g`` inside the
-    window.
+    window.  Zero demand returns the empty selection at cost 0.
     Returns the selection; InternalError when its cost is not the optimum.
     """
     target = box_polytope(a, a)
@@ -411,8 +418,7 @@ class _Relaxation:
 
 
 def int_cone_intersect(source: Polytope, target: Polytope,
-                       mode: str = "faithful",
-                       structure: Optional[StructureSet] = None) -> IntConeResult:
+                       mode: str = "faithful") -> IntConeResult:
     """Find a point of the target reachable as an integer combination.
 
     Searches for ``y = sum_x lambda_x x`` with non-negative integer weights
@@ -442,8 +448,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     relax = _Relaxation(generators, target, source)
     if not relax.feasible(generators):
         return IntConeResult(False, None, None, mode, 0)
-    sset = structure if structure is not None \
-        else compute_structure_set(source)
+    sset = compute_structure_set(source)
     lattice_set = set(lattice)
 
     def finish(pairs, mode_used, guesses):
@@ -717,11 +722,13 @@ def _pattern_polytope(sizes, capacity, a) -> Polytope:
     The box x <= a is added: patterns exceeding the demand can never appear
     in an exact decomposition of a.  Sizes are positive, so the exact
     coordinate bounds are ``0 <= x_j <= min(a_j, capacity / s_j)`` and no
-    LP is solved for them.
+    LP is solved for them.  The size row is scaled to ints by the lcm of
+    its denominators and the capacity's.
     """
     d = len(sizes)
-    rows = [list(sizes)]
-    rhs = [capacity]
+    scale = lcm(*(v.denominator for v in (*sizes, capacity)))
+    rows = [[s.numerator * (scale // s.denominator) for s in sizes]]
+    rhs = [capacity.numerator * (scale // capacity.denominator)]
     for j in range(d):
         unit = [0] * d
         unit[j] = -1
@@ -729,7 +736,7 @@ def _pattern_polytope(sizes, capacity, a) -> Polytope:
         rhs.append(0)
         rows.append([-v for v in unit])
         rhs.append(a[j])
-    poly = Polytope.from_rational(rows, rhs)
+    poly = Polytope(rows, rhs)
     poly._bounds = [(Rat(0), min(Rat(aj), Rat(capacity) / s))
                     for s, aj in zip(sizes, a)]
     return poly
@@ -753,12 +760,6 @@ def cutting_stock(inst: CuttingStockInstance,
     ``multi_polytope_select``.
     """
     a = inst.multiplicities
-    if all(v == 0 for v in a):
-        return PackingSolution((), 0)
-    for j, (s, aj) in enumerate(zip(inst.sizes, a)):
-        if aj and all(s > w for w, _c in inst.bin_types):
-            raise InfeasibleError(
-                f"item type {j} (size {s}) fits no bin type")
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
     best = cheapest_cover(

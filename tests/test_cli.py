@@ -40,6 +40,28 @@ CS_SMALL = "cuttingstock\n2\n1/2 3\n1/3 2\n2\n1 5\n2/3 3\n"
 
 
 class TestSolve:
+    @pytest.mark.parametrize("text, mode, expected", [
+        (BP_SMALL, "faithful",
+         '{"bins": [{"count": 1, "pattern": [1]}, {"count": 1, '
+         '"pattern": [2]}], "kind": "binpacking", "mode": "faithful", '
+         '"opt": 2}'),
+        (BP_OPEN, "faithful",
+         '{"bins": [{"count": 1, "pattern": [0, 3]}, {"count": 2, '
+         '"pattern": [2, 0]}], "kind": "binpacking", "mode": "faithful", '
+         '"opt": 3}'),
+        (BP_OPEN, "joint",
+         '{"bins": [{"count": 1, "pattern": [1, 1]}, {"count": 1, '
+         '"pattern": [1, 2]}, {"count": 1, "pattern": [2, 0]}], '
+         '"kind": "binpacking", "mode": "joint", "opt": 3}'),
+    ])
+    def test_binpacking_json_is_pinned(self, tmp_path, capsys, text, mode,
+                                       expected):
+        # bin packing solves as cutting stock; its JSON names no bin type
+        rc, out, _ = run_cli(capsys, "solve", write(tmp_path, "i.txt", text),
+                             "--mode", mode)
+        assert rc == 0
+        assert out == expected + "\n"
+
     def test_binpacking(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "solve",
                              write(tmp_path, "i.txt", BP_SMALL))
@@ -228,6 +250,16 @@ class TestVerify:
         assert rc == 0
         assert "modes agree: OK" in out
 
+    def test_cuttingstock_with_the_unit_bin_meets_the_oracles(self, tmp_path,
+                                                              capsys):
+        # the one bin type (1, 1) makes it bin packing, oracles included
+        text = "cuttingstock\n2\n1/2 4\n1/4 3\n1\n1 1\n"
+        rc, out, _ = run_cli(capsys, "verify", write(tmp_path, "i.txt", text))
+        assert rc == 0
+        assert "objective equals brute force: OK (solver=3 oracle=3)" in out
+        assert ("round-up of the fractional optimum: OK "
+                "(opt=3 ceil(frac)=3)") in out
+
     def test_scheduling_ok(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "verify",
                              write(tmp_path, "i.txt", SCHED_PRE))
@@ -261,6 +293,15 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "solve", write(tmp_path, "i.txt", text))
         assert rc == 1
         assert "fits no machine" in err
+
+    @pytest.mark.parametrize("variant", ["preemptive", "nonpreemptive"])
+    def test_infeasible_names_the_type(self, tmp_path, capsys, variant):
+        # job type 1 outlasts its window on the one machine type
+        text = (f"scheduling\n2 1 {variant}\n0 0 0 2 1\n0 1 0 2 5\n"
+                "1 1\n1\n")
+        rc, _, err = run_cli(capsys, "solve", write(tmp_path, "i.txt", text))
+        assert rc == 1
+        assert "type 1 fits no machine" in err
 
     def test_budget_is_3(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "solve",

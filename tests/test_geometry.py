@@ -35,15 +35,6 @@ def knapsack_fig() -> Polytope:
     return Polytope([[-1, 0], [0, -1], [26, 41]], [0, 0, 200])
 
 
-class TestFromRational:
-    def test_rejects_mismatched_lengths(self):
-        # zipping would drop the row x >= -3 and leave the ray x <= 3
-        with pytest.raises(InputError):
-            Polytope.from_rational([[1], [-1]], [3])
-        with pytest.raises(InputError):
-            Polytope.from_rational([[1]], [3, 3])
-
-
 class TestCoordinateBounds:
     def test_knapsack_ranges(self):
         bounds = coordinate_bounds(knapsack_fig())

@@ -1,0 +1,64 @@
+"""Every module of the package uses each name it imports.
+
+No linter runs on the package, so this walks each module's syntax tree:
+a name bound by an import must be read somewhere in the module, and in
+``__init__.py`` it must be listed in ``__all__``, which re-exports it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import conepack
+
+PACKAGE = Path(conepack.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree):
+    """The names bound by the module's imports, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def exported_names(tree):
+    """The strings of the module's ``__all__`` list, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if path.name == "__init__.py":
+        used = exported_names(tree)
+    else:
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})"
+                  for name, line in imported_names(tree).items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("import os\nfrom math import gcd, lcm\n"
+                      "from . import budget as spent\n\nprint(gcd(4, 6))\n")
+    assert unused_imports(module) == ["lcm (line 2)", "os (line 1)",
+                                      "spent (line 3)"]

@@ -193,8 +193,10 @@ class TestPreemptiveAssign:
         assert sol.objective == 0 and sol.machines == ()
 
     def test_unhostable_job(self):
-        inst = SchedulingInstance([[(0, 2, 5)]], [1], costs=[1])
-        with pytest.raises(InfeasibleError):
+        # job type 1 outlasts its window on the one machine type
+        inst = SchedulingInstance([[(0, 2, 1), (0, 2, 5)]], [1, 1],
+                                  costs=[1])
+        with pytest.raises(InfeasibleError, match="type 1 fits no machine"):
             preemptive_assign(inst)
 
     def test_search_starts_from_the_configuration_window(self, monkeypatch):
@@ -299,9 +301,10 @@ class TestNonpreemptiveAssign:
         assert nonpreemptive_assign(inst).machines == ()
 
     def test_unhostable_job(self):
-        inst = SchedulingInstance([[(0, 2, 5)]], [1], costs=[1],
-                                  variant="nonpreemptive")
-        with pytest.raises(InfeasibleError):
+        # job type 1 outlasts its window on the one machine type
+        inst = SchedulingInstance([[(0, 2, 1), (0, 2, 5)]], [1, 1],
+                                  costs=[1], variant="nonpreemptive")
+        with pytest.raises(InfeasibleError, match="type 1 fits no machine"):
             nonpreemptive_assign(inst)
 
     def test_objective_must_match_the_search(self, monkeypatch):
@@ -409,9 +412,13 @@ class TestSchedulableVectors:
 
 
 class TestTextFormat:
-    def test_assignment_round_trip(self):
-        txt = scheduling_to_text(FIXTURE)
-        back = scheduling_from_text(txt)
+    @pytest.mark.parametrize("variant",
+                             ["assignment", "preemptive", "nonpreemptive"])
+    def test_assignment_round_trip(self, variant):
+        inst = SchedulingInstance(FIXTURE.windows, FIXTURE.multiplicities,
+                                  costs=FIXTURE.costs, variant=variant)
+        back = scheduling_from_text(scheduling_to_text(inst))
+        assert back.variant == variant
         assert back.windows == FIXTURE.windows
         assert back.multiplicities == FIXTURE.multiplicities
         assert back.costs == FIXTURE.costs

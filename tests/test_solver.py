@@ -415,6 +415,14 @@ class TestCuttingStock:
         with pytest.raises(InfeasibleError):
             cutting_stock(inst)
 
+    def test_unfittable_type_is_named_before_any_pivot(self):
+        # the pattern polytope holds no point with x_0 > 0, and the
+        # configuration window says so before it builds its LP
+        inst = CuttingStockInstance([Rat(2), Rat(1, 3)], [1, 10 ** 30],
+                                    [(Rat(1), 1)])
+        with limit(0), pytest.raises(InfeasibleError, match="type 0 fits"):
+            cutting_stock(inst)
+
     def test_zero_demand(self):
         inst = CuttingStockInstance([Rat(1, 2)], [0], [(Rat(1), 1)])
         assert cutting_stock(inst).objective == 0
@@ -557,6 +565,20 @@ def test_pattern_polytopes_seed_their_exact_bounds():
     assert oversized >= 5
 
 
+def test_pattern_polytope_rows_are_the_cleared_size_row_and_unit_rows():
+    # the size row scaled by the lcm of its denominators, then
+    # -x_j <= 0 and x_j <= a_j per j; Bland's rule pivots by row index
+    sizes = (Rat(1, 3), Rat(1, 4), Rat(2, 7))
+    units = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1),
+             (0, 0, 1)]
+    poly = solver._pattern_polytope(sizes, 1, (5, 6, 7))
+    assert poly.A == [(28, 21, 24)] + units
+    assert poly.b == (84, 0, 5, 0, 6, 0, 7)
+    poly = solver._pattern_polytope(sizes, Rat(3, 5), (5, 6, 7))
+    assert poly.A == [(140, 105, 120)] + units
+    assert poly.b == (252, 0, 5, 0, 6, 0, 7)
+
+
 class TestCheapestCover:
     def test_bisects_over_the_costs_lattice(self, monkeypatch):
         # every cover costs a multiple of gcd(9, 6) = 3, so no budget
@@ -595,7 +617,7 @@ class TestConfigurationWindow:
                                     [0, 0]) == (0, 0, [])
 
     def test_uncoverable_demand(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="type 1 fits no machine"):
             configuration_window([([(0, 0), (1, 0)], 1)], [1, 1])
 
     def test_low_end_rounds_up_to_the_costs_gcd(self):
