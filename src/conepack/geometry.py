@@ -7,9 +7,11 @@ top of it:
   (``integer_box``, which rejects an unbounded coordinate), and
   lattice-point enumeration over that box, one integer interval of
   admitted values per depth,
-* exact convex-hull machinery in any small dimension (a monotone chain
-  for rank-2 point sets, beneath-beyond on integer determinants for rank
-  3, vertex filtering by exact LP above),
+* exact convex-hull machinery in any small dimension over sorted,
+  distinct points (inner points of axis runs pruned first, along the last
+  axis from the sort order alone; then a monotone chain for rank-2 point
+  sets, beneath-beyond on integer determinants for rank 3, vertex
+  filtering by exact LP above),
 * the slack-interval grid that groups lattice points into
   ``(signature, members)`` cells whose slacks agree within ``1 + 1/d^2``,
 * minimum-volume enclosing ellipsoid contact points (float iteration,
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
-from .rational import Rat, ONE, rat_ceil, rat_floor, as_int, integer
+from .rational import Rat, ONE, ZERO, rat_ceil, rat_floor, as_int, integer
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
@@ -221,6 +223,41 @@ def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     if all(a <= b for a, b in zip(lo, hi)):
         box._bounds = [(Rat(a), Rat(b)) for a, b in zip(lo, hi)]
     return box
+
+
+def down_closed_polytope(rows: Sequence[Sequence[int]],
+                         rhs: Sequence[int]) -> Polytope:
+    """``{x : A x <= b}`` for rows that are each exactly ``-x_j <= 0`` or
+    have non-negative coefficients and a non-negative right-hand side.
+
+    Every coordinate needs its row ``-x_j <= 0``; any other row, or a
+    missing one, raises ``InternalError``.  Such a polytope holds 0 and is
+    down-closed in the orthant, so coordinate ``j`` ranges exactly over
+    ``[0, min_i b_i / a_ij]`` on the rows with ``a_ij > 0`` (the upper end
+    is attained on the axis), and over ``[0, inf)`` if there is none.  The
+    polytope knows those bounds, so ``coordinate_bounds`` solves no LP for
+    it.  The rows are kept in the order given, since Bland's rule pivots
+    by row index.
+    """
+    poly = Polytope(rows, rhs)
+    floored = set()
+    top = [None] * poly.dim  # per coordinate, (b_i, a_ij) of least ratio
+    for i, (row, b) in enumerate(zip(poly.A, poly.b)):
+        support = [j for j, c in enumerate(row) if c]
+        if b == 0 and len(support) == 1 and row[support[0]] == -1:
+            floored.add(support[0])
+            continue
+        if b < 0 or any(c < 0 for c in row):
+            raise InternalError(f"row {i} of a down-closed polytope is "
+                                f"{row} <= {b}")
+        for j in support:
+            if top[j] is None or b * top[j][1] < top[j][0] * row[j]:
+                top[j] = (b, row[j])
+    if len(floored) < poly.dim:
+        j = min(set(range(poly.dim)) - floored)
+        raise InternalError(f"down-closed polytope has no row -x_{j} <= 0")
+    poly._bounds = [(ZERO, None if t is None else Rat(*t)) for t in top]
+    return poly
 
 
 def coordinate_bounds(poly: Polytope):
@@ -433,11 +470,12 @@ def _hull_3d_vertices(coords):
 
     Beneath-beyond (Preparata & Shamos 1985, ch. 3) on integer
     orientation determinants.  The hull is kept as outward triangles
-    ``(u, v, w, n, h)``: ``n`` is the normal ``(v - u) x (w - u)`` and the
-    triangle's plane is ``n.x = h``.  It starts from the first four
+    ``(u, v, w, nx, ny, nz, h)``: ``n`` is the normal ``(v - u) x (w - u)``
+    and the triangle's plane is ``n.x = h``.  It starts from the first four
     affinely independent points; each later point ``q`` removes the
     triangles that see it (``n.q > h``) and closes the hole with triangles
-    from ``q`` to the horizon edges.  A triangle whose plane holds ``q``
+    from ``q`` to the horizon edges; both run inline on the coordinates,
+    once per triangle.  A triangle whose plane holds ``q``
     stays, so a face may be split into several coplanar triangles.  At the
     end a point is a hull vertex iff its triangles lie on at least three
     distinct planes; on one it is inside a face, on two inside an edge.
@@ -453,7 +491,7 @@ def _hull_3d_vertices(coords):
 
     def triangle(a, b, e):
         n = _cross3(_sub(c[b], c[a]), _sub(c[e], c[a]))
-        return (a, b, e, n, _dot3(n, c[a]))
+        return (a, b, e, *n, _dot3(n, c[a]))
 
     tris = []
     for a, b, e, o in ((first[0], first[1], first[2], first[3]),
@@ -461,24 +499,35 @@ def _hull_3d_vertices(coords):
                        (first[0], first[2], first[3], first[1]),
                        (first[1], first[2], first[3], first[0])):
         t = triangle(a, b, e)
-        tris.append(t if _dot3(t[3], c[o]) < t[4] else triangle(a, e, b))
+        tris.append(t if _dot3(t[3:6], c[o]) < t[6] else triangle(a, e, b))
     for q in range(len(c)):
         if q in first:
             continue
-        p = c[q]
+        px, py, pz = c[q]
         seen, kept = [], []
         for t in tris:
-            (seen if _dot3(t[3], p) > t[4] else kept).append(t)
+            (seen if t[3] * px + t[4] * py + t[5] * pz > t[6]
+             else kept).append(t)
         if not seen:
             continue
-        edges = {e for a, b, w, _n, _h in seen
-                 for e in ((a, b), (b, w), (w, a))}
-        tris = kept + [triangle(a, b, q) for a, b in edges
-                       if (b, a) not in edges]
+        edges = {e for t in seen
+                 for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))}
+        for a, b in edges:
+            if (b, a) in edges:
+                continue
+            ax, ay, az = c[a]
+            bx, by, bz = c[b]
+            ux, uy, uz = bx - ax, by - ay, bz - az
+            vx, vy, vz = px - ax, py - ay, pz - az
+            nx = uy * vz - uz * vy
+            ny = uz * vx - ux * vz
+            nz = ux * vy - uy * vx
+            kept.append((a, b, q, nx, ny, nz, nx * ax + ny * ay + nz * az))
+        tris = kept
     planes: dict = {}
-    for a, b, e, n, _h in tris:
-        g = math.gcd(*n)
-        n = (n[0] // g, n[1] // g, n[2] // g)
+    for a, b, e, nx, ny, nz, _h in tris:
+        g = math.gcd(nx, ny, nz)
+        n = (nx // g, ny // g, nz // g)
         for v in (a, b, e):
             planes.setdefault(v, set()).add(n)
     return sorted(v for v, normals in planes.items() if len(normals) >= 3)
@@ -488,22 +537,58 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
     """Vertices of the convex hull of a finite integer point set.
 
     Exact in every dimension; a non-integral coordinate raises
-    ``InputError``.  First the points that sit midway between two others
-    along a coordinate axis are pruned: such a point is no vertex, and
-    dropping non-vertices keeps the hull, so it keeps the affine rank and
-    the lexicographically smallest and largest points.  Rank 1 takes those
-    two ends.  Rank 2 runs a monotone chain and rank 3 ``_hull_3d_vertices``,
-    on the points themselves at full rank and on integer coordinates in
-    their affine hull (``_chart``) below it.  Higher ranks settle the
-    candidates with exact LP membership tests.  Sorted lexicographically.
+    ``InputError``.  The points are made distinct int tuples and sorted,
+    then handed to ``_hull_of_sorted``, which prunes points midway between
+    two others along a coordinate axis and hulls the rest.  Sorted
+    lexicographically.
     """
     ptset = set(map(tuple, points))
     if not set(map(type, chain.from_iterable(ptset))) <= {int}:
         ptset = {tuple(integer(v, "hull point coordinate") for v in p)
                  for p in ptset}
+    return _hull_of_sorted(sorted(ptset))
+
+
+def _run_ends(pts: list) -> list:
+    """The points of a sorted list of distinct int tuples that are not
+    strictly inside a run along the last coordinate.
+
+    A point ``(x', t)`` with ``(x', t - 1)`` and ``(x', t + 1)`` also in the
+    list sits between them in it, and then the two list neighbours share
+    its prefix and differ by 2 in the last coordinate; nothing else can
+    sit between two such points.  So one pass over neighbour triples finds
+    every inner point, and no set is needed.
+    """
+    if len(pts) <= 2:
+        return list(pts)
+    ends = [pts[0]]
+    for a, p, c in zip(pts, pts[1:], pts[2:]):
+        if c[-1] - a[-1] != 2 or a[:-1] != c[:-1]:
+            ends.append(p)
+    ends.append(pts[-1])
+    return ends
+
+
+def _hull_of_sorted(pts: list) -> list:
+    """Vertices of the convex hull of sorted, distinct int tuples.
+
+    First the points that sit midway between two others along a
+    coordinate axis are pruned: such a point is no vertex, and dropping
+    non-vertices keeps the hull, so it keeps the affine rank and the
+    lexicographically smallest and largest points.  The last axis is
+    pruned from the list order (``_run_ends``), each other axis by looking
+    up the point's two neighbours among the run ends.  Rank 1 takes the
+    two ends.  Rank 2 runs a monotone chain and rank 3 ``_hull_3d_vertices``,
+    on the points themselves at full rank and on integer coordinates in
+    their affine hull (``_chart``) below it.  Higher ranks settle the
+    candidates with exact LP membership tests.  Sorted lexicographically.
+    """
+    ends = _run_ends(pts)
+    ptset = set(ends)
     pts = []
-    for p in sorted(ptset):
-        for t, x in enumerate(p):
+    for p in ends:
+        for t in range(len(p) - 1):
+            x = p[t]
             if (p[:t] + (x + 1,) + p[t + 1:] in ptset
                     and p[:t] + (x - 1,) + p[t + 1:] in ptset):
                 break
@@ -543,8 +628,14 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
 
 def integer_hull_vertices(poly: Polytope) -> list:
     """Vertices of the convex hull of the polytope's lattice points (within
-    the lattice cap of ``lattice_points``)."""
-    return extreme_points(lattice_points(poly))
+    the lattice cap of ``lattice_points``).
+
+    The lattice is already a sorted list of distinct int tuples, so it goes
+    straight to ``_hull_of_sorted``, without ``extreme_points``' set, type
+    check and sort; only its run ends along the last coordinate reach the
+    hull proper.
+    """
+    return _hull_of_sorted(lattice_points(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +674,18 @@ def slack_interval_index(slack: int, dim: int) -> int:
     return bisect_right(ceils, slack) + 1
 
 
+class _SlackIndex(dict):
+    """``slack -> slack_interval_index(slack, dim)``, filled on a miss."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, slack):
+        self[slack] = j = slack_interval_index(slack, self.dim)
+        return j
+
+
 def cell_partition(poly: Polytope) -> list:
     """Group the lattice points by their slack-signature.
 
@@ -591,23 +694,29 @@ def cell_partition(poly: Polytope) -> list:
     ``members`` is the sorted tuple of the cell's lattice points.  Every
     lattice point lands in exactly one cell, and two points share a cell
     iff every one of their slacks falls in the same grid interval.  The
-    slacks are computed a row at a time over the coordinate columns of the
-    points, skipping zero coefficients, so each is an int; the interval
-    index of each distinct slack is looked up once per call, and a point's
-    signature is its entry in every row's column of indices.
+    signatures are built a row at a time over the coordinate columns of
+    the points, as a column of interval indices per row; a point's
+    signature is its entry in every column.  A row with one non-zero
+    coefficient, such as a box row, maps each distinct value of its
+    coordinate to an interval index once and then indexes the column.
+    Any other row computes its slacks over the columns of its non-zero
+    coefficients, so each is an int.  The interval index of each distinct
+    slack is looked up once per call, on its first use.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
-    d = poly.dim
     cols = list(zip(*pts))
-    index: dict = {}
+    index = _SlackIndex(poly.dim)
     sig_cols = []
     for row, b in zip(poly.A, poly.b):
+        terms = [(c, col) for c, col in zip(row, cols) if c]
+        if len(terms) == 1:
+            (c, col), = terms
+            by_value = {x: index[b - c * x] for x in set(col)}
+            sig_cols.append(list(map(by_value.__getitem__, col)))
+            continue
         slack = [b] * len(pts)
-        for c, col in zip(row, cols):
-            if c:
-                slack = [s - c * x for s, x in zip(slack, col)]
-        for s in set(slack).difference(index):
-            index[s] = slack_interval_index(s, d)
+        for c, col in terms:
+            slack = [s - c * x for s, x in zip(slack, col)]
         sig_cols.append(list(map(index.__getitem__, slack)))
     cells: dict = {}
     for sig, p in zip(zip(*sig_cols), pts):

@@ -29,7 +29,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
-from .geometry import Polytope, box_polytope, lattice_points
+from .geometry import (Polytope, box_polytope, down_closed_polytope,
+                       lattice_points)
 from .ilp import IlpProblem, ilp_feasible
 from .rational import integer
 from .solver import (_multiplicities, cheapest_cover, least_feasible,
@@ -191,7 +192,12 @@ def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
 
 def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
                           box_hi: Sequence[int]) -> Polytope:
-    """``build_edf_polytope`` with the rows ``x_j <= box_hi[j]`` appended."""
+    """``build_edf_polytope`` with the rows ``x_j <= box_hi[j]`` appended.
+
+    Lengths and interval widths are non-negative, so for a non-negative
+    box the polytope is down-closed, and ``down_closed_polytope`` knows its
+    coordinate bounds without an LP.
+    """
     base = build_edf_polytope(inst, machine_type)
     rows = [list(r) for r in base.A]
     rhs = list(base.b)
@@ -200,7 +206,7 @@ def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
         unit[j] = 1
         rows.append(unit)
         rhs.append(box_hi[j])
-    return Polytope(rows, rhs)
+    return down_closed_polytope(rows, rhs)
 
 
 @dataclass(frozen=True)
@@ -674,8 +680,11 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     polytope clipped to the box, which the horizon bounds however large
     the box is; they are tried by total count, then lexicographically.
     Dropping copies keeps a schedule feasible, so supersets of infeasible
-    vectors are skipped outright.
+    vectors are skipped outright.  A box with a negative side holds no
+    vector.
     """
+    if min(box_hi) < 0:
+        return {}
     d = inst.d
     feasible = {}
     infeasible = set()

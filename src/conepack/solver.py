@@ -44,6 +44,7 @@ from .geometry import (
     Polytope,
     box_polytope,
     coordinate_bounds,
+    down_closed_polytope,
     integer_box,
     lattice_points,
 )
@@ -720,10 +721,11 @@ def _pattern_polytope(sizes, capacity, a) -> Polytope:
     """Patterns of one bin: {x >= 0 : s.x <= capacity, x <= a}.
 
     The box x <= a is added: patterns exceeding the demand can never appear
-    in an exact decomposition of a.  Sizes are positive, so the exact
-    coordinate bounds are ``0 <= x_j <= min(a_j, capacity / s_j)`` and no
-    LP is solved for them.  The size row is scaled to ints by the lcm of
-    its denominators and the capacity's.
+    in an exact decomposition of a.  Sizes are positive, so the polytope is
+    down-closed and ``down_closed_polytope`` knows its exact coordinate
+    bounds ``0 <= x_j <= min(a_j, capacity / s_j)`` without an LP.  The
+    size row is scaled to ints by the lcm of its denominators and the
+    capacity's.
     """
     d = len(sizes)
     scale = lcm(*(v.denominator for v in (*sizes, capacity)))
@@ -736,10 +738,7 @@ def _pattern_polytope(sizes, capacity, a) -> Polytope:
         rhs.append(0)
         rows.append([-v for v in unit])
         rhs.append(a[j])
-    poly = Polytope(rows, rhs)
-    poly._bounds = [(Rat(0), min(Rat(aj), Rat(capacity) / s))
-                    for s, aj in zip(sizes, a)]
-    return poly
+    return down_closed_polytope(rows, rhs)
 
 
 def bin_packing(inst: BinPackingInstance,

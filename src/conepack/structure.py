@@ -266,12 +266,18 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     inside the bounding box of its vertices, and skips those already
     claimed.  So every point goes to the lowest index of a parallelepiped
     containing it.
+
+    The lattice is read once.  The special points come out sorted by
+    filtering that sorted list, so a cover vertex outside it raises
+    ``InternalError``; then a locator as long as the list holds every
+    point, and only a shorter one is scanned, to name a missed point.
     """
     cover = tuple(parallelepiped_cover(poly))
+    points = lattice_points(poly)
     special = set()
     locator = {}
     # sorted; the points that no k > 0 element has claimed yet
-    unassigned = list(lattice_points(poly))
+    unassigned = list(points)
     for idx, pp in enumerate(cover):
         if not pp.vecs:
             p = pp._center  # integral, so stored unscaled
@@ -294,10 +300,18 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
             else:
                 missed.append(p)
         unassigned[start:stop] = missed
-    missing = next((p for p in unassigned if p not in locator), None)
-    if missing is not None:
+    # every cover vertex is an integral point of P, so it is in the
+    # sorted lattice list
+    special_points = tuple(p for p in points if p in special)
+    if len(special_points) != len(special):
+        stray = min(special.difference(special_points))
+        raise InternalError(f"cover vertex {stray} is not a lattice point")
+    # the locator's keys are now lattice points, so equal counts mean
+    # every point is claimed
+    if len(locator) != len(points):
+        missing = next(p for p in unassigned if p not in locator)
         raise InternalError(f"lattice point {missing} missed by the cover")
-    return StructureSet(tuple(sorted(special)), cover, locator, poly)
+    return StructureSet(special_points, cover, locator, poly)
 
 
 def normalize_combination(combo: Combination, sset: StructureSet) -> Combination:

@@ -82,3 +82,36 @@ def test_catalogue_answers_are_pinned(workloads, solved, name):
 def test_catalogue_objectives_are_pinned(solved, name):
     assert _digest([_objective(a) for a in solved(name)]) \
         == OBJECTIVE_PINS[name]
+
+
+def _parsed(workloads, name, count):
+    return [workloads.cli.parse_instance_text(workloads.render(d))
+            for d in workloads.catalogue(name, count)]
+
+
+def test_edf_polytopes_know_their_lp_bounds(workloads):
+    """The clipped EDF polytopes of the ``stock`` and ``sched-np``
+    catalogues carry the bounds that fresh LPs give."""
+    from conepack.geometry import Polytope, coordinate_bounds
+    from conepack.scheduling import _clipped_edf_polytope
+    seen = 0
+    for name in ("stock", "sched-np"):
+        for kind, inst in _parsed(workloads, name, PINS[name][0]):
+            if kind != "scheduling":
+                continue
+            for i in range(inst.m):
+                poly = _clipped_edf_polytope(inst, i, inst.multiplicities)
+                assert poly._bounds == coordinate_bounds(
+                    Polytope(poly.A, poly.b))
+                seen += 1
+    assert seen == 55
+
+
+def test_cover_hulls_match_extreme_points(workloads):
+    """The lattice hull from run ends equals ``extreme_points`` of the
+    whole lattice on every ``cover`` polytope."""
+    from conepack.geometry import (extreme_points, integer_hull_vertices,
+                                   lattice_points)
+    for _kind, poly in _parsed(workloads, "cover", PINS["cover"][0]):
+        assert integer_hull_vertices(poly) == \
+            extreme_points(lattice_points(poly))

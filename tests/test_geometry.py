@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepack import geometry
-from conepack.errors import InputError, ResourceError
+from conepack.errors import InputError, InternalError, ResourceError
 from conepack.exactmath import INFEASIBLE, OPTIMAL, lp_optimize
 from conepack.geometry import (
     Parallelepiped,
@@ -173,6 +173,64 @@ class TestIntegerBox:
 
         monkeypatch.setattr(geometry, "ExactLp", no_lp)
         assert integer_box(box) == [(-1, 2), (0, 3)]
+
+
+class TestDownClosed:
+    @staticmethod
+    def rand_down_closed(rng):
+        """Rows ``-x_j <= 0`` for every j among rows with non-negative
+        coefficients and right-hand sides, in a seeded order; now and then
+        a coordinate has no positive coefficient and is unbounded."""
+        d = rng.randint(1, 4)
+        rows, rhs = [], []
+        for j in range(d):
+            unit = [0] * d
+            unit[j] = -1
+            rows.append(unit)
+            rhs.append(0)
+        for _ in range(rng.randint(0, 4)):
+            rows.append([rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(d)])
+            rhs.append(rng.randint(0, 12))
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        return [rows[i] for i in order], [rhs[i] for i in order]
+
+    def test_bounds_match_fresh_lps(self):
+        rng = random.Random(55011)
+        unbounded = 0
+        for _ in range(120):
+            rows, rhs = self.rand_down_closed(rng)
+            poly = geometry.down_closed_polytope(rows, rhs)
+            assert poly.A == [tuple(r) for r in rows]  # order kept
+            assert poly.b == tuple(rhs)
+            expected = coordinate_bounds(Polytope(rows, rhs))
+            assert poly._bounds == expected
+            assert expected == TestCoordinateBounds.fresh_bounds(poly)
+            unbounded += any(hi is None for _lo, hi in expected)
+        assert unbounded >= 10
+
+    def test_solves_no_lp(self, monkeypatch):
+        poly = geometry.down_closed_polytope(
+            [[-1, 0], [3, 2], [0, -1], [0, 1]], [0, 12, 0, 5])
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solved an LP for a down-closed polytope")
+
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        assert coordinate_bounds(poly) == [(0, 4), (0, 5)]
+        assert integer_box(poly) == [(0, 4), (0, 5)]
+
+    @pytest.mark.parametrize("rows,rhs,match", [
+        ([[-1, 0], [0, -1], [1, -1]], [0, 0, 3], r"row 2 .* is \(1, -1\)"),
+        ([[-1, 0], [0, -1], [1, 1]], [0, 0, -1], "row 2"),
+        ([[-2, 0], [0, -1], [1, 1]], [0, 0, 3], "row 0"),
+        ([[-1, 0], [0, -1]], [1, 0], "row 0"),
+        ([[-1, 0], [1, 1]], [0, 3], "no row -x_1 <= 0"),
+    ], ids=["mixed-sign", "negative-rhs", "scaled-floor", "shifted-floor",
+            "missing-floor"])
+    def test_rejects_other_rows(self, rows, rhs, match):
+        with pytest.raises(InternalError, match=match):
+            geometry.down_closed_polytope(rows, rhs)
 
 
 class TestLatticePoints:
@@ -528,6 +586,109 @@ class TestHulls:
         assert in_convex_hull((rat(1, 3), rat(1, 2)), square)
         assert not in_convex_hull((3, 1), square)
         assert not in_convex_hull((1, 1), [])
+
+
+def _flat_polytope(rng, d, rank):
+    """A box in the first ``rank`` coordinates, each later coordinate an
+    integer affine function of them held by two opposite rows: a polytope
+    of affine rank at most ``rank`` in ``d``-space."""
+    rows, rhs = [], []
+    for j in range(rank):
+        unit = [0] * d
+        unit[j] = 1
+        rows += [unit, [-v for v in unit]]
+        rhs += [rng.randint(1, 4), rng.randint(0, 2)]
+    for j in range(rank, d):
+        row = [rng.randint(-2, 2) for _ in range(rank)] + [0] * (d - rank)
+        row[j] = -1
+        e = rng.randint(-2, 2)
+        # x_j = sum_k row_k x_k + e, as x_j >= ... and x_j <= ...
+        rows += [row, [-v for v in row]]
+        rhs += [-e, e]
+    return Polytope(rows, rhs)
+
+
+def _hull_cases(seed, count):
+    """Seeded polytopes in d = 1-4 with a non-empty lattice: every third
+    flat (rank 1 or 2 below the ambient dimension), the rest a box cut by
+    random halfspaces."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 3 == 2:
+            d = rng.randint(2, 4)
+            poly = _flat_polytope(rng, d, rng.randint(1, min(2, d - 1)))
+        else:
+            poly = rand_bounded_polytope(rng, max_dim=4, box_cap=4,
+                                         lattice_budget=3000)
+        if lattice_points(poly):
+            out.append(poly)
+    return out
+
+
+def _inner_on_last_axis(p, lattice):
+    return (p[:-1] + (p[-1] - 1,) in lattice
+            and p[:-1] + (p[-1] + 1,) in lattice)
+
+
+class TestHullFromRunEnds:
+    def test_lattice_hull_matches_extreme_points_and_the_definition(self):
+        ranks = set()
+        small = 0
+        for poly in _hull_cases(61717, 90):
+            pts = lattice_points(poly)
+            hull = integer_hull_vertices(poly)
+            assert hull == extreme_points(pts), poly.A
+            if len(pts) <= 30:
+                small += 1
+                assert hull == sorted(brute_extreme(pts)), poly.A
+            ranks.add((poly.dim, _affine_rank(pts)))
+        assert small >= 30
+        assert {(3, 1), (3, 2), (4, 1), (4, 2), (4, 4)} <= ranks, ranks
+
+    def test_inner_run_points_never_reach_the_hull(self, monkeypatch):
+        """``_run_ends`` drops exactly the points with both last-axis
+        neighbours in the lattice, and the hull proper (its chart) never
+        sees one."""
+        charted = []
+        chart = geometry._chart
+
+        def recording(points):
+            charted.append(list(points))
+            return chart(points)
+
+        monkeypatch.setattr(geometry, "_chart", recording)
+        dropped = 0
+        for poly in _hull_cases(61718, 60):
+            pts = lattice_points(poly)
+            lattice = set(pts)
+            ends = geometry._run_ends(pts)
+            assert ends == [p for p in pts
+                            if not _inner_on_last_axis(p, lattice)]
+            dropped += len(pts) - len(ends)
+            charted.clear()
+            integer_hull_vertices(poly)
+            for candidates in charted:
+                assert not any(_inner_on_last_axis(p, lattice)
+                               for p in candidates)
+        assert dropped >= 100
+
+
+@st.composite
+def _point_lists(draw):
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=14))
+
+
+@settings(max_examples=150)
+@given(_point_lists(), st.randoms(use_true_random=False))
+def test_extreme_points_ignore_order_and_repeats(pts, rnd):
+    expected = extreme_points(sorted(set(pts)))
+    shuffled = pts + [rnd.choice(pts) for _ in range(rnd.randint(0, 4))]
+    rnd.shuffle(shuffled)
+    assert extreme_points(shuffled) == expected
+    assert extreme_points(list(reversed(shuffled))) == expected
 
 
 class TestSlackGrid:

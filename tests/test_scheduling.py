@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conepack import scheduling, solver
+from conepack import geometry, scheduling, solver
 from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
+from conepack.geometry import Polytope, coordinate_bounds, integer_box
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
 from conepack.rational import Rat
 from conepack.solver import multi_polytope_select
@@ -77,6 +78,29 @@ class TestEdfPolytope:
                 member = poly.contains_int(x)
                 sim = edf_simulate(x, inst, 0)
                 assert member == sim.feasible, (inst.windows, x)
+
+    def test_clipped_polytope_knows_its_bounds(self):
+        # lengths and interval widths are non-negative, so the clipped
+        # polytope is down-closed and its builder's bounds are the LP's
+        rng = random.Random(19061)
+        for _ in range(40):
+            inst = rand_instance(rng)
+            box = [rng.randint(0, 4) for _ in range(inst.d)]
+            poly = scheduling._clipped_edf_polytope(inst, 0, box)
+            base = build_edf_polytope(inst, 0)
+            assert poly.A[:base.m] == base.A  # rows keep their order
+            assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
+
+    def test_clipped_polytope_solves_no_lp(self, monkeypatch):
+        inst = SchedulingInstance([[(0, 4, 2), (1, 5, 1)]], [3, 2],
+                                  costs=[1])
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solved an LP for a clipped EDF polytope")
+
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        poly = scheduling._clipped_edf_polytope(inst, 0, (3, 2))
+        assert integer_box(poly) == [(0, 2), (0, 2)]
 
 
 class TestEdfSimulate:
@@ -171,6 +195,9 @@ class TestCyclePolytope:
                 if x[j] > 0:
                     smaller = x[:j] + (x[j] - 1,) + x[j + 1:]
                     assert smaller in vecs
+
+    def test_a_box_with_a_negative_side_holds_no_vector(self):
+        assert schedulable_vectors(FIXTURE, 0, (1, -1, 1)) == {}
 
 
 class TestPreemptiveAssign:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
-from conepack import scheduling, solver
+from conepack import geometry, scheduling, solver
 from conepack.exactmath import ExactLp
 from conepack.geometry import (Polytope, coordinate_bounds, integer_box,
                                lattice_points)
@@ -563,6 +563,15 @@ def test_pattern_polytopes_seed_their_exact_bounds():
         assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
         oversized += sum(aj > 0 and s > capacity for s, aj in zip(sizes, a))
     assert oversized >= 5
+
+
+def test_pattern_polytopes_solve_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solved an LP for a pattern polytope")
+
+    monkeypatch.setattr(geometry, "ExactLp", no_lp)
+    poly = solver._pattern_polytope((Rat(1, 3), Rat(2, 5)), Rat(1), (2, 4))
+    assert integer_box(poly) == [(0, 2), (0, 2)]
 
 
 def test_pattern_polytope_rows_are_the_cleared_size_row_and_unit_rows():

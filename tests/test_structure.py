@@ -1,11 +1,12 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from conepack import oracle, structure
-from conepack.errors import InputError
+from conepack.errors import InputError, InternalError
 from conepack.geometry import (
     Parallelepiped,
     Polytope,
@@ -325,6 +326,90 @@ def test_flat_slabs_build_segment_elements(rows, rhs, points, cells, per_k,
     for v in hull:
         assert not in_convex_hull(v, [w for w in hull if w != v])
     assert all(in_convex_hull(p, hull) for p in pts)
+
+
+def _k_cover_polytopes():
+    """Polytopes whose covers hold ``k > 0`` elements: the pinned slabs,
+    the pinned locator polytopes, and seeded flat slabs (a long box, thin
+    in the other coordinates, sometimes cut) whose coarse slack grid
+    along x makes multi-point cells."""
+    pinned = [Polytope(rows, rhs) for rows, rhs, *_pins in SLAB_PINS]
+    pinned += [Polytope(rows, rhs) for rows, rhs, _pin in LOCATOR_PINS]
+    polys = [poly for poly in pinned
+             if any(pp.k for pp in compute_structure_set(poly).cover)]
+    rng = random.Random(40531)
+    seeded = 0
+    while seeded < 6:
+        box = (rng.randint(24, 40), rng.randint(1, 3), rng.randint(0, 2))
+        cuts = []
+        if rng.random() < 0.5:
+            cuts.append(([1, rng.randint(1, 3), rng.randint(1, 3)],
+                         rng.randint(box[0] // 2, box[0] + 4)))
+        poly = Polytope(*_box3(box, cuts))
+        if any(pp.k for pp in compute_structure_set(poly).cover):
+            polys.append(poly)
+            seeded += 1
+    return polys
+
+
+K_COVER_POLYTOPES = _k_cover_polytopes()
+
+
+@pytest.mark.parametrize("poly", K_COVER_POLYTOPES)
+def test_special_points_are_the_sorted_cover_vertices(poly):
+    sset = compute_structure_set(poly)
+    assert any(pp.k for pp in sset.cover)
+    union = set()
+    for pp in sset.cover:
+        union.update(pp.vertices())
+    assert sset.special_points == tuple(sorted(union))
+
+
+@pytest.mark.parametrize("poly", K_COVER_POLYTOPES)
+def test_a_dropped_element_names_the_missed_point(poly, monkeypatch):
+    """Drop the first ``k > 0`` element that alone holds some point, and
+    the first such ``k = 0`` element: the check names the least point that
+    no remaining element contains."""
+    sset = compute_structure_set(poly)
+    cover = list(sset.cover)
+    owned = {}
+    for p, idx in sset.locator.items():
+        owned.setdefault(idx, []).append(p)
+
+    def missed_without(i):
+        # a point claimed by i is missed iff no later element holds it;
+        # an earlier one would have claimed it
+        return [p for p in owned.get(i, ())
+                if not any(pp.contains(p) for pp in cover[i + 1:])]
+
+    drops = []
+    for want_k in (True, False):
+        for i, pp in enumerate(cover):
+            if bool(pp.k) == want_k and missed_without(i):
+                drops.append(i)
+                break
+    assert len(drops) == 2
+    for i in drops:
+        missed = missed_without(i)
+        kept = cover[:i] + cover[i + 1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, "parallelepiped_cover",
+                          lambda _poly: list(kept))
+            with pytest.raises(InternalError, match=re.escape(
+                    f"lattice point {min(missed)} missed by the cover")):
+                compute_structure_set(poly)
+
+
+def test_a_cover_vertex_off_the_lattice_is_rejected(monkeypatch):
+    # every lattice point is claimed, but one element sits outside P
+    poly = Polytope([[1], [-1]], [3, 0])
+    cover = [Parallelepiped.point((x,)) for x in range(4)]
+    cover.append(Parallelepiped((6,), ((1,),)))
+    monkeypatch.setattr(structure, "parallelepiped_cover",
+                        lambda _poly: list(cover))
+    with pytest.raises(InternalError, match=re.escape(
+            "cover vertex (5,) is not a lattice point")):
+        compute_structure_set(poly)
 
 
 class TestNormalize:
