@@ -7,7 +7,8 @@ Three failure classes are distinguished everywhere in the package:
   polytope where a bounded one is needed).  Subclass of ``ValueError``.
 * ``ResourceError`` -- an explicit work budget was exhausted (the request
   work budget of ``budget.limit``; per-call lattice, node and pivot caps;
-  oracle enumeration caps).  The message names the budget that tripped.
+  the machine list cap; oracle enumeration caps).  The message names the
+  budget that tripped.
 * ``InternalError`` -- an invariant that the algorithms guarantee was
   found violated at runtime.  Always a bug, never a caller mistake.
 """

@@ -14,16 +14,18 @@ top of it:
   filtering by exact LP above),
 * the slack-interval grid that groups lattice points into
   ``(signature, members)`` cells whose slacks agree within ``1 + 1/d^2``,
-* minimum-volume enclosing ellipsoid contact points (float iteration,
+* minimum-volume enclosing ellipsoid contact points (Khachiyan's
+  iteration on plain Python floats, at most ``MVEE_ITERATION_CAP`` steps,
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it (a one-point cell by
   the point itself).
 
-Linear algebra on points and directions runs in integers only: one
-fraction-free (Bareiss) elimination, ``_Frame``, picks independent
-vectors and keeps the adjugate and determinant of a nonsingular pivot
-block.  A ``Parallelepiped`` is such a frame over its directions scaled to
+Apart from the ellipsoid's float weights, linear algebra on points and
+directions runs in integers only: one fraction-free (Bareiss)
+elimination, ``_Frame``, picks independent vectors and keeps the
+adjugate and determinant of a nonsingular pivot block.  A
+``Parallelepiped`` is such a frame over its directions scaled to
 integers, and tests membership as ``|adj . (L p - L c)| <= det`` plus an
 integer affine-span check.  ``Parallelepiped.point`` builds a lattice
 point's ``k = 0`` element directly, with no elimination.
@@ -41,8 +43,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
@@ -871,7 +871,7 @@ class EllipsoidResult:
 
 
 MVEE_TOLERANCE = 1e-9
-MVEE_ITERATION_CAP = 100_000
+MVEE_ITERATION_CAP = 1_000
 
 
 def _ceil_sqrt(t: int) -> int:
@@ -879,26 +879,47 @@ def _ceil_sqrt(t: int) -> int:
     return c if c * c >= t else c + 1
 
 
+def _float_solve(m: list, rhs: list) -> Optional[list]:
+    """``X`` with ``m X = rhs`` for a square float matrix ``m``, by
+    Gauss-Jordan elimination with partial pivoting; None at a zero pivot."""
+    t = len(m)
+    aug = [list(row) + list(b) for row, b in zip(m, rhs)]
+    for col in range(t):
+        piv = max(range(col, t), key=lambda r: abs(aug[r][col]))
+        if aug[piv][col] == 0.0:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        prow = aug[col] = [v / p for v in aug[col]]
+        for r in range(t):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
+    return [row[t:] for row in aug]
+
+
 def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> EllipsoidResult:
     """Contact points of the minimum-volume origin-symmetric enclosing ellipsoid.
 
-    ``points`` must be symmetric about ``center`` (pairs ``center +- u``).
-    The ellipsoid itself is computed in floating point; the returned contact
-    set is certified exactly: every input point is re-verified to lie in the
+    ``points`` must be integer points symmetric about the integer
+    ``center`` (pairs ``center +- u``).  The ellipsoid's weights come from
+    Khachiyan's iteration with the step of Todd and Yildirim, on plain
+    Python floats, for at most ``MVEE_ITERATION_CAP`` steps: the contact set
+    settles within the first few, and the cap only stops a slow approach
+    to the tolerance.  The returned contact set is certified exactly:
+    every input point is re-verified to lie in the
     ``ceil(sqrt(dim))``-scaled symmetric hull of the contacts, and on any
     failure the full point set is returned as the (trivially sufficient)
     contact set.
     """
-    pts = [tuple(Rat(v) for v in p) for p in points]
-    ctr = tuple(Rat(v) for v in center)
+    pts = [tuple(integer(v, "point coordinate") for v in p) for p in points]
+    ctr = tuple(integer(v, "center coordinate") for v in center)
     ptset = set(pts)
     for p in pts:
         mirror = tuple(2 * c - x for c, x in zip(ctr, p))
         if mirror not in ptset:
             raise InputError("point set is not symmetric about the center")
     diffs = [tuple(x - c for x, c in zip(p, ctr)) for p in pts]
-    lcm = _denominator_lcm(x for v in diffs for x in v)
-    diffs = [tuple(_scaled(x, lcm) for x in v) for v in diffs]
     frame = _Frame((v for v in diffs if any(v)), limit=len(ctr))
     t = len(frame.vecs)
     scale = max(1, _ceil_sqrt(t))
@@ -912,28 +933,29 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
         coords.append(num)
 
     nz = [i for i, c in enumerate(coords) if any(c)]
-    V = np.array([[n / frame.det for n in coords[i]] for i in nz], dtype=float)
+    V = [[x / frame.det for x in coords[i]] for i in nz]
+    VT = list(zip(*V))
     n = len(nz)
-    w = np.full(n, 1.0 / n)
+    w = [1.0 / n] * n
     iterations = 0
     ok = True
     for iterations in range(1, MVEE_ITERATION_CAP + 1):
-        M = V.T @ (V * w[:, None])
-        try:
-            X = np.linalg.solve(M, V.T)
-        except np.linalg.LinAlgError:
+        M = [[sum(v[a] * (v[b] * wi) for v, wi in zip(V, w)) for b in range(t)]
+             for a in range(t)]
+        X = _float_solve(M, VT)
+        if X is None:
             ok = False
             break
-        g = np.einsum("ij,ji->i", V, X)
-        kidx = int(np.argmax(g))
-        kappa = float(g[kidx])
+        g = [sum(v[a] * X[a][i] for a in range(t)) for i, v in enumerate(V)]
+        kappa = max(g)
+        kidx = g.index(kappa)
         if kappa <= t * (1.0 + MVEE_TOLERANCE):
             break
         beta = (kappa - t) / (t * (kappa - 1.0))
         if not (0.0 < beta < 1.0):
             ok = False
             break
-        w *= 1.0 - beta
+        w = [wi * (1.0 - beta) for wi in w]
         w[kidx] += beta
 
     max_contacts = t * (t + 3) // 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .geometry import (Polytope, box_polytope, down_closed_polytope,
                        lattice_points)
 from .ilp import IlpProblem, ilp_feasible
@@ -612,6 +612,9 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
 # assignment variants
 
 
+MACHINE_COPY_CAP = 10 ** 7
+
+
 def _machines(best, d: int, schedule_of) -> tuple:
     """The machines of a selection and the job copies they place.
 
@@ -619,8 +622,14 @@ def _machines(best, d: int, schedule_of) -> tuple:
     schedule)`` entry, parts in order and points sorted; the vector is the
     point's first ``d`` coordinates, and ``schedule_of(i, vector)`` returns
     its validated schedule on machine type i.  Returns ``(machines,
-    placed)``, where ``placed`` totals the vectors per job type.
+    placed)``, where ``placed`` totals the vectors per job type.  A
+    selection of more than ``MACHINE_COPY_CAP`` copies raises
+    ``ResourceError`` before any entry is built.
     """
+    copies = sum(combo.total_weight for combo in best.part_combinations)
+    if copies > MACHINE_COPY_CAP:
+        raise ResourceError("machine list", MACHINE_COPY_CAP,
+                            f"{copies} machine copies")
     machines = []
     placed = [0] * d
     for i, combo in enumerate(best.part_combinations):

@@ -442,21 +442,19 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     if target.contains_int((0,) * target.dim):
         return IntConeResult(True, (0,) * target.dim,
                              Combination(dim=source.dim), mode, 0)
-    lattice = lattice_points(source)
-    generators = [p for p in lattice if any(v != 0 for v in p)]
+    generators = [p for p in lattice_points(source) if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
     relax = _Relaxation(generators, target, source)
     if not relax.feasible(generators):
         return IntConeResult(False, None, None, mode, 0)
     sset = compute_structure_set(source)
-    lattice_set = set(lattice)
 
     def finish(pairs, mode_used, guesses):
         combo = Combination(pairs, dim=source.dim)
         y = combo_sum(combo)
         for p in combo.weights:
-            if p not in lattice_set:
+            if p not in sset.locator:
                 raise InternalError(f"witness point {p} is not a generator")
         if not target.contains_int(y):
             raise InternalError("witness sum escapes the target")

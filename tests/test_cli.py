@@ -310,6 +310,13 @@ class TestExitCodes:
         assert rc == 3
         assert "budget" in err
 
+    def test_huge_machine_list_is_3(self, tmp_path, capsys):
+        text = ("scheduling\n2 1 preemptive\n0 0 0 4 2\n0 1 1 5 1\n"
+                f"{10 ** 30} {2 * 10 ** 30}\n3\n")
+        rc, _, err = run_cli(capsys, "solve", write(tmp_path, "i.txt", text))
+        assert rc == 3
+        assert err.startswith("resource limit:")
+
     def test_budget_names_the_work_spent(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "solve",
                              write(tmp_path, "i.txt", BP_OPEN),

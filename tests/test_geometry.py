@@ -966,6 +966,28 @@ class TestMvee:
         res = mvee_contact_points([(3, 3)], (3, 3))
         assert res.contact_indices == () and res.dim == 0
 
+    def test_non_integral_point_rejected(self):
+        with pytest.raises(InputError):
+            mvee_contact_points([(Rat(1, 2), 0), (Rat(-1, 2), 0)], (0, 0))
+
+    # the answers below were recorded from a numpy implementation of the
+    # same iteration, capped at 100,000 steps
+
+    def test_weight_update(self):
+        pts = [(24, 16), (25, 15), (26, 15), (26, 16), (26, 17), (27, 17),
+               (28, 16)]
+        res = mvee_contact_points(pts, (26, 16))
+        assert res.iterations == 2
+        assert res.contact_indices == (0, 1, 2, 4, 5)
+        assert not res.used_fallback
+
+    def test_slow_approach_stops_at_the_cap(self):
+        pts = [(5, 16), (5, 19), (6, 18), (6, 19), (6, 20), (7, 19), (7, 22)]
+        res = mvee_contact_points(pts, (6, 19))
+        assert res.iterations == geometry.MVEE_ITERATION_CAP
+        assert res.contact_indices == (0, 1, 2, 4, 5)
+        assert not res.used_fallback
+
 
 def assert_valid_cover(poly, cover):
     pts = lattice_points(poly)

@@ -1,11 +1,15 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports
+only the standard library and the package itself.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, and in
 ``__init__.py`` it must be listed in ``__all__``, which re-exports it.
+A non-relative import must name a module of ``sys.stdlib_module_names``
+or ``conepack``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,8 +43,12 @@ def exported_names(tree):
     return set()
 
 
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     if path.name == "__init__.py":
         used = exported_names(tree)
     else:
@@ -49,6 +57,24 @@ def unused_imports(path):
     return sorted(f"{name} (line {line})"
                   for name, line in imported_names(tree).items()
                   if name not in used)
+
+
+def foreign_imports(path):
+    """The top-level modules of the module's non-relative imports that are
+    neither in the standard library nor the package, with line numbers."""
+    out = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "conepack":
+                out.append(f"{top} (line {node.lineno})")
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -62,3 +88,17 @@ def test_an_unused_import_is_caught(tmp_path):
                       "from . import budget as spent\n\nprint(gcd(4, 6))\n")
     assert unused_imports(module) == ["lcm (line 2)", "os (line 1)",
                                       "spent (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_standard_library_is_imported(path):
+    assert foreign_imports(path) == []
+
+
+def test_a_foreign_import_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("import os.path\nimport numpy as np\n"
+                      "from conepack.rational import Rat\n"
+                      "from .geometry import Polytope\n"
+                      "from numpy.linalg import solve\n")
+    assert foreign_imports(module) == ["numpy (line 2)", "numpy (line 5)"]

@@ -7,7 +7,8 @@ import pytest
 
 from conepack import geometry, scheduling, solver
 from conepack.budget import limit
-from conepack.errors import InfeasibleError, InputError, InternalError
+from conepack.errors import (InfeasibleError, InputError, InternalError,
+                             ResourceError)
 from conepack.geometry import Polytope, coordinate_bounds, integer_box
 from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
 from conepack.rational import Rat
@@ -436,6 +437,16 @@ class TestSchedulableVectors:
         sol = tardy_min_penalty(inst)
         assert sol.scheduled == (2, 4)
         assert sol.objective == (10 ** 6 - 2) * 5 + (2 * 10 ** 6 - 4)
+
+    def test_too_many_copies_is_a_resource_error(self):
+        # a machine runs at most 5 units of work in [0, 5], so the demand's
+        # 4 * 10^30 units need 8 * 10^29 machines: far past the list's cap
+        inst = SchedulingInstance([[(0, 4, 2), (1, 5, 1)]],
+                                  [10 ** 30, 2 * 10 ** 30], costs=[3])
+        with pytest.raises(ResourceError) as exc:
+            preemptive_assign(inst)
+        assert exc.value.budget_name == "machine list"
+        assert exc.value.limit == scheduling.MACHINE_COPY_CAP
 
 
 class TestTextFormat:

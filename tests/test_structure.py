@@ -237,6 +237,14 @@ class TestLocator:
             assert sset.locator[p] == first
         assert _structure_digest(sset) == pin
 
+    def test_slow_ellipsoid_cell_is_pinned(self):
+        # a cell whose ellipsoid iteration runs to its cap; the digest was
+        # recorded with the numpy iteration and a cap of 100,000 steps
+        poly = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [5, -5]],
+                        [30, 0, 26, 0, 48])
+        sset = compute_structure_set(poly)
+        assert _structure_digest(sset) == "7021b6eeb0a388e4"
+        assert oracle.cover_verify(poly, sset.cover).ok
 
     def test_mixed_cover_keeps_the_lowest_index(self, monkeypatch):
         # points claim with a dict lookup, segments by a box scan; neither
