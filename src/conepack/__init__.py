@@ -27,7 +27,7 @@ from .scheduling import (SchedulingInstance, ScheduleSolution, EdfResult,
                          nonpreemptive_completable, extract_cyclic_schedule,
                          schedulable_vectors, preemptive_assign,
                          nonpreemptive_assign, tardy_min_penalty,
-                         scheduling_to_text, scheduling_from_text,
+                         scheduling_from_text,
                          validate_preemptive_schedule,
                          validate_nonpreemptive_schedule)
 
@@ -70,7 +70,6 @@ __all__ = [
     "preemptive_assign",
     "nonpreemptive_assign",
     "tardy_min_penalty",
-    "scheduling_to_text",
     "scheduling_from_text",
     "validate_preemptive_schedule",
     "validate_nonpreemptive_schedule",

@@ -139,9 +139,7 @@ def _integer_row(values):
 def _bound(value):
     """A variable bound as an int (None stays None); an ``InputError``
     unless it is integral."""
-    if value is None or type(value) is int:
-        return value
-    return integer(value, "variable bound")
+    return None if value is None else integer(value, "variable bound")
 
 
 def _eliminate(tgt: list, d: int, f: int, piv: int, nz: list, b: int, pb: int):

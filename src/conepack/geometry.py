@@ -158,8 +158,9 @@ class Polytope:
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
         if len(rows) != len(rhs):
             raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
-        self.A = [tuple(int(v) for v in row) for row in rows]
-        self.b = tuple(int(v) for v in rhs)
+        self.A = [tuple(integer(v, "constraint coefficient") for v in row)
+                  for row in rows]
+        self.b = tuple(integer(v, "right-hand side") for v in rhs)
         if self.A:
             d = len(self.A[0])
             if any(len(r) != d for r in self.A):

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, UNBOUNDED
-from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int
+from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int, integer
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -56,8 +56,9 @@ class IlpProblem:
     def build(cls, rows: Sequence[Sequence[int]], rhs: Sequence[int],
               lo: Optional[Sequence] = None,
               hi: Optional[Sequence] = None) -> "IlpProblem":
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        rhs = tuple(int(v) for v in rhs)
+        rows = tuple(tuple(integer(v, "constraint coefficient") for v in row)
+                     for row in rows)
+        rhs = tuple(integer(v, "right-hand side") for v in rhs)
         if len(rows) != len(rhs):
             raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
         if not rows:
@@ -71,7 +72,8 @@ class IlpProblem:
         def norm(bounds):
             if bounds is None:
                 return tuple([None] * n)
-            out = tuple(None if v is None else int(v) for v in bounds)
+            out = tuple(None if v is None else integer(v, "variable bound")
+                        for v in bounds)
             if len(out) != n:
                 raise InputError("bound vector length mismatch")
             return out

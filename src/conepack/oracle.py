@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .errors import InputError, ResourceError
 from .exactmath import (lp_optimize, solve_linear_system, INFEASIBLE,
                         OPTIMAL, UNIQUE)
-from .rational import Rat, ZERO, ONE
+from .rational import Rat, ZERO, ONE, integer
 
 BP_BRUTE_ITEM_CAP = 12
 PATTERN_BUDGET = 200_000
@@ -54,7 +54,7 @@ def bp_brute_force(sizes: Sequence, multiplicities: Sequence[int],
                    cap: int = BP_BRUTE_ITEM_CAP) -> int:
     """Minimum bins by dynamic programming over residual demands."""
     sizes = [Rat(s) for s in sizes]
-    a = tuple(int(v) for v in multiplicities)
+    a = tuple(integer(v, "multiplicity") for v in multiplicities)
     if len(sizes) != len(a):
         raise InputError("sizes and multiplicities must align")
     if any(s <= 0 for s in sizes):
@@ -94,7 +94,7 @@ def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
     of an item than are demanded may still appear with a fractional weight.
     """
     sizes = [Rat(s) for s in sizes]
-    a = [Rat(int(v)) for v in multiplicities]
+    a = [Rat(integer(v, "multiplicity")) for v in multiplicities]
     if any(s <= 0 for s in sizes):
         raise InputError("sizes must be positive")
     if all(v == 0 for v in a):
@@ -165,7 +165,8 @@ def int_cone_brute(source, target, box: Sequence,
                                     [lo for lo, _ in scan],
                                     [hi for _, hi in scan])
     else:
-        gens = [tuple(int(v) for v in g) for g in source]
+        gens = [tuple(integer(v, "generator coordinate") for v in g)
+                for g in source]
     gens = [g for g in gens if any(v != 0 for v in g)]
     for g in gens:
         if len(g) != d:
@@ -379,17 +380,14 @@ def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
                                horizon_cap: int = BRUTE_HORIZON_CAP):
     """Count-vector front end: x_j copies of job type j on one machine.
 
-    ``inst`` needs ``releases``/``deadlines``/``lengths`` indexed by
-    machine type then job type.
+    ``inst.windows[machine_type][j]`` is job type j's (release, deadline,
+    length) triple.
     """
     jobs = []
     for j, count in enumerate(x):
         if count < 0:
             raise InputError("negative job count")
-        triple = (inst.releases[machine_type][j],
-                  inst.deadlines[machine_type][j],
-                  inst.lengths[machine_type][j])
-        jobs.extend([triple] * int(count))
+        jobs.extend([inst.windows[machine_type][j]] * int(count))
     horizon = max([d for _r, d, _p in jobs], default=0)
     return nonpreemptive_brute(jobs, horizon, job_cap=job_cap,
                                horizon_cap=horizon_cap)

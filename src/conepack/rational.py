@@ -52,7 +52,14 @@ def as_int(value) -> int:
 
 def integer(value, what: str) -> int:
     """``value`` as an int; an ``InputError`` naming ``what`` unless it is
-    integral."""
+    integral.
+
+    The package's one reader of integer input: every entry point that
+    needs integers reads them here, so an integral rational or float is
+    accepted and anything else raises.  A plain int returns at once.
+    """
+    if type(value) is int:
+        return value
     try:
         return as_int(value)
     except (TypeError, ValueError, OverflowError) as exc:

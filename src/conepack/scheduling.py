@@ -119,19 +119,6 @@ class SchedulingInstance:
             raise InputError(f"unknown variant {variant!r}")
         self.variant = variant
 
-    # accessors used by the oracle's count-vector front end as well
-    @property
-    def releases(self):
-        return tuple(tuple(r for r, _dl, _p in per) for per in self.windows)
-
-    @property
-    def deadlines(self):
-        return tuple(tuple(dl for _r, dl, _p in per) for per in self.windows)
-
-    @property
-    def lengths(self):
-        return tuple(tuple(p for _r, _dl, p in per) for per in self.windows)
-
     def critical_points(self, machine_type: int) -> tuple:
         """Sorted distinct releases and deadlines of one machine type."""
         vals = set()
@@ -163,31 +150,51 @@ class ScheduleSolution:
 # preemptive: interval polytope and simulator
 
 
+def _interval_loads(inst: SchedulingInstance, machine_type: int) -> list:
+    """``((t1, t2), row)`` for each pair t1 <= t2 of the machine type's
+    critical points, ordered by t1 then t2.
+
+    ``row[j]`` is job j's length when its whole window sits inside
+    [t1, t2], else 0, so ``row . x`` is the work x must do in the interval.
+    """
+    windows = inst.windows[machine_type]
+    points = inst.critical_points(machine_type)
+    return [((t1, t2), [p if r >= t1 and dl <= t2 else 0
+                        for r, dl, p in windows])
+            for a, t1 in enumerate(points) for t2 in points[a:]]
+
+
+def _overloaded(x: Sequence[int], inst: SchedulingInstance,
+                machine_type: int) -> Optional[tuple]:
+    """The first critical interval (t1, t2) whose load under x exceeds
+    its length, or None when x meets every interval."""
+    for (t1, t2), row in _interval_loads(inst, machine_type):
+        if sum(p * v for p, v in zip(row, x)) > t2 - t1:
+            return t1, t2
+    return None
+
+
+def _edf_rows(inst: SchedulingInstance, machine_type: int):
+    """The rows and right-hand sides of ``build_edf_polytope``."""
+    rows, rhs = [], []
+    for (t1, t2), row in _interval_loads(inst, machine_type):
+        rows.append(row)
+        rhs.append(t2 - t1)
+    for j in range(inst.d):
+        unit = [0] * inst.d
+        unit[j] = -1
+        rows.append(unit)
+        rhs.append(0)
+    return rows, rhs
+
+
 def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
     """Interval-load constraints over the machine type's critical points.
 
     One row per ordered pair t1 <= t2: jobs whose whole window sits inside
     [t1, t2] contribute their full length, and the total must fit.
     """
-    windows = inst.windows[machine_type]
-    d = inst.d
-    points = inst.critical_points(machine_type)
-    rows, rhs = [], []
-    for a in range(len(points)):
-        for b in range(a, len(points)):
-            t1, t2 = points[a], points[b]
-            row = [0] * d
-            for j, (r, dl, p) in enumerate(windows):
-                if r >= t1 and dl <= t2:
-                    row[j] = p
-            rows.append(row)
-            rhs.append(t2 - t1)
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = -1
-        rows.append(unit)
-        rhs.append(0)
-    return Polytope(rows, rhs)
+    return Polytope(*_edf_rows(inst, machine_type))
 
 
 def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
@@ -198,9 +205,7 @@ def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
     box the polytope is down-closed, and ``down_closed_polytope`` knows its
     coordinate bounds without an LP.
     """
-    base = build_edf_polytope(inst, machine_type)
-    rows = [list(r) for r in base.A]
-    rhs = list(base.b)
+    rows, rhs = _edf_rows(inst, machine_type)
     for j in range(inst.d):
         unit = [0] * inst.d
         unit[j] = 1
@@ -224,6 +229,7 @@ def edf_simulate(x: Sequence[int], inst: SchedulingInstance,
     result names an overloaded critical interval as the witness.
     """
     windows = inst.windows[machine_type]
+    x = _integers(x, "job count")
     if len(x) != inst.d:
         raise InputError("job vector length mismatch")
     if any(v < 0 for v in x):
@@ -259,15 +265,10 @@ def edf_simulate(x: Sequence[int], inst: SchedulingInstance,
     if not failed:
         merged = _merge_segments(segments)
         return EdfResult(True, merged, None)
-    points = inst.critical_points(machine_type)
-    for a in range(len(points)):
-        for b in range(a, len(points)):
-            t1, t2 = points[a], points[b]
-            load = sum(p * x[j] for j, (r, dl, p) in enumerate(windows)
-                       if r >= t1 and dl <= t2)
-            if load > t2 - t1:
-                return EdfResult(False, None, (t1, t2))
-    raise InternalError("deadline missed but every interval fits")
+    violation = _overloaded(x, inst, machine_type)
+    if violation is None:
+        raise InternalError("deadline missed but every interval fits")
+    return EdfResult(False, None, violation)
 
 
 def _merge_segments(segments):
@@ -287,6 +288,7 @@ def validate_preemptive_schedule(inst: SchedulingInstance, machine_type: int,
                                  x: Sequence[int], schedule: Sequence) -> None:
     """Exact checks: windows, full lengths, one job at a time."""
     windows = inst.windows[machine_type]
+    x = _integers(x, "job count")
     work = {}
     spans = []
     for job_type, copy, start, end in schedule:
@@ -480,9 +482,9 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     padded back to the generic layout and re-checked against it.
     """
     d = inst.d
+    x = _integers(x, "job count")
     if len(x) != d:
         raise InputError("job vector length mismatch")
-    x = tuple(int(v) for v in x)
     if any(v < 0 for v in x):
         raise InputError("job counts must be non-negative")
     windows = inst.windows[machine_type]
@@ -491,7 +493,7 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     if dummy < 0:
         return None
     # necessary condition: preemptive schedulability
-    if not build_edf_polytope(inst, machine_type).contains_int(x):
+    if _overloaded(x, inst, machine_type) is not None:
         return None
     layout = CycleLayout(d, min(4 * d, 2 * sum(x) + 1))
 
@@ -590,6 +592,7 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
                                     schedule: Sequence) -> None:
     """Exact checks: one segment per copy, windows, no overlap."""
     windows = inst.windows[machine_type]
+    x = _integers(x, "job count")
     counts = [0] * inst.d
     spans = []
     for job_type, _copy, start, end in schedule:
@@ -604,7 +607,7 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
     for (a1, b1), (a2, _b2) in zip(spans, spans[1:]):
         if b1 > a2:
             raise InternalError("machine runs two jobs at once")
-    if tuple(counts) != tuple(int(v) for v in x):
+    if tuple(counts) != x:
         raise InternalError("schedule does not match the job vector")
 
 
@@ -786,22 +789,6 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
 
 # ---------------------------------------------------------------------------
 # text format
-
-
-def scheduling_to_text(inst: SchedulingInstance) -> str:
-    variant = inst.variant
-    lines = [f"{inst.d} {inst.m} {variant}"]
-    for i in range(inst.m):
-        for j in range(inst.d):
-            r, dl, p = inst.windows[i][j]
-            lines.append(f"{i} {j} {r} {dl} {p}")
-    lines.append(" ".join(str(v) for v in inst.multiplicities))
-    if variant == "tardy":
-        lines.append(" ".join(str(v) for v in inst.counts))
-        lines.append(" ".join(str(v) for v in inst.penalties))
-    else:
-        lines.append(" ".join(str(c) for c in inst.costs))
-    return "\n".join(lines) + "\n"
 
 
 def scheduling_from_text(text: str) -> SchedulingInstance:

@@ -581,7 +581,8 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     for poly, cost in parts:
         if poly.dim != d:
             raise InputError("every part must match the target dimension")
-        if not isinstance(cost, int) or cost < 1:
+        cost = integer(cost, "part cost")
+        if cost < 1:
             raise InputError(f"part cost {cost!r} must be a positive integer")
         polys.append(poly)
         costs.append(cost)
@@ -662,12 +663,13 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
         return SelectResult(False, None)
     if budget < 0:
         return SelectResult(False, None)
+    costs = [integer(c, "cost") for c in costs]
     tagged = []
     for i, group in enumerate(groups):
-        if not isinstance(costs[i], int) or costs[i] < 0:
+        if costs[i] < 0:
             raise InputError(f"cost {costs[i]!r} must be a non-negative integer")
         for g in group:
-            pt = tuple(int(v) for v in g)
+            pt = tuple(integer(v, "generator coordinate") for v in g)
             if len(pt) != d:
                 raise InputError("generator dimension mismatch")
             if all(v == 0 for v in pt):

@@ -32,7 +32,7 @@ from .geometry import (
     lattice_points,
     parallelepiped_cover,
 )
-from .rational import as_int, is_integral
+from .rational import as_int, integer, is_integral
 
 
 class Combination:
@@ -57,15 +57,8 @@ class Combination:
             items = list(weights)
         store: Dict[tuple, int] = {}
         for point, w in items:
-            pt = tuple(point)
-            if not all(isinstance(v, int) or (hasattr(v, "denominator") and v.denominator == 1)
-                       for v in pt):
-                raise InputError(f"non-integer point {pt}")
-            pt = tuple(int(v) for v in pt)
-            if not (isinstance(w, int)
-                    or (hasattr(w, "denominator") and w.denominator == 1)):
-                raise InputError(f"non-integer weight {w!r} at {pt}")
-            w = int(w)
+            pt = tuple(integer(v, "point coordinate") for v in point)
+            w = integer(w, "weight")
             if w < 0:
                 raise InputError(f"negative weight {w} at {pt}")
             if dim is None:
@@ -224,9 +217,10 @@ def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
     ``w`` whose non-vertex support points all carry weight 1 and number at
     most ``2^d``.  A vertex input comes back unchanged.
     """
-    if not isinstance(w, int) or w <= 0:
+    w = integer(w, "weight")
+    if w <= 0:
         raise InputError(f"weight must be a positive integer, got {w!r}")
-    x = tuple(int(v) for v in x_star)
+    x = tuple(integer(v, "point coordinate") for v in x_star)
     if pp.coordinates(x) is None:
         raise InputError(f"{x} is not inside the parallelepiped")
     weights = {x: w}

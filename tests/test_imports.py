@@ -1,11 +1,14 @@
-"""Every module of the package uses each name it imports, and imports
-only the standard library and the package itself.
+"""Every module of the package uses each name it imports, imports only
+the standard library and the package itself, and reads integer input
+only through ``rational.integer``.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, and in
 ``__init__.py`` it must be listed in ``__all__``, which re-exports it.
 A non-relative import must name a module of ``sys.stdlib_module_names``
-or ``conepack``.
+or ``conepack``.  Outside ``rational.py`` no module may call
+``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
+tests of a second integer reader.
 """
 
 import ast
@@ -77,6 +80,25 @@ def foreign_imports(path):
     return sorted(out)
 
 
+def integer_type_tests(path):
+    """The ``isinstance(..., int)`` and ``hasattr(..., "denominator")``
+    calls of the module, with line numbers."""
+    out = []
+    for node in ast.walk(parse(path)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == 2):
+            continue
+        kind = node.args[1]
+        if node.func.id == "isinstance":
+            kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                out.append(f"isinstance (line {node.lineno})")
+        elif node.func.id == "hasattr" and isinstance(kind, ast.Constant) \
+                and kind.value == "denominator":
+            out.append(f"hasattr (line {node.lineno})")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
@@ -102,3 +124,25 @@ def test_a_foreign_import_is_caught(tmp_path):
                       "from .geometry import Polytope\n"
                       "from numpy.linalg import solve\n")
     assert foreign_imports(module) == ["numpy (line 2)", "numpy (line 5)"]
+
+
+READERS = [p for p in MODULES if p.name != "rational.py"]
+
+
+@pytest.mark.parametrize("path", READERS, ids=[p.name for p in READERS])
+def test_integers_are_read_only_through_rational(path):
+    assert integer_type_tests(path) == []
+
+
+def test_a_second_integer_reader_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def read(v, w):\n"
+                      "    if isinstance(v, int):\n"
+                      "        return v\n"
+                      "    if isinstance(w, (bool, int)) or isinstance(w, str):"
+                      "\n        return w\n"
+                      "    return hasattr(v, 'denominator') or hasattr(v, 'x')"
+                      "\n")
+    assert integer_type_tests(module) == ["hasattr (line 6)",
+                                          "isinstance (line 2)",
+                                          "isinstance (line 4)"]

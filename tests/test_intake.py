@@ -1,0 +1,128 @@
+"""Integer input is read one way at every entry point.
+
+Each entry point that needs integers reads them through
+``rational.integer``: a non-integral value raises an ``InputError`` that
+names its field, and an integral rational or float answers as its int
+twin does.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conepack import oracle
+from conepack.errors import InputError
+from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
+                               lattice_points)
+from conepack.ilp import IlpProblem, ilp_feasible
+from conepack.scheduling import (SchedulingInstance, edf_simulate,
+                                 nonpreemptive_completable,
+                                 validate_nonpreemptive_schedule,
+                                 validate_preemptive_schedule)
+from conepack.solver import multi_polytope_select, select_from_generators
+from conepack.structure import Combination, redistribute_in_pp
+
+HALF = Fraction(1, 2)
+THREE_HALVES = Fraction(3, 2)
+
+
+def one_job(variant="assignment"):
+    return SchedulingInstance([[(0, 4, 1)]], [3], costs=[1], variant=variant)
+
+
+def two_jobs():
+    return SchedulingInstance([[(0, 4, 1), (1, 6, 2)]], [2, 1], costs=[1])
+
+
+NON_INTEGRAL = [
+    ("polytope-rhs", "right-hand side",
+     lambda: lattice_points(Polytope([[1], [-1]], [-HALF, 0]))),
+    ("polytope-row", "constraint coefficient",
+     lambda: Polytope([[HALF], [-1]], [1, 0])),
+    ("ilp-rhs", "right-hand side",
+     lambda: ilp_feasible(IlpProblem.build([[1], [-1]], [HALF, -HALF],
+                                           lo=[0], hi=[3]))),
+    ("ilp-row", "constraint coefficient",
+     lambda: IlpProblem.build([[THREE_HALVES]], [3], lo=[0], hi=[3])),
+    ("ilp-bound", "variable bound",
+     lambda: IlpProblem.build([[1]], [3], lo=[HALF], hi=[3])),
+    ("generator", "generator coordinate",
+     lambda: select_from_generators([[(THREE_HALVES,)]], [1],
+                                    box_polytope([1], [1]), 5)),
+    ("combination-point", "point coordinate",
+     lambda: Combination({(THREE_HALVES,): 1})),
+    ("redistribute-point", "point coordinate",
+     lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)),
+                                (THREE_HALVES,), 2)),
+    ("redistribute-weight", "weight",
+     lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)), (1,),
+                                THREE_HALVES)),
+    ("completable", "job count",
+     lambda: nonpreemptive_completable([THREE_HALVES],
+                                       one_job("nonpreemptive"), 0)),
+    ("edf-simulate", "job count",
+     lambda: edf_simulate([THREE_HALVES], one_job(), 0)),
+    ("validate-preemptive", "job count",
+     lambda: validate_preemptive_schedule(one_job(), 0, [THREE_HALVES], ())),
+    ("validate-nonpreemptive", "job count",
+     lambda: validate_nonpreemptive_schedule(one_job(), 0, [THREE_HALVES],
+                                             ())),
+    ("bp-brute-force", "multiplicity",
+     lambda: oracle.bp_brute_force([HALF], [THREE_HALVES])),
+    ("fractional-opt", "multiplicity",
+     lambda: oracle.fractional_opt([HALF], [THREE_HALVES])),
+    ("int-cone-brute", "generator coordinate",
+     lambda: oracle.int_cone_brute([(THREE_HALVES,)],
+                                   box_polytope([3], [3]), [(0, 3)])),
+]
+
+
+@pytest.mark.parametrize("field,call", [case[1:] for case in NON_INTEGRAL],
+                         ids=[case[0] for case in NON_INTEGRAL])
+def test_a_non_integral_value_is_an_input_error(field, call):
+    with pytest.raises(InputError, match=f"^{field} .* must be an integer$"):
+        call()
+
+
+def lifted_select(cost):
+    return multi_polytope_select([(box_polytope([0], [2]), cost)],
+                                 box_polytope([4], [4]), 5)
+
+
+def generator_select(cost):
+    return select_from_generators([[(1,), (2,)]], [cost],
+                                  box_polytope([4], [4]), 5)
+
+
+INTEGRAL = [
+    ("multi-polytope-cost", lambda: lifted_select(Fraction(2)),
+     lambda: lifted_select(2)),
+    ("generator-cost", lambda: generator_select(Fraction(2)),
+     lambda: generator_select(2)),
+    ("polytope-rows",
+     lambda: lattice_points(Polytope([[Fraction(4, 2), 1], [-1, 0], [0, -1]],
+                                     [Fraction(12, 2), 0, 0])),
+     lambda: lattice_points(Polytope([[2, 1], [-1, 0], [0, -1]], [6, 0, 0]))),
+    ("combination", lambda: Combination({(Fraction(2), 1): Fraction(3)}),
+     lambda: Combination({(2, 1): 3})),
+    ("edf-simulate", lambda: edf_simulate([2.0, 1], two_jobs(), 0),
+     lambda: edf_simulate([2, 1], two_jobs(), 0)),
+    ("edf-simulate-overload", lambda: edf_simulate([5.0, 0], two_jobs(), 0),
+     lambda: edf_simulate([5, 0], two_jobs(), 0)),
+]
+
+
+@pytest.mark.parametrize("twin,plain", [case[1:] for case in INTEGRAL],
+                         ids=[case[0] for case in INTEGRAL])
+def test_an_integral_value_answers_as_its_int_twin(twin, plain):
+    assert twin() == plain()
+
+
+def test_integral_values_come_back_as_ints():
+    poly = Polytope([[Fraction(4, 2), 1.0]], [Fraction(12, 2)])
+    assert all(type(v) is int for v in poly.A[0] + poly.b)
+    combo = Combination({(Fraction(2), 1): Fraction(3)})
+    assert [type(v) for v in (*combo.support[0], combo.total_weight)] == \
+        [int, int, int]
+    res = lifted_select(Fraction(2))
+    assert res.found and type(res.total_cost) is int

@@ -20,7 +20,7 @@ from conepack.scheduling import (CycleLayout, SchedulingInstance,
                                  nonpreemptive_assign,
                                  nonpreemptive_completable, preemptive_assign,
                                  schedulable_vectors, scheduling_from_text,
-                                 scheduling_to_text, tardy_min_penalty,
+                                 tardy_min_penalty,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 
@@ -450,25 +450,6 @@ class TestSchedulableVectors:
 
 
 class TestTextFormat:
-    @pytest.mark.parametrize("variant",
-                             ["assignment", "preemptive", "nonpreemptive"])
-    def test_assignment_round_trip(self, variant):
-        inst = SchedulingInstance(FIXTURE.windows, FIXTURE.multiplicities,
-                                  costs=FIXTURE.costs, variant=variant)
-        back = scheduling_from_text(scheduling_to_text(inst))
-        assert back.variant == variant
-        assert back.windows == FIXTURE.windows
-        assert back.multiplicities == FIXTURE.multiplicities
-        assert back.costs == FIXTURE.costs
-
-    def test_tardy_round_trip(self):
-        inst = SchedulingInstance([[(0, 1, 1), (2, 5, 2)]], [1, 2],
-                                  counts=[2], penalties=[7, 1])
-        back = scheduling_from_text(scheduling_to_text(inst))
-        assert back.counts == (2,)
-        assert back.penalties == (7, 1)
-        assert back.windows == inst.windows
-
     def test_parse_errors(self):
         bad = [
             "",
