@@ -27,7 +27,6 @@ from .scheduling import (SchedulingInstance, ScheduleSolution, EdfResult,
                          nonpreemptive_completable, extract_cyclic_schedule,
                          schedulable_vectors, preemptive_assign,
                          nonpreemptive_assign, tardy_min_penalty,
-                         scheduling_from_text,
                          validate_preemptive_schedule,
                          validate_nonpreemptive_schedule)
 
@@ -70,7 +69,6 @@ __all__ = [
     "preemptive_assign",
     "nonpreemptive_assign",
     "tardy_min_penalty",
-    "scheduling_from_text",
     "validate_preemptive_schedule",
     "validate_nonpreemptive_schedule",
 ]

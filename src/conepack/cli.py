@@ -16,116 +16,172 @@ from contextlib import nullcontext
 from .budget import limit
 from .errors import (InfeasibleError, InputError, InternalError,
                      ResourceError)
-from .geometry import (integer_hull_vertices, parallelepiped_cover,
-                       polytope_from_text)
+from .geometry import Polytope, integer_hull_vertices, parallelepiped_cover
 from .oracle import (bp_brute_force, cover_verify, fractional_opt,
                      nonpreemptive_brute_counts)
 from .rational import Rat, rat_ceil
-from .scheduling import (build_edf_polytope, edf_simulate,
-                         nonpreemptive_assign, nonpreemptive_completable,
-                         preemptive_assign, scheduling_from_text,
+from .scheduling import (SchedulingInstance, build_edf_polytope,
+                         edf_simulate, nonpreemptive_assign,
+                         nonpreemptive_completable, preemptive_assign,
                          tardy_min_penalty, validate_nonpreemptive_schedule,
                          validate_preemptive_schedule)
 from .solver import (BinPackingInstance, CuttingStockInstance, cutting_stock,
                      verify_solution)
-
-KINDS = ("binpacking", "cuttingstock", "scheduling", "polytope")
 
 
 # ---------------------------------------------------------------------------
 # instance files
 
 
-def _parse_rat(token: str, lineno: int) -> Rat:
-    parts = token.split("/")
-    if len(parts) not in (1, 2):
-        raise InputError(f"line {lineno}: bad rational {token!r}")
-    try:
-        ints = [int(p) for p in parts]
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: bad rational {token!r}") from exc
-    if len(ints) == 1:
-        return Rat(ints[0])
-    if ints[1] == 0:
-        raise InputError(f"line {lineno}: zero denominator in {token!r}")
-    return Rat(ints[0], ints[1])
+class _Lines:
+    """The non-blank lines of an instance file, split into tokens and read
+    in order.  Every diagnostic names the line of the file it is about."""
+
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        self.rows = [(n, toks) for n, line in enumerate(lines, start=1)
+                     if (toks := line.split())]
+        self.eof = len(lines) + 1
+        self.next = 0
+        self.lineno = 1
+
+    def error(self, msg: str) -> InputError:
+        return InputError(f"line {self.lineno}: {msg}")
+
+    def need(self, count: int) -> None:
+        """Fail unless the ``count`` lines that the header just read
+        announces remain: no loop is sized by a count before the file is
+        known to hold the lines it announces."""
+        if len(self.rows) - self.next < count:
+            header, self.lineno = self.lineno, self.eof
+            raise self.error(f"unexpected end of file, line {header} "
+                             f"announces {count} more lines")
+
+    def line(self, width: int, what: str) -> list:
+        """The tokens of the next line, which must hold ``width`` of them."""
+        if self.next == len(self.rows):
+            self.lineno = self.eof
+            raise self.error(f"unexpected end of file, expected {what}")
+        self.lineno, toks = self.rows[self.next]
+        self.next += 1
+        if len(toks) != width:
+            raise self.error(f"expected {what}, got {' '.join(toks)!r}")
+        return toks
+
+    def integer(self, token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise self.error(f"expected integer, got {token!r}") from None
+
+    def integers(self, width: int, what: str) -> list:
+        toks = self.line(width, what)
+        try:
+            return list(map(int, toks))
+        except ValueError:
+            return [self.integer(t) for t in toks]  # names the bad token
+
+    def rational(self, token: str) -> Rat:
+        """``p`` or ``p/q``, with integers ``p`` and ``q != 0``."""
+        num, slash, den = token.partition("/")
+        try:
+            p = int(num)
+            q = int(den) if slash else 1
+        except ValueError:
+            raise self.error(f"bad rational {token!r}") from None
+        if q == 0:
+            raise self.error(f"zero denominator in {token!r}")
+        return Rat(p, q)
+
+    def count(self, token: str, what: str) -> int:
+        """A header count, which must be at least 1."""
+        n = self.integer(token)
+        if n < 1:
+            raise self.error(f"{what} must be at least 1, got {n}")
+        return n
+
+    def end(self) -> None:
+        if self.next < len(self.rows):
+            self.lineno = self.rows[self.next][0]
+            raise self.error("trailing content")
 
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: expected integer, got "
-                         f"{token!r}") from exc
+def _pairs(src: _Lines, what: str, shape: str) -> list:
+    """A line holding ``what``, a count, then that many lines ``shape``: a
+    rational and an integer each."""
+    n = src.count(src.line(1, what)[0], what)
+    src.need(n)
+    pairs = []
+    for _ in range(n):
+        a, b = src.line(2, shape)
+        pairs.append((src.rational(a), src.integer(b)))
+    return pairs
 
 
-def _parse_count(line: str, lineno: int, what: str) -> int:
-    toks = line.split()
-    if len(toks) != 1:
-        raise InputError(f"line {lineno}: expected {what}, got {line!r}")
-    return _parse_int(toks[0], lineno)
+def _binpacking(src: _Lines) -> BinPackingInstance:
+    sizes, mults = zip(*_pairs(src, "the number of item types",
+                               "'size multiplicity'"))
+    return BinPackingInstance(sizes, mults)
 
 
-def _take(entries, idx, lineno_hint):
-    if idx >= len(entries):
-        raise InputError(f"line {lineno_hint}: unexpected end of file")
-    return entries[idx]
+def _cuttingstock(src: _Lines) -> CuttingStockInstance:
+    sizes, mults = zip(*_pairs(src, "the number of item types",
+                               "'size multiplicity'"))
+    return CuttingStockInstance(sizes, mults, _pairs(
+        src, "the number of bin types", "'capacity cost'"))
 
 
-def _parse_items(entries, idx):
-    lineno, line = _take(entries, idx, entries[-1][0] + 1 if entries else 1)
-    d = _parse_count(line, lineno, "the number of item types")
-    if d < 1:
-        raise InputError(f"line {lineno}: need at least one item type")
-    sizes, mults = [], []
-    for t in range(d):
-        lineno, line = _take(entries, idx + 1 + t, lineno + 1)
-        toks = line.split()
-        if len(toks) != 2:
-            raise InputError(f"line {lineno}: expected 'size multiplicity', "
-                             f"got {line!r}")
-        sizes.append(_parse_rat(toks[0], lineno))
-        mults.append(_parse_int(toks[1], lineno))
-    return sizes, mults, idx + 1 + d
+def _scheduling(src: _Lines) -> SchedulingInstance:
+    d, m, variant = src.line(3, "'job-types machine-types variant'")
+    d = src.count(d, "the number of job types")
+    m = src.count(m, "the number of machine types")
+    tardy = variant == "tardy"
+    src.need(d * m + 2 + tardy)
+    windows = {}
+    for _ in range(d * m):
+        i, j, r, dl, p = src.integers(
+            5, "'machine job release deadline length'")
+        if not (0 <= i < m and 0 <= j < d):
+            raise src.error(f"window indices ({i}, {j}) out of range")
+        if (i, j) in windows:
+            raise src.error(f"duplicate window for machine {i} job {j}")
+        windows[i, j] = (r, dl, p)
+    table = [[windows[i, j] for j in range(d)] for i in range(m)]
+    mult = src.integers(d, f"{d} multiplicities")
+    if tardy:
+        data = {"counts": src.integers(m, f"{m} machine counts"),
+                "penalties": src.integers(d, f"{d} penalties")}
+    else:
+        data = {"costs": src.integers(m, f"{m} machine costs")}
+    return SchedulingInstance(table, mult, variant=variant, **data)
+
+
+def _polytope(src: _Lines) -> Polytope:
+    m, d = src.line(2, "'rows dimension'")
+    m = src.count(m, "the number of rows")
+    d = src.count(d, "the dimension")
+    src.need(m)
+    what = f"{d + 1} integers 'a_1 .. a_d b'"
+    rows = [src.integers(d + 1, what) for _ in range(m)]
+    return Polytope([row[:-1] for row in rows], [row[-1] for row in rows])
+
+
+_READERS = {"binpacking": _binpacking, "cuttingstock": _cuttingstock,
+            "scheduling": _scheduling, "polytope": _polytope}
 
 
 def parse_instance_text(text: str):
-    """Returns (kind, instance) for the tagged instance formats."""
-    entries = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-               if ln.strip()]
-    if not entries:
-        raise InputError("line 1: empty instance file")
-    kind_line, kind = entries[0]
-    if kind not in KINDS:
-        raise InputError(f"line {kind_line}: unknown instance kind {kind!r}")
-    rest = entries[1:]
-    if kind == "binpacking":
-        sizes, mults, idx = _parse_items(rest, 0)
-        if idx != len(rest):
-            raise InputError(f"line {rest[idx][0]}: trailing content")
-        return kind, BinPackingInstance(sizes, mults)
-    if kind == "cuttingstock":
-        sizes, mults, idx = _parse_items(rest, 0)
-        lineno, line = _take(rest, idx, rest[-1][0] + 1)
-        m = _parse_count(line, lineno, "the number of bin types")
-        if m < 1:
-            raise InputError(f"line {lineno}: need at least one bin type")
-        bin_types = []
-        for t in range(m):
-            lineno, line = _take(rest, idx + 1 + t, lineno + 1)
-            toks = line.split()
-            if len(toks) != 2:
-                raise InputError(f"line {lineno}: expected 'capacity cost', "
-                                 f"got {line!r}")
-            bin_types.append((_parse_rat(toks[0], lineno),
-                              _parse_int(toks[1], lineno)))
-        if idx + 1 + m != len(rest):
-            raise InputError(f"line {rest[idx + 1 + m][0]}: trailing content")
-        return kind, CuttingStockInstance(sizes, mults, bin_types)
-    body = "\n".join(ln for _n, ln in rest)
-    if kind == "scheduling":
-        return kind, scheduling_from_text(body)
-    return kind, polytope_from_text(body)
+    """Returns (kind, instance) for the tagged instance formats.
+
+    Only the format is read here; the instance classes check the values.
+    """
+    src = _Lines(text)
+    (kind,) = src.line(1, "an instance kind")
+    if kind not in _READERS:
+        raise src.error(f"unknown instance kind {kind!r}")
+    inst = _READERS[kind](src)
+    src.end()
+    return kind, inst
 
 
 def _load(path: str):

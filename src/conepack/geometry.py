@@ -1095,34 +1095,3 @@ def parallelepiped_cover(poly: Polytope) -> list:
         else:
             cover.extend(_cell_parallelepipeds(poly, members))
     return cover
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def polytope_from_text(text: str) -> Polytope:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise InputError("empty polytope description")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"line 1: expected 'm d', got {lines[0]!r}")
-    try:
-        m, d = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"line 1: {exc}") from exc
-    if len(lines) != m + 1:
-        raise InputError(f"expected {m} constraint rows, found {len(lines) - 1}")
-    rows, rhs = [], []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != d + 1:
-            raise InputError(f"line {i}: expected {d + 1} integers, got {len(parts)}")
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError as exc:
-            raise InputError(f"line {i}: {exc}") from exc
-        rows.append(vals[:d])
-        rhs.append(vals[d])
-    return Polytope(rows, rhs)

@@ -160,7 +160,8 @@ def int_cone_brute(source, target, box: Sequence,
     """
     d = len(box)
     if hasattr(source, "A"):
-        scan = [(int(lo), int(hi)) for lo, hi in (gen_box or box)]
+        scan = [(integer(lo, "box bound"), integer(hi, "box bound"))
+                for lo, hi in (gen_box or box)]
         gens = _scan_integer_points(source.A, source.b,
                                     [lo for lo, _ in scan],
                                     [hi for _, hi in scan])
@@ -171,7 +172,8 @@ def int_cone_brute(source, target, box: Sequence,
     for g in gens:
         if len(g) != d:
             raise InputError("generator dimension mismatch")
-    box = [(int(lo), int(hi)) for lo, hi in box]
+    box = [(integer(lo, "box bound"), integer(hi, "box bound"))
+           for lo, hi in box]
     origin = (0,) * d
     if target.contains_int(origin):
         return (True, origin, {})
@@ -345,7 +347,8 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
     feasible under earliest-start placement and is eventually tried.
     Returns ((start, release, deadline, length), ...) or None.
     """
-    jobs = tuple((int(r), int(d), int(p)) for r, d, p in jobs)
+    jobs = tuple((integer(r, "release"), integer(d, "deadline"),
+                  integer(p, "length")) for r, d, p in jobs)
     if len(jobs) > job_cap:
         raise ResourceError("brute schedule jobs", job_cap,
                             f"{len(jobs)} job copies")
@@ -385,9 +388,10 @@ def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
     """
     jobs = []
     for j, count in enumerate(x):
+        count = integer(count, "job count")
         if count < 0:
             raise InputError("negative job count")
-        jobs.extend([inst.windows[machine_type][j]] * int(count))
+        jobs.extend([inst.windows[machine_type][j]] * count)
     horizon = max([d for _r, d, _p in jobs], default=0)
     return nonpreemptive_brute(jobs, horizon, job_cap=job_cap,
                                horizon_cap=horizon_cap)

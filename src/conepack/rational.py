@@ -1,4 +1,4 @@
-"""Exact rational scalars: construction, rounding and text form.
+"""Exact rational scalars: integer reading, rounding and text form.
 
 The rational type ``Rat`` is ``fractions.Fraction``: numerator and
 denominator in lowest terms with a positive denominator, exact comparison,
@@ -13,21 +13,12 @@ the arithmetic of the geometry, the oracles and the instance data.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
 
-RatLike = Union[int, str, Rat]
-
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(num: RatLike, den: int | None = None) -> Rat:
-    """Build an exact rational from an int, a ``p/q`` string, or a pair."""
-    if den is None:
-        return Rat(num)
-    return Rat(num, den)
 
 
 def format_rat(value) -> str:
@@ -56,10 +47,13 @@ def integer(value, what: str) -> int:
 
     The package's one reader of integer input: every entry point that
     needs integers reads them here, so an integral rational or float is
-    accepted and anything else raises.  A plain int returns at once.
+    accepted and anything else, text included, raises.  A plain int
+    returns at once.
     """
     if type(value) is int:
         return value
+    if isinstance(value, str):
+        raise InputError(f"{what} {value!r} is text, not an integer")
     try:
         return as_int(value)
     except (TypeError, ValueError, OverflowError) as exc:

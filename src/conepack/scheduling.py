@@ -785,65 +785,3 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
     if cap - sum(p * v for p, v in zip(pen, placed)) != dropped:
         raise InternalError("dropped penalty mass disagrees with the search")
     return ScheduleSolution(machines, dropped, placed)
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def scheduling_from_text(text: str) -> SchedulingInstance:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty scheduling description")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InputError("header must be: job-types machine-types variant")
-    try:
-        d, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad header counts: {exc}") from exc
-    variant = head[2]
-    if variant not in ("assignment", "preemptive", "nonpreemptive", "tardy"):
-        raise InputError(f"unknown variant {variant!r}")
-    need = 1 + d * m + 1 + (2 if variant == "tardy" else 1)
-    if len(lines) != need:
-        raise InputError(f"expected {need} lines, got {len(lines)}")
-    windows = [[None] * d for _ in range(m)]
-    for ln in lines[1:1 + d * m]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise InputError(f"window line needs 5 fields: {ln!r}")
-        try:
-            i, j, r, dl, p = (int(v) for v in parts)
-        except ValueError as exc:
-            raise InputError(f"bad window line {ln!r}: {exc}") from exc
-        if not (0 <= i < m and 0 <= j < d):
-            raise InputError(f"window indices out of range: {ln!r}")
-        if windows[i][j] is not None:
-            raise InputError(f"duplicate window for machine {i} job {j}")
-        windows[i][j] = (r, dl, p)
-    if any(w is None for per in windows for w in per):
-        raise InputError("missing window lines")
-
-    def ints(line):
-        try:
-            return [int(v) for v in line.split()]
-        except ValueError as exc:
-            raise InputError(f"bad integer list {line!r}: {exc}") from exc
-
-    mult = ints(lines[1 + d * m])
-    if len(mult) != d:
-        raise InputError(f"expected {d} multiplicities")
-    if variant != "tardy":
-        costs = ints(lines[2 + d * m])
-        if len(costs) != m:
-            raise InputError(f"expected {m} machine costs")
-        return SchedulingInstance(windows, mult, costs=costs, variant=variant)
-    counts = ints(lines[2 + d * m])
-    penalties = ints(lines[3 + d * m])
-    if len(counts) != m:
-        raise InputError(f"expected {m} machine counts")
-    if len(penalties) != d:
-        raise InputError(f"expected {d} penalties")
-    return SchedulingInstance(windows, mult, counts=counts,
-                              penalties=penalties)

@@ -586,6 +586,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
             raise InputError(f"part cost {cost!r} must be a positive integer")
         polys.append(poly)
         costs.append(cost)
+    budget = integer(budget, "budget")
     if budget < 0:
         return SelectResult(False, None)
 
@@ -659,9 +660,8 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
     d = target.dim
-    if integer_box(target) is None:
-        return SelectResult(False, None)
-    if budget < 0:
+    budget = integer(budget, "budget")
+    if integer_box(target) is None or budget < 0:
         return SelectResult(False, None)
     costs = [integer(c, "cost") for c in costs]
     tagged = []

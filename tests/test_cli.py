@@ -2,13 +2,19 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conepack import cli
+from conepack.errors import InputError
+from conepack.geometry import Polytope
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +43,60 @@ SCHED_TARDY = ("scheduling\n3 1 tardy\n"
                "0 0 0 300 150\n0 1 100 102 1\n0 2 200 202 1\n"
                "1 1 1\n1\n5 7 9\n")
 CS_SMALL = "cuttingstock\n2\n1/2 3\n1/3 2\n2\n1 5\n2/3 3\n"
+HUGE = 10 ** 20
+
+
+@contextmanager
+def returns_within(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    def expire(_signum, _frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Counts, rationals, variants and junk, for random instance files: lines
+# of random tokens under a tag, and well-formed files with a few tokens
+# replaced or appended and a few lines dropped.
+TOKENS = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.sampled_from(["1/2", "-2/3", "1/0", "1/2/3", "x", str(HUGE),
+                     "9" * 5000, "assignment", "preemptive",
+                     "nonpreemptive", "tardy"]))
+EDITS = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5),
+                           st.one_of(st.none(), TOKENS)), max_size=4)
+WELL_FORMED = {"binpacking": BP_OPEN, "cuttingstock": CS_SMALL,
+               "scheduling": SCHED_TARDY, "polytope": KNAPSACK}
+
+
+def edited(text, edits):
+    """``text`` with each ``(line, position, token)`` edit applied to the
+    lines below its tag: no token drops the line, else the token replaces
+    the one at ``position`` or is appended."""
+    tag, *lines = [line.split() for line in text.splitlines()]
+    for at, pos, token in edits:
+        if not lines:
+            break
+        at %= len(lines)
+        if token is None:
+            del lines[at]
+        elif pos < len(lines[at]):
+            lines[at][pos] = token
+        else:
+            lines[at].append(token)
+    return "\n".join(" ".join(line) for line in [tag] + lines) + "\n"
+
+
+def random_files(kind):
+    lines = st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=12)
+    return st.one_of(lines.map(lambda ls: "\n".join([kind] + ls) + "\n"),
+                     EDITS.map(lambda es: edited(WELL_FORMED[kind], es)))
 
 
 class TestSolve:
@@ -188,6 +248,81 @@ class TestParseErrors:
                              write(tmp_path, "i.txt",
                                    "scheduling\n1 1 bogus\n0 0 0 4 1\n1\n1\n"))
         assert rc == 2
+
+    def test_parses_the_knapsack_text(self):
+        text = "polytope\n3 2\n-1 0 0\n0 -1 0\n26 41 200\n"
+        assert cli.parse_instance_text(text) == (
+            "polytope", Polytope([[-1, 0], [0, -1], [26, 41]], [0, 0, 200]))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("polytope\n", id="polytope-empty"),
+        pytest.param("polytope\n2 1\n1 0", id="polytope-missing-row"),
+        pytest.param("polytope\n1 2\n1 2\n", id="polytope-short-row"),
+        pytest.param("polytope\n1 1\na b\n", id="polytope-not-integers"),
+        pytest.param("scheduling\n", id="scheduling-empty"),
+        pytest.param("scheduling\n1 1", id="scheduling-short-header"),
+        pytest.param("scheduling\n1 1 assignment\n0 0 0 2 1\n1",
+                     id="scheduling-missing-cost-line"),
+        pytest.param("scheduling\n1 1 sideways\n0 0 0 2 1\n1\n1",
+                     id="scheduling-unknown-variant"),
+        pytest.param("scheduling\n1 1 assignment\n0 0 0 2 1\n0 0 0 2 1\n"
+                     "1\n1", id="scheduling-duplicate"),
+        pytest.param("scheduling\n1 1 assignment\n0 5 0 2 1\n1\n1",
+                     id="scheduling-index-out-of-range"),
+    ])
+    def test_malformed_file_is_an_input_error(self, text):
+        with pytest.raises(InputError):
+            cli.parse_instance_text(text)
+
+    @pytest.mark.parametrize("text,lineno", [
+        pytest.param("binpacking\n\n1\n\n1/2 x\n", 5, id="binpacking"),
+        pytest.param("cuttingstock\n1\n1/2 1\n\n1\n1 1 1\n", 6,
+                     id="cuttingstock"),
+        pytest.param("polytope\n2 1\n1 x\n-1 0\n", 3, id="polytope"),
+        pytest.param("polytope\n2 1\n1 1\n\n\n-1 x\n", 6,
+                     id="polytope-row-after-blank-lines"),
+        pytest.param("scheduling\n1 1 preemptive\n0 0 0 4\n1\n1\n", 3,
+                     id="scheduling-window-line"),
+        pytest.param("scheduling\n2 1 preemptive\n0 0 0 4 1\n\n"
+                     "0 0 1 4 1\n1 1\n1\n", 5, id="scheduling-duplicate"),
+        pytest.param("scheduling\n1 1 tardy\n0 0 0 4 1\n1\n1\n1 2\n", 6,
+                     id="scheduling-penalties"),
+    ])
+    def test_message_names_the_line_of_the_file(self, text, lineno):
+        with pytest.raises(InputError, match=f"^line {lineno}: "):
+            cli.parse_instance_text(text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(f"binpacking\n{HUGE}\n1/2 1\n", id="binpacking"),
+        pytest.param(f"cuttingstock\n1\n1/2 1\n{HUGE}\n1 1\n",
+                     id="cuttingstock"),
+        pytest.param(f"polytope\n{HUGE} 1\n1 1\n", id="polytope-rows"),
+        pytest.param(f"polytope\n1 {HUGE}\n1 1\n", id="polytope-dimension"),
+        pytest.param(f"scheduling\n0 {HUGE} preemptive\n1\n1\n",
+                     id="scheduling-no-job-types"),
+        pytest.param(f"scheduling\n{HUGE} 0 preemptive\n1\n1\n",
+                     id="scheduling-no-machine-types"),
+        pytest.param(f"scheduling\n{HUGE} {HUGE} preemptive\n0 0 0 4 1\n"
+                     "1\n1\n", id="scheduling-both"),
+    ])
+    def test_a_huge_count_is_refused_at_once(self, text):
+        # every count is at least 1 and the file must hold the lines it
+        # announces before anything is sized by it
+        with returns_within(5), pytest.raises(InputError,
+                                              match=r"^line \d+: "):
+            cli.parse_instance_text(text)
+
+    @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
+    def test_random_tokens_raise_only_input_errors(self, kind):
+        @settings(derandomize=True, deadline=2000, max_examples=300)
+        @given(text=random_files(kind))
+        def parse(text):
+            try:
+                cli.parse_instance_text(text)
+            except InputError:
+                pass
+
+        parse()
 
 
 class TestHullAndCover:

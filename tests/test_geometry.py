@@ -22,10 +22,9 @@ from conepack.geometry import (
     lattice_points,
     mvee_contact_points,
     parallelepiped_cover,
-    polytope_from_text,
     slack_interval_index,
 )
-from conepack.rational import Rat, rat, rat_ceil, rat_floor
+from conepack.rational import Rat, rat_ceil, rat_floor
 
 from genutil import rand_bounded_polytope
 
@@ -38,8 +37,8 @@ def knapsack_fig() -> Polytope:
 class TestCoordinateBounds:
     def test_knapsack_ranges(self):
         bounds = coordinate_bounds(knapsack_fig())
-        assert bounds[0] == (0, rat(100, 13))
-        assert bounds[1] == (0, rat(200, 41))
+        assert bounds[0] == (0, Rat(100, 13))
+        assert bounds[1] == (0, Rat(200, 41))
 
     def test_segment(self):
         poly = Polytope([[-1], [1]], [0, 5])
@@ -151,7 +150,7 @@ class TestIntegerBox:
 
     def test_no_integer_in_a_range(self):
         third = Polytope([[3], [-3]], [2, -1])  # 1/3 <= x <= 2/3
-        assert coordinate_bounds(third) == [(rat(1, 3), rat(2, 3))]
+        assert coordinate_bounds(third) == [(Rat(1, 3), Rat(2, 3))]
         assert integer_box(third) is None
         assert lattice_points(third) == []
 
@@ -583,7 +582,7 @@ class TestHulls:
         square = [(0, 0), (2, 0), (0, 2), (2, 2)]
         assert in_convex_hull((1, 1), square)
         assert in_convex_hull((2, 2), square)
-        assert in_convex_hull((rat(1, 3), rat(1, 2)), square)
+        assert in_convex_hull((Rat(1, 3), Rat(1, 2)), square)
         assert not in_convex_hull((3, 1), square)
         assert not in_convex_hull((1, 1), [])
 
@@ -783,14 +782,14 @@ class TestParallelepiped:
         assert pp.vertices() == [(0,), (2,)]
 
     def test_half_integral_center(self):
-        pp = Parallelepiped((rat(3, 2),), ((rat(3, 2),),))
+        pp = Parallelepiped((Rat(3, 2),), ((Rat(3, 2),),))
         assert pp.vertices() == [(0,), (3,)]
 
     def test_non_integral_vertex_rejected(self):
         with pytest.raises(InputError):
-            Parallelepiped((rat(1, 2),), ((rat(1, 4),),))
+            Parallelepiped((Rat(1, 2),), ((Rat(1, 4),),))
         with pytest.raises(InputError):
-            Parallelepiped((rat(1, 2), 0), ())
+            Parallelepiped((Rat(1, 2), 0), ())
 
     def test_dependent_directions_rejected(self):
         with pytest.raises(InputError):
@@ -836,7 +835,7 @@ class TestParallelepiped:
     def test_coordinates_outside_span(self):
         pp = Parallelepiped((0, 0), ((1, 0),))
         assert pp.coordinates((0, 1)) is None
-        assert pp.coordinates((rat(1, 2), 0)) == (rat(1, 2),)
+        assert pp.coordinates((Rat(1, 2), 0)) == (Rat(1, 2),)
 
 
 def _oracle_coordinates(center, directions, point):
@@ -1005,8 +1004,8 @@ class TestParallelepipedCover:
         cover = parallelepiped_cover(poly)
         assert len(cover) == 1
         pp = cover[0]
-        assert pp.center == (rat(3, 2),)
-        assert pp.directions == ((rat(3, 2),),)
+        assert pp.center == (Rat(3, 2),)
+        assert pp.directions == ((Rat(3, 2),),)
         for x in range(4):
             assert pp.coordinates((x,)) is not None
 
@@ -1047,19 +1046,3 @@ class TestParallelepipedCover:
                 continue
             assert_valid_cover(poly, parallelepiped_cover(poly))
             done += 1
-
-
-class TestSerialization:
-    def test_parses_the_knapsack_text(self):
-        text = "3 2\n-1 0 0\n0 -1 0\n26 41 200\n"
-        assert polytope_from_text(text) == knapsack_fig()
-
-    def test_parse_errors(self):
-        with pytest.raises(InputError):
-            polytope_from_text("")
-        with pytest.raises(InputError):
-            polytope_from_text("2 1\n1 0")
-        with pytest.raises(InputError):
-            polytope_from_text("1 2\n1 2\n")
-        with pytest.raises(InputError):
-            polytope_from_text("1 1\na b\n")

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, imports only
-the standard library and the package itself, and reads integer input
-only through ``rational.integer``.
+the standard library and the package itself, reads integer input only
+through ``rational.integer``, and leaves instance files to ``cli``.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, and in
@@ -8,7 +8,9 @@ a name bound by an import must be read somewhere in the module, and in
 A non-relative import must name a module of ``sys.stdlib_module_names``
 or ``conepack``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
-tests of a second integer reader.
+tests of a second integer reader.  Outside ``cli.py`` no module may call
+``.splitlines()`` or define a ``*_from_text`` function, the marks of a
+second file reader.
 """
 
 import ast
@@ -99,6 +101,20 @@ def integer_type_tests(path):
     return sorted(out)
 
 
+def text_readers(path):
+    """The ``.splitlines()`` calls and ``*_from_text`` functions of the
+    module, with line numbers."""
+    out = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "splitlines":
+            out.append(f"splitlines (line {node.lineno})")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.endswith("_from_text"):
+            out.append(f"{node.name} (line {node.lineno})")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
@@ -146,3 +162,21 @@ def test_a_second_integer_reader_is_caught(tmp_path):
     assert integer_type_tests(module) == ["hasattr (line 6)",
                                           "isinstance (line 2)",
                                           "isinstance (line 4)"]
+
+
+NOT_CLI = [p for p in MODULES if p.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", NOT_CLI, ids=[p.name for p in NOT_CLI])
+def test_instance_files_are_read_only_in_cli(path):
+    assert text_readers(path) == []
+
+
+def test_a_second_file_reader_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def polytope_from_text(text):\n"
+                      "    return [ln.split() for ln in text.splitlines()]\n"
+                      "\n\ndef lines(text):\n"
+                      "    return text.split('\\n')\n")
+    assert text_readers(module) == ["polytope_from_text (line 1)",
+                                    "splitlines (line 2)"]

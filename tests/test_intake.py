@@ -74,6 +74,24 @@ NON_INTEGRAL = [
     ("int-cone-brute", "generator coordinate",
      lambda: oracle.int_cone_brute([(THREE_HALVES,)],
                                    box_polytope([3], [3]), [(0, 3)])),
+    ("int-cone-brute-box", "box bound",
+     lambda: oracle.int_cone_brute([(1,)], box_polytope([2], [2]),
+                                   [(0, Fraction(5, 2))])),
+    ("int-cone-brute-gen-box", "box bound",
+     lambda: oracle.int_cone_brute(box_polytope([0], [2]),
+                                   box_polytope([2], [2]), [(0, 3)],
+                                   gen_box=[(0, Fraction(5, 2))])),
+    ("brute-schedule", "deadline",
+     lambda: oracle.nonpreemptive_brute([(0, Fraction(5, 2), 1)], 3)),
+    ("brute-schedule-counts", "job count",
+     lambda: oracle.nonpreemptive_brute_counts(
+         [THREE_HALVES], one_job("nonpreemptive"), 0)),
+    ("multi-polytope-budget", "budget",
+     lambda: multi_polytope_select([(box_polytope([0], [2]), 1)],
+                                   box_polytope([4], [4]), Fraction(9, 2))),
+    ("generator-budget", "budget",
+     lambda: select_from_generators([[(1,), (2,)]], [1],
+                                    box_polytope([4], [4]), Fraction(9, 2))),
 ]
 
 
@@ -84,14 +102,14 @@ def test_a_non_integral_value_is_an_input_error(field, call):
         call()
 
 
-def lifted_select(cost):
+def lifted_select(cost, budget=5):
     return multi_polytope_select([(box_polytope([0], [2]), cost)],
-                                 box_polytope([4], [4]), 5)
+                                 box_polytope([4], [4]), budget)
 
 
-def generator_select(cost):
+def generator_select(cost, budget=5):
     return select_from_generators([[(1,), (2,)]], [cost],
-                                  box_polytope([4], [4]), 5)
+                                  box_polytope([4], [4]), budget)
 
 
 INTEGRAL = [
@@ -99,6 +117,10 @@ INTEGRAL = [
      lambda: lifted_select(2)),
     ("generator-cost", lambda: generator_select(Fraction(2)),
      lambda: generator_select(2)),
+    ("multi-polytope-budget", lambda: lifted_select(2, Fraction(5)),
+     lambda: lifted_select(2, 5)),
+    ("generator-budget", lambda: generator_select(2, 5.0),
+     lambda: generator_select(2, 5)),
     ("polytope-rows",
      lambda: lattice_points(Polytope([[Fraction(4, 2), 1], [-1, 0], [0, -1]],
                                      [Fraction(12, 2), 0, 0])),
@@ -126,3 +148,10 @@ def test_integral_values_come_back_as_ints():
         [int, int, int]
     res = lifted_select(Fraction(2))
     assert res.found and type(res.total_cost) is int
+
+
+def test_text_is_not_read_as_an_integer():
+    # every instance-file reader converts its tokens before they get here
+    with pytest.raises(InputError, match="^constraint coefficient '1' is "
+                                         "text, not an integer$"):
+        Polytope([["1"], ["-1"]], ["2", "0"])

@@ -19,8 +19,7 @@ from conepack.scheduling import (CycleLayout, SchedulingInstance,
                                  extract_cyclic_schedule,
                                  nonpreemptive_assign,
                                  nonpreemptive_completable, preemptive_assign,
-                                 schedulable_vectors, scheduling_from_text,
-                                 tardy_min_penalty,
+                                 schedulable_vectors, tardy_min_penalty,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 
@@ -450,19 +449,6 @@ class TestSchedulableVectors:
 
 
 class TestTextFormat:
-    def test_parse_errors(self):
-        bad = [
-            "",
-            "1 1",                              # short header
-            "1 1 assignment\n0 0 0 2 1\n1",     # missing cost line
-            "1 1 sideways\n0 0 0 2 1\n1\n1",    # unknown variant
-            "1 1 assignment\n0 0 0 2 1\n0 0 0 2 1\n1\n1",  # duplicate
-            "1 1 assignment\n0 5 0 2 1\n1\n1",  # index out of range
-        ]
-        for text in bad:
-            with pytest.raises(InputError):
-                scheduling_from_text(text)
-
     def test_instance_validation(self):
         with pytest.raises(InputError):
             SchedulingInstance([[(2, 1, 1)]], [1], costs=[1])  # d < r

@@ -16,7 +16,7 @@ from conepack.geometry import (
     lattice_points,
     slack_interval_index,
 )
-from conepack.rational import format_rat, rat
+from conepack.rational import format_rat
 from conepack.structure import (
     Combination,
     combo_sum,
