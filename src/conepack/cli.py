@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 
@@ -31,6 +32,11 @@ from .solver import (BinPackingInstance, CuttingStockInstance, cutting_stock,
 
 # ---------------------------------------------------------------------------
 # instance files
+
+
+# ASCII tokens only: int() also reads "+3", "1_0" and non-ASCII digits
+_INTEGER = re.compile("-?[0-9]+").fullmatch
+_RATIONAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?").fullmatch
 
 
 class _Lines:
@@ -70,24 +76,19 @@ class _Lines:
 
     def integer(self, token: str) -> int:
         try:
-            return int(token)
-        except ValueError:
+            return int(_INTEGER(token)[0])
+        except (TypeError, ValueError):  # no match, or past int's digit cap
             raise self.error(f"expected integer, got {token!r}") from None
 
     def integers(self, width: int, what: str) -> list:
-        toks = self.line(width, what)
-        try:
-            return list(map(int, toks))
-        except ValueError:
-            return [self.integer(t) for t in toks]  # names the bad token
+        return [self.integer(t) for t in self.line(width, what)]
 
     def rational(self, token: str) -> Rat:
         """``p`` or ``p/q``, with integers ``p`` and ``q != 0``."""
-        num, slash, den = token.partition("/")
         try:
-            p = int(num)
-            q = int(den) if slash else 1
-        except ValueError:
+            match = _RATIONAL(token)
+            p, q = int(match[1]), int(match[2] or 1)
+        except (TypeError, ValueError):  # no match, or past int's digit cap
             raise self.error(f"bad rational {token!r}") from None
         if q == 0:
             raise self.error(f"zero denominator in {token!r}")

@@ -50,8 +50,6 @@ from .rational import Rat, ONE, ZERO, rat_ceil, rat_floor, as_int, integer
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
-IntPoint = tuple  # tuple of ints
-
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
@@ -1067,9 +1065,9 @@ def _cell_parallelepipeds(poly: Polytope, members: tuple) -> list:
 def parallelepiped_cover(poly: Polytope) -> list:
     """Integral parallelepipeds inside ``poly`` covering all its lattice points.
 
-    Construction: dimension 1 collapses to a single segment (or point);
-    otherwise lattice points are grouped into slack cells.  A one-point
-    cell is covered by ``Parallelepiped.point``.  A larger cell is covered
+    Construction: in dimension 1 all lattice points form one cell;
+    otherwise they are grouped into slack cells.  A one-point cell is
+    covered by ``Parallelepiped.point``.  A larger cell is covered
     by parallelepipeds anchored at its lexicographically smallest member,
     with directions picked from ellipsoid contact points of the
     symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
@@ -1077,19 +1075,13 @@ def parallelepiped_cover(poly: Polytope) -> list:
     vertex checks, shrinking the scale integrally when needed.  The points
     come from ``lattice_points``, under its cap.
     """
-    pts = lattice_points(poly)
-    if not pts:
-        return []
     if poly.dim == 1:
-        lo = pts[0]
-        hi = pts[-1]
-        if lo == hi:
-            return [Parallelepiped.point(lo)]
-        center = (Rat(lo[0] + hi[0], 2),)
-        direction = ((Rat(hi[0] - lo[0], 2),),)
-        return [Parallelepiped(center, direction)]
+        pts = tuple(lattice_points(poly))
+        cells = [pts] if pts else []
+    else:
+        cells = [members for _sig, members in cell_partition(poly)]
     cover = []
-    for _sig, members in cell_partition(poly):
+    for members in cells:
         if len(members) == 1:
             cover.append(Parallelepiped.point(members[0]))
         else:

@@ -16,6 +16,7 @@ from .errors import InputError, ResourceError
 from .exactmath import (lp_optimize, solve_linear_system, INFEASIBLE,
                         OPTIMAL, UNIQUE)
 from .rational import Rat, ZERO, ONE, integer
+from .scheduling import _job_vector, _machine_windows
 
 BP_BRUTE_ITEM_CAP = 12
 PATTERN_BUDGET = 200_000
@@ -381,17 +382,13 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
 def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
                                job_cap: int = BRUTE_JOB_CAP,
                                horizon_cap: int = BRUTE_HORIZON_CAP):
-    """Count-vector front end: x_j copies of job type j on one machine.
-
-    ``inst.windows[machine_type][j]`` is job type j's (release, deadline,
-    length) triple.
-    """
+    """Count-vector front end: x_j copies of job type j on one machine,
+    read through the scheduling module's machine-type and job-vector
+    readers."""
     jobs = []
-    for j, count in enumerate(x):
-        count = integer(count, "job count")
-        if count < 0:
-            raise InputError("negative job count")
-        jobs.extend([inst.windows[machine_type][j]] * count)
+    for window, count in zip(_machine_windows(inst, machine_type),
+                             _job_vector(inst, x)):
+        jobs.extend([window] * count)
     horizon = max([d for _r, d, _p in jobs], default=0)
     return nonpreemptive_brute(jobs, horizon, job_cap=job_cap,
                                horizon_cap=horizon_cap)

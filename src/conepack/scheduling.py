@@ -122,13 +122,34 @@ class SchedulingInstance:
     def critical_points(self, machine_type: int) -> tuple:
         """Sorted distinct releases and deadlines of one machine type."""
         vals = set()
-        for r, dl, _p in self.windows[machine_type]:
+        for r, dl, _p in _machine_windows(self, machine_type):
             vals.add(r)
             vals.add(dl)
         return tuple(sorted(vals))
 
     def horizon(self, machine_type: int) -> int:
-        return max(dl for _r, dl, _p in self.windows[machine_type])
+        return max(dl for _r, dl, _p in _machine_windows(self, machine_type))
+
+
+def _machine_windows(inst: SchedulingInstance, machine_type) -> tuple:
+    """The windows of machine type ``machine_type``: the one lookup of
+    ``inst.windows``.  An ``InputError`` unless it is an integer in
+    0..m-1."""
+    i = integer(machine_type, "machine type")
+    if not 0 <= i < inst.m:
+        raise InputError(f"machine type {i} is not in 0..{inst.m - 1}")
+    return inst.windows[i]
+
+
+def _job_vector(inst: SchedulingInstance, x) -> tuple:
+    """``x`` as a tuple of ``inst.d`` non-negative ints, or an
+    ``InputError``: the one reader of a job vector."""
+    x = _integers(x, "job count")
+    if len(x) != inst.d:
+        raise InputError(f"job vector {x} needs {inst.d} counts")
+    if any(v < 0 for v in x):
+        raise InputError(f"job vector {x} has a negative count")
+    return x
 
 
 @dataclass(frozen=True)
@@ -157,7 +178,7 @@ def _interval_loads(inst: SchedulingInstance, machine_type: int) -> list:
     ``row[j]`` is job j's length when its whole window sits inside
     [t1, t2], else 0, so ``row . x`` is the work x must do in the interval.
     """
-    windows = inst.windows[machine_type]
+    windows = _machine_windows(inst, machine_type)
     points = inst.critical_points(machine_type)
     return [((t1, t2), [p if r >= t1 and dl <= t2 else 0
                         for r, dl, p in windows])
@@ -228,12 +249,8 @@ def edf_simulate(x: Sequence[int], inst: SchedulingInstance,
     Ties pick the lowest job type, then the lowest copy.  On failure the
     result names an overloaded critical interval as the witness.
     """
-    windows = inst.windows[machine_type]
-    x = _integers(x, "job count")
-    if len(x) != inst.d:
-        raise InputError("job vector length mismatch")
-    if any(v < 0 for v in x):
-        raise InputError("job counts must be non-negative")
+    windows = _machine_windows(inst, machine_type)
+    x = _job_vector(inst, x)
     copies = []
     for j, count in enumerate(x):
         r, dl, p = windows[j]
@@ -284,15 +301,26 @@ def _merge_segments(segments):
     return tuple(out)
 
 
+def _segment_window(windows: tuple, segment: tuple) -> tuple:
+    """The window of the job type a schedule segment names; an
+    ``InternalError`` unless the type exists."""
+    job_type = segment[0]
+    if job_type not in range(len(windows)):
+        raise InternalError(f"segment {segment} names no job type "
+                            f"{job_type!r}")
+    return windows[job_type]
+
+
 def validate_preemptive_schedule(inst: SchedulingInstance, machine_type: int,
                                  x: Sequence[int], schedule: Sequence) -> None:
     """Exact checks: windows, full lengths, one job at a time."""
-    windows = inst.windows[machine_type]
-    x = _integers(x, "job count")
+    windows = _machine_windows(inst, machine_type)
+    x = _job_vector(inst, x)
     work = {}
     spans = []
-    for job_type, copy, start, end in schedule:
-        r, dl, p = windows[job_type]
+    for segment in schedule:
+        job_type, copy, start, end = segment
+        r, dl, p = _segment_window(windows, segment)
         if start < r or end > dl or end <= start:
             raise InternalError(
                 f"segment of job {job_type}#{copy} escapes its window")
@@ -327,11 +355,7 @@ class CycleLayout:
     """
 
     d: int
-    cycles: int = 0
-
-    def __post_init__(self):
-        if self.cycles <= 0:
-            object.__setattr__(self, "cycles", 4 * self.d)
+    cycles: int
 
     @property
     def dim(self) -> int:
@@ -370,7 +394,7 @@ def _cycle_rows(inst: SchedulingInstance, machine_type: int,
     feasibility program carries variable bounds separately and skips the
     explicit bound rows.
     """
-    windows = inst.windows[machine_type]
+    windows = _machine_windows(inst, machine_type)
     d = layout.d
     C = layout.cycles
     D = layout.dim
@@ -455,18 +479,25 @@ def _cycle_rows(inst: SchedulingInstance, machine_type: int,
     return rows, rhs
 
 
+def _cycle_polytope(inst: SchedulingInstance, machine_type: int,
+                    cycles: int) -> Polytope:
+    """The cycle polytope over ``CycleLayout(inst.d, cycles)``, with the
+    horizon as every host coefficient and the bound rows written out."""
+    delta = inst.horizon(machine_type)
+    return Polytope(*_cycle_rows(inst, machine_type,
+                                 CycleLayout(inst.d, cycles),
+                                 lambda _j: delta))
+
+
 def build_nonpreemptive_polytope(inst: SchedulingInstance,
                                  machine_type: int) -> Polytope:
     """Cycle polytope whose integer projection is the schedulable vectors.
 
-    Variables follow ``CycleLayout``.  A job vector x is schedulable on
-    one machine of this type exactly when integral cycle variables
-    complete it inside this polytope.
+    Variables follow ``CycleLayout`` with 4d cycles.  A job vector x is
+    schedulable on one machine of this type exactly when integral cycle
+    variables complete it inside this polytope.
     """
-    layout = CycleLayout(inst.d)
-    delta = inst.horizon(machine_type)
-    rows, rhs = _cycle_rows(inst, machine_type, layout, lambda _j: delta)
-    return Polytope(rows, rhs)
+    return _cycle_polytope(inst, machine_type, 4 * inst.d)
 
 
 def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
@@ -478,16 +509,13 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     from the horizon to the copy count (no cycle holds more copies than
     exist), and the cycle count shrinks to 2*(total copies)+1 when that
     beats 4d (worst case, every copy sits in its own cycle with a pure
-    idle cycle before it, plus one trailing idle cycle).  The witness is
-    padded back to the generic layout and re-checked against it.
+    idle cycle before it, plus one trailing idle cycle).  The witness
+    stays in the ``CycleLayout`` it was solved in, and is re-checked
+    against that layout's cycle polytope.
     """
     d = inst.d
-    x = _integers(x, "job count")
-    if len(x) != d:
-        raise InputError("job vector length mismatch")
-    if any(v < 0 for v in x):
-        raise InputError("job counts must be non-negative")
-    windows = inst.windows[machine_type]
+    windows = _machine_windows(inst, machine_type)
+    x = _job_vector(inst, x)
     delta = inst.horizon(machine_type)
     dummy = delta - sum(p * x[j] for j, (_r, _dl, p) in enumerate(windows))
     if dummy < 0:
@@ -519,50 +547,29 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     res = ilp_feasible(IlpProblem.build(rows, rhs, lo=lo, hi=hi))
     if not res.feasible:
         return None
-    aux = _pad_cycles(res.witness, layout, CycleLayout(d), delta)
-    full = build_nonpreemptive_polytope(inst, machine_type)
-    if not full.contains_int(aux):
-        raise InternalError("cycle witness escapes the generic polytope")
-    return aux
-
-
-def _pad_cycles(aux, small: CycleLayout, full: CycleLayout, delta: int):
-    """Re-embed a reduced-cycle witness into the generic layout.
-
-    Extra trailing cycles stay empty with end time pinned at the horizon.
-    """
-    if small.cycles == full.cycles:
-        return tuple(aux)
-    d = full.d
-    out = [0] * full.dim
-    for j in range(1, d + 1):
-        out[full.x(j)] = aux[small.x(j)]
-    out[full.x0] = aux[small.x0]
-    for k in range(1, full.cycles + 1):
-        if k <= small.cycles:
-            out[full.tau(k)] = aux[small.tau(k)]
-            for j in range(0, d + 1):
-                out[full.y(j, k)] = aux[small.y(j, k)]
-            for j in range(1, d + 1):
-                out[full.z(j, k)] = aux[small.z(j, k)]
-        else:
-            out[full.tau(k)] = delta
-    return tuple(out)
+    if not _cycle_polytope(inst, machine_type,
+                           layout.cycles).contains_int(res.witness):
+        raise InternalError("cycle witness escapes its cycle polytope")
+    return res.witness
 
 
 def extract_cyclic_schedule(aux: Sequence[int], inst: SchedulingInstance,
                             machine_type: int) -> tuple:
     """Read start/end times out of cycle variables.
 
-    Each cycle runs its copies in type order, dummy first; real copies
-    become (job_type, copy, start, end) entries.  Cycle boundaries are
-    cross-checked against the tau variables.
+    The cycle count C follows from the length of ``aux``, which must be
+    ``CycleLayout(d, C).dim`` for some C >= 1.  Each cycle runs its copies
+    in type order, dummy first; real copies become (job_type, copy, start,
+    end) entries.  Cycle boundaries are cross-checked against the tau
+    variables.
     """
     d = inst.d
-    layout = CycleLayout(d)
-    if len(aux) != layout.dim:
-        raise InputError("auxiliary vector has the wrong dimension")
-    windows = inst.windows[machine_type]
+    cycles, rest = divmod(len(aux) - d - 1, 2 * d + 2)
+    if cycles < 1 or rest:
+        raise InputError(f"auxiliary vector of length {len(aux)} fits no "
+                         f"cycle layout for {d} job types")
+    layout = CycleLayout(d, cycles)
+    windows = _machine_windows(inst, machine_type)
     lengths = [1] + [p for _r, _dl, p in windows]
     t = 0
     schedule = []
@@ -591,12 +598,13 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
                                     machine_type: int, x: Sequence[int],
                                     schedule: Sequence) -> None:
     """Exact checks: one segment per copy, windows, no overlap."""
-    windows = inst.windows[machine_type]
-    x = _integers(x, "job count")
+    windows = _machine_windows(inst, machine_type)
+    x = _job_vector(inst, x)
     counts = [0] * inst.d
     spans = []
-    for job_type, _copy, start, end in schedule:
-        r, dl, p = windows[job_type]
+    for segment in schedule:
+        job_type, _copy, start, end = segment
+        r, dl, p = _segment_window(windows, segment)
         if end - start != p:
             raise InternalError(f"job {job_type} segment has the wrong length")
         if start < r or end > dl:

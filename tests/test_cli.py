@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -272,6 +273,24 @@ class TestParseErrors:
     ])
     def test_malformed_file_is_an_input_error(self, text):
         with pytest.raises(InputError):
+            cli.parse_instance_text(text)
+
+    @pytest.mark.parametrize("text,token", [
+        pytest.param("binpacking\n1\n1/2 1_0\n", "1_0", id="underscore"),
+        pytest.param("binpacking\n1\n1/2 +3\n", "+3", id="plus-sign"),
+        pytest.param("binpacking\n\u0661\n\u0661/\u0662 +3\n", "\u0661",
+                     id="arabic-indic-count"),
+        pytest.param("binpacking\n1\n\u0661/\u0662 3\n", "\u0661/\u0662",
+                     id="arabic-indic-rational"),
+        pytest.param("binpacking\n1\n1/2_0 3\n", "1/2_0",
+                     id="underscore-denominator"),
+        pytest.param("polytope\n1 1\n\uff13 2\n", "\uff13",
+                     id="full-width-row"),
+    ])
+    def test_only_ascii_integer_tokens(self, text, token):
+        # int() alone would read each of these tokens as a number
+        with pytest.raises(InputError,
+                           match=rf"^line \d+: .*{re.escape(repr(token))}$"):
             cli.parse_instance_text(text)
 
     @pytest.mark.parametrize("text,lineno", [

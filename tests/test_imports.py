@@ -10,7 +10,9 @@ or ``conepack``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
 tests of a second integer reader.  Outside ``cli.py`` no module may call
 ``.splitlines()`` or define a ``*_from_text`` function, the marks of a
-second file reader.
+second file reader.  No module may subscript an attribute ``.windows``
+outside ``scheduling._machine_windows``, the one reader of a machine
+type, and ``SchedulingInstance.__init__``, which builds the windows.
 """
 
 import ast
@@ -115,6 +117,32 @@ def text_readers(path):
     return sorted(out)
 
 
+# the scopes, as nested def and class names, that may subscript .windows
+WINDOWS_READERS = {("_machine_windows",), ("SchedulingInstance", "__init__")}
+
+
+def windows_lookups(path):
+    """The subscripts ``<expr>.windows[...]`` of the module outside
+    ``WINDOWS_READERS``, with line numbers."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope += (node.name,)
+            if scope in WINDOWS_READERS:
+                return
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "windows":
+            out.append(f"windows (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(parse(path), ())
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
@@ -180,3 +208,28 @@ def test_a_second_file_reader_is_caught(tmp_path):
                       "    return text.split('\\n')\n")
     assert text_readers(module) == ["polytope_from_text (line 1)",
                                     "splitlines (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_machine_types_are_read_only_by_their_reader(path):
+    assert windows_lookups(path) == []
+
+
+def test_a_second_machine_type_reader_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class SchedulingInstance:\n"
+                      "    def __init__(self, w):\n"
+                      "        self.windows = w\n"
+                      "        self.d = len(self.windows[0])\n"
+                      "\n"
+                      "    def horizon(self, i):\n"
+                      "        return self.windows[i]\n"
+                      "\n\n"
+                      "def _machine_windows(inst, i):\n"
+                      "    return inst.windows[i]\n"
+                      "\n\n"
+                      "def brute(inst, i, j):\n"
+                      "    windows = inst.windows\n"
+                      "    return windows[i], inst.windows[i][j]\n")
+    assert windows_lookups(module) == ["windows (line 16)",
+                                       "windows (line 7)"]

@@ -3,7 +3,11 @@
 Each entry point that needs integers reads them through
 ``rational.integer``: a non-integral value raises an ``InputError`` that
 names its field, and an integral rational or float answers as its int
-twin does.
+twin does.  Every scheduling entry point reads a machine type and a job
+vector through the scheduling module's two readers, so a machine type
+outside 0..m-1 or a job vector of the wrong length or with a negative
+count is an ``InputError`` everywhere, and a validated schedule whose
+segment names no job type is an ``InternalError``.
 """
 
 from fractions import Fraction
@@ -11,12 +15,15 @@ from fractions import Fraction
 import pytest
 
 from conepack import oracle
-from conepack.errors import InputError
+from conepack.errors import InputError, InternalError
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
                                lattice_points)
 from conepack.ilp import IlpProblem, ilp_feasible
-from conepack.scheduling import (SchedulingInstance, edf_simulate,
+from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
+                                 build_nonpreemptive_polytope, edf_simulate,
+                                 extract_cyclic_schedule,
                                  nonpreemptive_completable,
+                                 schedulable_vectors,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 from conepack.solver import multi_polytope_select, select_from_generators
@@ -32,6 +39,16 @@ def one_job(variant="assignment"):
 
 def two_jobs():
     return SchedulingInstance([[(0, 4, 1), (1, 6, 2)]], [2, 1], costs=[1])
+
+
+def two_machine_types():
+    return SchedulingInstance([[(0, 4, 1), (1, 6, 2)],
+                               [(2, 5, 1), (0, 6, 3)]], [2, 1], costs=[1, 1])
+
+
+def certificate():
+    """A valid cycle certificate of (1, 0) on ``two_machine_types()``."""
+    return nonpreemptive_completable((1, 0), two_machine_types(), 0)
 
 
 NON_INTEGRAL = [
@@ -131,6 +148,9 @@ INTEGRAL = [
      lambda: edf_simulate([2, 1], two_jobs(), 0)),
     ("edf-simulate-overload", lambda: edf_simulate([5.0, 0], two_jobs(), 0),
      lambda: edf_simulate([5, 0], two_jobs(), 0)),
+    ("machine-type",
+     lambda: edf_simulate((1, 0), two_machine_types(), Fraction(1)),
+     lambda: edf_simulate((1, 0), two_machine_types(), 1)),
 ]
 
 
@@ -155,3 +175,82 @@ def test_text_is_not_read_as_an_integer():
     with pytest.raises(InputError, match="^constraint coefficient '1' is "
                                          "text, not an integer$"):
         Polytope([["1"], ["-1"]], ["2", "0"])
+
+
+MACHINE_TYPE_CALLS = [
+    ("critical-points", lambda inst, i: inst.critical_points(i)),
+    ("horizon", lambda inst, i: inst.horizon(i)),
+    ("edf-polytope", build_edf_polytope),
+    ("edf-simulate", lambda inst, i: edf_simulate((1, 0), inst, i)),
+    ("validate-preemptive",
+     lambda inst, i: validate_preemptive_schedule(inst, i, (0, 0), ())),
+    ("cycle-polytope", build_nonpreemptive_polytope),
+    ("completable",
+     lambda inst, i: nonpreemptive_completable((1, 0), inst, i)),
+    ("extract-cyclic",
+     lambda inst, i: extract_cyclic_schedule(certificate(), inst, i)),
+    ("validate-nonpreemptive",
+     lambda inst, i: validate_nonpreemptive_schedule(inst, i, (0, 0), ())),
+    ("schedulable-vectors",
+     lambda inst, i: schedulable_vectors(inst, i, (1, 1))),
+    ("brute-schedule-counts",
+     lambda inst, i: oracle.nonpreemptive_brute_counts((1, 0), inst, i)),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in MACHINE_TYPE_CALLS],
+                         ids=[case[0] for case in MACHINE_TYPE_CALLS])
+def test_a_non_integral_machine_type_is_an_input_error(call):
+    with pytest.raises(InputError,
+                       match="^machine type 1/2 must be an integer$"):
+        call(two_machine_types(), HALF)
+
+
+@pytest.mark.parametrize("machine_type", [-1, 2])
+@pytest.mark.parametrize("call", [case[1] for case in MACHINE_TYPE_CALLS],
+                         ids=[case[0] for case in MACHINE_TYPE_CALLS])
+def test_a_machine_type_out_of_range_is_an_input_error(call, machine_type):
+    # -1 used to answer for the last machine type, and m to raise IndexError
+    with pytest.raises(InputError, match=f"^machine type {machine_type} is "
+                                         "not in 0..1$"):
+        call(two_machine_types(), machine_type)
+
+
+JOB_VECTOR_CALLS = [
+    ("edf-simulate", lambda inst, x: edf_simulate(x, inst, 0)),
+    ("validate-preemptive",
+     lambda inst, x: validate_preemptive_schedule(inst, 0, x, ())),
+    ("completable", lambda inst, x: nonpreemptive_completable(x, inst, 0)),
+    ("validate-nonpreemptive",
+     lambda inst, x: validate_nonpreemptive_schedule(inst, 0, x, ())),
+    ("brute-schedule-counts",
+     lambda inst, x: oracle.nonpreemptive_brute_counts(x, inst, 0)),
+]
+
+BAD_VECTORS = [
+    ((1, 1, 1), r"^job vector \(1, 1, 1\) needs 2 counts$"),
+    ((1,), r"^job vector \(1,\) needs 2 counts$"),
+    ((1, -1), r"^job vector \(1, -1\) has a negative count$"),
+]
+
+
+@pytest.mark.parametrize("x,message", BAD_VECTORS,
+                         ids=["too-long", "too-short", "negative"])
+@pytest.mark.parametrize("call", [case[1] for case in JOB_VECTOR_CALLS],
+                         ids=[case[0] for case in JOB_VECTOR_CALLS])
+def test_a_malformed_job_vector_is_an_input_error(call, x, message):
+    with pytest.raises(InputError, match=message):
+        call(two_machine_types(), x)
+
+
+@pytest.mark.parametrize("job_type", [-1, 2, 5])
+@pytest.mark.parametrize("validate", [validate_preemptive_schedule,
+                                      validate_nonpreemptive_schedule],
+                         ids=["preemptive", "nonpreemptive"])
+def test_a_segment_naming_no_job_type_is_an_internal_error(validate,
+                                                            job_type):
+    segment = (job_type, 0, 0, 1)
+    with pytest.raises(InternalError, match=rf"^segment \({job_type}, 0, 0, "
+                                            rf"1\) names no job type "
+                                            rf"{job_type}$"):
+        validate(two_machine_types(), 0, (1, 0), [segment])

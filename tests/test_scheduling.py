@@ -152,8 +152,7 @@ class TestEdfSimulate:
 
 class TestCyclePolytope:
     def test_layout_dimensions(self):
-        lay = CycleLayout(3)
-        assert lay.cycles == 12
+        lay = CycleLayout(3, 12)
         assert lay.dim == 3 + 1 + 12 + 12 * 4 + 12 * 3
         poly = build_nonpreemptive_polytope(FIXTURE, 0)
         assert poly.dim == lay.dim
@@ -187,6 +186,35 @@ class TestCyclePolytope:
                     (inst.windows, x)
                 agree += 1
         assert agree > 40
+
+    def test_certificates_keep_their_layout(self):
+        # each certificate has the C = min(4d, 2 * sum(x) + 1) cycles it
+        # was solved with, lies in that layout's cycle polytope, and
+        # yields a valid schedule
+        rng = random.Random(25)
+        checked = capped = 0
+        for _ in range(16):
+            inst = rand_instance(rng, d_max=2, horizon=8)
+            d = inst.d
+            for x in box_vectors([2] * d, 4):
+                aux = nonpreemptive_completable(x, inst, 0)
+                if aux is None:
+                    continue
+                cycles = min(4 * d, 2 * sum(x) + 1)
+                capped += cycles == 4 * d
+                assert len(aux) == d + 1 + cycles * (2 * d + 2)
+                assert scheduling._cycle_polytope(inst, 0,
+                                                  cycles).contains_int(aux)
+                sched = extract_cyclic_schedule(aux, inst, 0)
+                validate_nonpreemptive_schedule(inst, 0, x, sched)
+                checked += 1
+        assert checked > 40 and capped > 0  # both sides of the min
+
+    @pytest.mark.parametrize("length", [0, 4, 5, 11, 13, 101])
+    def test_extraction_rejects_a_length_that_fits_no_layout(self, length):
+        # d = 3: the layouts have 4 + 8C coordinates for C >= 1
+        with pytest.raises(InputError, match="fits no cycle layout"):
+            extract_cyclic_schedule((0,) * length, FIXTURE, 0)
 
     def test_downward_closure(self):
         vecs = schedulable_vectors(FIXTURE, 0, (1, 1, 1))
