@@ -215,7 +215,7 @@ class ExactLp:
 
     ``DEFAULT_PIVOT_BUDGET`` caps the pivots of one object over all its
     solves, so a tableau shared by several questions shares one cap: one
-    probe's relaxation prefilter and its guesses, or all the LPs of one
+    probe's relaxation prefilter and its lead guess, or all the LPs of one
     bound derivation.  Every pivot is also charged once to the request's
     ``budget.limit``.  Both count real pivots only; a refuted call spends
     neither.

@@ -700,12 +700,16 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     polytope clipped to the box, which the horizon bounds however large
     the box is; they are tried by total count, then lexicographically.
     Dropping copies keeps a schedule feasible, so supersets of infeasible
-    vectors are skipped outright.  A box with a negative side holds no
-    vector.
+    vectors are skipped outright.  The box is read as ``d`` integers, or
+    an ``InputError``; a box with a negative side holds no vector.
     """
-    if min(box_hi) < 0:
-        return {}
+    _machine_windows(inst, machine_type)
+    box_hi = _integers(box_hi, "box side")
     d = inst.d
+    if len(box_hi) != d:
+        raise InputError(f"box {box_hi} needs {d} sides")
+    if any(v < 0 for v in box_hi):
+        return {}
     feasible = {}
     infeasible = set()
     candidates = sorted(

@@ -3,12 +3,11 @@
 ``int_cone_intersect`` decides whether some non-negative integer combination
 of a polytope's lattice points lands in a target polytope, in two modes:
 
-* ``faithful``: guess a small set of cover parallelepipeds (their vertices
-  may carry arbitrary weights) plus a handful of free lattice points, and
-  solve one small integer program per guess.  The lead guess is the cover
-  elements that hold the support of the rational prefilter's point, with
-  no free points; then come the cheapest guesses first.  A hit is
-  returned immediately; otherwise the joint program settles the answer.
+* ``faithful``: one guess of cover parallelepipeds, whose vertices may
+  carry arbitrary weights, and one small integer program over them.  The
+  guess is the cover elements that hold the support of the rational
+  prefilter's point.  A hit is returned immediately; a miss goes to the
+  joint program, which settles the answer.
 * ``joint``: one integer program with a weight variable per cover vertex
   and a 0/1 variable per remaining lattice point.  Decisive in both
   directions because every solvable target admits a witness of exactly
@@ -34,7 +33,6 @@ Every returned solution is re-verified exactly before it is surfaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations as _combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -56,9 +54,6 @@ from .structure import (
     compute_structure_set,
     normalize_combination,
 )
-
-DEFAULT_GUESS_BUDGET = 64
-
 
 # ---------------------------------------------------------------------------
 # instances and solutions
@@ -125,7 +120,7 @@ class IntConeResult:
     target: Optional[tuple]            # the reached point y
     combination: Optional[Combination]
     mode_used: str = ""
-    guesses_tried: int = 0
+    guesses_tried: int = 0             # 0 or 1: whether the lead guess ran
 
 
 @dataclass(frozen=True)
@@ -265,71 +260,38 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
 # shared ILP plumbing
 
 
-def _combination_rows(generators, target, extra_free=0, source=None):
-    """Rows of 'sum of weighted generators (+ free points) lies in target'.
-
-    Variables: one weight per generator, then ``extra_free`` blocks of
-    ``d`` coordinates each (free lattice points of ``source``).  Equality
-    targets are expressed through the target rows themselves.
-    """
-    d = target.dim
+def _combination_rows(generators, target):
+    """Rows of 'the sum of weighted generators lies in target', over one
+    weight per generator.  Equality targets are expressed through the
+    target rows themselves."""
     n = len(generators)
-    nf = extra_free * d
-    rows, rhs = [], []
-    columns = [[g[i] for g in generators] for i in range(d)]
-
-    def sum_coeffs(q):
-        # coefficients of q . (sum lambda_g g + sum w_t) over all variables;
-        # target rows are mostly unit rows, so skip q's zeros
+    rows = []
+    columns = [[g[i] for g in generators] for i in range(target.dim)]
+    for q in target.A:
+        # coefficients of q . (sum lambda_g g); target rows are mostly unit
+        # rows, so skip q's zeros
         coeff = [0] * n
         for qi, column in zip(q, columns):
             if qi:
                 coeff = [c + qi * v for c, v in zip(coeff, column)]
-        for _ in range(extra_free):
-            coeff.extend(q)
-        return coeff
-
-    for q, qb in zip(target.A, target.b):
-        rows.append(sum_coeffs(q))
-        rhs.append(qb)
-    if extra_free:
-        if source is None:
-            raise InternalError("free points need their source polytope")
-        for t in range(extra_free):
-            off = n + t * d
-            for a_row, b in zip(source.A, source.b):
-                row = [0] * (n + nf)
-                for i, v in enumerate(a_row):
-                    row[off + i] = v
-                rows.append(row)
-                rhs.append(b)
-    return rows, rhs
+        rows.append(coeff)
+    return rows, list(target.b)
 
 
-def _run_combination_ilp(generators, target, gen_hi=None, extra_free=0,
-                         source=None, free_box=None, cap=None):
-    """Solve for generator weights (and free points); None when infeasible.
+def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
+    """Solve for generator weights; None when infeasible.
 
     ``cap`` is an optional row ``(coefficients, bound)`` on the generator
     weights, appended after the rows of ``_combination_rows``.  Returns one
-    ``(point, weight)`` pair per generator, in order, then each free point
-    with weight 1.
+    ``(point, weight)`` pair per generator, in order.
     """
-    n = len(generators)
-    d = target.dim
-    rows, rhs = _combination_rows(generators, target,
-                                  extra_free=extra_free, source=source)
-    lo = [0] * n
-    hi = list(gen_hi) if gen_hi is not None else [None] * n
-    for _ in range(extra_free):
-        for a, b in free_box:
-            lo.append(a)
-            hi.append(b)
+    rows, rhs = _combination_rows(generators, target)
     if cap is not None:
         coefficients, bound = cap
-        rows.append(list(coefficients) + [0] * (extra_free * d))
+        rows.append(list(coefficients))
         rhs.append(bound)
-    problem = IlpProblem.build(rows, rhs, lo=lo, hi=hi)
+    problem = IlpProblem.build(rows, rhs, lo=[0] * len(generators),
+                               hi=gen_hi)
     try:
         res = ilp_feasible(problem)
     except InputError as exc:
@@ -338,79 +300,46 @@ def _run_combination_ilp(generators, target, gen_hi=None, extra_free=0,
             "bound the target") from exc
     if not res.feasible:
         return None
-    x = res.witness
-    return list(zip(generators, x)) + [
-        (x[n + t * d:n + (t + 1) * d], 1) for t in range(extra_free)]
+    return list(zip(generators, res.witness))
 
 
 class _Relaxation:
-    """Rational relaxations of one probe's combination programs.
+    """The rational relaxation of one probe's combination programs.
 
-    ``feasible(special, k)`` decides whether non-negative rational weights
-    on ``special``, a subset of ``generators``, plus ``k`` free points of
-    ``source`` can reach the target.  Two tableaux over all the generators
-    answer every call; each is built on first use from ``_combination_rows``
-    and then only has variable bounds moved.
-
-    * ``k == 0``: one weight column per generator.
-    * ``k > 0``: the generator columns, one free point ``w`` and its count
-      ``mu``, with the source rows read as ``A w - mu b <= 0`` and ``mu``
-      fixed at ``k``.  A sum of ``k`` points of a convex set is a point of
-      ``k`` times that set, so this is the program with ``k`` free points.
-
-    A generator outside ``special`` is fixed at 0.  A call moves only the
-    columns whose bounds changed since the tableau's last call, then runs
-    phase 1 from its current basis: the answer is a verdict, not a vertex,
-    so the pivot path may depend on earlier calls.  Most guesses are
-    Empty, and each tableau keeps the infeasibility proof of every Empty
-    verdict (``ExactLp``).  A proof ``phi . x <= c`` still refutes a later
-    guess that switches on no generator with a negative coefficient in
-    ``phi``, and such a guess is answered without a pivot.
+    ``feasible(special)`` decides whether non-negative rational weights on
+    ``special``, a subset of ``generators``, can reach the target.  One
+    tableau over all the generators, built from ``_combination_rows``,
+    answers every call; a generator outside ``special`` is fixed at 0.  A
+    call moves only the columns whose bounds changed since the last call,
+    then runs phase 1 from the current basis: the answer is a verdict, not
+    a vertex, so the pivot path may depend on earlier calls.  The tableau
+    keeps the infeasibility proof of every Empty verdict (``ExactLp``).  A
+    proof ``phi . x <= c`` still refutes a later call that switches on no
+    generator with a negative coefficient in ``phi``, and such a call is
+    answered without a pivot.
     """
 
-    def __init__(self, generators, target, source):
+    def __init__(self, generators, target):
+        n = len(generators)
+        rows, rhs = _combination_rows(generators, target)
         self._generators = generators
-        self._target, self._source = target, source
         self._column = {g: i for i, g in enumerate(generators)}
-        self._lps = {}   # free points or not -> tableau
-        self._on = {}    # free points or not -> generator columns switched on
-        self._count = 0  # the k at which the free-point tableau fixes mu
+        self._lp = ExactLp(rows, rhs, lo=[0] * n)
+        self._on = set(range(n))  # generator columns switched on
 
-    def _build(self, free):
-        n = len(self._generators)
-        rows, rhs = _combination_rows(self._generators, self._target,
-                                      extra_free=int(free),
-                                      source=self._source)
-        lo = [0] * n
-        if free:
-            m = self._source.m
-            rows = [row + [0] for row in rows[:-m]] + \
-                [row + [-b] for row, b in zip(rows[-m:], self._source.b)]
-            rhs = rhs[:-m] + [0] * m
-            lo += [None] * (self._target.dim + 1)
-        self._lps[free] = ExactLp(rows, rhs, lo=lo)
-        self._on[free] = set(range(n))
-
-    def feasible(self, special, k=0):
-        free = k > 0
-        if free not in self._lps:
-            self._build(free)
-        lp, was = self._lps[free], self._on[free]
+    def feasible(self, special):
         on = {self._column[g] for g in special}
-        for j in was - on:
-            lp.set_var_bounds(j, 0, 0)
-        for j in on - was:
-            lp.set_var_bounds(j, 0, None)
-        self._on[free] = on
-        if free and k != self._count:
-            lp.set_var_bounds(lp.n - 1, k, k)
-            self._count = k
-        return lp.find_feasible()
+        for j in self._on - on:
+            self._lp.set_var_bounds(j, 0, 0)
+        for j in on - self._on:
+            self._lp.set_var_bounds(j, 0, None)
+        self._on = on
+        return self._lp.find_feasible()
 
     def support(self):
-        """The generators weighted at the point of the last feasible verdict
-        without free points; a basic point has at most one per row."""
-        weights = self._lps[False].values()
+        """The generators weighted at the point of the last feasible
+        verdict; a basic point has at most one per row."""
+        weights = self._lp.values()
         return [g for g, w in zip(self._generators, weights) if w]
 
 
@@ -431,7 +360,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
     The rational relaxation over all generators is a prefilter: when it is
     infeasible the answer is Empty without an integer program.  Its
-    ``_Relaxation`` then checks each guess of the faithful search.
+    ``_Relaxation`` then checks the faithful search's lead guess.
     """
     if source.dim != target.dim:
         raise InputError("source and target dimensions differ")
@@ -445,7 +374,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     generators = [p for p in lattice_points(source) if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
-    relax = _Relaxation(generators, target, source)
+    relax = _Relaxation(generators, target)
     if not relax.feasible(generators):
         return IntConeResult(False, None, None, mode, 0)
     sset = compute_structure_set(source)
@@ -467,14 +396,14 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
     guesses = 0
     if mode == "faithful":
-        guesses, pairs = _faithful_search(sset, generators, target, relax)
+        guesses = 1
+        pairs = _faithful_search(sset, generators, target, relax)
         if pairs is not None:
             return finish(pairs, "faithful", guesses)
-        # Exhausted or out of budget: either way the joint program below
-        # settles the answer.  Guessed subsets span only the vertices of a
-        # few parallelepipeds, and a reachable target may normalize onto
-        # vertices outside every such span, so exhaustion alone cannot
-        # certify Empty.
+        # A miss does not certify Empty: the lead guess spans only the
+        # vertices of a few parallelepipeds, and a reachable target may
+        # normalize onto vertices outside that span.  The joint program
+        # below decides.
 
     pairs = _joint_program(sset, generators, target)
     if pairs is None:
@@ -483,58 +412,22 @@ def int_cone_intersect(source: Polytope, target: Polytope,
 
 
 def _faithful_search(sset, generators, target, relax):
-    """Guess-driven search.
+    """The lead guess: the cover elements that hold the support of the
+    prefilter's point, ``relax.support()``.
 
-    The lead guess holds the cover elements of the prefilter's support,
-    ``relax.support()``, with no free points: the prefilter's point is a
-    rational witness on their vertices, so their program is the likeliest
-    to hit.  On a miss the enumeration follows, cheapest guesses
-    first.  Each guess is first checked by the probe's ``_Relaxation``,
-    ``relax``; only a guess whose relaxation is feasible gets its integer
-    program.
-
-    Returns ``(guesses, pairs)``, where ``pairs`` is the witness of the
-    first guess whose program is feasible, or None when the guesses run
-    out or pass ``DEFAULT_GUESS_BUDGET``; the lead guess counts against it.
-    The free points' box is computed at the first guess that has any: on
-    a lift it costs two LPs per coordinate, and the lead guess has none.
+    The prefilter's point is a rational witness on their vertices, so
+    their program is the likeliest to hit.  The guess's vertices among the
+    generators get unbounded integer weights, and its integer program runs
+    only when ``relax`` finds their relaxation feasible.  Returns the
+    witness pairs, or None on a miss.
     """
-    d = sset.polytope.dim
     cover = sset.cover
-    pp_cap = min(1 << d, len(cover))
-    k_cap = 1 << (2 * d)
     genset = set(generators)
-    source = sset.polytope
-    free_box = None
-
-    def attempt(subset, k):
-        nonlocal free_box
-        special = sorted({v for i in subset for v in cover[i].vertices()
-                          if v in genset})
-        if (not special and k == 0) or not relax.feasible(special, k):
-            return None
-        if k and free_box is None:
-            free_box = integer_box(source)
-        return _run_combination_ilp(special, target, extra_free=k,
-                                    source=source, free_box=free_box)
-
-    guesses = 1
-    pairs = attempt({sset.locator[g] for g in relax.support()}, 0)
-    if pairs is not None:
-        return guesses, pairs
-    for total in range(1, pp_cap + k_cap + 1):
-        for size in range(0, min(total, pp_cap) + 1):
-            k = total - size
-            if k > k_cap:
-                continue
-            for subset in _combinations(range(len(cover)), size):
-                guesses += 1
-                if guesses > DEFAULT_GUESS_BUDGET:
-                    return guesses - 1, None
-                pairs = attempt(subset, k)
-                if pairs is not None:
-                    return guesses, pairs
-    return guesses, None
+    special = sorted({v for i in {sset.locator[g] for g in relax.support()}
+                      for v in cover[i].vertices() if v in genset})
+    if not special or not relax.feasible(special):
+        return None
+    return _run_combination_ilp(special, target)
 
 
 def _joint_program(sset, generators, target):

@@ -193,6 +193,9 @@ MACHINE_TYPE_CALLS = [
      lambda inst, i: validate_nonpreemptive_schedule(inst, i, (0, 0), ())),
     ("schedulable-vectors",
      lambda inst, i: schedulable_vectors(inst, i, (1, 1))),
+    # the machine type is read before a negative side answers {}
+    ("schedulable-vectors-negative-box",
+     lambda inst, i: schedulable_vectors(inst, i, (1, -1))),
     ("brute-schedule-counts",
      lambda inst, i: oracle.nonpreemptive_brute_counts((1, 0), inst, i)),
 ]
@@ -241,6 +244,17 @@ BAD_VECTORS = [
 def test_a_malformed_job_vector_is_an_input_error(call, x, message):
     with pytest.raises(InputError, match=message):
         call(two_machine_types(), x)
+
+
+@pytest.mark.parametrize("box,message", [
+    ((1, 2, 3), r"^box \(1, 2, 3\) needs 2 sides$"),
+    ((1,), r"^box \(1,\) needs 2 sides$"),
+    ((), r"^box \(\) needs 2 sides$"),
+], ids=["too-long", "too-short", "empty"])
+def test_a_box_of_the_wrong_length_is_an_input_error(box, message):
+    # one side per job type: no side is dropped or read past the end
+    with pytest.raises(InputError, match=message):
+        schedulable_vectors(two_machine_types(), 0, box)
 
 
 @pytest.mark.parametrize("job_type", [-1, 2, 5])

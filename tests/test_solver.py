@@ -166,19 +166,17 @@ class TestIntConeIntersect:
             int_cone_intersect(segment(1, 2), ray)
 
 
-def fresh_relaxation(special, k, target, source):
-    """Reference: a fresh LP over ``special`` and ``k`` free blocks."""
-    rows, rhs = solver._combination_rows(special, target, extra_free=k,
-                                         source=source)
-    lo = [0] * len(special) + [None] * (k * target.dim)
-    return ExactLp(rows, rhs, lo=lo).find_feasible()
+def fresh_relaxation(special, target):
+    """Reference: a fresh LP over the weights of ``special``."""
+    rows, rhs = solver._combination_rows(special, target)
+    return ExactLp(rows, rhs, lo=[0] * len(special)).find_feasible()
 
 
 class TestRelaxation:
     @staticmethod
     def case(rng):
-        """A source, a target near a sum of a few of its generators (a box,
-        or a box with one more row), and the generators."""
+        """A target near a sum of a few generators of a random source (a
+        box, or a box with one more row), and the generators."""
         while True:
             source = rand_bounded_polytope(rng, max_dim=3, max_rows=5,
                                            coeff_cap=9, box_cap=3)
@@ -194,50 +192,47 @@ class TestRelaxation:
             cut = [rng.randint(-2, 2) for _ in range(d)]
             target = Polytope(target.A + [cut], target.b + (
                 sum(c * v for c, v in zip(cut, y)) + rng.randint(-1, 1),))
-        return source, target, gens
+        return target, gens
 
     def test_warm_verdicts_match_fresh_lps(self):
         rng = random.Random(31337)
-        verdicts = []  # (free points, last verdict on that tableau, verdict)
+        verdicts = []  # (last verdict, verdict)
         for _ in range(120):
-            source, target, gens = self.case(rng)
+            target, gens = self.case(rng)
             if integer_box(target) is None:
                 continue
-            relax = solver._Relaxation(gens, target, source)
-            last = {}
+            relax = solver._Relaxation(gens, target)
+            last = None
             for _ in range(rng.randint(2, 10)):
                 if rng.random() < 0.1:
                     special = gens
                 else:
                     special = sorted(rng.sample(
                         gens, rng.randint(0, min(4, len(gens)))))
-                k = rng.randint(0, 3)
-                got = relax.feasible(special, k)
-                assert got == fresh_relaxation(special, k, target,
-                                               source), (special, k)
-                free = k > 0
-                if free in last:
-                    verdicts.append((free, last[free], got))
-                last[free] = got
-        # on both tableaux, warm starts follow both verdicts
-        for key in itertools.product((True, False), repeat=3):
+                got = relax.feasible(special)
+                assert got == fresh_relaxation(special, target), special
+                if last is not None:
+                    verdicts.append((last, got))
+                last = got
+        # warm starts follow both verdicts
+        for key in itertools.product((True, False), repeat=2):
             assert verdicts.count(key) >= 10, (key, verdicts.count(key))
 
     def test_support_is_a_small_feasible_guess(self):
         rng = random.Random(4243)
         checked = 0
         for _ in range(60):
-            source, target, gens = self.case(rng)
+            target, gens = self.case(rng)
             if integer_box(target) is None:
                 continue
-            relax = solver._Relaxation(gens, target, source)
+            relax = solver._Relaxation(gens, target)
             if not relax.feasible(gens):
                 continue
             support = relax.support()
             # a basic point: at most one non-zero weight per target row
             assert set(support) <= set(gens)
             assert len(support) <= target.m
-            assert fresh_relaxation(support, 0, target, source)
+            assert fresh_relaxation(support, target)
             checked += 1
         assert checked >= 20
 
@@ -274,16 +269,10 @@ class TestLeadGuess:
             assert res.found and res.mode_used == "faithful", (sizes, a)
             assert res.guesses_tried == 1, (sizes, a)
 
-    def test_a_missed_lead_counts_against_the_guess_budget(self,
-                                                           monkeypatch):
-        # the lead guess can miss: here the enumeration hits at guess 61
+    def test_a_missed_lead_goes_to_the_joint_program(self, monkeypatch):
         sizes, a = [Rat(5, 8), Rat(1, 2), Rat(1, 3)], [4, 3, 4]
         probe, window = _bin_packing_probes(monkeypatch, sizes, a)
         assert window == (6, 6)
-        res = probe(6)
-        assert res.mode_used == "faithful" and res.guesses_tried == 61
-        # a budget of one guess is spent by the lead alone
-        monkeypatch.setattr(solver, "DEFAULT_GUESS_BUDGET", 1)
         res = probe(6)
         assert res.found and res.mode_used == "joint"
         assert res.guesses_tried == 1
@@ -469,10 +458,28 @@ class TestCuttingStock:
             assert sol.objective == cheapest_packing_cost(
                 [Rat(s) for s in sizes], mult, types), (sizes, mult, types)
 
+    @staticmethod
+    def open_windows(types):
+        """Seeded cutting stocks over ``types`` in d = 3, sizes p/q with
+        p <= min(7, q) and 2 <= q <= 9, multiplicities 1-6: the
+        ``(sizes, mult)`` of the 150 draws whose configuration window is
+        open."""
+        rng = random.Random(5)
+        for _ in range(150):
+            sizes = []
+            for _ in range(3):
+                q = rng.randint(2, 9)
+                sizes.append(Rat(rng.randint(1, min(7, q)), q))
+            mult = [rng.randint(1, 6) for _ in range(3)]
+            lo, hi, _cover = configuration_window(
+                [(patterns(sizes, w, mult), c) for w, c in types], mult)
+            if lo < hi:
+                yield sizes, mult
+
     def test_modes_agree_inside_an_open_window(self, monkeypatch):
         # two bin types leave integrality gaps: one gcd step below the
-        # optimum the rational prefilter passes, so the faithful search
-        # falls through and the joint program proves Empty
+        # optimum the rational prefilter passes, so the faithful lead guess
+        # misses and the joint program proves Empty
         results = []
 
         def recording(*args, **kwargs):
@@ -495,7 +502,18 @@ class TestCuttingStock:
             results.clear()
             assert mode_verdicts(inst, opt) == [True, True, False, False]
             assert results[2].mode_used == "joint"
-            assert results[2].guesses_tried == solver.DEFAULT_GUESS_BUDGET
+            assert results[2].guesses_tried == 1
+        swept = list(self.open_windows(types))
+        assert len(swept) == 51
+        for sizes, mult in swept:
+            inst = CuttingStockInstance(sizes, mult, types)
+            opt = cheapest_packing_cost(sizes, mult, types)
+            assert cutting_stock(inst, mode="faithful").objective == opt, \
+                (sizes, mult)
+            assert cutting_stock(inst, mode="joint").objective == opt, \
+                (sizes, mult)
+            assert mode_verdicts(inst, opt) == [True, True, False, False], \
+                (sizes, mult)
 
     @pytest.mark.parametrize("big", [10 ** 5, 10 ** 30])
     def test_large_bin_costs(self, big):
@@ -1027,12 +1045,12 @@ def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     monkeypatch.setattr(solver, "ilp_feasible", recording)
     results = _seeded_selections()
     assert sum(found for found, *_ in results) == 18
-    assert len(programs) == 29
+    assert len(programs) == 22
 
     def digest(value):
         return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
-    assert digest(programs) == "e0f533e300e90ba0"
+    assert digest(programs) == "8bb6231970bae47f"
     assert digest(results) == "8996edaccfd0b940"
 
 
