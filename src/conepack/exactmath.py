@@ -200,8 +200,8 @@ class ExactLp:
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
-    is the cheap path exercised by branch and bound, by the bound
-    derivations and by the faithful search's relaxations.
+    is the cheap path exercised by branch and bound and by the bound
+    derivations.
 
     Each phase 1 that fails stores its proof (``_keep_proof``), and each
     ``find_feasible`` tries the stored proofs before it pivots
@@ -211,12 +211,13 @@ class ExactLp:
     right-hand side.  A refuted call returns False and leaves the tableau,
     basis and values as they were.  The list is not capped: a proof is
     stored only when no stored one refutes the bounds, and no tableau of
-    the benchmark catalogues keeps more than 14.
+    the benchmark catalogues keeps more than 11 (on ``sched-np``; at most
+    1 elsewhere).
 
     ``DEFAULT_PIVOT_BUDGET`` caps the pivots of one object over all its
-    solves, so a tableau shared by several questions shares one cap: one
-    probe's relaxation prefilter and its lead guess, or all the LPs of one
-    bound derivation.  Every pivot is also charged once to the request's
+    solves, so a tableau shared by several questions shares one cap: all
+    the LPs of one bound derivation, or all the nodes of one branch and
+    bound.  Every pivot is also charged once to the request's
     ``budget.limit``.  Both count real pivots only; a refuted call spends
     neither.
     """

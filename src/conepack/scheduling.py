@@ -33,8 +33,9 @@ from .geometry import (Polytope, box_polytope, down_closed_polytope,
                        lattice_points)
 from .ilp import IlpProblem, ilp_feasible
 from .rational import integer
-from .solver import (_multiplicities, cheapest_cover, least_feasible,
-                     multi_polytope_select, select_from_generators)
+from .solver import (_check_mode, _multiplicities, cheapest_cover,
+                     least_feasible, multi_polytope_select,
+                     select_from_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +668,7 @@ def preemptive_assign(inst: SchedulingInstance,
     ``solver.cheapest_cover`` over the EDF polytopes clipped to the demand,
     each probe a ``multi_polytope_select``.
     """
+    _check_mode(mode)
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities

@@ -43,6 +43,7 @@ from .geometry import (
     box_polytope,
     coordinate_bounds,
     down_closed_polytope,
+    in_convex_hull,
     integer_box,
     lattice_points,
 )
@@ -260,6 +261,14 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
 # shared ILP plumbing
 
 
+def _check_mode(mode):
+    """InputError unless ``mode`` names a search mode of
+    ``int_cone_intersect``.  Every entry that takes a mode checks it here
+    first, so an unknown one is refused even when no probe would run."""
+    if mode not in ("faithful", "joint"):
+        raise InputError(f"unknown mode {mode!r}")
+
+
 def _combination_rows(generators, target):
     """Rows of 'the sum of weighted generators lies in target', over one
     weight per generator.  Equality targets are expressed through the
@@ -303,46 +312,6 @@ def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
     return list(zip(generators, res.witness))
 
 
-class _Relaxation:
-    """The rational relaxation of one probe's combination programs.
-
-    ``feasible(special)`` decides whether non-negative rational weights on
-    ``special``, a subset of ``generators``, can reach the target.  One
-    tableau over all the generators, built from ``_combination_rows``,
-    answers every call; a generator outside ``special`` is fixed at 0.  A
-    call moves only the columns whose bounds changed since the last call,
-    then runs phase 1 from the current basis: the answer is a verdict, not
-    a vertex, so the pivot path may depend on earlier calls.  The tableau
-    keeps the infeasibility proof of every Empty verdict (``ExactLp``).  A
-    proof ``phi . x <= c`` still refutes a later call that switches on no
-    generator with a negative coefficient in ``phi``, and such a call is
-    answered without a pivot.
-    """
-
-    def __init__(self, generators, target):
-        n = len(generators)
-        rows, rhs = _combination_rows(generators, target)
-        self._generators = generators
-        self._column = {g: i for i, g in enumerate(generators)}
-        self._lp = ExactLp(rows, rhs, lo=[0] * n)
-        self._on = set(range(n))  # generator columns switched on
-
-    def feasible(self, special):
-        on = {self._column[g] for g in special}
-        for j in self._on - on:
-            self._lp.set_var_bounds(j, 0, 0)
-        for j in on - self._on:
-            self._lp.set_var_bounds(j, 0, None)
-        self._on = on
-        return self._lp.find_feasible()
-
-    def support(self):
-        """The generators weighted at the point of the last feasible
-        verdict; a basic point has at most one per row."""
-        weights = self._lp.values()
-        return [g for g, w in zip(self._generators, weights) if w]
-
-
 # ---------------------------------------------------------------------------
 # the intersection solver
 
@@ -358,14 +327,20 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     program's sum: ``integer_box`` raises ``InputError`` at an unbounded
     coordinate, even when the target holds the origin.
 
-    The rational relaxation over all generators is a prefilter: when it is
-    infeasible the answer is Empty without an integer program.  Its
-    ``_Relaxation`` then checks the faithful search's lead guess.
+    One LP over non-negative rational weights on all generators is a
+    prefilter: when it is infeasible the answer is Empty without an
+    integer program.  The generators weighted at its point are the
+    support of the faithful search's lead guess.
+
+    The source must be pointed: no non-negative combination of its
+    non-zero lattice points may sum to 0.  Otherwise 0 lies in their
+    convex hull, the weights reaching the target are unbounded (Gordan's
+    theorem), and a probe whose prefilter passes raises ``InputError``
+    naming the source, in either mode.
     """
+    _check_mode(mode)
     if source.dim != target.dim:
         raise InputError("source and target dimensions differ")
-    if mode not in ("faithful", "joint"):
-        raise InputError(f"unknown mode {mode!r}")
     if integer_box(target) is None:
         return IntConeResult(False, None, None, mode, 0)
     if target.contains_int((0,) * target.dim):
@@ -374,9 +349,15 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     generators = [p for p in lattice_points(source) if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
-    relax = _Relaxation(generators, target)
-    if not relax.feasible(generators):
+    rows, rhs = _combination_rows(generators, target)
+    prefilter = ExactLp(rows, rhs, lo=[0] * len(generators))
+    if not prefilter.find_feasible():
         return IntConeResult(False, None, None, mode, 0)
+    if in_convex_hull((0,) * source.dim, generators):
+        raise InputError(
+            "the source is not pointed: 0 is a convex combination of its "
+            "non-zero lattice points, so the combination weights are "
+            "unbounded")
     sset = compute_structure_set(source)
 
     def finish(pairs, mode_used, guesses):
@@ -397,7 +378,8 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     guesses = 0
     if mode == "faithful":
         guesses = 1
-        pairs = _faithful_search(sset, generators, target, relax)
+        support = [g for g, w in zip(generators, prefilter.values()) if w]
+        pairs = _faithful_search(sset, support, target)
         if pairs is not None:
             return finish(pairs, "faithful", guesses)
         # A miss does not certify Empty: the lead guess spans only the
@@ -411,22 +393,21 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     return finish(pairs, "joint", guesses)
 
 
-def _faithful_search(sset, generators, target, relax):
-    """The lead guess: the cover elements that hold the support of the
-    prefilter's point, ``relax.support()``.
+def _faithful_search(sset, support, target):
+    """The lead guess: the cover elements that hold ``support``, the
+    generators weighted at the prefilter's point.
 
-    The prefilter's point is a rational witness on their vertices, so
-    their program is the likeliest to hit.  The guess's vertices among the
-    generators get unbounded integer weights, and its integer program runs
-    only when ``relax`` finds their relaxation feasible.  Returns the
-    witness pairs, or None on a miss.
+    Each support point ``g`` lies in its element ``sset.locator[g]``,
+    whose vertices are lattice points of the source, so ``g`` is a convex
+    combination of them.  The prefilter's point is then a non-negative
+    rational combination of the guess's non-zero vertices: their
+    relaxation is feasible by construction, and their program is the
+    likeliest to hit.  Those vertices get unbounded integer weights.
+    Returns the witness pairs, or None on a miss.
     """
     cover = sset.cover
-    genset = set(generators)
-    special = sorted({v for i in {sset.locator[g] for g in relax.support()}
-                      for v in cover[i].vertices() if v in genset})
-    if not special or not relax.feasible(special):
-        return None
+    special = sorted({v for i in {sset.locator[g] for g in support}
+                      for v in cover[i].vertices() if any(v)})
     return _run_combination_ilp(special, target)
 
 
@@ -465,6 +446,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     allows.  When no part holds a lattice point, the empty selection is
     the only one, as in ``select_from_generators``.
     """
+    _check_mode(mode)
     n = len(parts)
     if n == 0:
         raise InputError("at least one part required")
@@ -651,6 +633,7 @@ def cutting_stock(inst: CuttingStockInstance,
     ``cheapest_cover`` over the bin types' pattern polytopes, each probe a
     ``multi_polytope_select``.
     """
+    _check_mode(mode)
     a = inst.multiplicities
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]

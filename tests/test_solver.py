@@ -12,8 +12,8 @@ from conepack.budget import limit
 from conepack.errors import InfeasibleError, InputError, InternalError
 from conepack import geometry, scheduling, solver
 from conepack.exactmath import ExactLp
-from conepack.geometry import (Polytope, coordinate_bounds, integer_box,
-                               lattice_points)
+from conepack.geometry import (Polytope, coordinate_bounds, in_convex_hull,
+                               integer_box, lattice_points)
 from conepack.ilp import ilp_feasible
 from conepack.oracle import bp_brute_force, int_cone_brute
 from conepack.rational import Rat, rat_ceil
@@ -24,7 +24,7 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
                              verify_solution)
-from conepack.structure import combo_sum
+from conepack.structure import combo_sum, compute_structure_set
 
 from genutil import (box_polytope, mode_verdicts, rand_bounded_polytope,
                      rand_bp_instance, singleton_target)
@@ -158,6 +158,17 @@ class TestIntConeIntersect:
         with pytest.raises(InputError):
             int_cone_intersect(src, ray)
 
+    @pytest.mark.parametrize("mode", ["faithful", "joint"])
+    @pytest.mark.parametrize("source,target", [
+        (box_polytope([-1, 0], [1, 1]), singleton_target([3, 1])),
+        (segment(-1, 1), singleton_target([1]))], ids=["square", "segment"])
+    def test_a_source_that_is_not_pointed_is_refused(self, source, target,
+                                                     mode):
+        # 0 is a convex combination of the generators, so the weights are
+        # unbounded; the target is bounded and is not to blame
+        with pytest.raises(InputError, match="source is not pointed"):
+            int_cone_intersect(source, target, mode=mode)
+
     def test_unbounded_target_holding_the_origin_is_rejected(self):
         # checked before the shortcut for a target holding the origin, as
         # select_from_generators does
@@ -166,75 +177,165 @@ class TestIntConeIntersect:
             int_cone_intersect(segment(1, 2), ray)
 
 
+UNKNOWN_MODE_ENTRIES = {
+    # inputs that answer without a probe in a known mode
+    "int_cone_intersect": lambda mode: int_cone_intersect(
+        segment(1, 2), singleton_target([0]), mode=mode),
+    "multi_polytope_select": lambda mode: multi_polytope_select(
+        [(segment(1, 2), 1)], singleton_target([3]), -1, mode=mode),
+    "cutting_stock": lambda mode: cutting_stock(
+        CuttingStockInstance([Rat(1, 2)], [3], [(Rat(1), 1)]), mode=mode),
+    "bin_packing": lambda mode: bin_packing(
+        BinPackingInstance([Rat(1, 2)], [3]), mode=mode),
+    "preemptive_assign": lambda mode: preemptive_assign(
+        SchedulingInstance([[(0, 4, 1)]], [3], costs=[1]), mode=mode),
+}
+
+
+@pytest.mark.parametrize("entry", list(UNKNOWN_MODE_ENTRIES))
+def test_unknown_mode_is_refused_before_any_work(entry):
+    solve = UNKNOWN_MODE_ENTRIES[entry]
+    for mode in ("faithful", "joint"):
+        solve(mode)
+    with pytest.raises(InputError, match="unknown mode 'bogus'"):
+        solve("bogus")
+
+
 def fresh_relaxation(special, target):
     """Reference: a fresh LP over the weights of ``special``."""
     rows, rhs = solver._combination_rows(special, target)
     return ExactLp(rows, rhs, lo=[0] * len(special)).find_feasible()
 
 
-class TestRelaxation:
-    @staticmethod
-    def case(rng):
-        """A target near a sum of a few generators of a random source (a
-        box, or a box with one more row), and the generators."""
-        while True:
-            source = rand_bounded_polytope(rng, max_dim=3, max_rows=5,
-                                           coeff_cap=9, box_cap=3)
-            gens = [p for p in lattice_points(source) if any(p)]
-            if gens:
-                break
-        d = source.dim
-        picks = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
-        y = [sum(p[j] for p in picks) + rng.randint(-1, 1) for j in range(d)]
-        r = rng.randint(0, 1)
-        target = box_polytope([v - r for v in y], [v + r for v in y])
+class _Stop(Exception):
+    """Ends a probe before an integer program runs."""
+
+
+def first_program(monkeypatch, call):
+    """The generators of the first combination program that ``call``
+    builds, which is not run; None when it builds none."""
+    seen = []
+
+    def stop(generators, target, **kwargs):
+        seen.append(generators)
+        raise _Stop
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_run_combination_ilp", stop)
+        try:
+            call()
+        except _Stop:
+            return seen[0]
+    return None
+
+
+def prefilter_support(monkeypatch, source, target):
+    """The generators weighted at a faithful probe's prefilter point; None
+    when the probe answers before its lead guess."""
+    seen = []
+
+    def stop(sset, support, target):
+        seen.append(support)
+        raise _Stop
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_faithful_search", stop)
+        try:
+            int_cone_intersect(source, target, mode="faithful")
+        except _Stop:
+            return seen[0]
+    return None
+
+
+def near_target(rng, gens):
+    """A target near a sum of a few of ``gens``: a box, sometimes with one
+    more row."""
+    d = len(gens[0])
+    picks = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+    y = [sum(p[j] for p in picks) + rng.randint(-1, 1) for j in range(d)]
+    r = rng.randint(0, 1)
+    target = box_polytope([v - r for v in y], [v + r for v in y])
+    if rng.random() < 0.5:
+        cut = [rng.randint(-2, 2) for _ in range(d)]
+        target = Polytope(target.A + [cut], target.b + (
+            sum(c * v for c, v in zip(cut, y)) + rng.randint(-1, 1),))
+    return target
+
+
+def flat_slabs(rng, count):
+    """Seeded 3-d boxes, long in x and thin in the other coordinates,
+    sometimes cut, whose covers hold ``k > 0`` elements."""
+    slabs = []
+    while len(slabs) < count:
+        hi = [rng.randint(24, 40), rng.randint(1, 3), rng.randint(0, 2)]
+        slab = box_polytope([0, 0, 0], hi)
         if rng.random() < 0.5:
-            cut = [rng.randint(-2, 2) for _ in range(d)]
-            target = Polytope(target.A + [cut], target.b + (
-                sum(c * v for c, v in zip(cut, y)) + rng.randint(-1, 1),))
-        return target, gens
+            cut = (1, rng.randint(1, 3), rng.randint(1, 3))
+            slab = Polytope(slab.A + [cut], slab.b + (
+                rng.randint(hi[0] // 2, hi[0] + 4),))
+        if any(pp.k for pp in compute_structure_set(slab).cover):
+            slabs.append(slab)
+    return slabs
 
-    def test_warm_verdicts_match_fresh_lps(self):
-        rng = random.Random(31337)
-        verdicts = []  # (last verdict, verdict)
-        for _ in range(120):
-            target, gens = self.case(rng)
-            if integer_box(target) is None:
-                continue
-            relax = solver._Relaxation(gens, target)
-            last = None
-            for _ in range(rng.randint(2, 10)):
-                if rng.random() < 0.1:
-                    special = gens
-                else:
-                    special = sorted(rng.sample(
-                        gens, rng.randint(0, min(4, len(gens)))))
-                got = relax.feasible(special)
-                assert got == fresh_relaxation(special, target), special
-                if last is not None:
-                    verdicts.append((last, got))
-                last = got
-        # warm starts follow both verdicts
-        for key in itertools.product((True, False), repeat=2):
-            assert verdicts.count(key) >= 10, (key, verdicts.count(key))
 
-    def test_support_is_a_small_feasible_guess(self):
+class TestRelaxation:
+    """The prefilter LP over all generators, and the lead guess built from
+    its support."""
+
+    def test_support_is_a_small_feasible_guess(self, monkeypatch):
         rng = random.Random(4243)
         checked = 0
         for _ in range(60):
-            target, gens = self.case(rng)
+            while True:
+                # a random source, kept when it is pointed
+                source = rand_bounded_polytope(rng, max_dim=3, max_rows=5,
+                                               coeff_cap=9, box_cap=3)
+                gens = [p for p in lattice_points(source) if any(p)]
+                if gens and not in_convex_hull((0,) * source.dim, gens):
+                    break
+            target = near_target(rng, gens)
             if integer_box(target) is None:
                 continue
-            relax = solver._Relaxation(gens, target)
-            if not relax.feasible(gens):
+            support = prefilter_support(monkeypatch, source, target)
+            if support is None:
                 continue
-            support = relax.support()
             # a basic point: at most one non-zero weight per target row
             assert set(support) <= set(gens)
             assert len(support) <= target.m
             assert fresh_relaxation(support, target)
             checked += 1
         assert checked >= 20
+
+    def test_lead_guess_relaxation_is_feasible(self, monkeypatch):
+        # each support point is a convex combination of its cover
+        # element's vertices, so the guess needs no LP of its own
+        rng = random.Random(27)
+        probes = 0
+        for slab in flat_slabs(rng, 4):
+            sset = compute_structure_set(slab)
+            gens = [p for p in lattice_points(slab) if any(p)]
+            inside = [p for p in gens if sset.cover[sset.locator[p]].k]
+            for _ in range(6):
+                # the prefilter's own support
+                target = near_target(rng, gens)
+                special = first_program(
+                    monkeypatch, lambda: int_cone_intersect(slab, target))
+                if special is not None:
+                    assert set(special) <= set(gens)
+                    assert fresh_relaxation(special, target)
+                    probes += 1
+                # a support inside k > 0 elements, where the prefilter's
+                # basic points, extreme in the slab, seldom fall
+                support = rng.sample(inside,
+                                     rng.randint(1, min(3, len(inside))))
+                y = [sum(w * p[j] for w, p in zip((1, 2, 3), support))
+                     for j in range(3)]
+                target = box_polytope(y, y)
+                special = first_program(monkeypatch, lambda: (
+                    solver._faithful_search(sset, support, target)))
+                assert set(special) <= set(gens)
+                assert fresh_relaxation(special, target)
+        assert probes >= 12, probes
 
 
 def _bin_packing_probes(monkeypatch, sizes, a):
