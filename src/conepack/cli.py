@@ -101,6 +101,16 @@ class _Lines:
             raise self.error(f"{what} must be at least 1, got {n}")
         return n
 
+    def build(self, cls, *args, **kwargs):
+        """``cls(*args, **kwargs)``: the instance class checks the values.
+        Its ``InputError`` is raised again naming the lines the instance
+        was read from, from the one after the kind line to the last."""
+        try:
+            return cls(*args, **kwargs)
+        except InputError as exc:
+            raise InputError(
+                f"lines {self.rows[1][0]}-{self.lineno}: {exc}") from exc
+
     def end(self) -> None:
         if self.next < len(self.rows):
             self.lineno = self.rows[self.next][0]
@@ -122,14 +132,14 @@ def _pairs(src: _Lines, what: str, shape: str) -> list:
 def _binpacking(src: _Lines) -> BinPackingInstance:
     sizes, mults = zip(*_pairs(src, "the number of item types",
                                "'size multiplicity'"))
-    return BinPackingInstance(sizes, mults)
+    return src.build(BinPackingInstance, sizes, mults)
 
 
 def _cuttingstock(src: _Lines) -> CuttingStockInstance:
     sizes, mults = zip(*_pairs(src, "the number of item types",
                                "'size multiplicity'"))
-    return CuttingStockInstance(sizes, mults, _pairs(
-        src, "the number of bin types", "'capacity cost'"))
+    bins = _pairs(src, "the number of bin types", "'capacity cost'")
+    return src.build(CuttingStockInstance, sizes, mults, bins)
 
 
 def _scheduling(src: _Lines) -> SchedulingInstance:
@@ -154,7 +164,7 @@ def _scheduling(src: _Lines) -> SchedulingInstance:
                 "penalties": src.integers(d, f"{d} penalties")}
     else:
         data = {"costs": src.integers(m, f"{m} machine costs")}
-    return SchedulingInstance(table, mult, variant=variant, **data)
+    return src.build(SchedulingInstance, table, mult, variant=variant, **data)
 
 
 def _polytope(src: _Lines) -> Polytope:
@@ -164,7 +174,8 @@ def _polytope(src: _Lines) -> Polytope:
     src.need(m)
     what = f"{d + 1} integers 'a_1 .. a_d b'"
     rows = [src.integers(d + 1, what) for _ in range(m)]
-    return Polytope([row[:-1] for row in rows], [row[-1] for row in rows])
+    return src.build(Polytope, [row[:-1] for row in rows],
+                     [row[-1] for row in rows])
 
 
 _READERS = {"binpacking": _binpacking, "cuttingstock": _cuttingstock,
@@ -175,6 +186,8 @@ def parse_instance_text(text: str):
     """Returns (kind, instance) for the tagged instance formats.
 
     Only the format is read here; the instance classes check the values.
+    A format diagnostic names its line (``line N: ...``), a value error the
+    lines the instance was read from (``lines M-N: ...``).
     """
     src = _Lines(text)
     (kind,) = src.line(1, "an instance kind")

@@ -4,22 +4,34 @@ The solver is depth-first branch-and-bound over exact rational LP
 relaxations: each node repairs feasibility of a warm-started simplex
 tableau after a bound change, an integral relaxation point (or a
 successful rounding of a fractional one) ends the search, and otherwise
-the most fractional coordinate is split.  Every answer is exact; a node
-cap per call and the request's ``budget.limit``, charged once per node,
-turn pathological instances into a resource error, not a wrong result.
+the fractional coordinate with the tightest domain is split.  Every
+answer is exact; a node cap per call and the request's ``budget.limit``,
+charged once per node, turn pathological instances into a resource
+error, not a wrong result.
 
 Variable bounds the problem leaves missing are derived first, one side at
 a time, on one tableau of their own.  The branch and bound starts from a
 fresh tableau under the derived bounds: its root vertex, and so the
 witness, must not depend on the basis the derivation ended in.
 
+The node tableau is the only holder of a node's bounds, and each stack
+entry is ``(parent snapshot or None, bound change)``.  Branching on
+``x_j`` pushes the ceil child ``x_j >= split + 1`` with a snapshot of the
+node's tableau, then the floor child ``x_j <= split`` without one.  Both
+children exist, because the relaxation point lies within the node's
+integer bounds.  The floor child is popped next, so it starts from its
+parent's tableau as the parent left it and needs no restore; the ceil
+child is popped only after the floor child's subtree and restores its
+parent first.  A branching costs one snapshot and at most one restore.
+
 The node tableau keeps the infeasibility proof of every node it finds
 empty (``ExactLp``), and a later node whose bounds a stored proof still
 refutes is pruned without a pivot.  Such a node is still counted and
 charged as a node.  A pruned node leaves the tableau as it was, and the
-next node starts from a ``restore``, so the nodes visited and the witness
-are the ones a plain phase 1 would give.  The derivation stops at its
-first empty verdict, so its proofs never answer anything.
+entry popped after any node that does not branch is a ceil child, which
+restores its parent, so the nodes visited and the witness are the ones a
+plain phase 1 would give.  The derivation stops at its first empty
+verdict, so its proofs never answer anything.
 
 ``lll_basis`` computes an LLL-reduced unimodular basis of the coordinate
 lattice under the metric ``A^T A + I``; the solver does not call it.
@@ -36,6 +48,7 @@ from .exactmath import ExactLp, UNBOUNDED
 from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int, integer
 
 DEFAULT_NODE_BUDGET = 1_000_000
+_HALF = Rat(1, 2)
 
 
 @dataclass(frozen=True)
@@ -148,18 +161,14 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
     lp = ExactLp(problem.rows, problem.rhs, lo=lo, hi=hi)
     nodes = 0
     witness = None
-    # explicit depth-first stack; "restore" entries rewind the warm-started
-    # tableau to the state a node saw before its sibling's bound change
-    stack = [("node", tuple(lo), tuple(hi), None)]
+    # depth-first stack of (parent snapshot or None, bound change)
+    stack = [(None, None)]
     while stack:
-        entry = stack.pop()
-        if entry[0] == "restore":
-            lp.restore(entry[1])
-            continue
-        _kind, lo_cur, hi_cur, bound = entry
+        snap, bound = stack.pop()
+        if snap is not None:
+            lp.restore(snap)
         if bound is not None:
-            j, a, b = bound
-            lp.set_var_bounds(j, a, b)
+            lp.set_var_bounds(*bound)
         nodes += 1
         if nodes > DEFAULT_NODE_BUDGET:
             raise ResourceError("ilp node budget", DEFAULT_NODE_BUDGET)
@@ -167,50 +176,31 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
         if not lp.find_feasible():
             continue
         x = lp.values()
-        fracs = [v - rat_floor(v) for v in x]
-        if all(f == 0 for f in fracs):
-            witness = tuple(as_int(v) for v in x)
+        floors = [rat_floor(v) for v in x]
+        fracs = [v - f for v, f in zip(x, floors)]
+        if not any(fracs):
+            witness = tuple(floors)
             break
-        # cheap rounding attempt before branching
-        rounded = []
-        for v, a, b in zip(x, lo_cur, hi_cur):
-            r = rat_floor(v) if (v - rat_floor(v)) < Rat(1, 2) else rat_ceil(v)
-            rounded.append(min(max(r, a), b))
+        # cheap rounding attempt before branching, halves rounded up; x lies
+        # in the node's integer bounds, so the rounded point does too
+        rounded = [f + (r >= _HALF) for f, r in zip(floors, fracs)]
         if _satisfies(problem, rounded):
             witness = tuple(rounded)
             break
         # branch on the fractional coordinate with the tightest domain
         # (indicator-style variables first), most fractional on ties
-        best_j, best_score = None, None
-        for j, f in enumerate(fracs):
-            if f == 0:
-                continue
-            score = (hi_cur[j] - lo_cur[j], -min(f, 1 - f), j)
-            if best_score is None or score < best_score:
-                best_j, best_score = j, score
-        j = best_j
-        split = rat_floor(x[j])
-        snap = lp.snapshot()
-        # floor child explored first: push it last
-        if split + 1 <= hi_cur[j]:
-            stack.append(("restore", snap))
-            stack.append(("node", _replace(lo_cur, j, split + 1), hi_cur,
-                          (j, split + 1, hi_cur[j])))
-        if split >= lo_cur[j]:
-            stack.append(("restore", snap))
-            stack.append(("node", lo_cur, _replace(hi_cur, j, split),
-                          (j, lo_cur[j], split)))
+        lo, hi = lp.lo, lp.hi
+        _, _, j = min((hi[j] - lo[j], -min(f, 1 - f), j)
+                      for j, f in enumerate(fracs) if f)
+        split = floors[j]
+        # floor child explored first, on this node's tableau: push it last
+        stack.append((lp.snapshot(), (j, split + 1, hi[j])))
+        stack.append((None, (j, lo[j], split)))
     if witness is None:
         return IlpResult(False, None, nodes)
     if not _satisfies(problem, witness):
         raise InternalError("witness fails exact constraint check")
-    return IlpResult(True, tuple(int(v) for v in witness), nodes)
-
-
-def _replace(tup, j, v):
-    out = list(tup)
-    out[j] = v
-    return tuple(out)
+    return IlpResult(True, witness, nodes)
 
 
 # ---------------------------------------------------------------------------

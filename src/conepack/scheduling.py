@@ -386,14 +386,14 @@ class CycleLayout:
 
 
 def _cycle_rows(inst: SchedulingInstance, machine_type: int,
-                layout: CycleLayout, host_cap, bound_rows: bool = True):
-    """Constraint rows of the cycle polytope.
+                layout: CycleLayout, host_cap):
+    """Constraint rows of the cycle polytope, without its bound rows.
 
     ``host_cap(j)`` is the coefficient bounding y_{j,k} against z_{j,k};
     the generic polytope uses the horizon, while the fixed-vector
-    feasibility check can use the (much tighter) copy count.  The
-    feasibility program carries variable bounds separately and skips the
-    explicit bound rows.
+    feasibility check can use the (much tighter) copy count.
+    ``_cycle_polytope`` writes the bound rows out; the feasibility program
+    carries them as variable bounds.
     """
     windows = _machine_windows(inst, machine_type)
     d = layout.d
@@ -453,30 +453,6 @@ def _cycle_rows(inst: SchedulingInstance, machine_type: int,
     for j in range(1, d + 1):
         row[layout.x(j)] = lengths[j]
     eq(row, delta)
-    if not bound_rows:
-        return rows, rhs
-    # non-negativity and indicator bounds
-    for k in range(1, C + 1):
-        row = [0] * D
-        row[layout.tau(k)] = -1
-        rows.append(row)
-        rhs.append(0)
-    for j in range(0, d + 1):
-        for k in range(1, C + 1):
-            row = [0] * D
-            row[layout.y(j, k)] = -1
-            rows.append(row)
-            rhs.append(0)
-    for j in range(1, d + 1):
-        for k in range(1, C + 1):
-            row = [0] * D
-            row[layout.z(j, k)] = 1
-            rows.append(row)
-            rhs.append(1)
-            row = [0] * D
-            row[layout.z(j, k)] = -1
-            rows.append(row)
-            rhs.append(0)
     return rows, rhs
 
 
@@ -485,9 +461,26 @@ def _cycle_polytope(inst: SchedulingInstance, machine_type: int,
     """The cycle polytope over ``CycleLayout(inst.d, cycles)``, with the
     horizon as every host coefficient and the bound rows written out."""
     delta = inst.horizon(machine_type)
-    return Polytope(*_cycle_rows(inst, machine_type,
-                                 CycleLayout(inst.d, cycles),
-                                 lambda _j: delta))
+    layout = CycleLayout(inst.d, cycles)
+    rows, rhs = _cycle_rows(inst, machine_type, layout, lambda _j: delta)
+
+    def bound(col, sign, value):
+        row = [0] * layout.dim
+        row[col] = sign
+        rows.append(row)
+        rhs.append(value)
+
+    # non-negativity and indicator bounds
+    for k in range(1, cycles + 1):
+        bound(layout.tau(k), -1, 0)
+    for j in range(0, inst.d + 1):
+        for k in range(1, cycles + 1):
+            bound(layout.y(j, k), -1, 0)
+    for j in range(1, inst.d + 1):
+        for k in range(1, cycles + 1):
+            bound(layout.z(j, k), 1, 1)
+            bound(layout.z(j, k), -1, 0)
+    return Polytope(rows, rhs)
 
 
 def build_nonpreemptive_polytope(inst: SchedulingInstance,
@@ -529,8 +522,7 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     def host_cap(j):
         return max(1, x[j - 1])
 
-    rows, rhs = _cycle_rows(inst, machine_type, layout, host_cap,
-                            bound_rows=False)
+    rows, rhs = _cycle_rows(inst, machine_type, layout, host_cap)
     # pin the job counts
     lo = [0] * layout.dim
     hi = [None] * layout.dim

@@ -48,7 +48,7 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import IlpProblem, ilp_feasible
-from .rational import Rat, ONE, integer, rat_ceil, dot
+from .rational import Rat, ONE, integer, rat_ceil
 from .structure import (
     Combination,
     combo_sum,
@@ -416,12 +416,12 @@ def _joint_program(sset, generators, target):
 
     Cover vertices get unbounded integer weights; every other lattice point
     gets a 0/1 variable, which is enough because any reachable target has a
-    normalized witness of that shape.
+    normalized witness of that shape.  ``generators`` come sorted, as
+    ``lattice_points`` returns them.
     """
     special = sset.special_set
-    gens = sorted(generators)
-    hi = [None if g in special else 1 for g in gens]
-    return _run_combination_ilp(gens, target, gen_hi=hi)
+    hi = [None if g in special else 1 for g in generators]
+    return _run_combination_ilp(generators, target, gen_hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +531,11 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     group i costs ``c_i``, and the weighted sum must land in the target
     with total cost at most ``budget``.  One joint integer program decides:
     the combination program over all generators, capped by their costs.
+
+    The cap bounds the weights of generators that cost something.  The
+    zero-cost groups' non-zero generators must be pointed: when 0 is in
+    their convex hull, their weights are unbounded, and a program that
+    cannot be bounded raises ``InputError`` naming them, not the target.
     """
     if len(groups) != len(costs):
         raise InputError("groups and costs must align")
@@ -556,8 +561,17 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
             return _selection([], costs, target, budget)
         return SelectResult(False, None)
     owners = [i for i, _pt in tagged]
-    pairs = _run_combination_ilp([pt for _i, pt in tagged], target,
-                                 cap=([costs[i] for i in owners], budget))
+    try:
+        pairs = _run_combination_ilp([pt for _i, pt in tagged], target,
+                                     cap=([costs[i] for i in owners], budget))
+    except InputError as exc:
+        free = [pt for i, pt in tagged if costs[i] == 0]
+        if free and in_convex_hull((0,) * d, free):
+            raise InputError(
+                "the zero-cost generators are not pointed: 0 is a convex "
+                "combination of the non-zero generators of the zero-cost "
+                "groups, so the combination weights are unbounded") from exc
+        raise
     if pairs is None:
         return SelectResult(False, None)
     return _selection([(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w],
@@ -666,7 +680,7 @@ def verify_solution(inst, sol: PackingSolution) -> None:
         if bt not in range(len(inst.bin_types)):
             raise InternalError(f"pattern {pattern} names no bin type {bt!r}")
         w, c = inst.bin_types[bt]
-        load = dot(inst.sizes, [Rat(v) for v in pattern])
+        load = sum(s * v for s, v in zip(inst.sizes, pattern))
         if load > w:
             raise InternalError(f"pattern {pattern} overfills bin type {bt}")
         if any(v < 0 for v in pattern):

@@ -293,22 +293,30 @@ class TestParseErrors:
                            match=rf"^line \d+: .*{re.escape(repr(token))}$"):
             cli.parse_instance_text(text)
 
-    @pytest.mark.parametrize("text,lineno", [
-        pytest.param("binpacking\n\n1\n\n1/2 x\n", 5, id="binpacking"),
-        pytest.param("cuttingstock\n1\n1/2 1\n\n1\n1 1 1\n", 6,
+    @pytest.mark.parametrize("text,where", [
+        pytest.param("binpacking\n\n1\n\n1/2 x\n", "line 5", id="binpacking"),
+        pytest.param("cuttingstock\n1\n1/2 1\n\n1\n1 1 1\n", "line 6",
                      id="cuttingstock"),
-        pytest.param("polytope\n2 1\n1 x\n-1 0\n", 3, id="polytope"),
-        pytest.param("polytope\n2 1\n1 1\n\n\n-1 x\n", 6,
+        pytest.param("polytope\n2 1\n1 x\n-1 0\n", "line 3", id="polytope"),
+        pytest.param("polytope\n2 1\n1 1\n\n\n-1 x\n", "line 6",
                      id="polytope-row-after-blank-lines"),
-        pytest.param("scheduling\n1 1 preemptive\n0 0 0 4\n1\n1\n", 3,
+        pytest.param("scheduling\n1 1 preemptive\n0 0 0 4\n1\n1\n", "line 3",
                      id="scheduling-window-line"),
         pytest.param("scheduling\n2 1 preemptive\n0 0 0 4 1\n\n"
-                     "0 0 1 4 1\n1 1\n1\n", 5, id="scheduling-duplicate"),
-        pytest.param("scheduling\n1 1 tardy\n0 0 0 4 1\n1\n1\n1 2\n", 6,
+                     "0 0 1 4 1\n1 1\n1\n", "line 5",
+                     id="scheduling-duplicate"),
+        pytest.param("scheduling\n1 1 tardy\n0 0 0 4 1\n1\n1\n1 2\n", "line 6",
                      id="scheduling-penalties"),
+        # values are checked by the instance classes, on the lines read
+        pytest.param("binpacking\n1\n1/2 -1\n", "lines 2-3",
+                     id="negative-multiplicity"),
+        pytest.param("cuttingstock\n1\n1/2 1\n1\n0 1\n", "lines 2-5",
+                     id="zero-bin-capacity"),
+        pytest.param("scheduling\n1 1 preemptive\n0 0 3 2 1\n1\n1\n",
+                     "lines 2-5", id="scheduling-empty-window"),
     ])
-    def test_message_names_the_line_of_the_file(self, text, lineno):
-        with pytest.raises(InputError, match=f"^line {lineno}: "):
+    def test_message_names_the_line_of_the_file(self, text, where):
+        with pytest.raises(InputError, match=f"^{where}: "):
             cli.parse_instance_text(text)
 
     @pytest.mark.parametrize("text", [

@@ -1038,6 +1038,22 @@ class TestSelectFromGenerators:
                                      singleton_target([2]), 9)
         assert not res.found
 
+    @pytest.mark.parametrize("groups, costs", [
+        ([[(-1,), (1,)]], [0]),
+        ([[(1,)], [(-1,)]], [0, 0]),
+    ], ids=["one_group", "two_groups"])
+    def test_zero_cost_generators_that_are_not_pointed(self, groups, costs):
+        # 0 is a convex combination of the free generators, so their
+        # weights are unbounded; the target is bounded and is not to blame
+        with pytest.raises(InputError, match="zero-cost generators are not "
+                                             "pointed"):
+            select_from_generators(groups, costs, box_polytope([1], [1]), 5)
+
+    def test_a_cost_caps_the_weights_of_the_same_generators(self):
+        res = select_from_generators([[(-1,), (1,)]], [1],
+                                     box_polytope([1], [1]), 5)
+        assert res.found and res.total_cost == 1
+
     @pytest.mark.parametrize("groups, target", [
         ([[(1,)]], Polytope([[-1]], [-3])),  # x >= 3, no upper bound
         # checked before the shortcut for a target holding the origin
