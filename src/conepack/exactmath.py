@@ -329,16 +329,18 @@ class ExactLp:
             self._shift(j, new_val - self.val[j])
         self.state[j] = new_state
 
-    def values(self) -> tuple:
-        """Current values of the structural variables."""
-        out = [ZERO] * self.n
-        for j in range(self.n):
-            if self.state[j] != _BASIC:
-                out[j] = Rat(self.val[j])
+    def point(self) -> list:
+        """Current values of the structural variables as ``(num, den)``
+        int pairs with ``den > 0``, not necessarily in lowest terms."""
+        out = [(v, 1) for v in self.val[:self.n]]
         for i, b in enumerate(self.basis):
             if b < self.n:
-                out[b] = Rat(self.bn[i], self.den[i])
-        return tuple(out)
+                out[b] = (self.bn[i], self.den[i])
+        return out
+
+    def values(self) -> tuple:
+        """Current values of the structural variables."""
+        return tuple(Rat(num, den) for num, den in self.point())
 
     def _charge_pivot(self) -> None:
         self.pivots_used += 1
@@ -392,14 +394,14 @@ class ExactLp:
 
     # -- ratio test -----------------------------------------------------
 
-    def _step(self, j: int, direction: int, phase1: bool):
+    def _step(self, j: int, direction: int):
         """Move nonbasic ``j`` in ``direction``; returns False on unbounded ray.
 
         Chooses the exact blocking step, performs either a bound flip or a
-        pivot.  In phase 1, a basic variable that is currently outside its
-        box is blocked at the *near* bound it is approaching (at which point
-        it turns feasible); feasible basics are blocked at whichever of
-        their bounds they would exit through.
+        pivot.  A basic variable that is currently outside its box (only
+        in phase 1) is blocked at the *near* bound it is approaching (at
+        which point it turns feasible); feasible basics are blocked at
+        whichever of their bounds they would exit through.
         """
         lo, hi, bn, den, basis = self.lo, self.hi, self.bn, self.den, self.basis
         own = None
@@ -424,10 +426,10 @@ class ExactLp:
             d = den[i]
             lo_b, hi_b = lo[b], hi[b]
             num = None
-            if phase1 and lo_b is not None and x < lo_b * d:
+            if lo_b is not None and x < lo_b * d:
                 if rate > 0:
                     num, q = lo_b * d - x, rate
-            elif phase1 and hi_b is not None and x > hi_b * d:
+            elif hi_b is not None and x > hi_b * d:
                 if rate < 0:
                     num, q = x - hi_b * d, -rate
             elif rate > 0:
@@ -514,34 +516,39 @@ class ExactLp:
             common = lcm(*(self.den[i] for i, _side in bad))
             weighted = [(self.tab[i], -side * (common // self.den[i]))
                         for i, side in bad]
-            enter = -1
-            direction = 0
-            for j in range(self.ncols):
-                st = self.state[j]
-                if st == _BASIC:
-                    continue
-                if self.lo[j] is not None and self.lo[j] == self.hi[j]:
-                    continue  # fixed variable, no freedom
-                d = 0
-                for row, w in weighted:
-                    coef = row[j]
-                    if coef:
-                        d += w * coef
-                if d == 0:
-                    continue
-                if st == _AT_LO and d < 0:
-                    enter, direction = j, 1
-                elif st == _AT_UP and d > 0:
-                    enter, direction = j, -1
-                elif st == _FREE:
-                    enter, direction = j, (1 if d < 0 else -1)
-                if enter >= 0:
-                    break
+            enter, direction = self._entering(weighted)
             if enter < 0:
                 self._keep_proof(weighted, bad)
                 return False
-            if not self._step(enter, direction, phase1=True):
+            if not self._step(enter, direction):
                 raise InternalError("phase 1 found an unbounded improving ray")
+
+    def _entering(self, weighted):
+        """Bland's rule: the first nonbasic column that improves, with the
+        direction it moves in, or ``(-1, 0)``.  Column ``j``'s reduced cost
+        is ``sum(w * row[j])`` over the ``(row, w)`` pairs of ``weighted``;
+        only its sign is read."""
+        state, lo, hi = self.state, self.lo, self.hi
+        for j in range(self.ncols):
+            st = state[j]
+            if st == _BASIC:
+                continue
+            if lo[j] is not None and lo[j] == hi[j]:
+                continue  # fixed variable, no freedom
+            d = 0
+            for row, w in weighted:
+                coef = row[j]
+                if coef:
+                    d += w * coef
+            if d == 0:
+                continue
+            if st == _AT_LO and d < 0:
+                return j, 1
+            if st == _AT_UP and d > 0:
+                return j, -1
+            if st == _FREE:
+                return j, (1 if d < 0 else -1)
+        return -1, 0
 
     def _keep_proof(self, weighted, bad) -> None:
         """Store the proof of a failed phase 1 as ``(coefs, c)``.
@@ -610,27 +617,11 @@ class ExactLp:
                                         0, 0)
         self._zrow, self._zden = z, zden
         while True:
-            z = self._zrow  # only the signs of the reduced costs are read
-            enter = -1
-            direction = 0
-            for j in range(self.ncols):
-                st = self.state[j]
-                if st == _BASIC:
-                    continue
-                if self.lo[j] is not None and self.lo[j] == self.hi[j]:
-                    continue  # fixed variable, no freedom
-                rc = z[j]
-                if st == _AT_LO and rc < 0:
-                    enter, direction = j, 1
-                elif st == _AT_UP and rc > 0:
-                    enter, direction = j, -1
-                elif st == _FREE and rc != 0:
-                    enter, direction = j, (1 if rc < 0 else -1)
-                if enter >= 0:
-                    break
+            # only the signs of the reduced costs z[j] / zden are read
+            enter, direction = self._entering([(self._zrow, 1)])
             if enter < 0:
                 break
-            if not self._step(enter, direction, phase1=False):
+            if not self._step(enter, direction):
                 self._zrow = None
                 return UNBOUNDED, None
         self._zrow = None

@@ -224,38 +224,41 @@ def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     return box
 
 
-def down_closed_polytope(rows: Sequence[Sequence[int]],
-                         rhs: Sequence[int]) -> Polytope:
-    """``{x : A x <= b}`` for rows that are each exactly ``-x_j <= 0`` or
-    have non-negative coefficients and a non-negative right-hand side.
+def down_closed_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                         box: Sequence[int]) -> Polytope:
+    """``{x : A x <= b, 0 <= x <= box}`` for load rows with non-negative
+    coefficients and right-hand sides, and a non-negative box; anything
+    negative raises ``InternalError``.
 
-    Every coordinate needs its row ``-x_j <= 0``; any other row, or a
-    missing one, raises ``InternalError``.  Such a polytope holds 0 and is
-    down-closed in the orthant, so coordinate ``j`` ranges exactly over
-    ``[0, min_i b_i / a_ij]`` on the rows with ``a_ij > 0`` (the upper end
-    is attained on the axis), and over ``[0, inf)`` if there is none.  The
-    polytope knows those bounds, so ``coordinate_bounds`` solves no LP for
-    it.  The rows are kept in the order given, since Bland's rule pivots
-    by row index.
+    The load rows come first, in the order given, then ``-x_j <= 0`` and
+    ``x_j <= box_j`` for each ``j`` in turn; keep that order, since Bland's
+    rule pivots by row index.  The polytope holds 0 and is down-closed in
+    the orthant, so coordinate ``j`` ranges exactly over
+    ``[0, min(box_j, min_i b_i / a_ij)]`` on the rows with ``a_ij > 0``
+    (the upper end is attained on the axis).  It knows those bounds, so
+    ``coordinate_bounds`` solves no LP for it.
     """
+    d = len(box)
+    loads = len(rows)
+    rows, rhs = list(rows), list(rhs)
+    for j, v in enumerate(box):
+        unit = [0] * d
+        unit[j] = 1
+        rows += [[-c for c in unit], unit]
+        rhs += [0, v]
     poly = Polytope(rows, rhs)
-    floored = set()
-    top = [None] * poly.dim  # per coordinate, (b_i, a_ij) of least ratio
-    for i, (row, b) in enumerate(zip(poly.A, poly.b)):
-        support = [j for j, c in enumerate(row) if c]
-        if b == 0 and len(support) == 1 and row[support[0]] == -1:
-            floored.add(support[0])
-            continue
+    box = poly.b[loads + 1::2]
+    if any(v < 0 for v in box):
+        raise InternalError(f"down-closed polytope has box {box}")
+    top = [(v, 1) for v in box]  # per coordinate, (b_i, a_ij) of least ratio
+    for i, (row, b) in enumerate(zip(poly.A[:loads], poly.b)):
         if b < 0 or any(c < 0 for c in row):
             raise InternalError(f"row {i} of a down-closed polytope is "
                                 f"{row} <= {b}")
-        for j in support:
-            if top[j] is None or b * top[j][1] < top[j][0] * row[j]:
-                top[j] = (b, row[j])
-    if len(floored) < poly.dim:
-        j = min(set(range(poly.dim)) - floored)
-        raise InternalError(f"down-closed polytope has no row -x_{j} <= 0")
-    poly._bounds = [(ZERO, None if t is None else Rat(*t)) for t in top]
+        for j, c in enumerate(row):
+            if c and b * top[j][1] < top[j][0] * c:
+                top[j] = (b, c)
+    poly._bounds = [(ZERO, Rat(*t)) for t in top]
     return poly
 
 

@@ -48,7 +48,6 @@ from .exactmath import ExactLp, UNBOUNDED
 from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int, integer
 
 DEFAULT_NODE_BUDGET = 1_000_000
-_HALF = Rat(1, 2)
 
 
 @dataclass(frozen=True)
@@ -175,23 +174,25 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
         charge(node=True)
         if not lp.find_feasible():
             continue
-        x = lp.values()
-        floors = [rat_floor(v) for v in x]
-        fracs = [v - f for v, f in zip(x, floors)]
-        if not any(fracs):
+        # the relaxation point x_j = n / d as floors n // d and remainders
+        point = lp.point()
+        floors = [n // d for n, d in point]
+        rems = [n % d for n, d in point]
+        if not any(rems):
             witness = tuple(floors)
             break
         # cheap rounding attempt before branching, halves rounded up; x lies
         # in the node's integer bounds, so the rounded point does too
-        rounded = [f + (r >= _HALF) for f, r in zip(floors, fracs)]
+        rounded = [f + (2 * r >= d)
+                   for f, r, (_n, d) in zip(floors, rems, point)]
         if _satisfies(problem, rounded):
             witness = tuple(rounded)
             break
         # branch on the fractional coordinate with the tightest domain
         # (indicator-style variables first), most fractional on ties
         lo, hi = lp.lo, lp.hi
-        _, _, j = min((hi[j] - lo[j], -min(f, 1 - f), j)
-                      for j, f in enumerate(fracs) if f)
+        _, _, j = min((hi[j] - lo[j], Rat(-min(r, d - r), d), j)
+                      for j, (r, (_n, d)) in enumerate(zip(rems, point)) if r)
         split = floors[j]
         # floor child explored first, on this node's tableau: push it last
         stack.append((lp.snapshot(), (j, split + 1, hi[j])))

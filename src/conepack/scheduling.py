@@ -196,8 +196,13 @@ def _overloaded(x: Sequence[int], inst: SchedulingInstance,
     return None
 
 
-def _edf_rows(inst: SchedulingInstance, machine_type: int):
-    """The rows and right-hand sides of ``build_edf_polytope``."""
+def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
+    """Interval-load constraints over the machine type's critical points.
+
+    One row per ordered pair t1 <= t2: jobs whose whole window sits inside
+    [t1, t2] contribute their full length, and the total must fit.  The
+    rows ``-x_j <= 0`` follow.
+    """
     rows, rhs = [], []
     for (t1, t2), row in _interval_loads(inst, machine_type):
         rows.append(row)
@@ -207,33 +212,21 @@ def _edf_rows(inst: SchedulingInstance, machine_type: int):
         unit[j] = -1
         rows.append(unit)
         rhs.append(0)
-    return rows, rhs
-
-
-def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
-    """Interval-load constraints over the machine type's critical points.
-
-    One row per ordered pair t1 <= t2: jobs whose whole window sits inside
-    [t1, t2] contribute their full length, and the total must fit.
-    """
-    return Polytope(*_edf_rows(inst, machine_type))
+    return Polytope(rows, rhs)
 
 
 def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
                           box_hi: Sequence[int]) -> Polytope:
-    """``build_edf_polytope`` with the rows ``x_j <= box_hi[j]`` appended.
+    """The interval-load rows of ``build_edf_polytope`` clipped to
+    ``0 <= x <= box_hi``.
 
     Lengths and interval widths are non-negative, so for a non-negative
     box the polytope is down-closed, and ``down_closed_polytope`` knows its
     coordinate bounds without an LP.
     """
-    rows, rhs = _edf_rows(inst, machine_type)
-    for j in range(inst.d):
-        unit = [0] * inst.d
-        unit[j] = 1
-        rows.append(unit)
-        rhs.append(box_hi[j])
-    return down_closed_polytope(rows, rhs)
+    loads = _interval_loads(inst, machine_type)
+    return down_closed_polytope([row for _t, row in loads],
+                                [t2 - t1 for (t1, t2), _row in loads], box_hi)
 
 
 @dataclass(frozen=True)
@@ -693,9 +686,11 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     preemptive one, so the candidates are the lattice points of the EDF
     polytope clipped to the box, which the horizon bounds however large
     the box is; they are tried by total count, then lexicographically.
-    Dropping copies keeps a schedule feasible, so supersets of infeasible
-    vectors are skipped outright.  The box is read as ``d`` integers, or
-    an ``InputError``; a box with a negative side holds no vector.
+    Dropping copies keeps a schedule feasible, so supersets of the vectors
+    the cycle ILP refuted are skipped outright; only those are kept, since
+    a superset of a skipped vector is a superset of a refuted one.  The
+    box is read as ``d`` integers, or an ``InputError``; a box with a
+    negative side holds no vector.
     """
     _machine_windows(inst, machine_type)
     box_hi = _integers(box_hi, "box side")
@@ -711,7 +706,6 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
         key=lambda g: (sum(g), g))
     for x in candidates:
         if any(all(x[j] >= b[j] for j in range(d)) for b in infeasible):
-            infeasible.add(x)
             continue
         aux = nonpreemptive_completable(x, inst, machine_type)
         if aux is None:

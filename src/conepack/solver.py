@@ -616,18 +616,10 @@ def _pattern_polytope(sizes, capacity, a) -> Polytope:
     size row is scaled to ints by the lcm of its denominators and the
     capacity's.
     """
-    d = len(sizes)
     scale = lcm(*(v.denominator for v in (*sizes, capacity)))
-    rows = [[s.numerator * (scale // s.denominator) for s in sizes]]
-    rhs = [capacity.numerator * (scale // capacity.denominator)]
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = -1
-        rows.append(unit)
-        rhs.append(0)
-        rows.append([-v for v in unit])
-        rhs.append(a[j])
-    return down_closed_polytope(rows, rhs)
+    row = [s.numerator * (scale // s.denominator) for s in sizes]
+    return down_closed_polytope(
+        [row], [capacity.numerator * (scale // capacity.denominator)], a)
 
 
 def bin_packing(inst: BinPackingInstance,

@@ -467,7 +467,8 @@ def test_rational_data_warm_start_matches_fresh_solve(case):
 def test_optimize_value_is_the_objective_at_the_optimum(seed):
     """``optimize`` sums its value from the integer state; it must equal
     the objective at ``values()``, for rational objectives and both senses,
-    also after a warm re-solve from the last basis."""
+    also after a warm re-solve from the last basis.  ``point()`` agrees
+    with ``values()``."""
     rng = random.Random(4000 + seed)
     n = rng.randint(1, 4)
     m = rng.randint(1, 5)
@@ -484,6 +485,11 @@ def test_optimize_value_is_the_objective_at_the_optimum(seed):
         assert status == OPTIMAL
         assert type(value) is Rat
         assert value == dot(c, lp.values())
+        # point() holds the same values as int pairs over positive dens
+        point = lp.point()
+        assert all(type(num) is int and type(den) is int and den > 0
+                   for num, den in point)
+        assert tuple(Rat(num, den) for num, den in point) == lp.values()
 
 
 # -- infeasibility proofs: repeated Empty verdicts without pivots -------------

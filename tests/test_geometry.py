@@ -177,59 +177,53 @@ class TestIntegerBox:
 class TestDownClosed:
     @staticmethod
     def rand_down_closed(rng):
-        """Rows ``-x_j <= 0`` for every j among rows with non-negative
-        coefficients and right-hand sides, in a seeded order; now and then
-        a coordinate has no positive coefficient and is unbounded."""
+        """Seeded load rows with non-negative coefficients and right-hand
+        sides, and a random non-negative box; now and then a coordinate
+        has no positive load coefficient, so only its box side bounds it."""
         d = rng.randint(1, 4)
-        rows, rhs = [], []
-        for j in range(d):
-            unit = [0] * d
-            unit[j] = -1
-            rows.append(unit)
-            rhs.append(0)
-        for _ in range(rng.randint(0, 4)):
-            rows.append([rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(d)])
-            rhs.append(rng.randint(0, 12))
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        return [rows[i] for i in order], [rhs[i] for i in order]
+        rows = [[rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(d)]
+                for _ in range(rng.randint(0, 4))]
+        rhs = [rng.randint(0, 12) for _ in rows]
+        box = [rng.randint(0, 6) for _ in range(d)]
+        return rows, rhs, box
 
     def test_bounds_match_fresh_lps(self):
         rng = random.Random(55011)
-        unbounded = 0
+        box_only = 0
         for _ in range(120):
-            rows, rhs = self.rand_down_closed(rng)
-            poly = geometry.down_closed_polytope(rows, rhs)
-            assert poly.A == [tuple(r) for r in rows]  # order kept
-            assert poly.b == tuple(rhs)
-            expected = coordinate_bounds(Polytope(rows, rhs))
+            rows, rhs, box = self.rand_down_closed(rng)
+            d = len(box)
+            poly = geometry.down_closed_polytope(rows, rhs, box)
+            # the load rows in order, then -x_j <= 0 and x_j <= box_j per j
+            units = []
+            for j in range(d):
+                unit = tuple(int(i == j) for i in range(d))
+                units += [tuple(-v for v in unit), unit]
+            assert poly.A == [tuple(r) for r in rows] + units
+            assert poly.b == (*rhs, *(v for side in box for v in (0, side)))
+            expected = coordinate_bounds(Polytope(poly.A, poly.b))
             assert poly._bounds == expected
             assert expected == TestCoordinateBounds.fresh_bounds(poly)
-            unbounded += any(hi is None for _lo, hi in expected)
-        assert unbounded >= 10
+            box_only += any(not any(r[j] for r in rows) for j in range(d))
+        assert box_only >= 10
 
     def test_solves_no_lp(self, monkeypatch):
-        poly = geometry.down_closed_polytope(
-            [[-1, 0], [3, 2], [0, -1], [0, 1]], [0, 12, 0, 5])
-
         def no_lp(*args, **kwargs):
             raise AssertionError("solved an LP for a down-closed polytope")
 
         monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        poly = geometry.down_closed_polytope([[3, 2]], [12], [7, 5])
         assert coordinate_bounds(poly) == [(0, 4), (0, 5)]
         assert integer_box(poly) == [(0, 4), (0, 5)]
 
-    @pytest.mark.parametrize("rows,rhs,match", [
-        ([[-1, 0], [0, -1], [1, -1]], [0, 0, 3], r"row 2 .* is \(1, -1\)"),
-        ([[-1, 0], [0, -1], [1, 1]], [0, 0, -1], "row 2"),
-        ([[-2, 0], [0, -1], [1, 1]], [0, 0, 3], "row 0"),
-        ([[-1, 0], [0, -1]], [1, 0], "row 0"),
-        ([[-1, 0], [1, 1]], [0, 3], "no row -x_1 <= 0"),
-    ], ids=["mixed-sign", "negative-rhs", "scaled-floor", "shifted-floor",
-            "missing-floor"])
-    def test_rejects_other_rows(self, rows, rhs, match):
+    @pytest.mark.parametrize("rows,rhs,box,match", [
+        ([[1, -1]], [3], [2, 2], r"row 0 .* is \(1, -1\)"),
+        ([[1, 1], [1, 1]], [3, -1], [2, 2], "row 1"),
+        ([[1, 1]], [3], [2, -1], r"box \(2, -1\)"),
+    ], ids=["mixed-sign", "negative-rhs", "negative-box"])
+    def test_rejects_other_rows(self, rows, rhs, box, match):
         with pytest.raises(InternalError, match=match):
-            geometry.down_closed_polytope(rows, rhs)
+            geometry.down_closed_polytope(rows, rhs, box)
 
 
 class TestLatticePoints:

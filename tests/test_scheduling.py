@@ -88,7 +88,17 @@ class TestEdfPolytope:
             box = [rng.randint(0, 4) for _ in range(inst.d)]
             poly = scheduling._clipped_edf_polytope(inst, 0, box)
             base = build_edf_polytope(inst, 0)
-            assert poly.A[:base.m] == base.A  # rows keep their order
+            loads = base.m - inst.d
+            # the load rows keep their order; -x_j <= 0 and x_j <= box_j
+            # follow for each j in turn
+            assert poly.A[:loads] == base.A[:loads]
+            assert poly.b[:loads] == base.b[:loads]
+            for j in range(inst.d):
+                floor = base.A[loads + j]
+                assert poly.A[loads + 2 * j:loads + 2 * j + 2] == [
+                    floor, tuple(-v for v in floor)]
+                assert poly.b[loads + 2 * j:loads + 2 * j + 2] == (0, box[j])
+            assert poly.m == loads + 2 * inst.d
             assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
 
     def test_clipped_polytope_solves_no_lp(self, monkeypatch):
