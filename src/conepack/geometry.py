@@ -3,10 +3,13 @@
 A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b``.  On
 top of it:
 
-* exact coordinate bounds, their inward rounding to an integer box
+* exact coordinate bounds and their inward rounding to an integer box
   (``integer_box``, which rejects an unbounded coordinate), and
-  lattice-point enumeration over that box, one integer interval of
-  admitted values per depth,
+  lattice-point enumeration, one integer interval of admitted values per
+  depth, over the box that the axis rows (one non-zero coefficient) give
+  without an LP; over ``integer_box`` when those rows leave a side
+  unbounded or give a box over ``DEFAULT_LATTICE_BUDGET`` points, so the
+  cap is then measured on the LP box,
 * exact convex-hull machinery in any small dimension over sorted,
   distinct points (inner points of axis runs pruned first, along the last
   axis from the sort order alone; then a monotone chain for rank-2 point
@@ -15,7 +18,8 @@ top of it:
 * the slack-interval grid that groups lattice points into
   ``(signature, members)`` cells whose slacks agree within ``1 + 1/d^2``,
 * minimum-volume enclosing ellipsoid contact points (Khachiyan's
-  iteration on plain Python floats, at most ``MVEE_ITERATION_CAP`` steps,
+  iteration on plain Python floats, stopped once two consecutive steps
+  give the same contacts and at most ``MVEE_ITERATION_CAP`` steps,
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it (a one-point cell by
@@ -310,13 +314,59 @@ def integer_box(poly: Polytope):
     return out
 
 
+def _axis_box(poly: Polytope):
+    """The integer box that the polytope's axis rows give, or None.
+
+    An axis row has exactly one non-zero coefficient.  For each
+    coordinate ``j`` the tightest ``c x_j <= b`` of each sign is kept,
+    rounded inward: ``b // c`` above for ``c > 0`` and ``-(b // -c)``
+    below for ``c < 0``; a side no axis row bounds is None.  Returns None
+    when some coordinate's sides cross, so the polytope holds no lattice
+    point.  Every lattice point of the polytope lies in the box.
+    """
+    lo = [None] * poly.dim
+    hi = [None] * poly.dim
+    for row, b in zip(poly.A, poly.b):
+        nonzero = [j for j, c in enumerate(row) if c]
+        if len(nonzero) != 1:
+            continue
+        j = nonzero[0]
+        c = row[j]
+        if c > 0:
+            v = b // c
+            if hi[j] is None or v < hi[j]:
+                hi[j] = v
+        else:
+            v = -(b // -c)
+            if lo[j] is None or v > lo[j]:
+                lo[j] = v
+    if any(a is not None and z is not None and a > z for a, z in zip(lo, hi)):
+        return None
+    return list(zip(lo, hi))
+
+
+def _box_size(box) -> Optional[int]:
+    """The number of integer points of ``(lo, hi)`` pairs, or None when a
+    side is unbounded (None)."""
+    if any(None in side for side in box):
+        return None
+    return math.prod(b - a + 1 for a, b in box)
+
+
 def lattice_points(poly: Polytope) -> list:
     """All integer points of a bounded polytope, lexicographically sorted.
 
-    Enumerates the polytope's ``integer_box``, so it raises ``InputError``
-    on unbounded input, and ``ResourceError`` when that box holds more than
-    ``DEFAULT_LATTICE_BUDGET`` points, read at call time.  The points are
-    cached on the polytope, so the cap applies to its first enumeration.
+    The enumeration box comes from the polytope's axis rows
+    (``_axis_box``), with no LP.  When those rows leave some coordinate
+    no integer, the answer is ``[]`` at once.  When they leave a side
+    unbounded, or give a box of more than ``DEFAULT_LATTICE_BUDGET``
+    points (read at call time), the box is the polytope's
+    ``integer_box`` instead, which solves the exact bound LP unless the
+    polytope knows its bounds.  So the cap is measured on that LP box
+    whenever the axis box is over it: the call raises ``InputError`` on
+    unbounded input, and ``ResourceError`` when the LP box holds more
+    than ``DEFAULT_LATTICE_BUDGET`` points.  The points are cached on the
+    polytope, so the cap applies to its first enumeration.
 
     The search fixes the coordinates in order, depth first.  At each depth
     a row ``i`` with coefficient ``c`` still admits the value ``v`` iff
@@ -327,19 +377,27 @@ def lattice_points(poly: Polytope) -> list:
     ``c < 0``, and nothing at all when ``c == 0`` and ``room < 0``.  Each
     depth intersects these intervals with the box range and descends into
     every value of the result, so no value that fails a row is tried, and
-    the points come out sorted.
+    the points come out sorted.  Each row is tested exactly at its last
+    non-zero depth, so any box that holds the lattice gives the same
+    points; a loose axis box is tightened through the other rows, depth
+    by depth.
     """
     if poly._lattice is not None:
         return poly._lattice
-    box = integer_box(poly)
+    box = _axis_box(poly)
+    if box is not None:
+        size = _box_size(box)
+        if size is None or size > DEFAULT_LATTICE_BUDGET:
+            box = integer_box(poly)
+            if box is not None:
+                size = _box_size(box)
+                if size > DEFAULT_LATTICE_BUDGET:
+                    raise ResourceError("lattice enumeration budget",
+                                        DEFAULT_LATTICE_BUDGET,
+                                        f"bounding box holds {size} points")
     if box is None:
         poly._lattice = []
         return []
-    size = math.prod(b - a + 1 for a, b in box)
-    if size > DEFAULT_LATTICE_BUDGET:
-        raise ResourceError("lattice enumeration budget",
-                            DEFAULT_LATTICE_BUDGET,
-                            f"bounding box holds {size} points")
     d = poly.dim
     # floor[i]: the least the coordinates from the current depth on can
     # add to row i over the box, filled from the last depth back; each
@@ -906,10 +964,11 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
     ``points`` must be integer points symmetric about the integer
     ``center`` (pairs ``center +- u``).  The ellipsoid's weights come from
     Khachiyan's iteration with the step of Todd and Yildirim, on plain
-    Python floats, for at most ``MVEE_ITERATION_CAP`` steps: the contact set
-    settles within the first few, and the cap only stops a slow approach
-    to the tolerance.  The returned contact set is certified exactly:
-    every input point is re-verified to lie in the
+    Python floats.  The contacts are the heaviest points, at most
+    ``dim (dim + 3) / 2`` of them.  The loop stops at the tolerance, once
+    two consecutive steps give the same contacts, or after
+    ``MVEE_ITERATION_CAP`` steps.  The returned contact set is certified
+    exactly: every input point is re-verified to lie in the
     ``ceil(sqrt(dim))``-scaled symmetric hull of the contacts, and on any
     failure the full point set is returned as the (trivially sufficient)
     contact set.
@@ -939,8 +998,16 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
     VT = list(zip(*V))
     n = len(nz)
     w = [1.0 / n] * n
+    max_contacts = t * (t + 3) // 2
+
+    def chosen(w):
+        # the heaviest points, at most max_contacts, in input order
+        order = sorted(range(n), key=lambda i: (-w[i], i))
+        return sorted([nz[i] for i in order if w[i] > 1e-8][:max_contacts])
+
     iterations = 0
     ok = True
+    previous = None  # the contacts after the last step
     for iterations in range(1, MVEE_ITERATION_CAP + 1):
         M = [[sum(v[a] * (v[b] * wi) for v, wi in zip(V, w)) for b in range(t)]
              for a in range(t)]
@@ -959,13 +1026,14 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
             break
         w = [wi * (1.0 - beta) for wi in w]
         w[kidx] += beta
+        step_contacts = chosen(w)
+        if step_contacts == previous:
+            break
+        previous = step_contacts
 
-    max_contacts = t * (t + 3) // 2
     contacts: list = []
     if ok:
-        order = sorted(range(n), key=lambda i: (-w[i], i))
-        chosen = [nz[i] for i in order if w[i] > 1e-8][:max_contacts]
-        contacts = sorted(chosen)
+        contacts = chosen(w)
         if not _verify_contact_hull(pts, ctr, contacts, scale):
             ok = False
     if not ok:

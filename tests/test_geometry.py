@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conepack import geometry
 from conepack.errors import InputError, InternalError, ResourceError
-from conepack.exactmath import INFEASIBLE, OPTIMAL, lp_optimize
+from conepack.exactmath import INFEASIBLE, OPTIMAL, ExactLp, lp_optimize
 from conepack.geometry import (
     Parallelepiped,
     Polytope,
@@ -346,6 +347,177 @@ class TestLatticePoints:
         assert err.value.limit == 10_200
         monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 10_201)
         assert lattice_points(poly) == [(v, v) for v in range(101)]
+
+
+class TestAxisBox:
+    """``lattice_points`` enumerates over the box of the axis rows (one
+    non-zero coefficient), and over the LP box only when that box is
+    unbounded or over the cap."""
+
+    @staticmethod
+    def lp_box_scan(poly):
+        """Reference: the ``integer_box`` of a fresh copy (one exact LP),
+        filtered by membership, or "unbounded"."""
+        try:
+            box = integer_box(Polytope(poly.A, poly.b))
+        except InputError:
+            return "unbounded"
+        if box is None:
+            return []
+        ranges = [range(a, b + 1) for a, b in box]
+        return [p for p in product(*ranges) if poly.contains_int(p)]
+
+    @staticmethod
+    def lattice_or_unbounded(poly):
+        try:
+            return lattice_points(poly)
+        except InputError:
+            return "unbounded"
+
+    @staticmethod
+    def axis_rows(rng, d, j, lo, hi):
+        """Rows ``c x_j <= b`` whose tightest rounded sides are ``lo`` and
+        ``hi`` (None: no row on that side), with a looser row now and
+        then."""
+        rows, rhs = [], []
+        for side, sign in ((hi, 1), (lo, -1)):
+            if side is None:
+                continue
+            for loose in range(rng.choice((1, 1, 2))):
+                c = rng.randint(1, 3)
+                unit = [0] * d
+                unit[j] = sign * c
+                rows.append(unit)
+                # c x <= c side + r, 0 <= r < c, rounds to x <= side
+                rhs.append(sign * c * side + rng.randint(0, c - 1)
+                           + loose * c * rng.randint(1, 3))
+        return rows, rhs
+
+    @staticmethod
+    def cuts(rng, d, count):
+        rows = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(d)]
+                for _ in range(count)]
+        return rows, [rng.randint(-6, 12) for _ in rows]
+
+    def seeded_polytope(self, rng, d, kind):
+        rows, rhs = [], []
+        if kind in ("every", "some", "loose"):
+            wide = 25 if kind == "loose" else 5
+            missing = set()
+            if kind == "some":
+                sides = [(j, s) for j in range(d) for s in (0, 1)]
+                # in one dimension every row is an axis row: keep one
+                missing = set(rng.sample(sides,
+                                         rng.randint(1, len(sides) - (d == 1))))
+            for j in range(d):
+                lo = rng.randint(-wide, 2)
+                hi = lo + rng.randint(0, 2 * wide)
+                lo = None if (j, 0) in missing else lo
+                hi = None if (j, 1) in missing else hi
+                r, b = self.axis_rows(rng, d, j, lo, hi)
+                rows += r
+                rhs += b
+            if kind != "every" and d > 1:
+                # the cross-polytope |x_1| + ... + |x_d| <= radius bounds
+                # every coordinate with rows that are not axis rows
+                radius = rng.randint(0, 4 if kind == "loose" else 8)
+                for signs in product((1, -1), repeat=d):
+                    rows.append(list(signs))
+                    rhs.append(radius)
+            r, b = self.cuts(rng, d, rng.randint(0, 3))
+        else:  # empty
+            for j in range(d):
+                r, b = self.axis_rows(rng, d, j, 0, rng.randint(0, 5))
+                rows += r
+                rhs += b
+            if rng.random() < 0.5:
+                # a coordinate whose range holds no integer: c x_j in
+                # [1, c - 1]
+                j, c = rng.randrange(d), rng.randint(2, 5)
+                unit = [0] * d
+                unit[j] = c
+                r, b = [unit, [-v for v in unit]], [c - 1, -1]
+            else:
+                # the sum of non-negative coordinates below zero
+                r, b = [[1] * d], [-rng.randint(1, 3)]
+        rows += r
+        rhs += b
+        return Polytope(rows, rhs)
+
+    def test_matches_the_lp_box_scan(self):
+        rng = random.Random(30417)
+        kinds = ("every", "some", "loose", "empty")
+        seen = Counter()
+        for case in range(480):
+            d, kind = 1 + case % 3, kinds[case // 3 % 4]
+            poly = self.seeded_polytope(rng, d, kind)
+            expected = self.lp_box_scan(poly)
+            assert self.lattice_or_unbounded(poly) == expected, (poly.A,
+                                                                 poly.b)
+            outcome = ("unbounded" if expected == "unbounded" else
+                       "points" if expected else "no points")
+            seen[kind, outcome] += 1
+            if kind == "loose" and expected:
+                # the cuts cut the axis box down
+                seen["tightened"] += (geometry._axis_box(poly)
+                                      != integer_box(poly))
+        assert seen.keys() == {
+            ("every", "points"), ("every", "no points"),
+            ("some", "points"), ("some", "no points"), ("some", "unbounded"),
+            ("loose", "points"), ("loose", "no points"),
+            ("empty", "no points"), "tightened"}
+        assert min(seen.values()) >= 20, seen
+
+    def test_loose_axis_box_over_the_cap_enumerates_the_lp_box(
+            self, monkeypatch):
+        # 0 <= x, y <= 100 and x + y <= 3: the axis box holds 10,201
+        # points, the LP box [0, 3]^2 sixteen
+        poly = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                        [100, 0, 100, 0, 3])
+        built = []
+        lp_init = ExactLp.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            lp_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactLp, "__init__", counting)
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 100)
+        expected = [(x, y) for x in range(4) for y in range(4 - x)]
+        assert lattice_points(poly) == expected
+        assert len(built) == 1  # the LP box was measured
+        assert self.lp_box_scan(poly) == expected
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 15)
+        with pytest.raises(ResourceError) as err:
+            lattice_points(Polytope(poly.A, poly.b))
+        assert "holds 16 points" in str(err.value)
+
+    def test_axis_box_under_the_cap_solves_no_lp(self, monkeypatch):
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        poly = Polytope([[2, 0], [-3, 0], [0, 1], [0, -1], [1, 1]],
+                        [9, 4, 7, 1, 5])
+        # 2x <= 9, -3x <= 4, -1 <= y <= 7: x in [-1, 4], y in [-1, 7]
+        assert geometry._axis_box(poly) == [(-1, 4), (-1, 7)]
+        assert lattice_points(poly) == [
+            (x, y) for x in range(-1, 5) for y in range(-1, 8) if x + y <= 5]
+
+    def test_one_empty_side_solves_no_lp(self, monkeypatch):
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        # 1/3 <= x <= 2/3 and 0 <= y <= 5
+        assert lattice_points(Polytope([[3, 0], [-3, 0], [0, 1], [0, -1]],
+                                       [2, -1, 5, 0])) == []
+        # the same x, and y >= 0 unbounded above: still no lattice point
+        assert lattice_points(Polytope([[3, 0], [-3, 0], [0, -1]],
+                                       [2, -1, 0])) == []
+
+    def test_two_empty_sides_do_not_trip_the_cap(self, monkeypatch):
+        monkeypatch.setattr(geometry, "ExactLp", no_lp)
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 1_000)
+        # 50 <= x <= 0 and 50 <= y <= 0: the lengths -49 multiply to 2,401
+        poly = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                        [0, -50, 0, -50])
+        assert geometry._axis_box(poly) is None
+        assert lattice_points(poly) == []
 
 
 def slack_interval_endpoints(index, dim):
@@ -974,10 +1146,12 @@ class TestMvee:
         assert res.contact_indices == (0, 1, 2, 4, 5)
         assert not res.used_fallback
 
-    def test_slow_approach_stops_at_the_cap(self):
+    def test_slow_approach_stops_once_contacts_settle(self):
+        # the step never reaches the tolerance here; the contacts after
+        # steps 1 and 2 agree, and are those of a loop run to the cap
         pts = [(5, 16), (5, 19), (6, 18), (6, 19), (6, 20), (7, 19), (7, 22)]
         res = mvee_contact_points(pts, (6, 19))
-        assert res.iterations == geometry.MVEE_ITERATION_CAP
+        assert res.iterations == 2
         assert res.contact_indices == (0, 1, 2, 4, 5)
         assert not res.used_fallback
 

@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from conepack import oracle, structure
+from conepack import exactmath, oracle, structure
 from conepack.errors import InputError, InternalError
 from conepack.geometry import (
     Parallelepiped,
     Polytope,
     cell_partition,
+    coordinate_bounds,
     in_convex_hull,
     integer_hull_vertices,
     lattice_points,
@@ -238,8 +239,8 @@ class TestLocator:
         assert _structure_digest(sset) == pin
 
     def test_slow_ellipsoid_cell_is_pinned(self):
-        # a cell whose ellipsoid iteration runs to its cap; the digest was
-        # recorded with the numpy iteration and a cap of 100,000 steps
+        # cells whose ellipsoid step never reaches the tolerance; the digest
+        # was recorded with the numpy iteration and a cap of 100,000 steps
         poly = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [5, -5]],
                         [30, 0, 26, 0, 48])
         sset = compute_structure_set(poly)
@@ -299,6 +300,39 @@ def test_cover_like_polytopes_are_covered_by_bare_points():
         assert sset.locator == {p: i for i, p in enumerate(order)}
         report = oracle.cover_verify(poly, sset.cover)
         assert report.ok, report.violations[:2]
+
+
+def test_cover_like_polytopes_solve_no_lp(monkeypatch):
+    """The box rows of a ``cover`` polytope bound its lattice, so its
+    structure set and integer hull build no ``ExactLp``; asked directly,
+    ``coordinate_bounds`` still solves the exact bound LP."""
+    built = []
+    lp_init = exactmath.ExactLp.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        lp_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactmath.ExactLp, "__init__", counting)
+    rng = random.Random(30418)
+    for _ in range(8):
+        box = [rng.randint(3, 9) for _ in range(3)]
+        cuts = [([rng.randint(-6, 6) for _ in range(3)], rng.randint(5, 40))
+                for _ in range(rng.randint(1, 3))]
+        poly = Polytope(*_box3(box, cuts))
+        compute_structure_set(poly)
+        integer_hull_vertices(poly)
+        assert built == []
+        bounds = coordinate_bounds(poly)
+        assert len(built) == 1
+        fresh = []
+        for j in range(3):
+            c = [int(i == j) for i in range(3)]
+            fresh.append(tuple(
+                exactmath.lp_optimize(poly.A, poly.b, c, sense=sense).value
+                for sense in ("min", "max")))
+        assert bounds == fresh
+        built.clear()
 
 
 # 3-d slabs 40 long in x: the slack grid is coarse along x, so some cells
