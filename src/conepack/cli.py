@@ -293,8 +293,7 @@ def cmd_hull(args) -> int:
     kind, poly = _load(args.path)
     if kind != "polytope":
         raise InputError("hull expects a polytope file")
-    verts = sorted(tuple(int(v) for v in p) for p in
-                   integer_hull_vertices(poly))
+    verts = integer_hull_vertices(poly)
     if args.json:
         _emit({"vertices": [list(v) for v in verts]})
         return 0

@@ -195,8 +195,8 @@ class ExactLp:
     column, and subtracts only on the pivot row's non-zero columns.  The
     rational tableau and values are the ones a ``Rat`` Gauss-Jordan pivot
     on the cleared rows would hold, so Bland's rule makes the same choices
-    either way; ``Rat`` is built only by ``values`` and by ``optimize``'s
-    result.
+    either way.  ``point`` is the one reader of the values, as int pairs;
+    ``Rat`` is built only by ``values`` and by ``optimize``'s result.
 
     The object is mutable: variable bounds may be tightened or restored
     between solves and the simplex restarts from the current basis, which
@@ -595,7 +595,7 @@ class ExactLp:
         """Optimize ``objective`` (structural costs) from a feasible basis.
 
         Returns ``(status, value)`` where status is 'optimal' or 'unbounded'.
-        Call ``values()`` afterwards for the optimal point.
+        Call ``point()`` afterwards for the optimal point.
         """
         if sense not in ("max", "min"):
             raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -625,17 +625,11 @@ class ExactLp:
                 self._zrow = None
                 return UNBOUNDED, None
         self._zrow = None
-        # the objective value cost . x / cden, summed over the lcm of the
-        # basic rows' denominators
-        num = sum(c * v for c, v, st in zip(cost, self.val, self.state)
-                  if c and st != _BASIC)
-        den = 1
-        for i, b in enumerate(self.basis):
-            if b < self.n and cost[b]:
-                d = self.den[i]
-                common = lcm(den, d)
-                num = num * (common // den) + cost[b] * self.bn[i] * (common // d)
-                den = common
+        num, den = 0, 1
+        for c, (v, d) in zip(cost, self.point()):
+            if c:
+                lcd = lcm(den, d)
+                num, den = num * (lcd // den) + c * v * (lcd // d), lcd
         return OPTIMAL, Rat(num, den * cden)
 
     _zrow = None

@@ -1064,7 +1064,7 @@ def _cell_parallelepipeds(poly: Polytope, members: tuple) -> list:
     """Cover a cell of two or more lattice points with integral
     parallelepipeds in P."""
     x0 = members[0]
-    verts = extreme_points(members)
+    verts = _hull_of_sorted(members)  # sorted, distinct int tuples
     k = len(_chart(verts)[1].vecs)  # the vertices span the cell's affine hull
     if k == 1:
         e1, e2 = verts[0], verts[-1]

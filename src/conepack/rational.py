@@ -13,7 +13,6 @@ the arithmetic of the geometry, the oracles and the instance data.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
-from typing import Sequence
 
 from .errors import InputError
 
@@ -27,10 +26,6 @@ def format_rat(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def is_integral(value) -> bool:
-    return Rat(value).denominator == 1
 
 
 def as_int(value) -> int:
@@ -68,13 +63,3 @@ def rat_floor(value) -> int:
 def rat_ceil(value) -> int:
     value = Rat(value)
     return -((-value.numerator) // value.denominator)
-
-
-def dot(a: Sequence, b: Sequence):
-    """Exact inner product.  Lengths must match."""
-    if len(a) != len(b):
-        raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
-    total = ZERO
-    for x, y in zip(a, b):
-        total += x * y
-    return total

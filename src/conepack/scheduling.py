@@ -33,9 +33,8 @@ from .geometry import (Polytope, box_polytope, down_closed_polytope,
                        lattice_points)
 from .ilp import IlpProblem, ilp_feasible
 from .rational import integer
-from .solver import (_check_mode, _multiplicities, cheapest_cover,
-                     least_feasible, multi_polytope_select,
-                     select_from_generators)
+from .solver import (_check_mode, _multiplicities, _polytope_cover,
+                     cheapest_cover, least_feasible, select_from_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +504,7 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     x = _job_vector(inst, x)
     delta = inst.horizon(machine_type)
     dummy = delta - sum(p * x[j] for j, (_r, _dl, p) in enumerate(windows))
-    if dummy < 0:
-        return None
-    # necessary condition: preemptive schedulability
+    # necessary condition: preemptive schedulability (refuses dummy < 0)
     if _overloaded(x, inst, machine_type) is not None:
         return None
     layout = CycleLayout(d, min(4 * d, 2 * sum(x) + 1))
@@ -650,8 +647,8 @@ def preemptive_assign(inst: SchedulingInstance,
                       mode: str = "faithful") -> ScheduleSolution:
     """Cheapest machine multiset covering the demand with EDF schedules.
 
-    ``solver.cheapest_cover`` over the EDF polytopes clipped to the demand,
-    each probe a ``multi_polytope_select``.
+    ``solver._polytope_cover`` over the EDF polytopes clipped to the
+    demand: ``cheapest_cover``, each probe a ``multi_polytope_select``.
     """
     _check_mode(mode)
     if inst.costs is None:
@@ -659,10 +656,7 @@ def preemptive_assign(inst: SchedulingInstance,
     a = inst.multiplicities
     parts = [(_clipped_edf_polytope(inst, i, a), inst.costs[i])
              for i in range(inst.m)]
-    best = cheapest_cover(
-        a, [(lattice_points(poly), c) for poly, c in parts],
-        lambda target, budget: multi_polytope_select(parts, target, budget,
-                                                     mode=mode))
+    best = _polytope_cover(a, parts, mode)
 
     def simulated(i, vec):
         sim = edf_simulate(vec, inst, i)

@@ -22,12 +22,13 @@ optimiser, here and in ``scheduling``, finds its objective with
 per probed bound.  The three covering searches (cutting stock and the two
 machine assignments) run it through ``cheapest_cover``, which bisects over
 the multiples of the costs' gcd inside the window of their configuration
-LP, ``configuration_window``.  The LP's basic weights, rounded up and
-trimmed, are a cover that answers at the window's top, so a probe runs
-only for the budgets below that cover's cost, and a closed window runs
-none.  The window is less than d times the dearest cost wide, so their
-number of probes depends on d and the costs, not on the multiplicities.
-Every returned solution is re-verified exactly before it is surfaced.
+LP, ``configuration_window``; cutting stock and the preemptive assignment make
+that call through ``_polytope_cover``.  The LP's basic weights, rounded up and
+trimmed, are a cover that answers at the window's top, so a probe runs only
+for the budgets below that cover's cost, and a closed window runs none.  The
+window is less than d times the dearest cost wide, so their number of probes
+depends on d and the costs, not on the multiplicities.  Every returned
+solution is re-verified exactly before it is surfaced.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class CuttingStockInstance:
         self.multiplicities = _multiplicities(multiplicities)
         if len(self.sizes) != len(self.multiplicities):
             raise InputError("sizes and multiplicities must align")
+        if not self.sizes:
+            raise InputError("at least one item type required")
         for s in self.sizes:
             if s <= 0:
                 raise InputError(f"item size {s} must be positive")
@@ -97,8 +100,6 @@ class BinPackingInstance(CuttingStockInstance):
 
     def __init__(self, sizes: Sequence, multiplicities: Sequence[int]):
         super().__init__(sizes, multiplicities, [(ONE, 1)])
-        if not self.sizes:
-            raise InputError("at least one item type required")
         for s in self.sizes:
             if s > 1:
                 raise InputError(f"item size {s} exceeds the bin capacity 1")
@@ -202,8 +203,8 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     if not lp.find_feasible():
         raise InfeasibleError("no combination of the parts meets the demand")
     _status, value = lp.optimize(costs, sense="min")
-    rounded = [(owners[k], columns[k], rat_ceil(w))
-               for k, w in enumerate(lp.values()) if w]
+    rounded = [(owners[k], columns[k], -(-n // den))
+               for k, (n, den) in enumerate(lp.point()) if n]
     excess = [-v for v in a]
     for _i, p, n in rounded:
         excess = [e + n * v for e, v in zip(excess, p)]
@@ -257,6 +258,15 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     return best
 
 
+def _polytope_cover(a: Sequence[int], parts: Sequence, mode: str):
+    """``cheapest_cover`` over ``(Polytope, cost)`` parts; each probe looks
+    ``multi_polytope_select`` up when it runs, so a patch sees it."""
+    return cheapest_cover(
+        a, [(lattice_points(poly), c) for poly, c in parts],
+        lambda target, budget: multi_polytope_select(parts, target, budget,
+                                                     mode=mode))
+
+
 # ---------------------------------------------------------------------------
 # shared ILP plumbing
 
@@ -293,20 +303,18 @@ def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
     ``cap`` is an optional row ``(coefficients, bound)`` on the generator
     weights, appended after the rows of ``_combination_rows``.  Returns one
     ``(point, weight)`` pair per generator, in order.
+
+    Every weight is bounded, as ``ilp_feasible`` needs: the callers refuse
+    unbounded targets and generators that are not pointed unless a cost
+    caps them, and a bounded target bounds pointed weights (Gordan).
     """
     rows, rhs = _combination_rows(generators, target)
     if cap is not None:
         coefficients, bound = cap
         rows.append(list(coefficients))
         rhs.append(bound)
-    problem = IlpProblem.build(rows, rhs, lo=[0] * len(generators),
-                               hi=gen_hi)
-    try:
-        res = ilp_feasible(problem)
-    except InputError as exc:
-        raise InputError(
-            f"cannot bound the combination program ({exc}); "
-            "bound the target") from exc
+    res = ilp_feasible(IlpProblem.build(rows, rhs, lo=[0] * len(generators),
+                                        hi=gen_hi))
     if not res.feasible:
         return None
     return list(zip(generators, res.witness))
@@ -368,17 +376,14 @@ def int_cone_intersect(source: Polytope, target: Polytope,
                 raise InternalError(f"witness point {p} is not a generator")
         if not target.contains_int(y):
             raise InternalError("witness sum escapes the target")
-        normal = normalize_combination(combo, sset)
-        if combo_sum(normal) != y:
-            raise InternalError("normalization changed the reached point")
-        if len(normal.weights) > 2 ** (2 * source.dim + 1):
-            raise InternalError("normalized support exceeds its bound")
-        return IntConeResult(True, y, normal, mode_used, guesses)
+        # normalize_combination checks the sum and the support bound
+        return IntConeResult(True, y, normalize_combination(combo, sset),
+                             mode_used, guesses)
 
     guesses = 0
     if mode == "faithful":
         guesses = 1
-        support = [g for g, w in zip(generators, prefilter.values()) if w]
+        support = [g for g, (n, _d) in zip(generators, prefilter.point()) if n]
         pairs = _faithful_search(sset, support, target)
         if pairs is not None:
             return finish(pairs, "faithful", guesses)
@@ -636,17 +641,14 @@ def cutting_stock(inst: CuttingStockInstance,
                   mode: str = "faithful") -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly.
 
-    ``cheapest_cover`` over the bin types' pattern polytopes, each probe a
-    ``multi_polytope_select``.
+    ``_polytope_cover`` over the bin types' pattern polytopes:
+    ``cheapest_cover``, each probe a ``multi_polytope_select``.
     """
     _check_mode(mode)
     a = inst.multiplicities
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
-    best = cheapest_cover(
-        a, [(lattice_points(poly), c) for poly, c in parts],
-        lambda target, budget: multi_polytope_select(parts, target, budget,
-                                                     mode=mode))
+    best = _polytope_cover(a, parts, mode)
     patterns = []
     for i, combo in enumerate(best.part_combinations):
         for point, w in sorted(combo.weights.items()):

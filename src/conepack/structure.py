@@ -16,7 +16,7 @@ simplifying the support:
 
 All arithmetic is exact; each rewriting step asserts its progress measure
 (squared-norm potential or off-X mass), which is what guarantees
-termination.
+termination.  Weight moves onto corners built on the integer frame.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .geometry import (
     lattice_points,
     parallelepiped_cover,
 )
-from .rational import as_int, integer, is_integral
+from .rational import integer
 
 
 class Combination:
@@ -152,13 +152,12 @@ def _settle_in_pp(pp: Parallelepiped, weights: Dict[tuple, int],
     inside ``pp`` has weight at most 1 and there are at most ``2^d`` of
     them.  Mutates ``weights`` in place; returns whether any step ran.
     """
-    d = pp.dim
-    bound = 1 << d
+    bound = 1 << pp.dim
     coords_cache: dict = {}
 
     def coords(p):
         if p not in coords_cache:
-            coords_cache[p] = pp.coordinates(p)
+            coords_cache[p] = pp._numerators(p)
         return coords_cache[p]
 
     stepped = False
@@ -167,15 +166,16 @@ def _settle_in_pp(pp: Parallelepiped, weights: Dict[tuple, int],
                          if w > 0 and p not in frozen and coords(p) is not None)
         target = next((p for p in movable if weights[p] >= 2), None)
         if target is not None:
-            alpha = coords(target)
-            y = list(pp.center)
-            for a, dvec in zip(alpha, pp.directions):
+            # the corner signed like target's mu = num / den (den > 0)
+            num, _den = coords(target)
+            y = list(pp._center)
+            for a, dvec in zip(num, pp.vecs):
                 sign = 1 if a >= 0 else -1
                 for i, v in enumerate(dvec):
                     y[i] += sign * v
-            if not all(is_integral(v) for v in y):
+            if any(v % pp._scale for v in y):
                 raise InternalError("parallelepiped vertex is not integral")
-            yv = tuple(as_int(v) for v in y)
+            yv = tuple(v // pp._scale for v in y)
             z = tuple(2 * a - b for a, b in zip(target, yv))
             if coords(z) is None:
                 raise InternalError(f"mirror point {z} left the parallelepiped")
@@ -221,7 +221,7 @@ def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
     if w <= 0:
         raise InputError(f"weight must be a positive integer, got {w!r}")
     x = tuple(integer(v, "point coordinate") for v in x_star)
-    if pp.coordinates(x) is None:
+    if not pp.contains(x):
         raise InputError(f"{x} is not inside the parallelepiped")
     weights = {x: w}
     _settle_in_pp(pp, weights, frozenset(pp.vertices()))

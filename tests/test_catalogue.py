@@ -7,6 +7,11 @@ order of a cover shows here.  The objectives are pinned apart from the
 witnesses: a change that reorders a search may find other witnesses, but
 never another optimum.  ``conebench/workloads.py`` is loaded from its file
 and only read.  The digests do not depend on ``PYTHONHASHSEED``.
+
+The work is pinned too: the pivots and branch-and-bound nodes that the
+package's own counters (``budget.limit``) count over each catalogue.  A
+change that sets out to keep the answers and the work, such as a merge of
+duplicate code, must leave them as they are.
 """
 
 import hashlib
@@ -15,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from conepack import budget
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "conebench" / "workloads.py"
 
 PINS = {
@@ -22,6 +29,14 @@ PINS = {
     "stock": (60, "4b34326366e02757"),
     "cover": (40, "f5e3d2acbeb8ed5d"),
     "sched-np": (8, "0929678206ac70db"),
+}
+
+# (pivots, nodes) spent solving each catalogue
+WORK_PINS = {
+    "binpack": (821, 3),
+    "stock": (406, 6),
+    "cover": (0, 0),
+    "sched-np": (1078, 190),
 }
 
 OBJECTIVE_PINS = {
@@ -43,14 +58,18 @@ def workloads():
 
 @pytest.fixture(scope="module")
 def solved(workloads):
-    """The answers of each catalogue, solved once for both pins."""
+    """The answers of each catalogue and the ``(pivots, nodes)`` they
+    spent, solved once for all the pins."""
     cache = {}
 
     def answers(name):
         if name not in cache:
             count, _pin = PINS[name]
-            cache[name] = [workloads.solve_text(workloads.render(d))
-                           for d in workloads.catalogue(name, count)]
+            with budget.limit(10 ** 15):
+                out = [workloads.solve_text(workloads.render(d))
+                       for d in workloads.catalogue(name, count)]
+                _units, pivots, nodes = budget._OPEN.get()
+            cache[name] = out, (pivots, nodes)
         return cache[name]
     return answers
 
@@ -75,13 +94,20 @@ def _objective(answer):
 @pytest.mark.parametrize("name", PINS)
 def test_catalogue_answers_are_pinned(workloads, solved, name):
     _count, pin = PINS[name]
-    assert _digest([workloads.canonical(a) for a in solved(name)]) == pin
+    answers, _work = solved(name)
+    assert _digest([workloads.canonical(a) for a in answers]) == pin
 
 
 @pytest.mark.parametrize("name", OBJECTIVE_PINS)
 def test_catalogue_objectives_are_pinned(solved, name):
-    assert _digest([_objective(a) for a in solved(name)]) \
-        == OBJECTIVE_PINS[name]
+    answers, _work = solved(name)
+    assert _digest([_objective(a) for a in answers]) == OBJECTIVE_PINS[name]
+
+
+@pytest.mark.parametrize("name", WORK_PINS)
+def test_catalogue_work_is_pinned(solved, name):
+    _answers, work = solved(name)
+    assert work == WORK_PINS[name]
 
 
 def _parsed(workloads, name, count):

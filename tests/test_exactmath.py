@@ -25,7 +25,13 @@ from conepack.exactmath import (
     lp_optimize,
     solve_linear_system,
 )
-from conepack.rational import Rat, dot, format_rat
+from conepack.rational import Rat, format_rat
+
+
+def dot(a, b):
+    """Exact inner product of two vectors of the same length."""
+    assert len(a) == len(b)
+    return sum((x * y for x, y in zip(a, b)), Rat(0))
 
 
 def test_linear_system_identity():

@@ -13,6 +13,10 @@ tests of a second integer reader.  Outside ``cli.py`` no module may call
 second file reader.  No module may subscript an attribute ``.windows``
 outside ``scheduling._machine_windows``, the one reader of a machine
 type, and ``SchedulingInstance.__init__``, which builds the windows.
+Every top-level function and class of the package but ``oracle.py``, the
+reference code, must be read by name in the package or in ``conebench``:
+as a name, an attribute or a string, such as an entry of ``__all__`` or
+of the tracer's ``TRACED``.
 """
 
 import ast
@@ -25,6 +29,8 @@ import conepack
 
 PACKAGE = Path(conepack.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+CONEBENCH = sorted(
+    (Path(__file__).resolve().parent.parent / "conebench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -233,3 +239,49 @@ def test_a_second_machine_type_reader_is_caught(tmp_path):
                       "    return windows[i], inst.windows[i][j]\n")
     assert windows_lookups(module) == ["windows (line 16)",
                                        "windows (line 7)"]
+
+
+def unread_definitions(definers, readers):
+    """The top-level functions and classes of the ``definers`` that no
+    module of the ``readers`` reads by name, as a name, an attribute or a
+    string, with module names and line numbers."""
+    read = set()
+    for path in readers:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    out = []
+    for path in definers:
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name not in read:
+                out.append(f"{path.stem}.{node.name} (line {node.lineno})")
+    return sorted(out)
+
+
+DEFINERS = [p for p in MODULES if p.name != "oracle.py"]
+
+
+def test_every_definition_is_read():
+    assert unread_definitions(DEFINERS, MODULES + CONEBENCH) == []
+
+
+def test_an_unread_definition_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def called():\n    pass\n\n\n"
+                      "def by_attribute():\n    pass\n\n\n"
+                      "def listed():\n    pass\n\n\n"
+                      "def unread():\n    pass\n\n\n"
+                      "class Unread:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import sample\n\n"
+                    "called()\nsample.by_attribute()\n"
+                    "TRACED = {'sample': ('listed',)}\n"
+                    "unread = sample.Unread = None\n")
+    assert unread_definitions([module], [module, user]) == [
+        "sample.Unread (line 17)", "sample.unread (line 13)"]

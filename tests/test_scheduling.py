@@ -271,7 +271,7 @@ class TestPreemptiveAssign:
             probes.append(budget)
             return multi_polytope_select(parts, target, budget, **kwargs)
 
-        monkeypatch.setattr(scheduling, "multi_polytope_select", counting)
+        monkeypatch.setattr(solver, "multi_polytope_select", counting)
         inst = SchedulingInstance([[(0, 4, 2), (1, 4, 1)],
                                    [(0, 6, 3), (0, 6, 1)]], [40, 40],
                                   costs=[2, 3], variant="preemptive")

@@ -517,6 +517,16 @@ class TestCuttingStock:
         inst = CuttingStockInstance([Rat(1, 2)], [0], [(Rat(1), 1)])
         assert cutting_stock(inst).objective == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda: CuttingStockInstance([], [], [(Rat(1), 1)]),
+        lambda: BinPackingInstance([], []),
+    ], ids=["cutting_stock", "bin_packing"])
+    def test_zero_item_types_rejected(self, make):
+        # refused on construction, not deep inside a solve
+        with pytest.raises(InputError, match="at least one item type "
+                                             "required"):
+            make()
+
     @pytest.mark.parametrize("a", [-1, 2.7, Rat(1, 2)])
     def test_multiplicity_must_be_a_non_negative_integer(self, a):
         with pytest.raises(InputError):
@@ -1109,7 +1119,7 @@ def _recorded_lifts(monkeypatch):
         return select(parts, *args, **kwargs)
 
     monkeypatch.setattr(solver, "int_cone_intersect", recording)
-    for module in (solver, scheduling, sys.modules[__name__]):
+    for module in (solver, sys.modules[__name__]):
         monkeypatch.setattr(module, "multi_polytope_select", counting)
     _seeded_selections()
     assert len(lifts) == 10
