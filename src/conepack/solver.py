@@ -23,22 +23,28 @@ per probed bound.  The three covering searches (cutting stock and the two
 machine assignments) run it through ``cheapest_cover``, which bisects over
 the multiples of the costs' gcd inside the window of their configuration
 LP, ``configuration_window``; cutting stock and the preemptive assignment make
-that call through ``_polytope_cover``.  The LP's basic weights, rounded up and
-trimmed, are a cover that answers at the window's top, so a probe runs only
-for the budgets below that cover's cost, and a closed window runs none.  The
-window is less than d times the dearest cost wide, so their number of probes
-depends on d and the costs, not on the multiplicities.  Every returned
-solution is re-verified exactly before it is surfaced.
+that call through ``_polytope_cover``.  The window solves that LP with its
+own revised simplex in ints: a basis of one column per demanded type,
+started from the parts' unit vectors, and Bland's rule scanning the points,
+so no tableau over all points is built and no phase 1 runs.  The LP's basic
+weights, rounded up and trimmed, are a cover that answers at the window's
+top, so a probe runs only for the budgets below that cover's cost, and a
+closed window runs none.  The window is less than d times the dearest cost
+wide, so their number of probes depends on d and the costs, not on the
+multiplicities.  Every returned solution is re-verified exactly before it
+is surfaced; packing loads are compared in ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .errors import InfeasibleError, InputError, InternalError
-from .exactmath import ExactLp
+from .budget import charge
+from .errors import InfeasibleError, InputError, InternalError, ResourceError
+from .exactmath import DEFAULT_PIVOT_BUDGET, ExactLp
 from .geometry import (
     Polytope,
     box_polytope,
@@ -49,7 +55,7 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import IlpProblem, ilp_feasible
-from .rational import Rat, ONE, integer, rat_ceil
+from .rational import Rat, ONE, integer
 from .structure import (
     Combination,
     combo_sum,
@@ -167,10 +173,28 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
 
     ``parts`` lists ``(points, cost)``: the non-negative integer points of
     a down-closed set (patterns, schedulable vectors) and the cost of one
-    copy.  Solves min sum c_p l_p subject to sum l_p p = a and l >= 0
-    (Gilmore & Gomory 1961).  Every exact cover of ``a`` is a solution
-    whose cost is a multiple of the costs' gcd, so ``lo`` is the optimum
-    rounded up to such a multiple.
+    copy.  Every exact cover of ``a`` is a solution of min sum c_p l_p
+    subject to sum l_p p = a and l >= 0 (Gilmore & Gomory 1961) whose cost
+    is a multiple of the costs' gcd, so ``lo`` is that LP's optimum rounded
+    up to such a multiple.
+
+    The LP is solved by a revised simplex over the demanded types.  Its
+    rows are those types and its columns the non-zero points with nothing
+    on an undemanded type, in part order.  The basis starts from each
+    demanded type's cheapest unit vector, the first of equal cost, so no
+    phase 1 runs.  Down-closed parts hold ``e_j`` whenever some point
+    covers type ``j``; a part set without it raises InternalError naming
+    ``j``.  The state is ints over ``D = det(B) > 0``: the rows
+    ``[adj(B) | adj(B) a]``, whose last entries are the basic weights, and
+    the dual row ``[y | y . a]`` with ``y = c_B adj(B)``, whose last entry
+    is the LP's value.  No rational is built.  Bland's rule enters the
+    first column ``q`` with ``c_q D < y . q``, and the ratio test breaks
+    ties by the lowest column.  With ``w = adj(B) q``, and ``y . q - c_q D``
+    as the dual row's ``w``, each pivot on row ``r`` updates every other row,
+    the dual row too, by Edmonds' rule ``T_i <- (T_i w_r - w_i T_r) / D``, then
+    ``D <- w_r``; every division is exact.  Pivots are charged to
+    ``budget.charge`` and capped per call at ``DEFAULT_PIVOT_BUDGET``, as
+    in ``ExactLp``.
 
     A basic optimum has at most ``len(a)`` non-zero weights; ``ceil(l_p)``
     copies of each cover at least ``a``, and down-closure trims that to
@@ -183,28 +207,69 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     point missing from its part's points raises InternalError.
 
     A demanded coordinate that no point covers raises InfeasibleError
-    naming it, before any LP is built; for down-closed parts every other
-    demand is met, so the LP's own InfeasibleError only guards parts that
-    are not down-closed.  Zero demand gives the window ``(0, 0, [])``.
+    naming it.  Zero demand gives the window ``(0, 0, [])``.
     """
-    columns, owners = [], []
-    for i, (points, _cost) in enumerate(parts):
-        for p in points:
-            if any(p):
-                columns.append(p)
-                owners.append(i)
-    for j, aj in enumerate(a):
-        if aj and not any(p[j] for p in columns):
-            raise InfeasibleError(f"type {j} fits no machine or bin type")
-    costs = [parts[i][1] for i in owners]
-    d = len(a)
-    lp = ExactLp([[p[j] for p in columns] for j in range(d)], list(a),
-                 senses=["=="] * d, lo=[0] * len(columns))
-    if not lp.find_feasible():
-        raise InfeasibleError("no combination of the parts meets the demand")
-    _status, value = lp.optimize(costs, sense="min")
-    rounded = [(owners[k], columns[k], -(-n // den))
-               for k, (n, den) in enumerate(lp.point()) if n]
+    g = gcd(*(c for points, c in parts if any(map(any, points)))) or 1
+    rows = [j for j, aj in enumerate(a) if aj]
+    idle = [j for j, aj in enumerate(a) if not aj]
+    columns = [(i, p) for i, (points, _c) in enumerate(parts) for p in points
+               if any(p) and not any(p[j] for j in idle)]
+    qs = ([tuple(p[j] for j in rows) for _i, p in columns] if idle
+          else [p for _i, p in columns])
+    cs = [parts[i][1] for i, _p in columns]
+    m = len(rows)
+    basis = [None] * m
+    for k, q in enumerate(qs):
+        if sum(q) == 1:  # points are non-negative
+            r = q.index(1)
+            if basis[r] is None or cs[k] < cs[basis[r]]:
+                basis[r] = k
+    if None in basis:
+        for j in rows:
+            if not any(p[j] for points, _c in parts for p in points):
+                raise InfeasibleError(f"type {j} fits no machine or bin type")
+        raise InternalError(f"no part holds the unit vector of type "
+                            f"{rows[basis.index(None)]}; parts must be "
+                            f"down-closed")
+    tab = [[0] * m + [a[j]] for j in rows]
+    for r, row in enumerate(tab):
+        row[r] = 1
+    dual = [cs[k] for k in basis]
+    dual.append(sum(map(mul, dual, (a[j] for j in rows))))
+    D, pivots = 1, 0
+    while True:
+        # each map over q stops at the last type, before the constant
+        for k, q in enumerate(qs):
+            yq = sum(map(mul, dual, q))
+            if cs[k] * D < yq:
+                break
+        else:
+            break
+        w = [sum(map(mul, row, q)) for row in tab]
+        r = -1
+        for i, wi in enumerate(w):
+            if wi > 0:
+                if r < 0:
+                    r = i
+                    continue
+                left, right = tab[i][m] * w[r], tab[r][m] * wi
+                if left < right or left == right and basis[i] < basis[r]:
+                    r = i
+        pivots += 1
+        if pivots > DEFAULT_PIVOT_BUDGET:
+            raise ResourceError("simplex pivot budget", DEFAULT_PIVOT_BUDGET)
+        charge()
+        wr, pivot_row = w[r], tab[r]
+        w0 = yq - cs[k] * D
+        for i, wi in enumerate(w):
+            if i != r:
+                tab[i] = [(t * wr - wi * s) // D
+                          for t, s in zip(tab[i], pivot_row)]
+        dual = [(t * wr - w0 * s) // D for t, s in zip(dual, pivot_row)]
+        D = wr
+        basis[r] = k
+    rounded = [(*columns[k], -(-row[m] // D))
+               for k, row in sorted(zip(basis, tab)) if row[m]]
     excess = [-v for v in a]
     for _i, p, n in rounded:
         excess = [e + n * v for e, v in zip(excess, p)]
@@ -228,8 +293,8 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
         if n:
             cover.append((i, p, n))
     hi = sum(parts[i][1] * n for i, _p, n in cover)
-    g = gcd(*costs) or 1  # no columns, or only costless ones
-    return -(-rat_ceil(value) // g) * g, hi, cover
+    lp_ceil = -(-dual[m] // D)
+    return -(-lp_ceil // g) * g, hi, cover
 
 
 def cheapest_cover(a: Sequence[int], parts: Sequence, select):
@@ -659,9 +724,16 @@ def cutting_stock(inst: CuttingStockInstance,
 
 
 def verify_solution(inst, sol: PackingSolution) -> None:
-    """Exact validity check of a packing solution; InternalError on failure."""
+    """Exact validity check of a packing solution; InternalError on failure.
+
+    Loads are compared in ints: sizes and capacities are scaled once by
+    the lcm of all their denominators."""
     if not isinstance(inst, CuttingStockInstance):
         raise InputError(f"cannot verify solutions for {type(inst).__name__}")
+    scale = lcm(*(s.denominator for s in inst.sizes),
+                *(w.denominator for w, _c in inst.bin_types))
+    sizes = [s.numerator * (scale // s.denominator) for s in inst.sizes]
+    caps = [w.numerator * (scale // w.denominator) for w, _c in inst.bin_types]
     d = inst.dim
     total = [0] * d
     cost = 0
@@ -673,15 +745,13 @@ def verify_solution(inst, sol: PackingSolution) -> None:
             raise InternalError("non-positive multiplicity in solution")
         if bt not in range(len(inst.bin_types)):
             raise InternalError(f"pattern {pattern} names no bin type {bt!r}")
-        w, c = inst.bin_types[bt]
-        load = sum(s * v for s, v in zip(inst.sizes, pattern))
-        if load > w:
+        if sum(map(mul, sizes, pattern)) > caps[bt]:
             raise InternalError(f"pattern {pattern} overfills bin type {bt}")
         if any(v < 0 for v in pattern):
             raise InternalError(f"negative pattern {pattern}")
         for j in range(d):
             total[j] += mult * pattern[j]
-        cost += c * mult
+        cost += inst.bin_types[bt][1] * mult
     if tuple(total) != inst.multiplicities:
         raise InternalError("solution does not meet the demand exactly")
     if cost != sol.objective:

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from conepack import geometry, solver
+from conepack.exactmath import lp_optimize
 from conepack.geometry import Polytope, box_polytope, lattice_points
-from conepack.rational import Rat
+from conepack.rational import Rat, rat_ceil
 from conepack.errors import ResourceError
 
 
@@ -46,6 +47,34 @@ def mode_verdicts(inst, opt):
     target = box_polytope(mult, mult)
     return [solver.multi_polytope_select(parts, target, b, mode=mode).found
             for b in (opt, opt - step) for mode in ("faithful", "joint")]
+
+
+def check_window(parts, a):
+    """``configuration_window(parts, a)`` against the configuration LP over
+    every non-zero point, solved by ``exactmath.lp_optimize``: ``lo`` is
+    its optimum rounded up to the costs' gcd, the cover reaches ``a``
+    exactly with points of their parts at cost ``hi``, and ``hi - lo`` is
+    below ``len(a)`` times the dearest cost.  Returns the window."""
+    lo, hi, cover = solver.configuration_window(parts, a)
+    columns = [(p, c) for points, c in parts for p in points if any(p)]
+    d = len(a)
+    if any(a):
+        res = lp_optimize([[p[j] for p, _c in columns] for j in range(d)],
+                          list(a), [c for _p, c in columns], sense="min",
+                          senses=["=="] * d, lo=[0] * len(columns))
+        g = math.gcd(*(c for _p, c in columns)) or 1
+        assert lo == -(-rat_ceil(res.value) // g) * g
+    else:
+        assert lo == 0
+    reached = [0] * d
+    for i, q, n in cover:
+        assert n >= 1 and any(q) and q in parts[i][0]
+        reached = [r + n * v for r, v in zip(reached, q)]
+    assert reached == list(a)
+    assert hi == sum(parts[i][1] * n for i, _q, n in cover)
+    assert lo <= hi
+    assert hi - lo < d * max([c for _p, c in columns], default=1)
+    return lo, hi, cover
 
 
 def singleton_target(vals):

@@ -11,15 +11,29 @@ from conepack.solver import BinPackingInstance, bin_packing
 
 
 def _work_of(inst, monkeypatch):
-    """(largest pivots of one LP, largest nodes of one ILP, total work)."""
-    seen = {"pivots": 0, "most_pivots": 0, "nodes": 0, "most_nodes": 0}
+    """(largest pivots of one LP, largest nodes of one ILP, total work,
+    pivots of the configuration window).  The window runs its own simplex
+    and charges each pivot to the budget directly."""
+    seen = {"pivots": 0, "most_pivots": 0, "nodes": 0, "most_nodes": 0,
+            "window": 0}
     charge_pivot = ExactLp._charge_pivot
     ilp_feasible = solver.ilp_feasible
+    charge, window = solver.charge, solver.configuration_window
 
     def counted_pivot(lp):
         charge_pivot(lp)
         seen["pivots"] += 1
         seen["most_pivots"] = max(seen["most_pivots"], lp.pivots_used)
+
+    def counted_charge():
+        charge()
+        seen["pivots"] += 1
+        seen["window"] += 1
+
+    def counted_window(parts, a):
+        out = window(parts, a)
+        seen["most_pivots"] = max(seen["most_pivots"], seen["window"])
+        return out
 
     def counted_ilp(problem):
         res = ilp_feasible(problem)
@@ -29,15 +43,18 @@ def _work_of(inst, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ExactLp, "_charge_pivot", counted_pivot)
+        patch.setattr(solver, "charge", counted_charge)
+        patch.setattr(solver, "configuration_window", counted_window)
         patch.setattr(solver, "ilp_feasible", counted_ilp)
         bin_packing(inst)
     return (seen["most_pivots"], seen["most_nodes"],
-            seen["pivots"] + seen["nodes"])
+            seen["pivots"] + seen["nodes"], seen["window"])
 
 
 def test_limit_spans_the_request(monkeypatch):
     inst = BinPackingInstance([Rat(1, 3), Rat(1, 4)], [4, 5])
-    most_pivots, most_nodes, total = _work_of(inst, monkeypatch)
+    most_pivots, most_nodes, total, window = _work_of(inst, monkeypatch)
+    assert window > 0
     above_each = max(most_pivots, most_nodes) + 1
     assert above_each < total
     with pytest.raises(ResourceError) as err, limit(above_each):

@@ -20,23 +20,25 @@ from pathlib import Path
 
 import pytest
 
-from conepack import budget
+from conepack import budget, solver
+
+from genutil import check_window
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "conebench" / "workloads.py"
 
 PINS = {
     "binpack": (120, "441e1f36855f278c"),
-    "stock": (60, "4b34326366e02757"),
+    "stock": (60, "715f808981b1bfef"),
     "cover": (40, "f5e3d2acbeb8ed5d"),
     "sched-np": (8, "0929678206ac70db"),
 }
 
 # (pivots, nodes) spent solving each catalogue
 WORK_PINS = {
-    "binpack": (821, 3),
-    "stock": (406, 6),
+    "binpack": (501, 3),
+    "stock": (246, 6),
     "cover": (0, 0),
-    "sched-np": (1078, 190),
+    "sched-np": (1068, 190),
 }
 
 OBJECTIVE_PINS = {
@@ -108,6 +110,33 @@ def test_catalogue_objectives_are_pinned(solved, name):
 def test_catalogue_work_is_pinned(solved, name):
     _answers, work = solved(name)
     assert work == WORK_PINS[name]
+
+
+class _Recorded(Exception):
+    """Stops a solve once its configuration window is recorded."""
+
+
+def test_catalogue_windows_are_the_lp(workloads, monkeypatch):
+    """Every configuration window of the ``binpack``, ``stock`` and
+    ``sched-np`` catalogues has the all-points LP's ``lo`` and a cover of
+    the demand within the window's bound."""
+    windows = []
+
+    def recording(parts, a):
+        windows.append((parts, a))
+        raise _Recorded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "configuration_window", recording)
+        for name in ("binpack", "stock", "sched-np"):
+            for desc in workloads.catalogue(name, PINS[name][0]):
+                try:
+                    workloads.solve_text(workloads.render(desc))
+                except _Recorded:
+                    pass
+    assert len(windows) == 184
+    for parts, a in windows:
+        check_window(parts, a)
 
 
 def _parsed(workloads, name, count):

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepack.budget import limit
-from conepack.errors import InfeasibleError, InputError, InternalError
+from conepack.errors import (InfeasibleError, InputError, InternalError,
+                             ResourceError)
 from conepack import geometry, scheduling, solver
 from conepack.exactmath import ExactLp
 from conepack.geometry import (Polytope, coordinate_bounds, in_convex_hull,
                                integer_box, lattice_points)
 from conepack.ilp import ilp_feasible
-from conepack.oracle import bp_brute_force, int_cone_brute
+from conepack.oracle import bp_brute_force, fractional_opt, int_cone_brute
 from conepack.rational import Rat, rat_ceil
 from conepack.scheduling import SchedulingInstance, preemptive_assign
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
@@ -26,8 +27,8 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              verify_solution)
 from conepack.structure import combo_sum, compute_structure_set
 
-from genutil import (box_polytope, mode_verdicts, rand_bounded_polytope,
-                     rand_bp_instance, singleton_target)
+from genutil import (box_polytope, check_window, mode_verdicts,
+                     rand_bounded_polytope, rand_bp_instance, singleton_target)
 
 
 def segment(lo, hi):
@@ -615,7 +616,7 @@ class TestCuttingStock:
             assert results[2].mode_used == "joint"
             assert results[2].guesses_tried == 1
         swept = list(self.open_windows(types))
-        assert len(swept) == 51
+        assert len(swept) == 50
         for sizes, mult in swept:
             inst = CuttingStockInstance(sizes, mult, types)
             opt = cheapest_packing_cost(sizes, mult, types)
@@ -765,10 +766,58 @@ class TestConfigurationWindow:
                                                            (0, (2,), 2)])
 
     def test_trimmed_points_must_belong_to_their_part(self):
-        # {(2,)} is not down-closed: 3/2 copies round up to two, and the
-        # trimmed copy (1,) is no point of the part
-        with pytest.raises(InternalError, match="not a point of part 0"):
-            configuration_window([([(2,)], 1)], [3])
+        # {(1,), (3,)} is not down-closed: 5/3 copies of (3,) round up to
+        # two, and the trimmed copy (2,) is no point of the part
+        with pytest.raises(InternalError, match=r"\(2,\) is not a point of "
+                                                r"part 0"):
+            configuration_window([([(1,), (3,)], 1)], [5])
+
+    def test_parts_must_hold_the_unit_vectors(self):
+        # type 1 is covered, but only by (0, 2): the simplex has no unit
+        # column to start from
+        with pytest.raises(InternalError, match="type 1; parts must be "
+                                                "down-closed"):
+            configuration_window([([(1, 0), (0, 2)], 1)], [1, 2])
+        # an undemanded type needs none
+        assert configuration_window([([(1, 0), (0, 2)], 1)], [3, 0]) \
+            == (3, 3, [(0, (1, 0), 3)])
+
+    def test_pivots_are_capped_per_call(self, monkeypatch):
+        # three halves take one pivot, from (1,) to (2,)
+        parts = [(patterns([Rat(1, 2)], 1, [3]), 1)]
+        monkeypatch.setattr(solver, "DEFAULT_PIVOT_BUDGET", 0)
+        with pytest.raises(ResourceError, match="simplex pivot budget"):
+            configuration_window(parts, [3])
+        monkeypatch.setattr(solver, "DEFAULT_PIVOT_BUDGET", 1)
+        assert configuration_window(parts, [3])[:2] == (2, 2)
+
+    def test_seeded_windows_are_the_lp(self):
+        # parts are down-closures of a few random points of [0, 3]^d, one
+        # or two of them, and about a quarter of the demands are zero
+        rng = random.Random(3232)
+        checked = zeros = opened = 0
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            parts = []
+            for _ in range(rng.randint(1, 2)):
+                tops = [[rng.randint(0, 3) for _ in range(d)]
+                        for _ in range(rng.randint(1, 3))]
+                points = {x for top in tops for x in
+                          itertools.product(*(range(v + 1) for v in top))}
+                parts.append((sorted(points), rng.randint(1, 4)))
+            a = [rng.randint(1, 12) if rng.random() < 0.75 else 0
+                 for _ in range(d)]
+            if any(aj and not any(p[j] for points, _c in parts
+                                  for p in points)
+                   for j, aj in enumerate(a)):
+                with pytest.raises(InfeasibleError, match="fits no machine"):
+                    configuration_window(parts, a)
+                continue
+            lo, hi, _cover = check_window(parts, a)
+            checked += 1
+            zeros += 0 in a
+            opened += lo < hi
+        assert checked >= 200 and zeros >= 50 and opened >= 20
 
     def test_copies_are_trimmed_in_batches(self):
         # eleven copies of (1, 2) hold eight items of size 1/10 too many:
@@ -865,6 +914,22 @@ def test_paper_scale_window_of_dear_bins_is_exact():
     with limit(20_000):
         sol = cutting_stock(CuttingStockInstance(sizes, a, [(Rat(1), 3)]))
     assert sol.objective == 3 * (11 * PAPER_SCALE // 12 + 1)
+
+
+def test_paper_scale_window_over_many_patterns():
+    # sizes 1/q + 1/(10 q^2), 1/(q + 1), 1/(q + 3) at q = 20 have 1,965
+    # patterns; the window's simplex reaches the optimum of the LP over
+    # all of them (about 1,700 pivots), however many copies are demanded
+    q = 20
+    sizes = [Rat(1, q) + Rat(1, 10 * q * q), Rat(1, q + 1), Rat(1, q + 3)]
+    a = [PAPER_SCALE] * 3
+    points = lattice_points(solver._pattern_polytope(sizes, 1, a))
+    assert len(points) == 1965
+    with limit(2000):
+        lo, hi, cover = configuration_window([(points, 1)], a)
+    assert lo == rat_ceil(fractional_opt(sizes, a))
+    assert hi - lo < 3
+    assert [sum(n * p[j] for _i, p, n in cover) for j in range(3)] == a
 
 
 # scale factors up to the paper's, half of them the paper's exactly
@@ -1104,9 +1169,9 @@ def _seeded_selections():
 
 def _recorded_lifts(monkeypatch):
     """``(lift, lifted target, number of parts)`` of ten seeded selections,
-    a target that is not a box, five cutting-stock instances and one
+    a target that is not a box, six cutting-stock instances and one
     preemptive assignment.  A closed configuration window answers without
-    a lift, so the last two cutting-stock instances have open windows."""
+    a lift, so the last three cutting-stock instances have open windows."""
     lifts, parts_count = [], []
     inner, select = solver.int_cone_intersect, solver.multi_polytope_select
 
@@ -1133,7 +1198,8 @@ def _recorded_lifts(monkeypatch):
             ([Rat(1, 3), Rat(1, 4)], [2, 3], [(Rat(1), 5), (Rat(1, 2), 3)]),
             ([Rat(2, 5), Rat(1, 3)], [3, 2], [(Rat(1), 2), (Rat(2, 3), 1)]),
             ([Rat(3, 7), Rat(2, 9)], [2, 9], [(Rat(1), 9), (Rat(1, 2), 6)]),
-            ([Rat(1, 2), Rat(1, 4)], [4, 3], [(Rat(1), 1)])]:
+            ([Rat(1, 2), Rat(1, 4)], [4, 3], [(Rat(1), 1)]),
+            ([Rat(1, 2), Rat(1, 4)], [2, 3], [(Rat(1), 2), (Rat(2, 3), 1)])]:
         cutting_stock(CuttingStockInstance(sizes, mult, types))
     preemptive_assign(SchedulingInstance(
         [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
@@ -1198,6 +1264,17 @@ class TestVerifySolution:
         bogus = PackingSolution((((3,), 0, 1),), 1)
         with pytest.raises(InternalError):
             verify_solution(inst, bogus)
+
+    def test_loads_are_exact(self):
+        # sizes 1/10 and 1/3 load in steps of 1/30: (5, 0) fills the
+        # half bin exactly, and (2, 1) overfills it by one step
+        sizes, types = [Rat(1, 10), Rat(1, 3)], [(Rat(1), 2), (Rat(1, 2), 1)]
+        verify_solution(CuttingStockInstance(sizes, [5, 0], types),
+                        PackingSolution((((5, 0), 1, 1),), 1))
+        inst = CuttingStockInstance(sizes, [2, 1], types)
+        verify_solution(inst, PackingSolution((((2, 1), 0, 1),), 2))
+        with pytest.raises(InternalError, match="overfills bin type 1"):
+            verify_solution(inst, PackingSolution((((2, 1), 1, 1),), 1))
 
     def test_cutting_stock_roundtrip(self):
         inst = CuttingStockInstance([Rat(1, 2)], [2],
