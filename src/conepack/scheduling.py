@@ -15,11 +15,12 @@ times.  Two schedulability encodings drive everything:
   mark which types a cycle may host, and pin the cycle boundaries.
 
 Assignment problems (open machines of each type at a cost, meet the whole
-demand) reduce to the multi-polytope selection solver; the tardy variant
-(machine counts fixed, pay per dropped job copy) minimizes the dropped
-penalty mass with a binary search over selections from explicitly
-enumerated schedulable vectors.  All returned schedules are re-validated
-from scratch.
+demand) run ``solver.cheapest_cover``: a preemptive probe is a
+``multi_polytope_select`` over the clipped EDF polytopes, a non-preemptive
+one a ``select_from_generators`` over the enumerated schedulable vectors.
+The tardy variant (machine counts fixed, pay per dropped job copy) bisects
+the dropped penalty mass over selections from those vectors.  All returned
+schedules are re-validated from scratch.
 """
 
 from __future__ import annotations
@@ -612,25 +613,23 @@ MACHINE_COPY_CAP = 10 ** 7
 def _machines(best, d: int, schedule_of) -> tuple:
     """The machines of a selection and the job copies they place.
 
-    Each copy of a point picked from part i becomes one ``(i, vector,
-    schedule)`` entry, parts in order and points sorted; the vector is the
-    point's first ``d`` coordinates, and ``schedule_of(i, vector)`` returns
-    its validated schedule on machine type i.  Returns ``(machines,
-    placed)``, where ``placed`` totals the vectors per job type.  A
-    selection of more than ``MACHINE_COPY_CAP`` copies raises
-    ``ResourceError`` before any entry is built.
+    Each copy of a pick ``(i, point, copies)`` becomes one ``(i, vector,
+    schedule)`` entry, in pick order, where the vector is the point's first
+    ``d`` coordinates and ``schedule_of(i, vector)`` returns its validated
+    schedule on machine type i.  Returns ``(machines, placed)``, ``placed``
+    totalling the vectors per job type.  More than ``MACHINE_COPY_CAP``
+    copies raise ``ResourceError`` before any entry is built.
     """
-    copies = sum(combo.total_weight for combo in best.part_combinations)
+    copies = sum(mult for _i, _point, mult in best.picks)
     if copies > MACHINE_COPY_CAP:
         raise ResourceError("machine list", MACHINE_COPY_CAP,
                             f"{copies} machine copies")
     machines = []
     placed = [0] * d
-    for i, combo in enumerate(best.part_combinations):
-        for point, mult in sorted(combo.weights.items()):
-            vec = point[:d]
-            machines += [(i, vec, schedule_of(i, vec))] * mult
-            placed = [t + mult * v for t, v in zip(placed, vec)]
+    for i, point, mult in best.picks:
+        vec = point[:d]
+        machines += [(i, vec, schedule_of(i, vec))] * mult
+        placed = [t + mult * v for t, v in zip(placed, vec)]
     return tuple(machines), tuple(placed)
 
 
@@ -770,8 +769,8 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
                                    lambda res: cap - int(res.target[d]))
     machines, placed = _machines(best, d,
                                  partial(_cyclic_schedule, inst, per_type))
-    used = tuple(sum(combo.weights.values())
-                 for combo in best.part_combinations)
+    used = tuple(sum(w for i, _x, w in best.picks if i == k)
+                 for k in range(m))
     if used != inst.counts:
         raise InternalError("selection ignored the machine counts")
     if any(placed[j] > a[j] for j in range(d)):

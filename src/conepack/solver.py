@@ -13,26 +13,23 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   directions because every solvable target admits a witness of exactly
   this shape.
 
-Bin packing is cutting stock with the one bin type ``(1, 1)``.  Cutting
-stock and the machine-assignment problems reduce to
-``multi_polytope_select``, which couples several candidate polytopes with
-one selector coordinate each into one lifted intersection problem.  Every
+Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
 optimiser, here and in ``scheduling``, finds its objective with
-``least_feasible``: a bisection that asks one such intersection question
-per probed bound.  The three covering searches (cutting stock and the two
-machine assignments) run it through ``cheapest_cover``, which bisects over
-the multiples of the costs' gcd inside the window of their configuration
-LP, ``configuration_window``; cutting stock and the preemptive assignment make
-that call through ``_polytope_cover``.  The window solves that LP with its
-own revised simplex in ints: a basis of one column per demanded type,
-started from the parts' unit vectors, and Bland's rule scanning the points,
-so no tableau over all points is built and no phase 1 runs.  The LP's basic
-weights, rounded up and trimmed, are a cover that answers at the window's
-top, so a probe runs only for the budgets below that cover's cost, and a
-closed window runs none.  The window is less than d times the dearest cost
-wide, so their number of probes depends on d and the costs, not on the
-multiplicities.  Every returned solution is re-verified exactly before it
-is surfaced; packing loads are compared in ints.
+``least_feasible``: a bisection that asks one selection question per
+probed bound.  A selection is its ``(part, point, copies)`` picks;
+``multi_polytope_select`` finds one over candidate polytopes, coupled by
+one selector coordinate each into one lifted intersection problem, and
+``select_from_generators`` one over listed points.  The three covering
+searches (cutting stock and the two machine assignments) bisect through
+``cheapest_cover`` over the multiples of the costs' gcd inside the window
+of their configuration LP, ``configuration_window``, which solves that LP
+by its own revised simplex in ints from the parts' unit vectors.  The
+LP's basic weights, rounded up and trimmed, are a cover that answers at
+the window's top, so a probe runs only below that cover's cost, and a
+closed window runs none.  The window is less than d times the dearest
+cost wide, so the number of probes depends on d and the costs, not on
+the multiplicities.  Every returned solution is re-verified exactly;
+packing loads are compared in ints.
 """
 
 from __future__ import annotations
@@ -134,8 +131,8 @@ class IntConeResult:
 @dataclass(frozen=True)
 class SelectResult:
     found: bool
-    target: Optional[tuple]
-    part_combinations: tuple = ()      # one Combination per part
+    target: Optional[tuple]            # the reached point
+    picks: tuple = ()                  # sorted (part, point, copies)
     total_cost: Optional[int] = None
 
 
@@ -167,6 +164,12 @@ def least_feasible(probe, lo: int, hi: int, cost):
     return best, hi
 
 
+def _cost_gcd(parts: Sequence) -> int:
+    """The gcd of the costs of the ``(points, cost)`` parts that hold a
+    non-zero point (1 if none): every cover costs a multiple of it."""
+    return gcd(*(c for points, c in parts if any(map(any, points)))) or 1
+
+
 def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     """The window ``(lo, hi, cover)`` of a covering search from its
     configuration LP.
@@ -175,8 +178,8 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     a down-closed set (patterns, schedulable vectors) and the cost of one
     copy.  Every exact cover of ``a`` is a solution of min sum c_p l_p
     subject to sum l_p p = a and l >= 0 (Gilmore & Gomory 1961) whose cost
-    is a multiple of the costs' gcd, so ``lo`` is that LP's optimum rounded
-    up to such a multiple.
+    is a multiple of ``_cost_gcd(parts)``, so ``lo`` is that LP's optimum
+    rounded up to such a multiple.
 
     The LP is solved by a revised simplex over the demanded types.  Its
     rows are those types and its columns the non-zero points with nothing
@@ -209,7 +212,6 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     A demanded coordinate that no point covers raises InfeasibleError
     naming it.  Zero demand gives the window ``(0, 0, [])``.
     """
-    g = gcd(*(c for points, c in parts if any(map(any, points)))) or 1
     rows = [j for j, aj in enumerate(a) if aj]
     idle = [j for j, aj in enumerate(a) if not aj]
     columns = [(i, p) for i, (points, _c) in enumerate(parts) for p in points
@@ -293,8 +295,8 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
         if n:
             cover.append((i, p, n))
     hi = sum(parts[i][1] * n for i, _p, n in cover)
-    lp_ceil = -(-dual[m] // D)
-    return -(-lp_ceil // g) * g, hi, cover
+    g = _cost_gcd(parts)
+    return -(-dual[m] // (D * g)) * g, hi, cover
 
 
 def cheapest_cover(a: Sequence[int], parts: Sequence, select):
@@ -303,20 +305,20 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     ``parts`` lists ``(points, cost)`` as ``configuration_window`` takes
     them, and ``select(target, budget)`` returns a ``SelectResult`` that
     reaches ``target`` at total cost at most ``budget``, or is not found.
-    The window's own cover answers at its top, so ``select`` runs only for
-    budgets below that cover's cost, and not at all when the window is
-    closed.  Every cover costs a multiple of the costs' gcd ``g``, so
-    ``least_feasible`` bisects over the budgets ``v * g`` inside the
-    window.  Zero demand returns the empty selection at cost 0.
-    Returns the selection; InternalError when its cost is not the optimum.
+    The window's cover, whose picks must reach ``a`` at cost ``hi``,
+    answers at its top, so ``select`` runs on the target
+    ``box_polytope(a, a)`` only below ``hi``, and a closed window builds no
+    target.  ``least_feasible`` bisects over the budgets ``v * g`` inside
+    the window, ``g = _cost_gcd(parts)``.  Zero demand returns the empty
+    selection at cost 0.  InternalError when a check fails.
     """
-    target = box_polytope(a, a)
     lo, hi, cover = configuration_window(parts, a)
-    costs = [c for _points, c in parts]
-    top = _selection(cover, costs, target, hi)
-    g = gcd(*costs) or 1
+    top = _selection(cover, [c for _points, c in parts], hi, len(a))
+    if top.target != tuple(a):
+        raise InternalError("the window's cover misses the demand")
+    g = _cost_gcd(parts)
     best, opt = least_feasible(
-        lambda v: top if v * g >= hi else select(target, v * g),
+        lambda v: top if v * g >= hi else select(box_polytope(a, a), v * g),
         lo // g, hi // g, lambda res: res.total_cost // g)
     if best.total_cost != opt * g:
         raise InternalError("objective drifted from the binary search bound")
@@ -541,7 +543,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     if not boxes:
         # the empty sum is the only reachable point
         if target.contains_int((0,) * d):
-            return _selection([], costs, target, budget)
+            return _selection([], costs, budget, d)
         return SelectResult(False, None)
     glo = [min(box[j][0] for box in boxes) for j in range(d)]
     ghi = [max(box[j][1] for box in boxes) for j in range(d)]
@@ -588,7 +590,10 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
         if not polys[i].contains_int(x):
             raise InternalError(f"pattern {x} escapes part {i}")
         picks.append((i, x, w))
-    return _selection(picks, costs, target, budget)
+    res = _selection(picks, costs, budget, d)
+    if not target.contains_int(res.target):
+        raise InternalError("selection misses the target")
+    return res
 
 
 def select_from_generators(groups: Sequence, costs: Sequence[int],
@@ -628,7 +633,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
     if not tagged:
         # the empty sum is the only reachable point
         if target.contains_int((0,) * d):
-            return _selection([], costs, target, budget)
+            return _selection([], costs, budget, d)
         return SelectResult(False, None)
     owners = [i for i, _pt in tagged]
     try:
@@ -644,32 +649,30 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
         raise
     if pairs is None:
         return SelectResult(False, None)
-    return _selection([(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w],
-                      costs, target, budget)
+    picks = [(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w]
+    res = _selection(picks, costs, budget, d)
+    if not target.contains_int(res.target):
+        raise InternalError("selection misses the target")
+    return res
 
 
-def _selection(picks, costs, target: Polytope, budget: int) -> SelectResult:
-    """The verified result of ``(part, point, copies)`` picks.
-
-    One ``Combination`` per part, in the order of ``costs``; raises
-    InternalError when the picks overspend the budget or miss the target.
-    """
-    d = target.dim
-    per_part = [dict() for _ in costs]
-    total_cost = 0
-    reached = [0] * d
+def _selection(picks, costs, budget: int, d: int) -> SelectResult:
+    """The selection of ``(part, point, copies)`` picks in ``d`` dimensions:
+    merged per ``(part, point)``, sorted, and summed and priced in ints.
+    InternalError when they overspend ``budget``; each caller checks the
+    reached point against its own target."""
+    merged = {}
     for i, x, w in picks:
-        per_part[i][x] = per_part[i].get(x, 0) + w
+        merged[i, x] = merged.get((i, x), 0) + w
+    picks = tuple(sorted((i, x, w) for (i, x), w in merged.items()))
+    reached = [0] * d
+    total_cost = 0
+    for i, x, w in picks:
+        reached = [r + w * v for r, v in zip(reached, x)]
         total_cost += costs[i] * w
-        for j in range(d):
-            reached[j] += w * x[j]
     if total_cost > budget:
         raise InternalError("selection exceeds the cost budget")
-    if not target.contains_int(tuple(reached)):
-        raise InternalError("selection misses the target")
-    return SelectResult(True, tuple(reached),
-                        tuple(Combination(p, dim=d) for p in per_part),
-                        total_cost)
+    return SelectResult(True, tuple(reached), picks, total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +717,8 @@ def cutting_stock(inst: CuttingStockInstance,
     parts = [(_pattern_polytope(inst.sizes, w, a), c)
              for w, c in inst.bin_types]
     best = _polytope_cover(a, parts, mode)
-    patterns = []
-    for i, combo in enumerate(best.part_combinations):
-        for point, w in sorted(combo.weights.items()):
-            patterns.append((point, i, w))
-    solution = PackingSolution(tuple(patterns), best.total_cost)
+    solution = PackingSolution(
+        tuple((point, i, w) for i, point, w in best.picks), best.total_cost)
     verify_solution(inst, solution)
     return solution
 

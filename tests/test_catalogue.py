@@ -139,6 +139,43 @@ def test_catalogue_windows_are_the_lp(workloads, monkeypatch):
         check_window(parts, a)
 
 
+def test_closed_windows_build_no_target(workloads, monkeypatch):
+    """A closed configuration window answers with its own cover, so it
+    builds no target polytope and no ``Combination``: every closed
+    ``binpack`` window, and the first closed cutting stock and preemptive
+    assignment of ``stock``, answer as before with both refused."""
+    windows, closed = [], []
+    window = solver.configuration_window
+
+    def recording(parts, a):
+        windows.append(window(parts, a))
+        return windows[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "configuration_window", recording)
+        for name in ("binpack", "stock"):
+            for desc in workloads.catalogue(name, PINS[name][0]):
+                text = workloads.render(desc)
+                objective = workloads.solve_text(text)[2].objective
+                lo, hi, _cover = windows[-1]
+                if lo == hi:
+                    closed.append((name, desc[0], text, objective))
+    kinds = [(name, kind) for name, kind, _text, _objective in closed]
+    assert kinds.count(("binpack", "binpacking")) == 117
+    chosen = [c for c in closed if c[0] == "binpack"]
+    for kind in ("cuttingstock", "scheduling"):
+        chosen.append(closed[kinds.index(("stock", kind))])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed window built a target")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "box_polytope", refuse)
+        patch.setattr(solver, "Combination", refuse)
+        for _name, _kind, text, objective in chosen:
+            assert workloads.solve_text(text)[2].objective == objective
+
+
 def _parsed(workloads, name, count):
     return [workloads.cli.parse_instance_text(workloads.render(d))
             for d in workloads.catalogue(name, count)]

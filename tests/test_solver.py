@@ -736,6 +736,25 @@ class TestCheapestCover:
         assert cutting_stock(inst).objective == 33
         assert budgets == [33, 30]
 
+    def test_bisects_over_the_costs_of_parts_that_hold_an_item(
+            self, monkeypatch):
+        # the bin type (1/20, 3) holds no item, so its cost is no step of
+        # the search: every cover costs a multiple of gcd(4, 2) = 2
+        budgets = []
+        inner = solver.multi_polytope_select
+
+        def recording(parts, target, budget, **kwargs):
+            budgets.append(budget)
+            return inner(parts, target, budget, **kwargs)
+
+        monkeypatch.setattr(solver, "multi_polytope_select", recording)
+        inst = CuttingStockInstance(
+            [Rat(1, 3), Rat(1, 5)], [4, 4],
+            [(Rat(1), 4), (Rat(1, 2), 2), (Rat(1, 20), 3)])
+        assert cutting_stock(inst).objective == 10
+        assert budgets
+        assert all(budget % 2 == 0 for budget in budgets)
+
 
 class TestConfigurationWindow:
     def test_halves(self):
@@ -1022,8 +1041,7 @@ class TestMultiPolytopeSelect:
         parts = [(singleton_target([1]), 5), (singleton_target([3]), 1)]
         res = multi_polytope_select(parts, singleton_target([3]), 1)
         assert res.found and res.total_cost == 1
-        assert dict(res.part_combinations[1].weights) == {(3,): 1}
-        assert res.part_combinations[0].total_weight == 0
+        assert res.picks == ((1, (3,), 1),)
 
     def test_budget_too_small(self):
         parts = [(singleton_target([1]), 5), (singleton_target([3]), 1)]
@@ -1034,7 +1052,7 @@ class TestMultiPolytopeSelect:
         res = multi_polytope_select([(singleton_target([2]), 1)],
                                     singleton_target([6]), 10)
         assert res.found and res.total_cost == 3
-        assert dict(res.part_combinations[0].weights) == {(2,): 3}
+        assert res.picks == ((0, (2,), 3),)
 
     def test_combining_parts(self):
         parts = [(singleton_target([2]), 1), (singleton_target([3]), 1)]
@@ -1077,7 +1095,7 @@ class TestMultiPolytopeSelect:
         res = multi_polytope_select([(empty, 1)], box_polytope([0], [0]), 5)
         assert res.found and res.total_cost == 0
         assert res.target == (0,)
-        assert [c.weights for c in res.part_combinations] == [{}]
+        assert res.picks == ()
 
     def test_parts_without_lattice_points_check_the_target(self):
         empty = Polytope([[1], [-1]], [0, -1])
@@ -1091,7 +1109,7 @@ class TestSelectFromGenerators:
         res = select_from_generators([[(1,)], [(3,)]], [5, 1],
                                      singleton_target([3]), 1)
         assert res.found and res.total_cost == 1
-        assert dict(res.part_combinations[1].weights) == {(3,): 1}
+        assert res.picks == ((1, (3,), 1),)
 
     def test_budget_blocks(self):
         res = select_from_generators([[(1,)], [(3,)]], [5, 1],
@@ -1152,18 +1170,20 @@ def _seeded_selections():
             parts = [(box_polytope([0] * d,
                                    [rng.randint(1, 3) for _ in range(d)]),
                       rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            n = len(parts)
             res = multi_polytope_select(parts, target, budget)
         else:
-            m = rng.randint(1, 3)
+            n = rng.randint(1, 3)
             # a shared pool, so groups repeat points at different costs
             pool = [tuple(rng.randint(0, 3) for _ in range(d))
                     for _ in range(4)]
-            groups = [rng.sample(pool, rng.randint(0, 4)) for _ in range(m)]
-            costs = [rng.randint(0, 3) for _ in range(m)]
+            groups = [rng.sample(pool, rng.randint(0, 4)) for _ in range(n)]
+            costs = [rng.randint(0, 3) for _ in range(n)]
             res = select_from_generators(groups, costs, target, budget)
-        out.append((res.found, res.target,
-                    [sorted(c.weights.items()) for c in res.part_combinations],
-                    res.total_cost))
+        # one list of (point, copies) per part: the form the digest pins
+        per_part = [[(x, w) for i, x, w in res.picks if i == p]
+                    for p in range(n if res.found else 0)]
+        out.append((res.found, res.target, per_part, res.total_cost))
     return out
 
 
