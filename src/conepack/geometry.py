@@ -15,8 +15,8 @@ top of it:
   axis from the sort order alone; then a monotone chain for rank-2 point
   sets, beneath-beyond on integer determinants for rank 3, vertex
   filtering by exact LP above),
-* the slack-interval grid that groups lattice points into
-  ``(signature, members)`` cells whose slacks agree within ``1 + 1/d^2``,
+* the slack-interval grid that groups lattice points into cells whose
+  slacks agree within ``1 + 1/d^2``, in signature order,
 * minimum-volume enclosing ellipsoid contact points (Khachiyan's
   iteration on plain Python floats, stopped once two consecutive steps
   give the same contacts and at most ``MVEE_ITERATION_CAP`` steps,
@@ -529,19 +529,34 @@ def _hull_3d_vertices(coords):
     """Vertices of the convex hull of distinct 3-d integer points of rank 3.
 
     Beneath-beyond (Preparata & Shamos 1985, ch. 3) on integer
-    orientation determinants.  The hull is kept as outward triangles
-    ``(u, v, w, nx, ny, nz, h)``: ``n`` is the normal ``(v - u) x (w - u)``
-    and the triangle's plane is ``n.x = h``.  It starts from the first four
-    affinely independent points; each later point ``q`` removes the
-    triangles that see it (``n.q > h``) and closes the hole with triangles
-    from ``q`` to the horizon edges; both run inline on the coordinates,
-    once per triangle.  A triangle whose plane holds ``q``
-    stays, so a face may be split into several coplanar triangles.  At the
-    end a point is a hull vertex iff its triangles lie on at least three
-    distinct planes; on one it is inside a face, on two inside an edge.
-    Returns sorted indices into ``coords``.
+    orientation determinants.  The points are inserted farthest from
+    their centroid first, by the integer squared distance ``|m p - s|^2``
+    for ``m`` points summing to ``s``, ties broken by index: the first
+    points inserted are then mostly hull vertices, so the hull grows to
+    nearly its final shape early and a later inner point sees no
+    triangle.  The hull is kept as outward triangles ``(u, v, w, nx, ny, nz, h)``: ``n`` is the normal
+    ``(v - u) x (w - u)`` and the triangle's plane is ``n.x = h``.  It
+    starts from the first four affinely independent points in insertion
+    order; each later point ``q`` removes the triangles that see it
+    (``n.q > h``) and closes the hole with triangles from ``q`` to the
+    horizon edges; both run inline on the coordinates, once per triangle.
+    A triangle whose plane holds ``q`` stays, so a face may be split into
+    several coplanar triangles.  At the end a point is a hull vertex iff
+    its triangles lie on at least three distinct planes; on one it is
+    inside a face, on two inside an edge.  The vertex set does not depend
+    on the insertion order.  Returns sorted indices into ``coords``.
     """
-    c = coords
+    size = len(coords)
+    sx, sy, sz = map(sum, zip(*coords))
+
+    def spread(i):
+        x, y, z = coords[i]
+        return ((size * x - sx) ** 2 + (size * y - sy) ** 2
+                + (size * z - sz) ** 2)
+
+    # a stable sort, so ties keep their index order
+    order = sorted(range(size), key=spread, reverse=True)
+    c = [coords[i] for i in order]
     first = [0, 1]
     u = _sub(c[1], c[0])
     i = next(i for i in range(2, len(c)) if any(_cross3(u, _sub(c[i], c[0]))))
@@ -590,7 +605,8 @@ def _hull_3d_vertices(coords):
         n = (nx // g, ny // g, nz // g)
         for v in (a, b, e):
             planes.setdefault(v, set()).add(n)
-    return sorted(v for v, normals in planes.items() if len(normals) >= 3)
+    return sorted(order[v] for v, normals in planes.items()
+                  if len(normals) >= 3)
 
 
 def extreme_points(points: Iterable[Sequence[int]]) -> list:
@@ -749,39 +765,61 @@ class _SlackIndex(dict):
 def cell_partition(poly: Polytope) -> list:
     """Group the lattice points by their slack-signature.
 
-    Returns ``(signature, members)`` pairs sorted by signature, where
-    ``signature`` holds one interval index per constraint row and
-    ``members`` is the sorted tuple of the cell's lattice points.  Every
-    lattice point lands in exactly one cell, and two points share a cell
-    iff every one of their slacks falls in the same grid interval.  The
-    signatures are built a row at a time over the coordinate columns of
-    the points, as a column of interval indices per row; a point's
-    signature is its entry in every column.  A row with one non-zero
-    coefficient, such as a box row, maps each distinct value of its
-    coordinate to an interval index once and then indexes the column.
-    Any other row computes its slacks over the columns of its non-zero
-    coefficients, so each is an int.  The interval index of each distinct
-    slack is looked up once per call, on its first use.
+    Returns the cells as sorted tuples of lattice points, in ascending
+    signature order, where a point's signature holds one interval index
+    per constraint row.  Every lattice point lands in exactly one cell,
+    and two points share a cell iff every one of their slacks falls in
+    the same grid interval.
+
+    The rows are read in order, each as a column of interval indices over
+    the points, and folded into one int key per point in mixed radix: the
+    key is multiplied by the row's largest index + 1 and the row's index
+    added, so the keys sort as the signatures do.  A row with one non-zero
+    coefficient, an axis row, maps each distinct value of its coordinate
+    to an interval index once and then indexes the column; any other row
+    computes its slacks over the columns of its non-zero coefficients, so
+    each is an int.  The interval index of each distinct slack is looked
+    up once per call, on its first use.
+
+    A coordinate is separated once one of its axis rows maps its distinct
+    values to distinct intervals: two points then share that row's index
+    only if they share the coordinate.  A later axis row on a separated
+    coordinate is a function of that earlier index, so it neither splits
+    nor reorders a cell, and it is skipped.  Once every coordinate is
+    separated, each point has a key of its own, and no further row is
+    read; the remaining rows cannot move a point's place.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
+    if not pts:
+        return []
     cols = list(zip(*pts))
     index = _SlackIndex(poly.dim)
-    sig_cols = []
+    keys = [0] * len(pts)
+    pending = set(range(poly.dim))  # the coordinates not yet separated
     for row, b in zip(poly.A, poly.b):
-        terms = [(c, col) for c, col in zip(row, cols) if c]
+        terms = [(j, c) for j, c in enumerate(row) if c]
         if len(terms) == 1:
-            (c, col), = terms
-            by_value = {x: index[b - c * x] for x in set(col)}
-            sig_cols.append(list(map(by_value.__getitem__, col)))
-            continue
-        slack = [b] * len(pts)
-        for c, col in terms:
-            slack = [s - c * x for s, x in zip(slack, col)]
-        sig_cols.append(list(map(index.__getitem__, slack)))
+            (j, c), = terms
+            if j not in pending:
+                continue
+            by_value = {x: index[b - c * x] for x in set(cols[j])}
+            if len(set(by_value.values())) == len(by_value):
+                pending.discard(j)
+            column = map(by_value.__getitem__, cols[j])
+            base = max(by_value.values()) + 1
+        else:
+            slack = [b] * len(pts)
+            for j, c in terms:
+                slack = [s - c * x for s, x in zip(slack, cols[j])]
+            column = list(map(index.__getitem__, slack))
+            base = max(column) + 1
+        keys = [k * base + g for k, g in zip(keys, column)]
+        if not pending:
+            break
     cells: dict = {}
-    for sig, p in zip(zip(*sig_cols), pts):
-        cells.setdefault(sig, []).append(p)
-    return [(sig, tuple(members)) for sig, members in sorted(cells.items())]
+    for k, p in zip(keys, pts):
+        cells.setdefault(k, []).append(p)
+    return [tuple(cells[k]) for k in sorted(cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1188,7 @@ def parallelepiped_cover(poly: Polytope) -> list:
         pts = tuple(lattice_points(poly))
         cells = [pts] if pts else []
     else:
-        cells = [members for _sig, members in cell_partition(poly)]
+        cells = cell_partition(poly)
     cover = []
     for members in cells:
         if len(members) == 1:

@@ -22,7 +22,7 @@ termination.  Weight moves onto corners built on the integer frame.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError
@@ -244,22 +244,21 @@ class StructureSet:
     cover: tuple
     locator: dict
     polytope: Polytope
-    special_set: frozenset = field(init=False)
-
-    def __post_init__(self):
-        self.special_set = frozenset(self.special_points)
+    special_set: frozenset
 
 
 def compute_structure_set(poly: Polytope) -> StructureSet:
     """Cover the polytope and index its lattice points by parallelepiped.
 
-    The cover is walked in index order, and each parallelepiped claims the
-    still unclaimed lattice points it contains.  A point (``k = 0``) is its
-    own vertex: it is added to the special set and claims itself with one
-    dict lookup, without listing vertices.  Any other tests only the points
-    inside the bounding box of its vertices, and skips those already
-    claimed.  So every point goes to the lowest index of a parallelepiped
-    containing it.
+    Every lattice point goes to the lowest index of a parallelepiped
+    containing it.  A point element (``k = 0``) is its own vertex and
+    contains only itself, so all of them are indexed in one pass over the
+    cover, read from the last index back so that a repeated point keeps
+    its lowest index; a cover of points alone needs nothing more.  Then
+    each other element, in index order, tests only the lattice points
+    inside the bounding box of its vertices that no earlier element
+    holds, and claims those it contains, taking over from a point element
+    of a higher index.
 
     The lattice is read once.  The special points come out sorted by
     filtering that sorted list, so a cover vertex outside it raises
@@ -268,16 +267,17 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     """
     cover = tuple(parallelepiped_cover(poly))
     points = lattice_points(poly)
-    special = set()
-    locator = {}
+    last = len(cover) - 1
+    locator = {pp._center: idx  # integral, so stored unscaled
+               for idx, pp in zip(range(last, -1, -1), reversed(cover))
+               if not pp.vecs}
+    special = set(locator)
+    # one index per element: every element was a distinct point
+    boxed = [] if len(locator) == len(cover) else [
+        (idx, pp) for idx, pp in enumerate(cover) if pp.vecs]
     # sorted; the points that no k > 0 element has claimed yet
     unassigned = list(points)
-    for idx, pp in enumerate(cover):
-        if not pp.vecs:
-            p = pp._center  # integral, so stored unscaled
-            special.add(p)
-            locator.setdefault(p, idx)
-            continue
+    for idx, pp in boxed:
         verts = pp.vertices()
         special.update(verts)
         lo = tuple(map(min, zip(*verts)))
@@ -287,8 +287,8 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
         stop = bisect_right(unassigned, hi)
         missed = []
         for p in unassigned[start:stop]:
-            if p in locator:
-                continue
+            if locator.get(p, idx) < idx:
+                continue  # an earlier point element holds it
             if all(a <= x <= b for a, x, b in zip(lo, p, hi)) and pp.contains(p):
                 locator[p] = idx
             else:
@@ -296,7 +296,7 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
         unassigned[start:stop] = missed
     # every cover vertex is an integral point of P, so it is in the
     # sorted lattice list
-    special_points = tuple(p for p in points if p in special)
+    special_points = tuple(filter(special.__contains__, points))
     if len(special_points) != len(special):
         stray = min(special.difference(special_points))
         raise InternalError(f"cover vertex {stray} is not a lattice point")
@@ -305,7 +305,8 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     if len(locator) != len(points):
         missing = next(p for p in unassigned if p not in locator)
         raise InternalError(f"lattice point {missing} missed by the cover")
-    return StructureSet(special_points, cover, locator, poly)
+    return StructureSet(special_points, cover, locator, poly,
+                        frozenset(special))
 
 
 def normalize_combination(combo: Combination, sset: StructureSet) -> Combination:

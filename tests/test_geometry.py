@@ -1,13 +1,15 @@
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conepack import geometry
+from conepack import cli, geometry
 from conepack.errors import InputError, InternalError, ResourceError
 from conepack.exactmath import INFEASIBLE, OPTIMAL, ExactLp, lp_optimize
 from conepack.geometry import (
@@ -659,6 +661,42 @@ class TestHulls:
                     patch.setattr(geometry._Frame, "solve", no_chart)
                 assert extreme_points(pts) == expected, (kind, pts)
 
+    def test_rank3_hull_ignores_input_order(self):
+        """``_hull_3d_vertices`` itself, on seeded 3-d sets with points
+        inside faces and inside edges: boxes with such points added, and
+        the lattice points of random polytopes.  Each set is shuffled, and
+        the sorted indices that come back must name exactly the vertices
+        ``brute_extreme`` gives, so no later sort can hide an order fault."""
+        rng = random.Random(70913)
+        inner = Counter()
+        done = 0
+        while done < 24:
+            if done % 2 == 0:
+                top = [rng.randint(1, 4) for _ in range(3)]
+                pts = {(x, y, z) for x in (0, top[0]) for y in (0, top[1])
+                       for z in (0, top[2])}
+                for _ in range(rng.randint(4, 12)):
+                    p = [rng.randint(0, t) for t in top]
+                    # one coordinate at a bound: a face; two: an edge
+                    for j in rng.sample(range(3), rng.choice((1, 2))):
+                        p[j] = rng.choice((0, top[j]))
+                    at_bound = sum(v in (0, t) for v, t in zip(p, top))
+                    inner[at_bound] += 1
+                    pts.add(tuple(p))
+                pts = list(pts)
+            else:
+                pts = _rank3_set(rng, "polytope")
+                if pts is None or _affine_rank(pts) != 3:
+                    continue
+            expected = brute_extreme(pts)
+            for _ in range(3):
+                rng.shuffle(pts)
+                found = geometry._hull_3d_vertices(pts)
+                assert found == sorted(found)
+                assert sorted(pts[i] for i in found) == expected, pts
+            done += 1
+        assert inner[1] and inner[2]
+
     def test_rank2_plane_hull_matches_definition_without_charts(
             self, monkeypatch):
         """Rank-2 sets in the plane against the LP definition: the monotone
@@ -889,49 +927,162 @@ class TestSlackGrid:
             slack_interval_index(0, 0)
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "conebench" / "workloads.py"
+
+
+def _cover_catalogue():
+    """The 40 polytopes of the benchmark's ``cover`` catalogue, read
+    through the instance reader; ``conebench/workloads.py`` is loaded from
+    its file and only read."""
+    spec = importlib.util.spec_from_file_location("_cell_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cli.parse_instance_text(workloads.render(desc))[1]
+            for desc in workloads.catalogue("cover", 40)]
+
+
+def _cell_polytope(rng):
+    """A seeded box in d = 1..4 with up to two cuts, in shapes the cover
+    catalogue never reaches, or None when it holds no lattice point.
+
+    Half the boxes are wide: one side up to 40, where one slack interval
+    holds several slacks.  Half have a second axis row on one coordinate,
+    scaled by up to 3 and looser or tighter than the box.  Half have their
+    rows shuffled, so a cut row may come before the axis rows.
+    """
+    d = rng.randint(1, 4)
+    wide = rng.random() < 0.5
+    small = 6 if d <= 2 else 3
+    lo = [rng.randint(-2, 0) for _ in range(d)]
+    hi = [a + rng.randint(0, 40 if wide and j == 0 else small)
+          for j, a in enumerate(lo)]
+    rows, rhs = [], []
+    for j in range(d):
+        unit = [int(i == j) for i in range(d)]
+        rows += [unit, [-v for v in unit]]
+        rhs += [hi[j], -lo[j]]
+    if rng.random() < 0.5:
+        j = rng.randrange(d)
+        c = rng.choice((1, 2, 3))
+        unit = [c * int(i == j) for i in range(d)]
+        if rng.random() < 0.5:
+            rows.append(unit)
+            rhs.append(c * hi[j] + rng.randint(-2, 2))
+        else:
+            rows.append([-v for v in unit])
+            rhs.append(-c * lo[j] + rng.randint(-2, 2))
+    inside = [rng.randint(a, b) for a, b in zip(lo, hi)]
+    for _ in range(rng.randint(0, 2)):
+        row = [rng.randint(-5, 5) for _ in range(d)]
+        if any(row):
+            rows.append(row)
+            rhs.append(sum(c * x for c, x in zip(row, inside))
+                       + rng.randint(0, 12))
+    if rng.random() < 0.5:
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    poly = Polytope(rows, rhs)
+    return poly if lattice_points(poly) else None
+
+
+def _cell_polytopes():
+    rng = random.Random(61207)
+    polys = []
+    while len(polys) < 48:
+        poly = _cell_polytope(rng)
+        if poly is not None:
+            polys.append(poly)
+    return polys + _cover_catalogue()
+
+
+CELL_POLYTOPES = _cell_polytopes()
+
+
+def _signature(poly, p):
+    """The slack-interval index of every row at ``p``, from its slacks."""
+    return tuple(slack_interval_index(s, poly.dim) for s in poly.slacks(p))
+
+
+def _axis_rows(poly):
+    """The coordinate of each axis row (one non-zero coefficient), or None
+    for any other row."""
+    out = []
+    for row in poly.A:
+        nonzero = [j for j, c in enumerate(row) if c]
+        out.append(nonzero[0] if len(nonzero) == 1 else None)
+    return out
+
+
 class TestCells:
     def test_unit_segment_two_cells(self):
+        # signatures (0, 2) at 0 and (2, 0) at 1
         poly = Polytope([[-1], [1]], [0, 1])
-        cells = cell_partition(poly)
-        assert len(cells) == 2
-        assert {members for _sig, members in cells} == {((0,),), ((1,),)}
+        assert cell_partition(poly) == [((0,),), ((1,),)]
 
     def test_single_point_one_cell(self):
         poly = Polytope([[1], [-1]], [4, -4])
-        cells = cell_partition(poly)
-        assert len(cells) == 1 and cells[0][1][0] == (4,)
+        assert cell_partition(poly) == [((4,),)]
+
+    def test_empty_lattice_no_cells(self):
+        assert cell_partition(Polytope([[2], [-2]], [1, -1])) == []
+
+    def test_seeded_cases_reach_past_the_catalogue(self):
+        """The seeded polytopes hold what the cover catalogue does not:
+        every dimension 1..4, a cut row before an axis row, two axis rows
+        on one coordinate, and cells of more than one point."""
+        seeded = CELL_POLYTOPES[:48]
+        assert {poly.dim for poly in seeded} == {1, 2, 3, 4}
+        axes = [_axis_rows(poly) for poly in seeded]
+        assert any(a.index(None) < max(i for i, j in enumerate(a)
+                                       if j is not None)
+                   for a in axes if None in a)
+        assert any(max(Counter(j for j in a if j is not None).values()) > 2
+                   for a in axes)
+        assert any(len(members) > 1 for poly in seeded
+                   for members in cell_partition(poly))
+        assert len(CELL_POLYTOPES) == 88
 
     def test_matches_the_slack_vector_loop(self):
+        """The members and order of the cells against a loop over the
+        points' full slack signatures, in ascending signature order."""
         def slack_vector_cells(poly):
-            d = poly.dim
             cells = {}
             for p in lattice_points(poly):
-                sig = tuple(slack_interval_index(s, d)
-                            for s in poly.slacks(p))
-                cells.setdefault(sig, []).append(p)
-            return [(sig, tuple(sorted(members)))
-                    for sig, members in sorted(cells.items())]
+                cells.setdefault(_signature(poly, p), []).append(p)
+            return [tuple(sorted(members))
+                    for _sig, members in sorted(cells.items())]
 
         rng = random.Random(52711)
-        for _ in range(60):
-            poly = rand_bounded_polytope(rng, max_dim=4, box_cap=6,
-                                         lattice_budget=3000)
-            assert cell_partition(poly) == slack_vector_cells(poly)
+        polys = [rand_bounded_polytope(rng, max_dim=4, box_cap=6,
+                                       lattice_budget=3000)
+                 for _ in range(60)]
+        for poly in polys + CELL_POLYTOPES:
+            assert cell_partition(poly) == slack_vector_cells(poly), poly.A
 
     def test_partition_properties(self):
-        poly = knapsack_fig()
-        cells = cell_partition(poly)
-        seen = []
-        for signature, members in cells:
-            assert members[0] == min(members)
-            for p in members:
-                # every slack must land inside its signature interval
-                for s, j in zip(poly.slacks(p), signature):
-                    lo, hi = slack_interval_endpoints(j, poly.dim)
-                    assert lo <= s <= hi
-            seen.extend(members)
-        assert sorted(seen) == lattice_points(poly)
-        assert len(seen) == len(set(seen))
+        """Each cell is sorted and has one signature, computed here from
+        ``poly.slacks``; every slack lies in its signature's interval; no
+        two cells share a signature, and the cells come in ascending
+        signature order; together they hold each lattice point once."""
+        for poly in [knapsack_fig()] + CELL_POLYTOPES:
+            signatures = []
+            seen = []
+            for members in cell_partition(poly):
+                assert list(members) == sorted(members)
+                found = {_signature(poly, p) for p in members}
+                assert len(found) == 1, (poly.A, members)
+                signature = found.pop()
+                for p in members:
+                    for s, j in zip(poly.slacks(p), signature):
+                        lo, hi = slack_interval_endpoints(j, poly.dim)
+                        assert lo <= s <= hi
+                signatures.append(signature)
+                seen.extend(members)
+            assert signatures == sorted(set(signatures)), poly.A
+            assert sorted(seen) == lattice_points(poly)
+            assert len(seen) == len(set(seen))
 
 
 class TestParallelepiped:

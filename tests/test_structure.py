@@ -454,6 +454,63 @@ def test_a_cover_vertex_off_the_lattice_is_rejected(monkeypatch):
         compute_structure_set(poly)
 
 
+def _point_cover_polytope():
+    """A cut 3-d box as the ``cover`` workload draws them, whose cover is
+    all ``k = 0`` points."""
+    poly = Polytope(*_box3((4, 3, 5), [([2, -1, 3], 17)]))
+    assert all(pp.k == 0 for pp in compute_structure_set(poly).cover)
+    return poly
+
+
+@pytest.mark.parametrize("at", [0, 7, None])
+def test_a_stray_point_element_is_rejected(at, monkeypatch):
+    """A point element off the lattice, first, inside or last in a cover
+    of points that claims every lattice point, is named."""
+    poly = _point_cover_polytope()
+    cover = list(compute_structure_set(poly).cover)
+    cover.insert(len(cover) if at is None else at,
+                 Parallelepiped.point((2, 4, 0)))
+    monkeypatch.setattr(structure, "parallelepiped_cover",
+                        lambda _poly: list(cover))
+    with pytest.raises(InternalError, match=re.escape(
+            "cover vertex (2, 4, 0) is not a lattice point")):
+        compute_structure_set(poly)
+
+
+def test_a_dropped_point_element_is_named(monkeypatch):
+    """Dropping a point from a cover of points names that point, for each
+    of a seeded few; with a stray point added too, the stray is named."""
+    poly = _point_cover_polytope()
+    cover = list(compute_structure_set(poly).cover)
+    rng = random.Random(80231)
+    for i in rng.sample(range(len(cover)), 6):
+        point, = cover[i].vertices()
+        kept = cover[:i] + cover[i + 1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, "parallelepiped_cover",
+                          lambda _poly: list(kept))
+            with pytest.raises(InternalError, match=re.escape(
+                    f"lattice point {point} missed by the cover")):
+                compute_structure_set(poly)
+            kept.append(Parallelepiped.point((0, 0, 6)))
+            with pytest.raises(InternalError, match=re.escape(
+                    "cover vertex (0, 0, 6) is not a lattice point")):
+                compute_structure_set(poly)
+
+
+def test_a_repeated_point_element_keeps_the_lowest_index(monkeypatch):
+    poly = _point_cover_polytope()
+    sset = compute_structure_set(poly)
+    cover = list(sset.cover)
+    again = [cover[5], cover[0], cover[5]]
+    monkeypatch.setattr(structure, "parallelepiped_cover",
+                        lambda _poly: cover + again)
+    repeated = compute_structure_set(poly)
+    assert repeated.locator == sset.locator
+    assert repeated.special_points == sset.special_points
+    assert repeated.special_set == sset.special_set
+
+
 class TestNormalize:
     def test_empty(self):
         poly = Polytope([[-1], [1]], [0, 3])
