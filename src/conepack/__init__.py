@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .errors import InfeasibleError, InputError, InternalError, ResourceError
 from .rational import Rat
 from .geometry import Polytope, lattice_points, coordinate_bounds
-from .structure import Combination, parallelepiped_cover, normalize_combination
+from .structure import parallelepiped_cover, normalize_combination
 from .ilp import IlpProblem, IlpResult, ilp_feasible
 from .solver import (BinPackingInstance, CuttingStockInstance,
                      PackingSolution, IntConeResult, SelectResult,
@@ -39,7 +39,6 @@ __all__ = [
     "Polytope",
     "lattice_points",
     "coordinate_bounds",
-    "Combination",
     "parallelepiped_cover",
     "normalize_combination",
     "IlpProblem",

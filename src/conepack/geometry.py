@@ -45,7 +45,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
@@ -901,22 +901,25 @@ class Parallelepiped(_Frame):
     def __repr__(self):
         return f"Parallelepiped(center={self.center}, k={self.k})"
 
+    def corner(self, signs: Sequence[int]) -> tuple:
+        """The corner ``center + sum_i signs[i] * dir_i``, each sign +-1,
+        as an integer tuple; ``InputError`` when it is not integral."""
+        corner = list(self._center)
+        for sign, dvec in zip(signs, self.vecs):
+            for i, v in enumerate(dvec):
+                corner[i] += sign * v
+        scale = self._scale
+        if any(x % scale for x in corner):
+            raise InputError("non-integral parallelepiped vertex "
+                             f"{tuple(Rat(x, scale) for x in corner)}")
+        return tuple(x // scale for x in corner)
+
     def vertices(self) -> list:
         """All ``2^k`` sign-pattern corners as integer tuples, sorted."""
         if not self.vecs and self._scale == 1:
             return [self._center]
-        corners = [self._center]
-        for dvec in self.vecs:
-            corners = [tuple(c + sign * v for c, v in zip(corner, dvec))
-                       for corner in corners for sign in (1, -1)]
-        scale = self._scale
-        out = set()
-        for corner in corners:
-            if any(x % scale for x in corner):
-                raise InputError("non-integral parallelepiped vertex "
-                                 f"{tuple(Rat(x, scale) for x in corner)}")
-            out.add(tuple(x // scale for x in corner))
-        return sorted(out)
+        return sorted({self.corner(signs)
+                       for signs in product((1, -1), repeat=len(self.vecs))})
 
     def _numerators(self, point: Sequence) -> Optional[tuple]:
         """``(num, den)`` with ``mu = num / den`` if the point is inside."""

@@ -581,26 +581,13 @@ def extract_cyclic_schedule(aux: Sequence[int], inst: SchedulingInstance,
 def validate_nonpreemptive_schedule(inst: SchedulingInstance,
                                     machine_type: int, x: Sequence[int],
                                     schedule: Sequence) -> None:
-    """Exact checks: one segment per copy, windows, no overlap."""
+    """The preemptive checks, and every segment runs its job's whole
+    length, so each job copy is one segment."""
+    validate_preemptive_schedule(inst, machine_type, x, schedule)
     windows = _machine_windows(inst, machine_type)
-    x = _job_vector(inst, x)
-    counts = [0] * inst.d
-    spans = []
-    for segment in schedule:
-        job_type, _copy, start, end = segment
-        r, dl, p = _segment_window(windows, segment)
-        if end - start != p:
-            raise InternalError(f"job {job_type} segment has the wrong length")
-        if start < r or end > dl:
-            raise InternalError(f"job {job_type} runs outside its window")
-        counts[job_type] += 1
-        spans.append((start, end))
-    spans.sort()
-    for (a1, b1), (a2, _b2) in zip(spans, spans[1:]):
-        if b1 > a2:
-            raise InternalError("machine runs two jobs at once")
-    if tuple(counts) != x:
-        raise InternalError("schedule does not match the job vector")
+    for job_type, copy, start, end in schedule:
+        if end - start != windows[job_type][2]:
+            raise InternalError(f"job {job_type}#{copy} is preempted")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   directions because every solvable target admits a witness of exactly
   this shape.
 
+A witness combination is one ``{point: weight}`` dict, from the integer
+program's weights through ``normalize_combination`` to
+``IntConeResult.combination``.
+
 Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
 optimiser, here and in ``scheduling``, finds its objective with
 ``least_feasible``: a bisection that asks one selection question per
@@ -53,12 +57,7 @@ from .geometry import (
 )
 from .ilp import IlpProblem, ilp_feasible
 from .rational import Rat, ONE, integer
-from .structure import (
-    Combination,
-    combo_sum,
-    compute_structure_set,
-    normalize_combination,
-)
+from .structure import compute_structure_set, normalize_combination
 
 # ---------------------------------------------------------------------------
 # instances and solutions
@@ -123,7 +122,7 @@ class PackingSolution:
 class IntConeResult:
     found: bool
     target: Optional[tuple]            # the reached point y
-    combination: Optional[Combination]
+    combination: Optional[dict]        # {point: weight}, normalized
     mode_used: str = ""
     guesses_tried: int = 0             # 0 or 1: whether the lead guess ran
 
@@ -368,8 +367,8 @@ def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
     """Solve for generator weights; None when infeasible.
 
     ``cap`` is an optional row ``(coefficients, bound)`` on the generator
-    weights, appended after the rows of ``_combination_rows``.  Returns one
-    ``(point, weight)`` pair per generator, in order.
+    weights, appended after the rows of ``_combination_rows``.  Returns the
+    weights, one per generator, in order.
 
     Every weight is bounded, as ``ilp_feasible`` needs: the callers refuse
     unbounded targets and generators that are not pointed unless a cost
@@ -384,7 +383,7 @@ def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
                                         hi=gen_hi))
     if not res.feasible:
         return None
-    return list(zip(generators, res.witness))
+    return res.witness
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +418,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     if integer_box(target) is None:
         return IntConeResult(False, None, None, mode, 0)
     if target.contains_int((0,) * target.dim):
-        return IntConeResult(True, (0,) * target.dim,
-                             Combination(dim=source.dim), mode, 0)
+        return IntConeResult(True, (0,) * target.dim, {}, mode, 0)
     generators = [p for p in lattice_points(source) if any(v != 0 for v in p)]
     if not generators:
         return IntConeResult(False, None, None, mode, 0)
@@ -435,34 +433,43 @@ def int_cone_intersect(source: Polytope, target: Polytope,
             "unbounded")
     sset = compute_structure_set(source)
 
-    def finish(pairs, mode_used, guesses):
-        combo = Combination(pairs, dim=source.dim)
-        y = combo_sum(combo)
-        for p in combo.weights:
+    def finish(combo, mode_used, guesses):
+        y = [0] * source.dim
+        for p, w in combo.items():
             if p not in sset.locator:
                 raise InternalError(f"witness point {p} is not a generator")
+            y = [a + w * v for a, v in zip(y, p)]
         if not target.contains_int(y):
             raise InternalError("witness sum escapes the target")
         # normalize_combination checks the sum and the support bound
-        return IntConeResult(True, y, normalize_combination(combo, sset),
+        return IntConeResult(True, tuple(y),
+                             normalize_combination(combo, sset),
                              mode_used, guesses)
 
     guesses = 0
     if mode == "faithful":
         guesses = 1
         support = [g for g, (n, _d) in zip(generators, prefilter.point()) if n]
-        pairs = _faithful_search(sset, support, target)
-        if pairs is not None:
-            return finish(pairs, "faithful", guesses)
+        combo = _faithful_search(sset, support, target)
+        if combo is not None:
+            return finish(combo, "faithful", guesses)
         # A miss does not certify Empty: the lead guess spans only the
         # vertices of a few parallelepipeds, and a reachable target may
         # normalize onto vertices outside that span.  The joint program
         # below decides.
 
-    pairs = _joint_program(sset, generators, target)
-    if pairs is None:
+    combo = _joint_program(sset, generators, target)
+    if combo is None:
         return IntConeResult(False, None, None, "joint", guesses)
-    return finish(pairs, "joint", guesses)
+    return finish(combo, "joint", guesses)
+
+
+def _weighted(points, witness):
+    """The ``{point: weight}`` combination of a program's ``witness`` over
+    distinct ``points``, zero weights dropped; None for no witness."""
+    if witness is None:
+        return None
+    return {p: w for p, w in zip(points, witness) if w}
 
 
 def _faithful_search(sset, support, target):
@@ -475,12 +482,12 @@ def _faithful_search(sset, support, target):
     rational combination of the guess's non-zero vertices: their
     relaxation is feasible by construction, and their program is the
     likeliest to hit.  Those vertices get unbounded integer weights.
-    Returns the witness pairs, or None on a miss.
+    Returns the witness combination, or None on a miss.
     """
     cover = sset.cover
     special = sorted({v for i in {sset.locator[g] for g in support}
                       for v in cover[i].vertices() if any(v)})
-    return _run_combination_ilp(special, target)
+    return _weighted(special, _run_combination_ilp(special, target))
 
 
 def _joint_program(sset, generators, target):
@@ -493,7 +500,8 @@ def _joint_program(sset, generators, target):
     """
     special = sset.special_set
     hi = [None if g in special else 1 for g in generators]
-    return _run_combination_ilp(generators, target, gen_hi=hi)
+    return _weighted(generators,
+                     _run_combination_ilp(generators, target, gen_hi=hi))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +590,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     if not res.found:
         return SelectResult(False, None)
     picks = []
-    for point, w in res.combination.weights.items():
+    for point, w in res.combination.items():
         x, sel = point[:d], point[d:]
         if sel not in selectors:
             raise InternalError(f"lifted point {point} has a broken selector")
@@ -635,10 +643,10 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
         if target.contains_int((0,) * d):
             return _selection([], costs, budget, d)
         return SelectResult(False, None)
-    owners = [i for i, _pt in tagged]
     try:
-        pairs = _run_combination_ilp([pt for _i, pt in tagged], target,
-                                     cap=([costs[i] for i in owners], budget))
+        witness = _run_combination_ilp(
+            [pt for _i, pt in tagged], target,
+            cap=([costs[i] for i, _pt in tagged], budget))
     except InputError as exc:
         free = [pt for i, pt in tagged if costs[i] == 0]
         if free and in_convex_hull((0,) * d, free):
@@ -647,9 +655,9 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
                 "combination of the non-zero generators of the zero-cost "
                 "groups, so the combination weights are unbounded") from exc
         raise
-    if pairs is None:
+    if witness is None:
         return SelectResult(False, None)
-    picks = [(i, pt, w) for i, (pt, w) in zip(owners, pairs) if w]
+    picks = [(i, pt, w) for (i, pt), w in zip(tagged, witness) if w]
     res = _selection(picks, costs, budget, d)
     if not target.contains_int(res.target):
         raise InternalError("selection misses the target")

@@ -1,9 +1,12 @@
 """Support reduction and weight redistribution for integer combinations.
 
-A ``Combination`` is a finitely supported map from integer points to
-positive integer weights, standing for the sum ``sum_x weight[x] * x``.
-Three procedures keep that sum and the total weight invariant while
-simplifying the support:
+A combination is its weights: a ``{point: weight}`` dict from integer
+points to positive integer weights, standing for the sum
+``sum_x weight[x] * x``.  Each entry that takes a combination reads it
+once through ``_weights``, which reads every coordinate and weight through
+``rational.integer``, drops zero weights, and refuses a negative weight or
+points of mixed dimension.  Three procedures keep the sum and the total
+weight invariant while simplifying the support, and return plain dicts:
 
 * ``reduce_support``: parity-pairing descent to at most ``2^d`` points,
   all inside the convex hull of the original support.
@@ -16,14 +19,15 @@ simplifying the support:
 
 All arithmetic is exact; each rewriting step asserts its progress measure
 (squared-norm potential or off-X mass), which is what guarantees
-termination.  Weight moves onto corners built on the integer frame.
+termination.  Weight moves onto corners built by the parallelepiped's own
+``Parallelepiped.corner``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .geometry import (
@@ -35,66 +39,33 @@ from .geometry import (
 from .rational import integer
 
 
-class Combination:
-    """Sparse non-negative integer weights on integer points.
+def _weights(combo: Mapping) -> Dict[tuple, int]:
+    """The ``{point: weight}`` dict of a combination, read once.
 
-    Zero weights are dropped on construction; negative weights are
-    rejected.  ``dim`` is inferred from the points (an empty combination
-    may carry an explicit ``dim`` or leave it None).
+    Coordinates and weights go through ``rational.integer``, so integral
+    rationals come back as ints; zero weights are dropped, and a negative
+    weight or points of mixed dimension raise ``InputError``.
     """
-
-    __slots__ = ("weights", "dim")
-
-    def __init__(self,
-                 weights: Union[Mapping, Iterable, None] = None,
-                 dim: Optional[int] = None):
-        items = []
-        if weights is None:
-            pass
-        elif isinstance(weights, Mapping):
-            items = list(weights.items())
-        else:
-            items = list(weights)
-        store: Dict[tuple, int] = {}
-        for point, w in items:
-            pt = tuple(integer(v, "point coordinate") for v in point)
-            w = integer(w, "weight")
-            if w < 0:
-                raise InputError(f"negative weight {w} at {pt}")
-            if dim is None:
-                dim = len(pt)
-            elif len(pt) != dim:
-                raise InputError(f"point {pt} has dim {len(pt)}, expected {dim}")
-            if w > 0:
-                store[pt] = store.get(pt, 0) + w
-        self.weights = store
-        self.dim = dim
-
-    @property
-    def support(self) -> list:
-        return sorted(self.weights)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights.values())
-
-    def __eq__(self, other):
-        return isinstance(other, Combination) and self.weights == other.weights
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __repr__(self):
-        inner = ", ".join(f"{p}:{w}" for p, w in sorted(self.weights.items()))
-        return f"Combination({{{inner}}})"
+    store: Dict[tuple, int] = {}
+    dim = None
+    for point, w in combo.items():
+        pt = tuple(integer(v, "point coordinate") for v in point)
+        w = integer(w, "weight")
+        if w < 0:
+            raise InputError(f"negative weight {w} at {pt}")
+        if dim is None:
+            dim = len(pt)
+        elif len(pt) != dim:
+            raise InputError(f"point {pt} has dim {len(pt)}, expected {dim}")
+        if w > 0:
+            store[pt] = store.get(pt, 0) + w
+    return store
 
 
-def combo_sum(combo: Combination) -> tuple:
-    """Exact ``sum_x weight[x] * x``; the empty combination sums to zeros."""
-    if combo.dim is None:
-        return ()
-    acc = [0] * combo.dim
-    for p, w in combo.weights.items():
+def _sum(weights: Mapping, dim: int) -> tuple:
+    """Exact ``sum_x weight[x] * x`` in ``dim`` coordinates."""
+    acc = [0] * dim
+    for p, w in weights.items():
         for i, v in enumerate(p):
             acc[i] += w * v
     return tuple(acc)
@@ -109,8 +80,9 @@ def _first_parity_pair(points: Sequence[tuple]):
     return None
 
 
-def reduce_support(combo: Combination) -> Combination:
-    """Shrink the support to at most ``2^d`` points.
+def reduce_support(combo: Mapping) -> dict:
+    """Shrink the support of a ``{point: weight}`` combination to at most
+    ``2^d`` points; returns a new dict.
 
     While more than ``2^d`` points carry weight, two of them agree
     coordinate-wise mod 2; both shed ``t = min(weight)`` units onto their
@@ -119,12 +91,14 @@ def reduce_support(combo: Combination) -> Combination:
     total weight are preserved exactly, and new points are midpoints, hence
     stay in the convex hull of the original support.
     """
-    if combo.dim is None:
-        return Combination(dim=None)
-    bound = 1 << combo.dim
-    if len(combo.weights) <= bound:
-        return Combination(combo.weights, dim=combo.dim)
-    weights = dict(combo.weights)
+    return _reduced(_weights(combo))
+
+
+def _reduced(weights: Dict[tuple, int]) -> Dict[tuple, int]:
+    """``reduce_support`` of weights already read; mutates and returns them."""
+    if not weights:
+        return weights
+    bound = 1 << len(next(iter(weights)))
     while len(weights) > bound:
         pair = _first_parity_pair(sorted(weights))
         if pair is None:
@@ -140,7 +114,7 @@ def reduce_support(combo: Combination) -> Combination:
             if weights[p] == 0:
                 del weights[p]
         weights[z] = weights.get(z, 0) + 2 * t
-    return Combination(weights, dim=combo.dim)
+    return weights
 
 
 def _settle_in_pp(pp: Parallelepiped, weights: Dict[tuple, int],
@@ -168,14 +142,7 @@ def _settle_in_pp(pp: Parallelepiped, weights: Dict[tuple, int],
         if target is not None:
             # the corner signed like target's mu = num / den (den > 0)
             num, _den = coords(target)
-            y = list(pp._center)
-            for a, dvec in zip(num, pp.vecs):
-                sign = 1 if a >= 0 else -1
-                for i, v in enumerate(dvec):
-                    y[i] += sign * v
-            if any(v % pp._scale for v in y):
-                raise InternalError("parallelepiped vertex is not integral")
-            yv = tuple(v // pp._scale for v in y)
+            yv = pp.corner([1 if a >= 0 else -1 for a in num])
             z = tuple(2 * a - b for a, b in zip(target, yv))
             if coords(z) is None:
                 raise InternalError(f"mirror point {z} left the parallelepiped")
@@ -210,12 +177,13 @@ def _settle_in_pp(pp: Parallelepiped, weights: Dict[tuple, int],
 
 
 def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
-                       w: int) -> Combination:
+                       w: int) -> dict:
     """Spread ``w`` copies of a parallelepiped point onto its vertices.
 
-    Returns a combination with the same sum ``w * x_star`` and total weight
-    ``w`` whose non-vertex support points all carry weight 1 and number at
-    most ``2^d``.  A vertex input comes back unchanged.
+    Returns a ``{point: weight}`` combination with the same sum
+    ``w * x_star`` and total weight ``w`` whose non-vertex support points
+    all carry weight 1 and number at most ``2^d``.  A vertex input comes
+    back unchanged.
     """
     w = integer(w, "weight")
     if w <= 0:
@@ -225,10 +193,10 @@ def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
         raise InputError(f"{x} is not inside the parallelepiped")
     weights = {x: w}
     _settle_in_pp(pp, weights, frozenset(pp.vertices()))
-    out = Combination(weights, dim=pp.dim)
-    if combo_sum(out) != tuple(w * v for v in x) or out.total_weight != w:
+    if _sum(weights, pp.dim) != tuple(w * v for v in x) or \
+            sum(weights.values()) != w:
         raise InternalError("redistribution broke the sum or the weight")
-    return out
+    return weights
 
 
 @dataclass(eq=False)
@@ -309,22 +277,26 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
                         frozenset(special))
 
 
-def normalize_combination(combo: Combination, sset: StructureSet) -> Combination:
-    """Rewrite a combination into the structured normal form.
+def normalize_combination(combo: Mapping, sset: StructureSet) -> dict:
+    """Rewrite a ``{point: weight}`` combination into the structured
+    normal form; returns a new dict.
 
     Post-conditions (asserted): sum and total weight unchanged; off the
     special set X every weight is 0 or 1; at most ``2^{2d}`` support points
     inside X and at most ``2^{2d}`` outside.  Every support point must be a
     covered lattice point, otherwise the input is rejected.
     """
-    reduced = reduce_support(combo)
-    if not reduced.weights:
-        return reduced
+    weights = _weights(combo)
+    if not weights:
+        return weights
     d = sset.polytope.dim
-    if reduced.dim != d:
-        raise InputError(f"combination dim {reduced.dim} vs polytope dim {d}")
+    dim = len(next(iter(weights)))
+    if dim != d:
+        raise InputError(f"combination dim {dim} vs polytope dim {d}")
+    total = sum(weights.values())
+    reached = _sum(weights, d)
+    weights = _reduced(weights)
     xset = sset.special_set
-    weights = dict(reduced.weights)
     used = set()
     for p in weights:
         if p not in sset.locator:
@@ -338,16 +310,14 @@ def normalize_combination(combo: Combination, sset: StructureSet) -> Combination
         if not any(_settle_in_pp(sset.cover[idx], weights, xset)
                    for idx in order):
             break
-    result = Combination(weights, dim=d)
-    if combo_sum(result) != combo_sum(combo) or \
-            result.total_weight != combo.total_weight:
+    if _sum(weights, d) != reached or sum(weights.values()) != total:
         raise InternalError("normalization broke the sum or the weight")
-    on_x = sum(1 for p in result.weights if p in xset)
-    off_x = len(result.weights) - on_x
+    on_x = sum(1 for p in weights if p in xset)
+    off_x = len(weights) - on_x
     cap = 1 << (2 * d)
-    if any(w > 1 for p, w in result.weights.items() if p not in xset):
+    if any(w > 1 for p, w in weights.items() if p not in xset):
         raise InternalError("off-X weight above 1 after normalization")
     if on_x > cap or off_x > cap:
         raise InternalError(
             f"support bounds violated: {on_x} on X, {off_x} off X, cap {cap}")
-    return result
+    return weights

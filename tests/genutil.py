@@ -125,3 +125,10 @@ def rand_combination_weights(rng, lattice, max_support=6, max_weight=9):
     support = rng.sample(list(lattice), min(len(lattice),
                                             rng.randint(1, max_support)))
     return {p: rng.randint(1, max_weight) for p in support}
+
+
+def weighted_sum(weights):
+    """``sum_x weight[x] * x`` of a ``{point: weight}`` combination; the
+    empty combination sums to ``()``."""
+    return tuple(map(sum, zip(*(tuple(w * v for v in p)
+                                for p, w in weights.items()))))

@@ -24,8 +24,8 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  edf_simulate, nonpreemptive_completable,
                                  tardy_min_penalty)
 from conepack.solver import BinPackingInstance, bin_packing
-from conepack.structure import (Combination, combo_sum, compute_structure_set,
-                                normalize_combination, reduce_support)
+from conepack.structure import (compute_structure_set, normalize_combination,
+                                reduce_support)
 
 import genutil
 
@@ -184,15 +184,14 @@ def test_criterion_05_support_reduction():
     for _ in range(500):
         d = rng.randint(1, 3)
         n = rng.randint(1, 10)
-        pts = {tuple(rng.randint(0, 20) for _ in range(d)): rng.randint(1, 50)
-               for _ in range(n)}
-        c = Combination(pts)
+        c = {tuple(rng.randint(0, 20) for _ in range(d)): rng.randint(1, 50)
+             for _ in range(n)}
         out = reduce_support(c)
-        hull = list(c.weights)
+        hull = list(c)
         ok = (len(out) <= 2 ** d
-              and combo_sum(out) == combo_sum(c)
-              and out.total_weight == c.total_weight
-              and all(in_convex_hull(p, hull) for p in out.weights))
+              and genutil.weighted_sum(out) == genutil.weighted_sum(c)
+              and sum(out.values()) == sum(c.values())
+              and all(in_convex_hull(p, hull) for p in out))
         bad += not ok
     report(5, bad == 0, f"500 combinations, {bad} reduction failures")
 
@@ -217,15 +216,15 @@ def test_criterion_06_normalized_combinations():
     for _ in range(200):
         poly, sset, pts = fixtures[rng.randrange(len(fixtures))]
         support = rng.sample(pts, min(len(pts), rng.randint(1, 6)))
-        c = Combination({p: rng.randint(1, 30) for p in support})
+        c = {p: rng.randint(1, 30) for p in support}
         out = normalize_combination(c, sset)
         cap = 2 ** (2 * poly.dim)
         xset = set(sset.special_points)
-        on_x = [p for p in out.weights if p in xset]
-        off_x = [p for p in out.weights if p not in xset]
-        ok = (combo_sum(out) == combo_sum(c)
-              and out.total_weight == c.total_weight
-              and all(out.weights[p] == 1 for p in off_x)
+        on_x = [p for p in out if p in xset]
+        off_x = [p for p in out if p not in xset]
+        ok = (genutil.weighted_sum(out) == genutil.weighted_sum(c)
+              and sum(out.values()) == sum(c.values())
+              and all(out[p] == 1 for p in off_x)
               and len(on_x) <= cap and len(off_x) <= cap)
         bad += not ok
     report(6, bad == 0, f"200 normalizations, {bad} condition violations")

@@ -141,7 +141,7 @@ def test_catalogue_windows_are_the_lp(workloads, monkeypatch):
 
 def test_closed_windows_build_no_target(workloads, monkeypatch):
     """A closed configuration window answers with its own cover, so it
-    builds no target polytope and no ``Combination``: every closed
+    builds no target polytope and normalizes no combination: every closed
     ``binpack`` window, and the first closed cutting stock and preemptive
     assignment of ``stock``, answer as before with both refused."""
     windows, closed = [], []
@@ -171,7 +171,7 @@ def test_closed_windows_build_no_target(workloads, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "box_polytope", refuse)
-        patch.setattr(solver, "Combination", refuse)
+        patch.setattr(solver, "normalize_combination", refuse)
         for _name, _kind, text, objective in chosen:
             assert workloads.solve_text(text)[2].objective == objective
 

@@ -4,7 +4,9 @@ through ``rational.integer``, and leaves instance files to ``cli``.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, and in
-``__init__.py`` it must be listed in ``__all__``, which re-exports it.
+``__init__.py`` it must be listed in ``__all__``, which re-exports it,
+and every entry of ``__all__`` must be bound there, or
+``from conepack import *`` fails.
 A non-relative import must name a module of ``sys.stdlib_module_names``
 or ``conepack``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
@@ -160,6 +162,38 @@ def test_an_unused_import_is_caught(tmp_path):
                       "from . import budget as spent\n\nprint(gcd(4, 6))\n")
     assert unused_imports(module) == ["lcm (line 2)", "os (line 1)",
                                       "spent (line 3)"]
+
+
+def stale_exports(path):
+    """The entries of the module's ``__all__`` that no import, top-level
+    definition or top-level assignment of the module binds."""
+    tree = parse(path)
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(exported_names(tree) - bound)
+
+
+def test_every_export_is_bound():
+    assert stale_exports(PACKAGE / "__init__.py") == []
+    namespace = {}
+    exec("from conepack import *", namespace)
+    assert set(conepack.__all__) <= set(namespace)
+
+
+def test_a_stale_export_is_caught(tmp_path):
+    module = tmp_path / "__init__.py"
+    module.write_text("from .geometry import Polytope\n"
+                      "from . import budget\n\n"
+                      "VERSION = 1\n\n\n"
+                      "def solve():\n    pass\n\n\n"
+                      "__all__ = ['Polytope', 'budget', 'VERSION', 'solve',\n"
+                      "           'Combination', 'combo_sum']\n")
+    assert stale_exports(module) == ["Combination", "combo_sum"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -27,7 +27,8 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 from conepack.solver import multi_polytope_select, select_from_generators
-from conepack.structure import Combination, redistribute_in_pp
+from conepack.structure import (compute_structure_set, normalize_combination,
+                                redistribute_in_pp, reduce_support)
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -44,6 +45,11 @@ def two_jobs():
 def two_machine_types():
     return SchedulingInstance([[(0, 4, 1), (1, 6, 2)],
                                [(2, 5, 1), (0, 6, 3)]], [2, 1], costs=[1, 1])
+
+
+def segment_sset():
+    """The structure set of the segment [0, 2]."""
+    return compute_structure_set(box_polytope([0], [2]))
 
 
 def certificate():
@@ -67,7 +73,13 @@ NON_INTEGRAL = [
      lambda: select_from_generators([[(THREE_HALVES,)]], [1],
                                     box_polytope([1], [1]), 5)),
     ("combination-point", "point coordinate",
-     lambda: Combination({(THREE_HALVES,): 1})),
+     lambda: reduce_support({(THREE_HALVES,): 1})),
+    ("combination-weight", "weight",
+     lambda: reduce_support({(1,): THREE_HALVES})),
+    ("normalize-point", "point coordinate",
+     lambda: normalize_combination({(THREE_HALVES,): 1}, segment_sset())),
+    ("normalize-weight", "weight",
+     lambda: normalize_combination({(1,): THREE_HALVES}, segment_sset())),
     ("redistribute-point", "point coordinate",
      lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)),
                                 (THREE_HALVES,), 2)),
@@ -142,8 +154,15 @@ INTEGRAL = [
      lambda: lattice_points(Polytope([[Fraction(4, 2), 1], [-1, 0], [0, -1]],
                                      [Fraction(12, 2), 0, 0])),
      lambda: lattice_points(Polytope([[2, 1], [-1, 0], [0, -1]], [6, 0, 0]))),
-    ("combination", lambda: Combination({(Fraction(2), 1): Fraction(3)}),
-     lambda: Combination({(2, 1): 3})),
+    ("combination", lambda: reduce_support({(Fraction(2), 1): Fraction(3)}),
+     lambda: reduce_support({(2, 1): 3})),
+    ("normalize",
+     lambda: normalize_combination({(Fraction(1),): 2.0}, segment_sset()),
+     lambda: normalize_combination({(1,): 2}, segment_sset())),
+    ("redistribute",
+     lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)),
+                                (Fraction(1),), 5.0),
+     lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)), (1,), 5)),
     ("edf-simulate", lambda: edf_simulate([2.0, 1], two_jobs(), 0),
      lambda: edf_simulate([2, 1], two_jobs(), 0)),
     ("edf-simulate-overload", lambda: edf_simulate([5.0, 0], two_jobs(), 0),
@@ -163,9 +182,12 @@ def test_an_integral_value_answers_as_its_int_twin(twin, plain):
 def test_integral_values_come_back_as_ints():
     poly = Polytope([[Fraction(4, 2), 1.0]], [Fraction(12, 2)])
     assert all(type(v) is int for v in poly.A[0] + poly.b)
-    combo = Combination({(Fraction(2), 1): Fraction(3)})
-    assert [type(v) for v in (*combo.support[0], combo.total_weight)] == \
-        [int, int, int]
+    for combo in (reduce_support({(Fraction(2), 1): Fraction(3)}),
+                  normalize_combination({(Fraction(1),): 2.0}, segment_sset()),
+                  redistribute_in_pp(Parallelepiped((1,), ((1,),)),
+                                     (Fraction(1),), 5.0)):
+        assert all(type(v) is int for point, w in combo.items()
+                   for v in (*point, w))
     res = lifted_select(Fraction(2))
     assert res.found and type(res.total_cost) is int
 

@@ -226,6 +226,24 @@ class TestCyclePolytope:
         with pytest.raises(InputError, match="fits no cycle layout"):
             extract_cyclic_schedule((0,) * length, FIXTURE, 0)
 
+    @pytest.mark.parametrize("schedule,message", [
+        (((0, 0, 0, 2), (0, 0, 2, 4)), r"^job 0#0 not fully processed$"),
+        (((0, 5, 0, 2), (0, 7, 2, 4)), r"^job 0#0 not fully processed$"),
+        (((0, 0, 0, 1), (0, 0, 1, 2), (0, 1, 2, 4)), r"^job 0#0 is preempted$"),
+        (((0, 0, 0, 2), (0, 1, 1, 3)), r"^machine runs two jobs at once$"),
+        (((0, 0, 0, 2), (0, 1, 5, 7)), r"^segment of job 0#1 escapes its "
+                                       r"window$"),
+    ], ids=["one-copy-twice", "copies-5-and-7", "split-copy", "overlap",
+            "late"])
+    def test_validation_reads_the_copies(self, schedule, message):
+        # x = (2,) of a length-2 job in [0, 6): copies 0 and 1, one
+        # segment each
+        inst = SchedulingInstance([[(0, 6, 2)]], [2], costs=[1])
+        validate_nonpreemptive_schedule(inst, 0, (2,),
+                                        ((0, 0, 0, 2), (0, 1, 2, 4)))
+        with pytest.raises(InternalError, match=message):
+            validate_nonpreemptive_schedule(inst, 0, (2,), schedule)
+
     def test_downward_closure(self):
         vecs = schedulable_vectors(FIXTURE, 0, (1, 1, 1))
         for x in vecs:

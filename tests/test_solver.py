@@ -25,10 +25,11 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
                              verify_solution)
-from conepack.structure import combo_sum, compute_structure_set
+from conepack.structure import compute_structure_set
 
 from genutil import (box_polytope, check_window, mode_verdicts,
-                     rand_bounded_polytope, rand_bp_instance, singleton_target)
+                     rand_bounded_polytope, rand_bp_instance, singleton_target,
+                     weighted_sum)
 
 
 def segment(lo, hi):
@@ -74,7 +75,7 @@ class TestIntConeIntersect:
     def test_reach_five_from_segment(self):
         res = int_cone_intersect(segment(1, 2), singleton_target([5]))
         assert res.found and res.target == (5,)
-        assert combo_sum(res.combination) == (5,)
+        assert weighted_sum(res.combination) == (5,)
 
     def test_parity_gap(self):
         res = int_cone_intersect(segment(2, 2), singleton_target([3]))
@@ -83,7 +84,7 @@ class TestIntConeIntersect:
     def test_zero_target_is_trivial(self):
         res = int_cone_intersect(segment(2, 2), singleton_target([0]))
         assert res.found and res.target == (0,)
-        assert res.combination.total_weight == 0
+        assert res.combination == {}
 
     def test_empty_lattice(self):
         # only fractional points between 0 and 1 exclusive
@@ -124,7 +125,7 @@ class TestIntConeIntersect:
             b = int_cone_intersect(src, tgt, mode="joint")
             assert a.found == b.found
             if a.found:
-                assert a.target == b.target == combo_sum(a.combination)
+                assert a.target == b.target == weighted_sum(a.combination)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(5151)
@@ -151,7 +152,7 @@ class TestIntConeIntersect:
             tgt = singleton_target([rng.randint(5, 25) for _ in range(d)])
             res = int_cone_intersect(src, tgt)
             if res.found:
-                assert len(res.combination.weights) <= 2 ** (2 * d + 1)
+                assert len(res.combination) <= 2 ** (2 * d + 1)
 
     def test_unbounded_target_needs_bounds(self):
         src = segment(1, 2)

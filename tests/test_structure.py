@@ -10,6 +10,7 @@ from conepack.errors import InputError, InternalError
 from conepack.geometry import (
     Parallelepiped,
     Polytope,
+    box_polytope,
     cell_partition,
     coordinate_bounds,
     in_convex_hull,
@@ -19,69 +20,102 @@ from conepack.geometry import (
 )
 from conepack.rational import format_rat
 from conepack.structure import (
-    Combination,
-    combo_sum,
     compute_structure_set,
     normalize_combination,
     redistribute_in_pp,
     reduce_support,
 )
 
+from genutil import weighted_sum
+
+
+def square_pp():
+    """The square with corners (0, -1) and (2, 1)."""
+    return Parallelepiped((1, 0), ((1, 0), (0, 1)))
+
+
+def normalized_in_box(combo):
+    """``normalize_combination`` against the box [0, 3]^2, which holds
+    every point of ``TestCombination``; its cover is its 16 points, so
+    every point is special and a small support comes back as it is."""
+    return normalize_combination(
+        combo, compute_structure_set(box_polytope([0, 0], [3, 3])))
+
+
+# the entries that take a {point: weight} combination
+ENTRIES = [reduce_support, normalized_in_box]
+
 
 class TestCombination:
+    """A combination is its ``{point: weight}`` dict, read alike by every
+    entry: zero weights dropped, a negative weight or mixed dimensions
+    refused.  ``tests/test_intake.py`` reads coordinates and weights
+    through ``rational.integer`` at each entry."""
+
     def test_zero_weights_dropped(self):
-        c = Combination({(1, 2): 3, (0, 0): 0})
-        assert c.weights == {(1, 2): 3}
-        assert c.total_weight == 3
+        for entry in ENTRIES:
+            assert entry({(1, 2): 3, (0, 0): 0}) == {(1, 2): 3}
+            assert entry({(0, 0): 0}) == {}
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InputError):
-            Combination({(1,): -1})
+        for entry in ENTRIES:
+            with pytest.raises(InputError,
+                               match=r"^negative weight -1 at \(1, 1\)$"):
+                entry({(2, 2): 1, (1, 1): -1})
+        with pytest.raises(InputError, match="^weight must be a positive"):
+            redistribute_in_pp(square_pp(), (1, 0), -1)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            Combination({(1, 2): 1, (3,): 1})
+        for entry in ENTRIES:
+            with pytest.raises(InputError,
+                               match=r"^point \(3,\) has dim 1, expected 2$"):
+                entry({(1, 2): 1, (3,): 1})
+        with pytest.raises(InputError, match="^point dimension mismatch$"):
+            redistribute_in_pp(square_pp(), (1,), 1)
 
     def test_sum(self):
-        assert combo_sum(Combination(dim=None)) == ()
-        assert combo_sum(Combination({}, dim=3)) == (0, 0, 0)
-        assert combo_sum(Combination({(1, 0): 2, (0, 3): 1})) == (2, 3)
-        assert combo_sum(Combination({(7, 0): 1, (6, 1): 1})) == (13, 1)
+        # every entry keeps the sum, and the empty combination stays empty
+        for entry in ENTRIES:
+            assert entry({}) == {}
+            for combo, total in [({(1, 0): 2, (0, 3): 1}, (2, 3)),
+                                 ({(3, 0): 1, (2, 1): 1}, (5, 1))]:
+                assert weighted_sum(combo) == total
+                assert weighted_sum(entry(combo)) == total
+        assert weighted_sum(redistribute_in_pp(square_pp(), (1, 0), 5)) == \
+            (5, 0)
 
 
 class TestReduceSupport:
     def test_d1_example(self):
-        c = Combination({(0,): 1, (1,): 2, (2,): 1})
-        assert reduce_support(c) == Combination({(1,): 4})
+        assert reduce_support({(0,): 1, (1,): 2, (2,): 1}) == {(1,): 4}
 
     def test_small_support_unchanged(self):
-        c = Combination({(0, 0): 5, (3, 1): 2})
+        c = {(0, 0): 5, (3, 1): 2}
         assert reduce_support(c) == c
 
     def test_d2_five_points(self):
-        c = Combination({(0, 0): 1, (2, 0): 1, (0, 2): 1, (2, 2): 1, (1, 1): 1})
+        c = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (2, 2): 1, (1, 1): 1}
         out = reduce_support(c)
         assert len(out) <= 4
-        assert combo_sum(out) == (5, 5)
-        assert out.total_weight == 5
+        assert weighted_sum(out) == (5, 5)
+        assert sum(out.values()) == 5
 
     def test_empty(self):
-        assert reduce_support(Combination(dim=None)).weights == {}
+        assert reduce_support({}) == {}
 
     def test_random_invariants(self):
         rng = random.Random(60523)
         for _ in range(150):
             d = rng.randint(1, 3)
             n = rng.randint(1, 10)
-            pts = {tuple(rng.randint(0, 20) for _ in range(d)): rng.randint(1, 50)
-                   for _ in range(n)}
-            c = Combination(pts)
+            c = {tuple(rng.randint(0, 20) for _ in range(d)): rng.randint(1, 50)
+                 for _ in range(n)}
             out = reduce_support(c)
             assert len(out) <= 2 ** d
-            assert combo_sum(out) == combo_sum(c)
-            assert out.total_weight == c.total_weight
-            hull = list(c.weights)
-            for p in out.weights:
+            assert weighted_sum(out) == weighted_sum(c)
+            assert sum(out.values()) == sum(c.values())
+            hull = list(c)
+            for p in out:
                 assert in_convex_hull(p, hull)
 
 
@@ -92,15 +126,15 @@ def segment_pp():
 class TestRedistribute:
     def test_d1_weight5(self):
         out = redistribute_in_pp(segment_pp(), (1,), 5)
-        assert out == Combination({(0,): 2, (2,): 2, (1,): 1})
+        assert out == {(0,): 2, (2,): 2, (1,): 1}
 
     def test_d1_weight2(self):
         out = redistribute_in_pp(segment_pp(), (1,), 2)
-        assert out == Combination({(0,): 1, (2,): 1})
+        assert out == {(0,): 1, (2,): 1}
 
     def test_vertex_unchanged(self):
         out = redistribute_in_pp(segment_pp(), (2,), 7)
-        assert out == Combination({(2,): 7})
+        assert out == {(2,): 7}
 
     def test_outside_rejected(self):
         with pytest.raises(InputError):
@@ -112,9 +146,9 @@ class TestRedistribute:
         pp = Parallelepiped((1, 1), ((1, 0), (0, 1)))
         out = redistribute_in_pp(pp, (1, 1), 9)
         verts = set(pp.vertices())
-        assert combo_sum(out) == (9, 9)
-        assert out.total_weight == 9
-        nonvert = {p: w for p, w in out.weights.items() if p not in verts}
+        assert weighted_sum(out) == (9, 9)
+        assert sum(out.values()) == 9
+        nonvert = {p: w for p, w in out.items() if p not in verts}
         assert all(w == 1 for w in nonvert.values())
         assert len(nonvert) <= 4
 
@@ -133,13 +167,13 @@ class TestRedistribute:
             w = rng.randint(1, 60)
             out = redistribute_in_pp(pp, x, w)
             verts = set(pp.vertices())
-            assert combo_sum(out) == tuple(w * v for v in x)
-            assert out.total_weight == w
-            for p, wt in out.weights.items():
+            assert weighted_sum(out) == tuple(w * v for v in x)
+            assert sum(out.values()) == w
+            for p, wt in out.items():
                 assert pp.coordinates(p) is not None
                 if p not in verts:
                     assert wt == 1
-            assert sum(1 for p in out.weights if p not in verts) <= 2 ** pp.dim
+            assert sum(1 for p in out if p not in verts) <= 2 ** pp.dim
 
 
 def _pp_lattice(pp):
@@ -515,24 +549,22 @@ class TestNormalize:
     def test_empty(self):
         poly = Polytope([[-1], [1]], [0, 3])
         sset = compute_structure_set(poly)
-        out = normalize_combination(Combination(dim=None), sset)
-        assert out.weights == {}
+        assert normalize_combination({}, sset) == {}
 
     def test_on_special_points_unchanged(self):
         poly = Polytope([[-1], [1]], [0, 3])
         sset = compute_structure_set(poly)
-        c = Combination({(0,): 5, (3,): 7})
+        c = {(0,): 5, (3,): 7}
         assert normalize_combination(c, sset) == c
 
     def test_segment_interior_weight(self):
         poly = Polytope([[-1], [1]], [0, 3])
         sset = compute_structure_set(poly)
-        c = Combination({(1,): 10})
-        out = normalize_combination(c, sset)
-        assert combo_sum(out) == (10,)
-        assert out.total_weight == 10
+        out = normalize_combination({(1,): 10}, sset)
+        assert weighted_sum(out) == (10,)
+        assert sum(out.values()) == 10
         xset = set(sset.special_points)
-        for p, w in out.weights.items():
+        for p, w in out.items():
             if p not in xset:
                 assert w == 1
 
@@ -540,7 +572,7 @@ class TestNormalize:
         poly = Polytope([[-1], [1]], [0, 3])
         sset = compute_structure_set(poly)
         with pytest.raises(InputError):
-            normalize_combination(Combination({(9,): 1}), sset)
+            normalize_combination({(9,): 1}, sset)
 
     def test_random_conditions(self):
         rng = random.Random(81031)
@@ -556,15 +588,15 @@ class TestNormalize:
             sset = ssets[i]
             pts = lattice_points(polys[i])
             support = rng.sample(pts, min(len(pts), rng.randint(1, 6)))
-            c = Combination({p: rng.randint(1, 30) for p in support})
+            c = {p: rng.randint(1, 30) for p in support}
             out = normalize_combination(c, sset)
             d = polys[i].dim
             cap = 2 ** (2 * d)
             xset = set(sset.special_points)
-            assert combo_sum(out) == combo_sum(c)
-            assert out.total_weight == c.total_weight
-            on_x = [p for p in out.weights if p in xset]
-            off_x = [p for p in out.weights if p not in xset]
-            assert all(out.weights[p] == 1 for p in off_x)
+            assert weighted_sum(out) == weighted_sum(c)
+            assert sum(out.values()) == sum(c.values())
+            on_x = [p for p in out if p in xset]
+            off_x = [p for p in out if p not in xset]
+            assert all(out[p] == 1 for p in off_x)
             assert len(on_x) <= cap
             assert len(off_x) <= cap
