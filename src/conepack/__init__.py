@@ -15,7 +15,7 @@ from .errors import InfeasibleError, InputError, InternalError, ResourceError
 from .rational import Rat
 from .geometry import Polytope, lattice_points, coordinate_bounds
 from .structure import parallelepiped_cover, normalize_combination
-from .ilp import IlpProblem, IlpResult, ilp_feasible
+from .ilp import IlpResult, ilp_feasible
 from .solver import (BinPackingInstance, CuttingStockInstance,
                      PackingSolution, IntConeResult, SelectResult,
                      int_cone_intersect, bin_packing, cutting_stock,
@@ -41,7 +41,6 @@ __all__ = [
     "coordinate_bounds",
     "parallelepiped_cover",
     "normalize_combination",
-    "IlpProblem",
     "IlpResult",
     "ilp_feasible",
     "BinPackingInstance",

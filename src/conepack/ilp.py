@@ -1,5 +1,9 @@
 """Integer feasibility for small fixed-dimension systems ``Ax <= b``.
 
+A program is its rows: ``ilp_feasible(rows, rhs, lo, hi)`` reads the
+coefficients and right-hand sides once through ``rational.integer`` and
+leaves the shape and bound checks to the ``ExactLp`` built from them.
+
 The solver is depth-first branch-and-bound over exact rational LP
 relaxations: each node repairs feasibility of a warm-started simplex
 tableau after a bound change, an integral relaxation point (or a
@@ -51,90 +55,47 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
-class IlpProblem:
-    """``{x in Z^n : rows * x <= rhs, lo <= x <= hi}`` with integer data.
-
-    ``lo``/``hi`` entries may be None (unknown); equalities are encoded as
-    paired inequalities by the caller.
-    """
-
-    rows: tuple
-    rhs: tuple
-    n: int
-    lo: tuple = None
-    hi: tuple = None
-
-    @classmethod
-    def build(cls, rows: Sequence[Sequence[int]], rhs: Sequence[int],
-              lo: Optional[Sequence] = None,
-              hi: Optional[Sequence] = None) -> "IlpProblem":
-        rows = tuple(tuple(integer(v, "constraint coefficient") for v in row)
-                     for row in rows)
-        rhs = tuple(integer(v, "right-hand side") for v in rhs)
-        if len(rows) != len(rhs):
-            raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
-        if not rows:
-            raise InputError("a problem needs at least one constraint row")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise InputError("ragged constraint matrix")
-        if n < 1:
-            raise InputError("at least one variable required")
-
-        def norm(bounds):
-            if bounds is None:
-                return tuple([None] * n)
-            out = tuple(None if v is None else integer(v, "variable bound")
-                        for v in bounds)
-            if len(out) != n:
-                raise InputError("bound vector length mismatch")
-            return out
-
-        return cls(rows, rhs, n, norm(lo), norm(hi))
-
-
-@dataclass(frozen=True)
 class IlpResult:
     feasible: bool
     witness: Optional[tuple]
     nodes: int
 
 
-def _satisfies(problem: IlpProblem, x: Sequence[int]) -> bool:
-    for row, b in zip(problem.rows, problem.rhs):
+def _satisfies(rows, rhs, lo, hi, x: Sequence[int]) -> bool:
+    for row, b in zip(rows, rhs):
         if sum(c * v for c, v in zip(row, x)) > b:
             return False
-    for v, lo in zip(x, problem.lo):
-        if lo is not None and v < lo:
+    for v, low in zip(x, lo):
+        if low is not None and v < low:
             return False
-    for v, hi in zip(x, problem.hi):
-        if hi is not None and v > hi:
+    for v, high in zip(x, hi):
+        if high is not None and v > high:
             return False
     return True
 
 
-def _derive_bounds(problem: IlpProblem):
+def _derive_bounds(rows, rhs, lo, hi):
     """Fill missing variable bounds from the LP relaxation, exactly.
 
-    Returns (lo, hi) integer lists, None when the relaxation is empty, or
-    raises InputError when some variable is unbounded.  The bounds are
-    derived one side at a time on one tableau, each rounded bound
-    tightening it in place before the next side is optimized.  Phase 1 runs
-    again before each optimization, so None comes back exactly when some
-    side's relaxation, under the bounds derived before it, is empty.
+    Returns (lo, hi) lists, None when the relaxation is empty, or raises
+    InputError when some variable is unbounded.  With no bound missing,
+    ``lo`` and ``hi`` come back as given and no LP is built.  Otherwise the
+    bounds are derived one side at a time on one tableau, each rounded
+    bound tightening it in place before the next side is optimized.  Phase
+    1 runs again before each optimization, so None comes back exactly when
+    some side's relaxation, under the bounds derived before it, is empty.
     """
-    lo = list(problem.lo)
-    hi = list(problem.hi)
-    lp = None
-    for j in range(problem.n):
+    if None not in lo and None not in hi:
+        return lo, hi
+    lo, hi = list(lo), list(hi)
+    lp = ExactLp(rows, rhs, lo=lo, hi=hi)
+    for j in range(lp.n):
         for side, sense in ((0, "min"), (1, "max")):
             if (lo[j] if side == 0 else hi[j]) is not None:
                 continue
-            if lp is None:
-                lp = ExactLp(problem.rows, problem.rhs, lo=lo, hi=hi)
             if not lp.find_feasible():
                 return None
-            c = [0] * problem.n
+            c = [0] * lp.n
             c[j] = 1
             status, value = lp.optimize(c, sense)
             if status == UNBOUNDED:
@@ -148,16 +109,36 @@ def _derive_bounds(problem: IlpProblem):
     return lo, hi
 
 
-def ilp_feasible(problem: IlpProblem) -> IlpResult:
-    """Find an integer point of the system or certify there is none."""
-    derived = _derive_bounds(problem)
+def ilp_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                 lo: Optional[Sequence] = None,
+                 hi: Optional[Sequence] = None) -> IlpResult:
+    """Find an integer point of ``{x in Z^n : rows x <= rhs, lo <= x <= hi}``
+    or certify there is none.
+
+    Equalities are paired inequalities, and a ``lo``/``hi`` entry may be
+    None (unknown; derived from the relaxation).  The coefficients and
+    right-hand sides are read once through ``rational.integer``; an empty
+    program or one without variables is an ``InputError``.  The program's
+    shape (ragged rows, a right-hand side per row, a bound per variable)
+    and the bounds' integrality are checked by the first ``ExactLp`` built
+    from it, before any answer.
+    """
+    rows = [[integer(v, "constraint coefficient") for v in row]
+            for row in rows]
+    rhs = [integer(v, "right-hand side") for v in rhs]
+    if not rows:
+        raise InputError("a problem needs at least one constraint row")
+    n = len(rows[0])
+    if n < 1:
+        raise InputError("at least one variable required")
+    given = [[None] * n if b is None else b for b in (lo, hi)]
+    derived = _derive_bounds(rows, rhs, *given)
     if derived is None:
         return IlpResult(False, None, 0)
-    lo, hi = derived
-    if any(a > b for a, b in zip(lo, hi)):
+    lp = ExactLp(rows, rhs, lo=derived[0], hi=derived[1])
+    if any(a > b for a, b in zip(*derived)):
         return IlpResult(False, None, 0)
 
-    lp = ExactLp(problem.rows, problem.rhs, lo=lo, hi=hi)
     nodes = 0
     witness = None
     # depth-first stack of (parent snapshot or None, bound change)
@@ -185,7 +166,7 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
         # in the node's integer bounds, so the rounded point does too
         rounded = [f + (2 * r >= d)
                    for f, r, (_n, d) in zip(floors, rems, point)]
-        if _satisfies(problem, rounded):
+        if _satisfies(rows, rhs, *given, rounded):
             witness = tuple(rounded)
             break
         # branch on the fractional coordinate with the tightest domain
@@ -199,7 +180,7 @@ def ilp_feasible(problem: IlpProblem) -> IlpResult:
         stack.append((None, (j, lo[j], split)))
     if witness is None:
         return IlpResult(False, None, nodes)
-    if not _satisfies(problem, witness):
+    if not _satisfies(rows, rhs, *given, witness):
         raise InternalError("witness fails exact constraint check")
     return IlpResult(True, witness, nodes)
 

@@ -17,9 +17,11 @@ times.  Two schedulability encodings drive everything:
 Assignment problems (open machines of each type at a cost, meet the whole
 demand) run ``solver.cheapest_cover``: a preemptive probe is a
 ``multi_polytope_select`` over the clipped EDF polytopes, a non-preemptive
-one a ``select_from_generators`` over the enumerated schedulable vectors.
-The tardy variant (machine counts fixed, pay per dropped job copy) bisects
-the dropped penalty mass over selections from those vectors.  All returned
+one a ``select_from_generators`` over the enumerated schedulable vectors,
+whose ``(points, cost)`` parts are the window's parts too.  The tardy
+variant (machine counts fixed, pay per dropped job copy) bisects the
+dropped penalty mass over selections from those vectors.  The cycle
+programs go to ``ilp_feasible`` as their rows and bounds.  All returned
 schedules are re-validated from scratch.
 """
 
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import InputError, InternalError, ResourceError
 from .geometry import (Polytope, box_polytope, down_closed_polytope,
                        lattice_points)
-from .ilp import IlpProblem, ilp_feasible
+from .ilp import ilp_feasible
 from .rational import integer
 from .solver import (_check_mode, _multiplicities, _polytope_cover,
                      cheapest_cover, least_feasible, select_from_generators)
@@ -307,13 +309,18 @@ def _segment_window(windows: tuple, segment: tuple) -> tuple:
 
 def validate_preemptive_schedule(inst: SchedulingInstance, machine_type: int,
                                  x: Sequence[int], schedule: Sequence) -> None:
-    """Exact checks: windows, full lengths, one job at a time."""
+    """Exact checks: windows, full lengths, one job at a time.  A segment
+    that is not ``(job type, copy, start, end)`` is an InternalError."""
     windows = _machine_windows(inst, machine_type)
     x = _job_vector(inst, x)
     work = {}
     spans = []
     for segment in schedule:
-        job_type, copy, start, end = segment
+        try:
+            job_type, copy, start, end = segment
+        except (TypeError, ValueError) as exc:
+            raise InternalError(f"segment {segment!r} is not (job type, "
+                                f"copy, start, end)") from exc
         r, dl, p = _segment_window(windows, segment)
         if start < r or end > dl or end <= start:
             raise InternalError(
@@ -528,7 +535,7 @@ def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
     for k in range(1, layout.cycles + 1):
         hi[layout.tau(k)] = delta
         hi[layout.y(0, k)] = dummy
-    res = ilp_feasible(IlpProblem.build(rows, rhs, lo=lo, hi=hi))
+    res = ilp_feasible(rows, rhs, lo=lo, hi=hi)
     if not res.feasible:
         return None
     if not _cycle_polytope(inst, machine_type,
@@ -707,11 +714,8 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities
     per_type = [schedulable_vectors(inst, i, a) for i in range(inst.m)]
-    groups = [sorted(per_type[i]) for i in range(inst.m)]
-    best = cheapest_cover(
-        a, list(zip(groups, inst.costs)),
-        lambda target, budget: select_from_generators(
-            groups, list(inst.costs), target, budget))
+    parts = [(sorted(vecs), c) for vecs, c in zip(per_type, inst.costs)]
+    best = cheapest_cover(a, parts, partial(select_from_generators, parts))
     machines, placed = _machines(best, inst.d,
                                  partial(_cyclic_schedule, inst, per_type))
     if placed != a:
@@ -737,7 +741,7 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
     pen = inst.penalties
     cap = sum(p * v for p, v in zip(pen, a))
     per_type = [schedulable_vectors(inst, i, a) for i in range(m)]
-    groups = []
+    parts = []
     for i in range(m):
         pts = []
         for x in sorted(per_type[i]):
@@ -745,12 +749,12 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
             mark[i] = 1
             pts.append(tuple(x) + (sum(p * v for p, v in zip(pen, x)),)
                        + tuple(mark))
-        groups.append(pts)
+        parts.append((pts, 0))
 
     def probe(dropped):
         target = box_polytope([0] * d + [cap - dropped] + list(inst.counts),
                               list(a) + [cap] + list(inst.counts))
-        return select_from_generators(groups, [0] * m, target, 0)
+        return select_from_generators(parts, target, 0)
 
     best, dropped = least_feasible(probe, 0, cap,
                                    lambda res: cap - int(res.target[d]))

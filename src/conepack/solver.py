@@ -13,8 +13,10 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   directions because every solvable target admits a witness of exactly
   this shape.
 
-A witness combination is one ``{point: weight}`` dict, from the integer
-program's weights through ``normalize_combination`` to
+Every integer program here is written as its rows by
+``_run_combination_ilp`` and solved by ``ilp_feasible``.  A witness
+combination is one ``{point: weight}`` dict, from the integer program's
+weights through ``normalize_combination`` to
 ``IntConeResult.combination``.
 
 Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
@@ -23,8 +25,9 @@ optimiser, here and in ``scheduling``, finds its objective with
 probed bound.  A selection is its ``(part, point, copies)`` picks;
 ``multi_polytope_select`` finds one over candidate polytopes, coupled by
 one selector coordinate each into one lifted intersection problem, and
-``select_from_generators`` one over listed points.  The three covering
-searches (cutting stock and the two machine assignments) bisect through
+``select_from_generators`` one over listed ``(points, cost)`` parts, the
+parts ``configuration_window`` takes.  The three covering searches
+(cutting stock and the two machine assignments) bisect through
 ``cheapest_cover`` over the multiples of the costs' gcd inside the window
 of their configuration LP, ``configuration_window``, which solves that LP
 by its own revised simplex in ints from the parts' unit vectors.  The
@@ -32,8 +35,9 @@ LP's basic weights, rounded up and trimmed, are a cover that answers at
 the window's top, so a probe runs only below that cover's cost, and a
 closed window runs none.  The window is less than d times the dearest
 cost wide, so the number of probes depends on d and the costs, not on
-the multiplicities.  Every returned solution is re-verified exactly;
-packing loads are compared in ints.
+the multiplicities.  Every returned solution is re-verified exactly:
+its counts are read through ``rational.integer`` and packing loads are
+compared in ints.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .geometry import (
     integer_box,
     lattice_points,
 )
-from .ilp import IlpProblem, ilp_feasible
+from .ilp import ilp_feasible
 from .rational import Rat, ONE, integer
 from .structure import compute_structure_set, normalize_combination
 
@@ -379,8 +383,7 @@ def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
         coefficients, bound = cap
         rows.append(list(coefficients))
         rhs.append(bound)
-    res = ilp_feasible(IlpProblem.build(rows, rhs, lo=[0] * len(generators),
-                                        hi=gen_hi))
+    res = ilp_feasible(rows, rhs, lo=[0] * len(generators), hi=gen_hi)
     if not res.feasible:
         return None
     return res.witness
@@ -604,40 +607,41 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     return res
 
 
-def select_from_generators(groups: Sequence, costs: Sequence[int],
-                           target: Polytope, budget: int) -> SelectResult:
+def select_from_generators(parts: Sequence, target: Polytope,
+                           budget: int) -> SelectResult:
     """Selection over explicitly listed generator points per part.
 
-    The integer-projection variant of ``multi_polytope_select``: each group
-    is a finite list of integer points in the target's dimension (already
-    projected from whatever auxiliary space defined them), a copy from
-    group i costs ``c_i``, and the weighted sum must land in the target
-    with total cost at most ``budget``.  One joint integer program decides:
-    the combination program over all generators, capped by their costs.
+    The integer-projection variant of ``multi_polytope_select``: ``parts``
+    lists ``(points, cost)`` as ``cheapest_cover`` takes them, each point
+    an integer point in the target's dimension (already projected from
+    whatever auxiliary space defined it), a copy of a point of part i
+    costs ``c_i``, and the weighted sum must land in the target with total
+    cost at most ``budget``.  Every part and the budget are read before
+    anything is answered.  One joint integer program decides: the
+    combination program over all generators, capped by their costs.
 
     The cap bounds the weights of generators that cost something.  The
-    zero-cost groups' non-zero generators must be pointed: when 0 is in
+    zero-cost parts' non-zero generators must be pointed: when 0 is in
     their convex hull, their weights are unbounded, and a program that
     cannot be bounded raises ``InputError`` naming them, not the target.
     """
-    if len(groups) != len(costs):
-        raise InputError("groups and costs must align")
     d = target.dim
-    budget = integer(budget, "budget")
-    if integer_box(target) is None or budget < 0:
-        return SelectResult(False, None)
-    costs = [integer(c, "cost") for c in costs]
+    costs = []
     tagged = []
-    for i, group in enumerate(groups):
-        if costs[i] < 0:
-            raise InputError(f"cost {costs[i]!r} must be a non-negative integer")
-        for g in group:
+    for i, (points, cost) in enumerate(parts):
+        cost = integer(cost, "cost")
+        if cost < 0:
+            raise InputError(f"cost {cost!r} must be a non-negative integer")
+        costs.append(cost)
+        for g in points:
             pt = tuple(integer(v, "generator coordinate") for v in g)
             if len(pt) != d:
                 raise InputError("generator dimension mismatch")
-            if all(v == 0 for v in pt):
-                continue  # contributes nothing; dropping keeps answers
-            tagged.append((i, pt))
+            if any(pt):  # the zero point contributes nothing
+                tagged.append((i, pt))
+    budget = integer(budget, "budget")
+    if integer_box(target) is None or budget < 0:
+        return SelectResult(False, None)
     if not tagged:
         # the empty sum is the only reachable point
         if target.contains_int((0,) * d):
@@ -653,7 +657,7 @@ def select_from_generators(groups: Sequence, costs: Sequence[int],
             raise InputError(
                 "the zero-cost generators are not pointed: 0 is a convex "
                 "combination of the non-zero generators of the zero-cost "
-                "groups, so the combination weights are unbounded") from exc
+                "parts, so the combination weights are unbounded") from exc
         raise
     if witness is None:
         return SelectResult(False, None)
@@ -734,6 +738,8 @@ def cutting_stock(inst: CuttingStockInstance,
 def verify_solution(inst, sol: PackingSolution) -> None:
     """Exact validity check of a packing solution; InternalError on failure.
 
+    Every pattern entry, bin type and multiplicity is read through
+    ``rational.integer``, so a non-integral one fails naming its pattern.
     Loads are compared in ints: sizes and capacities are scaled once by
     the lcm of all their denominators."""
     if not isinstance(inst, CuttingStockInstance):
@@ -746,19 +752,24 @@ def verify_solution(inst, sol: PackingSolution) -> None:
     total = [0] * d
     cost = 0
     for pattern, bt, mult in sol.patterns:
-        if len(pattern) != d:
-            raise InternalError(f"pattern {pattern} has {len(pattern)} "
+        try:
+            counts = [integer(v, "pattern entry") for v in pattern]
+            bt, mult = integer(bt, "bin type"), integer(mult, "multiplicity")
+        except InputError as exc:
+            raise InternalError(f"pattern {pattern}: {exc}") from exc
+        if len(counts) != d:
+            raise InternalError(f"pattern {pattern} has {len(counts)} "
                                 f"entries for {d} item types")
         if mult < 1:
             raise InternalError("non-positive multiplicity in solution")
         if bt not in range(len(inst.bin_types)):
             raise InternalError(f"pattern {pattern} names no bin type {bt!r}")
-        if sum(map(mul, sizes, pattern)) > caps[bt]:
+        if sum(map(mul, sizes, counts)) > caps[bt]:
             raise InternalError(f"pattern {pattern} overfills bin type {bt}")
-        if any(v < 0 for v in pattern):
+        if any(v < 0 for v in counts):
             raise InternalError(f"negative pattern {pattern}")
         for j in range(d):
-            total[j] += mult * pattern[j]
+            total[j] += mult * counts[j]
         cost += inst.bin_types[bt][1] * mult
     if tuple(total) != inst.multiplicities:
         raise InternalError("solution does not meet the demand exactly")

@@ -120,13 +120,6 @@ def rand_bounded_polytope(rng, max_dim=3, max_rows=6, coeff_cap=50,
             return poly
 
 
-def rand_combination_weights(rng, lattice, max_support=6, max_weight=9):
-    """Random weights over a few lattice points."""
-    support = rng.sample(list(lattice), min(len(lattice),
-                                            rng.randint(1, max_support)))
-    return {p: rng.randint(1, max_weight) for p in support}
-
-
 def weighted_sum(weights):
     """``sum_x weight[x] * x`` of a ``{point: weight}`` combination; the
     empty combination sums to ``()``."""

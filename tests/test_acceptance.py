@@ -16,7 +16,7 @@ from conepack import geometry
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import (Polytope, in_convex_hull, integer_hull_vertices,
                                lattice_points, parallelepiped_cover)
-from conepack.ilp import IlpProblem, ilp_feasible
+from conepack.ilp import ilp_feasible
 from conepack.oracle import (bp_brute_force, cover_verify, fractional_opt,
                              nonpreemptive_brute_counts)
 from conepack.rational import Rat, rat_ceil
@@ -230,10 +230,10 @@ def test_criterion_06_normalized_combinations():
     report(6, bad == 0, f"200 normalizations, {bad} condition violations")
 
 
-def exhaustive_ilp(problem, box):
+def exhaustive_ilp(rows, rhs, box):
     for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
         if all(sum(c * v for c, v in zip(row, x)) <= b
-               for row, b in zip(problem.rows, problem.rhs)):
+               for row, b in zip(rows, rhs)):
             return x
     return None
 
@@ -247,15 +247,14 @@ def test_criterion_07_ilp_against_enumeration():
         rows = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-10, 10) for _ in range(m)]
         box = [(rng.randint(-4, 0), rng.randint(0, 4)) for _ in range(n)]
-        p = IlpProblem.build(rows, rhs, lo=[a for a, _ in box],
-                             hi=[b for _, b in box])
-        res = ilp_feasible(p)
-        ref = exhaustive_ilp(p, box)
+        res = ilp_feasible(rows, rhs, lo=[a for a, _ in box],
+                           hi=[b for _, b in box])
+        ref = exhaustive_ilp(rows, rhs, box)
         ok = res.feasible == (ref is not None)
         if ok and res.feasible:
             x = res.witness
             ok = (all(sum(c * v for c, v in zip(row, x)) <= b
-                      for row, b in zip(p.rows, p.rhs))
+                      for row, b in zip(rows, rhs))
                   and all(a <= v <= b for v, (a, b) in zip(x, box)))
         bad += not ok
     report(7, bad == 0, f"500 integer programs, {bad} disagreements")

@@ -35,8 +35,8 @@ def _work_of(inst, monkeypatch):
         seen["most_pivots"] = max(seen["most_pivots"], seen["window"])
         return out
 
-    def counted_ilp(problem):
-        res = ilp_feasible(problem)
+    def counted_ilp(*program, **bounds):
+        res = ilp_feasible(*program, **bounds)
         seen["nodes"] += res.nodes
         seen["most_nodes"] = max(seen["most_nodes"], res.nodes)
         return res

@@ -43,6 +43,13 @@ SCHED_NP = ("scheduling\n3 1 nonpreemptive\n"
 SCHED_TARDY = ("scheduling\n3 1 tardy\n"
                "0 0 0 300 150\n0 1 100 102 1\n0 2 200 202 1\n"
                "1 1 1\n1\n5 7 9\n")
+# d = 3: the bound is the fractional optimum rounded up, not an equality
+BP_THREE = "binpacking\n3\n1/2 2\n1/3 2\n1/4 2\n"
+# an open configuration window: one select_from_generators probe runs
+SCHED_NP_OPEN = ("scheduling\n3 2 nonpreemptive\n"
+                 "0 0 0 1 1\n0 1 3 4 1\n0 2 1 4 3\n"
+                 "1 0 3 5 1\n1 1 0 4 3\n1 2 2 5 2\n"
+                 "3 1 3\n3 2\n")
 CS_SMALL = "cuttingstock\n2\n1/2 3\n1/3 2\n2\n1 5\n2/3 3\n"
 HUGE = 10 ** 20
 
@@ -427,6 +434,24 @@ class TestVerify:
                              write(tmp_path, "i.txt", SCHED_PRE))
         assert rc == 0
         assert "EDF polytope matches simulator" in out
+
+    def test_binpacking_in_three_types_takes_the_lower_bound(self, tmp_path,
+                                                            capsys):
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "i.txt", BP_THREE))
+        assert rc == 0
+        assert "objective equals brute force: OK (solver=3 oracle=3)" in out
+        assert "fractional lower bound: OK (opt=3 ceil(frac)=3)" in out
+        assert "round-up" not in out
+
+    def test_nonpreemptive_ok(self, tmp_path, capsys):
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "i.txt", SCHED_NP_OPEN))
+        assert rc == 0
+        for i in range(2):
+            assert (f"cycle polytope matches brute force (machine type {i}): "
+                    f"OK (0 disagreements)") in out
+        assert "assignment objective: OK (cost=8)" in out
 
     def test_tardy_ok(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "verify",

@@ -7,17 +7,25 @@ import pytest
 from conepack.budget import limit
 from conepack.errors import InputError, ResourceError
 from conepack.exactmath import INFEASIBLE, OPTIMAL, ExactLp, lp_optimize
-from conepack.ilp import IlpProblem, _derive_bounds, ilp_feasible, lll_basis
+from conepack.ilp import _derive_bounds, ilp_feasible, lll_basis
 from conepack.rational import Rat, rat_ceil, rat_floor
 from conepack.solver import CuttingStockInstance, cutting_stock
 
 
+def program(rows, rhs, lo=None, hi=None):
+    """The program ``(rows, rhs, lo, hi)``, a missing bound vector as one
+    None per variable, as ``_derive_bounds`` takes it."""
+    n = len(rows[0])
+    return rows, rhs, lo or [None] * n, hi or [None] * n
+
+
 def exhaustive(problem, box):
     """Reference check: scan the whole box for a feasible integer point."""
+    rows, rhs = problem[:2]
     ranges = [range(lo, hi + 1) for lo, hi in box]
     for x in itertools.product(*ranges):
         ok = all(sum(c * v for c, v in zip(row, x)) <= b
-                 for row, b in zip(problem.rows, problem.rhs))
+                 for row, b in zip(rows, rhs))
         if ok:
             return x
     return None
@@ -26,47 +34,67 @@ def exhaustive(problem, box):
 class TestBasics:
     def test_equality_via_paired_rows(self):
         # 2x1 + 3x2 = 7, x >= 0
-        p = IlpProblem.build(
-            [[2, 3], [-2, -3], [-1, 0], [0, -1]], [7, -7, 0, 0])
-        res = ilp_feasible(p)
+        res = ilp_feasible([[2, 3], [-2, -3], [-1, 0], [0, -1]],
+                           [7, -7, 0, 0])
         assert res.feasible and res.witness == (2, 1)
 
     def test_parity_infeasible(self):
-        p = IlpProblem.build([[2], [-2]], [1, -1])
-        res = ilp_feasible(p)
+        res = ilp_feasible([[2], [-2]], [1, -1])
         assert not res.feasible and res.witness is None
 
     def test_empty_relaxation(self):
-        p = IlpProblem.build([[1], [-1]], [-1, 0])
-        assert not ilp_feasible(p).feasible
+        assert not ilp_feasible([[1], [-1]], [-1, 0]).feasible
 
     def test_unbounded_needs_bounds(self):
-        p = IlpProblem.build([[-1]], [0])
         with pytest.raises(InputError):
-            ilp_feasible(p)
-        bounded = IlpProblem.build([[-1]], [0], lo=[0], hi=[5])
-        assert ilp_feasible(bounded).feasible
+            ilp_feasible([[-1]], [0])
+        assert ilp_feasible([[-1]], [0], lo=[0], hi=[5]).feasible
 
     def test_tight_box(self):
-        p = IlpProblem.build([[1, 1]], [100], lo=[3, 4], hi=[3, 4])
-        res = ilp_feasible(p)
+        res = ilp_feasible([[1, 1]], [100], lo=[3, 4], hi=[3, 4])
         assert res.witness == (3, 4)
 
     def test_node_budget(self):
         # fractional vertex everywhere near the relaxation optimum
         rows = [[2, 2, 2], [-2, -2, -2]]
-        p = IlpProblem.build(rows, [3, -3], lo=[0, 0, 0], hi=[1, 1, 1])
+        p = program(rows, [3, -3], lo=[0, 0, 0], hi=[1, 1, 1])
         with pytest.raises(ResourceError) as err, limit(1):
-            ilp_feasible(p)
+            ilp_feasible(*p)
         assert err.value.budget_name == "request work budget"
-        assert not ilp_feasible(p).feasible  # sum is odd, halves are not integral
+        # sum is odd, halves are not integral
+        assert not ilp_feasible(*p).feasible
 
     def test_witness_respects_bounds(self):
-        p = IlpProblem.build([[1, 1], [0, -1]], [10, 0],
-                             lo=[2, None], hi=[None, 3])
-        res = ilp_feasible(p)
+        res = ilp_feasible([[1, 1], [0, -1]], [10, 0],
+                           lo=[2, None], hi=[None, 3])
         assert res.feasible
         assert res.witness[0] >= 2 and res.witness[1] <= 3
+
+
+# crossing bounds answer Empty without a search, so each shape is also
+# tried with them: the program is checked before any answer
+MALFORMED = [
+    ("no-rows", ([], []), "at least one constraint row"),
+    ("no-variables", ([[]], [0]), "at least one variable"),
+    ("ragged", ([[1, 2], [1]], [1, 1]), "ragged constraint matrix"),
+    ("rhs-count", ([[1]], [1, 2]), "1 rows but 2 right-hand sides"),
+    ("lo-length", ([[1]], [1], [0, 0], [5]), "1 variables but 2 lo bounds"),
+    ("hi-length", ([[1]], [1], [0], [5, 5]), "1 variables but 2 hi bounds"),
+    ("crossing-ragged", ([[1, 2], [1]], [1, 1], [1, 1], [0, 0]),
+     "ragged constraint matrix"),
+    ("crossing-rhs-count", ([[1]], [1, 2], [1], [0]),
+     "1 rows but 2 right-hand sides"),
+    ("crossing-lo-length", ([[1]], [1], [1, 1], [0]),
+     "1 variables but 2 lo bounds"),
+    ("crossing-bound", ([[1]], [1], [Rat(1, 2)], [0]), "variable bound"),
+]
+
+
+@pytest.mark.parametrize("problem,message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_a_malformed_program_is_refused(problem, message):
+    with pytest.raises(InputError, match=message):
+        ilp_feasible(*problem)
 
 
 def random_problem(rng):
@@ -75,8 +103,7 @@ def random_problem(rng):
     rows = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
     rhs = [rng.randint(-12, 12) for _ in range(m)]
     box = [(rng.randint(-4, 0), rng.randint(0, 4)) for _ in range(n)]
-    p = IlpProblem.build(rows, rhs,
-                         lo=[a for a, _ in box], hi=[b for _, b in box])
+    p = program(rows, rhs, lo=[a for a, _ in box], hi=[b for _, b in box])
     return p, box
 
 
@@ -85,13 +112,13 @@ class TestOracle:
         rng = random.Random(91733)
         for _ in range(200):
             p, box = random_problem(rng)
-            res = ilp_feasible(p)
+            res = ilp_feasible(*p)
             ref = exhaustive(p, box)
             assert res.feasible == (ref is not None)
             if res.feasible:
                 x = res.witness
                 assert all(sum(c * v for c, v in zip(row, x)) <= b
-                           for row, b in zip(p.rows, p.rhs))
+                           for row, b in zip(*p[:2]))
                 assert all(a <= v <= b for v, (a, b) in zip(x, box))
 
     # (feasible, nodes, witness) of the 200 problems above, recorded before
@@ -104,7 +131,7 @@ class TestOracle:
         rng = random.Random(91733)
         trail = []
         for _ in range(200):
-            res = ilp_feasible(random_problem(rng)[0])
+            res = ilp_feasible(*random_problem(rng)[0])
             trail.append((res.feasible, res.nodes, res.witness))
         assert sum(t[0] for t in trail) == 109
         assert sum(t[1] for t in trail) == 385
@@ -136,17 +163,17 @@ class TestNodeStack:
         assert 0 < calls["restore"] <= calls["snapshot"]
 
 
-def fresh_derive_bounds(problem):
+def fresh_derive_bounds(rows, rhs, lo, hi):
     """Reference: one fresh LP per missing bound, each under the bounds
     derived before it."""
-    lo, hi = list(problem.lo), list(problem.hi)
-    for j in range(problem.n):
+    lo, hi = list(lo), list(hi)
+    n = len(lo)
+    for j in range(n):
         for side, sense in ((0, "min"), (1, "max")):
             if (lo[j] if side == 0 else hi[j]) is not None:
                 continue
-            c = [int(i == j) for i in range(problem.n)]
-            res = lp_optimize(problem.rows, problem.rhs, c, sense=sense,
-                              lo=lo, hi=hi)
+            c = [int(i == j) for i in range(n)]
+            res = lp_optimize(rows, rhs, c, sense=sense, lo=lo, hi=hi)
             if res.status == INFEASIBLE:
                 return None
             if res.status != OPTIMAL:
@@ -160,7 +187,7 @@ def fresh_derive_bounds(problem):
 
 def derive_or_error(derive, problem):
     try:
-        return derive(problem)
+        return derive(*problem)
     except InputError:
         return "unbounded"
 
@@ -168,26 +195,28 @@ def derive_or_error(derive, problem):
 class TestDeriveBounds:
     def test_rounded_bound_empties_the_relaxation(self):
         # x = 1/2: the rounded lower bound 1 leaves the max LP no point
-        p = IlpProblem.build([[2], [-2]], [1, -1])
-        assert fresh_derive_bounds(p) is None
-        assert _derive_bounds(p) is None
+        p = program([[2], [-2]], [1, -1])
+        assert fresh_derive_bounds(*p) is None
+        assert _derive_bounds(*p) is None
 
     def test_last_rounded_bound_is_returned(self):
         # only the lower bound is missing, so no LP sees the rounded one
-        p = IlpProblem.build([[2], [-2]], [1, -1], hi=[5])
-        assert _derive_bounds(p) == fresh_derive_bounds(p) == ([1], [5])
-        assert not ilp_feasible(p).feasible
+        p = program([[2], [-2]], [1, -1], hi=[5])
+        assert _derive_bounds(*p) == fresh_derive_bounds(*p) == ([1], [5])
+        assert not ilp_feasible(*p).feasible
 
     def test_unbounded_variable(self):
-        p = IlpProblem.build([[-1, 0], [0, -1], [0, 1]], [0, 0, 3])
+        p = program([[-1, 0], [0, -1], [0, 1]], [0, 0, 3])
         assert derive_or_error(fresh_derive_bounds, p) == "unbounded"
         with pytest.raises(InputError):
-            _derive_bounds(p)
+            _derive_bounds(*p)
 
     def test_no_missing_bound_solves_no_lp(self):
         # lo > hi is left for ilp_feasible to reject
-        p = IlpProblem.build([[1]], [-5], lo=[2], hi=[1])
-        assert _derive_bounds(p) == ([2], [1])
+        p = program([[1]], [-5], lo=[2], hi=[1])
+        assert _derive_bounds(*p) == ([2], [1])
+        res = ilp_feasible(*p)
+        assert not res.feasible and res.nodes == 0
 
     def test_one_tableau_matches_fresh_lps(self):
         rng = random.Random(20417)
@@ -201,7 +230,7 @@ class TestDeriveBounds:
                   for _ in range(n)]
             hi = [rng.choice([None, None, rng.randint(-1, 3)])
                   for _ in range(n)]
-            p = IlpProblem.build(rows, rhs, lo=lo, hi=hi)
+            p = (rows, rhs, lo, hi)
             expected = derive_or_error(fresh_derive_bounds, p)
             assert derive_or_error(_derive_bounds, p) == expected
             key = expected if expected in (None, "unbounded") else "bounded"

@@ -18,7 +18,9 @@ type, and ``SchedulingInstance.__init__``, which builds the windows.
 Every top-level function and class of the package but ``oracle.py``, the
 reference code, must be read by name in the package or in ``conebench``:
 as a name, an attribute or a string, such as an entry of ``__all__`` or
-of the tracer's ``TRACED``.
+of the tracer's ``TRACED``.  Every top-level function and class of the
+shared test helpers, ``tests/genutil.py``, must be read by name in a test
+module or in the helpers themselves.
 """
 
 import ast
@@ -31,6 +33,7 @@ import conepack
 
 PACKAGE = Path(conepack.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 CONEBENCH = sorted(
     (Path(__file__).resolve().parent.parent / "conebench").glob("*.py"))
 
@@ -303,6 +306,11 @@ DEFINERS = [p for p in MODULES if p.name != "oracle.py"]
 
 def test_every_definition_is_read():
     assert unread_definitions(DEFINERS, MODULES + CONEBENCH) == []
+
+
+def test_every_test_helper_is_read():
+    helpers = [p for p in TESTS if p.name == "genutil.py"]
+    assert helpers and unread_definitions(helpers, TESTS) == []
 
 
 def test_an_unread_definition_is_caught(tmp_path):

@@ -18,7 +18,7 @@ from conepack import oracle
 from conepack.errors import InputError, InternalError
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
                                lattice_points)
-from conepack.ilp import IlpProblem, ilp_feasible
+from conepack.ilp import ilp_feasible
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
                                  extract_cyclic_schedule,
@@ -63,14 +63,13 @@ NON_INTEGRAL = [
     ("polytope-row", "constraint coefficient",
      lambda: Polytope([[HALF], [-1]], [1, 0])),
     ("ilp-rhs", "right-hand side",
-     lambda: ilp_feasible(IlpProblem.build([[1], [-1]], [HALF, -HALF],
-                                           lo=[0], hi=[3]))),
+     lambda: ilp_feasible([[1], [-1]], [HALF, -HALF], lo=[0], hi=[3])),
     ("ilp-row", "constraint coefficient",
-     lambda: IlpProblem.build([[THREE_HALVES]], [3], lo=[0], hi=[3])),
+     lambda: ilp_feasible([[THREE_HALVES]], [3], lo=[0], hi=[3])),
     ("ilp-bound", "variable bound",
-     lambda: IlpProblem.build([[1]], [3], lo=[HALF], hi=[3])),
+     lambda: ilp_feasible([[1]], [3], lo=[HALF], hi=[3])),
     ("generator", "generator coordinate",
-     lambda: select_from_generators([[(THREE_HALVES,)]], [1],
+     lambda: select_from_generators([([(THREE_HALVES,)], 1)],
                                     box_polytope([1], [1]), 5)),
     ("combination-point", "point coordinate",
      lambda: reduce_support({(THREE_HALVES,): 1})),
@@ -119,7 +118,7 @@ NON_INTEGRAL = [
      lambda: multi_polytope_select([(box_polytope([0], [2]), 1)],
                                    box_polytope([4], [4]), Fraction(9, 2))),
     ("generator-budget", "budget",
-     lambda: select_from_generators([[(1,), (2,)]], [1],
+     lambda: select_from_generators([([(1,), (2,)], 1)],
                                     box_polytope([4], [4]), Fraction(9, 2))),
 ]
 
@@ -131,13 +130,35 @@ def test_a_non_integral_value_is_an_input_error(field, call):
         call()
 
 
+EMPTY_TARGET = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
+
+# a negative budget or an empty target has no selection, but the parts are
+# read before that is answered
+READ_FIRST = [
+    ("text-cost", "^cost 'x' is text, not an integer$",
+     lambda: select_from_generators([([(1,)], "x")], box_polytope([1], [1]),
+                                    -1)),
+    ("negative-cost", "^cost -5 must be a non-negative integer$",
+     lambda: select_from_generators([([(1,)], -5)], EMPTY_TARGET, 5)),
+    ("text-coordinate", "^generator coordinate 'a' is text, not an integer$",
+     lambda: select_from_generators([([("a",)], 1)], EMPTY_TARGET, -1)),
+]
+
+
+@pytest.mark.parametrize("message,call", [case[1:] for case in READ_FIRST],
+                         ids=[case[0] for case in READ_FIRST])
+def test_selection_parts_are_read_before_any_answer(message, call):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def lifted_select(cost, budget=5):
     return multi_polytope_select([(box_polytope([0], [2]), cost)],
                                  box_polytope([4], [4]), budget)
 
 
 def generator_select(cost, budget=5):
-    return select_from_generators([[(1,), (2,)]], [cost],
+    return select_from_generators([([(1,), (2,)], cost)],
                                   box_polytope([4], [4]), budget)
 
 

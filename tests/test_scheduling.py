@@ -2,6 +2,7 @@
 assignment and tardy solvers, cross-checked against the brute oracles."""
 
 import random
+import re
 
 import pytest
 
@@ -244,6 +245,19 @@ class TestCyclePolytope:
         with pytest.raises(InternalError, match=message):
             validate_nonpreemptive_schedule(inst, 0, (2,), schedule)
 
+    @pytest.mark.parametrize("segment", [(0, 0, 0), (0, 0, 0, 2, 9), 7],
+                             ids=["three-entries", "five-entries", "scalar"])
+    @pytest.mark.parametrize("validate", [validate_preemptive_schedule,
+                                          validate_nonpreemptive_schedule],
+                             ids=["preemptive", "nonpreemptive"])
+    def test_a_segment_of_the_wrong_shape_is_refused(self, validate,
+                                                     segment):
+        inst = SchedulingInstance([[(0, 6, 2)]], [2], costs=[1])
+        schedule = ((0, 0, 0, 2), segment)
+        with pytest.raises(InternalError, match=re.escape(
+                f"segment {segment!r} is not (job type, copy, start, end)")):
+            validate(inst, 0, (2,), schedule)
+
     def test_downward_closure(self):
         vecs = schedulable_vectors(FIXTURE, 0, (1, 1, 1))
         for x in vecs:
@@ -401,6 +415,66 @@ class TestNonpreemptiveAssign:
         inst = SchedulingInstance([[(0, 6, 2), (0, 6, 3)]], [1, 1], costs=[2])
         with pytest.raises(InternalError, match="objective drifted"):
             nonpreemptive_assign(inst)
+
+    # open configuration windows from a seeded search (d = 2-3, m = 1-2,
+    # multiplicities 1-3): (windows, demand, costs, optimum, probes)
+    OPEN_WINDOWS = [
+        ([[(0, 1, 1), (3, 4, 1), (1, 4, 3)],
+          [(3, 5, 1), (0, 4, 3), (2, 5, 2)]], (3, 1, 3), (3, 2), 8, 1),
+        ([[(2, 3, 1), (3, 6, 3), (2, 6, 1)],
+          [(1, 6, 4), (1, 3, 2), (1, 6, 2)]], (2, 3, 3), (3, 2), 10, 3),
+        ([[(1, 5, 3), (3, 4, 1), (0, 6, 2)],
+          [(0, 3, 1), (1, 4, 1), (0, 1, 1)]], (3, 1, 1), (2, 3), 5, 2),
+        ([[(2, 4, 2), (1, 5, 2), (2, 5, 1)]], (2, 3, 3), (3,), 12, 1),
+        ([[(1, 6, 1), (1, 6, 5)], [(4, 5, 1), (2, 6, 1)]], (3, 2), (3, 2), 5,
+         1),
+    ]
+
+    @pytest.mark.parametrize("windows,a,costs,optimum,probes", OPEN_WINDOWS,
+                             ids=["d3-m2-8", "d3-m2-10", "d3-m2-5", "d3-m1-12",
+                                  "d2-m2-5"])
+    def test_open_windows_probe_to_the_brute_force_optimum(
+            self, monkeypatch, windows, a, costs, optimum, probes):
+        inst = SchedulingInstance(windows, a, costs=costs,
+                                  variant="nonpreemptive")
+        calls = []
+        select = scheduling.select_from_generators
+
+        def counted(*args):
+            calls.append(args)
+            return select(*args)
+
+        monkeypatch.setattr(scheduling, "select_from_generators", counted)
+        sol = nonpreemptive_assign(inst)
+        assert len(calls) == probes
+        assert sol.objective == optimum == brute_assignment_cost(inst)
+
+
+def brute_assignment_cost(inst):
+    """The cheapest machine multiset covering the demand exactly, by
+    dynamic programming over the remaining demand; each machine type's
+    vectors are the non-zero ones ``nonpreemptive_brute_counts`` schedules
+    (those whose work exceeds the last deadline are skipped unread)."""
+    a = inst.multiplicities
+    vectors = []
+    for i, windows in enumerate(inst.windows):
+        horizon = max(dl for _r, dl, _p in windows)
+        vectors.append([
+            x for x in box_vectors(a, sum(a)) if any(x)
+            and sum(p * c for (_r, _dl, p), c in zip(windows, x)) <= horizon
+            and nonpreemptive_brute_counts(x, inst, i) is not None])
+    best = {(0,) * len(a): 0}
+
+    def cost(rest):
+        if rest not in best:
+            best[rest] = min(
+                (c + cost(tuple(r - v for r, v in zip(rest, x)))
+                 for c, xs in zip(inst.costs, vectors) for x in xs
+                 if all(v <= r for v, r in zip(x, rest))),
+                default=float("inf"))
+        return best[rest]
+
+    return cost(tuple(a))
 
 
 class TestTardy:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -648,8 +649,8 @@ class TestCuttingStock:
         def solve():
             nodes = []
 
-            def counted(problem):
-                res = inner(problem)
+            def counted(*program, **bounds):
+                res = inner(*program, **bounds)
                 nodes.append(res.nodes)
                 return res
 
@@ -1089,7 +1090,7 @@ class TestMultiPolytopeSelect:
         with pytest.raises(InputError, match="unbounded in coordinate 0"):
             multi_polytope_select([(singleton_target([1]), 1)], ray, 3)
 
-    # as select_from_generators with empty groups: the empty sum is the only
+    # as select_from_generators with empty parts: the empty sum is the only
     # reachable point, and the target is checked before that shortcut
     def test_parts_without_lattice_points_reach_the_origin(self):
         empty = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
@@ -1107,55 +1108,55 @@ class TestMultiPolytopeSelect:
 
 class TestSelectFromGenerators:
     def test_basic_choice(self):
-        res = select_from_generators([[(1,)], [(3,)]], [5, 1],
+        res = select_from_generators([([(1,)], 5), ([(3,)], 1)],
                                      singleton_target([3]), 1)
         assert res.found and res.total_cost == 1
         assert res.picks == ((1, (3,), 1),)
 
     def test_budget_blocks(self):
-        res = select_from_generators([[(1,)], [(3,)]], [5, 1],
+        res = select_from_generators([([(1,)], 5), ([(3,)], 1)],
                                      singleton_target([3]), 0)
         assert not res.found
 
     def test_zero_generators_dropped(self):
-        res = select_from_generators([[(0,), (2,)]], [1],
+        res = select_from_generators([([(0,), (2,)], 1)],
                                      singleton_target([4]), 5)
         assert res.found and res.total_cost == 2
 
     def test_empty_groups_zero_target(self):
-        res = select_from_generators([[], []], [1, 1],
+        res = select_from_generators([([], 1), ([], 1)],
                                      singleton_target([0]), 0)
         assert res.found and res.total_cost == 0
 
     def test_empty_groups_nonzero_target(self):
-        res = select_from_generators([[], []], [1, 1],
+        res = select_from_generators([([], 1), ([], 1)],
                                      singleton_target([2]), 9)
         assert not res.found
 
-    @pytest.mark.parametrize("groups, costs", [
-        ([[(-1,), (1,)]], [0]),
-        ([[(1,)], [(-1,)]], [0, 0]),
+    @pytest.mark.parametrize("parts", [
+        [([(-1,), (1,)], 0)],
+        [([(1,)], 0), ([(-1,)], 0)],
     ], ids=["one_group", "two_groups"])
-    def test_zero_cost_generators_that_are_not_pointed(self, groups, costs):
+    def test_zero_cost_generators_that_are_not_pointed(self, parts):
         # 0 is a convex combination of the free generators, so their
         # weights are unbounded; the target is bounded and is not to blame
         with pytest.raises(InputError, match="zero-cost generators are not "
                                              "pointed"):
-            select_from_generators(groups, costs, box_polytope([1], [1]), 5)
+            select_from_generators(parts, box_polytope([1], [1]), 5)
 
     def test_a_cost_caps_the_weights_of_the_same_generators(self):
-        res = select_from_generators([[(-1,), (1,)]], [1],
+        res = select_from_generators([([(-1,), (1,)], 1)],
                                      box_polytope([1], [1]), 5)
         assert res.found and res.total_cost == 1
 
-    @pytest.mark.parametrize("groups, target", [
-        ([[(1,)]], Polytope([[-1]], [-3])),  # x >= 3, no upper bound
+    @pytest.mark.parametrize("points, target", [
+        ([(1,)], Polytope([[-1]], [-3])),  # x >= 3, no upper bound
         # checked before the shortcut for a target holding the origin
-        ([[]], Polytope([[1, 0], [-1, 0], [0, -1]], [3, 0, 0])),
+        ([], Polytope([[1, 0], [-1, 0], [0, -1]], [3, 0, 0])),
     ], ids=["ray", "origin_in_target"])
-    def test_unbounded_target_is_rejected(self, groups, target):
+    def test_unbounded_target_is_rejected(self, points, target):
         with pytest.raises(InputError, match="unbounded"):
-            select_from_generators(groups, [1], target, 9)
+            select_from_generators([(points, 1)], target, 9)
 
 
 def _seeded_selections():
@@ -1180,7 +1181,8 @@ def _seeded_selections():
                     for _ in range(4)]
             groups = [rng.sample(pool, rng.randint(0, 4)) for _ in range(n)]
             costs = [rng.randint(0, 3) for _ in range(n)]
-            res = select_from_generators(groups, costs, target, budget)
+            res = select_from_generators(list(zip(groups, costs)), target,
+                                         budget)
         # one list of (point, copies) per part: the form the digest pins
         per_part = [[(x, w) for i, x, w in res.picks if i == p]
                     for p in range(n if res.found else 0)]
@@ -1252,9 +1254,12 @@ def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
     # row for row, and the witnesses they yield with them.
     programs = []
 
-    def recording(problem, **kwargs):
-        programs.append((problem.rows, problem.rhs, problem.lo, problem.hi))
-        return ilp_feasible(problem, **kwargs)
+    def recording(rows, rhs, lo=None, hi=None):
+        # recorded as tuples of ints, one bound per variable, None if missing
+        n = len(rows[0])
+        programs.append((tuple(map(tuple, rows)), tuple(rhs),
+                         tuple(lo or [None] * n), tuple(hi or [None] * n)))
+        return ilp_feasible(rows, rhs, lo=lo, hi=hi)
 
     monkeypatch.setattr(solver, "ilp_feasible", recording)
     results = _seeded_selections()
@@ -1328,3 +1333,22 @@ class TestVerifySolution:
     def test_unknown_instance(self):
         with pytest.raises(InputError):
             verify_solution(object(), PackingSolution((), 0))
+
+    @pytest.mark.parametrize("demand,solution,field", [
+        # the first two meet the demand at the claimed cost in rationals
+        ([1], PackingSolution((((Rat(1, 2),), 0, 2),), 2), "pattern entry"),
+        ([3], PackingSolution((((2,), 0, Rat(3, 2)),), Rat(3, 2)),
+         "multiplicity"),
+        ([2], PackingSolution((((2,), Rat(1, 2), 1),), 1), "bin type"),
+    ], ids=["half-pattern", "half-multiplicity", "half-bin-type"])
+    def test_rejects_non_integral_solutions(self, demand, solution, field):
+        inst = BinPackingInstance([Rat(1, 2)], demand)
+        pattern = re.escape(f"pattern {solution.patterns[0][0]}: {field} ")
+        with pytest.raises(InternalError, match=f"^{pattern}.* must be an "
+                                                f"integer$"):
+            verify_solution(inst, solution)
+
+    def test_integral_rationals_count_as_ints(self):
+        inst = BinPackingInstance([Rat(1, 2)], [3])
+        verify_solution(inst, PackingSolution(
+            (((Rat(2),), Rat(0), Rat(1)), ((1,), 0, 1)), 2))
