@@ -17,7 +17,8 @@ from contextlib import nullcontext
 from .budget import limit
 from .errors import (InfeasibleError, InputError, InternalError,
                      ResourceError)
-from .geometry import Polytope, integer_hull_vertices, parallelepiped_cover
+from .geometry import (Polytope, extreme_points, integer_hull_vertices,
+                       lattice_points, parallelepiped_cover)
 from .oracle import (bp_brute_force, cover_verify, fractional_opt,
                      nonpreemptive_brute_counts)
 from .rational import Rat, rat_ceil
@@ -402,6 +403,11 @@ def _verify_polytope(poly, report):
     inside = all(poly.contains_int(v) for v in verts)
     report.add("hull vertices lie in the polytope", inside,
                f"{len(verts)} vertices")
+    # the hull read from the enumerator's runs against the hull of the
+    # sorted lattice
+    direct = extreme_points(lattice_points(poly))
+    report.add("hull equals the hull of the lattice", verts == direct,
+               f"{len(verts)} and {len(direct)} vertices")
 
 
 def cmd_verify(args) -> int:

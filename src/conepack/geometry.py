@@ -9,21 +9,28 @@ top of it:
   depth, over the box that the axis rows (one non-zero coefficient) give
   without an LP; over ``integer_box`` when those rows leave a side
   unbounded or give a box over ``DEFAULT_LATTICE_BUDGET`` points, so the
-  cap is then measured on the LP box,
+  cap is then measured on the LP box.  Either box implies the axis rows,
+  so only the other rows are tested, and the last depth's intervals are
+  kept beside the points as column runs,
 * exact convex-hull machinery in any small dimension over sorted,
-  distinct points (inner points of axis runs pruned first, along the last
-  axis from the sort order alone; then a monotone chain for rank-2 point
-  sets, beneath-beyond on integer determinants for rank 3, vertex
-  filtering by exact LP above),
+  distinct points (inner points of axis runs pruned first: for a
+  polytope's integer hull from its column runs, for any other point set
+  along the last axis from the sort order alone; then beneath-beyond on
+  integer determinants for 3-d points of rank 3, a monotone chain for
+  rank-2 point sets, beneath-beyond on chart coordinates for rank 3
+  below the ambient dimension, vertex filtering by exact LP above),
 * the slack-interval grid that groups lattice points into cells whose
-  slacks agree within ``1 + 1/d^2``, in signature order,
+  slacks agree within ``1 + 1/d^2``, in signature order; when the axis
+  rows read first separate every coordinate, the cells are single points
+  in one sort of the lattice,
 * minimum-volume enclosing ellipsoid contact points (Khachiyan's
   iteration on plain Python floats, stopped once two consecutive steps
   give the same contacts and at most ``MVEE_ITERATION_CAP`` steps,
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it (a one-point cell by
-  the point itself).
+  the point itself, all of them in one pass when every cell is one
+  point).
 
 Apart from the ellipsoid's float weights, linear algebra on points and
 directions runs in integers only: one fraction-free (Bareiss)
@@ -175,6 +182,7 @@ class Polytope:
         self.m = len(self.A)
         self._bounds = None
         self._lattice = None
+        self._runs = None
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.A == other.A and self.b == other.b
@@ -368,19 +376,25 @@ def lattice_points(poly: Polytope) -> list:
     than ``DEFAULT_LATTICE_BUDGET`` points.  The points are cached on the
     polytope, so the cap applies to its first enumeration.
 
-    The search fixes the coordinates in order, depth first.  At each depth
-    a row ``i`` with coefficient ``c`` still admits the value ``v`` iff
-    ``c v <= room``, where ``room`` is the row's slack after the fixed
-    coordinates less the least the later coordinates can add over the box.
-    That test is linear in ``v``, so the admitted values form one integer
-    interval: ``v <= room // c`` for ``c > 0``, ``v >= -(room // -c)`` for
-    ``c < 0``, and nothing at all when ``c == 0`` and ``room < 0``.  Each
-    depth intersects these intervals with the box range and descends into
-    every value of the result, so no value that fails a row is tried, and
-    the points come out sorted.  Each row is tested exactly at its last
-    non-zero depth, so any box that holds the lattice gives the same
-    points; a loose axis box is tightened through the other rows, depth
-    by depth.
+    Either box already implies every axis row (an axis row bounds only its
+    own coordinate, and both boxes round those bounds inward), so only the
+    other rows are tested.  The search fixes the coordinates in order,
+    depth first.  At each depth a row ``i`` with coefficient ``c`` still
+    admits the value ``v`` iff ``c v <= room``, where ``room`` is the
+    row's slack after the fixed coordinates less the least the later
+    coordinates can add over the box.  That test is linear in ``v``, so
+    the admitted values form one integer interval: ``v <= room // c`` for
+    ``c > 0``, ``v >= -(room // -c)`` for ``c < 0``, and nothing at all
+    when ``c == 0`` and ``room < 0``.  Each depth intersects these
+    intervals with the box range and descends into every value of the
+    result, so no value that fails a row is tried, and the points come out
+    sorted.  Each row is tested exactly at its last non-zero depth, so any
+    box that holds the lattice gives the same points; a loose axis box is
+    tightened through the other rows, depth by depth.
+
+    The last depth admits one interval per prefix, a run along the last
+    coordinate.  The runs are kept on the polytope beside the points, as
+    ``(prefix, lo, hi)`` in the points' order, for ``integer_hull_vertices``.
     """
     if poly._lattice is not None:
         return poly._lattice
@@ -396,19 +410,22 @@ def lattice_points(poly: Polytope) -> list:
                                         DEFAULT_LATTICE_BUDGET,
                                         f"bounding box holds {size} points")
     if box is None:
-        poly._lattice = []
+        poly._lattice, poly._runs = [], []
         return []
     d = poly.dim
+    # the rows the box does not imply: all but the axis rows
+    rows = [(row, b) for row, b in zip(poly.A, poly.b)
+            if len(row) - row.count(0) != 1]
     # floor[i]: the least the coordinates from the current depth on can
     # add to row i over the box, filled from the last depth back; each
     # depth keeps (row, coefficient, floor after this depth) for its
     # nonzero coefficients
-    floor = [0] * poly.m
+    floor = [0] * len(rows)
     active = [None] * d
     for depth in range(d - 1, -1, -1):
         lo, hi = box[depth]
         active[depth] = terms = []
-        for i, row in enumerate(poly.A):
+        for i, (row, _b) in enumerate(rows):
             c = row[depth]
             if c:
                 terms.append((i, c, floor[i]))
@@ -417,10 +434,10 @@ def lattice_points(poly: Polytope) -> list:
     # passed at its last earlier nonzero depth, whose floor covers this
     # one; a row whose leading coefficients are zero has no such depth,
     # so it is checked once here, at the root
-    if any(b < f for b, f in zip(poly.b, floor)):
-        poly._lattice = []
+    if any(b < f for (_row, b), f in zip(rows, floor)):
+        poly._lattice, poly._runs = [], []
         return []
-    out = []
+    out, runs = [], []
     last = d - 1
 
     def descend(depth, prefix, room):
@@ -439,7 +456,8 @@ def lattice_points(poly: Polytope) -> list:
         if lo > hi:
             return
         if depth == last:
-            out.extend(prefix + (v,) for v in range(lo, hi + 1))
+            runs.append((prefix, lo, hi))
+            out.extend([prefix + (v,) for v in range(lo, hi + 1)])
             return
         for v in range(lo, hi + 1):
             left = list(room)
@@ -447,8 +465,8 @@ def lattice_points(poly: Polytope) -> list:
                 left[i] -= c * v
             descend(depth + 1, prefix + (v,), left)
 
-    descend(0, (), list(poly.b))
-    poly._lattice = out
+    descend(0, (), [b for _row, b in rows])
+    poly._lattice, poly._runs = out, runs
     return out
 
 
@@ -526,7 +544,8 @@ def _dot3(u, v):
 
 
 def _hull_3d_vertices(coords):
-    """Vertices of the convex hull of distinct 3-d integer points of rank 3.
+    """Vertices of the convex hull of distinct 3-d integer points, or None
+    when the points have rank below 3.
 
     Beneath-beyond (Preparata & Shamos 1985, ch. 3) on integer
     orientation determinants.  The points are inserted farthest from
@@ -534,12 +553,14 @@ def _hull_3d_vertices(coords):
     for ``m`` points summing to ``s``, ties broken by index: the first
     points inserted are then mostly hull vertices, so the hull grows to
     nearly its final shape early and a later inner point sees no
-    triangle.  The hull is kept as outward triangles ``(u, v, w, nx, ny, nz, h)``: ``n`` is the normal
-    ``(v - u) x (w - u)`` and the triangle's plane is ``n.x = h``.  It
-    starts from the first four affinely independent points in insertion
-    order; each later point ``q`` removes the triangles that see it
-    (``n.q > h``) and closes the hole with triangles from ``q`` to the
-    horizon edges; both run inline on the coordinates, once per triangle.
+    triangle.  The hull is kept as outward triangles
+    ``(u, v, w, nx, ny, nz, h)``: ``n`` is the normal ``(v - u) x (w - u)``
+    and the triangle's plane is ``n.x = h``.  It starts from the first
+    four affinely independent points in insertion order, and there are
+    none when the rank is below 3; each later point ``q`` removes the
+    triangles that see it (``n.q > h``) and closes the hole with triangles
+    from ``q`` to the horizon edges; both run inline on the coordinates,
+    once per triangle.
     A triangle whose plane holds ``q`` stays, so a face may be split into
     several coplanar triangles.  At the end a point is a hull vertex iff
     its triangles lie on at least three distinct planes; on one it is
@@ -559,9 +580,15 @@ def _hull_3d_vertices(coords):
     c = [coords[i] for i in order]
     first = [0, 1]
     u = _sub(c[1], c[0])
-    i = next(i for i in range(2, len(c)) if any(_cross3(u, _sub(c[i], c[0]))))
+    i = next((i for i in range(2, size)
+              if any(_cross3(u, _sub(c[i], c[0])))), None)
+    if i is None:
+        return None  # collinear
     n = _cross3(u, _sub(c[i], c[0]))
-    j = next(j for j in range(i + 1, len(c)) if _dot3(n, _sub(c[j], c[0])))
+    j = next((j for j in range(i + 1, size) if _dot3(n, _sub(c[j], c[0]))),
+             None)
+    if j is None:
+        return None  # coplanar
     first += [i, j]
 
     def triangle(a, b, e):
@@ -653,15 +680,12 @@ def _hull_of_sorted(pts: list) -> list:
     non-vertices keeps the hull, so it keeps the affine rank and the
     lexicographically smallest and largest points.  The last axis is
     pruned from the list order (``_run_ends``), each other axis by looking
-    up the point's two neighbours among the run ends.  Rank 1 takes the
-    two ends.  Rank 2 runs a monotone chain and rank 3 ``_hull_3d_vertices``,
-    on the points themselves at full rank and on integer coordinates in
-    their affine hull (``_chart``) below it.  Higher ranks settle the
-    candidates with exact LP membership tests.  Sorted lexicographically.
+    up the point's two neighbours among the run ends.  The rest goes to
+    ``_hull_of_candidates``.
     """
     ends = _run_ends(pts)
     ptset = set(ends)
-    pts = []
+    cands = []
     for p in ends:
         for t in range(len(p) - 1):
             x = p[t]
@@ -669,9 +693,27 @@ def _hull_of_sorted(pts: list) -> list:
                     and p[:t] + (x - 1,) + p[t + 1:] in ptset):
                 break
         else:
-            pts.append(p)
+            cands.append(p)
+    return _hull_of_candidates(cands)
+
+
+def _hull_of_candidates(pts: list) -> list:
+    """Vertices of the convex hull of sorted, distinct int tuples that
+    keep every vertex of their hull.
+
+    Rank 1 takes the two ends.  Three-dimensional points go straight to
+    ``_hull_3d_vertices``, which answers at full rank.  Otherwise rank 2
+    runs a monotone chain and rank 3 ``_hull_3d_vertices``, on integer
+    coordinates in the points' affine hull (``_chart``) below full rank.
+    Higher ranks settle the candidates with exact LP membership tests.
+    Sorted lexicographically.
+    """
     if len(pts) <= 2:
         return pts
+    if len(pts[0]) == 3:
+        hull = _hull_3d_vertices(pts)
+        if hull is not None:
+            return [pts[i] for i in hull]
     base, frame = _chart(pts)
     k = len(frame.vecs)
     if k == 1:
@@ -706,12 +748,46 @@ def integer_hull_vertices(poly: Polytope) -> list:
     """Vertices of the convex hull of the polytope's lattice points (within
     the lattice cap of ``lattice_points``).
 
-    The lattice is already a sorted list of distinct int tuples, so it goes
-    straight to ``_hull_of_sorted``, without ``extreme_points``' set, type
-    check and sort; only its run ends along the last coordinate reach the
-    hull proper.
+    The hull is read from the column runs that ``lattice_points`` keeps,
+    one interval ``lo..hi`` of the last coordinate per prefix: only a
+    run's ends can be vertices.  An end ``(prefix, v)`` is also pruned
+    when, along some other axis ``t``, the runs at ``prefix - e_t`` and
+    ``prefix + e_t`` both hold ``v``, since it then sits midway between two
+    lattice points.  Each run looks its neighbours up once for both of its
+    ends, from the last prefix axis back, until both ends are pruned.  The
+    ends left keep every vertex, in sorted order, and go to
+    ``_hull_of_candidates``.  A lattice cached without its runs (one
+    assembled from other polytopes' lattices) goes to ``_hull_of_sorted``.
     """
-    return _hull_of_sorted(lattice_points(poly))
+    pts = lattice_points(poly)
+    runs = poly._runs
+    if runs is None:
+        return _hull_of_sorted(pts)
+    span = {prefix: (lo, hi) for prefix, lo, hi in runs}
+    cands = []
+    for prefix, lo, hi in runs:
+        keep_lo = keep_hi = True
+        t = len(prefix)
+        while t and (keep_lo or keep_hi):
+            t -= 1
+            x = prefix[t]
+            head, tail = prefix[:t], prefix[t + 1:]
+            below = span.get(head + (x - 1,) + tail)
+            if below is None:
+                continue
+            above = span.get(head + (x + 1,) + tail)
+            if above is None:
+                continue
+            (a, b), (c, e) = below, above
+            if a <= lo <= b and c <= lo <= e:
+                keep_lo = False
+            if a <= hi <= b and c <= hi <= e:
+                keep_hi = False
+        if keep_lo:
+            cands.append(prefix + (lo,))
+        if keep_hi and hi != lo:
+            cands.append(prefix + (hi,))
+    return _hull_of_candidates(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -771,31 +847,51 @@ def cell_partition(poly: Polytope) -> list:
     and two points share a cell iff every one of their slacks falls in
     the same grid interval.
 
-    The rows are read in order, each as a column of interval indices over
-    the points, and folded into one int key per point in mixed radix: the
-    key is multiplied by the row's largest index + 1 and the row's index
-    added, so the keys sort as the signatures do.  A row with one non-zero
-    coefficient, an axis row, maps each distinct value of its coordinate
-    to an interval index once and then indexes the column; any other row
-    computes its slacks over the columns of its non-zero coefficients, so
-    each is an int.  The interval index of each distinct slack is looked
-    up once per call, on its first use.
+    The rows are read in order.  A row with one non-zero coefficient, an
+    axis row, maps each distinct value of its coordinate to an interval
+    index once; any other row computes its slacks over the columns of its
+    non-zero coefficients, so each is an int.  The interval index of each
+    distinct slack is looked up once per call, on its first use.
 
     A coordinate is separated once one of its axis rows maps its distinct
     values to distinct intervals: two points then share that row's index
-    only if they share the coordinate.  A later axis row on a separated
-    coordinate is a function of that earlier index, so it neither splits
-    nor reorders a cell, and it is skipped.  Once every coordinate is
-    separated, each point has a key of its own, and no further row is
-    read; the remaining rows cannot move a point's place.
+    only if they share the coordinate.  The index grows with the slack,
+    so such a row's map is strictly monotone, falling in ``x_j`` for a
+    positive coefficient and rising for a negative one.  A later axis row
+    on a separated coordinate is a function of that earlier index, so it
+    neither splits nor reorders a cell, and it is skipped.
+
+    While every row read separates its coordinate or is skipped, only its
+    coordinate and coefficient are recorded.  If that lasts until every
+    coordinate is separated, each point is a cell of its own and the
+    signature order is the lexicographic order of ``-x_j`` (positive
+    coefficient) or ``x_j`` (negative) over the recorded coordinates in
+    row order: one sort of the sorted lattice, ``_sorted_cells``.  Any
+    other row first folds the recorded rows, then itself, into one int key
+    per point in mixed radix: the key is multiplied by the row's largest
+    index + 1 and the row's index added, so the keys sort as the
+    signatures do.  Once every coordinate is separated, each point has a
+    key of its own, and no further row is read; the remaining rows cannot
+    move a point's place.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
     if not pts:
         return []
     cols = list(zip(*pts))
     index = _SlackIndex(poly.dim)
-    keys = [0] * len(pts)
+    keys = None  # one int per point, once some row is folded
+    recorded = []  # (coordinate, coefficient, column, base) before a fold
     pending = set(range(poly.dim))  # the coordinates not yet separated
+
+    def folded():
+        """The keys, with the recorded rows folded in on the first call."""
+        nonlocal keys
+        if keys is None:
+            keys = [0] * len(pts)
+            for _j, _c, column, base in recorded:
+                keys = [k * base + g for k, g in zip(keys, column)]
+        return keys
+
     for row, b in zip(poly.A, poly.b):
         terms = [(j, c) for j, c in enumerate(row) if c]
         if len(terms) == 1:
@@ -803,23 +899,44 @@ def cell_partition(poly: Polytope) -> list:
             if j not in pending:
                 continue
             by_value = {x: index[b - c * x] for x in set(cols[j])}
-            if len(set(by_value.values())) == len(by_value):
-                pending.discard(j)
             column = map(by_value.__getitem__, cols[j])
             base = max(by_value.values()) + 1
+            if len(set(by_value.values())) == len(by_value):
+                pending.discard(j)
+                if keys is None:
+                    recorded.append((j, c, column, base))
+                    if pending:
+                        continue
+                    return _sorted_cells(pts, [(j, c) for j, c, _col, _base
+                                               in recorded])
         else:
             slack = [b] * len(pts)
             for j, c in terms:
                 slack = [s - c * x for s, x in zip(slack, cols[j])]
             column = list(map(index.__getitem__, slack))
             base = max(column) + 1
-        keys = [k * base + g for k, g in zip(keys, column)]
+        keys = [k * base + g for k, g in zip(folded(), column)]
         if not pending:
             break
     cells: dict = {}
-    for k, p in zip(keys, pts):
+    for k, p in zip(folded(), pts):
         cells.setdefault(k, []).append(p)
     return [tuple(cells[k]) for k in sorted(cells)]
+
+
+def _sorted_cells(pts: list, axes: list) -> list:
+    """The one-point cells of the sorted lattice ``pts`` in signature
+    order, when the axis rows ``axes``, ``(coordinate, coefficient)`` in
+    row order, separate every coordinate: lexicographic by ``-x_j`` for a
+    positive coefficient and ``x_j`` for a negative one.  With the
+    coordinates in order and every coefficient positive, that is the list
+    reversed.  Each cell is the 1-tuple ``(p,)`` that zip over one list
+    gives."""
+    if ([j for j, _c in axes] == list(range(len(axes)))
+            and all(c > 0 for _j, c in axes)):
+        return list(zip(reversed(pts)))
+    return list(zip(sorted(pts, key=lambda p: tuple(
+        -p[j] if c > 0 else p[j] for j, c in axes))))
 
 
 # ---------------------------------------------------------------------------
@@ -1179,23 +1296,27 @@ def parallelepiped_cover(poly: Polytope) -> list:
 
     Construction: in dimension 1 all lattice points form one cell;
     otherwise they are grouped into slack cells.  A one-point cell is
-    covered by ``Parallelepiped.point``.  A larger cell is covered
-    by parallelepipeds anchored at its lexicographically smallest member,
-    with directions picked from ellipsoid contact points of the
-    symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
-    all hull vertices.  Containment in the polytope is enforced by exact
-    vertex checks, shrinking the scale integrally when needed.  The points
-    come from ``lattice_points``, under its cap.
+    covered by ``Parallelepiped.point``; when every cell has one point,
+    the cover is those point elements alone, built in one pass.  A larger
+    cell is covered by parallelepipeds anchored at its lexicographically
+    smallest member, with directions picked from ellipsoid contact points
+    of the symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling
+    back to all hull vertices.  Containment in the polytope is enforced by
+    exact vertex checks, shrinking the scale integrally when needed.  The
+    points come from ``lattice_points``, under its cap.
     """
     if poly.dim == 1:
         pts = tuple(lattice_points(poly))
         cells = [pts] if pts else []
     else:
         cells = cell_partition(poly)
+    point = Parallelepiped.point
+    if max(map(len, cells), default=0) <= 1:
+        return [point(p) for p, in cells]
     cover = []
     for members in cells:
         if len(members) == 1:
-            cover.append(Parallelepiped.point(members[0]))
+            cover.append(point(members[0]))
         else:
             cover.extend(_cell_parallelepipeds(poly, members))
     return cover

@@ -167,6 +167,19 @@ def least_feasible(probe, lo: int, hi: int, cost):
     return best, hi
 
 
+def _pairs(parts: Sequence) -> list:
+    """The parts as ``(points, cost)`` pairs, or ``(Polytope, cost)``;
+    ``InputError`` names the first part that is not a pair."""
+    out = []
+    for i, part in enumerate(parts):
+        try:
+            first, cost = part
+        except (TypeError, ValueError):
+            raise InputError(f"part {i} is not a pair") from None
+        out.append((first, cost))
+    return out
+
+
 def _cost_gcd(parts: Sequence) -> int:
     """The gcd of the costs of the ``(points, cost)`` parts that hold a
     non-zero point (1 if none): every cover costs a multiple of it."""
@@ -212,9 +225,11 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     most ``sum c_p ceil(l_p)``, so ``hi - lo < len(a) * max c``.  A trimmed
     point missing from its part's points raises InternalError.
 
-    A demanded coordinate that no point covers raises InfeasibleError
+    A part that is not a pair raises InputError naming its index.  A
+    demanded coordinate that no point covers raises InfeasibleError
     naming it.  Zero demand gives the window ``(0, 0, [])``.
     """
+    parts = _pairs(parts)
     rows = [j for j, aj in enumerate(a) if aj]
     idle = [j for j, aj in enumerate(a) if not aj]
     columns = [(i, p) for i, (points, _c) in enumerate(parts) for p in points
@@ -527,7 +542,8 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     and the lifted target's bounds from the target's, so no enumeration box
     spans the budget, and costs may be as large as their binary encoding
     allows.  When no part holds a lattice point, the empty selection is
-    the only one, as in ``select_from_generators``.
+    the only one, as in ``select_from_generators``.  A part that is not a
+    pair raises ``InputError`` naming its index.
     """
     _check_mode(mode)
     n = len(parts)
@@ -536,7 +552,7 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
     d = target.dim
     costs = []
     polys = []
-    for poly, cost in parts:
+    for poly, cost in _pairs(parts):
         if poly.dim != d:
             raise InputError("every part must match the target dimension")
         cost = integer(cost, "part cost")
@@ -616,8 +632,9 @@ def select_from_generators(parts: Sequence, target: Polytope,
     an integer point in the target's dimension (already projected from
     whatever auxiliary space defined it), a copy of a point of part i
     costs ``c_i``, and the weighted sum must land in the target with total
-    cost at most ``budget``.  Every part and the budget are read before
-    anything is answered.  One joint integer program decides: the
+    cost at most ``budget``.  A part that is not a pair raises
+    ``InputError`` naming its index.  Every part and the budget are read
+    before anything is answered.  One joint integer program decides: the
     combination program over all generators, capped by their costs.
 
     The cap bounds the weights of generators that cost something.  The
@@ -628,7 +645,7 @@ def select_from_generators(parts: Sequence, target: Polytope,
     d = target.dim
     costs = []
     tagged = []
-    for i, (points, cost) in enumerate(parts):
+    for i, (points, cost) in enumerate(_pairs(parts)):
         cost = integer(cost, "cost")
         if cost < 0:
             raise InputError(f"cost {cost!r} must be a non-negative integer")

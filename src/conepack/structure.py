@@ -222,11 +222,13 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     containing it.  A point element (``k = 0``) is its own vertex and
     contains only itself, so all of them are indexed in one pass over the
     cover, read from the last index back so that a repeated point keeps
-    its lowest index; a cover of points alone needs nothing more.  Then
-    each other element, in index order, tests only the lattice points
-    inside the bounding box of its vertices that no earlier element
-    holds, and claims those it contains, taking over from a point element
-    of a higher index.
+    its lowest index.  When the cover is point elements alone and they
+    hold every lattice point, each point is a cover vertex, so the sorted
+    lattice list is the special points, and nothing more is done.
+    Otherwise each element with directions, in index order, tests only
+    the lattice points inside the bounding box of its vertices that no
+    earlier element holds, and claims those it contains, taking over from
+    a point element of a higher index.
 
     The lattice is read once.  The special points come out sorted by
     filtering that sorted list, so a cover vertex outside it raises
@@ -239,10 +241,14 @@ def compute_structure_set(poly: Polytope) -> StructureSet:
     locator = {pp._center: idx  # integral, so stored unscaled
                for idx, pp in zip(range(last, -1, -1), reversed(cover))
                if not pp.vecs}
+    if (len(locator) == len(cover) == len(points)
+            and all(map(locator.__contains__, points))):
+        # distinct point elements, one on every lattice point
+        return StructureSet(tuple(points), cover, locator, poly,
+                            frozenset(locator))
     special = set(locator)
-    # one index per element: every element was a distinct point
-    boxed = [] if len(locator) == len(cover) else [
-        (idx, pp) for idx, pp in enumerate(cover) if pp.vecs]
+    # the elements with directions, in index order
+    boxed = [(idx, pp) for idx, pp in enumerate(cover) if pp.vecs]
     # sorted; the points that no k > 0 element has claimed yet
     unassigned = list(points)
     for idx, pp in boxed:

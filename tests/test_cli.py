@@ -34,6 +34,9 @@ BP_SMALL = "binpacking\n1\n1/2 3\n"
 # window (3, 4) and optimum 3: one probe runs below the window's own cover
 BP_OPEN = "binpacking\n2\n1/2 4\n1/4 3\n"
 KNAPSACK = "polytope\n3 2\n26 41 200\n-1 0 0\n0 -1 0\n"
+# the first polytope of the benchmark's cover catalogue
+COVER_FIRST = ("polytope\n9 3\n1 0 0 6\n-1 0 0 0\n0 1 0 7\n0 -1 0 0\n"
+               "0 0 1 8\n0 0 -1 0\n1 -5 4 31\n-2 -1 4 5\n-3 1 -1 10\n")
 SCHED_PRE = ("scheduling\n3 1 preemptive\n"
              "0 0 0 300 150\n0 1 100 102 1\n0 2 200 202 1\n"
              "2 0 0\n1\n")
@@ -463,6 +466,24 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify",
                              write(tmp_path, "p.txt", KNAPSACK))
         assert rc == 0
+        assert "parallelepiped cover verifies: OK" in out
+
+    def test_polytope_hull_matches_the_lattice_hull(self, tmp_path, capsys):
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "p.txt", COVER_FIRST))
+        assert rc == 0
+        assert re.search(r"^hull equals the hull of the lattice: OK "
+                         r"\((\d+) and \1 vertices\)$", out, re.M), out
+
+    def test_a_hull_missing_a_vertex_exits_4(self, tmp_path, capsys,
+                                             monkeypatch):
+        hull = cli.integer_hull_vertices
+        monkeypatch.setattr(cli, "integer_hull_vertices",
+                            lambda poly: hull(poly)[1:])
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "p.txt", COVER_FIRST))
+        assert rc == 4
+        assert "hull equals the hull of the lattice: FAIL" in out
         assert "parallelepiped cover verifies: OK" in out
 
     def test_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):

@@ -338,6 +338,57 @@ class TestLatticePoints:
         assert integer_box(poly) == [(0, 3), (0, 0), (0, 0)]
         assert lattice_points(poly) == []
 
+    @staticmethod
+    def runs_spell(poly, pts):
+        """The runs kept beside the points, one non-empty interval of the
+        last coordinate per prefix, spell the points out in order."""
+        runs = poly._runs
+        assert all(lo <= hi for _prefix, lo, hi in runs)
+        assert len({prefix for prefix, _lo, _hi in runs}) == len(runs)
+        return [prefix + (v,) for prefix, lo, hi in runs
+                for v in range(lo, hi + 1)] == pts
+
+    def test_a_zero_row_with_a_negative_bound_is_empty(self):
+        # 0 <= -1 fails everywhere in the box; 0 <= 0 holds everywhere
+        rows = [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]]
+        poly = Polytope(rows, [3, 0, 3, 0, -1])
+        assert lattice_points(poly) == self.brute_lattice(poly) == []
+        assert poly._runs == []
+        poly = Polytope(rows, [3, 0, 3, 0, 0])
+        pts = lattice_points(poly)
+        assert pts == self.brute_lattice(poly)
+        assert len(pts) == 16 and self.runs_spell(poly, pts)
+
+    def test_a_box_from_the_lp_implies_the_axis_rows(self, monkeypatch):
+        """The axis rows bound x to [2, 7] but leave y and z unbounded
+        above, so the enumeration box is ``integer_box``; the axis rows
+        are not tested, since that box implies them."""
+        poly = Polytope([[1, 0, 0], [-2, 0, 0], [0, -1, 0], [0, 0, -1],
+                         [1, 2, 3]], [7, -3, 0, 0, 12])
+        boxes = []
+        box = geometry.integer_box
+
+        def recording(p):
+            boxes.append(box(p))
+            return boxes[-1]
+
+        monkeypatch.setattr(geometry, "integer_box", recording)
+        pts = lattice_points(poly)
+        assert boxes == [[(2, 7), (0, 5), (0, 3)]]
+        monkeypatch.undo()
+        assert pts == self.brute_lattice(poly)
+        assert pts[0] == (2, 0, 0) and pts[-1] == (7, 2, 0)
+        assert self.runs_spell(poly, pts)
+
+    def test_two_axis_rows_on_one_coordinate(self):
+        # x <= 5 and 2x <= 7 above, -x <= 0 and -3x <= -2 below: 1 <= x <= 3
+        poly = Polytope([[1, 0], [2, 0], [-1, 0], [-3, 0], [0, 1], [0, -1],
+                         [1, 1]], [5, 7, 0, -2, 4, 0, 5])
+        pts = lattice_points(poly)
+        assert pts == self.brute_lattice(poly)
+        assert pts == [(x, y) for x in (1, 2, 3) for y in range(min(5, 6 - x))]
+        assert self.runs_spell(poly, pts)
+
     def test_budget_caps_the_box_not_the_points(self, monkeypatch):
         # the diagonal x = y of a 101 x 101 box: 101 points in a box of
         # 10,201
@@ -849,10 +900,11 @@ class TestHullFromRunEnds:
         assert small >= 30
         assert {(3, 1), (3, 2), (4, 1), (4, 2), (4, 4)} <= ranks, ranks
 
-    def test_inner_run_points_never_reach_the_hull(self, monkeypatch):
-        """``_run_ends`` drops exactly the points with both last-axis
-        neighbours in the lattice, and the hull proper (its chart) never
-        sees one."""
+    def test_3d_lattices_of_every_rank(self, monkeypatch):
+        """3-d lattices of affine rank 0 to 3 against ``extreme_points``
+        and the definition.  Their candidates come from the runs; at full
+        rank they go to ``_hull_3d_vertices`` with no chart, and below it
+        a set of more than two still goes through ``_chart``."""
         charted = []
         chart = geometry._chart
 
@@ -861,6 +913,39 @@ class TestHullFromRunEnds:
             return chart(points)
 
         monkeypatch.setattr(geometry, "_chart", recording)
+        rng = random.Random(40961)
+        done = Counter()
+        reached = Counter()
+        while min(done[rank] for rank in range(4)) < 12:
+            rank = sum(done.values()) % 4
+            poly = _flat_polytope(rng, 3, rank)
+            if rank == 3:
+                cut = [rng.randint(-3, 3) for _ in range(3)]
+                poly = Polytope(poly.A + [cut], poly.b + (rng.randint(0, 6),))
+            pts = lattice_points(poly)
+            if not pts or _affine_rank(pts) != rank:
+                continue
+            done[rank] += 1
+            charted.clear()
+            hull = integer_hull_vertices(poly)
+            if rank == 3:
+                assert not charted, poly.A
+            reached[rank] += bool(charted)
+            assert hull == extreme_points(pts) == sorted(brute_extreme(pts))
+        assert reached[1] and reached[2], reached
+
+    def test_inner_run_points_never_reach_the_hull(self, monkeypatch):
+        """``_run_ends`` drops exactly the points with both last-axis
+        neighbours in the lattice, and the hull proper never sees one
+        from ``integer_hull_vertices``, which reads them from its runs."""
+        seen = []
+        hull = geometry._hull_of_candidates
+
+        def recording(points):
+            seen.append(list(points))
+            return hull(points)
+
+        monkeypatch.setattr(geometry, "_hull_of_candidates", recording)
         dropped = 0
         for poly in _hull_cases(61718, 60):
             pts = lattice_points(poly)
@@ -869,11 +954,11 @@ class TestHullFromRunEnds:
             assert ends == [p for p in pts
                             if not _inner_on_last_axis(p, lattice)]
             dropped += len(pts) - len(ends)
-            charted.clear()
+            seen.clear()
             integer_hull_vertices(poly)
-            for candidates in charted:
-                assert not any(_inner_on_last_axis(p, lattice)
-                               for p in candidates)
+            assert len(seen) == 1
+            assert seen[0] == sorted(seen[0])
+            assert set(seen[0]) <= set(ends)
         assert dropped >= 100
 
 
@@ -1015,6 +1100,51 @@ def _axis_rows(poly):
     return out
 
 
+def _sorted_branch_calls(monkeypatch, polys):
+    """Per polytope, the ``axes`` that ``cell_partition`` passed to
+    ``_sorted_cells``, or None when it did not call it."""
+    calls = []
+    sort = geometry._sorted_cells
+
+    def recording(pts, axes):
+        calls.append(list(axes))
+        return sort(pts, axes)
+
+    out = []
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_sorted_cells", recording)
+        for poly in polys:
+            calls.clear()
+            cell_partition(poly)
+            assert len(calls) <= 1
+            out.append(calls[0] if calls else None)
+    return out
+
+
+def _rows_before_a_fold(poly):
+    """``(n, kind)``: the first row that ``cell_partition`` must fold, a
+    non-separating axis row ("axis") or any other row ("cut"), after ``n``
+    separating axis rows; None when every coordinate is separated first.
+    Read from the rows and the lattice alone."""
+    pts = lattice_points(poly)
+    pending = set(range(poly.dim))
+    recorded = 0
+    for row, b, j in zip(poly.A, poly.b, _axis_rows(poly)):
+        if j is None:
+            return recorded, "cut"
+        if j not in pending:
+            continue
+        values = {p[j] for p in pts}
+        if len({slack_interval_index(b - row[j] * x, poly.dim)
+                for x in values}) < len(values):
+            return recorded, "axis"
+        pending.discard(j)
+        recorded += 1
+        if not pending:
+            return None
+    raise AssertionError("a coordinate no row separates")
+
+
 class TestCells:
     def test_unit_segment_two_cells(self):
         # signatures (0, 2) at 0 and (2, 0) at 1
@@ -1028,10 +1158,14 @@ class TestCells:
     def test_empty_lattice_no_cells(self):
         assert cell_partition(Polytope([[2], [-2]], [1, -1])) == []
 
-    def test_seeded_cases_reach_past_the_catalogue(self):
+    def test_seeded_cases_reach_past_the_catalogue(self, monkeypatch):
         """The seeded polytopes hold what the cover catalogue does not:
         every dimension 1..4, a cut row before an axis row, two axis rows
-        on one coordinate, and cells of more than one point."""
+        on one coordinate, and cells of more than one point.  They also
+        reach both ways ``cell_partition`` reads separating axis rows: the
+        one sort of ``_sorted_cells`` with mixed signs and with the
+        coordinates out of order, and the fold of rows it recorded before
+        a non-separating axis row or a cut row."""
         seeded = CELL_POLYTOPES[:48]
         assert {poly.dim for poly in seeded} == {1, 2, 3, 4}
         axes = [_axis_rows(poly) for poly in seeded]
@@ -1043,6 +1177,27 @@ class TestCells:
         assert any(len(members) > 1 for poly in seeded
                    for members in cell_partition(poly))
         assert len(CELL_POLYTOPES) == 88
+
+        sorted_axes = _sorted_branch_calls(monkeypatch, seeded)
+        folds = [_rows_before_a_fold(poly) for poly in seeded]
+        # the branch read from the rows here is the branch taken
+        assert [axes is not None for axes in sorted_axes] == [
+            fold is None for fold in folds]
+        taken = [a for a in sorted_axes if a is not None]
+        assert any(len({c > 0 for _j, c in a}) == 2 for a in taken)
+        assert any([j for j, _c in a] != sorted(j for j, _c in a)
+                   for a in taken)
+        assert {"axis", "cut"} <= {fold[1] for fold in folds
+                                   if fold is not None and fold[0] > 0}
+
+    def test_the_cover_catalogue_takes_the_sorted_branch(self, monkeypatch):
+        """Every polytope of the benchmark's ``cover`` catalogue has its
+        cells from the one sort: its first three rows separate its three
+        coordinates in order, each with a positive coefficient."""
+        catalogue = CELL_POLYTOPES[48:]
+        assert len(catalogue) == 40
+        assert _sorted_branch_calls(monkeypatch, catalogue) == [
+            [(0, 1), (1, 1), (2, 1)]] * 40
 
     def test_matches_the_slack_vector_loop(self):
         """The members and order of the cells against a loop over the

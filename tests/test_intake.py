@@ -26,7 +26,8 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  schedulable_vectors,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
-from conepack.solver import multi_polytope_select, select_from_generators
+from conepack.solver import (configuration_window, multi_polytope_select,
+                             select_from_generators)
 from conepack.structure import (compute_structure_set, normalize_combination,
                                 redistribute_in_pp, reduce_support)
 
@@ -149,6 +150,27 @@ READ_FIRST = [
                          ids=[case[0] for case in READ_FIRST])
 def test_selection_parts_are_read_before_any_answer(message, call):
     with pytest.raises(InputError, match=message):
+        call()
+
+
+# the second part holds only its points; each reader names it by index
+NOT_A_PAIR = [
+    ("generator-parts",
+     lambda: select_from_generators([([(1,)], 1), ([(1,)],)],
+                                    box_polytope([1], [1]), 5)),
+    ("lifted-parts",
+     lambda: multi_polytope_select([(box_polytope([0], [1]), 1),
+                                    (box_polytope([0], [1]),)],
+                                   box_polytope([1], [1]), 5)),
+    ("window-parts",
+     lambda: configuration_window([([(1,)], 1), ([(1,)],)], [1])),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in NOT_A_PAIR],
+                         ids=[case[0] for case in NOT_A_PAIR])
+def test_a_part_that_is_not_a_pair_is_an_input_error(call):
+    with pytest.raises(InputError, match="^part 1 is not a pair$"):
         call()
 
 
