@@ -403,8 +403,9 @@ def _verify_polytope(poly, report):
     inside = all(poly.contains_int(v) for v in verts)
     report.add("hull vertices lie in the polytope", inside,
                f"{len(verts)} vertices")
-    # the hull read from the enumerator's runs against the hull of the
-    # sorted lattice
+    # the hull from the enumerator's runs against the hull from runs
+    # derived from the sorted lattice: a wrong run kept by the enumerator
+    # shows as a different hull
     direct = extreme_points(lattice_points(poly))
     report.add("hull equals the hull of the lattice", verts == direct,
                f"{len(verts)} and {len(direct)} vertices")

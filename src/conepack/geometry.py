@@ -12,13 +12,14 @@ top of it:
   cap is then measured on the LP box.  Either box implies the axis rows,
   so only the other rows are tested, and the last depth's intervals are
   kept beside the points as column runs,
-* exact convex-hull machinery in any small dimension over sorted,
-  distinct points (inner points of axis runs pruned first: for a
-  polytope's integer hull from its column runs, for any other point set
-  along the last axis from the sort order alone; then beneath-beyond on
-  integer determinants for 3-d points of rank 3, a monotone chain for
-  rank-2 point sets, beneath-beyond on chart coordinates for rank 3
-  below the ambient dimension, vertex filtering by exact LP above),
+* exact convex-hull machinery in any small dimension over column runs
+  (only run ends that sit midway between two points along no other axis
+  are candidates: a polytope's integer hull reads the enumerator's runs,
+  any other sorted point set is read into runs in one pass; then
+  beneath-beyond on integer determinants for 3-d points of rank 3, a
+  monotone chain for rank-2 point sets, beneath-beyond on chart
+  coordinates for rank 3 below the ambient dimension, vertex filtering
+  by exact LP above),
 * the slack-interval grid that groups lattice points into cells whose
   slacks agree within ``1 + 1/d^2``, in signature order; when the axis
   rows read first separate every coordinate, the cells are single points
@@ -29,8 +30,7 @@ top of it:
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it (a one-point cell by
-  the point itself, all of them in one pass when every cell is one
-  point).
+  the point itself).
 
 Apart from the ellipsoid's float weights, linear algebra on points and
 directions runs in integers only: one fraction-free (Bareiss)
@@ -479,10 +479,10 @@ def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
     pts = list(points)
     if not pts:
         return False
-    d = len(pts[0])
-    rhs = list(point) + [1]
-    if len(rhs) != d + 1:
+    d = len(point)
+    if any(len(p) != d for p in pts):
         raise InputError("dimension mismatch in hull membership test")
+    rhs = list(point) + [1]
     n = len(pts)
     rows = [[p[k] for p in pts] for k in range(d)]
     rows.append([1] * n)
@@ -639,61 +639,79 @@ def _hull_3d_vertices(coords):
 def extreme_points(points: Iterable[Sequence[int]]) -> list:
     """Vertices of the convex hull of a finite integer point set.
 
-    Exact in every dimension; a non-integral coordinate raises
-    ``InputError``.  The points are made distinct int tuples and sorted,
-    then handed to ``_hull_of_sorted``, which prunes points midway between
-    two others along a coordinate axis and hulls the rest.  Sorted
-    lexicographically.
+    Exact in every dimension; a non-integral coordinate, or points of
+    mixed dimension, raise ``InputError``.  The points are made distinct
+    int tuples and sorted, then read as column runs (``_column_runs``)
+    and handed to ``_hull_of_runs``.  Sorted lexicographically.
     """
     ptset = set(map(tuple, points))
+    if len(set(map(len, ptset))) > 1:
+        raise InputError("hull points of mixed dimension")
     if not set(map(type, chain.from_iterable(ptset))) <= {int}:
         ptset = {tuple(integer(v, "hull point coordinate") for v in p)
                  for p in ptset}
-    return _hull_of_sorted(sorted(ptset))
+    pts = sorted(ptset)
+    if not pts or not pts[0]:
+        return pts  # no point, or the one 0-dimensional point
+    return _hull_of_runs(_column_runs(pts))
 
 
-def _run_ends(pts: list) -> list:
-    """The points of a sorted list of distinct int tuples that are not
-    strictly inside a run along the last coordinate.
-
-    A point ``(x', t)`` with ``(x', t - 1)`` and ``(x', t + 1)`` also in the
-    list sits between them in it, and then the two list neighbours share
-    its prefix and differ by 2 in the last coordinate; nothing else can
-    sit between two such points.  So one pass over neighbour triples finds
-    every inner point, and no set is needed.
-    """
-    if len(pts) <= 2:
-        return list(pts)
-    ends = [pts[0]]
-    for a, p, c in zip(pts, pts[1:], pts[2:]):
-        if c[-1] - a[-1] != 2 or a[:-1] != c[:-1]:
-            ends.append(p)
-    ends.append(pts[-1])
-    return ends
-
-
-def _hull_of_sorted(pts: list) -> list:
-    """Vertices of the convex hull of sorted, distinct int tuples.
-
-    First the points that sit midway between two others along a
-    coordinate axis are pruned: such a point is no vertex, and dropping
-    non-vertices keeps the hull, so it keeps the affine rank and the
-    lexicographically smallest and largest points.  The last axis is
-    pruned from the list order (``_run_ends``), each other axis by looking
-    up the point's two neighbours among the run ends.  The rest goes to
-    ``_hull_of_candidates``.
-    """
-    ends = _run_ends(pts)
-    ptset = set(ends)
-    cands = []
-    for p in ends:
-        for t in range(len(p) - 1):
-            x = p[t]
-            if (p[:t] + (x + 1,) + p[t + 1:] in ptset
-                    and p[:t] + (x - 1,) + p[t + 1:] in ptset):
-                break
+def _column_runs(pts: list) -> list:
+    """The column runs of sorted, distinct int tuples of one dimension
+    ``d >= 1``: ``(prefix, lo, hi)`` for each ``(d - 1)``-prefix, with
+    the least and greatest last coordinate under it, in the points'
+    order.  A line meets a polytope in one interval, so for a polytope's
+    lattice these are the runs that ``lattice_points`` keeps.  For any
+    other set a run may skip values; a hull vertex never lies between
+    two points of its run, so ``_hull_of_runs`` reads the ends alone."""
+    runs = []
+    for p in pts:
+        head, v = p[:-1], p[-1]
+        if runs and runs[-1][0] == head:
+            runs[-1] = (head, runs[-1][1], v)
         else:
-            cands.append(p)
+            runs.append((head, v, v))
+    return runs
+
+
+def _hull_of_runs(runs: list) -> list:
+    """Vertices of the convex hull of the points that column runs span.
+
+    ``runs`` are ``(prefix, lo, hi)`` in sorted order, one per prefix, as
+    ``_column_runs`` or ``lattice_points`` gives them; ``prefix + (lo,)``
+    and ``prefix + (hi,)`` are points, and only they can be vertices.  An
+    end ``(prefix, v)`` is also pruned when, along some other axis ``t``,
+    the runs at ``prefix - e_t`` and ``prefix + e_t`` both span ``v``: it
+    is then the midpoint of ``prefix -+ e_t`` with ``v``, each in the hull
+    of its run.  Each run looks its neighbours up once for both of its
+    ends, from the last prefix axis back, until both ends are pruned.
+    Dropping non-vertices keeps the hull, so the ends left keep every
+    vertex, in sorted order, and go to ``_hull_of_candidates``.
+    """
+    span = {prefix: (lo, hi) for prefix, lo, hi in runs}
+    cands = []
+    for prefix, lo, hi in runs:
+        keep_lo = keep_hi = True
+        t = len(prefix)
+        while t and (keep_lo or keep_hi):
+            t -= 1
+            x = prefix[t]
+            head, tail = prefix[:t], prefix[t + 1:]
+            below = span.get(head + (x - 1,) + tail)
+            if below is None:
+                continue
+            above = span.get(head + (x + 1,) + tail)
+            if above is None:
+                continue
+            (a, b), (c, e) = below, above
+            if a <= lo <= b and c <= lo <= e:
+                keep_lo = False
+            if a <= hi <= b and c <= hi <= e:
+                keep_hi = False
+        if keep_lo:
+            cands.append(prefix + (lo,))
+        if keep_hi and hi != lo:
+            cands.append(prefix + (hi,))
     return _hull_of_candidates(cands)
 
 
@@ -748,46 +766,16 @@ def integer_hull_vertices(poly: Polytope) -> list:
     """Vertices of the convex hull of the polytope's lattice points (within
     the lattice cap of ``lattice_points``).
 
-    The hull is read from the column runs that ``lattice_points`` keeps,
-    one interval ``lo..hi`` of the last coordinate per prefix: only a
-    run's ends can be vertices.  An end ``(prefix, v)`` is also pruned
-    when, along some other axis ``t``, the runs at ``prefix - e_t`` and
-    ``prefix + e_t`` both hold ``v``, since it then sits midway between two
-    lattice points.  Each run looks its neighbours up once for both of its
-    ends, from the last prefix axis back, until both ends are pruned.  The
-    ends left keep every vertex, in sorted order, and go to
-    ``_hull_of_candidates``.  A lattice cached without its runs (one
-    assembled from other polytopes' lattices) goes to ``_hull_of_sorted``.
+    The hull is read from the column runs that ``lattice_points`` keeps
+    (``_hull_of_runs``).  A lattice cached without its runs (one assembled
+    from other polytopes' lattices) has them derived from its sorted
+    points.
     """
     pts = lattice_points(poly)
     runs = poly._runs
     if runs is None:
-        return _hull_of_sorted(pts)
-    span = {prefix: (lo, hi) for prefix, lo, hi in runs}
-    cands = []
-    for prefix, lo, hi in runs:
-        keep_lo = keep_hi = True
-        t = len(prefix)
-        while t and (keep_lo or keep_hi):
-            t -= 1
-            x = prefix[t]
-            head, tail = prefix[:t], prefix[t + 1:]
-            below = span.get(head + (x - 1,) + tail)
-            if below is None:
-                continue
-            above = span.get(head + (x + 1,) + tail)
-            if above is None:
-                continue
-            (a, b), (c, e) = below, above
-            if a <= lo <= b and c <= lo <= e:
-                keep_lo = False
-            if a <= hi <= b and c <= hi <= e:
-                keep_hi = False
-        if keep_lo:
-            cands.append(prefix + (lo,))
-        if keep_hi and hi != lo:
-            cands.append(prefix + (hi,))
-    return _hull_of_candidates(cands)
+        runs = _column_runs(pts)
+    return _hull_of_runs(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +793,11 @@ def slack_interval_index(slack: int, dim: int) -> int:
     slacks share an interval only if they agree within a factor r (slacks 0
     and 1 sit in intervals of their own).  For an integer slack,
     ``r^i <= slack`` iff ``ceil(r^i) <= slack``, so the search runs on the
-    cached integer ceilings.
+    cached integer ceilings.  Both arguments are read through
+    ``rational.integer``.
     """
+    slack = integer(slack, "slack")
+    dim = integer(dim, "dimension")
     if slack < 0:
         raise InputError("negative slack")
     if dim < 1:
@@ -1222,7 +1213,7 @@ def _cell_parallelepipeds(poly: Polytope, members: tuple) -> list:
     """Cover a cell of two or more lattice points with integral
     parallelepipeds in P."""
     x0 = members[0]
-    verts = _hull_of_sorted(members)  # sorted, distinct int tuples
+    verts = _hull_of_runs(_column_runs(members))
     k = len(_chart(verts)[1].vecs)  # the vertices span the cell's affine hull
     if k == 1:
         e1, e2 = verts[0], verts[-1]
@@ -1296,14 +1287,13 @@ def parallelepiped_cover(poly: Polytope) -> list:
 
     Construction: in dimension 1 all lattice points form one cell;
     otherwise they are grouped into slack cells.  A one-point cell is
-    covered by ``Parallelepiped.point``; when every cell has one point,
-    the cover is those point elements alone, built in one pass.  A larger
-    cell is covered by parallelepipeds anchored at its lexicographically
-    smallest member, with directions picked from ellipsoid contact points
-    of the symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling
-    back to all hull vertices.  Containment in the polytope is enforced by
-    exact vertex checks, shrinking the scale integrally when needed.  The
-    points come from ``lattice_points``, under its cap.
+    covered by ``Parallelepiped.point``.  A larger cell is covered by
+    parallelepipeds anchored at its lexicographically smallest member,
+    with directions picked from ellipsoid contact points of the
+    symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
+    all hull vertices.  Containment in the polytope is enforced by exact
+    vertex checks, shrinking the scale integrally when needed.  The points
+    come from ``lattice_points``, under its cap.
     """
     if poly.dim == 1:
         pts = tuple(lattice_points(poly))
@@ -1311,8 +1301,6 @@ def parallelepiped_cover(poly: Polytope) -> list:
     else:
         cells = cell_partition(poly)
     point = Parallelepiped.point
-    if max(map(len, cells), default=0) <= 1:
-        return [point(p) for p, in cells]
     cover = []
     for members in cells:
         if len(members) == 1:

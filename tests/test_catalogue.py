@@ -207,3 +207,21 @@ def test_cover_hulls_match_extreme_points(workloads):
     for _kind, poly in _parsed(workloads, "cover", PINS["cover"][0]):
         assert integer_hull_vertices(poly) == \
             extreme_points(lattice_points(poly))
+
+
+def test_cover_solves_derive_no_runs(workloads, monkeypatch):
+    """Solving the ``cover`` catalogue as the benchmark does reads every
+    hull from the enumerator's runs and covers every cell by a point, so
+    it never derives runs from a sorted point list."""
+    from conepack import geometry
+    derived = []
+    column_runs = geometry._column_runs
+
+    def recording(pts):
+        derived.append(len(pts))
+        return column_runs(pts)
+
+    monkeypatch.setattr(geometry, "_column_runs", recording)
+    for desc in workloads.catalogue("cover", PINS["cover"][0]):
+        workloads.solve_text(workloads.render(desc))
+    assert derived == []

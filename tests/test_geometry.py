@@ -674,6 +674,10 @@ class TestHulls:
         assert extreme_points([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]) == [
             (0, 0, 0), (3, 3, 3)]
 
+    def test_extreme_points_of_no_point_or_the_0d_point(self):
+        assert extreme_points([]) == []
+        assert extreme_points([(), ()]) == [()]
+
     def test_extreme_points_duplicates(self):
         assert extreme_points([(0, 0), (0, 0), (1, 0), (1, 0)]) == [(0, 0), (1, 0)]
 
@@ -885,6 +889,12 @@ def _inner_on_last_axis(p, lattice):
             and p[:-1] + (p[-1] + 1,) in lattice)
 
 
+def _inner_on_some_axis(p, lattice):
+    return any(p[:t] + (p[t] + s,) + p[t + 1:] in lattice
+               for t in range(len(p)) for s in (-1, 1)
+               if p[:t] + (p[t] - s,) + p[t + 1:] in lattice)
+
+
 class TestHullFromRunEnds:
     def test_lattice_hull_matches_extreme_points_and_the_definition(self):
         ranks = set()
@@ -935,9 +945,12 @@ class TestHullFromRunEnds:
         assert reached[1] and reached[2], reached
 
     def test_inner_run_points_never_reach_the_hull(self, monkeypatch):
-        """``_run_ends`` drops exactly the points with both last-axis
-        neighbours in the lattice, and the hull proper never sees one
-        from ``integer_hull_vertices``, which reads them from its runs."""
+        """``_column_runs`` of the sorted lattice gives the enumerator's
+        runs, their ends are exactly the points without both last-axis
+        neighbours in the lattice, and the hull proper never sees another
+        point from ``integer_hull_vertices``, which reads the runs.  The
+        ends it hands on are exactly those not midway between two lattice
+        points along another axis."""
         seen = []
         hull = geometry._hull_of_candidates
 
@@ -946,11 +959,13 @@ class TestHullFromRunEnds:
             return hull(points)
 
         monkeypatch.setattr(geometry, "_hull_of_candidates", recording)
-        dropped = 0
+        dropped = pruned = 0
         for poly in _hull_cases(61718, 60):
             pts = lattice_points(poly)
             lattice = set(pts)
-            ends = geometry._run_ends(pts)
+            assert geometry._column_runs(pts) == poly._runs
+            ends = [prefix + (v,) for prefix, lo, hi in poly._runs
+                    for v in sorted({lo, hi})]
             assert ends == [p for p in pts
                             if not _inner_on_last_axis(p, lattice)]
             dropped += len(pts) - len(ends)
@@ -959,7 +974,10 @@ class TestHullFromRunEnds:
             assert len(seen) == 1
             assert seen[0] == sorted(seen[0])
             assert set(seen[0]) <= set(ends)
-        assert dropped >= 100
+            assert seen[0] == [p for p in ends
+                               if not _inner_on_some_axis(p, lattice)]
+            pruned += len(ends) - len(seen[0])
+        assert dropped >= 100 and pruned >= 100, (dropped, pruned)
 
 
 @st.composite

@@ -7,7 +7,8 @@ twin does.  Every scheduling entry point reads a machine type and a job
 vector through the scheduling module's two readers, so a machine type
 outside 0..m-1 or a job vector of the wrong length or with a negative
 count is an ``InputError`` everywhere, and a validated schedule whose
-segment names no job type is an ``InternalError``.
+segment names no job type is an ``InternalError``.  The hull routines
+reject points of mixed dimension with an ``InputError``.
 """
 
 from fractions import Fraction
@@ -17,7 +18,8 @@ import pytest
 from conepack import oracle
 from conepack.errors import InputError, InternalError
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
-                               lattice_points)
+                               extreme_points, in_convex_hull, lattice_points,
+                               slack_interval_index)
 from conepack.ilp import ilp_feasible
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
@@ -121,6 +123,9 @@ NON_INTEGRAL = [
     ("generator-budget", "budget",
      lambda: select_from_generators([([(1,), (2,)], 1)],
                                     box_polytope([4], [4]), Fraction(9, 2))),
+    ("slack", "slack", lambda: slack_interval_index(Fraction(5, 2), 1)),
+    ("slack-dimension", "dimension",
+     lambda: slack_interval_index(3, THREE_HALVES)),
 ]
 
 
@@ -240,6 +245,28 @@ def test_text_is_not_read_as_an_integer():
     with pytest.raises(InputError, match="^constraint coefficient '1' is "
                                          "text, not an integer$"):
         Polytope([["1"], ["-1"]], ["2", "0"])
+    with pytest.raises(InputError, match="^slack '3' is text, not an "
+                                         "integer$"):
+        slack_interval_index("3", 1)
+
+
+MIXED_DIMENSION = [
+    ("extreme-points-short", lambda: extreme_points([(0, 0), (1,), (2, 2)])),
+    ("extreme-points-long",
+     lambda: extreme_points([(0, 0, 0), (1, 5), (2, 2, 2), (0, 1, 0)])),
+    ("hull-membership-long", lambda: in_convex_hull((1, 1), [(0, 0),
+                                                             (2, 2, 2)])),
+    ("hull-membership-short", lambda: in_convex_hull((0, 0), [(1, 1), (2,)])),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in MIXED_DIMENSION],
+                         ids=[case[0] for case in MIXED_DIMENSION])
+def test_hull_points_of_mixed_dimension_are_an_input_error(call):
+    # the short cases used to answer, or to raise IndexError, and the long
+    # hull one a bare ValueError
+    with pytest.raises(InputError, match="dimension"):
+        call()
 
 
 MACHINE_TYPE_CALLS = [

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conepack import exactmath, oracle, structure
+from conepack import exactmath, geometry, oracle, structure
 from conepack.errors import InputError, InternalError
 from conepack.geometry import (
     Parallelepiped,
@@ -439,6 +439,25 @@ def test_special_points_are_the_sorted_cover_vertices(poly):
     for pp in sset.cover:
         union.update(pp.vertices())
     assert sset.special_points == tuple(sorted(union))
+
+
+@pytest.mark.parametrize("poly", K_COVER_POLYTOPES)
+def test_multi_point_cells_reach_the_run_pruner(poly, monkeypatch):
+    """Each cell of two or more points has its hull read from its column
+    runs: ``_cell_parallelepipeds`` derives them once per such cell, and
+    nothing else on the cover's path does."""
+    read = []
+    column_runs = geometry._column_runs
+
+    def recording(pts):
+        read.append(tuple(pts))
+        return column_runs(pts)
+
+    monkeypatch.setattr(geometry, "_column_runs", recording)
+    cover = geometry.parallelepiped_cover(poly)
+    assert any(pp.k for pp in cover)
+    assert read == [members for members in cell_partition(poly)
+                    if len(members) > 1]
 
 
 @pytest.mark.parametrize("poly", K_COVER_POLYTOPES)
