@@ -1,9 +1,10 @@
 """One work budget per request.
 
-Every simplex pivot and every branch-and-bound node run inside
-``limit(units)``, across all the LPs and integer programs of the request,
-spends one unit.  Outside any limit only the per-call caps of ``exactmath``
-and ``ilp`` hold.
+Every simplex pivot, every group state that ``solver._group_bound``
+settles and every branch-and-bound node run inside ``limit(units)``,
+across all the LPs, groups and integer programs of the request, spends
+one unit.  Outside any limit only the per-call caps of ``exactmath``,
+``ilp`` and ``solver`` hold.
 """
 
 from __future__ import annotations
@@ -11,14 +12,25 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import ResourceError
+from .errors import InputError, ResourceError
+from .rational import integer
 
 _OPEN: ContextVar = ContextVar("conepack_budget", default=None)
 
 
-@contextmanager
 def limit(units: int):
-    """Raise ``ResourceError`` once the block spends more than ``units``."""
+    """A context that raises ``ResourceError`` once its block spends more
+    than ``units``.  ``units`` is read through ``rational.integer`` when
+    ``limit`` is called: ``InputError`` unless it is a non-negative
+    integer."""
+    units = integer(units, "work budget")
+    if units < 0:
+        raise InputError(f"work budget {units} must be non-negative")
+    return _spending(units)
+
+
+@contextmanager
+def _spending(units: int):
     token = _OPEN.set([units, 0, 0])  # units, pivots spent, nodes spent
     try:
         yield
@@ -27,7 +39,8 @@ def limit(units: int):
 
 
 def charge(node: bool = False) -> None:
-    """Spend one unit of the open limit: a node if ``node``, else a pivot."""
+    """Spend one unit of the open limit: a node if ``node``, else a pivot
+    or a group state."""
     spent = _OPEN.get()
     if spent is None:
         return

@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="faithful")
             p.add_argument("--budget", type=int, default=None,
                            help="work budget of the whole request: simplex "
-                                "pivots plus branch-and-bound nodes")
+                                "pivots, group states and branch-and-bound "
+                                "nodes")
         p.add_argument("--json", action="store_true",
                        help="structured output")
 
@@ -467,13 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _request_limit(args):
-    """The work limit of ``--budget``; no limit when it is absent."""
+    """The work limit of ``--budget``; no limit when it is absent.
+    ``budget.limit`` reads the value, and its error names the option."""
     budget = getattr(args, "budget", None)
     if budget is None:
         return nullcontext()
-    if budget < 0:
-        raise InputError(f"--budget must be non-negative, got {budget}")
-    return limit(budget)
+    try:
+        return limit(budget)
+    except InputError as exc:
+        raise InputError(f"--budget: {exc}") from exc
 
 
 def main(argv=None) -> int:

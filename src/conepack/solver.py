@@ -33,19 +33,26 @@ of their configuration LP, ``configuration_window``, which solves that LP
 by its own revised simplex in ints from the parts' unit vectors.  The
 LP's basic weights, rounded up and trimmed, are a cover that answers at
 the window's top, so a probe runs only below that cover's cost, and a
-closed window runs none.  The window is less than d times the dearest
-cost wide, so the number of probes depends on d and the costs, not on
-the multiplicities.  Every returned solution is re-verified exactly:
-its counts are read through ``rational.integer`` and packing loads are
-compared in ints.
+closed window runs none.  An open window is first decided, where it can
+be, by Gomory's group relaxation at the LP's optimal basis,
+``_group_bound``: a shortest path over the det(B) elements of
+Z^d / B Z^d, whose work does not depend on the multiplicities.  Its
+bound raises the window's low end, and when its path is a cover, that
+cover is optimal and answers with no probe.  The group is skipped when
+det(B) exceeds ``GROUP_STATE_CAP``.  The window is less than d times the
+dearest cost wide, so the number of probes depends on d and the costs,
+not on the multiplicities.  Every returned solution is re-verified
+exactly: its counts are read through ``rational.integer`` and packing
+loads are compared in ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .budget import charge
 from .errors import InfeasibleError, InputError, InternalError, ResourceError
@@ -62,6 +69,11 @@ from .geometry import (
 from .ilp import ilp_feasible
 from .rational import Rat, ONE, integer
 from .structure import compute_structure_set, normalize_combination
+
+# The largest basis determinant whose group ``cheapest_cover`` searches.
+# The search settles at most that many states; above it the window is
+# bisected by probes alone.
+GROUP_STATE_CAP = 1024
 
 # ---------------------------------------------------------------------------
 # instances and solutions
@@ -139,6 +151,25 @@ class SelectResult:
     total_cost: Optional[int] = None
 
 
+class WindowBasis(NamedTuple):
+    """The optimal basis B of ``configuration_window``'s LP, in ints.
+
+    ``rows`` are the demanded types and ``columns`` the LP's
+    ``(part index, point)`` columns; ``basis`` holds the basic column of
+    each row, ``tableau`` the rows ``[adj(B) | adj(B) a]`` over the
+    demanded types, ``det`` is D = det(B) > 0, and ``dual`` is the dual
+    row ``[y | y . a]`` times D, so ``c_q D - dual . q`` is column q's
+    reduced cost times D.  The lists are the window's own, not copies.
+    """
+
+    rows: list
+    columns: list
+    basis: list
+    tableau: list
+    det: int
+    dual: list
+
+
 # ---------------------------------------------------------------------------
 # the objective search
 
@@ -187,7 +218,7 @@ def _cost_gcd(parts: Sequence) -> int:
 
 
 def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
-    """The window ``(lo, hi, cover)`` of a covering search from its
+    """The window ``(lo, hi, cover, basis)`` of a covering search from its
     configuration LP.
 
     ``parts`` lists ``(points, cost)``: the non-negative integer points of
@@ -225,9 +256,14 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     most ``sum c_p ceil(l_p)``, so ``hi - lo < len(a) * max c``.  A trimmed
     point missing from its part's points raises InternalError.
 
+    ``basis`` is the LP's final basis as a ``WindowBasis``: the state
+    above, the columns and the demanded types, from which ``_group_bound``
+    raises ``lo`` without a probe.
+
     A part that is not a pair raises InputError naming its index.  A
     demanded coordinate that no point covers raises InfeasibleError
-    naming it.  Zero demand gives the window ``(0, 0, [])``.
+    naming it.  Zero demand gives the window ``(0, 0, [])`` and an empty
+    basis with D = 1.
     """
     parts = _pairs(parts)
     rows = [j for j, aj in enumerate(a) if aj]
@@ -314,7 +350,89 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
             cover.append((i, p, n))
     hi = sum(parts[i][1] * n for i, _p, n in cover)
     g = _cost_gcd(parts)
-    return -(-dual[m] // (D * g)) * g, hi, cover
+    return (-(-dual[m] // (D * g)) * g, hi, cover,
+            WindowBasis(rows, columns, basis, tab, D, dual))
+
+
+def _group_bound(basis: WindowBasis, parts: Sequence, a: Sequence[int]):
+    """Gomory's group relaxation of the covering search at ``basis``:
+    ``(bound, cover)``, or None when D exceeds ``GROUP_STATE_CAP``.
+
+    Every exact cover x costs ``y . a + sum r_q x_q`` over the non-basic
+    columns q, with r_q = c_q - y . q >= 0, and ``B x_B = a - N x_N`` has
+    an integral ``x_B``.  Dropping ``x_B >= 0`` leaves the group problem
+    (Gomory 1965): the least ``sum r_q x_q`` with ``N x_N = a`` modulo the
+    lattice B Z^d, a shortest path from 0 to ``a`` in the group
+    Z^d / B Z^d of D elements.  An element v is ``adj(B) v mod D``; each
+    non-basic column with a non-zero image is an edge of weight
+    ``c_q D - y . q`` in ints, the cheapest column kept per image.  A
+    Dijkstra from 0 stops when it settles the image of ``a``, at the
+    path's weight L.  Its work depends on D and the columns, never on
+    the multiplicities; each settled state spends one ``budget.charge``
+    unit, as a pivot does, so at most D units.
+
+    ``bound`` is ``y . a + L/D`` rounded up: no cover costs less.
+    ``cover`` lists the path's ``(part index, point, copies)`` picks with
+    the basic weights ``x_B = (adj(B) a - sum x_q adj(B) q) / D``, which
+    cost exactly that bound and so are optimal, when every ``x_B`` is
+    non-negative; otherwise it is None.  InternalError when the target is
+    unreachable or a division is inexact.
+    """
+    D = basis.det
+    if D > GROUP_STATE_CAP:
+        return None
+    rows, tableau, dual = basis.rows, basis.tableau, basis.dual
+    columns = basis.columns
+    basic = set(basis.basis)
+    edges = {}
+    for k, (i, p) in enumerate(columns):
+        if k in basic:
+            continue
+        q = [p[j] for j in rows]
+        # each map over q stops at the last type, before the constant
+        image = tuple(sum(map(mul, row, q)) % D for row in tableau)
+        if any(image):
+            reduced = parts[i][1] * D - sum(map(mul, dual, q))
+            if image not in edges or reduced < edges[image][0]:
+                edges[image] = (reduced, k)
+    weights = [row[-1] for row in tableau]
+    target = tuple(v % D for v in weights)
+    start = (0,) * len(rows)
+    heap, best, came = [(0, start)], {start: 0}, {start: None}
+    while heap:
+        length, u = heappop(heap)
+        if length > best[u]:
+            continue  # superseded by a shorter path to u
+        charge()
+        if u == target:
+            break
+        # weights are reduced costs, so never negative: a settled state
+        # is never relaxed again
+        for image, (w, k) in edges.items():
+            v = tuple((s + t) % D for s, t in zip(u, image))
+            if v not in best or length + w < best[v]:
+                best[v] = length + w
+                came[v] = u, k
+                heappush(heap, (length + w, v))
+    else:
+        raise InternalError("the group misses the demand's image")
+    bound = -(-(dual[-1] + length) // D)
+    copies = {}
+    while came[u] is not None:
+        u, k = came[u]
+        copies[k] = copies.get(k, 0) + 1
+    for k, n in copies.items():
+        q = [columns[k][1][j] for j in rows]
+        weights = [v - n * sum(map(mul, row, q))
+                   for v, row in zip(weights, tableau)]
+    if any(v % D for v in weights):
+        raise InternalError("the group's path leaves a fractional basis")
+    if any(v < 0 for v in weights):
+        return bound, None
+    cover = [(*columns[k], v // D)
+             for k, v in zip(basis.basis, weights) if v]
+    cover += [(*columns[k], n) for k, n in sorted(copies.items())]
+    return bound, cover
 
 
 def cheapest_cover(a: Sequence[int], parts: Sequence, select):
@@ -324,17 +442,34 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     them, and ``select(target, budget)`` returns a ``SelectResult`` that
     reaches ``target`` at total cost at most ``budget``, or is not found.
     The window's cover, whose picks must reach ``a`` at cost ``hi``,
-    answers at its top, so ``select`` runs on the target
-    ``box_polytope(a, a)`` only below ``hi``, and a closed window builds no
-    target.  ``least_feasible`` bisects over the budgets ``v * g`` inside
-    the window, ``g = _cost_gcd(parts)``.  Zero demand returns the empty
-    selection at cost 0.  InternalError when a check fails.
+    answers at its top, and a closed window answers with it at once.  An
+    open window first runs ``_group_bound`` at the window's basis, unless
+    its determinant exceeds ``GROUP_STATE_CAP``: ``lo`` rises to the
+    group's bound, rounded up to a multiple of ``g = _cost_gcd(parts)``,
+    and when the group's path is a cover, that cover meets the bound and
+    answers with no probe.  Otherwise ``select`` runs on the target
+    ``box_polytope(a, a)`` only below ``hi``: ``least_feasible`` bisects
+    over the budgets ``v * g`` inside the raised window.  Zero demand
+    returns the empty selection at cost 0.  InternalError when a check
+    fails.
     """
-    lo, hi, cover = configuration_window(parts, a)
-    top = _selection(cover, [c for _points, c in parts], hi, len(a))
+    lo, hi, cover, basis = configuration_window(parts, a)
+    costs = [c for _points, c in parts]
+    top = _selection(cover, costs, hi, len(a))
     if top.target != tuple(a):
         raise InternalError("the window's cover misses the demand")
     g = _cost_gcd(parts)
+    group = _group_bound(basis, parts, a) if lo < hi else None
+    if group is not None:
+        bound, path = group
+        lo = max(lo, -(-bound // g) * g)
+        if lo > hi:
+            raise InternalError("the group's bound exceeds the window's cover")
+        if path is not None:
+            best = _selection(path, costs, lo, len(a))
+            if best.target != tuple(a) or best.total_cost != lo:
+                raise InternalError("the group's cover misses its bound")
+            return best
     best, opt = least_feasible(
         lambda v: top if v * g >= hi else select(box_polytope(a, a), v * g),
         lo // g, hi // g, lambda res: res.total_cost // g)

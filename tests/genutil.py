@@ -54,8 +54,27 @@ def check_window(parts, a):
     every non-zero point, solved by ``exactmath.lp_optimize``: ``lo`` is
     its optimum rounded up to the costs' gcd, the cover reaches ``a``
     exactly with points of their parts at cost ``hi``, and ``hi - lo`` is
-    below ``len(a)`` times the dearest cost.  Returns the window."""
-    lo, hi, cover = solver.configuration_window(parts, a)
+    below ``len(a)`` times the dearest cost.  The basis record is an
+    optimal basis: adj(B) times its columns is D times the identity, the
+    tableau's last column is adj(B) a, the dual row prices each basic
+    column at its cost and every column at no more, and its last entry is
+    ``y . a``.  Returns ``(lo, hi, cover)``."""
+    lo, hi, cover, basis = solver.configuration_window(parts, a)
+    rows, D = basis.rows, basis.det
+    assert rows == [j for j, v in enumerate(a) if v] and D > 0
+    for k, (i, p) in enumerate(basis.columns):
+        q = [p[j] for j in rows]
+        price = sum(y * v for y, v in zip(basis.dual, q))
+        assert price <= parts[i][1] * D
+        if k in basis.basis:
+            r = basis.basis.index(k)
+            assert price == parts[i][1] * D
+            assert [sum(x * v for x, v in zip(row, q))
+                    for row in basis.tableau] == [D * (s == r)
+                                                  for s in range(len(rows))]
+    for row in basis.tableau:
+        assert row[-1] == sum(x * a[j] for x, j in zip(row, rows))
+    assert basis.dual[-1] == sum(y * a[j] for y, j in zip(basis.dual, rows))
     columns = [(p, c) for points, c in parts for p in points if any(p)]
     d = len(a)
     if any(a):

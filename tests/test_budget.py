@@ -12,8 +12,9 @@ from conepack.solver import BinPackingInstance, bin_packing
 
 def _work_of(inst, monkeypatch):
     """(largest pivots of one LP, largest nodes of one ILP, total work,
-    pivots of the configuration window).  The window runs its own simplex
-    and charges each pivot to the budget directly."""
+    pivots of the configuration window and states of its group).  The
+    window runs its own simplex and the group its own shortest path, and
+    both charge each step to the budget directly."""
     seen = {"pivots": 0, "most_pivots": 0, "nodes": 0, "most_nodes": 0,
             "window": 0}
     charge_pivot = ExactLp._charge_pivot
@@ -52,16 +53,18 @@ def _work_of(inst, monkeypatch):
 
 
 def test_limit_spans_the_request(monkeypatch):
-    inst = BinPackingInstance([Rat(1, 3), Rat(1, 4)], [4, 5])
+    # the window [6, 7] stays open at its group's bound (D = 12), so the
+    # request runs probes, each with LPs and an integer program
+    inst = BinPackingInstance([Rat(1, 2), Rat(3, 7), Rat(1, 7)], [5, 5, 3])
     most_pivots, most_nodes, total, window = _work_of(inst, monkeypatch)
-    assert window > 0
+    assert window > 0 and most_nodes > 0
     above_each = max(most_pivots, most_nodes) + 1
     assert above_each < total
     with pytest.raises(ResourceError) as err, limit(above_each):
         bin_packing(inst)
     assert err.value.budget_name == "request work budget"
     with limit(total):
-        assert bin_packing(inst).objective == 3
+        assert bin_packing(inst).objective == 6
     with pytest.raises(ResourceError), limit(total - 1):
         bin_packing(inst)
 

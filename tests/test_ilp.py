@@ -7,9 +7,10 @@ import pytest
 from conepack.budget import limit
 from conepack.errors import InputError, ResourceError
 from conepack.exactmath import INFEASIBLE, OPTIMAL, ExactLp, lp_optimize
+from conepack.geometry import box_polytope
 from conepack.ilp import _derive_bounds, ilp_feasible, lll_basis
 from conepack.rational import Rat, rat_ceil, rat_floor
-from conepack.solver import CuttingStockInstance, cutting_stock
+from conepack.solver import _pattern_polytope, multi_polytope_select
 
 
 def program(rows, rhs, lo=None, hi=None):
@@ -141,9 +142,12 @@ class TestOracle:
 
 class TestNodeStack:
     def test_one_restore_per_branching(self, monkeypatch):
-        # the node-heavy a = 40 cutting stock: 423 nodes over two programs
-        inst = CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
-                                    [40] * 3, [(Rat(1), 3), (Rat(1, 2), 2)])
+        # the node-heavy a = 40 cutting stock's Empty probe at its window's
+        # low end, 110: 423 nodes over two programs.  The group at the
+        # window's basis decides that window, so the probe is driven here
+        sizes, a = [Rat(1, 3), Rat(1, 4), Rat(2, 7)], [40] * 3
+        parts = [(_pattern_polytope(sizes, w, a), c)
+                 for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
         calls = {"snapshot": 0, "restore": 0}
         snapshot, restore = ExactLp.snapshot, ExactLp.restore
 
@@ -157,7 +161,8 @@ class TestNodeStack:
 
         monkeypatch.setattr(ExactLp, "snapshot", counted_snapshot)
         monkeypatch.setattr(ExactLp, "restore", counted_restore)
-        assert cutting_stock(inst).objective == 111
+        assert not multi_polytope_select(parts, box_polytope(a, a),
+                                         110).found
         # each branching takes one snapshot; only its ceil child restores
         assert calls["snapshot"] == 211
         assert 0 < calls["restore"] <= calls["snapshot"]

@@ -3,19 +3,20 @@
 Each entry point that needs integers reads them through
 ``rational.integer``: a non-integral value raises an ``InputError`` that
 names its field, and an integral rational or float answers as its int
-twin does.  Every scheduling entry point reads a machine type and a job
-vector through the scheduling module's two readers, so a machine type
-outside 0..m-1 or a job vector of the wrong length or with a negative
-count is an ``InputError`` everywhere, and a validated schedule whose
-segment names no job type is an ``InternalError``.  The hull routines
-reject points of mixed dimension with an ``InputError``.
+twin does.  A work budget is read so too, and a negative one refused.
+Every scheduling entry point reads a machine type and a job vector
+through the scheduling module's two readers, so a machine type outside
+0..m-1 or a job vector of the wrong length or with a negative count is
+an ``InputError`` everywhere, and a validated schedule whose segment
+names no job type is an ``InternalError``.  The hull routines reject
+points of mixed dimension with an ``InputError``.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from conepack import oracle
+from conepack import budget, oracle
 from conepack.errors import InputError, InternalError
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
                                extreme_points, in_convex_hull, lattice_points,
@@ -134,6 +135,26 @@ NON_INTEGRAL = [
 def test_a_non_integral_value_is_an_input_error(field, call):
     with pytest.raises(InputError, match=f"^{field} .* must be an integer$"):
         call()
+
+
+@pytest.mark.parametrize("units,message", [
+    ("5", "^work budget '5' is text, not an integer$"),
+    (None, "^work budget None must be an integer$"),
+    (2.5, "^work budget 2.5 must be an integer$"),
+    (-3, "^work budget -3 must be non-negative$"),
+], ids=["text", "none", "fraction", "negative"])
+def test_a_work_budget_is_a_non_negative_integer(units, message):
+    # refused when the limit is made, before any work is charged to it
+    with pytest.raises(InputError, match=message):
+        budget.limit(units)
+
+
+def test_an_integral_work_budget_reads_as_its_int():
+    with budget.limit(Fraction(4)):
+        assert budget._OPEN.get() == [4, 0, 0]
+        assert type(budget._OPEN.get()[0]) is int
+    with budget.limit(0.0):
+        assert budget._OPEN.get() == [0, 0, 0]
 
 
 EMPTY_TARGET = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0

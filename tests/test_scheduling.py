@@ -1,6 +1,7 @@
 """Scheduling: interval polytopes, EDF simulation, cycle polytopes,
 assignment and tardy solvers, cross-checked against the brute oracles."""
 
+import math
 import random
 import re
 
@@ -417,17 +418,19 @@ class TestNonpreemptiveAssign:
             nonpreemptive_assign(inst)
 
     # open configuration windows from a seeded search (d = 2-3, m = 1-2,
-    # multiplicities 1-3): (windows, demand, costs, optimum, probes)
+    # multiplicities 1-3): (windows, demand, costs, optimum, probes).  The
+    # group at the window's basis decides the first, second and last, so
+    # their solves run no probe; the probes themselves are driven below
     OPEN_WINDOWS = [
         ([[(0, 1, 1), (3, 4, 1), (1, 4, 3)],
-          [(3, 5, 1), (0, 4, 3), (2, 5, 2)]], (3, 1, 3), (3, 2), 8, 1),
+          [(3, 5, 1), (0, 4, 3), (2, 5, 2)]], (3, 1, 3), (3, 2), 8, 0),
         ([[(2, 3, 1), (3, 6, 3), (2, 6, 1)],
-          [(1, 6, 4), (1, 3, 2), (1, 6, 2)]], (2, 3, 3), (3, 2), 10, 3),
+          [(1, 6, 4), (1, 3, 2), (1, 6, 2)]], (2, 3, 3), (3, 2), 10, 0),
         ([[(1, 5, 3), (3, 4, 1), (0, 6, 2)],
           [(0, 3, 1), (1, 4, 1), (0, 1, 1)]], (3, 1, 1), (2, 3), 5, 2),
         ([[(2, 4, 2), (1, 5, 2), (2, 5, 1)]], (2, 3, 3), (3,), 12, 1),
         ([[(1, 6, 1), (1, 6, 5)], [(4, 5, 1), (2, 6, 1)]], (3, 2), (3, 2), 5,
-         1),
+         0),
     ]
 
     @pytest.mark.parametrize("windows,a,costs,optimum,probes", OPEN_WINDOWS,
@@ -448,6 +451,14 @@ class TestNonpreemptiveAssign:
         sol = nonpreemptive_assign(inst)
         assert len(calls) == probes
         assert sol.objective == optimum == brute_assignment_cost(inst)
+        # the probe as the search asks it, at the optimum and one step of
+        # the costs' gcd below it
+        parts = [(sorted(schedulable_vectors(inst, i, a)), c)
+                 for i, c in enumerate(costs)]
+        target = geometry.box_polytope(a, a)
+        step = math.gcd(*costs)
+        assert [select(parts, target, b).found
+                for b in (optimum, optimum - step)] == [True, False]
 
 
 def brute_assignment_cost(inst):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conepack.budget import limit
 from conepack.errors import (InfeasibleError, InputError, InternalError,
                              ResourceError)
-from conepack import geometry, scheduling, solver
+from conepack import budget, geometry, scheduling, solver
 from conepack.exactmath import ExactLp
 from conepack.geometry import (Polytope, coordinate_bounds, in_convex_hull,
                                integer_box, lattice_points)
@@ -585,8 +585,8 @@ class TestCuttingStock:
                 q = rng.randint(2, 9)
                 sizes.append(Rat(rng.randint(1, min(7, q)), q))
             mult = [rng.randint(1, 6) for _ in range(3)]
-            lo, hi, _cover = configuration_window(
-                [(patterns(sizes, w, mult), c) for w, c in types], mult)
+            lo, hi = configuration_window(
+                [(patterns(sizes, w, mult), c) for w, c in types], mult)[:2]
             if lo < hi:
                 yield sizes, mult
 
@@ -610,8 +610,8 @@ class TestCuttingStock:
             assert cheapest_packing_cost(sizes, mult, types) == opt
             assert cutting_stock(inst, mode="faithful").objective == opt
             assert cutting_stock(inst, mode="joint").objective == opt
-            lo, _hi, _cover = configuration_window(
-                [(patterns(sizes, w, mult), c) for w, c in types], mult)
+            lo = configuration_window(
+                [(patterns(sizes, w, mult), c) for w, c in types], mult)[0]
             assert lo == opt - 1
             results.clear()
             assert mode_verdicts(inst, opt) == [True, True, False, False]
@@ -641,9 +641,12 @@ class TestCuttingStock:
         assert sol.patterns == (((2, 1), 0, 1), ((0, 2), 1, 1))
 
     def test_stored_proofs_keep_witnesses_and_nodes(self, monkeypatch):
-        # node-heavy: its Empty probe takes most of the branch and bound
-        inst = CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
-                                    [40] * 3, [(Rat(1), 3), (Rat(1, 2), 2)])
+        # node-heavy: the Empty probe at the window's low end, 110, takes
+        # most of the branch and bound.  The group at the window's basis
+        # decides the window [110, 111], so both probes are driven here
+        sizes, a = [Rat(1, 3), Rat(1, 4), Rat(2, 7)], [40] * 3
+        parts = [(solver._pattern_polytope(sizes, w, a), c)
+                 for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
         inner = solver.ilp_feasible
 
         def solve():
@@ -656,7 +659,8 @@ class TestCuttingStock:
 
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "ilp_feasible", counted)
-                return cutting_stock(inst), nodes
+                return [multi_polytope_select(parts, box_polytope(a, a), b)
+                        for b in (110, 111)], nodes
 
         with monkeypatch.context() as patch:
             patch.setattr(ExactLp, "_refuted", lambda lp: False)
@@ -671,6 +675,7 @@ class TestCuttingStock:
         monkeypatch.setattr(ExactLp, "_refuted", counted_check)
         sol, nodes = solve()
         assert sol == plain
+        assert [res.found for res in sol] == [False, True]
         assert nodes == plain_nodes and sum(nodes) > 400
         assert any(refuted)
 
@@ -724,7 +729,8 @@ class TestCheapestCover:
     def test_bisects_over_the_costs_lattice(self, monkeypatch):
         # every cover costs a multiple of gcd(9, 6) = 3, so no budget
         # between two multiples is probed; the window's own cover of cost
-        # 36 answers at its top, so only the budgets below it are probed
+        # 36 answers at its top, so only the budgets below it are probed.
+        # The group at the window's basis (D = 3) leaves [30, 36] open
         budgets = []
         inner = solver.multi_polytope_select
 
@@ -733,7 +739,7 @@ class TestCheapestCover:
             return inner(parts, target, budget, **kwargs)
 
         monkeypatch.setattr(solver, "multi_polytope_select", recording)
-        inst = CuttingStockInstance([Rat(3, 7), Rat(2, 9)], [2, 9],
+        inst = CuttingStockInstance([Rat(1, 3), Rat(1, 7)], [9, 1],
                                     [(Rat(1), 9), (Rat(1, 2), 6)])
         assert cutting_stock(inst).objective == 33
         assert budgets == [33, 30]
@@ -741,7 +747,8 @@ class TestCheapestCover:
     def test_bisects_over_the_costs_of_parts_that_hold_an_item(
             self, monkeypatch):
         # the bin type (1/20, 3) holds no item, so its cost is no step of
-        # the search: every cover costs a multiple of gcd(4, 2) = 2
+        # the search: every cover costs a multiple of gcd(4, 2) = 2.  The
+        # group at the window's basis (D = 6) leaves [12, 16] open
         budgets = []
         inner = solver.multi_polytope_select
 
@@ -751,9 +758,9 @@ class TestCheapestCover:
 
         monkeypatch.setattr(solver, "multi_polytope_select", recording)
         inst = CuttingStockInstance(
-            [Rat(1, 3), Rat(1, 5)], [4, 4],
+            [Rat(1, 3), Rat(1, 6)], [5, 7],
             [(Rat(1), 4), (Rat(1, 2), 2), (Rat(1, 20), 3)])
-        assert cutting_stock(inst).objective == 10
+        assert cutting_stock(inst).objective == 12
         assert budgets
         assert all(budget % 2 == 0 for budget in budgets)
 
@@ -763,18 +770,19 @@ class TestConfigurationWindow:
         # three halves: the LP packs 3/2 bins of (2,), which rounds to 2;
         # the second copy holds one half too many and is trimmed to (1,)
         assert configuration_window([(patterns([Rat(1, 2)], 1, [3]), 1)],
-                                    [3]) == (2, 2, [(0, (1,), 1),
-                                                    (0, (2,), 1)])
+                                    [3])[:3] == (2, 2, [(0, (1,), 1),
+                                                        (0, (2,), 1)])
 
     def test_costs_weigh_the_parts(self):
         # one item of size 1/2: a half bin for 1 beats a full bin for 3
         parts = [(patterns([Rat(1, 2)], 1, [1]), 3),
                  (patterns([Rat(1, 2)], Rat(1, 2), [1]), 1)]
-        assert configuration_window(parts, [1]) == (1, 1, [(1, (1,), 1)])
+        assert configuration_window(parts, [1])[:3] == (1, 1,
+                                                     [(1, (1,), 1)])
 
     def test_zero_points_and_demand(self):
         assert configuration_window([([(0, 0), (1, 0), (0, 1)], 2)],
-                                    [0, 0]) == (0, 0, [])
+                                    [0, 0])[:3] == (0, 0, [])
 
     def test_uncoverable_demand(self):
         with pytest.raises(InfeasibleError, match="type 1 fits no machine"):
@@ -783,8 +791,8 @@ class TestConfigurationWindow:
     def test_low_end_rounds_up_to_the_costs_gcd(self):
         # the LP spends 15/2, but every cover costs a multiple of 3
         parts = [([(0,), (1,), (2,)], 3), ([(0,), (1,)], 6)]
-        assert configuration_window(parts, [5]) == (9, 9, [(0, (1,), 1),
-                                                           (0, (2,), 2)])
+        assert configuration_window(parts, [5])[:3] == (
+            9, 9, [(0, (1,), 1), (0, (2,), 2)])
 
     def test_trimmed_points_must_belong_to_their_part(self):
         # {(1,), (3,)} is not down-closed: 5/3 copies of (3,) round up to
@@ -800,7 +808,7 @@ class TestConfigurationWindow:
                                                 "down-closed"):
             configuration_window([([(1, 0), (0, 2)], 1)], [1, 2])
         # an undemanded type needs none
-        assert configuration_window([([(1, 0), (0, 2)], 1)], [3, 0]) \
+        assert configuration_window([([(1, 0), (0, 2)], 1)], [3, 0])[:3] \
             == (3, 3, [(0, (1, 0), 3)])
 
     def test_pivots_are_capped_per_call(self, monkeypatch):
@@ -844,12 +852,13 @@ class TestConfigurationWindow:
         # eleven copies of (1, 2) hold eight items of size 1/10 too many:
         # eight of them are trimmed alike, as one pick and in one step
         sizes, a = [Rat(1, 10), Rat(4, 9)], [13, 22]
-        assert configuration_window([(patterns(sizes, 1, a), 1)], a) \
+        assert configuration_window([(patterns(sizes, 1, a), 1)], a)[:3] \
             == (12, 12, [(0, (0, 2), 8), (0, (1, 2), 3), (0, (10, 0), 1)])
 
     def test_no_columns(self):
         # only the zero point: no cost to take the gcd of
-        assert configuration_window([([(0, 0)], 2)], [0, 0]) == (0, 0, [])
+        assert configuration_window([([(0, 0)], 2)], [0, 0])[:3] \
+            == (0, 0, [])
 
 
 _size = st.builds(lambda q, p: Rat(p, q), st.integers(2, 7),
@@ -876,7 +885,7 @@ def test_bin_packing_matches_brute_force_inside_its_window(case):
     sizes, a, _types = case
     opt = bp_brute_force(sizes, a)
     assert bin_packing(BinPackingInstance(sizes, a)).objective == opt
-    lo, hi, _cover = configuration_window([(patterns(sizes, 1, a), 1)], a)
+    lo, hi = configuration_window([(patterns(sizes, 1, a), 1)], a)[:2]
     assert lo <= opt <= hi and hi - lo < len(a)
 
 
@@ -888,7 +897,7 @@ def test_cutting_stock_optimum_lies_inside_its_window(case):
     opt = cheapest_packing_cost(sizes, a, bin_types)
     inst = CuttingStockInstance(sizes, a, bin_types)
     assert cutting_stock(inst).objective == opt
-    lo, hi, _cover = configuration_window(parts, a)
+    lo, hi = configuration_window(parts, a)[:2]
     assert lo <= opt <= hi
     assert hi - lo < len(a) * max(c for _w, c in bin_types)
 
@@ -898,13 +907,14 @@ PAPER_SCALE = 10 ** 30
 
 # the probes recorded: the three closed windows take none, because the
 # window's own cover answers at its top, and the open window (1.75e30,
-# 1.75e30 + 2) takes two below that cover's cost
+# 1.75e30 + 2) takes none either, because the group at its basis answers
+# with a cover that meets the group's bound
 @pytest.mark.parametrize("inst, count", [
     (BinPackingInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2), 0),
     (BinPackingInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
                         [PAPER_SCALE] * 3), 0),
     (CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [PAPER_SCALE] * 2,
-                          [(Rat(1), 3), (Rat(1, 2), 2)]), 2),
+                          [(Rat(1), 3), (Rat(1, 2), 2)]), 0),
     (CuttingStockInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)],
                           [PAPER_SCALE] * 3, [(Rat(1), 1)]), 0),
 ], ids=["binpacking-d2", "binpacking-d3", "cuttingstock-d2",
@@ -947,10 +957,169 @@ def test_paper_scale_window_over_many_patterns():
     points = lattice_points(solver._pattern_polytope(sizes, 1, a))
     assert len(points) == 1965
     with limit(2000):
-        lo, hi, cover = configuration_window([(points, 1)], a)
+        lo, hi, cover, _basis = configuration_window([(points, 1)], a)
     assert lo == rat_ceil(fractional_opt(sizes, a))
     assert hi - lo < 3
     assert [sum(n * p[j] for _i, p, n in cover) for j in range(3)] == a
+
+
+# cutting stocks whose probes ran out of work before the group at the
+# window's basis decided them: (sizes, demand, bin types, optimum).  The
+# node-heavy d = 3 case at 10^12 and 10^30, three more d = 3 cases at
+# t = 10^12, and two d = 2 cases at s = 10^12
+_T = 10 ** 12
+PAPER_SCALE_WINDOWS = {
+    "d3-1e12": ([Rat(1, 3), Rat(1, 4), Rat(2, 7)], [_T] * 3,
+                [(Rat(1), 3), (Rat(1, 2), 2)], 275 * _T // 100 + 1),
+    "d3-1e30": ([Rat(1, 3), Rat(1, 4), Rat(2, 7)], [PAPER_SCALE] * 3,
+                [(Rat(1), 3), (Rat(1, 2), 2)], 275 * PAPER_SCALE // 100 + 1),
+    "d3-5/6-2/7": ([Rat(5, 6), Rat(2, 7), Rat(2, 7)], [5 * _T] * 3,
+                   [(Rat(1), 2), (Rat(1, 3), 3)], 16_666_666_666_668),
+    "d3-1/6-4/11": ([Rat(1, 6), Rat(1, 6), Rat(4, 11)], [_T, 3 * _T, _T],
+                    [(Rat(1), 2), (Rat(1, 2), 3)], 2_166_666_666_668),
+    "d3-1/2-1/3": ([Rat(1, 2), Rat(1, 3), Rat(1, 3)],
+                   [5 * _T, 4 * _T, 3 * _T],
+                   [(Rat(1), 3), (Rat(1, 3), 2)], 14_500_000_000_001),
+    "d2-1/8-2/9": ([Rat(1, 8), Rat(2, 9)], [2 * _T + 1, 3 * _T],
+                   [(Rat(1), 3), (Rat(3, 4), 2)], 2_666_666_666_668),
+    "d2-1/2-1/8": ([Rat(1, 2), Rat(1, 8)], [3 * _T, 3 * _T + 1],
+                   [(Rat(1), 3), (Rat(1, 7), 1)], 5_625_000_000_001),
+}
+
+
+@pytest.mark.parametrize("case", PAPER_SCALE_WINDOWS)
+def test_paper_scale_windows_are_decided_by_their_group(case):
+    sizes, a, bin_types, opt = PAPER_SCALE_WINDOWS[case]
+    inst = CuttingStockInstance(sizes, a, bin_types)
+    with limit(20_000):
+        sol = cutting_stock(inst)
+    verify_solution(inst, sol)
+    assert sol.objective == opt
+
+
+def _cover_brute(parts, a):
+    """The least cost of picks from listed ``(points, cost)`` parts that
+    reach ``a`` exactly, by recursion over the remaining demand."""
+    picks = [(p, c) for points, c in parts for p in points if any(p)]
+    memo = {(0,) * len(a): 0}
+
+    def least(rest):
+        if rest not in memo:
+            memo[rest] = min(
+                (c + least(tuple(r - v for r, v in zip(rest, p)))
+                 for p, c in picks if all(v <= r for v, r in zip(p, rest))),
+                default=float("inf"))
+        return memo[rest]
+
+    return least(tuple(a))
+
+
+def _group_draws():
+    """Seeded small covering searches as ``cheapest_cover`` sees them:
+    ``(kind, parts, a)`` of 400 cutting stocks with two bin types, then of
+    preemptive assignments with one or two machine types, each part's
+    points checked by EDF simulation.  Most of their windows are closed."""
+    rng = random.Random(22022)
+    stocks = 0
+    while stocks < 400:
+        d = rng.randint(2, 3)
+        sizes = [Rat(rng.randint(1, q), q)
+                 for q in (rng.randint(2, 9) for _ in range(d))]
+        a = [rng.randint(1, 7) for _ in range(d)]
+        types = [(Rat(1), rng.randint(2, 4)), (Rat(rng.randint(1, 2), 3), 1)]
+        parts = [(patterns(sizes, w, a), c) for w, c in types]
+        if all(any(p[j] for points, _c in parts for p in points)
+               for j in range(d)):
+            stocks += 1
+            yield "stock", parts, a
+    for _ in range(200):
+        d, m = 2, rng.randint(1, 2)
+        windows = []
+        for _i in range(m):
+            per_machine = []
+            for _j in range(d):
+                r = rng.randint(0, 4)
+                dl = rng.randint(r + 1, 6)
+                per_machine.append((r, dl, rng.randint(1, dl - r)))
+            windows.append(per_machine)
+        a = [rng.randint(1, 4) for _ in range(d)]
+        inst = SchedulingInstance(windows, a,
+                                  costs=[rng.randint(1, 3) for _ in range(m)],
+                                  variant="preemptive")
+        parts = [([x for x in itertools.product(*(range(v + 1) for v in a))
+                   if scheduling.edf_simulate(x, inst, i).feasible], c)
+                 for i, c in enumerate(inst.costs)]
+        if all(any(p[j] for points, _c in parts for p in points)
+               for j in range(d)):
+            yield "assignment", parts, a
+
+
+def test_group_bounds_and_covers_match_brute_force():
+    # the group's bound never exceeds the least cover's cost, and a cover
+    # the group answers with costs exactly that; windows whose low end is
+    # Empty and windows whose low end is feasible both occur
+    seen = dict.fromkeys(["empty_lo", "feasible_lo", "raised", "answered",
+                          "left_open", "assignment"], 0)
+    for kind, parts, a in _group_draws():
+        lo, hi, _cover, basis = configuration_window(parts, a)
+        if lo == hi:
+            continue
+        opt = _cover_brute(parts, a)
+        assert lo <= opt <= hi
+        seen["empty_lo" if opt > lo else "feasible_lo"] += 1
+        seen["assignment"] += kind == "assignment"
+        bound, cover = solver._group_bound(basis, parts, a)
+        assert bound <= opt, (parts, a)
+        seen["raised"] += bound > lo
+        if cover is None:
+            seen["left_open"] += 1
+            continue
+        seen["answered"] += 1
+        reached = [0] * len(a)
+        for i, p, n in cover:
+            assert n >= 1 and p in parts[i][0]
+            reached = [r + n * v for r, v in zip(reached, p)]
+        assert reached == list(a)
+        assert sum(parts[i][1] * n for i, _p, n in cover) == bound == opt
+    assert seen["empty_lo"] >= 5 and seen["feasible_lo"] >= 5, seen
+    assert seen["raised"] >= 5 and seen["answered"] >= 10, seen
+    assert seen["left_open"] >= 1 and seen["assignment"] >= 5, seen
+
+
+def test_group_states_spend_the_budget():
+    # the node-heavy d = 3 case at a = 40: the window is [110, 111] with
+    # D = 24; the group proves that 110 is Empty, and each state it
+    # settles spends one unit
+    sizes = [Rat(1, 3), Rat(1, 4), Rat(2, 7)]
+    parts = [(lattice_points(solver._pattern_polytope(sizes, w, [40] * 3)), c)
+             for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
+    lo, hi, _cover, basis = configuration_window(parts, [40] * 3)
+    assert (lo, hi, basis.det) == (110, 111, 24)
+    with limit(10 ** 6):
+        assert solver._group_bound(basis, parts, [40] * 3)[0] == 111
+        _units, states, nodes = budget._OPEN.get()
+    assert 1 <= states <= 24 and nodes == 0
+    with limit(states):
+        solver._group_bound(basis, parts, [40] * 3)
+    with pytest.raises(ResourceError), limit(states - 1):
+        solver._group_bound(basis, parts, [40] * 3)
+
+
+def test_group_is_skipped_above_its_cap(monkeypatch):
+    # [1/2, 1/4] x [4, 3]: the window [3, 4] has D = 4, and its group
+    # answers with no probe; with the cap below D the window is probed
+    probes = []
+    select = solver.multi_polytope_select
+
+    def recording(*args, **kwargs):
+        probes.append(args[2])
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "multi_polytope_select", recording)
+    inst = BinPackingInstance([Rat(1, 2), Rat(1, 4)], [4, 3])
+    assert bin_packing(inst).objective == 3 and probes == []
+    monkeypatch.setattr(solver, "GROUP_STATE_CAP", 3)
+    assert bin_packing(inst).objective == 3 and probes == [3]
 
 
 # scale factors up to the paper's, half of them the paper's exactly
@@ -982,7 +1151,7 @@ def test_window_top_cover_is_a_trimmed_round_up(sizes, a, bin_types):
     polys = [solver._pattern_polytope(sizes, w, a) for w, _c in bin_types]
     parts = [(lattice_points(poly), c)
              for poly, (_w, c) in zip(polys, bin_types)]
-    lo, hi, cover = configuration_window(parts, a)
+    lo, hi, cover, _basis = configuration_window(parts, a)
     reached = [0] * len(a)
     for i, q, n in cover:
         assert n >= 1 and any(q)
@@ -1022,7 +1191,7 @@ def test_bin_packing_scales_between_its_lp_and_copies(sizes, a, t):
         opt_scaled = bin_packing(BinPackingInstance(sizes, scaled)).objective
     # every pattern of a unit bin, whatever the demand
     unclipped = patterns(sizes, 1, [int(1 / s) for s in sizes])
-    lp_bound, _hi, _cover = configuration_window([(unclipped, 1)], scaled)
+    lp_bound = configuration_window([(unclipped, 1)], scaled)[0]
     assert lp_bound <= opt_scaled <= t * opt
 
 
@@ -1193,8 +1362,9 @@ def _seeded_selections():
 def _recorded_lifts(monkeypatch):
     """``(lift, lifted target, number of parts)`` of ten seeded selections,
     a target that is not a box, six cutting-stock instances and one
-    preemptive assignment.  A closed configuration window answers without
-    a lift, so the last three cutting-stock instances have open windows."""
+    preemptive assignment.  A closed configuration window, or one that its
+    group decides, answers without a lift, so each cutting stock is also
+    probed at its optimum and one cost step below it, in both modes."""
     lifts, parts_count = [], []
     inner, select = solver.int_cone_intersect, solver.multi_polytope_select
 
@@ -1223,7 +1393,10 @@ def _recorded_lifts(monkeypatch):
             ([Rat(3, 7), Rat(2, 9)], [2, 9], [(Rat(1), 9), (Rat(1, 2), 6)]),
             ([Rat(1, 2), Rat(1, 4)], [4, 3], [(Rat(1), 1)]),
             ([Rat(1, 2), Rat(1, 4)], [2, 3], [(Rat(1), 2), (Rat(2, 3), 1)])]:
-        cutting_stock(CuttingStockInstance(sizes, mult, types))
+        # the probes at the optimum and one step below it, which a solve
+        # leaves out wherever the window or its group decides
+        inst = CuttingStockInstance(sizes, mult, types)
+        mode_verdicts(inst, cutting_stock(inst).objective)
     preemptive_assign(SchedulingInstance(
         [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
         costs=[3, 2], variant="preemptive"))
