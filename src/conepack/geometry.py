@@ -21,16 +21,16 @@ top of it:
   coordinates for rank 3 below the ambient dimension, vertex filtering
   by exact LP above),
 * the slack-interval grid that groups lattice points into cells whose
-  slacks agree within ``1 + 1/d^2``, in signature order; when the axis
-  rows read first separate every coordinate, the cells are single points
-  in one sort of the lattice,
+  slacks agree within ``1 + 1/d^2``, in signature order; when the leading
+  axis rows separate every coordinate over the axis box, the cells are
+  single points in one sort of the lattice, decided from the rows alone,
 * minimum-volume enclosing ellipsoid contact points (Khachiyan's
   iteration on plain Python floats, stopped once two consecutive steps
   give the same contacts and at most ``MVEE_ITERATION_CAP`` steps,
   answers re-verified exactly, with a sound fallback), and
 * ``parallelepiped_cover``: integral parallelepipeds that cover all lattice
   points of the polytope while staying inside it (a one-point cell by
-  the point itself).
+  the point itself, built straight from the lattice's order).
 
 Apart from the ellipsoid's float weights, linear algebra on points and
 directions runs in integers only: one fraction-free (Bareiss)
@@ -39,7 +39,7 @@ adjugate and determinant of a nonsingular pivot block.  A
 ``Parallelepiped`` is such a frame over its directions scaled to
 integers, and tests membership as ``|adj . (L p - L c)| <= det`` plus an
 integer affine-span check.  ``Parallelepiped.point`` builds a lattice
-point's ``k = 0`` element directly, with no elimination.
+point's ``k = 0`` element by setting its centre alone.
 
 Everything user-visible is deterministic: lattice points and hull vertices
 come back lexicographically sorted, covers are built cell by cell in
@@ -838,51 +838,80 @@ def cell_partition(poly: Polytope) -> list:
     and two points share a cell iff every one of their slacks falls in
     the same grid interval.
 
-    The rows are read in order.  A row with one non-zero coefficient, an
-    axis row, maps each distinct value of its coordinate to an interval
-    index once; any other row computes its slacks over the columns of its
-    non-zero coefficients, so each is an int.  The interval index of each
-    distinct slack is looked up once per call, on its first use.
-
-    A coordinate is separated once one of its axis rows maps its distinct
-    values to distinct intervals: two points then share that row's index
-    only if they share the coordinate.  The index grows with the slack,
-    so such a row's map is strictly monotone, falling in ``x_j`` for a
-    positive coefficient and rising for a negative one.  A later axis row
-    on a separated coordinate is a function of that earlier index, so it
-    neither splits nor reorders a cell, and it is skipped.
-
-    While every row read separates its coordinate or is skipped, only its
-    coordinate and coefficient are recorded.  If that lasts until every
-    coordinate is separated, each point is a cell of its own and the
-    signature order is the lexicographic order of ``-x_j`` (positive
-    coefficient) or ``x_j`` (negative) over the recorded coordinates in
-    row order: one sort of the sorted lattice, ``_sorted_cells``.  Any
-    other row first folds the recorded rows, then itself, into one int key
-    per point in mixed radix: the key is multiplied by the row's largest
-    index + 1 and the row's index added, so the keys sort as the
-    signatures do.  Once every coordinate is separated, each point has a
-    key of its own, and no further row is read; the remaining rows cannot
-    move a point's place.
+    When the leading axis rows separate every coordinate over the axis
+    box, each point is a cell of its own, in the order ``_point_order``
+    gives; otherwise ``_slack_cells`` folds the rows into keys.
     """
     pts = lattice_points(poly)  # sorted, so every cell's members are too
     if not pts:
         return []
+    order = _point_order(poly, pts)
+    if order is not None:
+        return list(zip(order))
+    return _slack_cells(poly, pts)
+
+
+def _point_order(poly: Polytope, pts: list) -> Optional[list]:
+    """The sorted lattice ``pts`` in signature order when every cell is a
+    single point, decided from the rows and the axis box alone; else None.
+
+    An axis row (one non-zero coefficient) separates its coordinate when
+    its slacks over the coordinate's range in ``_axis_box`` fall in
+    distinct intervals.  The index is monotone in the slack, so this is
+    exact for any values the lattice takes, and neighbours suffice.  The
+    rows are read in order, skipping those on separated coordinates; a
+    cut row or a non-separating row first gives None.  The order is
+    lexicographic in ``-x_j`` (positive coefficient) or ``x_j`` over the
+    separating rows: ``pts`` reversed for ``x_0, x_1, ... <= b``.
+    """
+    box = _axis_box(poly)
+    if box is None:
+        return None
+    index = _SlackIndex(poly.dim)
+    pending = set(range(poly.dim))
+    axes = []
+    for row, b in zip(poly.A, poly.b):
+        terms = [(j, c) for j, c in enumerate(row) if c]
+        if len(terms) != 1:
+            return None
+        (j, c), = terms
+        if j not in pending:
+            continue
+        lo, hi = box[j]
+        if lo is None or hi is None:
+            return None
+        last = -1
+        for x in (range(hi, lo - 1, -1) if c > 0 else range(lo, hi + 1)):
+            i = index[b - c * x]
+            if i == last:
+                return None
+            last = i
+        pending.discard(j)
+        axes.append((j, c))
+        if not pending:
+            break
+    if pending:
+        return None
+    if ([j for j, _c in axes] == list(range(poly.dim))
+            and all(c > 0 for _j, c in axes)):
+        return pts[::-1]
+    return sorted(pts, key=lambda p: tuple(
+        -p[j] if c > 0 else p[j] for j, c in axes))
+
+
+def _slack_cells(poly: Polytope, pts: list) -> list:
+    """``cell_partition`` of the non-empty sorted lattice ``pts``.
+
+    Each row's interval indices (an axis row's once per distinct value)
+    are folded into one int key per point in mixed radix, so the keys
+    sort as the signatures do.  An axis row giving distinct values
+    distinct indices separates its coordinate, and later axis rows on it
+    are skipped; once every coordinate is separated, no row is read.
+    """
     cols = list(zip(*pts))
     index = _SlackIndex(poly.dim)
-    keys = None  # one int per point, once some row is folded
-    recorded = []  # (coordinate, coefficient, column, base) before a fold
+    keys = [0] * len(pts)
     pending = set(range(poly.dim))  # the coordinates not yet separated
-
-    def folded():
-        """The keys, with the recorded rows folded in on the first call."""
-        nonlocal keys
-        if keys is None:
-            keys = [0] * len(pts)
-            for _j, _c, column, base in recorded:
-                keys = [k * base + g for k, g in zip(keys, column)]
-        return keys
-
     for row, b in zip(poly.A, poly.b):
         terms = [(j, c) for j, c in enumerate(row) if c]
         if len(terms) == 1:
@@ -894,40 +923,19 @@ def cell_partition(poly: Polytope) -> list:
             base = max(by_value.values()) + 1
             if len(set(by_value.values())) == len(by_value):
                 pending.discard(j)
-                if keys is None:
-                    recorded.append((j, c, column, base))
-                    if pending:
-                        continue
-                    return _sorted_cells(pts, [(j, c) for j, c, _col, _base
-                                               in recorded])
         else:
             slack = [b] * len(pts)
             for j, c in terms:
                 slack = [s - c * x for s, x in zip(slack, cols[j])]
             column = list(map(index.__getitem__, slack))
             base = max(column) + 1
-        keys = [k * base + g for k, g in zip(folded(), column)]
+        keys = [k * base + g for k, g in zip(keys, column)]
         if not pending:
             break
     cells: dict = {}
-    for k, p in zip(folded(), pts):
+    for k, p in zip(keys, pts):
         cells.setdefault(k, []).append(p)
     return [tuple(cells[k]) for k in sorted(cells)]
-
-
-def _sorted_cells(pts: list, axes: list) -> list:
-    """The one-point cells of the sorted lattice ``pts`` in signature
-    order, when the axis rows ``axes``, ``(coordinate, coefficient)`` in
-    row order, separate every coordinate: lexicographic by ``-x_j`` for a
-    positive coefficient and ``x_j`` for a negative one.  With the
-    coordinates in order and every coefficient positive, that is the list
-    reversed.  Each cell is the 1-tuple ``(p,)`` that zip over one list
-    gives."""
-    if ([j for j, _c in axes] == list(range(len(axes)))
-            and all(c > 0 for _j, c in axes)):
-        return list(zip(reversed(pts)))
-    return list(zip(sorted(pts, key=lambda p: tuple(
-        -p[j] if c > 0 else p[j] for j, c in axes))))
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +958,8 @@ class Parallelepiped(_Frame):
     coordinate (the affine-span test); then ``mu = num / det``.
 
     ``Parallelepiped.point`` builds the single-point element of a lattice
-    point without the elimination or the checks.
+    point without the elimination or the checks, as a private subclass
+    whose ``k = 0`` constants are class attributes.
     """
 
     __slots__ = ("_scale", "_center")
@@ -971,13 +980,11 @@ class Parallelepiped(_Frame):
         self._center = tuple(_scaled(v, scale) for v in center)
         self.vertices()  # validates integrality eagerly
 
-    @classmethod
-    def point(cls, p: tuple) -> "Parallelepiped":
+    @staticmethod
+    def point(p: tuple) -> "Parallelepiped":
         """The ``k = 0`` element at the int tuple ``p``, taken as it is:
         ``L = det = 1`` and empty ``vecs``, ``pivots`` and ``adj``."""
-        pp = cls.__new__(cls)
-        pp.vecs = pp.pivots = pp.adj = ()
-        pp.det = pp._scale = 1
+        pp = object.__new__(_PointElement)
         pp._center = p
         return pp
 
@@ -1055,6 +1062,15 @@ class Parallelepiped(_Frame):
             return None
         num, den = hit
         return tuple(Rat(n, den) for n in num)
+
+
+class _PointElement(Parallelepiped):
+    """A ``Parallelepiped.point`` element: its ``k = 0`` constants are the
+    class's, so an instance holds only ``_center``."""
+
+    __slots__ = ()
+    vecs = pivots = adj = ()
+    det = _scale = 1
 
 
 # ---------------------------------------------------------------------------
@@ -1287,7 +1303,8 @@ def parallelepiped_cover(poly: Polytope) -> list:
 
     Construction: in dimension 1 all lattice points form one cell;
     otherwise they are grouped into slack cells.  A one-point cell is
-    covered by ``Parallelepiped.point``.  A larger cell is covered by
+    covered by ``Parallelepiped.point``, and when every cell is one point
+    the cover is built in the order of ``_point_order``.  A larger cell is covered by
     parallelepipeds anchored at its lexicographically smallest member,
     with directions picked from ellipsoid contact points of the
     symmetrized cell hull (scaled by ``ceil(sqrt(dim))``), falling back to
@@ -1295,16 +1312,21 @@ def parallelepiped_cover(poly: Polytope) -> list:
     vertex checks, shrinking the scale integrally when needed.  The points
     come from ``lattice_points``, under its cap.
     """
+    pts = lattice_points(poly)
+    if not pts:
+        return []
     if poly.dim == 1:
-        pts = tuple(lattice_points(poly))
-        cells = [pts] if pts else []
+        cells = [tuple(pts)]
     else:
-        cells = cell_partition(poly)
-    point = Parallelepiped.point
+        order = _point_order(poly, pts)
+        if order is not None:
+            point = Parallelepiped.point
+            return [point(p) for p in order]
+        cells = _slack_cells(poly, pts)
     cover = []
     for members in cells:
         if len(members) == 1:
-            cover.append(point(members[0]))
+            cover.append(Parallelepiped.point(members[0]))
         else:
             cover.extend(_cell_parallelepipeds(poly, members))
     return cover

@@ -249,7 +249,8 @@ def cover_verify(poly, cover: Sequence,
     Sound: every parallelepiped vertex is an integer point of the polytope.
     Complete: every integer point of the polytope (found by a plain box
     scan over its exact coordinate bounds) lies in at least one
-    parallelepiped, decided by solving for its coordinates directly.
+    parallelepiped: a member with no directions is looked up by its exact
+    centre, any other decided by solving for its coordinates directly.
     ``poly`` needs ``A``/``b``/``dim``; cover members need
     ``center``/``directions``.
     """
@@ -282,8 +283,6 @@ def cover_verify(poly, cover: Sequence,
 
     def membership(frame, p):
         center, cols = frame
-        if not cols:
-            return all(Rat(a) == Rat(c) for a, c in zip(p, center))
         rhs = [Rat(a) - Rat(c) for a, c in zip(p, center)]
         matrix = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
         res = solve_linear_system(matrix, rhs)
@@ -312,15 +311,25 @@ def cover_verify(poly, cover: Sequence,
         raise ResourceError("cover verification scan", scan_budget,
                             f"box holds {cells} candidate points")
 
-    # each member's exact data, read once for the whole scan
-    frames = [(tuple(pp.center), [list(dvec) for dvec in pp.directions])
-              for pp in cover]
+    # each member's exact data, read once for the whole scan; a member
+    # with no directions holds its centre alone, so it is looked up by it
+    # (an integral Rat hashes and compares as its int)
+    points = set()
+    frames = []
+    for pp in cover:
+        center = tuple(Rat(c) for c in pp.center)
+        cols = [list(dvec) for dvec in pp.directions]
+        if cols:
+            frames.append((center, cols))
+        else:
+            points.add(center)
 
     def scan(j, prefix):
         if j == d:
             p = tuple(prefix)
             if point_in_poly(p):
-                if not any(membership(frame, p) for frame in frames):
+                if p not in points and not any(membership(frame, p)
+                                               for frame in frames):
                     violations.append(("point-uncovered", p))
             return
         for v in range(lo[j], hi[j] + 1):

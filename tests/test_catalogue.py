@@ -228,6 +228,23 @@ def test_cover_solves_derive_no_runs(workloads, monkeypatch):
     assert derived == []
 
 
+def test_cover_solves_build_no_cells(workloads, monkeypatch):
+    """Solving the ``cover`` catalogue as the benchmark does builds every
+    cover from the order of its sorted lattice, so ``parallelepiped_cover``
+    never folds rows into cells or covers a cell of two or more points."""
+    from conepack import geometry
+    reached = []
+    for name in ("_slack_cells", "_cell_parallelepipeds"):
+        def recording(*args, _name=name, _fn=getattr(geometry, name)):
+            reached.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(geometry, name, recording)
+    for desc in workloads.catalogue("cover", PINS["cover"][0]):
+        workloads.solve_text(workloads.render(desc))
+    assert reached == []
+
+
 def test_stock_solves_run_no_probe(workloads, monkeypatch):
     """Solving the ``stock`` catalogue as the benchmark does decides every
     open window by the group relaxation at the window's basis, so it never

@@ -28,6 +28,7 @@ from conepack.geometry import (
     slack_interval_index,
 )
 from conepack.rational import Rat, rat_ceil, rat_floor
+from conepack.structure import compute_structure_set
 
 from genutil import rand_bounded_polytope
 
@@ -1118,19 +1119,37 @@ def _axis_rows(poly):
     return out
 
 
-def _sorted_branch_calls(monkeypatch, polys):
-    """Per polytope, the ``axes`` that ``cell_partition`` passed to
-    ``_sorted_cells``, or None when it did not call it."""
-    calls = []
-    sort = geometry._sorted_cells
+def _leading_axes(poly):
+    """``(coordinate, coefficient)`` of the first axis row on each
+    coordinate, in row order."""
+    axes, seen = [], set()
+    for row, j in zip(poly.A, _axis_rows(poly)):
+        if j is not None and j not in seen:
+            seen.add(j)
+            axes.append((j, row[j]))
+    return axes
 
-    def recording(pts, axes):
-        calls.append(list(axes))
-        return sort(pts, axes)
+
+def _sorted_branch_calls(monkeypatch, polys):
+    """Per polytope, the separating axis rows ``(coordinate, coefficient)``
+    in row order when ``cell_partition`` took its cells from the order
+    ``_point_order`` gave, or None when it gave none.  The order given is
+    checked to be the lattice sorted by those rows."""
+    calls = []
+    order_of = geometry._point_order
+
+    def recording(poly, pts):
+        order = order_of(poly, pts)
+        if order is not None:
+            axes = _leading_axes(poly)
+            assert order == sorted(pts, key=lambda p: tuple(
+                -p[j] if c > 0 else p[j] for j, c in axes))
+            calls.append(axes)
+        return order
 
     out = []
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_sorted_cells", recording)
+        patch.setattr(geometry, "_point_order", recording)
         for poly in polys:
             calls.clear()
             cell_partition(poly)
@@ -1163,6 +1182,44 @@ def _rows_before_a_fold(poly):
     raise AssertionError("a coordinate no row separates")
 
 
+def _limit_polytope(rng):
+    """A seeded box in d = 2 or 3 whose leading axis rows give one side
+    from 3 shorter to 12 longer than the widest the slack grid separates
+    (6 for d = 2, 14 for d = 3), with its other sides 1-4 long; or None
+    when it holds no lattice point.  Two thirds have a pair of cut rows
+    ``x_w - k x_v`` in ``[-m, 0]``, which leave the lattice only every
+    k-th value or so on the wide coordinate."""
+    d = rng.choice((2, 3))
+    wide = rng.randrange(d)
+    lo = [rng.randint(-2, 0) for _ in range(d)]
+    hi = [a + ((6 if d == 2 else 14) + rng.randint(-3, 12) if j == wide
+               else rng.randint(1, 4)) for j, a in enumerate(lo)]
+    axis = []
+    for j in range(d):
+        unit = [int(i == j) for i in range(d)]
+        axis += [(unit, hi[j]), ([-v for v in unit], -lo[j])]
+    if rng.random() < 0.5:
+        rng.shuffle(axis)
+    rows, rhs = [list(r) for r, _b in axis], [b for _r, b in axis]
+    if rng.random() < 2 / 3:
+        v = rng.choice([j for j in range(d) if j != wide])
+        k = rng.choice((2, 3))
+        row = [int(i == wide) - k * int(i == v) for i in range(d)]
+        rows += [row, [-c for c in row]]
+        rhs += [0, rng.randint(0, k - 1)]
+    poly = Polytope(rows, rhs)
+    return poly if lattice_points(poly) else None
+
+
+def _slack_vector_cells(poly):
+    """The cells from each lattice point's full slack signature, in
+    ascending signature order."""
+    cells = {}
+    for p in lattice_points(poly):
+        cells.setdefault(_signature(poly, p), []).append(p)
+    return [tuple(sorted(members)) for _sig, members in sorted(cells.items())]
+
+
 class TestCells:
     def test_unit_segment_two_cells(self):
         # signatures (0, 2) at 0 and (2, 0) at 1
@@ -1181,9 +1238,9 @@ class TestCells:
         every dimension 1..4, a cut row before an axis row, two axis rows
         on one coordinate, and cells of more than one point.  They also
         reach both ways ``cell_partition`` reads separating axis rows: the
-        one sort of ``_sorted_cells`` with mixed signs and with the
-        coordinates out of order, and the fold of rows it recorded before
-        a non-separating axis row or a cut row."""
+        one sort of ``_point_order`` with mixed signs and with the
+        coordinates out of order, and the fold of ``_slack_cells`` after
+        separating rows and a non-separating axis row or a cut row."""
         seeded = CELL_POLYTOPES[:48]
         assert {poly.dim for poly in seeded} == {1, 2, 3, 4}
         axes = [_axis_rows(poly) for poly in seeded]
@@ -1233,6 +1290,44 @@ class TestCells:
                  for _ in range(60)]
         for poly in polys + CELL_POLYTOPES:
             assert cell_partition(poly) == slack_vector_cells(poly), poly.A
+
+    def test_seeded_cases_across_the_separation_limit(self, monkeypatch):
+        """Across the range that the slack grid separates, the cells, the
+        cover and the structure set are the slack-vector grouping's and
+        what the fold gives alone.  The seeded boxes reach all three
+        cases: the order from the axis box at a range the grid just
+        separates, and beyond it both a lattice whose values the grid
+        still separates (every cell one point) and one it does not."""
+        rng = random.Random(40417)
+        polys = []
+        while len(polys) < 60:
+            poly = _limit_polytope(rng)
+            if poly is not None:
+                polys.append(poly)
+        ordered = [geometry._point_order(poly, lattice_points(poly))
+                   is not None for poly in polys]
+        cells = [cell_partition(poly) for poly in polys]
+        for poly, got in zip(polys, cells):
+            assert got == _slack_vector_cells(poly), (poly.A, poly.b)
+        singles = [all(len(m) == 1 for m in c) for c in cells]
+        spans = [max(b - a for a, b in geometry._axis_box(poly))
+                 for poly in polys]
+        assert any(o and span == (6 if poly.dim == 2 else 14)
+                   for o, span, poly in zip(ordered, spans, polys))
+        assert any(not o and single for o, single in zip(ordered, singles))
+        assert any(not o and not single
+                   for o, single in zip(ordered, singles))
+        assert {poly.dim for poly in polys} == {2, 3}
+        covers = [parallelepiped_cover(poly) for poly in polys]
+        ssets = [compute_structure_set(poly) for poly in polys]
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_point_order", lambda poly, pts: None)
+            for poly, cover, sset in zip(polys, covers, ssets):
+                assert parallelepiped_cover(poly) == cover
+                folded = compute_structure_set(poly)
+                assert folded.special_points == sset.special_points
+                assert folded.cover == sset.cover
+                assert folded.locator == sset.locator
 
     def test_partition_properties(self):
         """Each cell is sorted and has one signature, computed here from

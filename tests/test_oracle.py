@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from conepack.errors import InputError, ResourceError
-from conepack.geometry import Polytope, parallelepiped_cover
+from conepack.geometry import Polytope, box_polytope, parallelepiped_cover
 from conepack.oracle import (bp_brute_force, cover_verify, fractional_opt,
                              int_cone_brute, nonpreemptive_brute)
 from conepack.rational import Rat
@@ -127,6 +127,18 @@ class TestCoverVerify:
         assert not report.ok
         assert any(kind == "vertex-not-integral"
                    for kind, *_ in report.violations)
+
+    def test_a_cube_of_point_members(self):
+        """The 2,197 point members of the cube [0, 12]^3 verify, and
+        dropping one leaves exactly its point uncovered."""
+        poly = box_polytope([0, 0, 0], [12, 12, 12])
+        cover = parallelepiped_cover(poly)
+        assert len(cover) == 2197 and all(pp.k == 0 for pp in cover)
+        assert cover_verify(poly, cover).violations == ()
+        gone = next(i for i, pp in enumerate(cover)
+                    if pp.center == (5, 6, 7))
+        report = cover_verify(poly, cover[:gone] + cover[gone + 1:])
+        assert report.violations == (("point-uncovered", (5, 6, 7)),)
 
     def test_random_covers_pass(self):
         rng = random.Random(988)
