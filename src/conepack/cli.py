@@ -20,7 +20,7 @@ from .errors import (InfeasibleError, InputError, InternalError,
 from .geometry import (Polytope, extreme_points, integer_hull_vertices,
                        lattice_points, parallelepiped_cover)
 from .oracle import (bp_brute_force, cover_verify, fractional_opt,
-                     nonpreemptive_brute_counts)
+                     nonpreemptive_brute_counts, tardy_exhaustive)
 from .rational import Rat, rat_ceil
 from .scheduling import (SchedulingInstance, build_edf_polytope,
                          edf_simulate, nonpreemptive_assign,
@@ -391,6 +391,9 @@ def _verify_scheduling(inst, mode, report):
                    zip(inst.penalties, inst.multiplicities, sol.scheduled))
         report.add("penalty accounting", paid == sol.objective,
                    f"objective={sol.objective} recomputed={paid}")
+        oracle = tardy_exhaustive(inst, horizon_cap=10 ** 6)
+        report.add("objective equals brute force", sol.objective == oracle,
+                   f"solver={sol.objective} oracle={oracle}")
 
 
 def _verify_polytope(poly, report):

@@ -9,7 +9,7 @@ All oracles are exponential and guarded by small size caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
@@ -401,3 +401,57 @@ def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
     horizon = max([d for _r, d, _p in jobs], default=0)
     return nonpreemptive_brute(jobs, horizon, job_cap=job_cap,
                                horizon_cap=horizon_cap)
+
+
+# ---------------------------------------------------------------------------
+# tardy penalty
+
+
+def _distributable(scheduled, machines, inst, memo, horizon_cap):
+    """Whether the job counts ``scheduled`` split over ``machines`` (a
+    tuple of machine types, one entry per machine) so that each machine's
+    share has a non-preemptive schedule."""
+    if not machines:
+        return all(v == 0 for v in scheduled)
+    key = (scheduled, machines)
+    if key in memo:
+        return memo[key]
+    mtype = machines[0]
+    rest = machines[1:]
+    ok = False
+    for part in product(*(range(v + 1) for v in scheduled)):
+        if nonpreemptive_brute_counts(part, inst, mtype,
+                                      horizon_cap=horizon_cap) is None:
+            continue
+        left = tuple(a - b for a, b in zip(scheduled, part))
+        if _distributable(left, rest, inst, memo, horizon_cap):
+            ok = True
+            break
+    memo[key] = ok
+    return ok
+
+
+def tardy_exhaustive(inst, cap: int = BRUTE_JOB_CAP,
+                     horizon_cap: int = BRUTE_HORIZON_CAP) -> int:
+    """Least penalty of the job copies a tardy instance leaves unscheduled.
+
+    Tries every count vector up to the demand that beats the best penalty
+    so far, and keeps it when it splits over the machines.  More than
+    ``cap`` job copies, or more than ``cap`` machines, raise
+    ``ResourceError``.
+    """
+    jobs, machine_count = sum(inst.multiplicities), sum(inst.counts)
+    if max(jobs, machine_count) > cap:
+        raise ResourceError("tardy brute force", cap,
+                            f"{jobs} job copies and {machine_count} machines")
+    machines = tuple(i for i in range(inst.m) for _ in range(inst.counts[i]))
+    best = None
+    memo = {}
+    for s in product(*(range(a + 1) for a in inst.multiplicities)):
+        pen = sum(p * (a - v) for p, a, v in
+                  zip(inst.penalties, inst.multiplicities, s))
+        if best is not None and pen >= best:
+            continue
+        if _distributable(s, machines, inst, memo, horizon_cap):
+            best = pen
+    return best

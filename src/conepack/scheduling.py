@@ -14,15 +14,17 @@ times.  Two schedulability encodings drive everything:
   dummy type 0 absorbs idle time); variables count copies per cycle,
   mark which types a cycle may host, and pin the cycle boundaries.
 
-Assignment problems (open machines of each type at a cost, meet the whole
-demand) run ``solver.cheapest_cover``: a preemptive probe is a
-``multi_polytope_select`` over the clipped EDF polytopes, a non-preemptive
-one a ``select_from_generators`` over the enumerated schedulable vectors,
-whose ``(points, cost)`` parts are the window's parts too.  The tardy
-variant (machine counts fixed, pay per dropped job copy) bisects the
-dropped penalty mass over selections from those vectors.  The cycle
-programs go to ``ilp_feasible`` as their rows and bounds.  All returned
-schedules are re-validated from scratch.
+All three objectives run ``solver.cheapest_cover``, so none has a search
+of its own.  The assignments open machines of each type at a cost to meet
+the whole demand: a preemptive probe is a ``multi_polytope_select`` over
+the clipped EDF polytopes, a non-preemptive one a
+``select_from_generators`` over the enumerated schedulable vectors, whose
+``(points, cost)`` parts are the window's parts too.  The tardy variant
+(machine counts fixed, pay per dropped job copy) covers the demand and
+the machine counts together: each machine's vector carries a marker of
+its type at cost 0, and each dropped copy is a unit point at its penalty.
+The cycle programs go to ``ilp_feasible`` as their rows and bounds.  All
+returned schedules are re-validated from scratch.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .geometry import (Polytope, box_polytope, down_closed_polytope,
-                       lattice_points)
+from .geometry import Polytope, down_closed_polytope, lattice_points
 from .ilp import ilp_feasible
 from .rational import integer
 from .solver import (_check_mode, _multiplicities, _polytope_cover,
-                     cheapest_cover, least_feasible, select_from_generators)
+                     cheapest_cover, select_from_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +605,9 @@ def validate_nonpreemptive_schedule(inst: SchedulingInstance,
 MACHINE_COPY_CAP = 10 ** 7
 
 
-def _machines(best, d: int, schedule_of) -> tuple:
-    """The machines of a selection and the job copies they place.
+def _machines(picks, d: int, schedule_of) -> tuple:
+    """The machines of a selection's machine picks and the job copies they
+    place.
 
     Each copy of a pick ``(i, point, copies)`` becomes one ``(i, vector,
     schedule)`` entry, in pick order, where the vector is the point's first
@@ -614,13 +616,13 @@ def _machines(best, d: int, schedule_of) -> tuple:
     totalling the vectors per job type.  More than ``MACHINE_COPY_CAP``
     copies raise ``ResourceError`` before any entry is built.
     """
-    copies = sum(mult for _i, _point, mult in best.picks)
+    copies = sum(mult for _i, _point, mult in picks)
     if copies > MACHINE_COPY_CAP:
         raise ResourceError("machine list", MACHINE_COPY_CAP,
                             f"{copies} machine copies")
     machines = []
     placed = [0] * d
-    for i, point, mult in best.picks:
+    for i, point, mult in picks:
         vec = point[:d]
         machines += [(i, vec, schedule_of(i, vec))] * mult
         placed = [t + mult * v for t, v in zip(placed, vec)]
@@ -659,7 +661,7 @@ def preemptive_assign(inst: SchedulingInstance,
         validate_preemptive_schedule(inst, i, vec, sim.schedule)
         return sim.schedule
 
-    machines, placed = _machines(best, inst.d, simulated)
+    machines, placed = _machines(best.picks, inst.d, simulated)
     if placed != a:
         raise InternalError("assignment does not meet the demand")
     return ScheduleSolution(machines, best.total_cost)
@@ -716,7 +718,7 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
     per_type = [schedulable_vectors(inst, i, a) for i in range(inst.m)]
     parts = [(sorted(vecs), c) for vecs, c in zip(per_type, inst.costs)]
     best = cheapest_cover(a, parts, partial(select_from_generators, parts))
-    machines, placed = _machines(best, inst.d,
+    machines, placed = _machines(best.picks, inst.d,
                                  partial(_cyclic_schedule, inst, per_type))
     if placed != a:
         raise InternalError("assignment does not meet the demand")
@@ -726,46 +728,36 @@ def nonpreemptive_assign(inst: SchedulingInstance) -> ScheduleSolution:
 def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
     """Minimum total penalty of job copies left unscheduled.
 
-    Machine counts are fixed; each machine gets a schedulable vector (idle
-    machines the zero vector).  Selections are screened by a target that
-    caps the per-type totals at the demand, forces the exact machine
-    counts through indicator coordinates, and demands scheduled penalty
-    mass at least delta; a binary search minimizes the dropped mass
-    ``cap - delta``.
+    A ``solver.cheapest_cover`` of the demand ``(a, counts)``, one
+    coordinate per job type and one marker per machine type.  Machine type
+    i's part holds ``(x, e_i)`` at cost 0 for each schedulable vector x,
+    the idle zero vector included, so a cover opens exactly ``counts_i``
+    machines of type i; job type j's part holds ``(e_j, 0)`` at
+    ``penalty_j``, one dropped copy.  A cover's cost is the penalty it
+    drops, and each probe is a ``select_from_generators`` over the parts.
     """
     if inst.counts is None:
         raise InputError("tardy variant needs machine counts and penalties")
-    a = inst.multiplicities
-    d = inst.d
-    m = inst.m
-    pen = inst.penalties
-    cap = sum(p * v for p, v in zip(pen, a))
+    a, d, m = inst.multiplicities, inst.d, inst.m
     per_type = [schedulable_vectors(inst, i, a) for i in range(m)]
-    parts = []
-    for i in range(m):
-        pts = []
-        for x in sorted(per_type[i]):
-            mark = [0] * m
-            mark[i] = 1
-            pts.append(tuple(x) + (sum(p * v for p, v in zip(pen, x)),)
-                       + tuple(mark))
-        parts.append((pts, 0))
-
-    def probe(dropped):
-        target = box_polytope([0] * d + [cap - dropped] + list(inst.counts),
-                              list(a) + [cap] + list(inst.counts))
-        return select_from_generators(parts, target, 0)
-
-    best, dropped = least_feasible(probe, 0, cap,
-                                   lambda res: cap - int(res.target[d]))
-    machines, placed = _machines(best, d,
+    parts = [([x + (0,) * i + (1,) + (0,) * (m - i - 1) for x in sorted(vecs)],
+              0) for i, vecs in enumerate(per_type)]
+    parts += [([(0,) * j + (1,) + (0,) * (d + m - j - 1)], p)
+              for j, p in enumerate(inst.penalties)]
+    best = cheapest_cover(a + inst.counts, parts,
+                          partial(select_from_generators, parts))
+    # picks are sorted by part, so the machines come before the drops
+    picks = [pick for pick in best.picks if pick[0] < m]
+    machines, placed = _machines(picks, d,
                                  partial(_cyclic_schedule, inst, per_type))
-    used = tuple(sum(w for i, _x, w in best.picks if i == k)
-                 for k in range(m))
+    used = tuple(sum(w for i, _x, w in picks if i == k) for k in range(m))
     if used != inst.counts:
         raise InternalError("selection ignored the machine counts")
-    if any(placed[j] > a[j] for j in range(d)):
-        raise InternalError("scheduled more copies than demanded")
-    if cap - sum(p * v for p, v in zip(pen, placed)) != dropped:
-        raise InternalError("dropped penalty mass disagrees with the search")
-    return ScheduleSolution(machines, dropped, placed)
+    dropped = [0] * d
+    for i, _x, w in best.picks[len(picks):]:
+        dropped[i - m] += w
+    if any(s + t != v for s, t, v in zip(placed, dropped, a)):
+        raise InternalError("placed and dropped copies miss the demand")
+    if sum(p * t for p, t in zip(inst.penalties, dropped)) != best.total_cost:
+        raise InternalError("dropped penalty disagrees with the search")
+    return ScheduleSolution(machines, best.total_cost, placed)

@@ -20,17 +20,17 @@ weights through ``normalize_combination`` to
 ``IntConeResult.combination``.
 
 Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
-optimiser, here and in ``scheduling``, finds its objective with
-``least_feasible``: a bisection that asks one selection question per
-probed bound.  A selection is its ``(part, point, copies)`` picks;
-``multi_polytope_select`` finds one over candidate polytopes, coupled by
-one selector coordinate each into one lifted intersection problem, and
-``select_from_generators`` one over listed ``(points, cost)`` parts, the
-parts ``configuration_window`` takes.  The three covering searches
-(cutting stock and the two machine assignments) bisect through
-``cheapest_cover`` over the multiples of the costs' gcd inside the window
-of their configuration LP, ``configuration_window``, which solves that LP
-by its own revised simplex in ints from the parts' unit vectors.  The
+optimiser, here and in ``scheduling``, is one ``cheapest_cover`` call:
+the four covering searches are cutting stock, the two machine
+assignments and the tardy penalty.  A selection is its ``(part, point,
+copies)`` picks; ``multi_polytope_select`` finds one over candidate
+polytopes, coupled by one selector coordinate each into one lifted
+intersection problem, and ``select_from_generators`` one over listed
+``(points, cost)`` parts, the parts ``configuration_window`` takes.
+``cheapest_cover`` bisects with ``least_feasible``, the one bisection,
+over the multiples of the costs' gcd inside the window of their
+configuration LP, ``configuration_window``, which solves that LP by its
+own revised simplex in ints from the parts' unit vectors.  The
 LP's basic weights, rounded up and trimmed, are a cover that answers at
 the window's top, so a probe runs only below that cover's cost, and a
 closed window runs none.  An open window is first decided, where it can
@@ -221,24 +221,23 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     """The window ``(lo, hi, cover, basis)`` of a covering search from its
     configuration LP.
 
-    ``parts`` lists ``(points, cost)``: the non-negative integer points of
-    a down-closed set (patterns, schedulable vectors) and the cost of one
-    copy.  Every exact cover of ``a`` is a solution of min sum c_p l_p
-    subject to sum l_p p = a and l >= 0 (Gilmore & Gomory 1961) whose cost
-    is a multiple of ``_cost_gcd(parts)``, so ``lo`` is that LP's optimum
-    rounded up to such a multiple.
+    ``parts`` lists ``(points, cost)``: non-negative integer points
+    (patterns, schedulable vectors, tardy machines and drops) and the cost
+    of one copy.  Every exact cover of ``a`` is a solution of min sum
+    c_p l_p subject to sum l_p p = a and l >= 0 (Gilmore & Gomory 1961)
+    whose cost is a multiple of ``_cost_gcd(parts)``, so ``lo`` is that
+    LP's optimum rounded up to such a multiple.
 
     The LP is solved by a revised simplex over the demanded types.  Its
     rows are those types and its columns the non-zero points with nothing
     on an undemanded type, in part order.  The basis starts from each
     demanded type's cheapest unit vector, the first of equal cost, so no
-    phase 1 runs.  Down-closed parts hold ``e_j`` whenever some point
-    covers type ``j``; a part set without it raises InternalError naming
-    ``j``.  The state is ints over ``D = det(B) > 0``: the rows
-    ``[adj(B) | adj(B) a]``, whose last entries are the basic weights, and
-    the dual row ``[y | y . a]`` with ``y = c_B adj(B)``, whose last entry
-    is the LP's value.  No rational is built.  Bland's rule enters the
-    first column ``q`` with ``c_q D < y . q``, and the ratio test breaks
+    phase 1 runs.  The parts must hold ``e_j`` for each demanded type j,
+    as down-closed parts do; else InternalError names ``j``.  The state
+    is ints over ``D = det(B) > 0``: the rows ``[adj(B) | adj(B) a]``,
+    whose last entries are the basic weights, and the dual row
+    ``[y | y . a]`` with ``y = c_B adj(B)``, whose last entry is the LP's
+    value.  No rational is built.  Bland's rule enters the first column ``q`` with ``c_q D < y . q``, and the ratio test breaks
     ties by the lowest column.  With ``w = adj(B) q``, and ``y . q - c_q D``
     as the dual row's ``w``, each pivot on row ``r`` updates every other row,
     the dual row too, by Edmonds' rule ``T_i <- (T_i w_r - w_i T_r) / D``, then
@@ -247,14 +246,18 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     in ``ExactLp``.
 
     A basic optimum has at most ``len(a)`` non-zero weights; ``ceil(l_p)``
-    copies of each cover at least ``a``, and down-closure trims that to
-    exactly ``a``.  Only copies that hold excess are peeled off, a batch
-    at a time, and each is trimmed coordinate by coordinate; a copy
-    trimmed to zero is dropped.  So the work is bounded by the excess and
-    the dimension, never by the weights.  ``cover`` lists the resulting
-    ``(part index, point, copies)`` picks and ``hi`` is their cost, at
-    most ``sum c_p ceil(l_p)``, so ``hi - lo < len(a) * max c``.  A trimmed
-    point missing from its part's points raises InternalError.
+    copies of each cover at least ``a``.  Only copies that hold excess are
+    peeled off, a batch at a time, and trimmed coordinate by coordinate; a
+    copy trimmed to zero is dropped, and one that is no point of its part
+    (a tardy machine copy trimmed in its marker) is re-covered by the unit
+    columns the simplex started from.  So the work is bounded by the
+    excess and the dimension, never by the weights.  ``cover`` lists the
+    resulting ``(part index, point, copies)`` picks and ``hi`` is their
+    cost.  Down-closed parts need no re-cover, so ``hi`` is at most
+    ``sum c_p ceil(l_p)`` and ``hi - lo < len(a) * max c``.  The re-cover
+    adds at most one machine's vector per excess marker copy, and there
+    are fewer of those than basic columns, so the width still does not
+    grow with the multiplicities.
 
     ``basis`` is the LP's final basis as a ``WindowBasis``: the state
     above, the columns and the demanded types, from which ``_group_bound``
@@ -285,8 +288,9 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
             if not any(p[j] for points, _c in parts for p in points):
                 raise InfeasibleError(f"type {j} fits no machine or bin type")
         raise InternalError(f"no part holds the unit vector of type "
-                            f"{rows[basis.index(None)]}; parts must be "
-                            f"down-closed")
+                            f"{rows[basis.index(None)]}; parts must hold "
+                            f"the unit vector of every demanded type")
+    units = list(zip(basis, rows))
     tab = [[0] * m + [a[j]] for j in rows]
     for r, row in enumerate(tab):
         row[r] = 1
@@ -342,10 +346,11 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
             if any(q):
                 if i not in members:
                     members[i] = set(parts[i][0])
-                if q not in members[i]:
-                    raise InternalError(f"trimmed point {q} is not a point "
-                                        f"of part {i}")
-                cover.append((i, q, k))
+                if q in members[i]:
+                    cover.append((i, q, k))
+                else:  # re-covered by the start basis's unit columns
+                    cover += [(*columns[u], k * q[j]) for u, j in units
+                              if q[j]]
         if n:
             cover.append((i, p, n))
     hi = sum(parts[i][1] * n for i, _p, n in cover)

@@ -18,7 +18,7 @@ from conepack.geometry import (Polytope, in_convex_hull, integer_hull_vertices,
                                lattice_points, parallelepiped_cover)
 from conepack.ilp import ilp_feasible
 from conepack.oracle import (bp_brute_force, cover_verify, fractional_opt,
-                             nonpreemptive_brute_counts)
+                             tardy_exhaustive)
 from conepack.rational import Rat, rat_ceil
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  edf_simulate, nonpreemptive_completable,
@@ -324,42 +324,7 @@ def test_criterion_11_solver_modes_agree():
            f"{len(verdicts)} probe verdict disagreements")
 
 
-# criterion 12: exhaustive reference for the tardy variant
-
-
-def _distributable(scheduled, machines, inst, memo):
-    if not machines:
-        return all(v == 0 for v in scheduled)
-    key = (scheduled, machines)
-    if key in memo:
-        return memo[key]
-    mtype = machines[0]
-    rest = machines[1:]
-    ok = False
-    for part in itertools.product(*(range(v + 1) for v in scheduled)):
-        if nonpreemptive_brute_counts(part, inst, mtype) is None:
-            continue
-        left = tuple(a - b for a, b in zip(scheduled, part))
-        if _distributable(left, rest, inst, memo):
-            ok = True
-            break
-    memo[key] = ok
-    return ok
-
-
-def tardy_exhaustive(inst):
-    machines = tuple(i for i in range(inst.m) for _ in range(inst.counts[i]))
-    best = None
-    memo = {}
-    for s in itertools.product(*(range(a + 1)
-                                 for a in inst.multiplicities)):
-        pen = sum(p * (a - v) for p, a, v in
-                  zip(inst.penalties, inst.multiplicities, s))
-        if best is not None and pen >= best:
-            continue
-        if _distributable(s, machines, inst, memo):
-            best = pen
-    return best
+# criterion 12: the tardy variant against ``oracle.tardy_exhaustive``
 
 
 def rand_tardy_instance(rng):

@@ -39,7 +39,7 @@ WORK_PINS = {
     "binpack": (479, 1),
     "stock": (131, 0),
     "cover": (0, 0),
-    "sched-np": (1068, 190),
+    "sched-np": (939, 176),
 }
 
 OBJECTIVE_PINS = {
@@ -119,8 +119,9 @@ class _Recorded(Exception):
 
 def test_catalogue_windows_are_the_lp(workloads, monkeypatch):
     """Every configuration window of the ``binpack``, ``stock`` and
-    ``sched-np`` catalogues has the all-points LP's ``lo`` and a cover of
-    the demand within the window's bound."""
+    ``sched-np`` catalogues, the four tardy instances' included, has the
+    all-points LP's ``lo`` and a cover of the demand within the window's
+    bound."""
     windows = []
 
     def recording(parts, a):
@@ -135,7 +136,7 @@ def test_catalogue_windows_are_the_lp(workloads, monkeypatch):
                     workloads.solve_text(workloads.render(desc))
                 except _Recorded:
                     pass
-    assert len(windows) == 184
+    assert len(windows) == 188
     for parts, a in windows:
         check_window(parts, a)
 
@@ -260,3 +261,23 @@ def test_stock_solves_run_no_probe(workloads, monkeypatch):
     for desc in workloads.catalogue("stock", PINS["stock"][0]):
         workloads.solve_text(workloads.render(desc))
     assert probes == []
+
+
+def test_tardy_solves_run_no_probe(workloads, monkeypatch):
+    """Solving the tardy instances of the first 120 ``sched-np`` catalogue
+    entries as the benchmark does closes every window, so it never calls
+    ``select_from_generators``."""
+    from conepack import scheduling
+    probes = []
+    select = scheduling.select_from_generators
+
+    def recording(*args):
+        probes.append(args)
+        return select(*args)
+
+    monkeypatch.setattr(scheduling, "select_from_generators", recording)
+    tardy = [desc for desc in workloads.catalogue("sched-np", 120)
+             if desc[1] == "tardy"]
+    for desc in tardy:
+        workloads.solve_text(workloads.render(desc))
+    assert len(tardy) == 60 and probes == []

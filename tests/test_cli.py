@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,21 @@ class TestVerify:
                              write(tmp_path, "i.txt", SCHED_TARDY))
         assert rc == 0
         assert "penalty accounting: OK" in out
+        assert "objective equals brute force: OK (solver=5 oracle=5)" in out
+
+    def test_a_tardy_answer_one_unit_high_exits_4(self, tmp_path, capsys,
+                                                  monkeypatch):
+        solve = cli.tardy_min_penalty
+
+        def high(inst):
+            sol = solve(inst)
+            return replace(sol, objective=sol.objective + 1)
+
+        monkeypatch.setattr(cli, "tardy_min_penalty", high)
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "i.txt", SCHED_TARDY))
+        assert rc == 4
+        assert "objective equals brute force: FAIL (solver=6 oracle=5)" in out
 
     def test_polytope_ok(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "verify",

@@ -4,6 +4,7 @@ assignment and tardy solvers, cross-checked against the brute oracles."""
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,8 @@ from conepack.budget import limit
 from conepack.errors import (InfeasibleError, InputError, InternalError,
                              ResourceError)
 from conepack.geometry import Polytope, coordinate_bounds, integer_box
-from conepack.oracle import bp_brute_force, nonpreemptive_brute_counts
+from conepack.oracle import (bp_brute_force, nonpreemptive_brute_counts,
+                             tardy_exhaustive)
 from conepack.rational import Rat
 from conepack.solver import multi_polytope_select
 from conepack.scheduling import (CycleLayout, SchedulingInstance,
@@ -535,6 +537,122 @@ class TestTardy:
         sol = tardy_min_penalty(inst)
         assert sol.objective == 0
         assert sol.scheduled == (1, 1)
+
+
+def _recovered(m, window):
+    """Whether a tardy window's cover drops more copies of some job type
+    than its rounded basic weights do.  Only the re-cover of a machine
+    copy trimmed in its marker adds drops, so this may miss a re-cover
+    but never counts one that did not run."""
+    _lo, _hi, cover, basis = window
+    drops = Counter()
+    for k, row in zip(basis.basis, basis.tableau):
+        i, _p = basis.columns[k]
+        if i >= m:
+            drops[i] += row[-1] // -basis.det  # minus the rounded weight
+    for i, _p, n in cover:
+        if i >= m:
+            drops[i] += n
+    return any(v > 0 for v in drops.values())
+
+
+def item_2_instance(t):
+    """One machine type with windows (0, 4, 2) and (1, 5, 1), t and 2t
+    copies, t machines and penalties (2, 3): every copy fits, so the
+    optimum is 0 at every t."""
+    return SchedulingInstance([[(0, 4, 2), (1, 5, 1)]], [t, 2 * t],
+                              counts=[t], penalties=[2, 3])
+
+
+def rand_tardy(rng):
+    """A small tardy instance whose machine counts, multiplicities and
+    penalties may each be zero."""
+    d, m = rng.randint(1, 3), rng.randint(1, 2)
+    windows = []
+    for _ in range(m):
+        per_machine = []
+        for _ in range(d):
+            r = rng.randint(0, 5)
+            dl = rng.randint(r + 1, min(r + 4, 8))
+            per_machine.append((r, dl, rng.randint(1, dl - r)))
+        windows.append(per_machine)
+    return SchedulingInstance(
+        windows, [rng.randint(0, 2) for _ in range(d)],
+        counts=[rng.randint(0, 3) for _ in range(m)],
+        penalties=[rng.randint(0, 6) for _ in range(d)])
+
+
+class TestTardyCover:
+    """The tardy objective is one ``cheapest_cover`` of the demand and the
+    machine counts."""
+
+    def test_a_million_machines_drop_nothing(self):
+        t = 10 ** 6
+        inst = item_2_instance(t)
+        with limit(20000):
+            sol = tardy_min_penalty(inst)
+        assert sol.objective == 0 and sol.scheduled == (t, 2 * t)
+        assert len(sol.machines) == t
+        placed = [0, 0]
+        for (i, vec, schedule), copies in Counter(sol.machines).items():
+            validate_nonpreemptive_schedule(inst, i, vec, schedule)
+            placed = [v + copies * x for v, x in zip(placed, vec)]
+        assert placed == [t, 2 * t]
+
+    @pytest.mark.parametrize("t", [10 ** 12, 10 ** 30], ids=["1e12", "1e30"])
+    def test_the_machine_list_stops_the_answer(self, t):
+        # the search finishes; only the list of t machines is too long
+        with pytest.raises(ResourceError) as exc, limit(20000):
+            tardy_min_penalty(item_2_instance(t))
+        assert exc.value.budget_name == "machine list"
+
+    # open tardy windows from a seeded search: (windows, demand, counts,
+    # penalties, optimum).  The window re-covers a machine copy trimmed in
+    # its marker in the first two; the group decides the first and the
+    # last, and the second's group path is no cover, so it probes
+    OPEN_WINDOWS = [
+        ([[(0, 4, 4), (0, 2, 1), (2, 4, 1)]], (2, 3, 1), (3,), (3, 4, 2), 3),
+        ([[(5, 7, 2), (5, 7, 1), (1, 5, 4)],
+          [(1, 2, 1), (1, 4, 2), (2, 6, 2)]], (2, 2, 2), (1, 1), (1, 3, 5), 1),
+        ([[(2, 4, 1), (2, 5, 3)]], (3, 2), (3,), (5, 3), 3),
+    ]
+
+    @pytest.mark.parametrize("group", [True, False], ids=["group", "probes"])
+    def test_seeded_instances_match_brute_force(self, monkeypatch, group):
+        # without the group every open window is bisected by probes
+        if not group:
+            monkeypatch.setattr(solver, "GROUP_STATE_CAP", 0)
+        windows, probes = [], []
+        window = solver.configuration_window
+        select = scheduling.select_from_generators
+
+        def recording(parts, a):
+            windows.append(window(parts, a))
+            return windows[-1]
+
+        def counted(*args):
+            probes.append(args)
+            return select(*args)
+
+        monkeypatch.setattr(solver, "configuration_window", recording)
+        monkeypatch.setattr(scheduling, "select_from_generators", counted)
+        rng = random.Random(4343)
+        instances = [SchedulingInstance(w, a, counts=c, penalties=p)
+                     for w, a, c, p, _opt in self.OPEN_WINDOWS]
+        instances += [rand_tardy(rng) for _ in range(50)]
+        objectives, opened, recovered = [], 0, 0
+        for inst in instances:
+            objectives.append(tardy_min_penalty(inst).objective)
+            lo, hi = windows[-1][:2]
+            opened += lo < hi
+            recovered += _recovered(inst.m, windows[-1])
+        assert objectives == [tardy_exhaustive(inst) for inst in instances]
+        assert objectives[:3] == [opt for *_inst, opt in self.OPEN_WINDOWS]
+        assert opened >= 3 and recovered >= 2
+        if group:
+            assert 0 < len(probes) < opened
+        else:
+            assert len(probes) >= opened
 
 
 class TestSchedulableVectors:

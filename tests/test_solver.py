@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,7 @@ from conepack.oracle import bp_brute_force, fractional_opt, int_cone_brute
 from conepack.rational import Rat, rat_ceil
 from conepack.scheduling import SchedulingInstance, preemptive_assign
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
-                             PackingSolution, bin_packing,
+                             PackingSolution, bin_packing, cheapest_cover,
                              configuration_window, cutting_stock,
                              int_cone_intersect, least_feasible,
                              multi_polytope_select, select_from_generators,
@@ -794,18 +795,38 @@ class TestConfigurationWindow:
         assert configuration_window(parts, [5])[:3] == (
             9, 9, [(0, (1,), 1), (0, (2,), 2)])
 
-    def test_trimmed_points_must_belong_to_their_part(self):
+    def test_trimmed_points_outside_their_part_are_re_covered(self):
         # {(1,), (3,)} is not down-closed: 5/3 copies of (3,) round up to
-        # two, and the trimmed copy (2,) is no point of the part
-        with pytest.raises(InternalError, match=r"\(2,\) is not a point of "
-                                                r"part 0"):
-            configuration_window([([(1,), (3,)], 1)], [5])
+        # two, and the trimmed copy (2,) is no point of the part, so two
+        # copies of the unit column (1,) cover it instead
+        parts = [([(1,), (3,)], 1)]
+        assert configuration_window(parts, [5])[:3] == (
+            2, 3, [(0, (1,), 2), (0, (3,), 1)])
+        assert cheapest_cover([5], parts, partial(select_from_generators,
+                                                  parts)).total_cost == 3
+
+    def test_a_batch_of_trimmed_copies_is_re_covered_at_once(self):
+        # a tardy-like cover of (y, u1, u2, u3) and one machine marker: the
+        # LP runs two machines on (1, 0, 0, 0), the three pairs of u at 1/2
+        # and an idle machine at 1/2, so the rounding opens two machines
+        # too many, and both copies of the first are trimmed in their
+        # marker at once; their y becomes two drops of y
+        machines = [(1, 0, 0, 0, 1), (0, 1, 1, 0, 1), (0, 0, 1, 1, 1),
+                    (0, 1, 0, 1, 1), (0, 0, 0, 0, 1)]
+        parts = [(machines, 0)] + [([tuple(int(k == j) for k in range(5))],
+                                    1) for j in range(4)]
+        a = [2, 1, 1, 1, 4]
+        lo, hi, cover = check_window(parts, a)
+        assert (lo, hi) == (0, 3) and cover[0] == (1, (1, 0, 0, 0, 0), 2)
+        assert cheapest_cover(a, parts, partial(select_from_generators,
+                                                parts)).total_cost == 1
 
     def test_parts_must_hold_the_unit_vectors(self):
         # type 1 is covered, but only by (0, 2): the simplex has no unit
         # column to start from
-        with pytest.raises(InternalError, match="type 1; parts must be "
-                                                "down-closed"):
+        with pytest.raises(InternalError, match="type 1; parts must hold "
+                                                "the unit vector of every "
+                                                "demanded type"):
             configuration_window([([(1, 0), (0, 2)], 1)], [1, 2])
         # an undemanded type needs none
         assert configuration_window([([(1, 0), (0, 2)], 1)], [3, 0])[:3] \
