@@ -431,18 +431,17 @@ def _distributable(scheduled, machines, inst, memo, horizon_cap):
     return ok
 
 
-def tardy_exhaustive(inst, cap: int = BRUTE_JOB_CAP,
-                     horizon_cap: int = BRUTE_HORIZON_CAP) -> int:
+def tardy_exhaustive(inst, horizon_cap: int = BRUTE_HORIZON_CAP) -> int:
     """Least penalty of the job copies a tardy instance leaves unscheduled.
 
     Tries every count vector up to the demand that beats the best penalty
     so far, and keeps it when it splits over the machines.  More than
-    ``cap`` job copies, or more than ``cap`` machines, raise
-    ``ResourceError``.
+    ``BRUTE_JOB_CAP`` job copies, or more than ``BRUTE_JOB_CAP`` machines,
+    raise ``ResourceError``.
     """
     jobs, machine_count = sum(inst.multiplicities), sum(inst.counts)
-    if max(jobs, machine_count) > cap:
-        raise ResourceError("tardy brute force", cap,
+    if max(jobs, machine_count) > BRUTE_JOB_CAP:
+        raise ResourceError("tardy brute force", BRUTE_JOB_CAP,
                             f"{jobs} job copies and {machine_count} machines")
     machines = tuple(i for i in range(inst.m) for _ in range(inst.counts[i]))
     best = None

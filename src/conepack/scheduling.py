@@ -746,7 +746,6 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
               for j, p in enumerate(inst.penalties)]
     best = cheapest_cover(a + inst.counts, parts,
                           partial(select_from_generators, parts))
-    # picks are sorted by part, so the machines come before the drops
     picks = [pick for pick in best.picks if pick[0] < m]
     machines, placed = _machines(picks, d,
                                  partial(_cyclic_schedule, inst, per_type))
@@ -754,8 +753,9 @@ def tardy_min_penalty(inst: SchedulingInstance) -> ScheduleSolution:
     if used != inst.counts:
         raise InternalError("selection ignored the machine counts")
     dropped = [0] * d
-    for i, _x, w in best.picks[len(picks):]:
-        dropped[i - m] += w
+    for i, _x, w in best.picks:
+        if i >= m:
+            dropped[i - m] += w
     if any(s + t != v for s, t, v in zip(placed, dropped, a)):
         raise InternalError("placed and dropped copies miss the demand")
     if sum(p * t for p, t in zip(inst.penalties, dropped)) != best.total_cost:

@@ -237,10 +237,11 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     is ints over ``D = det(B) > 0``: the rows ``[adj(B) | adj(B) a]``,
     whose last entries are the basic weights, and the dual row
     ``[y | y . a]`` with ``y = c_B adj(B)``, whose last entry is the LP's
-    value.  No rational is built.  Bland's rule enters the first column ``q`` with ``c_q D < y . q``, and the ratio test breaks
-    ties by the lowest column.  With ``w = adj(B) q``, and ``y . q - c_q D``
-    as the dual row's ``w``, each pivot on row ``r`` updates every other row,
-    the dual row too, by Edmonds' rule ``T_i <- (T_i w_r - w_i T_r) / D``, then
+    value.  No rational is built.  Bland's rule enters the first column
+    ``q`` with ``c_q D < y . q``, and the ratio test breaks ties by the
+    lowest column.  With ``w = adj(B) q``, and ``y . q - c_q D`` as the
+    dual row's ``w``, each pivot on row ``r`` updates every other row, the
+    dual row too, by Edmonds' rule ``T_i <- (T_i w_r - w_i T_r) / D``, then
     ``D <- w_r``; every division is exact.  Pivots are charged to
     ``budget.charge`` and capped per call at ``DEFAULT_PIVOT_BUDGET``, as
     in ``ExactLp``.
