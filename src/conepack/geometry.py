@@ -11,7 +11,9 @@ top of it:
   unbounded or give a box over ``DEFAULT_LATTICE_BUDGET`` points, so the
   cap is then measured on the LP box.  Either box implies the axis rows,
   so only the other rows are tested, and the last depth's intervals are
-  kept beside the points as column runs,
+  kept beside the points as column runs.  A down-closed polytope's
+  points and runs are listed from its load rows and exact box alone
+  (``down_closed_lattice``), with no polytope built,
 * exact convex-hull machinery in any small dimension over column runs
   (only run ends that sit midway between two points along no other axis
   are candidates: a polytope's integer hull reads the enumerator's runs,
@@ -259,19 +261,26 @@ def down_closed_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
         rows += [[-c for c in unit], unit]
         rhs += [0, v]
     poly = Polytope(rows, rhs)
-    box = poly.b[loads + 1::2]
-    if any(v < 0 for v in box):
-        raise InternalError(f"down-closed polytope has box {box}")
-    top = [(v, 1) for v in box]  # per coordinate, (b_i, a_ij) of least ratio
-    for i, (row, b) in enumerate(zip(poly.A[:loads], poly.b)):
-        if b < 0 or any(c < 0 for c in row):
+    top = _least_ratios(poly.A[:loads], poly.b, poly.b[loads + 1::2])
+    poly._bounds = [(ZERO, Rat(*t)) for t in top]
+    return poly
+
+
+def _least_ratios(rows, rhs, box) -> list:
+    """Per coordinate ``j`` of a down-closed part, the ``(b_i, a_ij)`` of
+    least ratio over ``(box_j, 1)`` and the rows with ``a_ij > 0``;
+    ``InternalError`` when the box, a row or its bound is negative."""
+    if min(box, default=0) < 0:
+        raise InternalError(f"down-closed polytope has box {tuple(box)}")
+    top = [(v, 1) for v in box]
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if b < 0 or min(row) < 0:
             raise InternalError(f"row {i} of a down-closed polytope is "
-                                f"{row} <= {b}")
+                                f"{tuple(row)} <= {b}")
         for j, c in enumerate(row):
             if c and b * top[j][1] < top[j][0] * c:
                 top[j] = (b, c)
-    poly._bounds = [(ZERO, Rat(*t)) for t in top]
-    return poly
+    return top
 
 
 def coordinate_bounds(poly: Polytope):
@@ -404,18 +413,47 @@ def lattice_points(poly: Polytope) -> list:
         if size is None or size > DEFAULT_LATTICE_BUDGET:
             box = integer_box(poly)
             if box is not None:
-                size = _box_size(box)
-                if size > DEFAULT_LATTICE_BUDGET:
-                    raise ResourceError("lattice enumeration budget",
-                                        DEFAULT_LATTICE_BUDGET,
-                                        f"bounding box holds {size} points")
+                _check_budget(_box_size(box))
     if box is None:
         poly._lattice, poly._runs = [], []
         return []
-    d = poly.dim
     # the rows the box does not imply: all but the axis rows
-    rows = [(row, b) for row, b in zip(poly.A, poly.b)
-            if len(row) - row.count(0) != 1]
+    poly._lattice, poly._runs = _interval_search(
+        box, [(row, b) for row, b in zip(poly.A, poly.b)
+              if len(row) - row.count(0) != 1])
+    return poly._lattice
+
+
+def _check_budget(size: int) -> None:
+    """``ResourceError`` when an enumeration box of ``size`` points exceeds
+    ``DEFAULT_LATTICE_BUDGET``, read at call time."""
+    if size > DEFAULT_LATTICE_BUDGET:
+        raise ResourceError("lattice enumeration budget",
+                            DEFAULT_LATTICE_BUDGET,
+                            f"bounding box holds {size} points")
+
+
+def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                        box: Sequence[int]) -> tuple:
+    """``(points, runs)`` of ``down_closed_polytope(rows, rhs, box)``, as
+    ``lattice_points`` lists them and keeps them on it, with no polytope
+    built.
+
+    The same non-negativity checks raise ``InternalError``.  The box is the
+    polytope's exact integer box, ``min(box_j, b_i // a_ij)`` over the rows
+    with ``a_ij > 0``, so the same ``DEFAULT_LATTICE_BUDGET`` cap applies
+    to it, and the search tests the load rows alone.
+    """
+    top = [b // c for b, c in _least_ratios(rows, rhs, box)]
+    _check_budget(math.prod(v + 1 for v in top))
+    return _interval_search([(0, v) for v in top], list(zip(rows, rhs)))
+
+
+def _interval_search(box, rows) -> tuple:
+    """``(points, runs)``: the integer points of the box that meet every
+    ``(row, b)`` of ``rows``, depth first as ``lattice_points`` describes,
+    and their runs along the last coordinate."""
+    d = len(box)
     # floor[i]: the least the coordinates from the current depth on can
     # add to row i over the box, filled from the last depth back; each
     # depth keeps (row, coefficient, floor after this depth) for its
@@ -435,8 +473,7 @@ def lattice_points(poly: Polytope) -> list:
     # one; a row whose leading coefficients are zero has no such depth,
     # so it is checked once here, at the root
     if any(b < f for (_row, b), f in zip(rows, floor)):
-        poly._lattice, poly._runs = [], []
-        return []
+        return [], []
     out, runs = [], []
     last = d - 1
 
@@ -466,8 +503,7 @@ def lattice_points(poly: Polytope) -> list:
             descend(depth + 1, prefix + (v,), left)
 
     descend(0, (), [b for _row, b in rows])
-    poly._lattice, poly._runs = out, runs
-    return out
+    return out, runs
 
 
 # ---------------------------------------------------------------------------

@@ -355,16 +355,12 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
     start time; moving each job of that order to its earliest feasible
     start only shifts starts earlier, never later, so the order stays
     feasible under earliest-start placement and is eventually tried.
-    Returns ((start, release, deadline, length), ...) or None.
+    Returns ((start, release, deadline, length), ...) or None, and None
+    before either cap is read when a job outlasts its window or the total
+    length exceeds the latest deadline less the earliest release.
     """
     jobs = tuple((integer(r, "release"), integer(d, "deadline"),
                   integer(p, "length")) for r, d, p in jobs)
-    if len(jobs) > job_cap:
-        raise ResourceError("brute schedule jobs", job_cap,
-                            f"{len(jobs)} job copies")
-    if horizon > horizon_cap:
-        raise ResourceError("brute schedule horizon", horizon_cap,
-                            f"horizon {horizon}")
     for r, d, p in jobs:
         if p < 1 or r < 0 or d > horizon:
             raise InputError(f"job ({r}, {d}, {p}) is out of range")
@@ -372,6 +368,15 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
             return None
     if not jobs:
         return ()
+    if sum(p for _r, _d, p in jobs) > (max(d for _r, d, _p in jobs)
+                                       - min(r for r, _d, _p in jobs)):
+        return None
+    if len(jobs) > job_cap:
+        raise ResourceError("brute schedule jobs", job_cap,
+                            f"{len(jobs)} job copies")
+    if horizon > horizon_cap:
+        raise ResourceError("brute schedule horizon", horizon_cap,
+                            f"horizon {horizon}")
     for order in sorted(set(permutations(jobs))):
         t = 0
         placed = []

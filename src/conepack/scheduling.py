@@ -16,8 +16,11 @@ times.  Two schedulability encodings drive everything:
 
 All three objectives run ``solver.cheapest_cover``, so none has a search
 of its own.  The assignments open machines of each type at a cost to meet
-the whole demand: a preemptive probe is a ``multi_polytope_select`` over
-the clipped EDF polytopes, a non-preemptive one a
+the whole demand: a preemptive machine type is a down-closed part, the
+interval-load rows that can bind (``_edf_rows``: each distinct non-zero
+row at its least width) clipped to the demand, whose points are listed
+from those rows; a preemptive probe is a ``multi_polytope_select`` over
+the parts' polytopes, a non-preemptive one a
 ``select_from_generators`` over the enumerated schedulable vectors, whose
 ``(points, cost)`` parts are the window's parts too.  The tardy variant
 (machine counts fixed, pay per dropped job copy) covers the demand and
@@ -34,7 +37,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .geometry import Polytope, down_closed_polytope, lattice_points
+from .geometry import Polytope, down_closed_lattice
 from .ilp import ilp_feasible
 from .rational import integer
 from .solver import (_check_mode, _multiplicities, _polytope_cover,
@@ -218,18 +221,22 @@ def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
     return Polytope(rows, rhs)
 
 
-def _clipped_edf_polytope(inst: SchedulingInstance, machine_type: int,
-                          box_hi: Sequence[int]) -> Polytope:
-    """The interval-load rows of ``build_edf_polytope`` clipped to
-    ``0 <= x <= box_hi``.
+def _edf_rows(inst: SchedulingInstance, machine_type: int) -> tuple:
+    """The interval-load rows of ``build_edf_polytope`` that can bind, as
+    ``(rows, rhs)``: each distinct non-zero row once, in first-seen order,
+    at the least width of its intervals.
 
-    Lengths and interval widths are non-negative, so for a non-negative
-    box the polytope is down-closed, and ``down_closed_polytope`` knows its
-    coordinate bounds without an LP.
+    An all-zero row says ``0 <= t2 - t1``, and a repeated row never binds
+    at a wider interval, so the rows keep the lattice of every box and
+    number at most ``2^d - 1``.  Lengths and widths are non-negative, so
+    clipped to a non-negative box the part is down-closed.
     """
-    loads = _interval_loads(inst, machine_type)
-    return down_closed_polytope([row for _t, row in loads],
-                                [t2 - t1 for (t1, t2), _row in loads], box_hi)
+    width = {}
+    for (t1, t2), row in _interval_loads(inst, machine_type):
+        row = tuple(row)
+        if any(row) and t2 - t1 < width.get(row, t2 - t1 + 1):
+            width[row] = t2 - t1
+    return list(width), list(width.values())
 
 
 @dataclass(frozen=True)
@@ -642,15 +649,14 @@ def preemptive_assign(inst: SchedulingInstance,
                       mode: str = "faithful") -> ScheduleSolution:
     """Cheapest machine multiset covering the demand with EDF schedules.
 
-    ``solver._polytope_cover`` over the EDF polytopes clipped to the
-    demand: ``cheapest_cover``, each probe a ``multi_polytope_select``.
+    ``solver._polytope_cover`` over the EDF rows clipped to the demand:
+    ``cheapest_cover``, each probe a ``multi_polytope_select``.
     """
     _check_mode(mode)
     if inst.costs is None:
         raise InputError("assignment needs machine costs")
     a = inst.multiplicities
-    parts = [(_clipped_edf_polytope(inst, i, a), inst.costs[i])
-             for i in range(inst.m)]
+    parts = [(*_edf_rows(inst, i), inst.costs[i]) for i in range(inst.m)]
     best = _polytope_cover(a, parts, mode)
 
     def simulated(i, vec):
@@ -672,9 +678,10 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     """All non-preemptively schedulable vectors within the box, with proofs.
 
     Maps x -> cycle auxiliaries.  A non-preemptive schedule is also a
-    preemptive one, so the candidates are the lattice points of the EDF
-    polytope clipped to the box, which the horizon bounds however large
-    the box is; they are tried by total count, then lexicographically.
+    preemptive one, so the candidates are the points that
+    ``down_closed_lattice`` lists from the EDF rows clipped to the box,
+    which the horizon bounds however large the box is; they are tried by
+    total count, then lexicographically.
     Dropping copies keeps a schedule feasible, so supersets of the vectors
     the cycle ILP refuted are skipped outright; only those are kept, since
     a superset of a skipped vector is a superset of a refuted one.  The
@@ -691,7 +698,7 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     feasible = {}
     infeasible = set()
     candidates = sorted(
-        lattice_points(_clipped_edf_polytope(inst, machine_type, box_hi)),
+        down_closed_lattice(*_edf_rows(inst, machine_type), box_hi)[0],
         key=lambda g: (sum(g), g))
     for x in candidates:
         if any(all(x[j] >= b[j] for j in range(d)) for b in infeasible):

@@ -30,7 +30,11 @@ intersection problem, and ``select_from_generators`` one over listed
 ``cheapest_cover`` bisects with ``least_feasible``, the one bisection,
 over the multiples of the costs' gcd inside the window of their
 configuration LP, ``configuration_window``, which solves that LP by its
-own revised simplex in ints from the parts' unit vectors.  The
+own revised simplex in ints from the parts' unit vectors.  Cutting
+stock and the preemptive assignment cover with down-closed parts, given
+as their load rows: ``_polytope_cover`` lists each part's points from
+its rows and the demand box, ``geometry.down_closed_lattice``, and builds
+the parts' polytopes only when a probe runs.  The
 LP's basic weights, rounded up and trimmed, are a cover that answers at
 the window's top, so a probe runs only below that cover's cost, and a
 closed window runs none.  An open window is first decided, where it can
@@ -61,6 +65,7 @@ from .geometry import (
     Polytope,
     box_polytope,
     coordinate_bounds,
+    down_closed_lattice,
     down_closed_polytope,
     in_convex_hull,
     integer_box,
@@ -485,12 +490,24 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
 
 
 def _polytope_cover(a: Sequence[int], parts: Sequence, mode: str):
-    """``cheapest_cover`` over ``(Polytope, cost)`` parts; each probe looks
-    ``multi_polytope_select`` up when it runs, so a patch sees it."""
-    return cheapest_cover(
-        a, [(lattice_points(poly), c) for poly, c in parts],
-        lambda target, budget: multi_polytope_select(parts, target, budget,
-                                                     mode=mode))
+    """``cheapest_cover`` over down-closed parts ``(rows, rhs, cost)``, each
+    ``{x : rows x <= rhs, 0 <= x <= a}``.  The window reads the points that
+    ``down_closed_lattice`` lists; the first probe builds each part's
+    ``down_closed_polytope``, with those points and runs, once for the
+    request.  Each probe looks ``multi_polytope_select`` up when it runs,
+    so a patch sees it."""
+    listed = [down_closed_lattice(rows, rhs, a) for rows, rhs, _c in parts]
+    polys = []
+
+    def probe(target, budget):
+        if not polys:
+            for (rows, rhs, c), (points, runs) in zip(parts, listed):
+                poly = down_closed_polytope(rows, rhs, a)
+                poly._lattice, poly._runs = points, runs
+                polys.append((poly, c))
+        return multi_polytope_select(polys, target, budget, mode=mode)
+    return cheapest_cover(a, [(points, c) for (points, _runs), (_r, _b, c)
+                              in zip(listed, parts)], probe)
 
 
 # ---------------------------------------------------------------------------
@@ -849,20 +866,15 @@ def _selection(picks, costs, budget: int, d: int) -> SelectResult:
 # bin packing and cutting stock
 
 
-def _pattern_polytope(sizes, capacity, a) -> Polytope:
-    """Patterns of one bin: {x >= 0 : s.x <= capacity, x <= a}.
-
-    The box x <= a is added: patterns exceeding the demand can never appear
-    in an exact decomposition of a.  Sizes are positive, so the polytope is
-    down-closed and ``down_closed_polytope`` knows its exact coordinate
-    bounds ``0 <= x_j <= min(a_j, capacity / s_j)`` without an LP.  The
-    size row is scaled to ints by the lcm of its denominators and the
-    capacity's.
-    """
+def _pattern_rows(sizes, capacity) -> tuple:
+    """The load row of one bin's patterns, {x >= 0 : s.x <= capacity}, as
+    ``([row], [rhs])``: the size row scaled to ints by the lcm of its
+    denominators and the capacity's.  Sizes are positive, so clipped to
+    the demand box x <= a, which no pattern of an exact decomposition of
+    a exceeds, the part is down-closed."""
     scale = lcm(*(v.denominator for v in (*sizes, capacity)))
     row = [s.numerator * (scale // s.denominator) for s in sizes]
-    return down_closed_polytope(
-        [row], [capacity.numerator * (scale // capacity.denominator)], a)
+    return [row], [capacity.numerator * (scale // capacity.denominator)]
 
 
 def bin_packing(inst: BinPackingInstance,
@@ -879,13 +891,12 @@ def cutting_stock(inst: CuttingStockInstance,
                   mode: str = "faithful") -> PackingSolution:
     """Cheapest multiset of bins (by type) packing all items exactly.
 
-    ``_polytope_cover`` over the bin types' pattern polytopes:
+    ``_polytope_cover`` over the bin types' pattern rows:
     ``cheapest_cover``, each probe a ``multi_polytope_select``.
     """
     _check_mode(mode)
     a = inst.multiplicities
-    parts = [(_pattern_polytope(inst.sizes, w, a), c)
-             for w, c in inst.bin_types]
+    parts = [(*_pattern_rows(inst.sizes, w), c) for w, c in inst.bin_types]
     best = _polytope_cover(a, parts, mode)
     solution = PackingSolution(
         tuple((point, i, w) for i, point, w in best.picks), best.total_cost)

@@ -32,6 +32,13 @@ def rand_bp_instance(rng, max_dim=3, max_den=20, max_items=10):
     return sizes, mult
 
 
+def pattern_polytope(sizes, capacity, a):
+    """One bin's patterns clipped to the demand, ``{x : s.x <= capacity,
+    0 <= x <= a}``, the polytope a cutting stock probe builds."""
+    return geometry.down_closed_polytope(
+        *solver._pattern_rows(sizes, capacity), a)
+
+
 def mode_verdicts(inst, opt):
     """``multi_polytope_select``'s verdicts on a cutting stock (or bin
     packing) instance, faithful then joint, at the optimum ``opt`` and one
@@ -41,7 +48,7 @@ def mode_verdicts(inst, opt):
     modes are compared on the probes themselves.
     """
     mult = inst.multiplicities
-    parts = [(solver._pattern_polytope(inst.sizes, w, mult), c)
+    parts = [(pattern_polytope(inst.sizes, w, mult), c)
              for w, c in inst.bin_types]
     step = math.gcd(*(c for _w, c in inst.bin_types))
     target = box_polytope(mult, mult)

@@ -186,15 +186,17 @@ def _parsed(workloads, name, count):
 def test_edf_polytopes_know_their_lp_bounds(workloads):
     """The clipped EDF polytopes of the ``stock`` and ``sched-np``
     catalogues carry the bounds that fresh LPs give."""
-    from conepack.geometry import Polytope, coordinate_bounds
-    from conepack.scheduling import _clipped_edf_polytope
+    from conepack.geometry import (Polytope, coordinate_bounds,
+                                   down_closed_polytope)
+    from conepack.scheduling import _edf_rows
     seen = 0
     for name in ("stock", "sched-np"):
         for kind, inst in _parsed(workloads, name, PINS[name][0]):
             if kind != "scheduling":
                 continue
             for i in range(inst.m):
-                poly = _clipped_edf_polytope(inst, i, inst.multiplicities)
+                poly = down_closed_polytope(*_edf_rows(inst, i),
+                                            inst.multiplicities)
                 assert poly._bounds == coordinate_bounds(
                     Polytope(poly.A, poly.b))
                 seen += 1
@@ -261,6 +263,37 @@ def test_stock_solves_run_no_probe(workloads, monkeypatch):
     for desc in workloads.catalogue("stock", PINS["stock"][0]):
         workloads.solve_text(workloads.render(desc))
     assert probes == []
+
+
+def test_listed_parts_build_polytopes_only_to_probe(workloads,
+                                                   monkeypatch):
+    """Solving the ``stock`` catalogue as the benchmark does lists every
+    down-closed part's points from its rows, so it builds no ``Polytope``,
+    and a ``binpack`` instance builds one only when it probes."""
+    from conepack import geometry
+    built, probed, seen = [], [], []
+    init = geometry.Polytope.__init__
+    select = solver.multi_polytope_select
+
+    def building(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def probing(*args, **kwargs):
+        probed.append(args[2])
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(geometry.Polytope, "__init__", building)
+    monkeypatch.setattr(solver, "multi_polytope_select", probing)
+    for name in ("stock", "binpack"):
+        for desc in workloads.catalogue(name, PINS[name][0]):
+            del built[:], probed[:]
+            workloads.solve_text(workloads.render(desc))
+            seen.append((name, bool(built), bool(probed)))
+    assert seen.count(("stock", False, False)) == PINS["stock"][0]
+    assert seen.count(("binpack", False, False)) + \
+        seen.count(("binpack", True, True)) == PINS["binpack"][0]
+    assert ("binpack", True, True) in seen
 
 
 def test_tardy_solves_run_no_probe(workloads, monkeypatch):

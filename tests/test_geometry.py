@@ -228,6 +228,35 @@ class TestDownClosed:
     def test_rejects_other_rows(self, rows, rhs, box, match):
         with pytest.raises(InternalError, match=match):
             geometry.down_closed_polytope(rows, rhs, box)
+        with pytest.raises(InternalError, match=match):
+            geometry.down_closed_lattice(rows, rhs, box)
+
+    def test_lister_matches_the_polytope(self):
+        # the points and runs that lattice_points keeps on the built
+        # polytope, zero box sides and zero coefficients included
+        rng = random.Random(44044)
+        zero_side = zero_coefficient = 0
+        for _ in range(200):
+            rows, rhs, box = self.rand_down_closed(rng)
+            poly = geometry.down_closed_polytope(rows, rhs, box)
+            points = lattice_points(poly)
+            assert geometry.down_closed_lattice(rows, rhs, box) == (
+                points, poly._runs)
+            zero_side += 0 in box
+            zero_coefficient += any(0 in row for row in rows)
+        assert zero_side >= 20 and zero_coefficient >= 50
+
+    def test_lister_caps_the_box(self, monkeypatch):
+        # the box that the rows leave is capped, as lattice_points caps it
+        monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 50)
+        box = [9, 9]
+        with pytest.raises(ResourceError, match="holds 70 points"):
+            geometry.down_closed_lattice([[1, 0]], [6], box)
+        with pytest.raises(ResourceError, match="holds 70 points"):
+            lattice_points(geometry.down_closed_polytope([[1, 0]], [6], box))
+        rows, rhs = [[1, 0], [0, 2]], [6, 9]
+        points, _runs = geometry.down_closed_lattice(rows, rhs, box)
+        assert len(points) == 35
 
 
 class TestLatticePoints:

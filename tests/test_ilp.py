@@ -10,7 +10,9 @@ from conepack.exactmath import INFEASIBLE, OPTIMAL, ExactLp, lp_optimize
 from conepack.geometry import box_polytope
 from conepack.ilp import _derive_bounds, ilp_feasible, lll_basis
 from conepack.rational import Rat, rat_ceil, rat_floor
-from conepack.solver import _pattern_polytope, multi_polytope_select
+from conepack.solver import multi_polytope_select
+
+from genutil import pattern_polytope
 
 
 def program(rows, rhs, lo=None, hi=None):
@@ -146,7 +148,7 @@ class TestNodeStack:
         # low end, 110: 423 nodes over two programs.  The group at the
         # window's basis decides that window, so the probe is driven here
         sizes, a = [Rat(1, 3), Rat(1, 4), Rat(2, 7)], [40] * 3
-        parts = [(_pattern_polytope(sizes, w, a), c)
+        parts = [(pattern_polytope(sizes, w, a), c)
                  for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
         calls = {"snapshot": 0, "restore": 0}
         snapshot, restore = ExactLp.snapshot, ExactLp.restore

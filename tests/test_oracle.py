@@ -181,6 +181,12 @@ class TestNonpreemptiveBrute:
     def test_overloaded(self):
         assert nonpreemptive_brute([(0, 4, 2)] * 3, 4) is None
 
+    def test_copies_too_long_for_their_span_need_no_cap(self):
+        # 11 units of work between release 4 and deadline 8: no order can
+        # fit them, so the answer is None with more copies than the cap
+        jobs = [(4, 6, 1)] * 3 + [(4, 8, 2)] * 4
+        assert nonpreemptive_brute(jobs, 8) is None
+
     def test_job_cap(self):
         with pytest.raises(ResourceError):
             nonpreemptive_brute([(0, 50, 1)] * 7, 50)

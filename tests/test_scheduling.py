@@ -12,7 +12,9 @@ from conepack import geometry, scheduling, solver
 from conepack.budget import limit
 from conepack.errors import (InfeasibleError, InputError, InternalError,
                              ResourceError)
-from conepack.geometry import Polytope, coordinate_bounds, integer_box
+from conepack.geometry import (Polytope, coordinate_bounds,
+                               down_closed_polytope, integer_box,
+                               lattice_points)
 from conepack.oracle import (bp_brute_force, nonpreemptive_brute_counts,
                              tardy_exhaustive)
 from conepack.rational import Rat
@@ -84,26 +86,33 @@ class TestEdfPolytope:
                 assert member == sim.feasible, (inst.windows, x)
 
     def test_clipped_polytope_knows_its_bounds(self):
-        # lengths and interval widths are non-negative, so the clipped
-        # polytope is down-closed and its builder's bounds are the LP's
+        # the clipped part keeps each distinct non-zero interval-load row
+        # once, in first-seen order, at its least width: at most 2^d - 1
+        # rows, with the lattice of all the rows; lengths and interval
+        # widths are non-negative, so the part is down-closed and its
+        # builder's bounds are the LP's
         rng = random.Random(19061)
+        dropped = 0
         for _ in range(40):
             inst = rand_instance(rng)
             box = [rng.randint(0, 4) for _ in range(inst.d)]
-            poly = scheduling._clipped_edf_polytope(inst, 0, box)
-            base = build_edf_polytope(inst, 0)
-            loads = base.m - inst.d
-            # the load rows keep their order; -x_j <= 0 and x_j <= box_j
-            # follow for each j in turn
-            assert poly.A[:loads] == base.A[:loads]
-            assert poly.b[:loads] == base.b[:loads]
-            for j in range(inst.d):
-                floor = base.A[loads + j]
-                assert poly.A[loads + 2 * j:loads + 2 * j + 2] == [
-                    floor, tuple(-v for v in floor)]
-                assert poly.b[loads + 2 * j:loads + 2 * j + 2] == (0, box[j])
-            assert poly.m == loads + 2 * inst.d
+            loads = scheduling._interval_loads(inst, 0)
+            widths = {}
+            for (t1, t2), row in loads:
+                if any(row):
+                    widths.setdefault(tuple(row), []).append(t2 - t1)
+            rows, rhs = scheduling._edf_rows(inst, 0)
+            assert rows == list(widths)
+            assert rhs == [min(w) for w in widths.values()]
+            assert len(rows) <= 2 ** inst.d - 1
+            dropped += len(loads) - len(rows)
+            poly = down_closed_polytope(rows, rhs, box)
+            every = down_closed_polytope(
+                [row for _t, row in loads],
+                [t2 - t1 for (t1, t2), _row in loads], box)
+            assert lattice_points(poly) == lattice_points(every)
             assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
+        assert dropped > 100
 
     def test_clipped_polytope_solves_no_lp(self, monkeypatch):
         inst = SchedulingInstance([[(0, 4, 2), (1, 5, 1)]], [3, 2],
@@ -113,7 +122,7 @@ class TestEdfPolytope:
             raise AssertionError("solved an LP for a clipped EDF polytope")
 
         monkeypatch.setattr(geometry, "ExactLp", no_lp)
-        poly = scheduling._clipped_edf_polytope(inst, 0, (3, 2))
+        poly = down_closed_polytope(*scheduling._edf_rows(inst, 0), (3, 2))
         assert integer_box(poly) == [(0, 2), (0, 2)]
 
 

@@ -30,8 +30,8 @@ from conepack.solver import (BinPackingInstance, CuttingStockInstance,
 from conepack.structure import compute_structure_set
 
 from genutil import (box_polytope, check_window, mode_verdicts,
-                     rand_bounded_polytope, rand_bp_instance, singleton_target,
-                     weighted_sum)
+                     pattern_polytope, rand_bounded_polytope, rand_bp_instance,
+                     singleton_target, weighted_sum)
 
 
 def segment(lo, hi):
@@ -353,7 +353,7 @@ def _bin_packing_probes(monkeypatch, sizes, a):
         return results[-1]
 
     monkeypatch.setattr(solver, "int_cone_intersect", recording)
-    part = solver._pattern_polytope(sizes, 1, a)
+    part = pattern_polytope(sizes, 1, a)
     window = configuration_window([(lattice_points(part), 1)], a)[:2]
 
     def probe(b):
@@ -646,7 +646,7 @@ class TestCuttingStock:
         # most of the branch and bound.  The group at the window's basis
         # decides the window [110, 111], so both probes are driven here
         sizes, a = [Rat(1, 3), Rat(1, 4), Rat(2, 7)], [40] * 3
-        parts = [(solver._pattern_polytope(sizes, w, a), c)
+        parts = [(pattern_polytope(sizes, w, a), c)
                  for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
         inner = solver.ilp_feasible
 
@@ -697,7 +697,7 @@ def test_pattern_polytopes_seed_their_exact_bounds():
         sizes = [Rat(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(d)]
         capacity = Rat(rng.randint(1, 6), rng.randint(1, 3))
         a = [rng.randint(0, 5) for _ in range(d)]
-        poly = solver._pattern_polytope(sizes, capacity, a)
+        poly = pattern_polytope(sizes, capacity, a)
         assert poly._bounds == coordinate_bounds(Polytope(poly.A, poly.b))
         oversized += sum(aj > 0 and s > capacity for s, aj in zip(sizes, a))
     assert oversized >= 5
@@ -708,7 +708,7 @@ def test_pattern_polytopes_solve_no_lp(monkeypatch):
         raise AssertionError("solved an LP for a pattern polytope")
 
     monkeypatch.setattr(geometry, "ExactLp", no_lp)
-    poly = solver._pattern_polytope((Rat(1, 3), Rat(2, 5)), Rat(1), (2, 4))
+    poly = pattern_polytope((Rat(1, 3), Rat(2, 5)), Rat(1), (2, 4))
     assert integer_box(poly) == [(0, 2), (0, 2)]
 
 
@@ -718,10 +718,10 @@ def test_pattern_polytope_rows_are_the_cleared_size_row_and_unit_rows():
     sizes = (Rat(1, 3), Rat(1, 4), Rat(2, 7))
     units = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1),
              (0, 0, 1)]
-    poly = solver._pattern_polytope(sizes, 1, (5, 6, 7))
+    poly = pattern_polytope(sizes, 1, (5, 6, 7))
     assert poly.A == [(28, 21, 24)] + units
     assert poly.b == (84, 0, 5, 0, 6, 0, 7)
-    poly = solver._pattern_polytope(sizes, Rat(3, 5), (5, 6, 7))
+    poly = pattern_polytope(sizes, Rat(3, 5), (5, 6, 7))
     assert poly.A == [(140, 105, 120)] + units
     assert poly.b == (252, 0, 5, 0, 6, 0, 7)
 
@@ -975,7 +975,7 @@ def test_paper_scale_window_over_many_patterns():
     q = 20
     sizes = [Rat(1, q) + Rat(1, 10 * q * q), Rat(1, q + 1), Rat(1, q + 3)]
     a = [PAPER_SCALE] * 3
-    points = lattice_points(solver._pattern_polytope(sizes, 1, a))
+    points = lattice_points(pattern_polytope(sizes, 1, a))
     assert len(points) == 1965
     with limit(2000):
         lo, hi, cover, _basis = configuration_window([(points, 1)], a)
@@ -1112,7 +1112,7 @@ def test_group_states_spend_the_budget():
     # D = 24; the group proves that 110 is Empty, and each state it
     # settles spends one unit
     sizes = [Rat(1, 3), Rat(1, 4), Rat(2, 7)]
-    parts = [(lattice_points(solver._pattern_polytope(sizes, w, [40] * 3)), c)
+    parts = [(lattice_points(pattern_polytope(sizes, w, [40] * 3)), c)
              for w, c in [(Rat(1), 3), (Rat(1, 2), 2)]]
     lo, hi, _cover, basis = configuration_window(parts, [40] * 3)
     assert (lo, hi, basis.det) == (110, 111, 24)
@@ -1169,7 +1169,7 @@ def test_window_top_cover_is_a_trimmed_round_up(sizes, a, bin_types):
     # lattice points of its parts, and trimming only lowers the round-up
     a = a[:len(sizes)]
     assume(all(s <= max(w for w, _c in bin_types) for s in sizes))
-    polys = [solver._pattern_polytope(sizes, w, a) for w, _c in bin_types]
+    polys = [pattern_polytope(sizes, w, a) for w, _c in bin_types]
     parts = [(lattice_points(poly), c)
              for poly, (_w, c) in zip(polys, bin_types)]
     lo, hi, cover, _basis = configuration_window(parts, a)
