@@ -3,7 +3,8 @@
 Every simplex pivot, every group state that ``solver._group_bound``
 settles and every branch-and-bound node run inside ``limit(units)``,
 across all the LPs, groups and integer programs of the request, spends
-one unit.  Outside any limit only the per-call caps of ``exactmath``,
+one unit of every open limit, so a nested limit never lifts the one
+around it.  Outside any limit only the per-call caps of ``exactmath``,
 ``ilp`` and ``solver`` hold.
 """
 
@@ -29,9 +30,16 @@ def limit(units: int):
     return _spending(units)
 
 
+class _Spent(list):
+    """``[units, pivots spent, nodes spent]`` of one open limit; ``outer``
+    is the limit it is nested in, or None."""
+
+
 @contextmanager
 def _spending(units: int):
-    token = _OPEN.set([units, 0, 0])  # units, pivots spent, nodes spent
+    spent = _Spent([units, 0, 0])
+    spent.outer = _OPEN.get()
+    token = _OPEN.set(spent)
     try:
         yield
     finally:
@@ -39,13 +47,14 @@ def _spending(units: int):
 
 
 def charge(node: bool = False) -> None:
-    """Spend one unit of the open limit: a node if ``node``, else a pivot
-    or a group state."""
+    """Spend one unit of every open limit, innermost first: a node if
+    ``node``, else a pivot or a group state.  The first limit overspent
+    raises, which ends the request."""
     spent = _OPEN.get()
-    if spent is None:
-        return
-    spent[2 if node else 1] += 1
-    units, pivots, nodes = spent
-    if pivots + nodes > units:
-        raise ResourceError("request work budget", units,
-                            f"{pivots} pivots, {nodes} nodes")
+    while spent is not None:
+        spent[2 if node else 1] += 1
+        units, pivots, nodes = spent
+        if pivots + nodes > units:
+            raise ResourceError("request work budget", units,
+                                f"{pivots} pivots, {nodes} nodes")
+        spent = spent.outer

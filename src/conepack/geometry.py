@@ -12,8 +12,10 @@ top of it:
   cap is then measured on the LP box.  Either box implies the axis rows,
   so only the other rows are tested, and the last depth's intervals are
   kept beside the points as column runs.  A down-closed polytope's
-  points and runs are listed from its load rows and exact box alone
+  points are listed from its load rows and exact box alone
   (``down_closed_lattice``), with no polytope built,
+* selector lifts (``lifted_union``, ``priced_target``): no other module
+  touches a polytope's cached lattice, runs or bounds,
 * exact convex-hull machinery in any small dimension over column runs
   (only run ends that sit midway between two points along no other axis
   are candidates: a polytope's integer hull reads the enumerator's runs,
@@ -283,6 +285,52 @@ def _least_ratios(rows, rhs, box) -> list:
     return top
 
 
+def lifted_union(parts: Sequence[Polytope]) -> Optional[Polytope]:
+    """The parts coupled by one selector coordinate each, with the lattice
+    ``(x, e_i)`` over the lattice points x of part i; None when they hold
+    none.  Part i's rows come in turn as ``a.x <= b + M(1 - s_i)``, M the
+    row's worst violation on the box spanning the parts' ``integer_box``,
+    then ``sum s <= 1``, ``-sum s <= -1`` and ``-s_i <= 0``; keep that
+    order, since Bland's rule pivots by row index."""
+    boxes = [box for box in map(integer_box, parts) if box is not None]
+    if not boxes:
+        return None
+    d, n = len(boxes[0]), len(parts)
+    glo = [min(box[j][0] for box in boxes) for j in range(d)]
+    ghi = [max(box[j][1] for box in boxes) for j in range(d)]
+    selectors = [tuple(int(i == t) for t in range(n)) for i in range(n)]
+    rows, rhs = [], []
+    for e, poly in zip(selectors, parts):
+        for a_row, b in zip(poly.A, poly.b):
+            M = max(0, sum(v * (ghi[j] if v > 0 else glo[j])
+                           for j, v in enumerate(a_row)) - b)
+            rows.append(list(a_row) + [M * v for v in e])
+            rhs.append(b + M)
+    zeros = [0] * d
+    rows += [zeros + [1] * n, zeros + [-1] * n]
+    rows += [zeros + [-v for v in e] for e in selectors]
+    lifted = Polytope(rows, rhs + [1, -1] + [0] * n)
+    lifted._lattice = sorted(x + e for e, poly in zip(selectors, parts)
+                             for x in lattice_points(poly))
+    return lifted
+
+
+def priced_target(target: Polytope, costs: Sequence[int],
+                  budget: int) -> Polytope:
+    """``target x {s >= 0 : costs . s <= budget}``, rows in that order.
+    The blocks share no coordinate, so a non-empty target's bounds beside
+    ``[0, budget / c_i]`` are its bounds, known with no LP."""
+    d, n = target.dim, len(costs)
+    priced = Polytope(
+        [list(q) + [0] * n for q in target.A] + [[0] * d + list(costs)]
+        + [[0] * d + [-int(i == t) for t in range(n)] for i in range(n)],
+        target.b + (budget,) + (0,) * n)
+    bounds = coordinate_bounds(target)
+    if bounds is not None:
+        priced._bounds = bounds + [(ZERO, Rat(budget, c)) for c in costs]
+    return priced
+
+
 def coordinate_bounds(poly: Polytope):
     """Exact per-coordinate ranges.
 
@@ -434,10 +482,9 @@ def _check_budget(size: int) -> None:
 
 
 def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
-                        box: Sequence[int]) -> tuple:
-    """``(points, runs)`` of ``down_closed_polytope(rows, rhs, box)``, as
-    ``lattice_points`` lists them and keeps them on it, with no polytope
-    built.
+                        box: Sequence[int]) -> list:
+    """The points that ``lattice_points(down_closed_polytope(rows, rhs,
+    box))`` lists, with no polytope built.
 
     The same non-negativity checks raise ``InternalError``.  The box is the
     polytope's exact integer box, ``min(box_j, b_i // a_ij)`` over the rows
@@ -446,7 +493,7 @@ def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     """
     top = [b // c for b, c in _least_ratios(rows, rhs, box)]
     _check_budget(math.prod(v + 1 for v in top))
-    return _interval_search([(0, v) for v in top], list(zip(rows, rhs)))
+    return _interval_search([(0, v) for v in top], list(zip(rows, rhs)))[0]
 
 
 def _interval_search(box, rows) -> tuple:
@@ -803,9 +850,9 @@ def integer_hull_vertices(poly: Polytope) -> list:
     the lattice cap of ``lattice_points``).
 
     The hull is read from the column runs that ``lattice_points`` keeps
-    (``_hull_of_runs``).  A lattice cached without its runs (one assembled
-    from other polytopes' lattices) has them derived from its sorted
-    points.
+    (``_hull_of_runs``).  A lattice cached without its runs (a
+    ``lifted_union``'s, assembled from its parts' lattices) has them
+    derived from its sorted points.
     """
     pts = lattice_points(poly)
     runs = poly._runs
@@ -938,36 +985,16 @@ def _point_order(poly: Polytope, pts: list) -> Optional[list]:
 def _slack_cells(poly: Polytope, pts: list) -> list:
     """``cell_partition`` of the non-empty sorted lattice ``pts``.
 
-    Each row's interval indices (an axis row's once per distinct value)
-    are folded into one int key per point in mixed radix, so the keys
-    sort as the signatures do.  An axis row giving distinct values
-    distinct indices separates its coordinate, and later axis rows on it
-    are skipped; once every coordinate is separated, no row is read.
+    Each row's interval indices are folded into one int key per point in
+    mixed radix, so the keys sort as the signatures do.  A row whose
+    digit the earlier digits already fix moves no cell and no order.
     """
-    cols = list(zip(*pts))
     index = _SlackIndex(poly.dim)
     keys = [0] * len(pts)
-    pending = set(range(poly.dim))  # the coordinates not yet separated
     for row, b in zip(poly.A, poly.b):
-        terms = [(j, c) for j, c in enumerate(row) if c]
-        if len(terms) == 1:
-            (j, c), = terms
-            if j not in pending:
-                continue
-            by_value = {x: index[b - c * x] for x in set(cols[j])}
-            column = map(by_value.__getitem__, cols[j])
-            base = max(by_value.values()) + 1
-            if len(set(by_value.values())) == len(by_value):
-                pending.discard(j)
-        else:
-            slack = [b] * len(pts)
-            for j, c in terms:
-                slack = [s - c * x for s, x in zip(slack, cols[j])]
-            column = list(map(index.__getitem__, slack))
-            base = max(column) + 1
+        column = [index[b - sum(map(operator.mul, row, p))] for p in pts]
+        base = max(column) + 1
         keys = [k * base + g for k, g in zip(keys, column)]
-        if not pending:
-            break
     cells: dict = {}
     for k, p in zip(keys, pts):
         cells.setdefault(k, []).append(p)

@@ -698,7 +698,7 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     feasible = {}
     infeasible = set()
     candidates = sorted(
-        down_closed_lattice(*_edf_rows(inst, machine_type), box_hi)[0],
+        down_closed_lattice(*_edf_rows(inst, machine_type), box_hi),
         key=lambda g: (sum(g), g))
     for x in candidates:
         if any(all(x[j] >= b[j] for j in range(d)) for b in infeasible):

@@ -64,12 +64,13 @@ from .exactmath import DEFAULT_PIVOT_BUDGET, ExactLp
 from .geometry import (
     Polytope,
     box_polytope,
-    coordinate_bounds,
     down_closed_lattice,
     down_closed_polytope,
     in_convex_hull,
     integer_box,
     lattice_points,
+    lifted_union,
+    priced_target,
 )
 from .ilp import ilp_feasible
 from .rational import Rat, ONE, integer
@@ -365,7 +366,7 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
             WindowBasis(rows, columns, basis, tab, D, dual))
 
 
-def _group_bound(basis: WindowBasis, parts: Sequence, a: Sequence[int]):
+def _group_bound(basis: WindowBasis, parts: Sequence):
     """Gomory's group relaxation of the covering search at ``basis``:
     ``(bound, cover)``, or None when D exceeds ``GROUP_STATE_CAP``.
 
@@ -458,9 +459,10 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     its determinant exceeds ``GROUP_STATE_CAP``: ``lo`` rises to the
     group's bound, rounded up to a multiple of ``g = _cost_gcd(parts)``,
     and when the group's path is a cover, that cover meets the bound and
-    answers with no probe.  Otherwise ``select`` runs on the target
-    ``box_polytope(a, a)`` only below ``hi``: ``least_feasible`` bisects
-    over the budgets ``v * g`` inside the raised window.  Zero demand
+    answers with no probe.  Otherwise ``select`` runs only below ``hi``,
+    on one target ``box_polytope(a, a)`` that a window still open builds
+    for the request: ``least_feasible`` bisects over the budgets ``v * g``
+    inside the raised window.  Zero demand
     returns the empty selection at cost 0.  InternalError when a check
     fails.
     """
@@ -470,7 +472,7 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     if top.target != tuple(a):
         raise InternalError("the window's cover misses the demand")
     g = _cost_gcd(parts)
-    group = _group_bound(basis, parts, a) if lo < hi else None
+    group = _group_bound(basis, parts) if lo < hi else None
     if group is not None:
         bound, path = group
         lo = max(lo, -(-bound // g) * g)
@@ -481,8 +483,9 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
             if best.target != tuple(a) or best.total_cost != lo:
                 raise InternalError("the group's cover misses its bound")
             return best
+    target = box_polytope(a, a) if lo < hi else None
     best, opt = least_feasible(
-        lambda v: top if v * g >= hi else select(box_polytope(a, a), v * g),
+        lambda v: top if v * g >= hi else select(target, v * g),
         lo // g, hi // g, lambda res: res.total_cost // g)
     if best.total_cost != opt * g:
         raise InternalError("objective drifted from the binary search bound")
@@ -493,21 +496,18 @@ def _polytope_cover(a: Sequence[int], parts: Sequence, mode: str):
     """``cheapest_cover`` over down-closed parts ``(rows, rhs, cost)``, each
     ``{x : rows x <= rhs, 0 <= x <= a}``.  The window reads the points that
     ``down_closed_lattice`` lists; the first probe builds each part's
-    ``down_closed_polytope``, with those points and runs, once for the
-    request.  Each probe looks ``multi_polytope_select`` up when it runs,
-    so a patch sees it."""
-    listed = [down_closed_lattice(rows, rhs, a) for rows, rhs, _c in parts]
+    ``down_closed_polytope`` once for the request, and ``lattice_points``
+    lists it again.  Each probe looks ``multi_polytope_select`` up when it
+    runs, so a patch sees it."""
     polys = []
 
     def probe(target, budget):
         if not polys:
-            for (rows, rhs, c), (points, runs) in zip(parts, listed):
-                poly = down_closed_polytope(rows, rhs, a)
-                poly._lattice, poly._runs = points, runs
-                polys.append((poly, c))
+            polys.extend((down_closed_polytope(rows, rhs, a), c)
+                         for rows, rhs, c in parts)
         return multi_polytope_select(polys, target, budget, mode=mode)
-    return cheapest_cover(a, [(points, c) for (points, _runs), (_r, _b, c)
-                              in zip(listed, parts)], probe)
+    return cheapest_cover(a, [(down_closed_lattice(rows, rhs, a), c)
+                              for rows, rhs, c in parts], probe)
 
 
 # ---------------------------------------------------------------------------
@@ -690,18 +690,16 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
 
     ``parts`` is a list of (Polytope over the target's dimension, positive
     integer cost); a copy of a lattice point of part i costs ``c_i`` and the
-    total cost must stay within ``budget``.  Implemented by coupling the
-    parts into one lifted polytope with one selector coordinate per part,
-    whose integer points are ``(x, e_i)`` for x in part i, then intersecting
-    its integer cone with ``target x {s >= 0 : c . s <= budget}``: the
-    selectors of a combination count its copies from each part, so
-    ``c . s`` is its cost, and the lifted target is bounded wherever the
-    target is.  The lifted lattice is assembled from the parts' lattices
-    and the lifted target's bounds from the target's, so no enumeration box
-    spans the budget, and costs may be as large as their binary encoding
-    allows.  When no part holds a lattice point, the empty selection is
-    the only one, as in ``select_from_generators``.  A part that is not a
-    pair raises ``InputError`` naming its index.
+    total cost must stay within ``budget``.  One ``int_cone_intersect`` of
+    ``geometry.lifted_union`` of the parts, whose integer points are
+    ``(x, e_i)`` for x in part i, with ``geometry.priced_target``, where
+    the selectors ``s`` count a combination's copies from each part and
+    ``c . s`` is its cost.  No enumeration box spans the budget, so costs
+    may be as large as their binary encoding allows.  The target's box is
+    read before a negative budget answers.  When no part holds a lattice
+    point, the empty selection is the only one, as in
+    ``select_from_generators``.  A part that is not a pair raises
+    ``InputError`` naming its index.
     """
     _check_mode(mode)
     n = len(parts)
@@ -719,59 +717,24 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
         polys.append(poly)
         costs.append(cost)
     budget = integer(budget, "budget")
-    if budget < 0:
+    if integer_box(target) is None or budget < 0:
         return SelectResult(False, None)
-
-    boxes = [box for box in map(integer_box, polys) if box is not None]
-    if integer_box(target) is None:
-        return SelectResult(False, None)
-    if not boxes:
+    lifted = lifted_union(polys)
+    if lifted is None:
         # the empty sum is the only reachable point
         if target.contains_int((0,) * d):
             return _selection([], costs, budget, d)
         return SelectResult(False, None)
-    glo = [min(box[j][0] for box in boxes) for j in range(d)]
-    ghi = [max(box[j][1] for box in boxes) for j in range(d)]
-
-    selectors = [tuple(int(i == t) for t in range(n)) for i in range(n)]
-    rows, rhs = [], []
-    for e, poly in zip(selectors, polys):
-        for a_row, b in zip(poly.A, poly.b):
-            # a.x <= b + M(1 - z_i), with M the worst violation on the box
-            worst = sum(v * (ghi[j] if v > 0 else glo[j])
-                        for j, v in enumerate(a_row))
-            M = max(0, worst - b)
-            rows.append(list(a_row) + [M * v for v in e])
-            rhs.append(b + M)
-    # exactly one selector on, each non-negative
-    zeros = [0] * d
-    rows += [zeros + [1] * n, zeros + [-1] * n]
-    rhs += [1, -1]
-    negated = [zeros + [-v for v in e] for e in selectors]
-    lifted = Polytope(rows + negated, rhs + [0] * n)
-    # its integer points are exactly (x, e_i) for x in part i: the one
-    # selector on keeps part i's rows, and M relaxes the other parts' rows
-    # on the box, which holds every part's lattice
-    lifted._lattice = sorted(x + e for e, poly in zip(selectors, polys)
-                             for x in lattice_points(poly))
-
-    # a combination's selectors count its copies from each part
-    lifted_target = Polytope(
-        [list(q) + [0] * n for q in target.A] + [zeros + costs] + negated,
-        target.b + (budget,) + (0,) * n)
-    # the blocks share no coordinate, so these are the LP bounds
-    lifted_target._bounds = coordinate_bounds(target) + [
-        (Rat(0), Rat(budget, c)) for c in costs]
-
-    res = int_cone_intersect(lifted, lifted_target, mode=mode)
+    res = int_cone_intersect(lifted, priced_target(target, costs, budget),
+                             mode=mode)
     if not res.found:
         return SelectResult(False, None)
     picks = []
     for point, w in res.combination.items():
         x, sel = point[:d], point[d:]
-        if sel not in selectors:
+        if sorted(sel) != [0] * (n - 1) + [1]:
             raise InternalError(f"lifted point {point} has a broken selector")
-        i = selectors.index(sel)
+        i = sel.index(1)
         if not polys[i].contains_int(x):
             raise InternalError(f"pattern {x} escapes part {i}")
         picks.append((i, x, w))

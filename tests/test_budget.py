@@ -2,7 +2,7 @@
 
 import pytest
 
-from conepack import solver
+from conepack import budget, solver
 from conepack.budget import limit
 from conepack.errors import ResourceError
 from conepack.exactmath import ExactLp
@@ -67,6 +67,21 @@ def test_limit_spans_the_request(monkeypatch):
         assert bin_packing(inst).objective == 6
     with pytest.raises(ResourceError), limit(total - 1):
         bin_packing(inst)
+
+
+def test_a_nested_limit_keeps_the_one_around_it():
+    # the solve spends 18 pivots; a loose limit opened inside limit(5)
+    # must not lift it, and the outer limit counts what the inner spends
+    inst = BinPackingInstance([Rat(1, 3), Rat(1, 4), Rat(2, 7)], [40] * 3)
+    with pytest.raises(ResourceError) as err, limit(5), limit(10 ** 6):
+        bin_packing(inst)
+    assert err.value.limit == 5
+    with limit(10 ** 6):
+        with limit(10 ** 6):
+            assert bin_packing(inst).objective == 37
+            inner = list(budget._OPEN.get())
+        assert budget._OPEN.get() == inner
+    assert inner[1] == 18
 
 
 def test_no_limit_outside_the_block():

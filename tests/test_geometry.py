@@ -232,16 +232,15 @@ class TestDownClosed:
             geometry.down_closed_lattice(rows, rhs, box)
 
     def test_lister_matches_the_polytope(self):
-        # the points and runs that lattice_points keeps on the built
-        # polytope, zero box sides and zero coefficients included
+        # the points that lattice_points lists on the built polytope, zero
+        # box sides and zero coefficients included
         rng = random.Random(44044)
         zero_side = zero_coefficient = 0
         for _ in range(200):
             rows, rhs, box = self.rand_down_closed(rng)
             poly = geometry.down_closed_polytope(rows, rhs, box)
-            points = lattice_points(poly)
             assert geometry.down_closed_lattice(rows, rhs, box) == (
-                points, poly._runs)
+                lattice_points(poly))
             zero_side += 0 in box
             zero_coefficient += any(0 in row for row in rows)
         assert zero_side >= 20 and zero_coefficient >= 50
@@ -255,8 +254,15 @@ class TestDownClosed:
         with pytest.raises(ResourceError, match="holds 70 points"):
             lattice_points(geometry.down_closed_polytope([[1, 0]], [6], box))
         rows, rhs = [[1, 0], [0, 2]], [6, 9]
-        points, _runs = geometry.down_closed_lattice(rows, rhs, box)
-        assert len(points) == 35
+        assert len(geometry.down_closed_lattice(rows, rhs, box)) == 35
+
+
+class TestSelectorLift:
+    # the lifts that probes build are checked in test_solver.py
+    def test_empty_target_is_priced_without_bounds(self):
+        empty = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
+        priced = geometry.priced_target(empty, [1], 4)
+        assert priced._bounds is None and coordinate_bounds(priced) is None
 
 
 class TestLatticePoints:

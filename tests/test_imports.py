@@ -15,6 +15,10 @@ tests of a second integer reader.  Outside ``cli.py`` no module may call
 second file reader.  No module may subscript an attribute ``.windows``
 outside ``scheduling._machine_windows``, the one reader of a machine
 type, and ``SchedulingInstance.__init__``, which builds the windows.
+No module but ``geometry.py`` may name the attribute ``._lattice``,
+``._runs`` or ``._bounds``, the caches geometry keeps on a polytope.
+Every parameter of every function and lambda of the package must be
+read in its body, but ``self`` and ``_``-prefixed names.
 Every top-level function and class of the package but ``oracle.py``, the
 reference code, must be read by name in the package or in ``conebench``:
 as a name, an attribute or a string, such as an entry of ``__all__`` or
@@ -276,6 +280,84 @@ def test_a_second_machine_type_reader_is_caught(tmp_path):
                       "    return windows[i], inst.windows[i][j]\n")
     assert windows_lookups(module) == ["windows (line 16)",
                                        "windows (line 7)"]
+
+
+# the lattice, column runs and bounds that geometry caches on a polytope
+LATTICE_CACHES = {"_lattice", "_runs", "_bounds"}
+
+
+def cache_attributes(path):
+    """The attributes ``._lattice``, ``._runs`` and ``._bounds`` that the
+    module names, with line numbers."""
+    return sorted(f"{node.attr} (line {node.lineno})"
+                  for node in ast.walk(parse(path))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in LATTICE_CACHES)
+
+
+NOT_GEOMETRY = [p for p in MODULES if p.name != "geometry.py"]
+
+
+@pytest.mark.parametrize("path", NOT_GEOMETRY,
+                         ids=[p.name for p in NOT_GEOMETRY])
+def test_only_geometry_names_the_lattice_caches(path):
+    assert cache_attributes(path) == []
+
+
+def test_a_cache_named_outside_geometry_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def probe(poly, points):\n"
+                      "    poly._lattice, poly._runs = points, None\n"
+                      "    return poly._bounds or poly.lattice\n")
+    assert cache_attributes(module) == [
+        "_bounds (line 3)", "_lattice (line 2)", "_runs (line 2)"]
+
+
+def unread_parameters(path):
+    """The parameters of the module's functions and lambdas that their
+    bodies never read, but ``self`` and ``_``-prefixed names, as
+    ``function.parameter`` with line numbers."""
+    out = []
+    for node in ast.walk(parse(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        out += [f"{name}.{a.arg} (line {node.lineno})" for a in params
+                if a.arg != "self" and not a.arg.startswith("_")
+                and a.arg not in read]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path) == []
+
+
+def test_an_unread_parameter_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def used(a, _b, *args, key=None, **kw):\n"
+                      "    return a, args, key, kw\n"
+                      "\n\n"
+                      "class Shape:\n"
+                      "    def area(self, scale, unit):\n"
+                      "        return scale\n"
+                      "\n\n"
+                      "def closure(x, y, *rest):\n"
+                      "    def inner(z):\n"
+                      "        return x + z\n"
+                      "    return inner\n"
+                      "\n\n"
+                      "pick = lambda p, q: p\n")
+    assert unread_parameters(module) == [
+        "area.unit (line 6)", "closure.rest (line 10)",
+        "closure.y (line 10)", "lambda.q (line 16)"]
 
 
 def unread_definitions(definers, readers):

@@ -1089,7 +1089,7 @@ def test_group_bounds_and_covers_match_brute_force():
         assert lo <= opt <= hi
         seen["empty_lo" if opt > lo else "feasible_lo"] += 1
         seen["assignment"] += kind == "assignment"
-        bound, cover = solver._group_bound(basis, parts, a)
+        bound, cover = solver._group_bound(basis, parts)
         assert bound <= opt, (parts, a)
         seen["raised"] += bound > lo
         if cover is None:
@@ -1117,13 +1117,13 @@ def test_group_states_spend_the_budget():
     lo, hi, _cover, basis = configuration_window(parts, [40] * 3)
     assert (lo, hi, basis.det) == (110, 111, 24)
     with limit(10 ** 6):
-        assert solver._group_bound(basis, parts, [40] * 3)[0] == 111
+        assert solver._group_bound(basis, parts)[0] == 111
         _units, states, nodes = budget._OPEN.get()
     assert 1 <= states <= 24 and nodes == 0
     with limit(states):
-        solver._group_bound(basis, parts, [40] * 3)
+        solver._group_bound(basis, parts)
     with pytest.raises(ResourceError), limit(states - 1):
-        solver._group_bound(basis, parts, [40] * 3)
+        solver._group_bound(basis, parts)
 
 
 def test_group_is_skipped_above_its_cap(monkeypatch):
@@ -1268,6 +1268,12 @@ class TestMultiPolytopeSelect:
         res = multi_polytope_select([(singleton_target([1]), 1)],
                                     singleton_target([1]), -1)
         assert not res.found
+
+    def test_target_is_read_before_a_negative_budget(self):
+        # as select_from_generators and int_cone_intersect read it
+        ray = Polytope([[1]], [5])  # x <= 5, no lower bound
+        with pytest.raises(InputError, match="unbounded in coordinate 0"):
+            multi_polytope_select([(box_polytope([0], [2]), 1)], ray, -1)
 
     def test_unbounded_part_is_rejected(self):
         ray = Polytope([[-1]], [0])  # x >= 0, no upper bound
