@@ -1,6 +1,11 @@
 """Command-line front end: solve instance files, dump covers and hulls,
 cross-check solvers against the brute-force oracles.
 
+``verify`` checks every objective it prints against an oracle: a packing
+or an assignment against ``oracle.exact_cover_cost`` over the vectors
+within the demand that one bin or machine of each type holds, at that
+type's cost, and a tardy penalty against ``oracle.tardy_exhaustive``.
+
 Exit codes: 0 solved / all checks pass, 1 infeasible, 2 parse or usage
 error, 3 resource budget exceeded, 4 solver/oracle disagreement or
 internal inconsistency (a bug signal, never an input problem).
@@ -13,13 +18,15 @@ import json
 import re
 import sys
 from contextlib import nullcontext
+from itertools import product
 
 from .budget import limit
 from .errors import (InfeasibleError, InputError, InternalError,
                      ResourceError)
 from .geometry import (Polytope, extreme_points, integer_hull_vertices,
                        lattice_points, parallelepiped_cover)
-from .oracle import (bp_brute_force, cover_verify, fractional_opt,
+from .oracle import (BP_BRUTE_ITEM_CAP, _patterns_within, cover_verify,
+                     exact_cover_cost, fractional_opt,
                      nonpreemptive_brute_counts, tardy_exhaustive)
 from .rational import Rat, rat_ceil
 from .scheduling import (SchedulingInstance, build_edf_polytope,
@@ -323,9 +330,25 @@ class _Report:
         return 0 if all(c["ok"] for c in self.checks) else 4
 
 
+def _brute_objective(report, objective, demand, options):
+    """Report ``objective`` against the oracle's least exact cover of
+    ``demand`` by the ``(vector, cost)`` options, a generator.  A demand of
+    more than ``BP_BRUTE_ITEM_CAP`` items raises ``ResourceError`` before
+    the generator lists any option."""
+    total = sum(demand)
+    if total > BP_BRUTE_ITEM_CAP:
+        raise ResourceError("exact cover brute force", BP_BRUTE_ITEM_CAP,
+                            f"demand of {total} items")
+    oracle = exact_cover_cost(options, demand)
+    report.add("objective equals brute force", objective == oracle,
+               f"solver={objective} oracle={oracle}")
+
+
 def _verify_packing(inst, mode, report):
-    """Bin packing and cutting stock alike; with the one unit bin type
-    ``(1, 1)`` the instance is bin packing, and its oracles apply."""
+    """Bin packing and cutting stock alike: the objective against the
+    least exact cover by every bin type's patterns within the demand.  With
+    the one unit bin type ``(1, 1)`` the instance is bin packing, and the
+    fractional bounds apply too."""
     sol = cutting_stock(inst, mode=mode)
     verify_solution(inst, sol)
     report.add("solution verifies", True)
@@ -333,12 +356,13 @@ def _verify_packing(inst, mode, report):
     alt = cutting_stock(inst, mode=other)
     report.add("modes agree", alt.objective == sol.objective,
                f"{mode}={sol.objective} {other}={alt.objective}")
+    a = inst.multiplicities
+    _brute_objective(report, sol.objective, a, (
+        (p, cost) for capacity, cost in inst.bin_types
+        for p in _patterns_within(inst.sizes, a, capacity)))
     if inst.bin_types != ((1, 1),):
         return
-    oracle = bp_brute_force(inst.sizes, inst.multiplicities)
-    report.add("objective equals brute force", sol.objective == oracle,
-               f"solver={sol.objective} oracle={oracle}")
-    bound = rat_ceil(fractional_opt(inst.sizes, inst.multiplicities))
+    bound = rat_ceil(fractional_opt(inst.sizes, a))
     detail = f"opt={sol.objective} ceil(frac)={bound}"
     if inst.dim <= 2:
         report.add("round-up of the fractional optimum",
@@ -355,6 +379,27 @@ def _schedule_boxes(inst, per_dim_cap, total_cap):
     return [v for v in vecs if 0 < sum(v) <= total_cap]
 
 
+def _verify_assignment(report, inst, sol, validate, schedulable):
+    """Each machine's schedule is validated, the machines meet the demand
+    at the objective's cost, and the objective is the least exact cover by
+    the non-zero vectors ``x`` of the demand box that ``schedulable(x, i)``
+    accepts on machine type ``i``, each at ``costs[i]``."""
+    placed = [0] * inst.d
+    cost = 0
+    for mtype, vec, schedule in sol.machines:
+        validate(inst, mtype, vec, schedule)
+        placed = [p + v for p, v in zip(placed, vec)]
+        cost += inst.costs[mtype]
+    a = inst.multiplicities
+    report.add("machines meet the demand at the objective's cost",
+               tuple(placed) == a and cost == sol.objective,
+               f"placed={placed} cost={cost}")
+    _brute_objective(report, sol.objective, a, (
+        (x, c) for i, c in enumerate(inst.costs)
+        for x in product(*(range(v + 1) for v in a))
+        if any(x) and schedulable(x, i)))
+
+
 def _verify_scheduling(inst, mode, report):
     if inst.variant in ("assignment", "preemptive"):
         for i in range(inst.m):
@@ -365,10 +410,9 @@ def _verify_scheduling(inst, mode, report):
                     bad += 1
             report.add(f"EDF polytope matches simulator (machine type {i})",
                        bad == 0, f"{bad} disagreements")
-        sol = preemptive_assign(inst, mode=mode)
-        for mtype, vec, schedule in sol.machines:
-            validate_preemptive_schedule(inst, mtype, vec, schedule)
-        report.add("assignment objective", True, f"cost={sol.objective}")
+        _verify_assignment(report, inst, preemptive_assign(inst, mode=mode),
+                           validate_preemptive_schedule,
+                           lambda x, i: edf_simulate(x, inst, i).feasible)
         return
     for i in range(inst.m):
         bad = 0
@@ -381,10 +425,10 @@ def _verify_scheduling(inst, mode, report):
         report.add(f"cycle polytope matches brute force (machine type {i})",
                    bad == 0, f"{bad} disagreements")
     if inst.variant == "nonpreemptive":
-        sol = nonpreemptive_assign(inst)
-        for mtype, vec, schedule in sol.machines:
-            validate_nonpreemptive_schedule(inst, mtype, vec, schedule)
-        report.add("assignment objective", True, f"cost={sol.objective}")
+        _verify_assignment(report, inst, nonpreemptive_assign(inst),
+                           validate_nonpreemptive_schedule,
+                           lambda x, i: nonpreemptive_brute_counts(
+                               x, inst, i, horizon_cap=10 ** 6) is not None)
     else:
         sol = tardy_min_penalty(inst)
         paid = sum(p * (a - s) for p, a, s in

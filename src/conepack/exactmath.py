@@ -651,9 +651,10 @@ def lp_optimize(rows, rhs, objective, sense: str = "max",
     return LpResult(OPTIMAL, value=value, vertex=lp.values())
 
 
-def lp_feasible_point(rows, rhs, senses=None, lo=None, hi=None) -> Optional[tuple]:
-    """Exact feasibility check; returns a feasible point or None."""
-    lp = ExactLp(rows, rhs, senses=senses, lo=lo, hi=hi)
+def lp_feasible_point(rows, rhs) -> Optional[tuple]:
+    """Exact feasibility check of ``rows . x <= rhs`` over free variables;
+    returns a feasible point or None."""
+    lp = ExactLp(rows, rhs)
     if not lp.find_feasible():
         return None
     return lp.values()

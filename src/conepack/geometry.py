@@ -206,16 +206,6 @@ class Polytope:
                 return False
         return True
 
-    def slacks(self, point: Sequence[int]) -> tuple:
-        """Integer slack vector ``b - A x`` of an integer member point."""
-        out = []
-        for row, b in zip(self.A, self.b):
-            s = b - sum(c * x for c, x in zip(row, point))
-            if s < 0:
-                raise InputError("slacks asked for a point outside the polytope")
-            out.append(s)
-        return tuple(out)
-
 
 def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     """The box ``lo <= x <= hi``.
@@ -1113,18 +1103,6 @@ class Parallelepiped(_Frame):
     def contains(self, point: Sequence) -> bool:
         """Exact membership test, in integer arithmetic."""
         return self._numerators(point) is not None
-
-    def coordinates(self, point: Sequence) -> Optional[tuple]:
-        """Exact coefficients of ``point`` if it lies in the parallelepiped.
-
-        Returns the ``mu`` vector with ``|mu_i| <= 1`` when the point is
-        inside (within the affine span and the coefficient box), else None.
-        """
-        hit = self._numerators(point)
-        if hit is None:
-            return None
-        num, den = hit
-        return tuple(Rat(n, den) for n in num)
 
 
 class _PointElement(Parallelepiped):

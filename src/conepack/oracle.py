@@ -4,6 +4,10 @@ Everything here is deliberately written from scratch against the problem
 statements, sharing only the exact-arithmetic layer with the main pipeline,
 so that an agreement between solver and oracle actually means something.
 All oracles are exponential and guarded by small size caps.
+
+Every least-cost exact cover (bin packing, cutting stock and the machine
+assignments) is one search, ``exact_cover_cost``, over ``(vector, cost)``
+options that the caller lists.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ BRUTE_HORIZON_CAP = 50
 
 
 # ---------------------------------------------------------------------------
-# bin packing
+# exact covers: bin packing, cutting stock and the machine assignments
 
 
-def _patterns_within(sizes, limit):
-    """All integer vectors 0 <= x <= limit with sizes . x <= 1."""
+def _patterns_within(sizes, limit, capacity):
+    """All integer vectors 0 <= x <= limit with sizes . x <= capacity."""
     d = len(sizes)
     out = []
 
@@ -47,13 +51,41 @@ def _patterns_within(sizes, limit):
             if left < 0:
                 break
 
-    rec(0, [], ONE)
+    rec(0, [], capacity)
     return out
+
+
+def exact_cover_cost(options: Sequence, demand: Sequence[int]) -> Optional[int]:
+    """Least total cost of ``(vector, cost)`` options, each taken any number
+    of times, that sum exactly to ``demand``; None when no set does.
+
+    Memoised recursion over the residual demand.  Every cover of a residual
+    holds an option that covers the residual's first non-zero entry, so only
+    those options are tried there; zero vectors cover nothing and are
+    dropped.
+    """
+    options = [(tuple(v), c) for v, c in options if any(v)]
+    memo = {(0,) * len(demand): 0}
+
+    def least(rest):
+        if rest not in memo:
+            j = next(j for j, r in enumerate(rest) if r)
+            best = None
+            for v, c in options:
+                if v[j] and all(x <= r for x, r in zip(v, rest)):
+                    sub = least(tuple(r - x for r, x in zip(rest, v)))
+                    if sub is not None and (best is None or c + sub < best):
+                        best = c + sub
+            memo[rest] = best
+        return memo[rest]
+
+    return least(tuple(demand))
 
 
 def bp_brute_force(sizes: Sequence, multiplicities: Sequence[int],
                    cap: int = BP_BRUTE_ITEM_CAP) -> int:
-    """Minimum bins by dynamic programming over residual demands."""
+    """Minimum bins: the least exact cover of the demand by unit-bin
+    patterns at one bin each."""
     sizes = [Rat(s) for s in sizes]
     a = tuple(integer(v, "multiplicity") for v in multiplicities)
     if len(sizes) != len(a):
@@ -68,24 +100,8 @@ def bp_brute_force(sizes: Sequence, multiplicities: Sequence[int],
                             f"instance has {total} items")
     if any(s > 1 for s in sizes):
         raise InputError("an item larger than the bin can never pack")
-    memo = {}
-
-    def best(residual):
-        if all(v == 0 for v in residual):
-            return 0
-        if residual in memo:
-            return memo[residual]
-        memo[residual] = sum(residual)  # one item per bin always works
-        for p in _patterns_within(sizes, residual):
-            if all(v == 0 for v in p):
-                continue
-            rest = tuple(r - v for r, v in zip(residual, p))
-            cand = 1 + best(rest)
-            if cand < memo[residual]:
-                memo[residual] = cand
-        return memo[residual]
-
-    return best(a)
+    return exact_cover_cost([(p, 1) for p in _patterns_within(sizes, a, ONE)],
+                            a)
 
 
 def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
@@ -109,7 +125,7 @@ def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
         if cells > PATTERN_BUDGET:
             raise ResourceError("pattern enumeration", PATTERN_BUDGET,
                                 "too many knapsack patterns")
-    patterns = [p for p in _patterns_within(sizes, caps)
+    patterns = [p for p in _patterns_within(sizes, caps, ONE)
                 if any(v != 0 for v in p)]
     d = len(sizes)
     rows = [[Rat(p[j]) for p in patterns] for j in range(d)]
@@ -124,51 +140,21 @@ def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
 # integer cone membership
 
 
-def _scan_integer_points(A, b, lo, hi):
-    """Integer points of {A x <= b} inside the box, by plain scanning."""
-    d = len(lo)
-    out = []
+def int_cone_brute(gens: Sequence, target, box: Sequence,
+                   max_weight: Optional[int] = None):
+    """Search every reachable sum of the generator points in the box.
 
-    def rec(j, prefix):
-        if j == d:
-            p = tuple(prefix)
-            if all(sum(r * v for r, v in zip(row, p)) <= bound
-                   for row, bound in zip(A, b)):
-                out.append(p)
-            return
-        for v in range(lo[j], hi[j] + 1):
-            rec(j + 1, prefix + [v])
-
-    rec(0, [])
-    return out
-
-
-def int_cone_brute(source, target, box: Sequence,
-                   max_weight: Optional[int] = None,
-                   gen_box: Optional[Sequence] = None):
-    """Search every reachable sum of the source's integer points in the box.
-
-    ``source`` is a polytope-like object (``A``/``b`` rows) whose integer
-    points are found by an independent box scan over ``gen_box`` (falling
-    back to ``box``), or simply an explicit list of generator points.
-    ``target`` needs a ``contains_int`` method; ``box`` lists (lo, hi)
-    integer bounds that confine the search.  With non-negative generators
-    the closure inside the box is exhaustive, so Empty answers are
-    decisive; generators with negative entries additionally require
-    ``max_weight`` (and Empty then only means: not reachable with that
-    many summands).  Returns (found, point, weights) with weights a
-    generator -> count dict.
+    ``gens`` lists the generators as integer points.  ``target`` needs a
+    ``contains_int`` method; ``box`` lists (lo, hi) integer bounds that
+    confine the search.  With non-negative generators the closure inside
+    the box is exhaustive, so Empty answers are decisive; generators with
+    negative entries additionally require ``max_weight`` (and Empty then
+    only means: not reachable with that many summands).  Returns (found,
+    point, weights) with weights a generator -> count dict.
     """
     d = len(box)
-    if hasattr(source, "A"):
-        scan = [(integer(lo, "box bound"), integer(hi, "box bound"))
-                for lo, hi in (gen_box or box)]
-        gens = _scan_integer_points(source.A, source.b,
-                                    [lo for lo, _ in scan],
-                                    [hi for _, hi in scan])
-    else:
-        gens = [tuple(integer(v, "generator coordinate") for v in g)
-                for g in source]
+    gens = [tuple(integer(v, "generator coordinate") for v in g)
+            for g in gens]
     gens = [g for g in gens if any(v != 0 for v in g)]
     for g in gens:
         if len(g) != d:
@@ -242,8 +228,7 @@ def _box_from_rows(A, b, d):
     return lo, hi
 
 
-def cover_verify(poly, cover: Sequence,
-                 scan_budget: int = COVER_SCAN_BUDGET) -> CoverReport:
+def cover_verify(poly, cover: Sequence) -> CoverReport:
     """Independently check that a parallelepiped cover is sound and complete.
 
     Sound: every parallelepiped vertex is an integer point of the polytope.
@@ -307,8 +292,8 @@ def cover_verify(poly, cover: Sequence,
     cells = 1
     for a_, b_ in zip(lo, hi):
         cells *= max(0, b_ - a_ + 1)
-    if cells > scan_budget:
-        raise ResourceError("cover verification scan", scan_budget,
+    if cells > COVER_SCAN_BUDGET:
+        raise ResourceError("cover verification scan", COVER_SCAN_BUDGET,
                             f"box holds {cells} candidate points")
 
     # each member's exact data, read once for the whole scan; a member
@@ -344,7 +329,6 @@ def cover_verify(poly, cover: Sequence,
 
 
 def nonpreemptive_brute(jobs: Sequence, horizon: int,
-                        job_cap: int = BRUTE_JOB_CAP,
                         horizon_cap: int = BRUTE_HORIZON_CAP) -> Optional[tuple]:
     """Schedule all jobs on one machine without preemption, or None.
 
@@ -371,8 +355,8 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
     if sum(p for _r, _d, p in jobs) > (max(d for _r, d, _p in jobs)
                                        - min(r for r, _d, _p in jobs)):
         return None
-    if len(jobs) > job_cap:
-        raise ResourceError("brute schedule jobs", job_cap,
+    if len(jobs) > BRUTE_JOB_CAP:
+        raise ResourceError("brute schedule jobs", BRUTE_JOB_CAP,
                             f"{len(jobs)} job copies")
     if horizon > horizon_cap:
         raise ResourceError("brute schedule horizon", horizon_cap,
@@ -394,7 +378,6 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
 
 
 def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
-                               job_cap: int = BRUTE_JOB_CAP,
                                horizon_cap: int = BRUTE_HORIZON_CAP):
     """Count-vector front end: x_j copies of job type j on one machine,
     read through the scheduling module's machine-type and job-vector
@@ -404,8 +387,7 @@ def nonpreemptive_brute_counts(x: Sequence[int], inst, machine_type: int,
                              _job_vector(inst, x)):
         jobs.extend([window] * count)
     horizon = max([d for _r, d, _p in jobs], default=0)
-    return nonpreemptive_brute(jobs, horizon, job_cap=job_cap,
-                               horizon_cap=horizon_cap)
+    return nonpreemptive_brute(jobs, horizon, horizon_cap=horizon_cap)
 
 
 # ---------------------------------------------------------------------------

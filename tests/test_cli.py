@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from conepack import cli
 from conepack.errors import InputError
 from conepack.geometry import Polytope
+from conepack.scheduling import ScheduleSolution
+from conepack.solver import PackingSolution
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,8 @@ SCHED_NP_OPEN = ("scheduling\n3 2 nonpreemptive\n"
                  "1 0 3 5 1\n1 1 0 4 3\n1 2 2 5 2\n"
                  "3 1 3\n3 2\n")
 CS_SMALL = "cuttingstock\n2\n1/2 3\n1/3 2\n2\n1 5\n2/3 3\n"
+# one unit bin at 3 holds both items, a half bin at 2 holds one
+CS_TWO_BINS = "cuttingstock\n1\n1/2 2\n2\n1 3\n1/2 2\n"
 HUGE = 10 ** 20
 
 
@@ -457,7 +461,7 @@ class TestVerify:
         for i in range(2):
             assert (f"cycle polytope matches brute force (machine type {i}): "
                     f"OK (0 disagreements)") in out
-        assert "assignment objective: OK (cost=8)" in out
+        assert "objective equals brute force: OK (solver=8 oracle=8)" in out
 
     def test_tardy_ok(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "verify",
@@ -479,6 +483,56 @@ class TestVerify:
                              write(tmp_path, "i.txt", SCHED_TARDY))
         assert rc == 4
         assert "objective equals brute force: FAIL (solver=6 oracle=5)" in out
+
+    # valid answers one cost unit above the optimum: two half bins at 2
+    # where one unit bin at 3 holds both items, and two machines where one
+    # runs every job
+    @pytest.mark.parametrize("text, entry, high", [
+        (CS_TWO_BINS, "cutting_stock", PackingSolution((((1,), 1, 2),), 4)),
+        (SCHED_PRE, "preemptive_assign", ScheduleSolution(
+            ((0, (1, 0, 0), ((0, 0, 0, 150),)),
+             (0, (1, 0, 0), ((0, 0, 0, 150),))), 2)),
+        (SCHED_NP, "nonpreemptive_assign", ScheduleSolution(
+            ((0, (0, 2, 0), ((1, 0, 100, 101), (1, 1, 101, 102))),
+             (0, (0, 0, 2), ((2, 0, 200, 201), (2, 1, 201, 202)))), 2)),
+    ], ids=["cuttingstock", "preemptive", "nonpreemptive"])
+    def test_an_objective_one_unit_high_exits_4(self, tmp_path, capsys,
+                                                monkeypatch, text, entry,
+                                                high):
+        monkeypatch.setattr(cli, entry, lambda *args, **kwargs: high)
+        rc, out, _ = run_cli(capsys, "verify", write(tmp_path, "i.txt", text))
+        assert rc == 4
+        assert (f"objective equals brute force: FAIL "
+                f"(solver={high.objective} oracle={high.objective - 1})") \
+            in out
+        assert out.count("FAIL") == 1
+
+    # one copy short of the demand at the optimum's cost, and the
+    # optimum's one machine reported at two
+    @pytest.mark.parametrize("machines, objective", [
+        (((0, (1, 0, 0), ((0, 0, 0, 150),)),), 1),
+        (((0, (2, 0, 0), ((0, 0, 0, 150), (0, 1, 150, 300))),), 2),
+    ], ids=["short", "overpriced"])
+    def test_machines_off_their_objective_exit_4(self, tmp_path, capsys,
+                                                 monkeypatch, machines,
+                                                 objective):
+        monkeypatch.setattr(cli, "preemptive_assign", lambda *args, **kwargs:
+                            ScheduleSolution(machines, objective))
+        rc, out, _ = run_cli(capsys, "verify",
+                             write(tmp_path, "i.txt", SCHED_PRE))
+        assert rc == 4
+        assert "machines meet the demand at the objective's cost: FAIL" in out
+
+    @pytest.mark.parametrize("text", [
+        CS_TWO_BINS.replace("1/2 2\n2", "1/2 13\n2"),
+        SCHED_PRE.replace("2 0 0", "13 0 0"),
+    ], ids=["cuttingstock", "preemptive"])
+    def test_a_demand_past_the_oracle_cap_is_3(self, tmp_path, capsys, text):
+        rc, out, err = run_cli(capsys, "verify",
+                               write(tmp_path, "i.txt", text))
+        assert rc == 3
+        assert "'exact cover brute force' exceeded (limit 12)" in err
+        assert "demand of 13 items" in err
 
     def test_polytope_ok(self, tmp_path, capsys):
         rc, out, _ = run_cli(capsys, "verify",
@@ -506,7 +560,7 @@ class TestVerify:
 
     def test_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
         """A lying oracle must surface as exit code 4, not 0."""
-        monkeypatch.setattr(cli, "bp_brute_force", lambda s, a: 99)
+        monkeypatch.setattr(cli, "exact_cover_cost", lambda options, a: 99)
         rc, out, _ = run_cli(capsys, "verify",
                              write(tmp_path, "i.txt", BP_SMALL))
         assert rc == 4

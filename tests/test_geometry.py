@@ -1139,9 +1139,15 @@ def _cell_polytopes():
 CELL_POLYTOPES = _cell_polytopes()
 
 
+def _slacks(poly, p):
+    """The slack ``b - A p`` of every row at ``p``."""
+    return tuple(b - sum(c * x for c, x in zip(row, p))
+                 for row, b in zip(poly.A, poly.b))
+
+
 def _signature(poly, p):
     """The slack-interval index of every row at ``p``, from its slacks."""
-    return tuple(slack_interval_index(s, poly.dim) for s in poly.slacks(p))
+    return tuple(slack_interval_index(s, poly.dim) for s in _slacks(poly, p))
 
 
 def _axis_rows(poly):
@@ -1366,7 +1372,7 @@ class TestCells:
 
     def test_partition_properties(self):
         """Each cell is sorted and has one signature, computed here from
-        ``poly.slacks``; every slack lies in its signature's interval; no
+        the slacks; every slack lies in its signature's interval; no
         two cells share a signature, and the cells come in ascending
         signature order; together they hold each lattice point once."""
         for poly in [knapsack_fig()] + CELL_POLYTOPES:
@@ -1378,7 +1384,7 @@ class TestCells:
                 assert len(found) == 1, (poly.A, members)
                 signature = found.pop()
                 for p in members:
-                    for s, j in zip(poly.slacks(p), signature):
+                    for s, j in zip(_slacks(poly, p), signature):
                         lo, hi = slack_interval_endpoints(j, poly.dim)
                         assert lo <= s <= hi
                 signatures.append(signature)
@@ -1421,9 +1427,9 @@ class TestParallelepiped:
 
     def test_coordinates(self):
         pp = Parallelepiped((1,), ((1,),))
-        assert pp.coordinates((0,)) == (-1,)
-        assert pp.coordinates((1,)) == (0,)
-        assert pp.coordinates((3,)) is None
+        assert coefficients(pp, (0,)) == (-1,)
+        assert coefficients(pp, (1,)) == (0,)
+        assert coefficients(pp, (3,)) is None
 
     def test_point_matches_the_general_path(self):
         # Parallelepiped.point skips the elimination; an int or a Rat
@@ -1449,13 +1455,20 @@ class TestParallelepiped:
                           tuple(v + Rat(rng.randint(-2, 2), 3) for v in c)]
                 for q in probes:
                     assert point.contains(q) == general.contains(q)
-                    assert point.coordinates(q) == general.coordinates(q)
-            assert point.coordinates(c) == ()
+                    assert coefficients(point, q) == coefficients(general, q)
+            assert coefficients(point, c) == ()
 
     def test_coordinates_outside_span(self):
         pp = Parallelepiped((0, 0), ((1, 0),))
-        assert pp.coordinates((0, 1)) is None
-        assert pp.coordinates((Rat(1, 2), 0)) == (Rat(1, 2),)
+        assert coefficients(pp, (0, 1)) is None
+        assert coefficients(pp, (Rat(1, 2), 0)) == (Rat(1, 2),)
+
+
+def coefficients(pp, point):
+    """The exact ``mu`` of ``point = center + sum mu_j dir_j`` in ``pp``,
+    each ``|mu_j| <= 1``, from its membership test; None outside ``pp``."""
+    hit = pp._numerators(point)
+    return None if hit is None else tuple(Rat(n, hit[1]) for n in hit[0])
 
 
 def _oracle_coordinates(center, directions, point):
@@ -1542,7 +1555,7 @@ def test_membership_matches_fraction_elimination(case):
     assert pp.center == center and pp.directions == directions
     for q in queries:
         want = _oracle_coordinates(center, directions, q)
-        assert pp.coordinates(q) == want
+        assert coefficients(pp, q) == want
         assert pp.contains(q) is (want is not None)
 
 
@@ -1616,7 +1629,7 @@ def assert_valid_cover(poly, cover):
         for v in pp.vertices():
             assert poly.contains_int(v), f"vertex {v} escapes the polytope"
     for p in pts:
-        assert any(pp.coordinates(p) is not None for pp in cover), \
+        assert any(pp.contains(p) for pp in cover), \
             f"lattice point {p} uncovered"
 
 
@@ -1629,7 +1642,7 @@ class TestParallelepipedCover:
         assert pp.center == (Rat(3, 2),)
         assert pp.directions == ((Rat(3, 2),),)
         for x in range(4):
-            assert pp.coordinates((x,)) is not None
+            assert pp.contains((x,))
 
     def test_single_point(self):
         poly = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 2, -2])

@@ -20,11 +20,15 @@ No module but ``geometry.py`` may name the attribute ``._lattice``,
 Every parameter of every function and lambda of the package must be
 read in its body, but ``self`` and ``_``-prefixed names.
 Every top-level function and class of the package but ``oracle.py``, the
-reference code, must be read by name in the package or in ``conebench``:
-as a name, an attribute or a string, such as an entry of ``__all__`` or
-of the tracer's ``TRACED``.  Every top-level function and class of the
-shared test helpers, ``tests/genutil.py``, must be read by name in a test
-module or in the helpers themselves.
+reference code, and every method and property of those classes but
+dunders, must be read by name in the package or in ``conebench``: as a
+name, an attribute or a string, such as an entry of ``__all__`` or of the
+tracer's ``TRACED``.  Every top-level function and class of the shared
+test helpers, ``tests/genutil.py``, must be read by name in a test module
+or in the helpers themselves.  Every parameter with a default of a
+package function must be passed, by keyword or by position, at some call
+in the package, ``conebench`` or the tests; a call to a class counts for
+its ``__init__``.
 """
 
 import ast
@@ -361,9 +365,10 @@ def test_an_unread_parameter_is_caught(tmp_path):
 
 
 def unread_definitions(definers, readers):
-    """The top-level functions and classes of the ``definers`` that no
-    module of the ``readers`` reads by name, as a name, an attribute or a
-    string, with module names and line numbers."""
+    """The top-level functions and classes of the ``definers``, and the
+    methods and properties of those classes but dunders, that no module of
+    the ``readers`` reads by name, as a name, an attribute or a string,
+    with module names and line numbers."""
     read = set()
     for path in readers:
         for node in ast.walk(parse(path)):
@@ -374,12 +379,20 @@ def unread_definitions(definers, readers):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for path in definers:
         for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and node.name not in read:
+            if not isinstance(node, defs + (ast.ClassDef,)):
+                continue
+            if node.name not in read:
                 out.append(f"{path.stem}.{node.name} (line {node.lineno})")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{m.name} (line {m.lineno})"
+                        for m in node.body if isinstance(m, defs)
+                        and not (m.name.startswith("__")
+                                 and m.name.endswith("__"))
+                        and m.name not in read]
     return sorted(out)
 
 
@@ -401,11 +414,104 @@ def test_an_unread_definition_is_caught(tmp_path):
                       "def by_attribute():\n    pass\n\n\n"
                       "def listed():\n    pass\n\n\n"
                       "def unread():\n    pass\n\n\n"
-                      "class Unread:\n    pass\n")
+                      "class Unread:\n    pass\n\n\n"
+                      "class Shape:\n"
+                      "    def __init__(self, side):\n"
+                      "        self.side = side\n\n"
+                      "    def area(self):\n"
+                      "        return self.side ** 2\n\n"
+                      "    @property\n"
+                      "    def width(self):\n"
+                      "        return self.side\n\n"
+                      "    def perimeter(self):\n"
+                      "        return 4 * self.side\n\n"
+                      "    @staticmethod\n"
+                      "    def scaled(side):\n"
+                      "        return Shape(2 * side)\n")
     user = tmp_path / "user.py"
     user.write_text("import sample\n\n"
                     "called()\nsample.by_attribute()\n"
                     "TRACED = {'sample': ('listed',)}\n"
-                    "unread = sample.Unread = None\n")
+                    "unread = sample.Unread = None\n"
+                    "shape = sample.Shape(2)\n"
+                    "print(shape.area(), shape.width)\n")
     assert unread_definitions([module], [module, user]) == [
+        "sample.Shape.perimeter (line 32)", "sample.Shape.scaled (line 36)",
         "sample.Unread (line 17)", "sample.unread (line 13)"]
+
+
+def unset_defaults(definers, callers):
+    """The parameters with a default of the ``definers``' functions that no
+    call in the ``callers`` passes, by keyword or by position, as
+    ``function.parameter`` with module names and line numbers.  A call is
+    matched to a function by name, and a call to a class counts for its
+    ``__init__``; a method's ``self`` takes no position."""
+    passed = {}
+    for path in callers:
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            positions = next((k for k, a in enumerate(node.args)
+                              if isinstance(a, ast.Starred)), len(node.args))
+            passed.setdefault(name, []).append(
+                (positions, {kw.arg for kw in node.keywords}))
+    out = []
+
+    def visit(node, cls, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, module)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, module)
+                continue
+            args = child.args
+            params = args.posonlyargs + args.args
+            if cls and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in child.decorator_list):
+                params = params[1:]
+            name = cls if child.name == "__init__" else child.name
+            calls = passed.get(name, [])
+            first = len(params) - len(args.defaults)
+            defaulted = [(a.arg, k) for k, a in enumerate(params) if k >= first]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                        args.kw_defaults)
+                          if d is not None]
+            out.extend(f"{module}.{child.name}.{arg} (line {child.lineno})"
+                       for arg, k in defaulted
+                       if not any(arg in keys or (k is not None and k < n)
+                                  for n, keys in calls))
+            visit(child, None, module)
+
+    for path in definers:
+        visit(parse(path), None, path.stem)
+    return sorted(out)
+
+
+def test_every_default_is_passed_somewhere():
+    assert unset_defaults(MODULES, MODULES + TESTS + CONEBENCH) == []
+
+
+def test_an_unset_default_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def solve(a, cap=5, mode='x', *, tries=1, seen=None):\n"
+                      "    return a, cap, mode, tries, seen\n"
+                      "\n\n"
+                      "class Box:\n"
+                      "    def __init__(self, side, unit=1):\n"
+                      "        self.side = side * unit\n"
+                      "\n"
+                      "    def grow(self, by=1, times=2):\n"
+                      "        return self.side + by * times\n")
+    user = tmp_path / "user.py"
+    user.write_text("import sample\n\n"
+                    "sample.solve(1, 2, tries=3)\n"
+                    "args = (1, 2, 3)\n"
+                    "solve(*args)\n"
+                    "box = sample.Box(2, 3)\n"
+                    "box.grow(4)\n")
+    assert unset_defaults([module], [module, user]) == [
+        "sample.grow.times (line 9)", "sample.solve.mode (line 1)",
+        "sample.solve.seen (line 1)"]

@@ -4,6 +4,8 @@ Each entry point that needs integers reads them through
 ``rational.integer``: a non-integral value raises an ``InputError`` that
 names its field, and an integral rational or float answers as its int
 twin does.  A work budget is read so too, and a negative one refused.
+Every other value an instance class, a polytope or a selection refuses
+raises an ``InputError`` that names its field.
 Every scheduling entry point reads a machine type and a job vector
 through the scheduling module's two readers, so a machine type outside
 0..m-1 or a job vector of the wrong length or with a negative count is
@@ -29,8 +31,8 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  schedulable_vectors,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
-from conepack.solver import (configuration_window, multi_polytope_select,
-                             select_from_generators)
+from conepack.solver import (CuttingStockInstance, configuration_window,
+                             multi_polytope_select, select_from_generators)
 from conepack.structure import (compute_structure_set, normalize_combination,
                                 redistribute_in_pp, reduce_support)
 
@@ -109,10 +111,6 @@ NON_INTEGRAL = [
     ("int-cone-brute-box", "box bound",
      lambda: oracle.int_cone_brute([(1,)], box_polytope([2], [2]),
                                    [(0, Fraction(5, 2))])),
-    ("int-cone-brute-gen-box", "box bound",
-     lambda: oracle.int_cone_brute(box_polytope([0], [2]),
-                                   box_polytope([2], [2]), [(0, 3)],
-                                   gen_box=[(0, Fraction(5, 2))])),
     ("brute-schedule", "deadline",
      lambda: oracle.nonpreemptive_brute([(0, Fraction(5, 2), 1)], 3)),
     ("brute-schedule-counts", "job count",
@@ -155,6 +153,64 @@ def test_an_integral_work_budget_reads_as_its_int():
         assert type(budget._OPEN.get()[0]) is int
     with budget.limit(0.0):
         assert budget._OPEN.get() == [0, 0, 0]
+
+
+def tardy(counts=(1,), penalties=(1,), windows=((0, 4, 1),)):
+    return SchedulingInstance([windows], [1] * len(windows), counts=counts,
+                              penalties=penalties)
+
+
+# a value an instance class, a polytope or a selection refuses, and the
+# field its error names
+BAD_VALUES = [
+    ("no-machine-type", "machine type",
+     lambda: SchedulingInstance([], [1], costs=[1])),
+    ("ragged-job-types", "job type",
+     lambda: SchedulingInstance([[(0, 4, 1)], [(0, 4, 1), (0, 4, 1)]],
+                                [1], costs=[1, 1])),
+    ("no-job-type", "job type",
+     lambda: SchedulingInstance([[]], [], costs=[1])),
+    ("multiplicities-length", "multiplicities",
+     lambda: SchedulingInstance([[(0, 4, 1)]], [1, 1], costs=[1])),
+    ("costs-length", "cost",
+     lambda: SchedulingInstance([[(0, 4, 1)]], [1], costs=[1, 1])),
+    ("counts-length", "count", lambda: tardy(counts=(1, 1))),
+    ("negative-count", "counts", lambda: tardy(counts=(-1,))),
+    ("penalties-length", "penalty", lambda: tardy(penalties=(1, 1))),
+    ("negative-penalty", "penalties", lambda: tardy(penalties=(-1,))),
+    ("assignment-without-costs", "costs",
+     lambda: SchedulingInstance([[(0, 4, 1)]], [1], variant="preemptive")),
+    ("tardy-without-counts", "counts",
+     lambda: SchedulingInstance([[(0, 4, 1)]], [1], costs=[1],
+                                variant="tardy")),
+    ("misaligned-sizes", "multiplicities",
+     lambda: CuttingStockInstance([HALF, HALF], [1], [(1, 1)])),
+    ("no-bin-type", "bin type", lambda: CuttingStockInstance([HALF], [1], [])),
+    ("bin-cost-below-1", "bin cost",
+     lambda: CuttingStockInstance([HALF], [1], [(1, 0)])),
+    ("rows-and-bounds", "bounds", lambda: Polytope([[1], [-1]], [1])),
+    ("ragged-rows", "constraint matrix",
+     lambda: Polytope([[1], [-1, 0]], [1, 0])),
+    ("no-column", "dimension", lambda: Polytope([[]], [1])),
+    ("no-row", "constraint row", lambda: Polytope([], [])),
+    ("generator-dimension", "generator dimension",
+     lambda: select_from_generators([([(1, 1)], 1)], box_polytope([1], [1]),
+                                    5)),
+    ("no-part", "part",
+     lambda: multi_polytope_select([], box_polytope([1], [1]), 5)),
+]
+
+
+@pytest.mark.parametrize("field,call", [case[1:] for case in BAD_VALUES],
+                         ids=[case[0] for case in BAD_VALUES])
+def test_a_bad_value_is_refused_naming_its_field(field, call):
+    with pytest.raises(InputError, match=rf"\b{field}\b"):
+        call()
+
+
+def test_a_negative_budget_selects_nothing():
+    assert not select_from_generators([([(1,)], 1)], box_polytope([1], [1]),
+                                      -1).found
 
 
 EMPTY_TARGET = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0

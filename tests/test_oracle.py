@@ -5,8 +5,9 @@ import pytest
 
 from conepack.errors import InputError, ResourceError
 from conepack.geometry import Polytope, box_polytope, parallelepiped_cover
-from conepack.oracle import (bp_brute_force, cover_verify, fractional_opt,
-                             int_cone_brute, nonpreemptive_brute)
+from conepack.oracle import (bp_brute_force, cover_verify, exact_cover_cost,
+                             fractional_opt, int_cone_brute,
+                             nonpreemptive_brute)
 from conepack.rational import Rat
 
 from genutil import rand_bp_instance, singleton_target, rand_bounded_polytope
@@ -36,6 +37,29 @@ class TestBpBruteForce:
     def test_oversized_item_rejected(self):
         with pytest.raises(InputError):
             bp_brute_force([Rat(3, 2)], [1])
+
+
+class TestExactCoverCost:
+    def test_zero_demand_costs_nothing(self):
+        assert exact_cover_cost([], (0, 0)) == 0
+
+    def test_no_cover_is_none(self):
+        # an odd demand from even vectors, and a type no option holds
+        assert exact_cover_cost([((2,), 1)], (3,)) is None
+        assert exact_cover_cost([((1, 0), 1)], (1, 1)) is None
+
+    def test_options_repeat_and_weigh_their_costs(self):
+        options = [((1, 0), 3), ((0, 1), 3), ((1, 1), 4), ((0, 0), 0)]
+        assert exact_cover_cost(options, (2, 2)) == 8
+        assert exact_cover_cost(options, (3, 1)) == 10
+        assert exact_cover_cost([((2, 2), 5)] + options, (2, 2)) == 5
+
+    def test_a_cover_may_start_from_a_later_coordinate(self):
+        # the residual (0, 1) is covered only through the options that hold
+        # its first non-zero entry, coordinate 1
+        assert exact_cover_cost([((1, 0), 1), ((0, 1), 7), ((1, 1), 2)],
+                                (1, 1)) == 2
+        assert exact_cover_cost([((1, 0), 1), ((0, 1), 7)], (2, 1)) == 9
 
 
 class TestFractionalOpt:

@@ -18,7 +18,8 @@ from conepack.exactmath import ExactLp
 from conepack.geometry import (Polytope, coordinate_bounds, in_convex_hull,
                                integer_box, lattice_points)
 from conepack.ilp import ilp_feasible
-from conepack.oracle import bp_brute_force, fractional_opt, int_cone_brute
+from conepack.oracle import (bp_brute_force, exact_cover_cost,
+                             fractional_opt, int_cone_brute)
 from conepack.rational import Rat, rat_ceil
 from conepack.scheduling import SchedulingInstance, preemptive_assign
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
@@ -445,50 +446,6 @@ class TestBinPacking:
                 == [True, True, False, False], (sizes, mult)
 
 
-def cheapest_packing_cost(sizes, demand, bin_types):
-    """Reference by exhaustive recursion over residual demands."""
-    memo = {}
-    worst = sum(a * min(c for w, c in bin_types if s <= w)
-                for s, a in zip(sizes, demand))
-
-    def patterns(limit, cap):
-        d = len(sizes)
-        out = []
-
-        def rec(j, pre, slack):
-            if j == d:
-                out.append(tuple(pre))
-                return
-            cnt, left = 0, slack
-            while cnt <= limit[j]:
-                rec(j + 1, pre + [cnt], left)
-                cnt += 1
-                left = left - sizes[j]
-                if left < 0:
-                    break
-
-        rec(0, [], cap)
-        return out
-
-    def best(residual):
-        if all(v == 0 for v in residual):
-            return 0
-        if residual in memo:
-            return memo[residual]
-        memo[residual] = worst
-        for w, c in bin_types:
-            for p in patterns(residual, w):
-                if all(v == 0 for v in p):
-                    continue
-                rest = tuple(r - v for r, v in zip(residual, p))
-                cand = c + best(rest)
-                if cand < memo[residual]:
-                    memo[residual] = cand
-        return memo[residual]
-
-    return best(tuple(demand))
-
-
 class TestCuttingStock:
     def test_big_bin_wins(self):
         inst = CuttingStockInstance([Rat(1, 2)], [2],
@@ -570,8 +527,8 @@ class TestCuttingStock:
                      (Rat(1, 2), rng.randint(1, 2))]
             inst = CuttingStockInstance(sizes, mult, types)
             sol = cutting_stock(inst)
-            assert sol.objective == cheapest_packing_cost(
-                [Rat(s) for s in sizes], mult, types), (sizes, mult, types)
+            assert sol.objective == exact_cover_cost(
+                stock_options(sizes, mult, types), mult), (sizes, mult, types)
 
     @staticmethod
     def open_windows(types):
@@ -608,7 +565,8 @@ class TestCuttingStock:
                 ([Rat(1, 8), Rat(1, 3), Rat(1, 5)], [3, 1, 3], 5),
                 ([Rat(3, 8), Rat(4, 7), Rat(1, 5)], [5, 1, 5], 12)]:
             inst = CuttingStockInstance(sizes, mult, types)
-            assert cheapest_packing_cost(sizes, mult, types) == opt
+            assert exact_cover_cost(stock_options(sizes, mult, types),
+                                    mult) == opt
             assert cutting_stock(inst, mode="faithful").objective == opt
             assert cutting_stock(inst, mode="joint").objective == opt
             lo = configuration_window(
@@ -622,7 +580,7 @@ class TestCuttingStock:
         assert len(swept) == 50
         for sizes, mult in swept:
             inst = CuttingStockInstance(sizes, mult, types)
-            opt = cheapest_packing_cost(sizes, mult, types)
+            opt = exact_cover_cost(stock_options(sizes, mult, types), mult)
             assert cutting_stock(inst, mode="faithful").objective == opt, \
                 (sizes, mult)
             assert cutting_stock(inst, mode="joint").objective == opt, \
@@ -686,6 +644,12 @@ def patterns(sizes, capacity, a):
     """Every x with 0 <= x <= a and sizes . x <= capacity."""
     return [x for x in itertools.product(*(range(v + 1) for v in a))
             if sum(s * v for s, v in zip(sizes, x)) <= capacity]
+
+
+def stock_options(sizes, a, bin_types):
+    """Every bin type's patterns within ``a``, each at its bin type's cost:
+    the options of the oracle's exact cover of ``a``."""
+    return [(p, c) for w, c in bin_types for p in patterns(sizes, w, a)]
 
 
 def test_pattern_polytopes_seed_their_exact_bounds():
@@ -915,7 +879,7 @@ def test_bin_packing_matches_brute_force_inside_its_window(case):
 def test_cutting_stock_optimum_lies_inside_its_window(case):
     sizes, a, bin_types = case
     parts = [(patterns(sizes, w, a), c) for w, c in bin_types]
-    opt = cheapest_packing_cost(sizes, a, bin_types)
+    opt = exact_cover_cost(stock_options(sizes, a, bin_types), a)
     inst = CuttingStockInstance(sizes, a, bin_types)
     assert cutting_stock(inst).objective == opt
     lo, hi = configuration_window(parts, a)[:2]
@@ -1018,23 +982,6 @@ def test_paper_scale_windows_are_decided_by_their_group(case):
     assert sol.objective == opt
 
 
-def _cover_brute(parts, a):
-    """The least cost of picks from listed ``(points, cost)`` parts that
-    reach ``a`` exactly, by recursion over the remaining demand."""
-    picks = [(p, c) for points, c in parts for p in points if any(p)]
-    memo = {(0,) * len(a): 0}
-
-    def least(rest):
-        if rest not in memo:
-            memo[rest] = min(
-                (c + least(tuple(r - v for r, v in zip(rest, p)))
-                 for p, c in picks if all(v <= r for v, r in zip(p, rest))),
-                default=float("inf"))
-        return memo[rest]
-
-    return least(tuple(a))
-
-
 def _group_draws():
     """Seeded small covering searches as ``cheapest_cover`` sees them:
     ``(kind, parts, a)`` of 400 cutting stocks with two bin types, then of
@@ -1085,7 +1032,8 @@ def test_group_bounds_and_covers_match_brute_force():
         lo, hi, _cover, basis = configuration_window(parts, a)
         if lo == hi:
             continue
-        opt = _cover_brute(parts, a)
+        opt = exact_cover_cost([(p, c) for points, c in parts
+                                for p in points], a)
         assert lo <= opt <= hi
         seen["empty_lo" if opt > lo else "feasible_lo"] += 1
         seen["assignment"] += kind == "assignment"

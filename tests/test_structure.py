@@ -170,7 +170,7 @@ class TestRedistribute:
             assert weighted_sum(out) == tuple(w * v for v in x)
             assert sum(out.values()) == w
             for p, wt in out.items():
-                assert pp.coordinates(p) is not None
+                assert pp.contains(p)
                 if p not in verts:
                     assert wt == 1
             assert sum(1 for p in out if p not in verts) <= 2 ** pp.dim
@@ -186,7 +186,7 @@ def _pp_lattice(pp):
 
     def rec(i, prefix):
         if i == d:
-            if pp.coordinates(tuple(prefix)) is not None:
+            if pp.contains(tuple(prefix)):
                 out.append(tuple(prefix))
             return
         for v in range(lo[i], hi[i] + 1):
@@ -268,7 +268,7 @@ class TestLocator:
         assert sorted(sset.locator) == pts
         for p in pts:
             first = next(idx for idx, pp in enumerate(sset.cover)
-                         if pp.coordinates(p) is not None)
+                         if pp.contains(p))
             assert sset.locator[p] == first
         assert _structure_digest(sset) == pin
 
@@ -323,8 +323,9 @@ def test_cover_like_polytopes_are_covered_by_bare_points():
         if not 45 <= len(pts) <= 583:
             continue
         done += 1
-        signed = sorted((tuple(slack_interval_index(s, 3)
-                               for s in poly.slacks(p)), p) for p in pts)
+        signed = sorted((tuple(
+            slack_interval_index(b - sum(c * x for c, x in zip(row, p)), 3)
+            for row, b in zip(poly.A, poly.b)), p) for p in pts)
         assert len({sig for sig, _p in signed}) == len(pts)
         order = [p for _sig, p in signed]
         sset = compute_structure_set(poly)
