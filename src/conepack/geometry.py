@@ -13,9 +13,9 @@ top of it:
   so only the other rows are tested, and the last depth's intervals are
   kept beside the points as column runs.  A down-closed polytope's
   points are listed from its load rows and exact box alone
-  (``down_closed_lattice``), with no polytope built,
-* selector lifts (``lifted_union``, ``priced_target``): no other module
-  touches a polytope's cached lattice, runs or bounds,
+  (``down_closed_lattice``), with no polytope built.  No other module
+  touches a polytope's cached lattice, runs or bounds, and only
+  ``lattice_points`` caches a lattice, always with its runs,
 * exact convex-hull machinery in any small dimension over column runs
   (only run ends that sit midway between two points along no other axis
   are candidates: a polytope's integer hull reads the enumerator's runs,
@@ -213,9 +213,13 @@ def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     Rows come as ``x_j <= hi_j``, then ``-x_j <= -lo_j``, for each ``j`` in
     turn; keep that order, since Bland's rule pivots by row index.  A
     non-empty box knows its coordinate bounds, so ``coordinate_bounds``
-    solves no LP for it.
+    solves no LP for it.  ``InputError`` when ``lo`` and ``hi`` differ in
+    length.
     """
     d = len(lo)
+    if len(hi) != d:
+        raise InputError(f"box sides {tuple(lo)} and {tuple(hi)} differ in "
+                         f"length")
     rows, rhs = [], []
     for j in range(d):
         unit = [0] * d
@@ -261,11 +265,15 @@ def down_closed_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
 def _least_ratios(rows, rhs, box) -> list:
     """Per coordinate ``j`` of a down-closed part, the ``(b_i, a_ij)`` of
     least ratio over ``(box_j, 1)`` and the rows with ``a_ij > 0``;
-    ``InternalError`` when the box, a row or its bound is negative."""
+    ``InputError`` when a row's length is not the box's, as ``Polytope``
+    refuses a ragged matrix, and ``InternalError`` when the box, a row or
+    its bound is negative."""
     if min(box, default=0) < 0:
         raise InternalError(f"down-closed polytope has box {tuple(box)}")
     top = [(v, 1) for v in box]
     for i, (row, b) in enumerate(zip(rows, rhs)):
+        if len(row) != len(top):
+            raise InputError("ragged constraint matrix")
         if b < 0 or min(row) < 0:
             raise InternalError(f"row {i} of a down-closed polytope is "
                                 f"{tuple(row)} <= {b}")
@@ -273,52 +281,6 @@ def _least_ratios(rows, rhs, box) -> list:
             if c and b * top[j][1] < top[j][0] * c:
                 top[j] = (b, c)
     return top
-
-
-def lifted_union(parts: Sequence[Polytope]) -> Optional[Polytope]:
-    """The parts coupled by one selector coordinate each, with the lattice
-    ``(x, e_i)`` over the lattice points x of part i; None when they hold
-    none.  Part i's rows come in turn as ``a.x <= b + M(1 - s_i)``, M the
-    row's worst violation on the box spanning the parts' ``integer_box``,
-    then ``sum s <= 1``, ``-sum s <= -1`` and ``-s_i <= 0``; keep that
-    order, since Bland's rule pivots by row index."""
-    boxes = [box for box in map(integer_box, parts) if box is not None]
-    if not boxes:
-        return None
-    d, n = len(boxes[0]), len(parts)
-    glo = [min(box[j][0] for box in boxes) for j in range(d)]
-    ghi = [max(box[j][1] for box in boxes) for j in range(d)]
-    selectors = [tuple(int(i == t) for t in range(n)) for i in range(n)]
-    rows, rhs = [], []
-    for e, poly in zip(selectors, parts):
-        for a_row, b in zip(poly.A, poly.b):
-            M = max(0, sum(v * (ghi[j] if v > 0 else glo[j])
-                           for j, v in enumerate(a_row)) - b)
-            rows.append(list(a_row) + [M * v for v in e])
-            rhs.append(b + M)
-    zeros = [0] * d
-    rows += [zeros + [1] * n, zeros + [-1] * n]
-    rows += [zeros + [-v for v in e] for e in selectors]
-    lifted = Polytope(rows, rhs + [1, -1] + [0] * n)
-    lifted._lattice = sorted(x + e for e, poly in zip(selectors, parts)
-                             for x in lattice_points(poly))
-    return lifted
-
-
-def priced_target(target: Polytope, costs: Sequence[int],
-                  budget: int) -> Polytope:
-    """``target x {s >= 0 : costs . s <= budget}``, rows in that order.
-    The blocks share no coordinate, so a non-empty target's bounds beside
-    ``[0, budget / c_i]`` are its bounds, known with no LP."""
-    d, n = target.dim, len(costs)
-    priced = Polytope(
-        [list(q) + [0] * n for q in target.A] + [[0] * d + list(costs)]
-        + [[0] * d + [-int(i == t) for t in range(n)] for i in range(n)],
-        target.b + (budget,) + (0,) * n)
-    bounds = coordinate_bounds(target)
-    if bounds is not None:
-        priced._bounds = bounds + [(ZERO, Rat(budget, c)) for c in costs]
-    return priced
 
 
 def coordinate_bounds(poly: Polytope):
@@ -840,15 +802,10 @@ def integer_hull_vertices(poly: Polytope) -> list:
     the lattice cap of ``lattice_points``).
 
     The hull is read from the column runs that ``lattice_points`` keeps
-    (``_hull_of_runs``).  A lattice cached without its runs (a
-    ``lifted_union``'s, assembled from its parts' lattices) has them
-    derived from its sorted points.
+    beside the points (``_hull_of_runs``).
     """
-    pts = lattice_points(poly)
-    runs = poly._runs
-    if runs is None:
-        runs = _column_runs(pts)
-    return _hull_of_runs(runs)
+    lattice_points(poly)
+    return _hull_of_runs(poly._runs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Exact solvers for integer-cone intersection, bin packing, and cutting stock.
 
-``int_cone_intersect`` decides whether some non-negative integer combination
-of a polytope's lattice points lands in a target polytope, in two modes:
+One private decider, ``_decide``, answers every probe over polytopes:
+is some non-negative integer combination of the lattice points of one
+or more groups (polytopes in the target's dimension) in a target
+polytope, within an optional cost row?  ``int_cone_intersect`` is the
+decider over one group with no cost row, and ``multi_polytope_select``
+the decider over one group per part with the cost row as the cap.  It
+has two modes:
 
 * ``faithful``: one guess of cover parallelepipeds, whose vertices may
   carry arbitrary weights, and one small integer program over them.  The
@@ -9,24 +14,25 @@ of a polytope's lattice points lands in a target polytope, in two modes:
   prefilter's point.  A hit is returned immediately; a miss goes to the
   joint program, which settles the answer.
 * ``joint``: one integer program with a weight variable per cover vertex
-  and a 0/1 variable per remaining lattice point.  Decisive in both
-  directions because every solvable target admits a witness of exactly
-  this shape.
+  of each group and a 0/1 variable per remaining lattice point.
+  Decisive in both directions because every solvable target admits a
+  witness of exactly this shape: normalizing one group's weights keeps
+  their sum and their count, and so their cost.
 
 Every integer program here is written as its rows by
-``_run_combination_ilp`` and solved by ``ilp_feasible``.  A witness
-combination is one ``{point: weight}`` dict, from the integer program's
-weights through ``normalize_combination`` to
-``IntConeResult.combination``.
+``_run_combination_ilp``, over ``(group, point)`` columns, and solved by
+``ilp_feasible``.  A witness combination is one ``{point: weight}`` dict
+per group, from the integer program's weights through
+``normalize_combination`` to ``IntConeResult.combination`` or the picks.
 
 Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
 optimiser, here and in ``scheduling``, is one ``cheapest_cover`` call:
 the four covering searches are cutting stock, the two machine
 assignments and the tardy penalty.  A selection is its ``(part, point,
 copies)`` picks; ``multi_polytope_select`` finds one over candidate
-polytopes, coupled by one selector coordinate each into one lifted
-intersection problem, and ``select_from_generators`` one over listed
-``(points, cost)`` parts, the parts ``configuration_window`` takes.
+polytopes, and ``select_from_generators`` one over listed ``(points,
+cost)`` parts, the parts ``configuration_window`` takes, with one
+program that shares the decider's writer and decoder.
 ``cheapest_cover`` bisects with ``least_feasible``, the one bisection,
 over the multiples of the costs' gcd inside the window of their
 configuration LP, ``configuration_window``, which solves that LP by its
@@ -52,7 +58,7 @@ loads are compared in ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -69,8 +75,6 @@ from .geometry import (
     in_convex_hull,
     integer_box,
     lattice_points,
-    lifted_union,
-    priced_target,
 )
 from .ilp import ilp_feasible
 from .rational import Rat, ONE, integer
@@ -217,6 +221,16 @@ def _pairs(parts: Sequence) -> list:
     return out
 
 
+def _costed(parts: Sequence) -> list:
+    """The ``(points, cost)`` parts with each cost read through
+    ``rational.integer``; InputError names a part that is not a pair, and
+    refuses a negative cost."""
+    parts = [(points, integer(c, "part cost")) for points, c in _pairs(parts)]
+    if any(c < 0 for _points, c in parts):
+        raise InputError("part costs must be non-negative")
+    return parts
+
+
 def _cost_gcd(parts: Sequence) -> int:
     """The gcd of the costs of the ``(points, cost)`` parts that hold a
     non-zero point (1 if none): every cover costs a multiple of it."""
@@ -270,16 +284,27 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     above, the columns and the demanded types, from which ``_group_bound``
     raises ``lo`` without a probe.
 
-    A part that is not a pair raises InputError naming its index.  A
-    demanded coordinate that no point covers raises InfeasibleError
-    naming it.  Zero demand gives the window ``(0, 0, [])`` and an empty
+    The demand and the costs are read through ``rational.integer``, and a
+    negative one raises InputError naming its field (multiplicities or
+    part costs).  A part that is not a pair, or that holds a point whose
+    length is not the demand's or that has a negative entry, raises
+    InputError naming its index.  A demanded coordinate that no point
+    covers raises InfeasibleError naming it.  Zero demand gives the window ``(0, 0, [])`` and an empty
     basis with D = 1.
     """
-    parts = _pairs(parts)
+    a = _multiplicities(a)
+    parts = _costed(parts)
     rows = [j for j, aj in enumerate(a) if aj]
     idle = [j for j, aj in enumerate(a) if not aj]
-    columns = [(i, p) for i, (points, _c) in enumerate(parts) for p in points
-               if any(p) and not any(p[j] for j in idle)]
+    d = len(a)
+    columns = []
+    for i, (points, _c) in enumerate(parts):
+        for p in points:
+            if len(p) != d or min(p, default=0) < 0:
+                raise InputError(f"point {tuple(p)} of part {i} is not {d} "
+                                 f"non-negative counts")
+            if any(p) and not any(p[j] for j in idle):
+                columns.append((i, p))
     qs = ([tuple(p[j] for j in rows) for _i, p in columns] if idle
           else [p for _i, p in columns])
     cs = [parts[i][1] for i, _p in columns]
@@ -463,9 +488,10 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     on one target ``box_polytope(a, a)`` that a window still open builds
     for the request: ``least_feasible`` bisects over the budgets ``v * g``
     inside the raised window.  Zero demand
-    returns the empty selection at cost 0.  InternalError when a check
-    fails.
+    returns the empty selection at cost 0.  The costs are read as the
+    window reads them.  InternalError when a check fails.
     """
+    parts = _costed(parts)
     lo, hi, cover, basis = configuration_window(parts, a)
     costs = [c for _points, c in parts]
     top = _selection(cover, costs, hi, len(a))
@@ -522,13 +548,14 @@ def _check_mode(mode):
         raise InputError(f"unknown mode {mode!r}")
 
 
-def _combination_rows(generators, target):
-    """Rows of 'the sum of weighted generators lies in target', over one
-    weight per generator.  Equality targets are expressed through the
-    target rows themselves."""
-    n = len(generators)
+def _combination_rows(tagged, target, cap):
+    """Rows of 'the sum of weighted points lies in target', over one
+    weight per ``(group, point)`` of ``tagged``.  Equality targets are
+    expressed through the target rows themselves.  A ``cap = (costs,
+    budget)`` appends the row ``sum costs[group] * weight <= budget``."""
+    n = len(tagged)
     rows = []
-    columns = [[g[i] for g in generators] for i in range(target.dim)]
+    columns = [[p[i] for _g, p in tagged] for i in range(target.dim)]
     for q in target.A:
         # coefficients of q . (sum lambda_g g); target rows are mostly unit
         # rows, so skip q's zeros
@@ -537,33 +564,114 @@ def _combination_rows(generators, target):
             if qi:
                 coeff = [c + qi * v for c, v in zip(coeff, column)]
         rows.append(coeff)
-    return rows, list(target.b)
+    rhs = list(target.b)
+    if cap is not None:
+        costs, budget = cap
+        rows.append([costs[g] for g, _p in tagged])
+        rhs.append(budget)
+    return rows, rhs
 
 
-def _run_combination_ilp(generators, target, gen_hi=None, cap=None):
-    """Solve for generator weights; None when infeasible.
-
-    ``cap`` is an optional row ``(coefficients, bound)`` on the generator
-    weights, appended after the rows of ``_combination_rows``.  Returns the
-    weights, one per generator, in order.
+def _run_combination_ilp(tagged, target, cap, hi=None):
+    """The picks ``(group, point, weight)`` of one integer program over
+    ``tagged`` (``_combination_rows``), non-zero weights only and in the
+    order of ``tagged``; None when it is infeasible.  ``hi`` bounds the
+    weights one by one, None leaving a weight unbounded above.
 
     Every weight is bounded, as ``ilp_feasible`` needs: the callers refuse
     unbounded targets and generators that are not pointed unless a cost
     caps them, and a bounded target bounds pointed weights (Gordan).
     """
-    rows, rhs = _combination_rows(generators, target)
-    if cap is not None:
-        coefficients, bound = cap
-        rows.append(list(coefficients))
-        rhs.append(bound)
-    res = ilp_feasible(rows, rhs, lo=[0] * len(generators), hi=gen_hi)
+    rows, rhs = _combination_rows(tagged, target, cap)
+    res = ilp_feasible(rows, rhs, lo=[0] * len(tagged), hi=hi)
     if not res.feasible:
         return None
-    return res.witness
+    return [(g, p, w) for (g, p), w in zip(tagged, res.witness) if w]
 
 
 # ---------------------------------------------------------------------------
 # the intersection solver
+
+
+def _decide(polys, target, cap, mode: str) -> IntConeResult:
+    """The one decider of the probes over polytopes, in the modes the
+    module describes: is some non-negative integer combination of the
+    groups' non-zero lattice points in the target, within the ``cap =
+    (costs, budget)`` row when one is given?
+
+    Returns an ``IntConeResult`` whose ``combination`` lists one
+    normalized ``{point: weight}`` dict per group of ``polys``.  An empty
+    target or a negative budget answers Empty, and a target holding the
+    origin the empty combination, after every group's lattice is listed.
+
+    One LP over non-negative rational weights on every ``(group, point)``
+    is a prefilter: when it is infeasible the answer is Empty without an
+    integer program.  Then the uncapped points (every point without a
+    cap, else those of zero-cost groups) must be pointed: when 0 is a
+    convex combination of them their weights are unbounded (Gordan), and
+    ``InputError`` says the source is not pointed.  Each group then gets
+    its own ``compute_structure_set``, in the target's dimension.
+
+    The lead guess is the cover elements that hold the prefilter's
+    support.  Each support point is a convex combination of its element's
+    vertices, lattice points of its group, so the prefilter's point is a
+    non-negative rational combination of the guess's non-zero vertices:
+    their relaxation is feasible by construction.  A miss does not
+    certify Empty (a reachable target may normalize onto vertices outside
+    that span), so it goes to the joint program.  A witness is checked
+    against the groups' lattices and the target, then normalized group by
+    group.
+    """
+    d = target.dim
+    if integer_box(target) is None or cap is not None and cap[1] < 0:
+        return IntConeResult(False, None, None, mode, 0)
+    tagged = [(g, p) for g, poly in enumerate(polys)
+              for p in lattice_points(poly) if any(p)]
+    if target.contains_int((0,) * d):
+        return IntConeResult(True, (0,) * d, [{} for _ in polys], mode, 0)
+    if not tagged:
+        return IntConeResult(False, None, None, mode, 0)
+    rows, rhs = _combination_rows(tagged, target, cap)
+    prefilter = ExactLp(rows, rhs, lo=[0] * len(tagged))
+    if not prefilter.find_feasible():
+        return IntConeResult(False, None, None, mode, 0)
+    free = [p for g, p in tagged if cap is None or not cap[0][g]]
+    if free and in_convex_hull((0,) * d, free):
+        raise InputError(
+            "the source is not pointed: 0 is a convex combination of its "
+            "non-zero lattice points that no cost caps, so the combination "
+            "weights are unbounded")
+    ssets = [compute_structure_set(poly) for poly in polys]
+    guesses, picks, mode_used = 0, None, "joint"
+    if mode == "faithful":
+        guesses = 1
+        support = [t for t, (n, _d) in zip(tagged, prefilter.point()) if n]
+        special = sorted({(g, v) for g, p in support
+                          for v in ssets[g].cover[ssets[g].locator[p]]
+                          .vertices() if any(v)})
+        picks = _run_combination_ilp(special, target, cap)
+        if picks is not None:
+            mode_used = "faithful"
+    if picks is None:
+        picks = _run_combination_ilp(
+            tagged, target, cap,
+            [None if p in ssets[g].special_set else 1 for g, p in tagged])
+        if picks is None:
+            return IntConeResult(False, None, None, "joint", guesses)
+    combos = [{} for _ in polys]
+    y = [0] * d
+    for g, p, w in picks:
+        if p not in ssets[g].locator:
+            raise InternalError(f"witness point {p} is not a generator")
+        combos[g][p] = w
+        y = [a + w * v for a, v in zip(y, p)]
+    if not target.contains_int(y):
+        raise InternalError("witness sum escapes the target")
+    # normalize_combination checks the sum and the support bound
+    return IntConeResult(True, tuple(y),
+                         [normalize_combination(combo, sset)
+                          for combo, sset in zip(combos, ssets)],
+                         mode_used, guesses)
 
 
 def int_cone_intersect(source: Polytope, target: Polytope,
@@ -573,14 +681,10 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     Searches for ``y = sum_x lambda_x x`` with non-negative integer weights
     over the source's lattice points and ``y`` inside the target, returning
     the witness combination (normalized: support at most ``2^{2d+1}``) or a
-    decisive Empty.  The target must be bounded, since its rows bound the
-    program's sum: ``integer_box`` raises ``InputError`` at an unbounded
-    coordinate, even when the target holds the origin.
-
-    One LP over non-negative rational weights on all generators is a
-    prefilter: when it is infeasible the answer is Empty without an
-    integer program.  The generators weighted at its point are the
-    support of the faithful search's lead guess.
+    decisive Empty: ``_decide`` over the one group of the source, with no
+    cap.  The target must be bounded, since its rows bound the program's
+    sum: ``integer_box`` raises ``InputError`` at an unbounded coordinate,
+    even when the target holds the origin.
 
     The source must be pointed: no non-negative combination of its
     non-zero lattice points may sum to 0.  Otherwise 0 lies in their
@@ -591,93 +695,10 @@ def int_cone_intersect(source: Polytope, target: Polytope,
     _check_mode(mode)
     if source.dim != target.dim:
         raise InputError("source and target dimensions differ")
-    if integer_box(target) is None:
-        return IntConeResult(False, None, None, mode, 0)
-    if target.contains_int((0,) * target.dim):
-        return IntConeResult(True, (0,) * target.dim, {}, mode, 0)
-    generators = [p for p in lattice_points(source) if any(v != 0 for v in p)]
-    if not generators:
-        return IntConeResult(False, None, None, mode, 0)
-    rows, rhs = _combination_rows(generators, target)
-    prefilter = ExactLp(rows, rhs, lo=[0] * len(generators))
-    if not prefilter.find_feasible():
-        return IntConeResult(False, None, None, mode, 0)
-    if in_convex_hull((0,) * source.dim, generators):
-        raise InputError(
-            "the source is not pointed: 0 is a convex combination of its "
-            "non-zero lattice points, so the combination weights are "
-            "unbounded")
-    sset = compute_structure_set(source)
-
-    def finish(combo, mode_used, guesses):
-        y = [0] * source.dim
-        for p, w in combo.items():
-            if p not in sset.locator:
-                raise InternalError(f"witness point {p} is not a generator")
-            y = [a + w * v for a, v in zip(y, p)]
-        if not target.contains_int(y):
-            raise InternalError("witness sum escapes the target")
-        # normalize_combination checks the sum and the support bound
-        return IntConeResult(True, tuple(y),
-                             normalize_combination(combo, sset),
-                             mode_used, guesses)
-
-    guesses = 0
-    if mode == "faithful":
-        guesses = 1
-        support = [g for g, (n, _d) in zip(generators, prefilter.point()) if n]
-        combo = _faithful_search(sset, support, target)
-        if combo is not None:
-            return finish(combo, "faithful", guesses)
-        # A miss does not certify Empty: the lead guess spans only the
-        # vertices of a few parallelepipeds, and a reachable target may
-        # normalize onto vertices outside that span.  The joint program
-        # below decides.
-
-    combo = _joint_program(sset, generators, target)
-    if combo is None:
-        return IntConeResult(False, None, None, "joint", guesses)
-    return finish(combo, "joint", guesses)
-
-
-def _weighted(points, witness):
-    """The ``{point: weight}`` combination of a program's ``witness`` over
-    distinct ``points``, zero weights dropped; None for no witness."""
-    if witness is None:
-        return None
-    return {p: w for p, w in zip(points, witness) if w}
-
-
-def _faithful_search(sset, support, target):
-    """The lead guess: the cover elements that hold ``support``, the
-    generators weighted at the prefilter's point.
-
-    Each support point ``g`` lies in its element ``sset.locator[g]``,
-    whose vertices are lattice points of the source, so ``g`` is a convex
-    combination of them.  The prefilter's point is then a non-negative
-    rational combination of the guess's non-zero vertices: their
-    relaxation is feasible by construction, and their program is the
-    likeliest to hit.  Those vertices get unbounded integer weights.
-    Returns the witness combination, or None on a miss.
-    """
-    cover = sset.cover
-    special = sorted({v for i in {sset.locator[g] for g in support}
-                      for v in cover[i].vertices() if any(v)})
-    return _weighted(special, _run_combination_ilp(special, target))
-
-
-def _joint_program(sset, generators, target):
-    """One decisive program over all generators.
-
-    Cover vertices get unbounded integer weights; every other lattice point
-    gets a 0/1 variable, which is enough because any reachable target has a
-    normalized witness of that shape.  ``generators`` come sorted, as
-    ``lattice_points`` returns them.
-    """
-    special = sset.special_set
-    hi = [None if g in special else 1 for g in generators]
-    return _weighted(generators,
-                     _run_combination_ilp(generators, target, gen_hi=hi))
+    res = _decide([source], target, None, mode)
+    if res.found:
+        res = replace(res, combination=res.combination[0])
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -688,57 +709,36 @@ def multi_polytope_select(parts: Sequence, target: Polytope, budget: int,
                           mode: str = "faithful") -> SelectResult:
     """Reach the target with copies drawn from several candidate polytopes.
 
-    ``parts`` is a list of (Polytope over the target's dimension, positive
-    integer cost); a copy of a lattice point of part i costs ``c_i`` and the
-    total cost must stay within ``budget``.  One ``int_cone_intersect`` of
-    ``geometry.lifted_union`` of the parts, whose integer points are
-    ``(x, e_i)`` for x in part i, with ``geometry.priced_target``, where
-    the selectors ``s`` count a combination's copies from each part and
-    ``c . s`` is its cost.  No enumeration box spans the budget, so costs
-    may be as large as their binary encoding allows.  The target's box is
-    read before a negative budget answers.  When no part holds a lattice
-    point, the empty selection is the only one, as in
-    ``select_from_generators``.  A part that is not a pair raises
-    ``InputError`` naming its index.
+    ``parts`` is a list of (Polytope over the target's dimension,
+    non-negative integer cost); a copy of a lattice point of part i costs
+    ``c_i`` and the total cost must stay within ``budget``.  ``_decide``
+    over one group per part, with the cost row as the cap: each part's
+    weights are normalized on its own structure set, which keeps their sum
+    and their count, and so their cost.  No enumeration box spans the
+    budget, so costs may be as large as their binary encoding allows.  The
+    target's box is read before a negative budget answers.  When no part
+    holds a non-zero lattice point, the empty selection is the only one,
+    as in ``select_from_generators``.  A part that is not a pair raises
+    ``InputError`` naming its index, and zero-cost parts that are not
+    pointed raise ``InputError`` when a probe's prefilter passes.
     """
     _check_mode(mode)
-    n = len(parts)
-    if n == 0:
+    if not parts:
         raise InputError("at least one part required")
     d = target.dim
     costs = []
     polys = []
-    for poly, cost in _pairs(parts):
+    for poly, cost in _costed(parts):
         if poly.dim != d:
             raise InputError("every part must match the target dimension")
-        cost = integer(cost, "part cost")
-        if cost < 1:
-            raise InputError(f"part cost {cost!r} must be a positive integer")
         polys.append(poly)
         costs.append(cost)
     budget = integer(budget, "budget")
-    if integer_box(target) is None or budget < 0:
-        return SelectResult(False, None)
-    lifted = lifted_union(polys)
-    if lifted is None:
-        # the empty sum is the only reachable point
-        if target.contains_int((0,) * d):
-            return _selection([], costs, budget, d)
-        return SelectResult(False, None)
-    res = int_cone_intersect(lifted, priced_target(target, costs, budget),
-                             mode=mode)
+    res = _decide(polys, target, (costs, budget), mode)
     if not res.found:
         return SelectResult(False, None)
-    picks = []
-    for point, w in res.combination.items():
-        x, sel = point[:d], point[d:]
-        if sorted(sel) != [0] * (n - 1) + [1]:
-            raise InternalError(f"lifted point {point} has a broken selector")
-        i = sel.index(1)
-        if not polys[i].contains_int(x):
-            raise InternalError(f"pattern {x} escapes part {i}")
-        picks.append((i, x, w))
-    res = _selection(picks, costs, budget, d)
+    res = _selection([(i, x, w) for i, combo in enumerate(res.combination)
+                      for x, w in combo.items()], costs, budget, d)
     if not target.contains_int(res.target):
         raise InternalError("selection misses the target")
     return res
@@ -786,9 +786,7 @@ def select_from_generators(parts: Sequence, target: Polytope,
             return _selection([], costs, budget, d)
         return SelectResult(False, None)
     try:
-        witness = _run_combination_ilp(
-            [pt for _i, pt in tagged], target,
-            cap=([costs[i] for i, _pt in tagged], budget))
+        picks = _run_combination_ilp(tagged, target, (costs, budget))
     except InputError as exc:
         free = [pt for i, pt in tagged if costs[i] == 0]
         if free and in_convex_hull((0,) * d, free):
@@ -797,9 +795,8 @@ def select_from_generators(parts: Sequence, target: Polytope,
                 "combination of the non-zero generators of the zero-cost "
                 "parts, so the combination weights are unbounded") from exc
         raise
-    if witness is None:
+    if picks is None:
         return SelectResult(False, None)
-    picks = [(i, pt, w) for (i, pt), w in zip(tagged, witness) if w]
     res = _selection(picks, costs, budget, d)
     if not target.contains_int(res.target):
         raise InternalError("selection misses the target")

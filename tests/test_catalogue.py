@@ -34,9 +34,11 @@ PINS = {
 }
 
 # (pivots, nodes) spent solving each catalogue; the pivots count the
-# group states that ``solver._group_bound`` settles too
+# group states that ``solver._group_bound`` settles too.  The one probing
+# ``binpack`` instance runs no pointedness LP: its part costs 1, so the
+# cost row caps every weight
 WORK_PINS = {
-    "binpack": (479, 1),
+    "binpack": (478, 1),
     "stock": (131, 0),
     "cover": (0, 0),
     "sched-np": (939, 176),

@@ -220,15 +220,16 @@ class TestDownClosed:
         assert coordinate_bounds(poly) == [(0, 4), (0, 5)]
         assert integer_box(poly) == [(0, 4), (0, 5)]
 
-    @pytest.mark.parametrize("rows,rhs,box,match", [
-        ([[1, -1]], [3], [2, 2], r"row 0 .* is \(1, -1\)"),
-        ([[1, 1], [1, 1]], [3, -1], [2, 2], "row 1"),
-        ([[1, 1]], [3], [2, -1], r"box \(2, -1\)"),
-    ], ids=["mixed-sign", "negative-rhs", "negative-box"])
-    def test_rejects_other_rows(self, rows, rhs, box, match):
-        with pytest.raises(InternalError, match=match):
+    @pytest.mark.parametrize("rows,rhs,box,error,match", [
+        ([[1, -1]], [3], [2, 2], InternalError, r"row 0 .* is \(1, -1\)"),
+        ([[1, 1], [1, 1]], [3, -1], [2, 2], InternalError, "row 1"),
+        ([[1, 1]], [3], [2, -1], InternalError, r"box \(2, -1\)"),
+        ([[1, 1]], [3], [2], InputError, "^ragged constraint matrix$"),
+    ], ids=["mixed-sign", "negative-rhs", "negative-box", "short-box"])
+    def test_rejects_other_rows(self, rows, rhs, box, error, match):
+        with pytest.raises(error, match=match):
             geometry.down_closed_polytope(rows, rhs, box)
-        with pytest.raises(InternalError, match=match):
+        with pytest.raises(error, match=match):
             geometry.down_closed_lattice(rows, rhs, box)
 
     def test_lister_matches_the_polytope(self):
@@ -255,14 +256,6 @@ class TestDownClosed:
             lattice_points(geometry.down_closed_polytope([[1, 0]], [6], box))
         rows, rhs = [[1, 0], [0, 2]], [6, 9]
         assert len(geometry.down_closed_lattice(rows, rhs, box)) == 35
-
-
-class TestSelectorLift:
-    # the lifts that probes build are checked in test_solver.py
-    def test_empty_target_is_priced_without_bounds(self):
-        empty = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
-        priced = geometry.priced_target(empty, [1], 4)
-        assert priced._bounds is None and coordinate_bounds(priced) is None
 
 
 class TestLatticePoints:

@@ -16,7 +16,9 @@ second file reader.  No module may subscript an attribute ``.windows``
 outside ``scheduling._machine_windows``, the one reader of a machine
 type, and ``SchedulingInstance.__init__``, which builds the windows.
 No module but ``geometry.py`` may name the attribute ``._lattice``,
-``._runs`` or ``._bounds``, the caches geometry keeps on a polytope.
+``._runs`` or ``._bounds``, the caches geometry keeps on a polytope, and
+within it only ``lattice_points`` may assign ``._lattice`` or ``._runs``
+a value other than None, so a lattice is never cached without its runs.
 Every parameter of every function and lambda of the package must be
 read in its body, but ``self`` and ``_``-prefixed names.
 Every top-level function and class of the package but ``oracle.py``, the
@@ -315,6 +317,51 @@ def test_a_cache_named_outside_geometry_is_caught(tmp_path):
                       "    return poly._bounds or poly.lattice\n")
     assert cache_attributes(module) == [
         "_bounds (line 3)", "_lattice (line 2)", "_runs (line 2)"]
+
+
+def cache_writers(path):
+    """The top-level functions and the methods (``Class.method``) of the
+    module that assign ``._lattice`` or ``._runs`` a value other than the
+    constant None."""
+    defs = []
+    for node in parse(path).body:
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+
+    def writes(stmt):
+        if not isinstance(stmt, ast.Assign) or (
+                isinstance(stmt.value, ast.Constant)
+                and stmt.value.value is None):
+            return False
+        return any(isinstance(t, ast.Attribute)
+                   and t.attr in ("_lattice", "_runs")
+                   for target in stmt.targets for t in ast.walk(target))
+
+    return [name for name, node in defs if any(map(writes, ast.walk(node)))]
+
+
+def test_only_lattice_points_caches_a_lattice():
+    assert cache_writers(PACKAGE / "geometry.py") == ["lattice_points"]
+
+
+def test_a_lattice_cached_elsewhere_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class Polytope:\n"
+                      "    def __init__(self):\n"
+                      "        self._lattice = None\n"
+                      "        self._runs = None\n"
+                      "\n\n"
+                      "def lattice_points(poly):\n"
+                      "    poly._lattice, poly._runs = [], []\n"
+                      "    return poly._lattice\n"
+                      "\n\n"
+                      "def seeded_union(poly, points):\n"
+                      "    poly._lattice = sorted(points)\n"
+                      "    return poly\n")
+    assert cache_writers(module) == ["lattice_points", "seeded_union"]
 
 
 def unread_parameters(path):

@@ -15,6 +15,7 @@ points of mixed dimension with an ``InputError``.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -31,8 +32,9 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  schedulable_vectors,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
-from conepack.solver import (CuttingStockInstance, configuration_window,
-                             multi_polytope_select, select_from_generators)
+from conepack.solver import (CuttingStockInstance, cheapest_cover,
+                             configuration_window, multi_polytope_select,
+                             select_from_generators)
 from conepack.structure import (compute_structure_set, normalize_combination,
                                 redistribute_in_pp, reduce_support)
 
@@ -122,6 +124,10 @@ NON_INTEGRAL = [
     ("generator-budget", "budget",
      lambda: select_from_generators([([(1,), (2,)], 1)],
                                     box_polytope([4], [4]), Fraction(9, 2))),
+    ("window-demand", "multiplicity",
+     lambda: configuration_window([([(1,)], 1)], [Fraction(5, 2)])),
+    ("window-cost", "part cost",
+     lambda: configuration_window([([(1,)], HALF)], [2])),
     ("slack", "slack", lambda: slack_interval_index(Fraction(5, 2), 1)),
     ("slack-dimension", "dimension",
      lambda: slack_interval_index(3, THREE_HALVES)),
@@ -198,6 +204,19 @@ BAD_VALUES = [
                                     5)),
     ("no-part", "part",
      lambda: multi_polytope_select([], box_polytope([1], [1]), 5)),
+    ("box-sides", "box sides", lambda: box_polytope([0, 0], [1])),
+    # the window reads its demand, costs and points before its simplex
+    ("window-negative-demand", "multiplicities",
+     lambda: cheapest_cover([-2], [([(1,)], 1)], partial(
+         select_from_generators, [([(1,)], 1)]))),
+    ("window-negative-cost", "part costs",
+     lambda: configuration_window([([(1,)], -1)], [2])),
+    ("window-text-cost", "part cost",
+     lambda: configuration_window([([(1,)], "x")], [2])),
+    ("window-point-length", r"point \(1, 0\) of part 0",
+     lambda: configuration_window([([(1,), (1, 0)], 1)], [2])),
+    ("window-negative-point", r"point \(2, -1\) of part 0",
+     lambda: configuration_window([([(1, 0), (0, 1), (2, -1)], 1)], [2, 1])),
 ]
 
 
@@ -256,7 +275,7 @@ def test_a_part_that_is_not_a_pair_is_an_input_error(call):
         call()
 
 
-def lifted_select(cost, budget=5):
+def part_select(cost, budget=5):
     return multi_polytope_select([(box_polytope([0], [2]), cost)],
                                  box_polytope([4], [4]), budget)
 
@@ -266,15 +285,26 @@ def generator_select(cost, budget=5):
                                   box_polytope([4], [4]), budget)
 
 
+WINDOW_PARTS = [([(1,), (2,)], 3)]
+
+
+def cover_select(cost):
+    parts = [([(1,), (2,)], cost)]
+    return cheapest_cover([3], parts, partial(select_from_generators, parts))
+
+
 INTEGRAL = [
-    ("multi-polytope-cost", lambda: lifted_select(Fraction(2)),
-     lambda: lifted_select(2)),
+    ("multi-polytope-cost", lambda: part_select(Fraction(2)),
+     lambda: part_select(2)),
     ("generator-cost", lambda: generator_select(Fraction(2)),
      lambda: generator_select(2)),
-    ("multi-polytope-budget", lambda: lifted_select(2, Fraction(5)),
-     lambda: lifted_select(2, 5)),
+    ("multi-polytope-budget", lambda: part_select(2, Fraction(5)),
+     lambda: part_select(2, 5)),
     ("generator-budget", lambda: generator_select(2, 5.0),
      lambda: generator_select(2, 5)),
+    ("window-demand", lambda: configuration_window(WINDOW_PARTS, [2.0]),
+     lambda: configuration_window(WINDOW_PARTS, [2])),
+    ("cover-cost", lambda: cover_select(3.0), lambda: cover_select(3)),
     ("polytope-rows",
      lambda: lattice_points(Polytope([[Fraction(4, 2), 1], [-1, 0], [0, -1]],
                                      [Fraction(12, 2), 0, 0])),
@@ -313,8 +343,11 @@ def test_integral_values_come_back_as_ints():
                                      (Fraction(1),), 5.0)):
         assert all(type(v) is int for point, w in combo.items()
                    for v in (*point, w))
-    res = lifted_select(Fraction(2))
+    res = part_select(Fraction(2))
     assert res.found and type(res.total_cost) is int
+    lo, hi, cover, _basis = configuration_window(WINDOW_PARTS, [2.0])
+    assert all(type(v) is int for v in (lo, hi, *(n for _i, _p, n in cover)))
+    assert type(cover_select(3.0).total_cost) is int
 
 
 def test_text_is_not_read_as_an_integer():

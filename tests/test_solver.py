@@ -208,7 +208,8 @@ def test_unknown_mode_is_refused_before_any_work(entry):
 
 def fresh_relaxation(special, target):
     """Reference: a fresh LP over the weights of ``special``."""
-    rows, rhs = solver._combination_rows(special, target)
+    rows, rhs = solver._combination_rows([(0, p) for p in special], target,
+                                         None)
     return ExactLp(rows, rhs, lo=[0] * len(special)).find_feasible()
 
 
@@ -217,12 +218,12 @@ class _Stop(Exception):
 
 
 def first_program(monkeypatch, call):
-    """The generators of the first combination program that ``call``
-    builds, which is not run; None when it builds none."""
+    """The points of the first combination program that ``call`` builds,
+    which is not run; None when it builds none."""
     seen = []
 
-    def stop(generators, target, **kwargs):
-        seen.append(generators)
+    def stop(tagged, target, cap, hi=None):
+        seen.append([p for _g, p in tagged])
         raise _Stop
 
     with monkeypatch.context() as patch:
@@ -235,21 +236,23 @@ def first_program(monkeypatch, call):
 
 
 def prefilter_support(monkeypatch, source, target):
-    """The generators weighted at a faithful probe's prefilter point; None
-    when the probe answers before its lead guess."""
-    seen = []
+    """The generators weighted at a faithful probe's prefilter point, the
+    first ``ExactLp`` the decider builds; None when the probe answers
+    before its lead guess."""
+    lps = []
 
-    def stop(sset, support, target):
-        seen.append(support)
-        raise _Stop
+    class Recorded(ExactLp):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lps.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_faithful_search", stop)
-        try:
-            int_cone_intersect(source, target, mode="faithful")
-        except _Stop:
-            return seen[0]
-    return None
+        patch.setattr(solver, "ExactLp", Recorded)
+        if first_program(patch, lambda: int_cone_intersect(
+                source, target, mode="faithful")) is None:
+            return None
+    gens = [p for p in lattice_points(source) if any(p)]
+    return [g for g, (n, _d) in zip(gens, lps[0].point()) if n]
 
 
 def near_target(rng, gens):
@@ -330,30 +333,47 @@ class TestRelaxation:
                     assert fresh_relaxation(special, target)
                     probes += 1
                 # a support inside k > 0 elements, where the prefilter's
-                # basic points, extreme in the slab, seldom fall
+                # basic points, extreme in the slab, seldom fall: the
+                # prefilter reports this feasible point instead of its own
                 support = rng.sample(inside,
                                      rng.randint(1, min(3, len(inside))))
-                y = [sum(w * p[j] for w, p in zip((1, 2, 3), support))
+                weights = dict(zip(support, (1, 2, 3)))
+                y = [sum(w * p[j] for p, w in weights.items())
                      for j in range(3)]
                 target = box_polytope(y, y)
-                special = first_program(monkeypatch, lambda: (
-                    solver._faithful_search(sset, support, target)))
+
+                class Reported(ExactLp):
+                    def point(self):
+                        return [(weights.get(g, 0), 1) for g in gens]
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "ExactLp", Reported)
+                    special = first_program(patch, lambda: (
+                        int_cone_intersect(slab, target)))
                 assert set(special) <= set(gens)
                 assert fresh_relaxation(special, target)
         assert probes >= 12, probes
 
 
+def recorded_decisions(monkeypatch):
+    """The ``IntConeResult`` of every ``solver._decide`` run from now on,
+    in order."""
+    results = []
+    decide = solver._decide
+
+    def recording(*args, **kwargs):
+        results.append(decide(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_decide", recording)
+    return results
+
+
 def _bin_packing_probes(monkeypatch, sizes, a):
     """Bin packing's probe of a bin count, and its window, as
     ``bin_packing`` builds them; a probe returns the ``IntConeResult``
-    that ``multi_polytope_select`` gets from ``int_cone_intersect``."""
-    results = []
-
-    def recording(*args, **kwargs):
-        results.append(int_cone_intersect(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(solver, "int_cone_intersect", recording)
+    that ``multi_polytope_select`` gets from ``_decide``."""
+    results = recorded_decisions(monkeypatch)
     part = pattern_polytope(sizes, 1, a)
     window = configuration_window([(lattice_points(part), 1)], a)[:2]
 
@@ -552,13 +572,7 @@ class TestCuttingStock:
         # two bin types leave integrality gaps: one gcd step below the
         # optimum the rational prefilter passes, so the faithful lead guess
         # misses and the joint program proves Empty
-        results = []
-
-        def recording(*args, **kwargs):
-            results.append(int_cone_intersect(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(solver, "int_cone_intersect", recording)
+        results = recorded_decisions(monkeypatch)
         types = [(Rat(1), 3), (Rat(1, 2), 2)]
         for sizes, mult, opt in [
                 ([Rat(2, 5), Rat(1, 5), Rat(1, 2)], [4, 5, 3], 14),
@@ -590,8 +604,8 @@ class TestCuttingStock:
 
     @pytest.mark.parametrize("big", [10 ** 5, 10 ** 30])
     def test_large_bin_costs(self, big):
-        # the lifted polytope's cost coordinate ranges over [0, big]; its
-        # lattice comes from the parts, not from that box
+        # the cost row caps the weights at big, but no enumeration box
+        # spans the budget: the parts' lattices are listed on their own
         inst = CuttingStockInstance([Rat(1, 3), Rat(1, 4)], [2, 3],
                                     [(Rat(1), big), (Rat(1, 2), big // 2 + 1)])
         with limit(20_000):
@@ -905,13 +919,7 @@ PAPER_SCALE = 10 ** 30
 ], ids=["binpacking-d2", "binpacking-d3", "cuttingstock-d2",
         "cuttingstock-d3"])
 def test_paper_scale_search_takes_few_probes(inst, count, monkeypatch):
-    probes = []
-
-    def counting(*args, **kwargs):
-        probes.append(args[1])
-        return int_cone_intersect(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "int_cone_intersect", counting)
+    probes = recorded_decisions(monkeypatch)
     solve = bin_packing if isinstance(inst, BinPackingInstance) \
         else cutting_stock
     verify_solution(inst, solve(inst))
@@ -1204,13 +1212,30 @@ class TestMultiPolytopeSelect:
             multi_polytope_select([(singleton_target([1, 1]), 1)],
                                   singleton_target([1]), 1)
 
-    def test_cost_must_be_positive_integer(self):
-        with pytest.raises(InputError):
-            multi_polytope_select([(singleton_target([1]), 0)],
+    def test_cost_must_be_a_non_negative_integer(self):
+        with pytest.raises(InputError, match="must be non-negative"):
+            multi_polytope_select([(singleton_target([1]), -1)],
                                   singleton_target([1]), 1)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be an integer"):
             multi_polytope_select([(singleton_target([1]), Rat(1, 2))],
                                   singleton_target([1]), 1)
+        # a free part is read as select_from_generators reads one
+        res = multi_polytope_select([(singleton_target([1]), 0)],
+                                    singleton_target([3]), 0)
+        assert res.found and res.picks == ((0, (1,), 3),)
+        assert res.total_cost == 0
+
+    @pytest.mark.parametrize("mode", ["faithful", "joint"])
+    def test_free_parts_that_are_not_pointed_are_refused(self, mode):
+        # 0 is a convex combination of the free part's points, so their
+        # weights are unbounded; a cost caps the same points
+        parts = [(segment(-1, 1), 0), (singleton_target([2]), 1)]
+        with pytest.raises(InputError, match="source is not pointed"):
+            multi_polytope_select(parts, singleton_target([3]), 5,
+                                  mode=mode)
+        res = multi_polytope_select([(segment(-1, 1), 1)],
+                                    singleton_target([3]), 5, mode=mode)
+        assert res.found and res.total_cost == 3
 
     def test_negative_budget(self):
         res = multi_polytope_select([(singleton_target([1]), 1)],
@@ -1248,6 +1273,54 @@ class TestMultiPolytopeSelect:
         ray = Polytope([[-1]], [0])  # x >= 0, no upper bound
         with pytest.raises(InputError, match="unbounded in coordinate 0"):
             multi_polytope_select([(empty, 1)], ray, 5)
+
+
+def test_probes_match_the_exact_cover_oracle():
+    # random small down-closed parts, costs 0-3 and demands up to 4: at
+    # every budget up to the window's top, both modes of the decider and
+    # the program over the parts' listed lattices find a selection exactly
+    # when the least exact cover costs no more than the budget; "gap"
+    # counts the windows whose low end, which the LP reaches, is Empty
+    rng = random.Random(48048)
+    seen = dict.fromkeys(["found", "empty", "gap", "free", "d3", "parts3"],
+                         0)
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        a = [rng.randint(0, 4) for _ in range(d)]
+        polys, listed = [], []
+        for _part in range(rng.randint(1, 3)):
+            rows = [[rng.randint(0, 3) for _ in range(d)]
+                    for _ in range(rng.randint(1, 2))]
+            rhs = [rng.randint(1, 6) for _ in rows]
+            poly = geometry.down_closed_polytope(rows, rhs, a)
+            cost = rng.randint(0, 3)
+            polys.append((poly, cost))
+            listed.append((lattice_points(poly), cost))
+        opt = exact_cover_cost([(p, c) for points, c in listed
+                                for p in points], a)
+        if opt is None:
+            with pytest.raises(InfeasibleError):
+                configuration_window(listed, a)
+            continue
+        lo, hi = configuration_window(listed, a)[:2]
+        costs = [c for _poly, c in polys]
+        target = box_polytope(a, a)
+        for v in range(hi + 1):
+            answers = [multi_polytope_select(polys, target, v, mode=mode)
+                       for mode in ("faithful", "joint")]
+            answers.append(select_from_generators(listed, target, v))
+            for res in answers:
+                assert res.found == (opt <= v), (listed, a, v)
+                if res.found:
+                    assert solver._selection(res.picks, costs, v, d) == res
+                    assert target.contains_int(res.target)
+                    assert all(x in listed[i][0] for i, x, _w in res.picks)
+            seen["found" if opt <= v else "empty"] += 1
+        seen["gap"] += lo < opt
+        seen["free"] += 0 in costs
+        seen["d3"] += d == 3
+        seen["parts3"] += len(polys) == 3
+    assert seen.pop("gap") >= 2 and min(seen.values()) >= 50, seen
 
 
 class TestSelectFromGenerators:
@@ -1304,7 +1377,10 @@ class TestSelectFromGenerators:
 
 
 def _seeded_selections():
-    """Thirty small selections, a third through ``multi_polytope_select``."""
+    """Thirty small selections, a third through ``multi_polytope_select``,
+    drawn in turn: ``(entry, call)`` pairs, each call answering ``(found,
+    target, one list of (point, copies) per part, total_cost)``, the form
+    the digests pin."""
     rng = random.Random(20260418)
     out = []
     for k in range(30):
@@ -1316,8 +1392,8 @@ def _seeded_selections():
             parts = [(box_polytope([0] * d,
                                    [rng.randint(1, 3) for _ in range(d)]),
                       rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
-            n = len(parts)
-            res = multi_polytope_select(parts, target, budget)
+            entry = "multi_polytope_select"
+            select = partial(multi_polytope_select, parts)
         else:
             n = rng.randint(1, 3)
             # a shared pool, so groups repeat points at different costs
@@ -1325,100 +1401,59 @@ def _seeded_selections():
                     for _ in range(4)]
             groups = [rng.sample(pool, rng.randint(0, 4)) for _ in range(n)]
             costs = [rng.randint(0, 3) for _ in range(n)]
-            res = select_from_generators(list(zip(groups, costs)), target,
-                                         budget)
-        # one list of (point, copies) per part: the form the digest pins
-        per_part = [[(x, w) for i, x, w in res.picks if i == p]
-                    for p in range(n if res.found else 0)]
-        out.append((res.found, res.target, per_part, res.total_cost))
+            parts = list(zip(groups, costs))
+            entry = "select_from_generators"
+            select = partial(select_from_generators, parts)
+
+        def call(select=select, target=target, budget=budget, n=len(parts)):
+            res = select(target, budget)
+            per_part = [[(x, w) for i, x, w in res.picks if i == p]
+                        for p in range(n if res.found else 0)]
+            return res.found, res.target, per_part, res.total_cost
+        out.append((entry, call))
     return out
 
 
-def _recorded_lifts(monkeypatch):
-    """``(lift, lifted target, number of parts)`` of ten seeded selections,
-    a target that is not a box, six cutting-stock instances and one
-    preemptive assignment.  A closed configuration window, or one that its
-    group decides, answers without a lift, so each cutting stock is also
-    probed at its optimum and one cost step below it, in both modes."""
-    lifts, parts_count = [], []
-    inner, select = solver.int_cone_intersect, solver.multi_polytope_select
-
-    def recording(source, target, **kwargs):
-        lifts.append((source, target, parts_count[-1]))
-        return inner(source, target, **kwargs)
-
-    def counting(parts, *args, **kwargs):
-        parts_count.append(len(parts))
-        return select(parts, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "int_cone_intersect", recording)
-    for module in (solver, sys.modules[__name__]):
-        monkeypatch.setattr(module, "multi_polytope_select", counting)
-    _seeded_selections()
-    assert len(lifts) == 10
-    # a target that is not a box: its own bounds come from an LP
-    corner = Polytope([[1, 1], [-1, 0], [0, -1]], [5, -2, -1])
-    parts = [(box_polytope([0, 0], [2, 1]), 1),
-             (box_polytope([0, 0], [1, 3]), 2)]
-    assert multi_polytope_select(parts, corner, 6).found
-    for sizes, mult, types in [
-            ([Rat(1, 2)], [2], [(Rat(1), 3), (Rat(1, 2), 2)]),
-            ([Rat(1, 3), Rat(1, 4)], [2, 3], [(Rat(1), 5), (Rat(1, 2), 3)]),
-            ([Rat(2, 5), Rat(1, 3)], [3, 2], [(Rat(1), 2), (Rat(2, 3), 1)]),
-            ([Rat(3, 7), Rat(2, 9)], [2, 9], [(Rat(1), 9), (Rat(1, 2), 6)]),
-            ([Rat(1, 2), Rat(1, 4)], [4, 3], [(Rat(1), 1)]),
-            ([Rat(1, 2), Rat(1, 4)], [2, 3], [(Rat(1), 2), (Rat(2, 3), 1)])]:
-        # the probes at the optimum and one step below it, which a solve
-        # leaves out wherever the window or its group decides
-        inst = CuttingStockInstance(sizes, mult, types)
-        mode_verdicts(inst, cutting_stock(inst).objective)
-    preemptive_assign(SchedulingInstance(
-        [[(0, 4, 1), (0, 4, 2)], [(0, 2, 1), (0, 2, 1)]], [2, 2],
-        costs=[3, 2], variant="preemptive"))
-    assert len(lifts) > 15
-    return lifts
-
-
-def test_lifted_targets_seed_their_lp_bounds(monkeypatch):
-    # the target's rows and the spend rows c . s <= budget, s >= 0 of the
-    # selector coordinates share no coordinate, so the bounds seeded side
-    # by side are the lifted target's LP bounds
-    for _lift, t, _n in _recorded_lifts(monkeypatch):
-        assert t._bounds is not None
-        assert t._bounds == coordinate_bounds(Polytope(t.A, t.b))
-
-
-def test_lifts_seed_their_lattice(monkeypatch):
-    # the seeded lattice is the lift's own, one selector on per point, so
-    # the rows the lift leaves out were implied
-    for lift, _t, n in _recorded_lifts(monkeypatch):
-        assert lift._lattice == lattice_points(Polytope(lift.A, lift.b))
-        for point in lift._lattice:
-            assert sorted(point[-n:]) == [0] * (n - 1) + [1]
-
-
-def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
-    # Bland's rule pivots by row index, so the integer programs are pinned
-    # row for row, and the witnesses they yield with them.
+def _selection_programs(monkeypatch, entry):
+    """The answers of the seeded selections through ``entry``, and the
+    integer programs they run, recorded as tuples of ints with one bound
+    per variable, None if missing."""
     programs = []
 
     def recording(rows, rhs, lo=None, hi=None):
-        # recorded as tuples of ints, one bound per variable, None if missing
         n = len(rows[0])
         programs.append((tuple(map(tuple, rows)), tuple(rhs),
                          tuple(lo or [None] * n), tuple(hi or [None] * n)))
         return ilp_feasible(rows, rhs, lo=lo, hi=hi)
 
     monkeypatch.setattr(solver, "ilp_feasible", recording)
-    results = _seeded_selections()
-    assert sum(found for found, *_ in results) == 18
-    assert len(programs) == 22
+    results = [call() for name, call in _seeded_selections() if name == entry]
+    return results, programs
 
-    def digest(value):
-        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
-    assert digest(programs) == "8bb6231970bae47f"
-    assert digest(results) == "8996edaccfd0b940"
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_selection_programs_and_witnesses_are_pinned(monkeypatch):
+    # Bland's rule pivots by row index, so the integer programs are pinned
+    # row for row, and the witnesses they yield with them.
+    results, programs = _selection_programs(monkeypatch,
+                                            "select_from_generators")
+    assert len(results) == 20 and sum(res[0] for res in results) == 11
+    assert len(programs) == 14
+    assert _digest(programs) == "699e56e5f611bb7e"
+    assert _digest(results) == "3958c05dbbf52c72"
+
+
+def test_part_programs_and_witnesses_are_pinned(monkeypatch):
+    # one group per part, each normalized on its own structure set
+    results, programs = _selection_programs(monkeypatch,
+                                            "multi_polytope_select")
+    assert len(results) == 10 and sum(res[0] for res in results) == 7
+    assert len(programs) == 8
+    assert _digest(programs) == "3cb6d2263ceebfd5"
+    assert _digest(results) == "800156996c99655b"
 
 
 class TestVerifySolution:
