@@ -5,6 +5,9 @@ cross-check solvers against the brute-force oracles.
 or an assignment against ``oracle.exact_cover_cost`` over the vectors
 within the demand that one bin or machine of each type holds, at that
 type's cost, and a tardy penalty against ``oracle.tardy_exhaustive``.
+A preemptive machine type's part, the EDF rows that the solver keeps
+(``scheduling._edf_rows``) clipped to the demand, is checked against
+``edf_simulate`` over small boxes.
 
 Exit codes: 0 solved / all checks pass, 1 infeasible, 2 parse or usage
 error, 3 resource budget exceeded, 4 solver/oracle disagreement or
@@ -23,16 +26,18 @@ from itertools import product
 from .budget import limit
 from .errors import (InfeasibleError, InputError, InternalError,
                      ResourceError)
-from .geometry import (Polytope, extreme_points, integer_hull_vertices,
-                       lattice_points, parallelepiped_cover)
+from . import scheduling
+from .geometry import (Polytope, down_closed_polytope, extreme_points,
+                       integer_hull_vertices, lattice_points,
+                       parallelepiped_cover)
 from .oracle import (BP_BRUTE_ITEM_CAP, _patterns_within, cover_verify,
                      exact_cover_cost, fractional_opt,
                      nonpreemptive_brute_counts, tardy_exhaustive)
 from .rational import Rat, rat_ceil
-from .scheduling import (SchedulingInstance, build_edf_polytope,
-                         edf_simulate, nonpreemptive_assign,
-                         nonpreemptive_completable, preemptive_assign,
-                         tardy_min_penalty, validate_nonpreemptive_schedule,
+from .scheduling import (SchedulingInstance, edf_simulate,
+                         nonpreemptive_assign, nonpreemptive_completable,
+                         preemptive_assign, tardy_min_penalty,
+                         validate_nonpreemptive_schedule,
                          validate_preemptive_schedule)
 from .solver import (BinPackingInstance, CuttingStockInstance, cutting_stock,
                      verify_solution)
@@ -403,10 +408,13 @@ def _verify_assignment(report, inst, sol, validate, schedulable):
 def _verify_scheduling(inst, mode, report):
     if inst.variant in ("assignment", "preemptive"):
         for i in range(inst.m):
-            poly = build_edf_polytope(inst, i)
+            # the part the solver probes: the EDF rows it keeps, looked up
+            # when verify runs, clipped to the demand
+            part = down_closed_polytope(*scheduling._edf_rows(inst, i),
+                                        inst.multiplicities)
             bad = 0
             for x in _schedule_boxes(inst, 3, 6):
-                if poly.contains_int(x) != edf_simulate(x, inst, i).feasible:
+                if part.contains_int(x) != edf_simulate(x, inst, i).feasible:
                     bad += 1
             report.add(f"EDF polytope matches simulator (machine type {i})",
                        bad == 0, f"{bad} disagreements")

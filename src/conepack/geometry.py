@@ -13,7 +13,8 @@ top of it:
   so only the other rows are tested, and the last depth's intervals are
   kept beside the points as column runs.  A down-closed polytope's
   points are listed from its load rows and exact box alone
-  (``down_closed_lattice``), with no polytope built.  No other module
+  (``down_closed_lattice``), with no polytope built; it reads them
+  through ``rational.integer``, as ``Polytope`` does.  No other module
   touches a polytope's cached lattice, runs or bounds, and only
   ``lattice_points`` caches a lattice, always with its runs,
 * exact convex-hull machinery in any small dimension over column runs
@@ -165,15 +166,22 @@ class _Frame:
 # polytopes
 
 
+def _integer_rows(rows, rhs) -> tuple:
+    """``(rows, rhs)`` as a list of int tuples and a tuple of ints, each
+    value read through ``rational.integer``; ``InputError`` when their
+    lengths differ."""
+    if len(rows) != len(rhs):
+        raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
+    return ([tuple(integer(v, "constraint coefficient") for v in row)
+             for row in rows],
+            tuple(integer(v, "right-hand side") for v in rhs))
+
+
 class Polytope:
     """``{x in R^d : A x <= b}`` with integer coefficient rows."""
 
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
-        if len(rows) != len(rhs):
-            raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
-        self.A = [tuple(integer(v, "constraint coefficient") for v in row)
-                  for row in rows]
-        self.b = tuple(integer(v, "right-hand side") for v in rhs)
+        self.A, self.b = _integer_rows(rows, rhs)
         if self.A:
             d = len(self.A[0])
             if any(len(r) != d for r in self.A):
@@ -438,11 +446,16 @@ def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     """The points that ``lattice_points(down_closed_polytope(rows, rhs,
     box))`` lists, with no polytope built.
 
-    The same non-negativity checks raise ``InternalError``.  The box is the
-    polytope's exact integer box, ``min(box_j, b_i // a_ij)`` over the rows
-    with ``a_ij > 0``, so the same ``DEFAULT_LATTICE_BUDGET`` cap applies
-    to it, and the search tests the load rows alone.
+    The rows, right-hand sides and box are read through
+    ``rational.integer``, as ``Polytope`` reads them, and the same shape
+    and non-negativity checks raise ``InputError`` and ``InternalError``.
+    The box is the polytope's exact integer box, ``min(box_j, b_i //
+    a_ij)`` over the rows with ``a_ij > 0``, so the same
+    ``DEFAULT_LATTICE_BUDGET`` cap applies to it, and the search tests the
+    load rows alone.
     """
+    rows, rhs = _integer_rows(rows, rhs)
+    box = [integer(v, "box side") for v in box]
     top = [b // c for b, c in _least_ratios(rows, rhs, box)]
     _check_budget(math.prod(v + 1 for v in top))
     return _interval_search([(0, v) for v in top], list(zip(rows, rhs)))[0]

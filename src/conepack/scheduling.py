@@ -26,8 +26,9 @@ the parts' polytopes, a non-preemptive one a
 (machine counts fixed, pay per dropped job copy) covers the demand and
 the machine counts together: each machine's vector carries a marker of
 its type at cost 0, and each dropped copy is a unit point at its penalty.
-The cycle programs go to ``ilp_feasible`` as their rows and bounds.  All
-returned schedules are re-validated from scratch.
+The cycle programs go to ``ilp_feasible`` as their rows and bounds, and
+a cycle certificate's entries are read back through ``rational.integer``.
+All returned schedules are re-validated from scratch.
 """
 
 from __future__ import annotations
@@ -560,9 +561,11 @@ def extract_cyclic_schedule(aux: Sequence[int], inst: SchedulingInstance,
     ``CycleLayout(d, C).dim`` for some C >= 1.  Each cycle runs its copies
     in type order, dummy first; real copies become (job_type, copy, start,
     end) entries.  Cycle boundaries are cross-checked against the tau
-    variables.
+    variables.  Each entry is read through ``rational.integer``, so a
+    non-integral one raises ``InputError`` naming it.
     """
     d = inst.d
+    aux = _integers(aux, "auxiliary entry")
     cycles, rest = divmod(len(aux) - d - 1, 2 * d + 2)
     if cycles < 1 or rest:
         raise InputError(f"auxiliary vector of length {len(aux)} fits no "

@@ -19,11 +19,14 @@ has two modes:
   witness of exactly this shape: normalizing one group's weights keeps
   their sum and their count, and so their cost.
 
-Every integer program here is written as its rows by
-``_run_combination_ilp``, over ``(group, point)`` columns, and solved by
-``ilp_feasible``.  A witness combination is one ``{point: weight}`` dict
-per group, from the integer program's weights through
-``normalize_combination`` to ``IntConeResult.combination`` or the picks.
+Every combination program here comes after one screen, ``_screen``:
+the early answers (an empty target, a negative budget, a target holding
+the origin, no non-zero point), the prefilter LP and the pointedness
+check.  It is written as its rows by ``_run_combination_ilp``, over
+``(group, point)`` columns, and solved by ``ilp_feasible``.  A witness
+combination is one ``{point: weight}`` dict per group, from the integer
+program's weights through ``normalize_combination`` to
+``IntConeResult.combination`` or the picks.
 
 Bin packing is cutting stock with the one bin type ``(1, 1)``.  Every
 optimiser, here and in ``scheduling``, is one ``cheapest_cover`` call:
@@ -32,7 +35,10 @@ assignments and the tardy penalty.  A selection is its ``(part, point,
 copies)`` picks; ``multi_polytope_select`` finds one over candidate
 polytopes, and ``select_from_generators`` one over listed ``(points,
 cost)`` parts, the parts ``configuration_window`` takes, with one
-program that shares the decider's writer and decoder.
+program after the decider's screen, by the decider's writer and decoder.
+``_listed`` is the one reader of listed parts: every point goes through
+``rational.integer`` into a tuple of ints, at the window and at every
+``select_from_generators`` probe.
 ``cheapest_cover`` bisects with ``least_feasible``, the one bisection,
 over the multiples of the costs' gcd inside the window of their
 configuration LP, ``configuration_window``, which solves that LP by its
@@ -208,27 +214,37 @@ def least_feasible(probe, lo: int, hi: int, cost):
     return best, hi
 
 
-def _pairs(parts: Sequence) -> list:
-    """The parts as ``(points, cost)`` pairs, or ``(Polytope, cost)``;
-    ``InputError`` names the first part that is not a pair."""
+def _costed(parts: Sequence) -> list:
+    """The parts as ``(points, cost)`` pairs, or ``(Polytope, cost)``, with
+    each cost read through ``rational.integer``; InputError names the first
+    part that is not a pair, and refuses a negative cost."""
     out = []
     for i, part in enumerate(parts):
         try:
             first, cost = part
         except (TypeError, ValueError):
             raise InputError(f"part {i} is not a pair") from None
-        out.append((first, cost))
+        out.append((first, integer(cost, "part cost")))
+    if any(c < 0 for _first, c in out):
+        raise InputError("part costs must be non-negative")
     return out
 
 
-def _costed(parts: Sequence) -> list:
-    """The ``(points, cost)`` parts with each cost read through
-    ``rational.integer``; InputError names a part that is not a pair, and
-    refuses a negative cost."""
-    parts = [(points, integer(c, "part cost")) for points, c in _pairs(parts)]
-    if any(c < 0 for _points, c in parts):
-        raise InputError("part costs must be non-negative")
-    return parts
+def _listed(parts: Sequence, d: int) -> list:
+    """The listed ``(points, cost)`` parts as ``_costed`` reads them, each
+    point read through ``rational.integer`` into a tuple of ``d`` ints: the
+    one reader of listed parts.  InputError names the part of a point that
+    is not integral or whose length is not ``d``."""
+    out = []
+    for i, (points, cost) in enumerate(_costed(parts)):
+        what = f"part {i} coordinate"
+        points = [tuple(integer(v, what) for v in p) for p in points]
+        for p in points:
+            if len(p) != d:
+                raise InputError(f"point {p} of part {i} has {len(p)} "
+                                 f"coordinates, not {d}")
+        out.append((points, cost))
+    return out
 
 
 def _cost_gcd(parts: Sequence) -> int:
@@ -284,25 +300,23 @@ def configuration_window(parts: Sequence, a: Sequence[int]) -> tuple:
     above, the columns and the demanded types, from which ``_group_bound``
     raises ``lo`` without a probe.
 
-    The demand and the costs are read through ``rational.integer``, and a
-    negative one raises InputError naming its field (multiplicities or
-    part costs).  A part that is not a pair, or that holds a point whose
-    length is not the demand's or that has a negative entry, raises
-    InputError naming its index.  A demanded coordinate that no point
-    covers raises InfeasibleError naming it.  Zero demand gives the window ``(0, 0, [])`` and an empty
-    basis with D = 1.
+    The demand is read through ``rational.integer`` and the parts through
+    ``_listed``, and a negative demand or cost raises InputError naming its
+    field (multiplicities or part costs), as does a point with a negative
+    entry, naming its part.  A demanded coordinate that no point covers
+    raises InfeasibleError naming it.  Zero demand gives the window ``(0,
+    0, [])`` and an empty basis with D = 1.
     """
     a = _multiplicities(a)
-    parts = _costed(parts)
+    parts = _listed(parts, len(a))
     rows = [j for j, aj in enumerate(a) if aj]
     idle = [j for j, aj in enumerate(a) if not aj]
-    d = len(a)
     columns = []
     for i, (points, _c) in enumerate(parts):
         for p in points:
-            if len(p) != d or min(p, default=0) < 0:
-                raise InputError(f"point {tuple(p)} of part {i} is not {d} "
-                                 f"non-negative counts")
+            if min(p, default=0) < 0:
+                raise InputError(f"point {p} of part {i} has a negative "
+                                 f"count")
             if any(p) and not any(p[j] for j in idle):
                 columns.append((i, p))
     qs = ([tuple(p[j] for j in rows) for _i, p in columns] if idle
@@ -487,9 +501,9 @@ def cheapest_cover(a: Sequence[int], parts: Sequence, select):
     answers with no probe.  Otherwise ``select`` runs only below ``hi``,
     on one target ``box_polytope(a, a)`` that a window still open builds
     for the request: ``least_feasible`` bisects over the budgets ``v * g``
-    inside the raised window.  Zero demand
-    returns the empty selection at cost 0.  The costs are read as the
-    window reads them.  InternalError when a check fails.
+    inside the raised window.  Zero demand returns the empty selection at
+    cost 0.  The window reads the parts, so a malformed one raises
+    InputError before any probe.  InternalError when a check fails.
     """
     parts = _costed(parts)
     lo, hi, cover, basis = configuration_window(parts, a)
@@ -578,9 +592,10 @@ def _run_combination_ilp(tagged, target, cap, hi=None):
     order of ``tagged``; None when it is infeasible.  ``hi`` bounds the
     weights one by one, None leaving a weight unbounded above.
 
-    Every weight is bounded, as ``ilp_feasible`` needs: the callers refuse
-    unbounded targets and generators that are not pointed unless a cost
-    caps them, and a bounded target bounds pointed weights (Gordan).
+    Every weight is bounded, as ``ilp_feasible`` needs: each caller runs
+    ``_screen`` first, which refuses unbounded targets and points that are
+    not pointed unless a cost caps them, and a bounded target bounds
+    pointed weights (Gordan).
     """
     rows, rhs = _combination_rows(tagged, target, cap)
     res = ilp_feasible(rows, rhs, lo=[0] * len(tagged), hi=hi)
@@ -593,6 +608,45 @@ def _run_combination_ilp(tagged, target, cap, hi=None):
 # the intersection solver
 
 
+def _screen(tagged, target, cap):
+    """The answers that come before every combination program, in order,
+    and the program's columns: ``(columns, prefilter)``, or None for
+    Empty.
+
+    An empty target or a negative budget in the ``cap = (costs, budget)``
+    row answers Empty before ``tagged``, which iterates ``(group, point)``
+    pairs, is read.  Its non-zero points are the columns.  A target that
+    holds the origin answers the empty combination, ``([], None)``, and no
+    column answers Empty.  One LP over non-negative rational weights on
+    the columns, with the cap row, is a prefilter: when it is infeasible
+    the answer is Empty.  Then the points that no cost caps (every point
+    without a cap, else those of zero-cost groups) must be pointed: when 0
+    is a convex combination of them their weights are unbounded (Gordan),
+    and ``InputError`` says the source is not pointed.  A bounded target
+    bounds the weights of pointed points, so every program the caller runs
+    next is bounded.
+    """
+    if integer_box(target) is None or cap is not None and cap[1] < 0:
+        return None
+    tagged = [(g, p) for g, p in tagged if any(p)]
+    d = target.dim
+    if target.contains_int((0,) * d):
+        return [], None
+    if not tagged:
+        return None
+    rows, rhs = _combination_rows(tagged, target, cap)
+    prefilter = ExactLp(rows, rhs, lo=[0] * len(tagged))
+    if not prefilter.find_feasible():
+        return None
+    free = [p for g, p in tagged if cap is None or not cap[0][g]]
+    if free and in_convex_hull((0,) * d, free):
+        raise InputError(
+            "the source is not pointed: 0 is a convex combination of its "
+            "non-zero points that no cost caps, so the combination weights "
+            "are unbounded")
+    return tagged, prefilter
+
+
 def _decide(polys, target, cap, mode: str) -> IntConeResult:
     """The one decider of the probes over polytopes, in the modes the
     module describes: is some non-negative integer combination of the
@@ -600,17 +654,10 @@ def _decide(polys, target, cap, mode: str) -> IntConeResult:
     (costs, budget)`` row when one is given?
 
     Returns an ``IntConeResult`` whose ``combination`` lists one
-    normalized ``{point: weight}`` dict per group of ``polys``.  An empty
-    target or a negative budget answers Empty, and a target holding the
-    origin the empty combination, after every group's lattice is listed.
-
-    One LP over non-negative rational weights on every ``(group, point)``
-    is a prefilter: when it is infeasible the answer is Empty without an
-    integer program.  Then the uncapped points (every point without a
-    cap, else those of zero-cost groups) must be pointed: when 0 is a
-    convex combination of them their weights are unbounded (Gordan), and
-    ``InputError`` says the source is not pointed.  Each group then gets
-    its own ``compute_structure_set``, in the target's dimension.
+    normalized ``{point: weight}`` dict per group of ``polys``.  The
+    ``_screen`` over every group's lattice answers first; the lattices are
+    listed only once the target's box is read.  Each group then gets its
+    own ``compute_structure_set``, in the target's dimension.
 
     The lead guess is the cover elements that hold the prefilter's
     support.  Each support point is a convex combination of its element's
@@ -623,24 +670,13 @@ def _decide(polys, target, cap, mode: str) -> IntConeResult:
     group.
     """
     d = target.dim
-    if integer_box(target) is None or cap is not None and cap[1] < 0:
+    screen = _screen(((g, p) for g, poly in enumerate(polys)
+                      for p in lattice_points(poly)), target, cap)
+    if screen is None:
         return IntConeResult(False, None, None, mode, 0)
-    tagged = [(g, p) for g, poly in enumerate(polys)
-              for p in lattice_points(poly) if any(p)]
-    if target.contains_int((0,) * d):
-        return IntConeResult(True, (0,) * d, [{} for _ in polys], mode, 0)
+    tagged, prefilter = screen
     if not tagged:
-        return IntConeResult(False, None, None, mode, 0)
-    rows, rhs = _combination_rows(tagged, target, cap)
-    prefilter = ExactLp(rows, rhs, lo=[0] * len(tagged))
-    if not prefilter.find_feasible():
-        return IntConeResult(False, None, None, mode, 0)
-    free = [p for g, p in tagged if cap is None or not cap[0][g]]
-    if free and in_convex_hull((0,) * d, free):
-        raise InputError(
-            "the source is not pointed: 0 is a convex combination of its "
-            "non-zero lattice points that no cost caps, so the combination "
-            "weights are unbounded")
+        return IntConeResult(True, (0,) * d, [{} for _ in polys], mode, 0)
     ssets = [compute_structure_set(poly) for poly in polys]
     guesses, picks, mode_used = 0, None, "joint"
     if mode == "faithful":
@@ -753,51 +789,25 @@ def select_from_generators(parts: Sequence, target: Polytope,
     an integer point in the target's dimension (already projected from
     whatever auxiliary space defined it), a copy of a point of part i
     costs ``c_i``, and the weighted sum must land in the target with total
-    cost at most ``budget``.  A part that is not a pair raises
-    ``InputError`` naming its index.  Every part and the budget are read
-    before anything is answered.  One joint integer program decides: the
-    combination program over all generators, capped by their costs.
-
-    The cap bounds the weights of generators that cost something.  The
-    zero-cost parts' non-zero generators must be pointed: when 0 is in
-    their convex hull, their weights are unbounded, and a program that
-    cannot be bounded raises ``InputError`` naming them, not the target.
+    cost at most ``budget``.  Every part is read by ``_listed`` and the
+    budget through ``rational.integer`` before anything is answered.  The
+    ``_screen`` that ``_decide`` runs answers first, over every ``(part,
+    point)`` column with the cost row, and so refuses zero-cost points
+    that are not pointed; then one joint integer program decides.
     """
     d = target.dim
-    costs = []
-    tagged = []
-    for i, (points, cost) in enumerate(_pairs(parts)):
-        cost = integer(cost, "cost")
-        if cost < 0:
-            raise InputError(f"cost {cost!r} must be a non-negative integer")
-        costs.append(cost)
-        for g in points:
-            pt = tuple(integer(v, "generator coordinate") for v in g)
-            if len(pt) != d:
-                raise InputError("generator dimension mismatch")
-            if any(pt):  # the zero point contributes nothing
-                tagged.append((i, pt))
-    budget = integer(budget, "budget")
-    if integer_box(target) is None or budget < 0:
+    parts = _listed(parts, d)
+    costs = [c for _points, c in parts]
+    cap = costs, integer(budget, "budget")
+    screen = _screen(((i, p) for i, (points, _c) in enumerate(parts)
+                      for p in points), target, cap)
+    if screen is None:
         return SelectResult(False, None)
-    if not tagged:
-        # the empty sum is the only reachable point
-        if target.contains_int((0,) * d):
-            return _selection([], costs, budget, d)
-        return SelectResult(False, None)
-    try:
-        picks = _run_combination_ilp(tagged, target, (costs, budget))
-    except InputError as exc:
-        free = [pt for i, pt in tagged if costs[i] == 0]
-        if free and in_convex_hull((0,) * d, free):
-            raise InputError(
-                "the zero-cost generators are not pointed: 0 is a convex "
-                "combination of the non-zero generators of the zero-cost "
-                "parts, so the combination weights are unbounded") from exc
-        raise
+    tagged, _prefilter = screen
+    picks = _run_combination_ilp(tagged, target, cap) if tagged else []
     if picks is None:
         return SelectResult(False, None)
-    res = _selection(picks, costs, budget, d)
+    res = _selection(picks, costs, cap[1], d)
     if not target.contains_int(res.target):
         raise InternalError("selection misses the target")
     return res

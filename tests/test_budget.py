@@ -2,7 +2,7 @@
 
 import pytest
 
-from conepack import budget, solver
+from conepack import budget, exactmath, ilp, solver
 from conepack.budget import limit
 from conepack.errors import ResourceError
 from conepack.exactmath import ExactLp
@@ -89,3 +89,29 @@ def test_no_limit_outside_the_block():
     with pytest.raises(ResourceError), limit(0):
         bin_packing(inst)
     assert bin_packing(inst).objective == 2
+
+
+# the caps that hold for one call without a limit, each patched to the
+# work its call needs and to one unit less: a tableau's pivots, and the
+# nodes of one branch and bound, whose sum is odd so no node is integral
+PER_CALL_CAPS = [
+    ("pivots", exactmath, "DEFAULT_PIVOT_BUDGET", 2, "simplex pivot budget",
+     lambda: ExactLp([[-1, -1], [1, -2]], [-3, 0], lo=[0, 0]).find_feasible()),
+    ("nodes", ilp, "DEFAULT_NODE_BUDGET", 11, "ilp node budget",
+     lambda: ilp.ilp_feasible([[2, 2, 2], [-2, -2, -2]], [3, -3],
+                              lo=[0] * 3, hi=[1] * 3).nodes),
+]
+
+
+@pytest.mark.parametrize("module,name,needs,budget_name,call",
+                         [case[1:] for case in PER_CALL_CAPS],
+                         ids=[case[0] for case in PER_CALL_CAPS])
+def test_a_per_call_cap_stops_its_call(monkeypatch, module, name, needs,
+                                       budget_name, call):
+    monkeypatch.setattr(module, name, needs)
+    assert call()
+    monkeypatch.setattr(module, name, needs - 1)
+    with pytest.raises(ResourceError) as err:
+        call()
+    assert err.value.budget_name == budget_name
+    assert err.value.limit == needs - 1

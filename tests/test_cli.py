@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conepack import cli
+from conepack import cli, scheduling
 from conepack.errors import InputError
 from conepack.geometry import Polytope
 from conepack.scheduling import ScheduleSolution
@@ -557,6 +557,25 @@ class TestVerify:
         assert rc == 4
         assert "hull equals the hull of the lattice: FAIL" in out
         assert "parallelepiped cover verifies: OK" in out
+
+    def test_a_tighter_edf_row_exits_4(self, tmp_path, capsys, monkeypatch):
+        # an extra row x0 <= 1 keeps the optimum, two machines of (1, 1),
+        # but cuts (2, 0), which the simulator schedules: verify reads the
+        # rows the solver probes, not the polytope beside them
+        rows_of = scheduling._edf_rows
+
+        def tighter(inst, i):
+            rows, rhs = rows_of(inst, i)
+            return rows + [(1, 0)], rhs + [1]
+
+        monkeypatch.setattr(scheduling, "_edf_rows", tighter)
+        text = "scheduling\n2 1 preemptive\n0 0 0 2 1\n0 1 0 2 1\n2 2\n1\n"
+        rc, out, _ = run_cli(capsys, "verify", write(tmp_path, "i.txt", text))
+        assert rc == 4
+        assert ("EDF polytope matches simulator (machine type 0): FAIL "
+                "(1 disagreements)") in out
+        assert "objective equals brute force: OK (solver=2 oracle=2)" in out
+        assert out.count("FAIL") == 1
 
     def test_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
         """A lying oracle must surface as exit code 4, not 0."""

@@ -4,8 +4,12 @@ Each entry point that needs integers reads them through
 ``rational.integer``: a non-integral value raises an ``InputError`` that
 names its field, and an integral rational or float answers as its int
 twin does.  A work budget is read so too, and a negative one refused.
-Every other value an instance class, a polytope or a selection refuses
-raises an ``InputError`` that names its field.
+A listed part's points are read by one reader at the configuration
+window, the covering search and every probe over them, so a malformed
+point is refused alike at all three, naming its part.
+Every other value an instance class, a polytope, a selection, the exact
+LP, an objective of another variant or the oracle refuses raises an
+``InputError`` that names its field.
 Every scheduling entry point reads a machine type and a job vector
 through the scheduling module's two readers, so a machine type outside
 0..m-1 or a job vector of the wrong length or with a negative count is
@@ -21,15 +25,18 @@ import pytest
 
 from conepack import budget, oracle
 from conepack.errors import InputError, InternalError
+from conepack.exactmath import ExactLp, solve_linear_system
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
-                               extreme_points, in_convex_hull, lattice_points,
+                               down_closed_lattice, extreme_points,
+                               in_convex_hull, lattice_points,
                                slack_interval_index)
 from conepack.ilp import ilp_feasible
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
                                  extract_cyclic_schedule,
-                                 nonpreemptive_completable,
-                                 schedulable_vectors,
+                                 nonpreemptive_assign,
+                                 nonpreemptive_completable, preemptive_assign,
+                                 schedulable_vectors, tardy_min_penalty,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 from conepack.solver import (CuttingStockInstance, cheapest_cover,
@@ -70,13 +77,18 @@ NON_INTEGRAL = [
      lambda: lattice_points(Polytope([[1], [-1]], [-HALF, 0]))),
     ("polytope-row", "constraint coefficient",
      lambda: Polytope([[HALF], [-1]], [1, 0])),
+    # as down_closed_polytope reads the same rows through Polytope
+    ("down-closed-row", "constraint coefficient",
+     lambda: down_closed_lattice([[HALF]], [3], [10])),
+    ("down-closed-rhs", "right-hand side",
+     lambda: down_closed_lattice([[1]], [2.5], [10])),
     ("ilp-rhs", "right-hand side",
      lambda: ilp_feasible([[1], [-1]], [HALF, -HALF], lo=[0], hi=[3])),
     ("ilp-row", "constraint coefficient",
      lambda: ilp_feasible([[THREE_HALVES]], [3], lo=[0], hi=[3])),
     ("ilp-bound", "variable bound",
      lambda: ilp_feasible([[1]], [3], lo=[HALF], hi=[3])),
-    ("generator", "generator coordinate",
+    ("generator", "part 0 coordinate",
      lambda: select_from_generators([([(THREE_HALVES,)], 1)],
                                     box_polytope([1], [1]), 5)),
     ("combination-point", "point coordinate",
@@ -103,6 +115,11 @@ NON_INTEGRAL = [
     ("validate-nonpreemptive", "job count",
      lambda: validate_nonpreemptive_schedule(one_job(), 0, [THREE_HALVES],
                                              ())),
+    # the certificate's first copy count, of the dummy type, made 1/2
+    ("extract-cyclic", "auxiliary entry",
+     lambda: extract_cyclic_schedule(
+         certificate()[:6] + (HALF,) + certificate()[7:],
+         two_machine_types(), 0)),
     ("bp-brute-force", "multiplicity",
      lambda: oracle.bp_brute_force([HALF], [THREE_HALVES])),
     ("fractional-opt", "multiplicity",
@@ -166,8 +183,8 @@ def tardy(counts=(1,), penalties=(1,), windows=((0, 4, 1),)):
                               penalties=penalties)
 
 
-# a value an instance class, a polytope or a selection refuses, and the
-# field its error names
+# a value an instance class, a polytope, a selection, the exact LP, an
+# objective or the oracle refuses, and the field its error names
 BAD_VALUES = [
     ("no-machine-type", "machine type",
      lambda: SchedulingInstance([], [1], costs=[1])),
@@ -199,7 +216,7 @@ BAD_VALUES = [
      lambda: Polytope([[1], [-1, 0]], [1, 0])),
     ("no-column", "dimension", lambda: Polytope([[]], [1])),
     ("no-row", "constraint row", lambda: Polytope([], [])),
-    ("generator-dimension", "generator dimension",
+    ("generator-dimension", r"point \(1, 1\) of part 0",
      lambda: select_from_generators([([(1, 1)], 1)], box_polytope([1], [1]),
                                     5)),
     ("no-part", "part",
@@ -217,6 +234,50 @@ BAD_VALUES = [
      lambda: configuration_window([([(1,), (1, 0)], 1)], [2])),
     ("window-negative-point", r"point \(2, -1\) of part 0",
      lambda: configuration_window([([(1, 0), (0, 1), (2, -1)], 1)], [2, 1])),
+    # the shape checks of the exact LP and the linear solver
+    ("system-rhs", "rhs", lambda: solve_linear_system([[1], [2]], [1])),
+    ("system-ragged", "ragged matrix",
+     lambda: solve_linear_system([[1, 2], [1]], [1, 2])),
+    ("lp-senses-length", "senses length",
+     lambda: ExactLp([[1]], [1], senses=["<=", "<="])),
+    ("lp-unknown-sense", "row sense",
+     lambda: ExactLp([[1]], [1], senses=[">="])),
+    ("lp-variable-index", "variable index",
+     lambda: ExactLp([[1]], [1]).set_var_bounds(1, 0, 1)),
+    ("lp-objective-sense", "sense",
+     lambda: ExactLp([[1]], [1]).optimize([1], "up")),
+    ("lp-objective-length", "objective length",
+     lambda: ExactLp([[1]], [1]).optimize([1, 1])),
+    # a point, a direction or a combination of another dimension
+    ("contains-dimension", "point has dim",
+     lambda: box_polytope([0], [1]).contains_int((0, 0))),
+    ("direction-dimension", "direction dimension",
+     lambda: Parallelepiped((0, 0), [(1,)])),
+    ("normalize-dimension", "combination dim",
+     lambda: normalize_combination({(1, 1): 1}, segment_sset())),
+    # an objective on an instance of another variant
+    ("preemptive-on-tardy", "machine costs",
+     lambda: preemptive_assign(tardy())),
+    ("nonpreemptive-on-tardy", "machine costs",
+     lambda: nonpreemptive_assign(tardy())),
+    ("tardy-on-assignment", "machine counts",
+     lambda: tardy_min_penalty(one_job())),
+    # the oracle's guards
+    ("bp-brute-force-lengths", "multiplicities",
+     lambda: oracle.bp_brute_force([HALF], [1, 1])),
+    ("bp-brute-force-size", "sizes", lambda: oracle.bp_brute_force([0], [1])),
+    ("bp-brute-force-negative", "multiplicities",
+     lambda: oracle.bp_brute_force([HALF], [-1])),
+    ("fractional-opt-size", "sizes", lambda: oracle.fractional_opt([0], [1])),
+    ("fractional-opt-oversized", "fractional relaxation",
+     lambda: oracle.fractional_opt([2], [1])),
+    ("int-cone-brute-dimension", "generator dimension",
+     lambda: oracle.int_cone_brute([(1, 1)], box_polytope([1], [1]),
+                                   [(0, 3)])),
+    ("brute-schedule-window", r"job \(0, 5, 1\) is out of range",
+     lambda: oracle.nonpreemptive_brute([(0, 5, 1)], 4)),
+    ("cover-verify-unbounded", "unbounded polytope",
+     lambda: oracle.cover_verify(Polytope([[-1]], [0]), [])),
 ]
 
 
@@ -237,12 +298,12 @@ EMPTY_TARGET = Polytope([[1], [-1]], [0, -1])  # 1 <= x <= 0
 # a negative budget or an empty target has no selection, but the parts are
 # read before that is answered
 READ_FIRST = [
-    ("text-cost", "^cost 'x' is text, not an integer$",
+    ("text-cost", "^part cost 'x' is text, not an integer$",
      lambda: select_from_generators([([(1,)], "x")], box_polytope([1], [1]),
                                     -1)),
-    ("negative-cost", "^cost -5 must be a non-negative integer$",
+    ("negative-cost", "^part costs must be non-negative$",
      lambda: select_from_generators([([(1,)], -5)], EMPTY_TARGET, 5)),
-    ("text-coordinate", "^generator coordinate 'a' is text, not an integer$",
+    ("text-coordinate", "^part 0 coordinate 'a' is text, not an integer$",
      lambda: select_from_generators([([("a",)], 1)], EMPTY_TARGET, -1)),
 ]
 
@@ -275,6 +336,36 @@ def test_a_part_that_is_not_a_pair_is_an_input_error(call):
         call()
 
 
+# a listed part's points are read by one reader at the window and at every
+# probe: each malformed point is refused naming its part, where a covering
+# search used to pick two copies of (5/2,), answer in floats, raise an
+# InternalError or a bare TypeError
+MALFORMED_POINTS = [
+    ("five-halves", [(Fraction(5, 2),), (1,)],
+     "^part 0 coordinate 5/2 must be an integer$"),
+    ("float", [(2.5,), (1,)], "^part 0 coordinate 2.5 must be an integer$"),
+    ("half", [(HALF,)], "^part 0 coordinate 1/2 must be an integer$"),
+    ("text", [("1",)], "^part 0 coordinate '1' is text, not an integer$"),
+]
+LISTED_ENTRIES = [
+    ("cover", lambda parts: cheapest_cover(
+        [5], parts, partial(select_from_generators, parts))),
+    ("window", lambda parts: configuration_window(parts, [5])),
+    ("select", lambda parts: select_from_generators(
+        parts, box_polytope([5], [5]), 5)),
+]
+
+
+@pytest.mark.parametrize("points,message",
+                         [case[1:] for case in MALFORMED_POINTS],
+                         ids=[case[0] for case in MALFORMED_POINTS])
+@pytest.mark.parametrize("entry", [case[1] for case in LISTED_ENTRIES],
+                         ids=[case[0] for case in LISTED_ENTRIES])
+def test_a_malformed_listed_point_is_an_input_error(entry, points, message):
+    with pytest.raises(InputError, match=message):
+        entry([(points, 1)])
+
+
 def part_select(cost, budget=5):
     return multi_polytope_select([(box_polytope([0], [2]), cost)],
                                  box_polytope([4], [4]), budget)
@@ -305,6 +396,14 @@ INTEGRAL = [
     ("window-demand", lambda: configuration_window(WINDOW_PARTS, [2.0]),
      lambda: configuration_window(WINDOW_PARTS, [2])),
     ("cover-cost", lambda: cover_select(3.0), lambda: cover_select(3)),
+    # points listed as lists read as their tuples
+    ("window-list-points",
+     lambda: configuration_window([([[1], [2]], 3)], [2]),
+     lambda: configuration_window(WINDOW_PARTS, [2])),
+    ("cover-list-points",
+     lambda: cheapest_cover([3], [([[1], [2]], 3)], partial(
+         select_from_generators, [([[1], [2]], 3)])),
+     lambda: cover_select(3)),
     ("polytope-rows",
      lambda: lattice_points(Polytope([[Fraction(4, 2), 1], [-1, 0], [0, -1]],
                                      [Fraction(12, 2), 0, 0])),
@@ -358,6 +457,9 @@ def test_text_is_not_read_as_an_integer():
     with pytest.raises(InputError, match="^slack '3' is text, not an "
                                          "integer$"):
         slack_interval_index("3", 1)
+    with pytest.raises(InputError, match="^box side '10' is text, not an "
+                                         "integer$"):
+        down_closed_lattice([[1]], [3], ["10"])
 
 
 MIXED_DIMENSION = [
