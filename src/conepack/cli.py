@@ -220,6 +220,15 @@ def _load(path: str):
     return parse_instance_text(text)
 
 
+def _load_polytope(path: str, command: str) -> Polytope:
+    """The polytope of a polytope file; an ``InputError`` naming
+    ``command`` for a file of any other kind."""
+    kind, poly = _load(path)
+    if kind != "polytope":
+        raise InputError(f"{command} expects a polytope file")
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # solution JSON
 
@@ -279,9 +288,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    kind, poly = _load(args.path)
-    if kind != "polytope":
-        raise InputError("cover expects a polytope file")
+    poly = _load_polytope(args.path, "cover")
     cover = parallelepiped_cover(poly)
 
     def key(pp):
@@ -303,9 +310,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    kind, poly = _load(args.path)
-    if kind != "polytope":
-        raise InputError("hull expects a polytope file")
+    poly = _load_polytope(args.path, "hull")
     verts = integer_hull_vertices(poly)
     if args.json:
         _emit({"vertices": [list(v) for v in verts]})

@@ -215,28 +215,38 @@ class Polytope:
         return True
 
 
-def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
-    """The box ``lo <= x <= hi``.
+def bounded_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                     lo: Sequence, hi: Sequence) -> Polytope:
+    """``{x : A x <= b, lo <= x <= hi}``, a None bound leaving its side
+    open.
 
-    Rows come as ``x_j <= hi_j``, then ``-x_j <= -lo_j``, for each ``j`` in
-    turn; keep that order, since Bland's rule pivots by row index.  A
-    non-empty box knows its coordinate bounds, so ``coordinate_bounds``
-    solves no LP for it.  ``InputError`` when ``lo`` and ``hi`` differ in
-    length.
+    The rows come first, in the order given, then ``x_j <= hi_j`` and
+    ``-x_j <= -lo_j`` for each ``j`` in turn; keep that order, since
+    Bland's rule pivots by row index.  The rows and right-hand sides are
+    read, and their lengths compared, before any bound row is added.
+    ``InputError`` when ``lo`` and ``hi`` differ in length.
     """
-    d = len(lo)
-    if len(hi) != d:
+    rows, rhs = _integer_rows(rows, rhs)
+    if len(lo) != len(hi):
         raise InputError(f"box sides {tuple(lo)} and {tuple(hi)} differ in "
                          f"length")
-    rows, rhs = [], []
-    for j in range(d):
-        unit = [0] * d
-        unit[j] = 1
-        rows.append(unit)
-        rhs.append(hi[j])
-        rows.append([-v for v in unit])
-        rhs.append(-lo[j])
-    box = Polytope(rows, rhs)
+    rhs = list(rhs)
+    for j, (low, high) in enumerate(zip(lo, hi)):
+        for sign, bound in ((1, high), (-1, low)):
+            if bound is not None:
+                unit = [0] * len(lo)
+                unit[j] = sign
+                rows.append(unit)
+                rhs.append(sign * bound)
+    return Polytope(rows, rhs)
+
+
+def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
+    """The box ``lo <= x <= hi``, written by ``bounded_polytope`` with no
+    other row.  A non-empty box knows its coordinate bounds, so
+    ``coordinate_bounds`` solves no LP for it.
+    """
+    box = bounded_polytope([], [], lo, hi)
     if all(a <= b for a, b in zip(lo, hi)):
         box._bounds = [(Rat(a), Rat(b)) for a, b in zip(lo, hi)]
     return box
@@ -248,24 +258,16 @@ def down_closed_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     coefficients and right-hand sides, and a non-negative box; anything
     negative raises ``InternalError``.
 
-    The load rows come first, in the order given, then ``-x_j <= 0`` and
-    ``x_j <= box_j`` for each ``j`` in turn; keep that order, since Bland's
-    rule pivots by row index.  The polytope holds 0 and is down-closed in
-    the orthant, so coordinate ``j`` ranges exactly over
-    ``[0, min(box_j, min_i b_i / a_ij)]`` on the rows with ``a_ij > 0``
-    (the upper end is attained on the axis).  It knows those bounds, so
-    ``coordinate_bounds`` solves no LP for it.
+    ``bounded_polytope`` writes it: the load rows in the order given, then
+    ``x_j <= box_j`` and ``-x_j <= 0`` for each ``j`` in turn.  The
+    polytope holds 0 and is down-closed in the orthant, so coordinate
+    ``j`` ranges exactly over ``[0, min(box_j, min_i b_i / a_ij)]`` on the
+    rows with ``a_ij > 0`` (the upper end is attained on the axis).  It
+    knows those bounds, so ``coordinate_bounds`` solves no LP for it.
     """
-    d = len(box)
+    poly = bounded_polytope(rows, rhs, [0] * len(box), box)
     loads = len(rows)
-    rows, rhs = list(rows), list(rhs)
-    for j, v in enumerate(box):
-        unit = [0] * d
-        unit[j] = 1
-        rows += [[-c for c in unit], unit]
-        rhs += [0, v]
-    poly = Polytope(rows, rhs)
-    top = _least_ratios(poly.A[:loads], poly.b, poly.b[loads + 1::2])
+    top = _least_ratios(poly.A[:loads], poly.b, poly.b[loads::2])
     poly._bounds = [(ZERO, Rat(*t)) for t in top]
     return poly
 

@@ -13,6 +13,10 @@ times.  Two schedulability encodings drive everything:
   4d cycles, each processing job types in index order (a unit-length
   dummy type 0 absorbs idle time); variables count copies per cycle,
   mark which types a cycle may host, and pin the cycle boundaries.
+  ``_cycle_program`` writes that program once, as rows and coordinate
+  bounds: with x free it is the polytope that
+  ``build_nonpreemptive_polytope`` builds, with x pinned the integer
+  program of ``nonpreemptive_completable``.
 
 All three objectives run ``solver.cheapest_cover``, so none has a search
 of its own.  The assignments open machines of each type at a cost to meet
@@ -26,9 +30,12 @@ the parts' polytopes, a non-preemptive one a
 (machine counts fixed, pay per dropped job copy) covers the demand and
 the machine counts together: each machine's vector carries a marker of
 its type at cost 0, and each dropped copy is a unit point at its penalty.
-The cycle programs go to ``ilp_feasible`` as their rows and bounds, and
-a cycle certificate's entries are read back through ``rational.integer``.
-All returned schedules are re-validated from scratch.
+A pinned cycle program goes to ``ilp_feasible`` as its rows and bounds,
+its witness is re-checked against the free program by the ILP's own
+witness test, with no polytope built, and a cycle certificate's entries
+are read back through ``rational.integer``.  Every polytope here is
+written by ``geometry.bounded_polytope``.  All returned schedules are
+re-validated from scratch.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .geometry import Polytope, down_closed_lattice
-from .ilp import ilp_feasible
+from .geometry import Polytope, bounded_polytope, down_closed_lattice
+from .ilp import _satisfies, ilp_feasible
 from .rational import integer
 from .solver import (_check_mode, _multiplicities, _polytope_cover,
                      cheapest_cover, select_from_generators)
@@ -210,16 +217,10 @@ def build_edf_polytope(inst: SchedulingInstance, machine_type: int) -> Polytope:
     [t1, t2] contribute their full length, and the total must fit.  The
     rows ``-x_j <= 0`` follow.
     """
-    rows, rhs = [], []
-    for (t1, t2), row in _interval_loads(inst, machine_type):
-        rows.append(row)
-        rhs.append(t2 - t1)
-    for j in range(inst.d):
-        unit = [0] * inst.d
-        unit[j] = -1
-        rows.append(unit)
-        rhs.append(0)
-    return Polytope(rows, rhs)
+    loads = _interval_loads(inst, machine_type)
+    return bounded_polytope([row for _t, row in loads],
+                            [t2 - t1 for (t1, t2), _row in loads],
+                            [0] * inst.d, [None] * inst.d)
 
 
 def _edf_rows(inst: SchedulingInstance, machine_type: int) -> tuple:
@@ -394,22 +395,43 @@ class CycleLayout:
         return base + (j - 1) * self.cycles + (k - 1)
 
 
-def _cycle_rows(inst: SchedulingInstance, machine_type: int,
-                layout: CycleLayout, host_cap):
-    """Constraint rows of the cycle polytope, without its bound rows.
+def _cycle_program(inst: SchedulingInstance, machine_type: int, cycles: int,
+                   x: Optional[tuple] = None) -> tuple:
+    """The cycle program over ``CycleLayout(inst.d, cycles)``, as ``(rows,
+    rhs, lo, hi)``, a None bound leaving its side open.
 
-    ``host_cap(j)`` is the coefficient bounding y_{j,k} against z_{j,k};
-    the generic polytope uses the horizon, while the fixed-vector
-    feasibility check can use the (much tighter) copy count.
-    ``_cycle_polytope`` writes the bound rows out; the feasibility program
-    carries them as variable bounds.
+    Without ``x`` it is the cycle polytope: every host coefficient, which
+    bounds y_{j,k} against z_{j,k}, is the horizon, tau and y are at least
+    0, and z lies in [0, 1].  With a job vector ``x`` it is the program
+    that completes x: the counts x and the dummy count (the idle time) are
+    pinned, type j's host coefficient shrinks to ``max(1, x_j)`` (no cycle
+    holds more copies than exist), each y is capped by its type's copies
+    (the dummy's by the idle time), tau by the horizon, and z is fixed at
+    0 for a type with no copy.
     """
     windows = _machine_windows(inst, machine_type)
-    d = layout.d
-    C = layout.cycles
-    D = layout.dim
+    layout = CycleLayout(inst.d, cycles)
+    d, C, D = inst.d, cycles, layout.dim
     delta = inst.horizon(machine_type)
     lengths = [1] + [p for _r, _dl, p in windows]  # dummy type first
+    lo = [None] * (d + 1) + [0] * (D - d - 1)
+    hi = [None] * D
+    for j in range(1, d + 1):
+        for k in range(1, C + 1):
+            hi[layout.z(j, k)] = 1
+    host = [delta] * (d + 1)
+    if x is not None:
+        counts = (delta - sum(p * v for p, v in zip(lengths[1:], x)), *x)
+        host = [max(1, v) for v in counts]
+        for j, v in enumerate(counts):
+            col = layout.x0 if j == 0 else layout.x(j)
+            lo[col] = hi[col] = v
+            for k in range(1, C + 1):
+                hi[layout.y(j, k)] = v
+                if j:
+                    hi[layout.z(j, k)] = min(1, v)
+        for k in range(1, C + 1):
+            hi[layout.tau(k)] = delta
     rows, rhs = [], []
 
     def eq(row, value):
@@ -438,7 +460,7 @@ def _cycle_rows(inst: SchedulingInstance, machine_type: int,
         for k in range(1, C + 1):
             row = [0] * D
             row[layout.y(j, k)] = 1
-            row[layout.z(j, k)] = -host_cap(j)
+            row[layout.z(j, k)] = -host[j]
             rows.append(row)
             rhs.append(0)
     # a marked cycle must sit inside the job's window
@@ -462,34 +484,7 @@ def _cycle_rows(inst: SchedulingInstance, machine_type: int,
     for j in range(1, d + 1):
         row[layout.x(j)] = lengths[j]
     eq(row, delta)
-    return rows, rhs
-
-
-def _cycle_polytope(inst: SchedulingInstance, machine_type: int,
-                    cycles: int) -> Polytope:
-    """The cycle polytope over ``CycleLayout(inst.d, cycles)``, with the
-    horizon as every host coefficient and the bound rows written out."""
-    delta = inst.horizon(machine_type)
-    layout = CycleLayout(inst.d, cycles)
-    rows, rhs = _cycle_rows(inst, machine_type, layout, lambda _j: delta)
-
-    def bound(col, sign, value):
-        row = [0] * layout.dim
-        row[col] = sign
-        rows.append(row)
-        rhs.append(value)
-
-    # non-negativity and indicator bounds
-    for k in range(1, cycles + 1):
-        bound(layout.tau(k), -1, 0)
-    for j in range(0, inst.d + 1):
-        for k in range(1, cycles + 1):
-            bound(layout.y(j, k), -1, 0)
-    for j in range(1, inst.d + 1):
-        for k in range(1, cycles + 1):
-            bound(layout.z(j, k), 1, 1)
-            bound(layout.z(j, k), -1, 0)
-    return Polytope(rows, rhs)
+    return rows, rhs, lo, hi
 
 
 def build_nonpreemptive_polytope(inst: SchedulingInstance,
@@ -500,55 +495,31 @@ def build_nonpreemptive_polytope(inst: SchedulingInstance,
     schedulable on one machine of this type exactly when integral cycle
     variables complete it inside this polytope.
     """
-    return _cycle_polytope(inst, machine_type, 4 * inst.d)
+    return bounded_polytope(*_cycle_program(inst, machine_type, 4 * inst.d))
 
 
 def nonpreemptive_completable(x: Sequence[int], inst: SchedulingInstance,
                               machine_type: int):
     """Integral cycle variables completing x, or None.
 
-    Solves the cycle polytope with x fixed.  Two equivalence-preserving
-    reductions keep the integer program small: host coefficients shrink
-    from the horizon to the copy count (no cycle holds more copies than
-    exist), and the cycle count shrinks to 2*(total copies)+1 when that
-    beats 4d (worst case, every copy sits in its own cycle with a pure
-    idle cycle before it, plus one trailing idle cycle).  The witness
-    stays in the ``CycleLayout`` it was solved in, and is re-checked
-    against that layout's cycle polytope.
+    Solves ``_cycle_program`` with x pinned, whose host coefficients are
+    the copy counts, not the horizon.  The cycle count shrinks to 2*(total
+    copies)+1 when that beats 4d (worst case, every copy sits in its own
+    cycle with a pure idle cycle before it, plus one trailing idle
+    cycle).  The witness stays in the ``CycleLayout`` it was solved in,
+    and is re-checked, by the ILP's own witness test, against that
+    layout's cycle program without x.
     """
-    d = inst.d
-    windows = _machine_windows(inst, machine_type)
     x = _job_vector(inst, x)
-    delta = inst.horizon(machine_type)
-    dummy = delta - sum(p * x[j] for j, (_r, _dl, p) in enumerate(windows))
     # necessary condition: preemptive schedulability (refuses dummy < 0)
     if _overloaded(x, inst, machine_type) is not None:
         return None
-    layout = CycleLayout(d, min(4 * d, 2 * sum(x) + 1))
-
-    def host_cap(j):
-        return max(1, x[j - 1])
-
-    rows, rhs = _cycle_rows(inst, machine_type, layout, host_cap)
-    # pin the job counts
-    lo = [0] * layout.dim
-    hi = [None] * layout.dim
-    for j in range(1, d + 1):
-        lo[layout.x(j)] = hi[layout.x(j)] = x[j - 1]
-        for k in range(1, layout.cycles + 1):
-            hi[layout.y(j, k)] = x[j - 1]
-            hi[layout.z(j, k)] = 1
-            if x[j - 1] == 0:
-                hi[layout.z(j, k)] = 0  # irrelevant indicator, prune it
-    lo[layout.x0] = hi[layout.x0] = dummy
-    for k in range(1, layout.cycles + 1):
-        hi[layout.tau(k)] = delta
-        hi[layout.y(0, k)] = dummy
-    res = ilp_feasible(rows, rhs, lo=lo, hi=hi)
+    cycles = min(4 * inst.d, 2 * sum(x) + 1)
+    res = ilp_feasible(*_cycle_program(inst, machine_type, cycles, x))
     if not res.feasible:
         return None
-    if not _cycle_polytope(inst, machine_type,
-                           layout.cycles).contains_int(res.witness):
+    if not _satisfies(*_cycle_program(inst, machine_type, cycles),
+                      res.witness):
         raise InternalError("cycle witness escapes its cycle polytope")
     return res.witness
 

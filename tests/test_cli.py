@@ -404,6 +404,13 @@ class TestHullAndCover:
         rc, _, err = run_cli(capsys, "hull",
                              write(tmp_path, "i.txt", BP_SMALL))
         assert rc == 2
+        assert "hull expects a polytope file" in err
+
+    def test_cover_rejects_instances(self, tmp_path, capsys):
+        rc, _, err = run_cli(capsys, "cover",
+                             write(tmp_path, "i.txt", BP_SMALL))
+        assert rc == 2
+        assert "cover expects a polytope file" in err
 
 
 class TestVerify:

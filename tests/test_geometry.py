@@ -178,6 +178,18 @@ class TestIntegerBox:
         assert integer_box(box) == [(-1, 2), (0, 3)]
 
 
+def test_bounded_polytope_writes_the_rows_then_each_bound():
+    # the rows in order, then x_j <= hi_j and -x_j <= -lo_j per j, with
+    # each None side skipped; Bland's rule pivots by row index
+    poly = geometry.bounded_polytope([[1, 1, 0], [2, -1, 0]], [5, 3],
+                                     [0, None, -2], [3, 4, None])
+    assert poly.A == [(1, 1, 0), (2, -1, 0), (1, 0, 0), (-1, 0, 0),
+                      (0, 1, 0), (0, 0, -1)]
+    assert poly.b == (5, 3, 3, 0, 4, 2)
+    assert box_polytope([1, -2], [3, 4]) == geometry.bounded_polytope(
+        [], [], [1, -2], [3, 4])
+
+
 class TestDownClosed:
     @staticmethod
     def rand_down_closed(rng):
@@ -198,13 +210,13 @@ class TestDownClosed:
             rows, rhs, box = self.rand_down_closed(rng)
             d = len(box)
             poly = geometry.down_closed_polytope(rows, rhs, box)
-            # the load rows in order, then -x_j <= 0 and x_j <= box_j per j
+            # the load rows in order, then x_j <= box_j and -x_j <= 0 per j
             units = []
             for j in range(d):
                 unit = tuple(int(i == j) for i in range(d))
-                units += [tuple(-v for v in unit), unit]
+                units += [unit, tuple(-v for v in unit)]
             assert poly.A == [tuple(r) for r in rows] + units
-            assert poly.b == (*rhs, *(v for side in box for v in (0, side)))
+            assert poly.b == (*rhs, *(v for side in box for v in (side, 0)))
             expected = coordinate_bounds(Polytope(poly.A, poly.b))
             assert poly._bounds == expected
             assert expected == TestCoordinateBounds.fresh_bounds(poly)

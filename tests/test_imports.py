@@ -19,6 +19,8 @@ No module but ``geometry.py`` may name the attribute ``._lattice``,
 ``._runs`` or ``._bounds``, the caches geometry keeps on a polytope, and
 within it only ``lattice_points`` may assign ``._lattice`` or ``._runs``
 a value other than None, so a lattice is never cached without its runs.
+No module but ``geometry.py`` may call ``Polytope(...)``, so every
+polytope with coordinate bounds is written by ``bounded_polytope``.
 Every parameter of every function and lambda of the package must be
 read in its body, but ``self`` and ``_``-prefixed names.
 Every top-level function and class of the package but ``oracle.py``, the
@@ -362,6 +364,43 @@ def test_a_lattice_cached_elsewhere_is_caught(tmp_path):
                       "    poly._lattice = sorted(points)\n"
                       "    return poly\n")
     assert cache_writers(module) == ["lattice_points", "seeded_union"]
+
+
+def polytope_calls(path):
+    """The calls ``Polytope(...)`` and ``<expr>.Polytope(...)`` of the
+    module, with line numbers."""
+    return sorted(f"Polytope (line {node.lineno})"
+                  for node in ast.walk(parse(path))
+                  if isinstance(node, ast.Call)
+                  and "Polytope" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize("path", NOT_GEOMETRY,
+                         ids=[p.name for p in NOT_GEOMETRY])
+def test_only_geometry_builds_a_polytope(path):
+    assert polytope_calls(path) == []
+
+
+def test_a_polytope_built_outside_geometry_is_caught(tmp_path):
+    # a call by name or through the module is caught; naming the class
+    # (a type test, a reader handed the class) builds nothing here
+    module = tmp_path / "sample.py"
+    module.write_text("from . import geometry\n"
+                      "from .geometry import Polytope, bounded_polytope\n"
+                      "\n\n"
+                      "def build_edf_polytope(rows, rhs):\n"
+                      "    return Polytope(rows, rhs)\n"
+                      "\n\n"
+                      "def _cycle_polytope(rows, rhs):\n"
+                      "    return geometry.Polytope(rows, rhs)\n"
+                      "\n\n"
+                      "def read(src, rows, rhs, lo, hi):\n"
+                      "    poly = src.build(Polytope, rows, rhs)\n"
+                      "    assert isinstance(poly, Polytope)\n"
+                      "    return bounded_polytope(rows, rhs, lo, hi)\n")
+    assert polytope_calls(module) == ["Polytope (line 10)",
+                                      "Polytope (line 6)"]
 
 
 def unread_parameters(path):

@@ -27,8 +27,8 @@ from conepack import budget, oracle
 from conepack.errors import InputError, InternalError
 from conepack.exactmath import ExactLp, solve_linear_system
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
-                               down_closed_lattice, extreme_points,
-                               in_convex_hull, lattice_points,
+                               down_closed_lattice, down_closed_polytope,
+                               extreme_points, in_convex_hull, lattice_points,
                                slack_interval_index)
 from conepack.ilp import ilp_feasible
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
@@ -212,6 +212,11 @@ BAD_VALUES = [
     ("bin-cost-below-1", "bin cost",
      lambda: CuttingStockInstance([HALF], [1], [(1, 0)])),
     ("rows-and-bounds", "bounds", lambda: Polytope([[1], [-1]], [1])),
+    # the load rows are counted before the box rows are added
+    ("down-closed-rows-and-bounds", "1 rows but 2 bounds",
+     lambda: down_closed_polytope([[1]], [3, 4], [10])),
+    ("down-closed-lister-rows-and-bounds", "1 rows but 2 bounds",
+     lambda: down_closed_lattice([[1]], [3, 4], [10])),
     ("ragged-rows", "constraint matrix",
      lambda: Polytope([[1], [-1, 0]], [1, 0])),
     ("no-column", "dimension", lambda: Polytope([[]], [1])),

@@ -7,8 +7,9 @@ from conepack.errors import InputError, ResourceError
 from conepack.geometry import Polytope, box_polytope, parallelepiped_cover
 from conepack.oracle import (bp_brute_force, cover_verify, exact_cover_cost,
                              fractional_opt, int_cone_brute,
-                             nonpreemptive_brute)
+                             nonpreemptive_brute, tardy_exhaustive)
 from conepack.rational import Rat
+from conepack.scheduling import SchedulingInstance
 
 from genutil import rand_bp_instance, singleton_target, rand_bounded_polytope
 
@@ -76,6 +77,12 @@ class TestFractionalOpt:
     def test_oversize_pattern_helps(self):
         # demand one third-item: a single pattern (3) at weight 1/3 wins
         assert fractional_opt([Rat(1, 3)], [1]) == Rat(1, 3)
+
+    def test_pattern_cap(self):
+        # 1001^2 knapsack patterns already exceed the cap at the second
+        # size, before any pattern is listed
+        with pytest.raises(ResourceError, match="pattern enumeration"):
+            fractional_opt([Rat(1, 1000)] * 3, [1, 1, 1])
 
     def test_volume_and_rounding_bounds(self):
         rng = random.Random(4021)
@@ -164,6 +171,11 @@ class TestCoverVerify:
         report = cover_verify(poly, cover[:gone] + cover[gone + 1:])
         assert report.violations == (("point-uncovered", (5, 6, 7)),)
 
+    def test_scan_cap(self):
+        # the cube [0, 200]^3 holds 201^3 > 2 * 10^6 candidate points
+        with pytest.raises(ResourceError, match="cover verification scan"):
+            cover_verify(box_polytope([0, 0, 0], [200, 200, 200]), [])
+
     def test_random_covers_pass(self):
         rng = random.Random(988)
         for _ in range(10):
@@ -218,3 +230,10 @@ class TestNonpreemptiveBrute:
     def test_horizon_cap(self):
         with pytest.raises(ResourceError):
             nonpreemptive_brute([(0, 51, 1)], 51)
+
+
+def test_tardy_exhaustive_caps_the_job_copies():
+    # seven job copies exceed the cap of six before any vector is tried
+    inst = SchedulingInstance([[(0, 10, 1)]], [7], counts=[1], penalties=[1])
+    with pytest.raises(ResourceError, match="tardy brute force"):
+        tardy_exhaustive(inst)

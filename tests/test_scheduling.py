@@ -180,6 +180,27 @@ class TestCyclePolytope:
         poly = build_nonpreemptive_polytope(FIXTURE, 0)
         assert poly.dim == lay.dim
 
+    def test_polytope_is_the_free_program(self):
+        # the program's rows, then -tau <= 0 and -y <= 0 per coordinate,
+        # then z <= 1 and -z <= 0; x stays free
+        rows, rhs, lo, hi = scheduling._cycle_program(FIXTURE, 0, 12)
+        poly = build_nonpreemptive_polytope(FIXTURE, 0)
+        assert poly.A[:len(rows)] == [tuple(r) for r in rows]
+        assert poly.b[:len(rhs)] == tuple(rhs)
+        assert len(poly.A) == len(rows) + 12 + 12 * 4 + 2 * 12 * 3
+        assert lo[:4] == hi[:4] == [None] * 4
+
+    def test_pinned_program_fixes_the_counts(self):
+        # x and the idle time 300 - 150 - 1 are pinned, and no cycle
+        # hosts the type with no copy
+        x = (1, 1, 0)
+        lay = CycleLayout(3, 5)
+        _rows, _rhs, lo, hi = scheduling._cycle_program(FIXTURE, 0, 5, x)
+        assert lo[:4] == hi[:4] == [1, 1, 0, 149]
+        assert all(hi[lay.z(3, k)] == 0 for k in range(1, 6))
+        assert all(hi[lay.y(0, k)] == 149 for k in range(1, 6))
+        assert all(hi[lay.tau(k)] == 300 for k in range(1, 6))
+
     def test_fixture_completability(self):
         assert nonpreemptive_completable((2, 0, 0), FIXTURE, 0) is not None
         assert nonpreemptive_completable((0, 2, 2), FIXTURE, 0) is not None
@@ -212,8 +233,8 @@ class TestCyclePolytope:
 
     def test_certificates_keep_their_layout(self):
         # each certificate has the C = min(4d, 2 * sum(x) + 1) cycles it
-        # was solved with, lies in that layout's cycle polytope, and
-        # yields a valid schedule
+        # was solved with, lies in that layout's cycle polytope (the cycle
+        # program without x), and yields a valid schedule
         rng = random.Random(25)
         checked = capped = 0
         for _ in range(16):
@@ -226,8 +247,8 @@ class TestCyclePolytope:
                 cycles = min(4 * d, 2 * sum(x) + 1)
                 capped += cycles == 4 * d
                 assert len(aux) == d + 1 + cycles * (2 * d + 2)
-                assert scheduling._cycle_polytope(inst, 0,
-                                                  cycles).contains_int(aux)
+                assert geometry.bounded_polytope(*scheduling._cycle_program(
+                    inst, 0, cycles)).contains_int(aux)
                 sched = extract_cyclic_schedule(aux, inst, 0)
                 validate_nonpreemptive_schedule(inst, 0, x, sched)
                 checked += 1

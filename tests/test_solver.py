@@ -692,16 +692,16 @@ def test_pattern_polytopes_solve_no_lp(monkeypatch):
 
 def test_pattern_polytope_rows_are_the_cleared_size_row_and_unit_rows():
     # the size row scaled by the lcm of its denominators, then
-    # -x_j <= 0 and x_j <= a_j per j; Bland's rule pivots by row index
+    # x_j <= a_j and -x_j <= 0 per j; Bland's rule pivots by row index
     sizes = (Rat(1, 3), Rat(1, 4), Rat(2, 7))
-    units = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1),
-             (0, 0, 1)]
+    units = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+             (0, 0, -1)]
     poly = pattern_polytope(sizes, 1, (5, 6, 7))
     assert poly.A == [(28, 21, 24)] + units
-    assert poly.b == (84, 0, 5, 0, 6, 0, 7)
+    assert poly.b == (84, 5, 0, 6, 0, 7, 0)
     poly = pattern_polytope(sizes, Rat(3, 5), (5, 6, 7))
     assert poly.A == [(140, 105, 120)] + units
-    assert poly.b == (252, 0, 5, 0, 6, 0, 7)
+    assert poly.b == (252, 5, 0, 6, 0, 7, 0)
 
 
 class TestCheapestCover:
