@@ -1,7 +1,9 @@
 """Exact rational linear algebra and linear programming.
 
 Everything here is exact; there are no tolerances anywhere.  Inputs and
-answers are exact rationals (``rational.Rat``) or ints.  The two public
+answers are exact rationals (``rational.Rat``) or ints; every input value
+is read through ``rational.exact`` or ``rational.cleared``, so text, None
+or a non-finite number raises ``InputError``.  The two public
 entry points are
 
 * ``solve_linear_system`` -- Gaussian elimination returning either the
@@ -18,13 +20,14 @@ it supports in-place variable bound changes with warm restarts (the basis is
 kept and repaired by the phase-1 routine) and cheap snapshot/restore, which
 is what makes exact branch and bound affordable.  It holds no rationals:
 each constraint row is cleared together with its right-hand side into
-plain ints, each tableau row is a list of Python ints over one positive
-int denominator, updated by integer-preserving (Edmonds/Bareiss)
-elimination on the non-zero entries of the pivot row only, with every
-division exact.  Variable bounds are integers, so each basic value is an
-int over its row's denominator, carried through the same elimination, and
-the nonbasic values and bounds are ints; the ratio test and phase 1
-compare ints by cross-multiplication.
+plain ints by ``rational.cleared``, as the objective is, and each tableau
+row is a list of Python ints over one positive int denominator, updated
+by integer-preserving (Edmonds/Bareiss) elimination on the non-zero
+entries of the pivot row only, with every division exact.  Variable
+bounds are integers, so each basic value is an int over its row's
+denominator, carried through the same elimination, and the nonbasic
+values and bounds are ints; the ratio test and phase 1 compare ints by
+cross-multiplication.
 
 An ``ExactLp`` also keeps the infeasibility proof of every phase 1 that
 fails: the weighted sum of the violated tableau rows, an inequality
@@ -47,7 +50,7 @@ from typing import Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
-from .rational import Rat, ZERO, integer
+from .rational import Rat, ZERO, cleared, exact, integer
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -88,7 +91,8 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     if m != len(rhs):
         raise InputError(f"system has {m} rows but rhs has {len(rhs)} entries")
     n = len(matrix[0]) if m else 0
-    rows = [[Rat(v) for v in row] + [Rat(rhs[i])] for i, row in enumerate(matrix)]
+    rows = [[exact(v, "system entry") for v in (*row, rhs[i])]
+            for i, row in enumerate(matrix)]
     for row in rows:
         if len(row) != n + 1:
             raise InputError("ragged matrix")
@@ -124,16 +128,6 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     for r, col in enumerate(pivot_cols):
         sol[col] = rows[r][n]
     return LinearSolveResult(UNIQUE, tuple(sol))
-
-
-def _integer_row(values):
-    """``values`` as ``(ints, den)``: plain ints over the lcm of their
-    denominators, which leaves the row in lowest terms."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    values = [Rat(v) for v in values]
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _bound(value):
@@ -180,8 +174,8 @@ class ExactLp:
     ``[0, +inf)`` for a ``<=`` row and ``[0, 0]`` for a ``==`` row.
     Structural variables carry integer (possibly absent) bounds.  A row
     with rationals is multiplied, right-hand side included, by the lcm of
-    its denominators; its slack is scaled by the same positive factor,
-    which keeps its bounds.
+    its denominators (``rational.cleared``); its slack is scaled by the
+    same positive factor, which keeps its bounds.
 
     Nothing here is a rational.  The tableau ``B^-1 [A | I]`` is held as
     integer rows: entry ``(i, j)`` is ``tab[i][j] / den[i]`` with
@@ -267,7 +261,7 @@ class ExactLp:
         self.bn = []
         moved = [(j, v) for j, v in enumerate(self.val[:n]) if v]
         for i in range(m):
-            irow, _d = _integer_row([*rows[i], rhs[i]])
+            irow, _d = cleared([*rows[i], rhs[i]], "constraint entry")
             b = irow.pop()
             for j, v in moved:
                 b -= irow[j] * v
@@ -604,7 +598,7 @@ class ExactLp:
         if self._infeasible_rows():
             raise InternalError("optimize() requires a primal-feasible basis")
         # reduced-cost row, held like a tableau row: z[j] / zden
-        cost, cden = _integer_row(objective)
+        cost, cden = cleared(objective, "objective coefficient")
         z = [-c for c in cost] if sense == "max" else cost[:]
         zden = cden
         z += [0] * self.m

@@ -1,7 +1,8 @@
 """Rational polytopes, their lattice points, and parallelepiped covers.
 
-A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b``.  On
-top of it:
+A ``Polytope`` is ``{x : A x <= b}`` with integer ``A`` and ``b``, read
+through ``rational.integer_rows``, as every integer row of this module
+is.  On top of it:
 
 * exact coordinate bounds and their inward rounding to an integer box
   (``integer_box``, which rejects an unbounded coordinate), and
@@ -14,8 +15,8 @@ top of it:
   kept beside the points as column runs.  A down-closed polytope's
   points are listed from its load rows and exact box alone
   (``down_closed_lattice``), with no polytope built; it reads them
-  through ``rational.integer``, as ``Polytope`` does.  No other module
-  touches a polytope's cached lattice, runs or bounds, and only
+  through ``rational.integer_rows``, as ``Polytope`` does.  No other
+  module touches a polytope's cached lattice, runs or bounds, and only
   ``lattice_points`` caches a lattice, always with its runs,
 * exact convex-hull machinery in any small dimension over column runs
   (only run ends that sit midway between two points along no other axis
@@ -41,9 +42,10 @@ Apart from the ellipsoid's float weights, linear algebra on points and
 directions runs in integers only: one fraction-free (Bareiss)
 elimination, ``_Frame``, picks independent vectors and keeps the
 adjugate and determinant of a nonsingular pivot block.  A
-``Parallelepiped`` is such a frame over its directions scaled to
-integers, and tests membership as ``|adj . (L p - L c)| <= det`` plus an
-integer affine-span check.  ``Parallelepiped.point`` builds a lattice
+``Parallelepiped`` is such a frame over its directions, cleared to
+integers together with its centre by ``rational.cleared``, and tests
+membership as ``|adj . (L p - L c)| <= det`` plus an integer affine-span
+check.  ``Parallelepiped.point`` builds a lattice
 point's ``k = 0`` element by setting its centre alone.
 
 Everything user-visible is deterministic: lattice points and hull vertices
@@ -62,29 +64,14 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
-from .rational import Rat, ONE, ZERO, rat_ceil, rat_floor, as_int, integer
+from .rational import (Rat, ONE, ZERO, cleared, integer, integer_rows,
+                       rat_ceil, rat_floor)
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
-
-
-def _denominator_lcm(values) -> int:
-    """Least common multiple of the denominators of exact rationals."""
-    scale = 1
-    for v in values:
-        if type(v) is not int:
-            scale = math.lcm(scale, int(Rat(v).denominator))
-    return scale
-
-
-def _scaled(value, scale: int) -> int:
-    """``value * scale`` as a plain int; the product must be integral."""
-    if type(value) is int:
-        return value * scale
-    return as_int(Rat(value) * scale)
 
 
 class _Frame:
@@ -166,31 +153,16 @@ class _Frame:
 # polytopes
 
 
-def _integer_rows(rows, rhs) -> tuple:
-    """``(rows, rhs)`` as a list of int tuples and a tuple of ints, each
-    value read through ``rational.integer``; ``InputError`` when their
-    lengths differ."""
-    if len(rows) != len(rhs):
-        raise InputError(f"{len(rows)} rows but {len(rhs)} bounds")
-    return ([tuple(integer(v, "constraint coefficient") for v in row)
-             for row in rows],
-            tuple(integer(v, "right-hand side") for v in rhs))
-
-
 class Polytope:
     """``{x in R^d : A x <= b}`` with integer coefficient rows."""
 
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
-        self.A, self.b = _integer_rows(rows, rhs)
-        if self.A:
-            d = len(self.A[0])
-            if any(len(r) != d for r in self.A):
-                raise InputError("ragged constraint matrix")
-            if d < 1:
-                raise InputError("polytope dimension must be at least 1")
-            self.dim = d
-        else:
+        self.A, self.b = integer_rows(rows, rhs)
+        if not self.A:
             raise InputError("a polytope needs at least one constraint row")
+        self.dim = len(self.A[0])
+        if self.dim < 1:
+            raise InputError("polytope dimension must be at least 1")
         self.m = len(self.A)
         self._bounds = None
         self._lattice = None
@@ -223,13 +195,16 @@ def bounded_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     The rows come first, in the order given, then ``x_j <= hi_j`` and
     ``-x_j <= -lo_j`` for each ``j`` in turn; keep that order, since
     Bland's rule pivots by row index.  The rows and right-hand sides are
-    read, and their lengths compared, before any bound row is added.
+    read, and their lengths compared, before any bound row is added; each
+    bound is read through ``rational.integer`` as a "box side".
     ``InputError`` when ``lo`` and ``hi`` differ in length.
     """
-    rows, rhs = _integer_rows(rows, rhs)
+    rows, rhs = integer_rows(rows, rhs)
     if len(lo) != len(hi):
         raise InputError(f"box sides {tuple(lo)} and {tuple(hi)} differ in "
                          f"length")
+    lo, hi = ([None if v is None else integer(v, "box side") for v in side]
+              for side in (lo, hi))
     rhs = list(rhs)
     for j, (low, high) in enumerate(zip(lo, hi)):
         for sign, bound in ((1, high), (-1, low)):
@@ -448,15 +423,16 @@ def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     """The points that ``lattice_points(down_closed_polytope(rows, rhs,
     box))`` lists, with no polytope built.
 
-    The rows, right-hand sides and box are read through
-    ``rational.integer``, as ``Polytope`` reads them, and the same shape
+    The rows and right-hand sides are read through
+    ``rational.integer_rows``, as ``Polytope`` reads them, and the box
+    through ``rational.integer``; the same shape
     and non-negativity checks raise ``InputError`` and ``InternalError``.
     The box is the polytope's exact integer box, ``min(box_j, b_i //
     a_ij)`` over the rows with ``a_ij > 0``, so the same
     ``DEFAULT_LATTICE_BUDGET`` cap applies to it, and the search tests the
     load rows alone.
     """
-    rows, rhs = _integer_rows(rows, rhs)
+    rows, rhs = integer_rows(rows, rhs)
     box = [integer(v, "box side") for v in box]
     top = [b // c for b, c in _least_ratios(rows, rhs, box)]
     _check_budget(math.prod(v + 1 for v in top))
@@ -975,9 +951,10 @@ class Parallelepiped(_Frame):
     construction.  ``k = 0`` is the degenerate single-point case.
 
     Held in integers only: ``center`` and the directions are scaled by the
-    lcm ``L`` of their denominators, and the frame of the scaled directions
-    keeps the adjugate ``adj`` and determinant ``det > 0`` of a nonsingular
-    ``k x k`` pivot block.  A point ``p`` is inside iff, with
+    lcm ``L`` of their denominators (``rational.cleared``, which also
+    clears a point tested for membership), and the frame of the scaled
+    directions keeps the adjugate ``adj`` and determinant ``det > 0`` of a
+    nonsingular ``k x k`` pivot block.  A point ``p`` is inside iff, with
     ``r = L p - L center`` and ``num = adj . r[pivots]``, every
     ``|num_j| <= det`` and ``sum_j num_j (L dir_j) = det * r`` on every
     coordinate (the affine-span test); then ``mu = num / det``.
@@ -997,12 +974,15 @@ class Parallelepiped(_Frame):
                 raise InputError("direction dimension mismatch")
             if all(v == 0 for v in dvec):
                 raise InputError("zero direction vector")
-        scale = _denominator_lcm(chain(center, *directions))
-        super().__init__(tuple(_scaled(v, scale) for v in d) for d in directions)
+        k = len(center)
+        ints, scale = cleared([*center, *chain(*directions)],
+                              "parallelepiped coordinate")
+        super().__init__(ints[k * i:k * i + k]
+                         for i in range(1, len(directions) + 1))
         if len(self.vecs) < len(directions):
             raise InputError("directions are linearly dependent")
         self._scale = scale
-        self._center = tuple(_scaled(v, scale) for v in center)
+        self._center = tuple(ints[:k])
         self.vertices()  # validates integrality eagerly
 
     @staticmethod
@@ -1065,9 +1045,8 @@ class Parallelepiped(_Frame):
         """``(num, den)`` with ``mu = num / den`` if the point is inside."""
         if len(point) != self.dim:
             raise InputError("point dimension mismatch")
-        q = _denominator_lcm(point)  # 1 for an integer point
-        scale = q * self._scale
-        r = [_scaled(x, scale) - q * c for x, c in zip(point, self._center)]
+        ints, q = cleared(point, "point coordinate")  # q = 1 for ints
+        r = [self._scale * x - q * c for x, c in zip(ints, self._center)]
         den = q * self.det
         num = self.solve(r, den)
         return None if num is None else (num, den)

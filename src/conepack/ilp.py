@@ -1,8 +1,9 @@
 """Integer feasibility for small fixed-dimension systems ``Ax <= b``.
 
 A program is its rows: ``ilp_feasible(rows, rhs, lo, hi)`` reads the
-coefficients and right-hand sides once through ``rational.integer`` and
-leaves the shape and bound checks to the ``ExactLp`` built from them.
+coefficients and right-hand sides once through ``rational.integer_rows``,
+which checks their shape, and leaves the bound checks to the ``ExactLp``
+built from them.
 
 The solver is depth-first branch-and-bound over exact rational LP
 relaxations: each node repairs feasibility of a warm-started simplex
@@ -49,7 +50,8 @@ from typing import Optional, Sequence
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, UNBOUNDED
-from .rational import Rat, ZERO, ONE, rat_floor, rat_ceil, as_int, integer
+from .rational import (Rat, ZERO, ONE, rat_floor, rat_ceil, as_int,
+                       integer_rows)
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -117,15 +119,13 @@ def ilp_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int],
 
     Equalities are paired inequalities, and a ``lo``/``hi`` entry may be
     None (unknown; derived from the relaxation).  The coefficients and
-    right-hand sides are read once through ``rational.integer``; an empty
-    program or one without variables is an ``InputError``.  The program's
-    shape (ragged rows, a right-hand side per row, a bound per variable)
-    and the bounds' integrality are checked by the first ``ExactLp`` built
-    from it, before any answer.
+    right-hand sides are read once through ``rational.integer_rows``,
+    which refuses ragged rows and a right-hand side count that is not the
+    rows'; an empty program or one without variables is an ``InputError``.
+    A bound per variable and the bounds' integrality are checked by the
+    first ``ExactLp`` built from it, before any answer.
     """
-    rows = [[integer(v, "constraint coefficient") for v in row]
-            for row in rows]
-    rhs = [integer(v, "right-hand side") for v in rhs]
+    rows, rhs = integer_rows(rows, rhs)
     if not rows:
         raise InputError("a problem needs at least one constraint row")
     n = len(rows[0])

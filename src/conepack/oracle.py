@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from .errors import InputError, ResourceError
 from .exactmath import (lp_optimize, solve_linear_system, INFEASIBLE,
                         OPTIMAL, UNIQUE)
-from .rational import Rat, ZERO, ONE, integer
+from .rational import (Rat, ZERO, ONE, cleared, exact, integer, rat_ceil,
+                       rat_floor)
 from .scheduling import _job_vector, _machine_windows
 
 BP_BRUTE_ITEM_CAP = 12
@@ -86,7 +87,7 @@ def bp_brute_force(sizes: Sequence, multiplicities: Sequence[int],
                    cap: int = BP_BRUTE_ITEM_CAP) -> int:
     """Minimum bins: the least exact cover of the demand by unit-bin
     patterns at one bin each."""
-    sizes = [Rat(s) for s in sizes]
+    sizes = [exact(s, "item size") for s in sizes]
     a = tuple(integer(v, "multiplicity") for v in multiplicities)
     if len(sizes) != len(a):
         raise InputError("sizes and multiplicities must align")
@@ -110,7 +111,7 @@ def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
     Patterns are not clipped to the demand: a pattern holding more copies
     of an item than are demanded may still appear with a fractional weight.
     """
-    sizes = [Rat(s) for s in sizes]
+    sizes = [exact(s, "item size") for s in sizes]
     a = [Rat(integer(v, "multiplicity")) for v in multiplicities]
     if any(s <= 0 for s in sizes):
         raise InputError("sizes must be positive")
@@ -259,10 +260,11 @@ def cover_verify(poly, cover: Sequence) -> CoverReport:
 
     for i, pp in enumerate(cover):
         for v in pp_vertices(pp):
-            if any(c.denominator != 1 for c in (Rat(x) for x in v)):
+            ints, scale = cleared(v, "vertex coordinate")
+            if scale != 1:
                 violations.append(("vertex-not-integral", i, v))
                 continue
-            vi = tuple(int(x) for x in v)
+            vi = tuple(ints)
             if not point_in_poly(vi):
                 violations.append(("vertex-outside-polytope", i, vi))
 
@@ -281,14 +283,8 @@ def cover_verify(poly, cover: Sequence) -> CoverReport:
         if cover:
             violations.append(("cover-of-empty-polytope", len(cover)))
         return CoverReport(not violations, tuple(violations))
-    lo = []
-    hi = []
-    for v in bounds[0]:
-        q = v.numerator // v.denominator
-        lo.append(int(q))
-    for v in bounds[1]:
-        q = -((-v.numerator) // v.denominator)
-        hi.append(int(q))
+    lo = [rat_floor(v) for v in bounds[0]]
+    hi = [rat_ceil(v) for v in bounds[1]]
     cells = 1
     for a_, b_ in zip(lo, hi):
         cells *= max(0, b_ - a_ + 1)

@@ -1,8 +1,16 @@
-"""Exact rational scalars: integer reading, rounding and text form.
+"""Exact rational scalars: input reading, rounding and text form.
 
 The rational type ``Rat`` is ``fractions.Fraction``: numerator and
 denominator in lowest terms with a positive denominator, exact comparison,
 and a hash equal to that of an equal int.
+
+Every exact input of the package is read here, by one of four readers:
+``exact`` (a rational), ``integer`` (an int), ``cleared`` (rationals as
+ints over the lcm of their denominators) and ``integer_rows`` (the rows
+and right-hand sides of ``A x <= b``).  Each names the field it reads in
+the ``InputError`` it raises for text, None, a non-finite number or,
+where an integer is asked for, a non-integral value.  No other module reads a
+numerator or a denominator.
 
 Vectors are plain tuples.  Everything here is deterministic and
 allocation-light.  The hot loops of the exact simplex and of parallelepiped
@@ -13,6 +21,7 @@ the arithmetic of the geometry, the oracles and the instance data.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
+from math import lcm
 
 from .errors import InputError
 
@@ -53,6 +62,50 @@ def integer(value, what: str) -> int:
         return as_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} {value} must be an integer") from exc
+
+
+def exact(value, what: str) -> Rat:
+    """``value`` as a ``Rat``; an ``InputError`` naming ``what`` for text,
+    None or a non-finite number.
+
+    A ``Rat`` comes back as it is, and a float as its exact value.
+    """
+    if type(value) is Rat:
+        return value
+    if isinstance(value, str):
+        raise InputError(f"{what} {value!r} is text, not a number")
+    try:
+        return Rat(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} {value} must be a finite rational") from exc
+
+
+def cleared(values, what: str) -> tuple:
+    """``(ints, scale)``: each of ``values`` read through ``exact`` and
+    multiplied by ``scale``, the lcm of their denominators, which leaves
+    the ints in lowest terms.  A list of ints comes back with scale 1.
+
+    The package's one clearing of denominators.
+    """
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    values = [v if type(v) is int else exact(v, what) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def integer_rows(rows, rhs) -> tuple:
+    """``(rows, rhs)`` as a list of int tuples and a tuple of ints, each
+    value read through ``integer``: the one reader of integer rows.
+    ``InputError`` when the rows are ragged or their count is not the
+    right-hand sides'."""
+    if len(rows) != len(rhs):
+        raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    rows = [tuple(integer(v, "constraint coefficient") for v in row)
+            for row in rows]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("ragged constraint matrix")
+    return rows, tuple(integer(v, "right-hand side") for v in rhs)
 
 
 def rat_floor(value) -> int:

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -83,7 +83,7 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import ilp_feasible
-from .rational import Rat, ONE, integer
+from .rational import ONE, cleared, exact, integer
 from .structure import compute_structure_set, normalize_combination
 
 # The largest basis determinant whose group ``cheapest_cover`` searches.
@@ -107,7 +107,7 @@ class CuttingStockInstance:
 
     def __init__(self, sizes: Sequence, multiplicities: Sequence[int],
                  bin_types: Sequence):
-        self.sizes = tuple(Rat(s) for s in sizes)
+        self.sizes = tuple(exact(s, "item size") for s in sizes)
         self.multiplicities = _multiplicities(multiplicities)
         if len(self.sizes) != len(self.multiplicities):
             raise InputError("sizes and multiplicities must align")
@@ -116,8 +116,15 @@ class CuttingStockInstance:
         for s in self.sizes:
             if s <= 0:
                 raise InputError(f"item size {s} must be positive")
-        self.bin_types = tuple((Rat(w), integer(c, "bin cost"))
-                               for w, c in bin_types)
+        pairs = []
+        for i, bin_type in enumerate(bin_types):
+            try:
+                w, c = bin_type
+            except (TypeError, ValueError):
+                raise InputError(f"bin type {i} is not a (capacity, cost) "
+                                 f"pair") from None
+            pairs.append((exact(w, "bin capacity"), integer(c, "bin cost")))
+        self.bin_types = tuple(pairs)
         if not self.bin_types:
             raise InputError("at least one bin type required")
         for w, c in self.bin_types:
@@ -838,13 +845,12 @@ def _selection(picks, costs, budget: int, d: int) -> SelectResult:
 
 def _pattern_rows(sizes, capacity) -> tuple:
     """The load row of one bin's patterns, {x >= 0 : s.x <= capacity}, as
-    ``([row], [rhs])``: the size row scaled to ints by the lcm of its
-    denominators and the capacity's.  Sizes are positive, so clipped to
+    ``([row], [rhs])``: the size row and the capacity cleared to ints
+    together by ``rational.cleared``.  Sizes are positive, so clipped to
     the demand box x <= a, which no pattern of an exact decomposition of
     a exceeds, the part is down-closed."""
-    scale = lcm(*(v.denominator for v in (*sizes, capacity)))
-    row = [s.numerator * (scale // s.denominator) for s in sizes]
-    return [row], [capacity.numerator * (scale // capacity.denominator)]
+    *row, cap = cleared([*sizes, capacity], "size or capacity")[0]
+    return [row], [cap]
 
 
 def bin_packing(inst: BinPackingInstance,
@@ -877,20 +883,25 @@ def cutting_stock(inst: CuttingStockInstance,
 def verify_solution(inst, sol: PackingSolution) -> None:
     """Exact validity check of a packing solution; InternalError on failure.
 
-    Every pattern entry, bin type and multiplicity is read through
-    ``rational.integer``, so a non-integral one fails naming its pattern.
-    Loads are compared in ints: sizes and capacities are scaled once by
-    the lcm of all their denominators."""
+    Each entry must be a ``(pattern, bin type, multiplicity)`` triple, or
+    it fails naming itself.  Every pattern entry, bin type and
+    multiplicity is read through ``rational.integer``, so a non-integral
+    one fails naming its pattern.  Loads are compared in ints: sizes and
+    capacities are cleared together once by ``rational.cleared``."""
     if not isinstance(inst, CuttingStockInstance):
         raise InputError(f"cannot verify solutions for {type(inst).__name__}")
-    scale = lcm(*(s.denominator for s in inst.sizes),
-                *(w.denominator for w, _c in inst.bin_types))
-    sizes = [s.numerator * (scale // s.denominator) for s in inst.sizes]
-    caps = [w.numerator * (scale // w.denominator) for w, _c in inst.bin_types]
     d = inst.dim
+    ints, _scale = cleared([*inst.sizes, *(w for w, _c in inst.bin_types)],
+                           "size or capacity")
+    sizes, caps = ints[:d], ints[d:]
     total = [0] * d
     cost = 0
-    for pattern, bt, mult in sol.patterns:
+    for entry in sol.patterns:
+        try:
+            pattern, bt, mult = entry
+        except (TypeError, ValueError):
+            raise InternalError(f"solution entry {entry} is not a (pattern, "
+                                f"bin type, multiplicity) triple") from None
         try:
             counts = [integer(v, "pattern entry") for v in pattern]
             bt, mult = integer(bt, "bin type"), integer(mult, "multiplicity")

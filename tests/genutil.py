@@ -1,5 +1,6 @@
 """Seeded random instance generators shared across test modules."""
 
+import itertools
 import math
 
 import pytest
@@ -144,6 +145,17 @@ def rand_bounded_polytope(rng, max_dim=3, max_rows=6, coeff_cap=50,
             continue
         if pts or not require_lattice:
             return poly
+
+
+def exhaustive_ilp(rows, rhs, box):
+    """Reference for ``ilp_feasible``: the first integer point of the box
+    ``[(lo, hi), ...]`` in lexicographic order that meets every row, or
+    None."""
+    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        if all(sum(c * v for c, v in zip(row, x)) <= b
+               for row, b in zip(rows, rhs)):
+            return x
+    return None
 
 
 def weighted_sum(weights):

@@ -230,14 +230,6 @@ def test_criterion_06_normalized_combinations():
     report(6, bad == 0, f"200 normalizations, {bad} condition violations")
 
 
-def exhaustive_ilp(rows, rhs, box):
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        if all(sum(c * v for c, v in zip(row, x)) <= b
-               for row, b in zip(rows, rhs)):
-            return x
-    return None
-
-
 def test_criterion_07_ilp_against_enumeration():
     rng = random.Random(20260707)
     bad = 0
@@ -249,7 +241,7 @@ def test_criterion_07_ilp_against_enumeration():
         box = [(rng.randint(-4, 0), rng.randint(0, 4)) for _ in range(n)]
         res = ilp_feasible(rows, rhs, lo=[a for a, _ in box],
                            hi=[b for _, b in box])
-        ref = exhaustive_ilp(rows, rhs, box)
+        ref = genutil.exhaustive_ilp(rows, rhs, box)
         ok = res.feasible == (ref is not None)
         if ok and res.feasible:
             x = res.witness

@@ -270,6 +270,19 @@ class TestDownClosed:
         assert len(geometry.down_closed_lattice(rows, rhs, box)) == 35
 
 
+def box_scan(poly):
+    """Reference lattice: the ``integer_box`` of a fresh copy (one exact
+    LP), filtered by membership, or "unbounded"."""
+    try:
+        box = integer_box(Polytope(poly.A, poly.b))
+    except InputError:
+        return "unbounded"
+    if box is None:
+        return []
+    ranges = [range(a, b + 1) for a, b in box]
+    return [p for p in product(*ranges) if poly.contains_int(p)]
+
+
 class TestLatticePoints:
     def test_knapsack_has_25_points(self):
         pts = lattice_points(knapsack_fig())
@@ -316,15 +329,6 @@ class TestLatticePoints:
         assert (2, 1) in pts and (3, 1) not in pts
 
     @staticmethod
-    def brute_lattice(poly):
-        """Reference: the integer box, filtered by membership."""
-        box = integer_box(poly)
-        if box is None:
-            return []
-        ranges = [range(a, b + 1) for a, b in box]
-        return [p for p in product(*ranges) if poly.contains_int(p)]
-
-    @staticmethod
     def seeded_polytope(rng, d):
         """A box of side up to 6 and up to four cuts whose coefficients are
         often zero and often negative; a cut may come with its opposite,
@@ -353,7 +357,7 @@ class TestLatticePoints:
         for case in range(400):
             poly = self.seeded_polytope(rng, 1 + case % 4)
             pts = lattice_points(poly)
-            assert pts == self.brute_lattice(poly), (poly.A, poly.b)
+            assert pts == box_scan(poly), (poly.A, poly.b)
             assert all(p < q for p, q in zip(pts, pts[1:]))
             seen["points" if pts else "empty"] += 1
             cuts = poly.A[2 * poly.dim:]
@@ -393,11 +397,11 @@ class TestLatticePoints:
         # 0 <= -1 fails everywhere in the box; 0 <= 0 holds everywhere
         rows = [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]]
         poly = Polytope(rows, [3, 0, 3, 0, -1])
-        assert lattice_points(poly) == self.brute_lattice(poly) == []
+        assert lattice_points(poly) == box_scan(poly) == []
         assert poly._runs == []
         poly = Polytope(rows, [3, 0, 3, 0, 0])
         pts = lattice_points(poly)
-        assert pts == self.brute_lattice(poly)
+        assert pts == box_scan(poly)
         assert len(pts) == 16 and self.runs_spell(poly, pts)
 
     def test_a_box_from_the_lp_implies_the_axis_rows(self, monkeypatch):
@@ -417,7 +421,7 @@ class TestLatticePoints:
         pts = lattice_points(poly)
         assert boxes == [[(2, 7), (0, 5), (0, 3)]]
         monkeypatch.undo()
-        assert pts == self.brute_lattice(poly)
+        assert pts == box_scan(poly)
         assert pts[0] == (2, 0, 0) and pts[-1] == (7, 2, 0)
         assert self.runs_spell(poly, pts)
 
@@ -426,7 +430,7 @@ class TestLatticePoints:
         poly = Polytope([[1, 0], [2, 0], [-1, 0], [-3, 0], [0, 1], [0, -1],
                          [1, 1]], [5, 7, 0, -2, 4, 0, 5])
         pts = lattice_points(poly)
-        assert pts == self.brute_lattice(poly)
+        assert pts == box_scan(poly)
         assert pts == [(x, y) for x in (1, 2, 3) for y in range(min(5, 6 - x))]
         assert self.runs_spell(poly, pts)
 
@@ -447,19 +451,6 @@ class TestAxisBox:
     """``lattice_points`` enumerates over the box of the axis rows (one
     non-zero coefficient), and over the LP box only when that box is
     unbounded or over the cap."""
-
-    @staticmethod
-    def lp_box_scan(poly):
-        """Reference: the ``integer_box`` of a fresh copy (one exact LP),
-        filtered by membership, or "unbounded"."""
-        try:
-            box = integer_box(Polytope(poly.A, poly.b))
-        except InputError:
-            return "unbounded"
-        if box is None:
-            return []
-        ranges = [range(a, b + 1) for a, b in box]
-        return [p for p in product(*ranges) if poly.contains_int(p)]
 
     @staticmethod
     def lattice_or_unbounded(poly):
@@ -545,7 +536,7 @@ class TestAxisBox:
         for case in range(480):
             d, kind = 1 + case % 3, kinds[case // 3 % 4]
             poly = self.seeded_polytope(rng, d, kind)
-            expected = self.lp_box_scan(poly)
+            expected = box_scan(poly)
             assert self.lattice_or_unbounded(poly) == expected, (poly.A,
                                                                  poly.b)
             outcome = ("unbounded" if expected == "unbounded" else
@@ -580,7 +571,7 @@ class TestAxisBox:
         expected = [(x, y) for x in range(4) for y in range(4 - x)]
         assert lattice_points(poly) == expected
         assert len(built) == 1  # the LP box was measured
-        assert self.lp_box_scan(poly) == expected
+        assert box_scan(poly) == expected
         monkeypatch.setattr(geometry, "DEFAULT_LATTICE_BUDGET", 15)
         with pytest.raises(ResourceError) as err:
             lattice_points(Polytope(poly.A, poly.b))

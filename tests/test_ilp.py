@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from conepack.ilp import _derive_bounds, ilp_feasible, lll_basis
 from conepack.rational import Rat, rat_ceil, rat_floor
 from conepack.solver import multi_polytope_select
 
-from genutil import pattern_polytope
+from genutil import exhaustive_ilp, pattern_polytope
 
 
 def program(rows, rhs, lo=None, hi=None):
@@ -20,18 +19,6 @@ def program(rows, rhs, lo=None, hi=None):
     None per variable, as ``_derive_bounds`` takes it."""
     n = len(rows[0])
     return rows, rhs, lo or [None] * n, hi or [None] * n
-
-
-def exhaustive(problem, box):
-    """Reference check: scan the whole box for a feasible integer point."""
-    rows, rhs = problem[:2]
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    for x in itertools.product(*ranges):
-        ok = all(sum(c * v for c, v in zip(row, x)) <= b
-                 for row, b in zip(rows, rhs))
-        if ok:
-            return x
-    return None
 
 
 class TestBasics:
@@ -116,7 +103,7 @@ class TestOracle:
         for _ in range(200):
             p, box = random_problem(rng)
             res = ilp_feasible(*p)
-            ref = exhaustive(p, box)
+            ref = exhaustive_ilp(*p[:2], box)
             assert res.feasible == (ref is not None)
             if res.feasible:
                 x = res.witness

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, imports only
-the standard library and the package itself, reads integer input only
-through ``rational.integer``, and leaves instance files to ``cli``.
+the standard library and the package itself, reads integers and clears
+denominators only in ``rational``, and leaves instance files to ``cli``.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, and in
@@ -10,11 +10,13 @@ and every entry of ``__all__`` must be bound there, or
 A non-relative import must name a module of ``sys.stdlib_module_names``
 or ``conepack``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
-tests of a second integer reader.  Outside ``cli.py`` no module may call
-``.splitlines()`` or define a ``*_from_text`` function, the marks of a
-second file reader.  No module may subscript an attribute ``.windows``
-outside ``scheduling._machine_windows``, the one reader of a machine
-type, and ``SchedulingInstance.__init__``, which builds the windows.
+tests of a second integer reader, nor read an attribute ``.numerator``
+or ``.denominator``, the mark of a second clearing of denominators.
+Outside ``cli.py`` no module may call ``.splitlines()`` or define a
+``*_from_text`` function, the marks of a second file reader.  No module
+may subscript an attribute ``.windows`` outside
+``scheduling._machine_windows``, the one reader of a machine type, and
+``SchedulingInstance.__init__``, which builds the windows.
 No module but ``geometry.py`` may name the attribute ``._lattice``,
 ``._runs`` or ``._bounds``, the caches geometry keeps on a polytope, and
 within it only ``lattice_points`` may assign ``._lattice`` or ``._runs``
@@ -124,6 +126,15 @@ def integer_type_tests(path):
                 and kind.value == "denominator":
             out.append(f"hasattr (line {node.lineno})")
     return sorted(out)
+
+
+def fraction_part_reads(path):
+    """The ``.numerator`` and ``.denominator`` attributes the module reads,
+    with line numbers."""
+    return sorted(f"{node.attr} (line {node.lineno})"
+                  for node in ast.walk(parse(path))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("numerator", "denominator"))
 
 
 def text_readers(path):
@@ -245,6 +256,31 @@ def test_a_second_integer_reader_is_caught(tmp_path):
     assert integer_type_tests(module) == ["hasattr (line 6)",
                                           "isinstance (line 2)",
                                           "isinstance (line 4)"]
+
+
+@pytest.mark.parametrize("path", READERS, ids=[p.name for p in READERS])
+def test_denominators_are_cleared_only_in_rational(path):
+    assert fraction_part_reads(path) == []
+
+
+def test_a_second_clearing_is_caught(tmp_path):
+    # the size row and the load check of a packing, as solver.py once
+    # cleared them; a message or a name that mentions a denominator reads
+    # none
+    module = tmp_path / "sample.py"
+    module.write_text("from math import lcm\n"
+                      "\n\n"
+                      "def _pattern_rows(sizes, capacity):\n"
+                      "    scale = lcm(*(v.denominator for v in sizes))\n"
+                      "    row = [s.numerator * (scale // s.denominator)\n"
+                      "           for s in sizes]\n"
+                      "    return [row], [capacity.numerator]\n"
+                      "\n\n"
+                      "def _numerators(point, denominator):\n"
+                      "    raise ValueError('zero denominator')\n")
+    assert fraction_part_reads(module) == [
+        "denominator (line 5)", "denominator (line 6)",
+        "numerator (line 6)", "numerator (line 8)"]
 
 
 NOT_CLI = [p for p in MODULES if p.name != "cli.py"]

@@ -1,9 +1,12 @@
-"""Integer input is read one way at every entry point.
+"""Exact input is read one way at every entry point.
 
 Each entry point that needs integers reads them through
 ``rational.integer``: a non-integral value raises an ``InputError`` that
 names its field, and an integral rational or float answers as its int
 twin does.  A work budget is read so too, and a negative one refused.
+Each rational is read through ``rational.exact``: text, None or a
+non-finite number raises an ``InputError`` naming its field, a
+``Fraction`` comes back as it is and a float as its exact value.
 A listed part's points are read by one reader at the configuration
 window, the covering search and every probe over them, so a malformed
 point is refused alike at all three, naming its part.
@@ -25,7 +28,7 @@ import pytest
 
 from conepack import budget, oracle
 from conepack.errors import InputError, InternalError
-from conepack.exactmath import ExactLp, solve_linear_system
+from conepack.exactmath import ExactLp, lp_optimize, solve_linear_system
 from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
                                down_closed_lattice, down_closed_polytope,
                                extreme_points, in_convex_hull, lattice_points,
@@ -39,7 +42,8 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  schedulable_vectors, tardy_min_penalty,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
-from conepack.solver import (CuttingStockInstance, cheapest_cover,
+from conepack.solver import (BinPackingInstance, CuttingStockInstance,
+                             cheapest_cover,
                              configuration_window, multi_polytope_select,
                              select_from_generators)
 from conepack.structure import (compute_structure_set, normalize_combination,
@@ -145,6 +149,9 @@ NON_INTEGRAL = [
      lambda: configuration_window([([(1,)], 1)], [Fraction(5, 2)])),
     ("window-cost", "part cost",
      lambda: configuration_window([([(1,)], HALF)], [2])),
+    # read before it is negated into a row, which used to report
+    # "right-hand side -1.5"
+    ("box-side", "box side", lambda: box_polytope([1.5], [5])),
     ("slack", "slack", lambda: slack_interval_index(Fraction(5, 2), 1)),
     ("slack-dimension", "dimension",
      lambda: slack_interval_index(3, THREE_HALVES)),
@@ -211,11 +218,16 @@ BAD_VALUES = [
     ("no-bin-type", "bin type", lambda: CuttingStockInstance([HALF], [1], [])),
     ("bin-cost-below-1", "bin cost",
      lambda: CuttingStockInstance([HALF], [1], [(1, 0)])),
-    ("rows-and-bounds", "bounds", lambda: Polytope([[1], [-1]], [1])),
+    # the bin type as _costed reads a part: this used to be a bare
+    # ValueError ("not enough values to unpack")
+    ("bin-type-not-a-pair", "bin type 0",
+     lambda: CuttingStockInstance([HALF], [1], [(1,)])),
+    ("rows-and-bounds", "right-hand sides",
+     lambda: Polytope([[1], [-1]], [1])),
     # the load rows are counted before the box rows are added
-    ("down-closed-rows-and-bounds", "1 rows but 2 bounds",
+    ("down-closed-rows-and-bounds", "1 rows but 2 right-hand sides",
      lambda: down_closed_polytope([[1]], [3, 4], [10])),
-    ("down-closed-lister-rows-and-bounds", "1 rows but 2 bounds",
+    ("down-closed-lister-rows-and-bounds", "1 rows but 2 right-hand sides",
      lambda: down_closed_lattice([[1]], [3, 4], [10])),
     ("ragged-rows", "constraint matrix",
      lambda: Polytope([[1], [-1, 0]], [1, 0])),
@@ -465,6 +477,64 @@ def test_text_is_not_read_as_an_integer():
     with pytest.raises(InputError, match="^box side '10' is text, not an "
                                          "integer$"):
         down_closed_lattice([[1]], [3], ["10"])
+    # this used to report "right-hand side ''"
+    with pytest.raises(InputError, match="^box side '3' is text, not an "
+                                         "integer$"):
+        box_polytope(["3"], [5])
+
+
+# a rational is read by rational.exact, which refuses text, None and a
+# non-finite number naming its field; each of these used to answer (a
+# text rational read as a number) or raise a bare TypeError, ValueError
+# or OverflowError
+NOT_A_RATIONAL = [
+    ("text-size", "^item size '1/2' is text, not a number$",
+     lambda: BinPackingInstance(["1/2"], [3])),
+    ("text-capacity", "^bin capacity '3/4' is text, not a number$",
+     lambda: CuttingStockInstance([HALF], [1], [("3/4", 1)])),
+    ("none-size", "^item size None must be a finite rational$",
+     lambda: BinPackingInstance([None], [3])),
+    ("infinite-size", "^item size inf must be a finite rational$",
+     lambda: CuttingStockInstance([float("inf")], [1], [(1, 1)])),
+    ("nan-size", "^item size nan must be a finite rational$",
+     lambda: CuttingStockInstance([float("nan")], [1], [(1, 1)])),
+    ("lp-text-rational", "^constraint entry '1/3' is text, not a number$",
+     lambda: lp_optimize([["1/3"]], [1], [1])),
+    ("lp-text", "^constraint entry 'a' is text, not a number$",
+     lambda: lp_optimize([["a"]], [1], [1])),
+    ("lp-objective", "^objective coefficient None must be a finite "
+                     "rational$",
+     lambda: lp_optimize([[1]], [1], [None])),
+    ("hull-text", "^constraint entry 'a' is text, not a number$",
+     lambda: in_convex_hull(("a",), [(1,)])),
+    ("parallelepiped-text",
+     "^parallelepiped coordinate 'a' is text, not a number$",
+     lambda: Parallelepiped(("a",), [(1,)])),
+    ("contains-text", "^point coordinate 'a' is text, not a number$",
+     lambda: Parallelepiped((1,), [(1,)]).contains(("a",))),
+    ("system-text", "^system entry '2' is text, not a number$",
+     lambda: solve_linear_system([["2"]], ["1"])),
+    ("bp-brute-force-text", "^item size '1/2' is text, not a number$",
+     lambda: oracle.bp_brute_force(["1/2"], [3])),
+    ("fractional-opt-none", "^item size None must be a finite rational$",
+     lambda: oracle.fractional_opt([None], [3])),
+]
+
+
+@pytest.mark.parametrize("message,call", [case[1:] for case in NOT_A_RATIONAL],
+                         ids=[case[0] for case in NOT_A_RATIONAL])
+def test_a_value_that_is_not_a_rational_is_an_input_error(message, call):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_rationals_keep_their_exact_value():
+    # a Fraction comes back as it is, and a float as its exact value
+    inst = CuttingStockInstance([0.25, HALF], [1, 1], [(0.75, 1)])
+    assert inst.sizes == (Fraction(1, 4), HALF)
+    assert inst.sizes[1] is HALF
+    assert inst.bin_types == ((Fraction(3, 4), 1),)
+    assert solve_linear_system([[0.5]], [1]).solution == (2,)
 
 
 MIXED_DIMENSION = [

@@ -15,8 +15,8 @@ from conepack.errors import (InfeasibleError, InputError, InternalError,
 from conepack.geometry import (Polytope, coordinate_bounds,
                                down_closed_polytope, integer_box,
                                lattice_points)
-from conepack.oracle import (bp_brute_force, nonpreemptive_brute_counts,
-                             tardy_exhaustive)
+from conepack.oracle import (bp_brute_force, exact_cover_cost,
+                             nonpreemptive_brute_counts, tardy_exhaustive)
 from conepack.rational import Rat
 from conepack.solver import multi_polytope_select
 from conepack.scheduling import (CycleLayout, SchedulingInstance,
@@ -495,29 +495,18 @@ class TestNonpreemptiveAssign:
 
 def brute_assignment_cost(inst):
     """The cheapest machine multiset covering the demand exactly, by
-    dynamic programming over the remaining demand; each machine type's
-    vectors are the non-zero ones ``nonpreemptive_brute_counts`` schedules
-    (those whose work exceeds the last deadline are skipped unread)."""
+    ``oracle.exact_cover_cost``; each machine type's options are the
+    non-zero vectors ``nonpreemptive_brute_counts`` schedules (those whose
+    work exceeds the last deadline are skipped unread) at its cost."""
     a = inst.multiplicities
-    vectors = []
-    for i, windows in enumerate(inst.windows):
+    options = []
+    for i, (windows, cost) in enumerate(zip(inst.windows, inst.costs)):
         horizon = max(dl for _r, dl, _p in windows)
-        vectors.append([
-            x for x in box_vectors(a, sum(a)) if any(x)
+        options += [
+            (x, cost) for x in box_vectors(a, sum(a)) if any(x)
             and sum(p * c for (_r, _dl, p), c in zip(windows, x)) <= horizon
-            and nonpreemptive_brute_counts(x, inst, i) is not None])
-    best = {(0,) * len(a): 0}
-
-    def cost(rest):
-        if rest not in best:
-            best[rest] = min(
-                (c + cost(tuple(r - v for r, v in zip(rest, x)))
-                 for c, xs in zip(inst.costs, vectors) for x in xs
-                 if all(v <= r for v, r in zip(x, rest))),
-                default=float("inf"))
-        return best[rest]
-
-    return cost(tuple(a))
+            and nonpreemptive_brute_counts(x, inst, i) is not None]
+    return exact_cover_cost(options, a)
 
 
 class TestTardy:

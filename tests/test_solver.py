@@ -1515,6 +1515,16 @@ class TestVerifySolution:
         with pytest.raises(InternalError):
             verify_solution(inst, sol)
 
+    @pytest.mark.parametrize("entry", [((2,), 0), ((2,), 0, 1, 1), 7],
+                             ids=["pair", "quadruple", "int"])
+    def test_rejects_an_entry_that_is_not_a_triple(self, entry):
+        # the pair used to raise a bare ValueError, the int a TypeError
+        inst = BinPackingInstance([Rat(1, 2)], [2])
+        with pytest.raises(InternalError, match=re.escape(
+                f"solution entry {entry} is not a (pattern, bin type, "
+                f"multiplicity) triple")):
+            verify_solution(inst, PackingSolution((entry,), 1))
+
     def test_unknown_instance(self):
         with pytest.raises(InputError):
             verify_solution(object(), PackingSolution((), 0))
