@@ -44,9 +44,8 @@ in mixed integer programming*, 2007), kept exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
@@ -67,14 +66,12 @@ _AT_UP = 2
 _FREE = 3
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(NamedTuple):
     status: str  # 'unique' | 'singular'
     solution: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
     value: Optional[Rat] = None
     vertex: Optional[tuple] = None

@@ -58,9 +58,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
@@ -1069,8 +1068,7 @@ class _PointElement(Parallelepiped):
 # ellipsoid contact points
 
 
-@dataclass(frozen=True)
-class EllipsoidResult:
+class EllipsoidResult(NamedTuple):
     """Contact points of a centrally symmetric enclosing ellipsoid.
 
     ``contact_indices`` select input points such that the symmetric hull of

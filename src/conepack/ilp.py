@@ -44,20 +44,18 @@ lattice under the metric ``A^T A + I``; the solver does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, UNBOUNDED
 from .rational import (Rat, ZERO, ONE, rat_floor, rat_ceil, as_int,
-                       integer_rows)
+                       integer, integer_rows)
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class IlpResult:
+class IlpResult(NamedTuple):
     feasible: bool
     witness: Optional[tuple]
     nodes: int
@@ -205,7 +203,18 @@ def _metric_dot(M, u, v):
 
 
 def lll_basis(rows: Sequence[Sequence[int]], n: int) -> list:
-    """Unimodular basis of Z^n, LLL-reduced under the metric A^T A + I."""
+    """Unimodular basis of Z^n, LLL-reduced under the metric A^T A + I.
+
+    ``n`` and every entry are read through ``rational.integer``; a
+    negative ``n`` or a row without ``n`` entries raises ``InputError``.
+    """
+    n = integer(n, "dimension")
+    if n < 0:
+        raise InputError(f"dimension {n} is negative")
+    rows = [tuple(integer(v, "row entry") for v in row) for row in rows]
+    for row in rows:
+        if len(row) != n:
+            raise InputError(f"row {row} has {len(row)} entries, not {n}")
     M = [[sum(row[i] * row[j] for row in rows) + (1 if i == j else 0)
           for j in range(n)] for i in range(n)]
     basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

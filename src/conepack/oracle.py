@@ -12,9 +12,8 @@ options that the caller lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .exactmath import (lp_optimize, solve_linear_system, INFEASIBLE,
@@ -63,9 +62,31 @@ def exact_cover_cost(options: Sequence, demand: Sequence[int]) -> Optional[int]:
     Memoised recursion over the residual demand.  Every cover of a residual
     holds an option that covers the residual's first non-zero entry, so only
     those options are tried there; zero vectors cover nothing and are
-    dropped.
+    dropped.  The demand and each option's entries and cost are read
+    through ``rational.integer``; an option that is not a pair, or whose
+    vector is ragged or holds a negative entry, or whose cost is negative,
+    raises ``InputError`` naming it.
     """
-    options = [(tuple(v), c) for v, c in options if any(v)]
+    demand = tuple(integer(v, "demand") for v in demand)
+    read = []
+    for i, option in enumerate(options):
+        try:
+            v, c = option
+            v = tuple(v)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"option {i} {option!r} is not a (vector, cost) "
+                             f"pair") from exc
+        v = tuple(integer(x, f"option {i} entry") for x in v)
+        c = integer(c, f"option {i} cost")
+        if len(v) != len(demand):
+            raise InputError(f"option {i} {option!r} has {len(v)} entries "
+                             f"but the demand has {len(demand)}")
+        if c < 0 or any(x < 0 for x in v):
+            raise InputError(f"option {i} {option!r} has a negative entry "
+                             f"or cost")
+        if any(v):
+            read.append((v, c))
+    options = read
     memo = {(0,) * len(demand): 0}
 
     def least(rest):
@@ -203,8 +224,7 @@ def int_cone_brute(gens: Sequence, target, box: Sequence,
 # cover verification
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     ok: bool
     violations: tuple = ()
 

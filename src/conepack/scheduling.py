@@ -40,9 +40,8 @@ re-validated from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 from .geometry import Polytope, bounded_polytope, down_closed_lattice
@@ -167,8 +166,7 @@ def _job_vector(inst: SchedulingInstance, x) -> tuple:
     return x
 
 
-@dataclass(frozen=True)
-class ScheduleSolution:
+class ScheduleSolution(NamedTuple):
     """Machines with their job vectors and timed schedules.
 
     ``machines`` holds (machine_type, job_vector, schedule) triples where
@@ -241,8 +239,7 @@ def _edf_rows(inst: SchedulingInstance, machine_type: int) -> tuple:
     return list(width), list(width.values())
 
 
-@dataclass(frozen=True)
-class EdfResult:
+class EdfResult(NamedTuple):
     feasible: bool
     schedule: Optional[tuple] = None       # (job_type, copy, start, end)
     violation: Optional[tuple] = None      # overloaded (t1, t2)
@@ -319,13 +316,19 @@ def _segment_window(windows: tuple, segment: tuple) -> tuple:
 
 def validate_preemptive_schedule(inst: SchedulingInstance, machine_type: int,
                                  x: Sequence[int], schedule: Sequence) -> None:
-    """Exact checks: windows, full lengths, one job at a time.  A segment
-    that is not ``(job type, copy, start, end)`` is an InternalError."""
+    """Exact checks: windows, full lengths, one job at a time.  A schedule
+    that is not iterable, or a segment that is not ``(job type, copy,
+    start, end)``, is an InternalError."""
     windows = _machine_windows(inst, machine_type)
     x = _job_vector(inst, x)
+    try:
+        segments = iter(schedule)
+    except TypeError as exc:
+        raise InternalError(f"schedule {schedule!r} is not a sequence of "
+                            f"segments") from exc
     work = {}
     spans = []
-    for segment in schedule:
+    for segment in segments:
         try:
             job_type, copy, start, end = segment
         except (TypeError, ValueError) as exc:
@@ -354,8 +357,7 @@ def validate_preemptive_schedule(inst: SchedulingInstance, machine_type: int,
 # non-preemptive: cycle polytope
 
 
-@dataclass(frozen=True)
-class CycleLayout:
+class CycleLayout(NamedTuple):
     """Variable order of the cycle polytope for d job types.
 
     Layout: x_1..x_d, then the dummy count x_0, then the cycle end times

@@ -64,7 +64,6 @@ loads are compared in ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from math import gcd
 from operator import mul
@@ -149,16 +148,14 @@ class BinPackingInstance(CuttingStockInstance):
         return f"BinPackingInstance(sizes={self.sizes}, a={self.multiplicities})"
 
 
-@dataclass(frozen=True)
-class PackingSolution:
+class PackingSolution(NamedTuple):
     """Patterns with bin types and multiplicities, plus the exact objective."""
 
     patterns: tuple            # ((pattern, bin_type_index, multiplicity), ...)
     objective: int
 
 
-@dataclass(frozen=True)
-class IntConeResult:
+class IntConeResult(NamedTuple):
     found: bool
     target: Optional[tuple]            # the reached point y
     combination: Optional[dict]        # {point: weight}, normalized
@@ -166,8 +163,7 @@ class IntConeResult:
     guesses_tried: int = 0             # 0 or 1: whether the lead guess ran
 
 
-@dataclass(frozen=True)
-class SelectResult:
+class SelectResult(NamedTuple):
     found: bool
     target: Optional[tuple]            # the reached point
     picks: tuple = ()                  # sorted (part, point, copies)
@@ -740,7 +736,7 @@ def int_cone_intersect(source: Polytope, target: Polytope,
         raise InputError("source and target dimensions differ")
     res = _decide([source], target, None, mode)
     if res.found:
-        res = replace(res, combination=res.combination[0])
+        res = res._replace(combination=res.combination[0])
     return res
 
 

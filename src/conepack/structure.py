@@ -26,7 +26,6 @@ termination.  Weight moves onto corners built by the parallelepiped's own
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 from .errors import InputError, InternalError
@@ -44,11 +43,17 @@ def _weights(combo: Mapping) -> Dict[tuple, int]:
 
     Coordinates and weights go through ``rational.integer``, so integral
     rationals come back as ints; zero weights are dropped, and a negative
-    weight or points of mixed dimension raise ``InputError``.
+    weight, points of mixed dimension or a ``combo`` that is not a mapping
+    raise ``InputError``.
     """
+    try:
+        items = combo.items()
+    except AttributeError as exc:
+        raise InputError(f"combination {combo!r} is not a mapping of points "
+                         f"to weights") from exc
     store: Dict[tuple, int] = {}
     dim = None
-    for point, w in combo.items():
+    for point, w in items:
         pt = tuple(integer(v, "point coordinate") for v in point)
         w = integer(w, "weight")
         if w < 0:
@@ -199,20 +204,25 @@ def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
     return weights
 
 
-@dataclass(eq=False)
 class StructureSet:
     """Cover of a polytope's lattice together with its special points.
 
     ``special_points`` (X) are exactly the parallelepiped vertices of the
     cover; ``locator`` maps every lattice point to the lowest index of a
-    parallelepiped containing it.
+    parallelepiped containing it.  It holds a dict and a polytope, so it
+    compares and hashes by identity.
     """
 
-    special_points: tuple
-    cover: tuple
-    locator: dict
-    polytope: Polytope
-    special_set: frozenset
+    __slots__ = ("special_points", "cover", "locator", "polytope",
+                 "special_set")
+
+    def __init__(self, special_points: tuple, cover: tuple, locator: dict,
+                 polytope: Polytope, special_set: frozenset):
+        self.special_points = special_points
+        self.cover = cover
+        self.locator = locator
+        self.polytope = polytope
+        self.special_set = special_set
 
 
 def compute_structure_set(poly: Polytope) -> StructureSet:

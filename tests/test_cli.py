@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -483,7 +482,7 @@ class TestVerify:
 
         def high(inst):
             sol = solve(inst)
-            return replace(sol, objective=sol.objective + 1)
+            return sol._replace(objective=sol.objective + 1)
 
         monkeypatch.setattr(cli, "tardy_min_penalty", high)
         rc, out, _ = run_cli(capsys, "verify",

@@ -8,7 +8,10 @@ a name bound by an import must be read somewhere in the module, and in
 and every entry of ``__all__`` must be bound there, or
 ``from conepack import *`` fails.
 A non-relative import must name a module of ``sys.stdlib_module_names``
-or ``conepack``.  Outside ``rational.py`` no module may call
+or ``conepack``, and no module may import ``dataclasses``: a record is a
+``typing.NamedTuple``, which generates no code when the module is
+imported, so a cold import of ``conepack.cli`` loads neither
+``dataclasses`` nor ``inspect``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
 tests of a second integer reader, nor read an attribute ``.numerator``
 or ``.denominator``, the mark of a second clearing of denominators.
@@ -38,6 +41,8 @@ its ``__init__``.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,10 +96,9 @@ def unused_imports(path):
                   if name not in used)
 
 
-def foreign_imports(path):
-    """The top-level modules of the module's non-relative imports that are
-    neither in the standard library nor the package, with line numbers."""
-    out = []
+def imported_modules(path):
+    """``(top-level module, line number)`` of each module the module's
+    non-relative imports name."""
     for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -103,10 +107,22 @@ def foreign_imports(path):
         else:
             continue
         for name in names:
-            top = name.split(".")[0]
-            if top not in sys.stdlib_module_names and top != "conepack":
-                out.append(f"{top} (line {node.lineno})")
-    return sorted(out)
+            yield name.split(".")[0], node.lineno
+
+
+def foreign_imports(path):
+    """The top-level modules of the module's non-relative imports that are
+    neither in the standard library nor the package, with line numbers."""
+    return sorted(f"{top} (line {line})"
+                  for top, line in imported_modules(path)
+                  if top not in sys.stdlib_module_names and top != "conepack")
+
+
+def dataclass_imports(path):
+    """The module's imports of ``dataclasses``, with line numbers."""
+    return sorted(f"{top} (line {line})"
+                  for top, line in imported_modules(path)
+                  if top == "dataclasses")
 
 
 def integer_type_tests(path):
@@ -234,6 +250,32 @@ def test_a_foreign_import_is_caught(tmp_path):
                       "from .geometry import Polytope\n"
                       "from numpy.linalg import solve\n")
     assert foreign_imports(module) == ["numpy (line 2)", "numpy (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    assert dataclass_imports(path) == []
+
+
+def test_a_dataclass_import_is_caught(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("import dataclasses\n"
+                      "from typing import NamedTuple\n"
+                      "from dataclasses import dataclass, replace\n"
+                      "from .dataclasses import Record\n")
+    assert dataclass_imports(module) == ["dataclasses (line 1)",
+                                         "dataclasses (line 3)"]
+
+
+def test_a_cold_import_generates_no_code():
+    # the subprocess imports the package under test, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, conepack.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 READERS = [p for p in MODULES if p.name != "rational.py"]

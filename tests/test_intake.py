@@ -16,9 +16,10 @@ LP, an objective of another variant or the oracle refuses raises an
 Every scheduling entry point reads a machine type and a job vector
 through the scheduling module's two readers, so a machine type outside
 0..m-1 or a job vector of the wrong length or with a negative count is
-an ``InputError`` everywhere, and a validated schedule whose segment
-names no job type is an ``InternalError``.  The hull routines reject
-points of mixed dimension with an ``InputError``.
+an ``InputError`` everywhere, and a validated schedule that is not
+iterable, or whose segment names no job type, is an ``InternalError``.
+The hull routines reject points of mixed dimension with an
+``InputError``.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
                                down_closed_lattice, down_closed_polytope,
                                extreme_points, in_convex_hull, lattice_points,
                                slack_interval_index)
-from conepack.ilp import ilp_feasible
+from conepack.ilp import ilp_feasible, lll_basis
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
                                  extract_cyclic_schedule,
@@ -155,6 +156,17 @@ NON_INTEGRAL = [
     ("slack", "slack", lambda: slack_interval_index(Fraction(5, 2), 1)),
     ("slack-dimension", "dimension",
      lambda: slack_interval_index(3, THREE_HALVES)),
+    # the reference search used to answer 2 and 1.0 from the first two
+    ("exact-cover-entry", "option 0 entry",
+     lambda: oracle.exact_cover_cost([((0.5,), 1)], (1,))),
+    ("exact-cover-cost", "option 0 cost",
+     lambda: oracle.exact_cover_cost([((1,), 0.5)], (2,))),
+    ("exact-cover-demand", "demand",
+     lambda: oracle.exact_cover_cost([((1,), 1)], (HALF,))),
+    # these used to raise a bare TypeError or answer from float rows
+    ("lll-none", "row entry", lambda: lll_basis([[None]], 1)),
+    ("lll-float", "row entry", lambda: lll_basis([[0.5, 1]], 2)),
+    ("lll-dimension", "dimension", lambda: lll_basis([[1]], THREE_HALVES)),
 ]
 
 
@@ -295,6 +307,30 @@ BAD_VALUES = [
      lambda: oracle.nonpreemptive_brute([(0, 5, 1)], 4)),
     ("cover-verify-unbounded", "unbounded polytope",
      lambda: oracle.cover_verify(Polytope([[-1]], [0]), [])),
+    # the reference search's options: a ragged vector used to be truncated
+    # to answer 1, negative entries to recurse without end, and a lone
+    # vector to raise a bare ValueError
+    ("exact-cover-ragged", r"option 0 \(\(1, 2\), 1\) has 2 entries but the "
+                           r"demand has 1",
+     lambda: oracle.exact_cover_cost([((1, 2), 1)], (1,))),
+    ("exact-cover-negative-entry", r"option 0 \(\(1, -1\), 1\) has a "
+                                   r"negative entry or cost",
+     lambda: oracle.exact_cover_cost([((1, -1), 1), ((-1, 1), 1)], (1, 1))),
+    ("exact-cover-negative-cost", "option 1 .* negative entry or cost",
+     lambda: oracle.exact_cover_cost([((1,), 1), ((1,), -1)], (1,))),
+    ("exact-cover-not-a-pair", r"option 0 \(\(1,\),\) is not a \(vector, "
+                               r"cost\) pair",
+     lambda: oracle.exact_cover_cost([((1,),)], (1,))),
+    # a row of another length used to raise IndexError
+    ("lll-ragged", r"row \(3,\) has 1 entries, not 2",
+     lambda: lll_basis([[1, 2], [3]], 2)),
+    ("lll-negative-dimension", "dimension -1 is negative",
+     lambda: lll_basis([], -1)),
+    # a combination that is not a mapping used to raise AttributeError
+    ("reduce-support-not-a-mapping", "not a mapping",
+     lambda: reduce_support([((1, 0), 1)])),
+    ("normalize-not-a-mapping", "not a mapping",
+     lambda: normalize_combination([1], segment_sset())),
 ]
 
 
@@ -481,6 +517,9 @@ def test_text_is_not_read_as_an_integer():
     with pytest.raises(InputError, match="^box side '3' is text, not an "
                                          "integer$"):
         box_polytope(["3"], [5])
+    with pytest.raises(InputError, match="^row entry 'a' is text, not an "
+                                         "integer$"):
+        lll_basis([["a"]], 1)
 
 
 # a rational is read by rational.exact, which refuses text, None and a
@@ -647,3 +686,13 @@ def test_a_segment_naming_no_job_type_is_an_internal_error(validate,
                                             rf"1\) names no job type "
                                             rf"{job_type}$"):
         validate(two_machine_types(), 0, (1, 0), [segment])
+
+
+# a schedule that is not iterable used to raise a bare TypeError
+@pytest.mark.parametrize("validate", [validate_preemptive_schedule,
+                                      validate_nonpreemptive_schedule],
+                         ids=["preemptive", "nonpreemptive"])
+def test_a_schedule_that_is_not_iterable_is_an_internal_error(validate):
+    with pytest.raises(InternalError, match="^schedule 5 is not a sequence "
+                                            "of segments$"):
+        validate(two_machine_types(), 0, (1, 0), 5)
