@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .budget import charge
 from .errors import InputError, InternalError, ResourceError
-from .rational import Rat, ZERO, cleared, exact, integer
+from .rational import Rat, ZERO, cleared, integer, rationals, sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -84,12 +84,14 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolv
     has full column rank; ``singular`` otherwise (underdetermined square
     systems and inconsistent overdetermined systems both land here).
     """
+    matrix = [rationals(row, "system entry")
+              for row in sequence(matrix, "system entry")]
+    rhs = rationals(rhs, "system entry")
     m = len(matrix)
     if m != len(rhs):
         raise InputError(f"system has {m} rows but rhs has {len(rhs)} entries")
     n = len(matrix[0]) if m else 0
-    rows = [[exact(v, "system entry") for v in (*row, rhs[i])]
-            for i, row in enumerate(matrix)]
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     for row in rows:
         if len(row) != n + 1:
             raise InputError("ragged matrix")
@@ -214,6 +216,11 @@ class ExactLp:
     """
 
     def __init__(self, rows, rhs, senses=None, lo=None, hi=None):
+        rows = [sequence(row, "constraint entry")
+                for row in sequence(rows, "constraint matrix")]
+        rhs = sequence(rhs, "right-hand side")
+        lo, hi = (None if bound is None else sequence(bound, "variable bound")
+                  for bound in (lo, hi))
         m = len(rows)
         n = len(rows[0]) if m else 0
         for row in rows:
@@ -223,6 +230,7 @@ class ExactLp:
             raise InputError(f"{m} rows but {len(rhs)} right-hand sides")
         if senses is None:
             senses = ["<="] * m
+        senses = sequence(senses, "row senses")
         if len(senses) != m:
             raise InputError("senses length mismatch")
         for name, bound in (("lo", lo), ("hi", hi)):
@@ -590,6 +598,7 @@ class ExactLp:
         """
         if sense not in ("max", "min"):
             raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
+        objective = sequence(objective, "objective coefficient")
         if len(objective) != self.n:
             raise InputError("objective length mismatch")
         if self._infeasible_rows():

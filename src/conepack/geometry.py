@@ -64,7 +64,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp
 from .rational import (Rat, ONE, ZERO, cleared, integer, integer_rows,
-                       rat_ceil, rat_floor)
+                       integers, rat_ceil, rat_floor, sequence)
 
 DEFAULT_LATTICE_BUDGET = 200_000
 
@@ -199,6 +199,7 @@ def bounded_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     ``InputError`` when ``lo`` and ``hi`` differ in length.
     """
     rows, rhs = integer_rows(rows, rhs)
+    lo, hi = sequence(lo, "box side"), sequence(hi, "box side")
     if len(lo) != len(hi):
         raise InputError(f"box sides {tuple(lo)} and {tuple(hi)} differ in "
                          f"length")
@@ -217,11 +218,13 @@ def bounded_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
 
 def box_polytope(lo: Sequence[int], hi: Sequence[int]) -> Polytope:
     """The box ``lo <= x <= hi``, written by ``bounded_polytope`` with no
-    other row.  A non-empty box knows its coordinate bounds, so
-    ``coordinate_bounds`` solves no LP for it.
+    other row; a None side leaves it open.  A non-empty box with no open
+    side knows its coordinate bounds, so ``coordinate_bounds`` solves no
+    LP for it.
     """
+    lo, hi = sequence(lo, "box side"), sequence(hi, "box side")
     box = bounded_polytope([], [], lo, hi)
-    if all(a <= b for a, b in zip(lo, hi)):
+    if None not in (*lo, *hi) and all(a <= b for a, b in zip(lo, hi)):
         box._bounds = [(Rat(a), Rat(b)) for a, b in zip(lo, hi)]
     return box
 
@@ -239,6 +242,7 @@ def down_closed_polytope(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     rows with ``a_ij > 0`` (the upper end is attained on the axis).  It
     knows those bounds, so ``coordinate_bounds`` solves no LP for it.
     """
+    box = sequence(box, "box side")
     poly = bounded_polytope(rows, rhs, [0] * len(box), box)
     loads = len(rows)
     top = _least_ratios(poly.A[:loads], poly.b, poly.b[loads::2])
@@ -432,7 +436,7 @@ def down_closed_lattice(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     load rows alone.
     """
     rows, rhs = integer_rows(rows, rhs)
-    box = [integer(v, "box side") for v in box]
+    box = integers(box, "box side")
     top = [b // c for b, c in _least_ratios(rows, rhs, box)]
     _check_budget(math.prod(v + 1 for v in top))
     return _interval_search([(0, v) for v in top], list(zip(rows, rhs)))[0]
@@ -501,7 +505,8 @@ def _interval_search(box, rows) -> tuple:
 
 def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
     """Exact test: is ``point`` a convex combination of ``points``?"""
-    pts = list(points)
+    point = sequence(point, "hull point")
+    pts = [sequence(p, "hull point") for p in sequence(points, "hull points")]
     if not pts:
         return False
     d = len(point)
@@ -669,12 +674,10 @@ def extreme_points(points: Iterable[Sequence[int]]) -> list:
     int tuples and sorted, then read as column runs (``_column_runs``)
     and handed to ``_hull_of_runs``.  Sorted lexicographically.
     """
-    ptset = set(map(tuple, points))
+    ptset = {integers(p, "hull point coordinate")
+             for p in sequence(points, "hull points")}
     if len(set(map(len, ptset))) > 1:
         raise InputError("hull points of mixed dimension")
-    if not set(map(type, chain.from_iterable(ptset))) <= {int}:
-        ptset = {tuple(integer(v, "hull point coordinate") for v in p)
-                 for p in ptset}
     pts = sorted(ptset)
     if not pts or not pts[0]:
         return pts  # no point, or the one 0-dimensional point
@@ -966,8 +969,9 @@ class Parallelepiped(_Frame):
     __slots__ = ("_scale", "_center")
 
     def __init__(self, center: Sequence, directions: Sequence[Sequence]):
-        center = tuple(center)
-        directions = [tuple(d) for d in directions]
+        center = sequence(center, "parallelepiped coordinate")
+        directions = [sequence(d, "parallelepiped coordinate") for d
+                      in sequence(directions, "parallelepiped directions")]
         for dvec in directions:
             if len(dvec) != len(center):
                 raise InputError("direction dimension mismatch")
@@ -1042,9 +1046,9 @@ class Parallelepiped(_Frame):
 
     def _numerators(self, point: Sequence) -> Optional[tuple]:
         """``(num, den)`` with ``mu = num / den`` if the point is inside."""
-        if len(point) != self.dim:
-            raise InputError("point dimension mismatch")
         ints, q = cleared(point, "point coordinate")  # q = 1 for ints
+        if len(ints) != self.dim:
+            raise InputError("point dimension mismatch")
         r = [self._scale * x - q * c for x, c in zip(ints, self._center)]
         den = q * self.det
         num = self.solve(r, den)
@@ -1128,8 +1132,8 @@ def mvee_contact_points(points: Sequence[Sequence], center: Sequence) -> Ellipso
     failure the full point set is returned as the (trivially sufficient)
     contact set.
     """
-    pts = [tuple(integer(v, "point coordinate") for v in p) for p in points]
-    ctr = tuple(integer(v, "center coordinate") for v in center)
+    pts = [integers(p, "point coordinate") for p in sequence(points, "points")]
+    ctr = integers(center, "center coordinate")
     ptset = set(pts)
     for p in pts:
         mirror = tuple(2 * c - x for c, x in zip(ctr, p))

@@ -50,7 +50,7 @@ from .budget import charge
 from .errors import InputError, InternalError, ResourceError
 from .exactmath import ExactLp, UNBOUNDED
 from .rational import (Rat, ZERO, ONE, rat_floor, rat_ceil, as_int,
-                       integer, integer_rows)
+                       integer, integer_rows, integers, sequence)
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -129,7 +129,8 @@ def ilp_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     n = len(rows[0])
     if n < 1:
         raise InputError("at least one variable required")
-    given = [[None] * n if b is None else b for b in (lo, hi)]
+    given = [[None] * n if b is None else sequence(b, "variable bound")
+             for b in (lo, hi)]
     derived = _derive_bounds(rows, rhs, *given)
     if derived is None:
         return IlpResult(False, None, 0)
@@ -211,7 +212,7 @@ def lll_basis(rows: Sequence[Sequence[int]], n: int) -> list:
     n = integer(n, "dimension")
     if n < 0:
         raise InputError(f"dimension {n} is negative")
-    rows = [tuple(integer(v, "row entry") for v in row) for row in rows]
+    rows = [integers(row, "row entry") for row in sequence(rows, "row entry")]
     for row in rows:
         if len(row) != n:
             raise InputError(f"row {row} has {len(row)} entries, not {n}")

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import InputError, ResourceError
 from .exactmath import (lp_optimize, solve_linear_system, INFEASIBLE,
                         OPTIMAL, UNIQUE)
-from .rational import (Rat, ZERO, ONE, cleared, exact, integer, rat_ceil,
-                       rat_floor)
+from .rational import (Rat, ZERO, ONE, cleared, integer, integers, rat_ceil,
+                       rat_floor, rationals, sequence)
 from .scheduling import _job_vector, _machine_windows
 
 BP_BRUTE_ITEM_CAP = 12
@@ -67,16 +67,15 @@ def exact_cover_cost(options: Sequence, demand: Sequence[int]) -> Optional[int]:
     vector is ragged or holds a negative entry, or whose cost is negative,
     raises ``InputError`` naming it.
     """
-    demand = tuple(integer(v, "demand") for v in demand)
+    demand = integers(demand, "demand")
     read = []
-    for i, option in enumerate(options):
+    for i, option in enumerate(sequence(options, "options")):
         try:
             v, c = option
-            v = tuple(v)
         except (TypeError, ValueError) as exc:
             raise InputError(f"option {i} {option!r} is not a (vector, cost) "
                              f"pair") from exc
-        v = tuple(integer(x, f"option {i} entry") for x in v)
+        v = integers(v, f"option {i} entry")
         c = integer(c, f"option {i} cost")
         if len(v) != len(demand):
             raise InputError(f"option {i} {option!r} has {len(v)} entries "
@@ -108,8 +107,8 @@ def bp_brute_force(sizes: Sequence, multiplicities: Sequence[int],
                    cap: int = BP_BRUTE_ITEM_CAP) -> int:
     """Minimum bins: the least exact cover of the demand by unit-bin
     patterns at one bin each."""
-    sizes = [exact(s, "item size") for s in sizes]
-    a = tuple(integer(v, "multiplicity") for v in multiplicities)
+    sizes = rationals(sizes, "item size")
+    a = integers(multiplicities, "multiplicity")
     if len(sizes) != len(a):
         raise InputError("sizes and multiplicities must align")
     if any(s <= 0 for s in sizes):
@@ -132,8 +131,8 @@ def fractional_opt(sizes: Sequence, multiplicities: Sequence[int]) -> Rat:
     Patterns are not clipped to the demand: a pattern holding more copies
     of an item than are demanded may still appear with a fractional weight.
     """
-    sizes = [exact(s, "item size") for s in sizes]
-    a = [Rat(integer(v, "multiplicity")) for v in multiplicities]
+    sizes = rationals(sizes, "item size")
+    a = [Rat(v) for v in integers(multiplicities, "multiplicity")]
     if any(s <= 0 for s in sizes):
         raise InputError("sizes must be positive")
     if all(v == 0 for v in a):
@@ -174,9 +173,10 @@ def int_cone_brute(gens: Sequence, target, box: Sequence,
     only means: not reachable with that many summands).  Returns (found,
     point, weights) with weights a generator -> count dict.
     """
+    box = sequence(box, "box bound")
     d = len(box)
-    gens = [tuple(integer(v, "generator coordinate") for v in g)
-            for g in gens]
+    gens = [integers(g, "generator coordinate")
+            for g in sequence(gens, "generators")]
     gens = [g for g in gens if any(v != 0 for v in g)]
     for g in gens:
         if len(g) != d:
@@ -278,7 +278,7 @@ def cover_verify(poly, cover: Sequence) -> CoverReport:
                      for v in verts for s in (Rat(1), Rat(-1))]
         return verts
 
-    for i, pp in enumerate(cover):
+    for i, pp in enumerate(sequence(cover, "cover")):
         for v in pp_vertices(pp):
             ints, scale = cleared(v, "vertex coordinate")
             if scale != 1:
@@ -359,8 +359,16 @@ def nonpreemptive_brute(jobs: Sequence, horizon: int,
     before either cap is read when a job outlasts its window or the total
     length exceeds the latest deadline less the earliest release.
     """
-    jobs = tuple((integer(r, "release"), integer(d, "deadline"),
-                  integer(p, "length")) for r, d, p in jobs)
+    read = []
+    for job in sequence(jobs, "jobs"):
+        job = sequence(job, "job")
+        if len(job) != 3:
+            raise InputError(f"job {job!r} is not a (release, deadline, "
+                             f"length) triple")
+        r, d, p = job
+        read.append((integer(r, "release"), integer(d, "deadline"),
+                     integer(p, "length")))
+    jobs = tuple(read)
     for r, d, p in jobs:
         if p < 1 or r < 0 or d > horizon:
             raise InputError(f"job ({r}, {d}, {p}) is out of range")

@@ -4,13 +4,17 @@ The rational type ``Rat`` is ``fractions.Fraction``: numerator and
 denominator in lowest terms with a positive denominator, exact comparison,
 and a hash equal to that of an equal int.
 
-Every exact input of the package is read here, by one of four readers:
-``exact`` (a rational), ``integer`` (an int), ``cleared`` (rationals as
-ints over the lcm of their denominators) and ``integer_rows`` (the rows
-and right-hand sides of ``A x <= b``).  Each names the field it reads in
-the ``InputError`` it raises for text, None, a non-finite number or,
-where an integer is asked for, a non-integral value.  No other module reads a
-numerator or a denominator.
+Every exact input of the package is read here.  A scalar is read by
+``exact`` (a rational) or ``integer`` (an int); a vector by ``rationals``
+(a tuple of rationals), ``integers`` (a tuple of ints) or ``cleared``
+(rationals as ints over the lcm of their denominators); and a system by
+``integer_rows`` (the rows and right-hand sides of ``A x <= b``).  Every
+vector reader reads its entries through ``sequence``, the one test of
+what a vector is: a value that cannot be iterated, or text, is not one.
+Each reader names the field it reads in the ``InputError`` it raises for
+text, None, a non-finite number, a scalar where a sequence belongs or,
+where an integer is asked for, a non-integral value.  No other module
+reads a vector entry by entry, or a numerator or a denominator.
 
 Vectors are plain tuples.  Everything here is deterministic and
 allocation-light.  The hot loops of the exact simplex and of parallelepiped
@@ -80,6 +84,42 @@ def exact(value, what: str) -> Rat:
         raise InputError(f"{what} {value} must be a finite rational") from exc
 
 
+def sequence(values, what: str):
+    """``values`` as a sequence: a tuple or a list as it is, any other
+    iterable as a tuple; an ``InputError`` naming ``what`` for text or a
+    value that cannot be iterated.
+
+    The package's one test of what a vector is.
+    """
+    if type(values) is tuple or type(values) is list:
+        return values
+    if isinstance(values, str):
+        raise InputError(f"{what} {values!r} is text, not a sequence")
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise InputError(f"{what} {values!r} is not a sequence") from None
+    return tuple(entries)
+
+
+def integers(values, what: str) -> tuple:
+    """``values`` as a tuple of ints, each read through ``integer``: the
+    package's one reader of an integer vector.  A tuple of ints comes back
+    as it is."""
+    if type(values) is not tuple:
+        values = tuple(sequence(values, what))
+    for v in values:
+        if type(v) is not int:
+            return tuple([integer(v, what) for v in values])
+    return values
+
+
+def rationals(values, what: str) -> tuple:
+    """``values`` as a tuple of ``Rat``, each read through ``exact``: the
+    package's one reader of a rational vector."""
+    return tuple([exact(v, what) for v in sequence(values, what)])
+
+
 def cleared(values, what: str) -> tuple:
     """``(ints, scale)``: each of ``values`` read through ``exact`` and
     multiplied by ``scale``, the lcm of their denominators, which leaves
@@ -87,6 +127,7 @@ def cleared(values, what: str) -> tuple:
 
     The package's one clearing of denominators.
     """
+    values = sequence(values, what)
     if all(type(v) is int for v in values):
         return list(values), 1
     values = [v if type(v) is int else exact(v, what) for v in values]
@@ -95,17 +136,18 @@ def cleared(values, what: str) -> tuple:
 
 
 def integer_rows(rows, rhs) -> tuple:
-    """``(rows, rhs)`` as a list of int tuples and a tuple of ints, each
-    value read through ``integer``: the one reader of integer rows.
-    ``InputError`` when the rows are ragged or their count is not the
-    right-hand sides'."""
+    """``(rows, rhs)`` as a list of int tuples and a tuple of ints, read
+    through ``integers``: the one reader of integer rows.  ``InputError``
+    when the rows are ragged or their count is not the right-hand
+    sides'."""
+    rows = sequence(rows, "constraint matrix")
+    rhs = sequence(rhs, "right-hand side")
     if len(rows) != len(rhs):
         raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    rows = [tuple(integer(v, "constraint coefficient") for v in row)
-            for row in rows]
+    rows = [integers(row, "constraint coefficient") for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise InputError("ragged constraint matrix")
-    return rows, tuple(integer(v, "right-hand side") for v in rhs)
+    return rows, integers(rhs, "right-hand side")
 
 
 def rat_floor(value) -> int:

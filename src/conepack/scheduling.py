@@ -46,20 +46,13 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import InputError, InternalError, ResourceError
 from .geometry import Polytope, bounded_polytope, down_closed_lattice
 from .ilp import _satisfies, ilp_feasible
-from .rational import integer
+from .rational import integer, integers, sequence
 from .solver import (_check_mode, _multiplicities, _polytope_cover,
                      cheapest_cover, select_from_generators)
 
 
 # ---------------------------------------------------------------------------
 # instance
-
-
-def _integers(values, what: str) -> Optional[tuple]:
-    """``values`` as a tuple of ints (None stays None); an ``InputError``
-    unless each is integral."""
-    return None if values is None else tuple(integer(v, what)
-                                             for v in values)
 
 
 class SchedulingInstance:
@@ -75,9 +68,9 @@ class SchedulingInstance:
                  counts: Optional[Sequence[int]] = None,
                  penalties: Optional[Sequence[int]] = None,
                  variant: Optional[str] = None):
-        self.windows = tuple(tuple(_integers(w, "window entry")
-                                   for w in per_machine)
-                             for per_machine in windows)
+        self.windows = tuple(tuple(integers(w, "window entry")
+                                   for w in sequence(per_machine, "windows"))
+                             for per_machine in sequence(windows, "windows"))
         self.m = len(self.windows)
         if self.m == 0:
             raise InputError("at least one machine type required")
@@ -102,9 +95,11 @@ class SchedulingInstance:
         self.multiplicities = _multiplicities(multiplicities)
         if len(self.multiplicities) != self.d:
             raise InputError("multiplicities must cover every job type")
-        self.costs = _integers(costs, "machine cost")
-        self.counts = _integers(counts, "machine count")
-        self.penalties = _integers(penalties, "penalty")
+        self.costs, self.counts, self.penalties = (
+            None if values is None else integers(values, what)
+            for values, what in ((costs, "machine cost"),
+                                 (counts, "machine count"),
+                                 (penalties, "penalty")))
         if self.costs is not None:
             if len(self.costs) != self.m:
                 raise InputError("one cost per machine type required")
@@ -158,7 +153,7 @@ def _machine_windows(inst: SchedulingInstance, machine_type) -> tuple:
 def _job_vector(inst: SchedulingInstance, x) -> tuple:
     """``x`` as a tuple of ``inst.d`` non-negative ints, or an
     ``InputError``: the one reader of a job vector."""
-    x = _integers(x, "job count")
+    x = integers(x, "job count")
     if len(x) != inst.d:
         raise InputError(f"job vector {x} needs {inst.d} counts")
     if any(v < 0 for v in x):
@@ -538,7 +533,7 @@ def extract_cyclic_schedule(aux: Sequence[int], inst: SchedulingInstance,
     non-integral one raises ``InputError`` naming it.
     """
     d = inst.d
-    aux = _integers(aux, "auxiliary entry")
+    aux = integers(aux, "auxiliary entry")
     cycles, rest = divmod(len(aux) - d - 1, 2 * d + 2)
     if cycles < 1 or rest:
         raise InputError(f"auxiliary vector of length {len(aux)} fits no "
@@ -665,7 +660,7 @@ def schedulable_vectors(inst: SchedulingInstance, machine_type: int,
     negative side holds no vector.
     """
     _machine_windows(inst, machine_type)
-    box_hi = _integers(box_hi, "box side")
+    box_hi = integers(box_hi, "box side")
     d = inst.d
     if len(box_hi) != d:
         raise InputError(f"box {box_hi} needs {d} sides")

@@ -82,7 +82,8 @@ from .geometry import (
     lattice_points,
 )
 from .ilp import ilp_feasible
-from .rational import ONE, cleared, exact, integer
+from .rational import (ONE, cleared, exact, integer, integers, rationals,
+                       sequence)
 from .structure import compute_structure_set, normalize_combination
 
 # The largest basis determinant whose group ``cheapest_cover`` searches.
@@ -95,7 +96,7 @@ GROUP_STATE_CAP = 1024
 
 
 def _multiplicities(values) -> tuple:
-    out = tuple(integer(a, "multiplicity") for a in values)
+    out = integers(values, "multiplicity")
     if any(a < 0 for a in out):
         raise InputError("multiplicities must be non-negative")
     return out
@@ -106,7 +107,7 @@ class CuttingStockInstance:
 
     def __init__(self, sizes: Sequence, multiplicities: Sequence[int],
                  bin_types: Sequence):
-        self.sizes = tuple(exact(s, "item size") for s in sizes)
+        self.sizes = rationals(sizes, "item size")
         self.multiplicities = _multiplicities(multiplicities)
         if len(self.sizes) != len(self.multiplicities):
             raise InputError("sizes and multiplicities must align")
@@ -116,7 +117,7 @@ class CuttingStockInstance:
             if s <= 0:
                 raise InputError(f"item size {s} must be positive")
         pairs = []
-        for i, bin_type in enumerate(bin_types):
+        for i, bin_type in enumerate(sequence(bin_types, "bin types")):
             try:
                 w, c = bin_type
             except (TypeError, ValueError):
@@ -222,7 +223,7 @@ def _costed(parts: Sequence) -> list:
     each cost read through ``rational.integer``; InputError names the first
     part that is not a pair, and refuses a negative cost."""
     out = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(sequence(parts, "parts")):
         try:
             first, cost = part
         except (TypeError, ValueError):
@@ -241,7 +242,8 @@ def _listed(parts: Sequence, d: int) -> list:
     out = []
     for i, (points, cost) in enumerate(_costed(parts)):
         what = f"part {i} coordinate"
-        points = [tuple(integer(v, what) for v in p) for p in points]
+        points = [integers(p, what)
+                  for p in sequence(points, f"part {i} points")]
         for p in points:
             if len(p) != d:
                 raise InputError(f"point {p} of part {i} has {len(p)} "
@@ -899,7 +901,7 @@ def verify_solution(inst, sol: PackingSolution) -> None:
             raise InternalError(f"solution entry {entry} is not a (pattern, "
                                 f"bin type, multiplicity) triple") from None
         try:
-            counts = [integer(v, "pattern entry") for v in pattern]
+            counts = integers(pattern, "pattern entry")
             bt, mult = integer(bt, "bin type"), integer(mult, "multiplicity")
         except InputError as exc:
             raise InternalError(f"pattern {pattern}: {exc}") from exc

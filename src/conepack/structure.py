@@ -35,7 +35,7 @@ from .geometry import (
     lattice_points,
     parallelepiped_cover,
 )
-from .rational import integer
+from .rational import integer, integers
 
 
 def _weights(combo: Mapping) -> Dict[tuple, int]:
@@ -54,7 +54,7 @@ def _weights(combo: Mapping) -> Dict[tuple, int]:
     store: Dict[tuple, int] = {}
     dim = None
     for point, w in items:
-        pt = tuple(integer(v, "point coordinate") for v in point)
+        pt = integers(point, "point coordinate")
         w = integer(w, "weight")
         if w < 0:
             raise InputError(f"negative weight {w} at {pt}")
@@ -193,7 +193,7 @@ def redistribute_in_pp(pp: Parallelepiped, x_star: Sequence[int],
     w = integer(w, "weight")
     if w <= 0:
         raise InputError(f"weight must be a positive integer, got {w!r}")
-    x = tuple(integer(v, "point coordinate") for v in x_star)
+    x = integers(x_star, "point coordinate")
     if not pp.contains(x):
         raise InputError(f"{x} is not inside the parallelepiped")
     weights = {x: w}

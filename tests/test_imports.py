@@ -14,7 +14,11 @@ imported, so a cold import of ``conepack.cli`` loads neither
 ``dataclasses`` nor ``inspect``.  Outside ``rational.py`` no module may call
 ``isinstance(..., int)`` or ``hasattr(..., "denominator")``, the type
 tests of a second integer reader, nor read an attribute ``.numerator``
-or ``.denominator``, the mark of a second clearing of denominators.
+or ``.denominator``, the mark of a second clearing of denominators, nor
+hold a comprehension whose element is ``integer(v, ...)`` or
+``exact(v, ...)`` of its own variable ``v``, the mark of a second vector
+reader; a record read field by field, such as a ``(release, deadline,
+length)`` triple, is no vector.
 Outside ``cli.py`` no module may call ``.splitlines()`` or define a
 ``*_from_text`` function, the marks of a second file reader.  No module
 may subscript an attribute ``.windows`` outside
@@ -298,6 +302,50 @@ def test_a_second_integer_reader_is_caught(tmp_path):
     assert integer_type_tests(module) == ["hasattr (line 6)",
                                           "isinstance (line 2)",
                                           "isinstance (line 4)"]
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp)
+
+
+def vector_reads(path):
+    """The comprehensions of the module whose element is ``integer(v,
+    ...)`` or ``exact(v, ...)`` of the comprehension's own variable, with
+    line numbers."""
+    out = []
+    for node in ast.walk(parse(path)):
+        if not isinstance(node, COMPREHENSIONS):
+            continue
+        own = {name.id for gen in node.generators
+               for name in ast.walk(gen.target) if isinstance(name, ast.Name)}
+        elt = node.elt
+        if isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name) \
+                and elt.func.id in ("integer", "exact") and elt.args \
+                and isinstance(elt.args[0], ast.Name) \
+                and elt.args[0].id in own:
+            out.append(f"{elt.func.id} (line {node.lineno})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", READERS, ids=[p.name for p in READERS])
+def test_vectors_are_read_only_through_rational(path):
+    assert vector_reads(path) == []
+
+
+def test_a_second_vector_reader_is_caught(tmp_path):
+    # the job vector and sizes as scheduling.py and solver.py once read
+    # them; a record read field by field, or a value read outside the
+    # comprehension, reads no vector
+    module = tmp_path / "sample.py"
+    module.write_text("def read(x, sizes, jobs, n):\n"
+                      "    x = tuple(integer(v, 'job count') for v in x)\n"
+                      "    sizes = [exact(s, 'item size') for s in sizes]\n"
+                      "    pts = {tuple(integer(v, 'c') for v in p)\n"
+                      "           for p in x}\n"
+                      "    jobs = [(integer(r, 'start'), integer(d, 'end'))\n"
+                      "            for r, d in jobs]\n"
+                      "    return [integer(n, 'n') for _ in x], pts, jobs\n")
+    assert vector_reads(module) == ["exact (line 3)", "integer (line 2)",
+                                    "integer (line 4)"]
 
 
 @pytest.mark.parametrize("path", READERS, ids=[p.name for p in READERS])

@@ -20,21 +20,28 @@ an ``InputError`` everywhere, and a validated schedule that is not
 iterable, or whose segment names no job type, is an ``InternalError``.
 The hull routines reject points of mixed dimension with an
 ``InputError``.
+Every vector and row of exact numbers is read through ``rational``'s
+sequence readers, so a scalar or text where a sequence belongs (a row,
+a point, a job vector, a list of parts, windows or options) is an
+``InputError`` naming its field, never a bare ``TypeError``.
 """
 
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conepack import budget, oracle
 from conepack.errors import InputError, InternalError
 from conepack.exactmath import ExactLp, lp_optimize, solve_linear_system
-from conepack.geometry import (Parallelepiped, Polytope, box_polytope,
-                               down_closed_lattice, down_closed_polytope,
-                               extreme_points, in_convex_hull, lattice_points,
-                               slack_interval_index)
+from conepack.geometry import (Parallelepiped, Polytope, bounded_polytope,
+                               box_polytope, down_closed_lattice,
+                               down_closed_polytope, extreme_points,
+                               in_convex_hull, integer_box, lattice_points,
+                               mvee_contact_points, slack_interval_index)
 from conepack.ilp import ilp_feasible, lll_basis
+from conepack.rational import integers, rationals
 from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  build_nonpreemptive_polytope, edf_simulate,
                                  extract_cyclic_schedule,
@@ -44,9 +51,9 @@ from conepack.scheduling import (SchedulingInstance, build_edf_polytope,
                                  validate_nonpreemptive_schedule,
                                  validate_preemptive_schedule)
 from conepack.solver import (BinPackingInstance, CuttingStockInstance,
-                             cheapest_cover,
+                             PackingSolution, cheapest_cover,
                              configuration_window, multi_polytope_select,
-                             select_from_generators)
+                             select_from_generators, verify_solution)
 from conepack.structure import (compute_structure_set, normalize_combination,
                                 redistribute_in_pp, reduce_support)
 
@@ -696,3 +703,181 @@ def test_a_schedule_that_is_not_iterable_is_an_internal_error(validate):
     with pytest.raises(InternalError, match="^schedule 5 is not a sequence "
                                             "of segments$"):
         validate(two_machine_types(), 0, (1, 0), 5)
+
+
+def pick_one(parts):
+    return cheapest_cover([1], parts, partial(select_from_generators, parts))
+
+
+# a scalar where a sequence belongs, and the field its error names; each of
+# these used to raise a bare TypeError
+SCALARS = [
+    # rows
+    ("polytope-rows", "constraint matrix", lambda: Polytope(5, [1])),
+    ("polytope-row", "constraint coefficient", lambda: Polytope([5], [1])),
+    ("ilp-row", "constraint coefficient",
+     lambda: ilp_feasible([5], [1], lo=[0], hi=[1])),
+    ("ilp-bounds", "variable bound",
+     lambda: ilp_feasible([[1]], [1], lo=5, hi=[1])),
+    ("lll-row", "row entry", lambda: lll_basis([5], 1)),
+    ("lp-row", "constraint entry", lambda: ExactLp([5], [1])),
+    ("lp-bounds", "variable bound", lambda: ExactLp([[1]], [1], lo=5)),
+    ("lp-objective", "objective coefficient",
+     lambda: lp_optimize([[1]], [1], 5)),
+    ("system-row", "system entry", lambda: solve_linear_system([5], [1])),
+    # instances
+    ("bin-packing-sizes", "item size", lambda: BinPackingInstance(5, [1])),
+    ("cutting-stock-multiplicities", "multiplicity",
+     lambda: CuttingStockInstance([HALF], 1, [(1, 1)])),
+    ("cutting-stock-bin-types", "bin types",
+     lambda: CuttingStockInstance([HALF], [1], 5)),
+    ("scheduling-windows", "windows",
+     lambda: SchedulingInstance(5, [1], costs=[1])),
+    ("scheduling-machine-windows", "windows",
+     lambda: SchedulingInstance([5], [1], costs=[1])),
+    ("scheduling-window", "window entry",
+     lambda: SchedulingInstance([[5]], [1], costs=[1])),
+    ("scheduling-multiplicities", "multiplicity",
+     lambda: SchedulingInstance([[(0, 4, 1)]], 1, costs=[1])),
+    ("scheduling-costs", "machine cost",
+     lambda: SchedulingInstance([[(0, 4, 1)]], [1], costs=1)),
+    ("scheduling-counts", "machine count", lambda: tardy(counts=1)),
+    ("scheduling-penalties", "penalty", lambda: tardy(penalties=1)),
+    # solver
+    ("window-demand", "multiplicity",
+     lambda: configuration_window([([(1,)], 1)], 5)),
+    ("window-parts", "parts", lambda: configuration_window(5, [1])),
+    ("window-points", "part 0 points",
+     lambda: configuration_window([(5, 1)], [1])),
+    ("window-point", "part 0 coordinate",
+     lambda: configuration_window([([5], 1)], [1])),
+    ("cover-parts", "parts", lambda: pick_one(5)),
+    ("select-parts", "parts",
+     lambda: select_from_generators(5, box_polytope([1], [1]), 5)),
+    ("select-point", "part 0 coordinate",
+     lambda: select_from_generators([([5], 1)], box_polytope([1], [1]), 5)),
+    ("multi-polytope-parts", "parts",
+     lambda: multi_polytope_select(5, box_polytope([1], [1]), 5)),
+    # scheduling
+    *((f"{name}-job-vector", "job count", partial(call, two_machine_types(),
+                                                  5))
+      for name, call in JOB_VECTOR_CALLS),
+    ("schedulable-vectors-box", "box side",
+     lambda: schedulable_vectors(two_machine_types(), 0, 5)),
+    ("extract-cyclic", "auxiliary entry",
+     lambda: extract_cyclic_schedule(5, two_machine_types(), 0)),
+    # structure
+    ("reduce-support", "point coordinate", lambda: reduce_support({5: 1})),
+    ("normalize", "point coordinate",
+     lambda: normalize_combination({5: 1}, segment_sset())),
+    ("redistribute", "point coordinate",
+     lambda: redistribute_in_pp(Parallelepiped((1,), ((1,),)), 5, 1)),
+    # geometry
+    ("extreme-points", "hull point coordinate",
+     lambda: extreme_points([5])),
+    ("mvee-points", "point coordinate",
+     lambda: mvee_contact_points([5], (0,))),
+    ("down-closed-box", "box side",
+     lambda: down_closed_lattice([[1]], [1], 5)),
+    ("bounded-box", "box side", lambda: bounded_polytope([[1]], [1], 5, 5)),
+    ("box", "box side", lambda: box_polytope(5, 5)),
+    ("parallelepiped-center", "parallelepiped coordinate",
+     lambda: Parallelepiped(5, ())),
+    ("parallelepiped-directions", "parallelepiped directions",
+     lambda: Parallelepiped((0,), 5)),
+    ("parallelepiped-direction", "parallelepiped coordinate",
+     lambda: Parallelepiped((0,), [5])),
+    ("hull-point", "hull point", lambda: in_convex_hull(5, [(1,)])),
+    ("hull-points", "hull points", lambda: in_convex_hull((1,), 5)),
+    ("hull-member", "hull point", lambda: in_convex_hull((1,), [5])),
+    # oracle
+    ("exact-cover-options", "options",
+     lambda: oracle.exact_cover_cost(5, [1])),
+    ("exact-cover-demand", "demand",
+     lambda: oracle.exact_cover_cost([((1,), 1)], 5)),
+    ("bp-brute-force-sizes", "item size",
+     lambda: oracle.bp_brute_force(5, [1])),
+    ("bp-brute-force-multiplicities", "multiplicity",
+     lambda: oracle.bp_brute_force([HALF], 5)),
+    ("fractional-opt-sizes", "item size",
+     lambda: oracle.fractional_opt(5, [1])),
+    ("fractional-opt-multiplicities", "multiplicity",
+     lambda: oracle.fractional_opt([HALF], 5)),
+    ("int-cone-brute-generators", "generators",
+     lambda: oracle.int_cone_brute(5, box_polytope([1], [1]), [(0, 3)])),
+    ("int-cone-brute-box", "box bound",
+     lambda: oracle.int_cone_brute([(1,)], box_polytope([1], [1]), 5)),
+    ("brute-schedule-jobs", "jobs", lambda: oracle.nonpreemptive_brute(5, 10)),
+    ("brute-schedule-job", "job", lambda: oracle.nonpreemptive_brute([5], 10)),
+    ("cover-verify", "cover",
+     lambda: oracle.cover_verify(box_polytope([0], [1]), 5)),
+]
+
+
+@pytest.mark.parametrize("field,call", [case[1:] for case in SCALARS],
+                         ids=[case[0] for case in SCALARS])
+def test_a_scalar_where_a_sequence_belongs_is_an_input_error(field, call):
+    with pytest.raises(InputError, match=rf"^{field} .*\bnot a sequence$"):
+        call()
+
+
+def test_text_where_a_sequence_belongs_is_an_input_error():
+    # a string is iterable, but its characters are no vector
+    with pytest.raises(InputError, match="^box side '12' is text, not a "
+                                         "sequence$"):
+        box_polytope("12", "34")
+    with pytest.raises(InputError, match="^multiplicity '3' is text, not a "
+                                         "sequence$"):
+        BinPackingInstance([HALF], "3")
+
+
+def test_a_scalar_pattern_fails_verification_naming_it():
+    # as every other malformed solution entry does
+    with pytest.raises(InternalError, match="^pattern 5: pattern entry 5 "
+                                            "is not a sequence$"):
+        verify_solution(BinPackingInstance([HALF], [2]),
+                        PackingSolution(((5, 0, 1),), 1))
+
+
+def test_a_box_with_an_open_side_is_unbounded():
+    # the open side sets no preset bound: this used to be a bare TypeError
+    # comparing None with 3
+    box = box_polytope([None], [3])
+    assert box.A == [(1,)] and box.b == (3,)
+    with pytest.raises(InputError, match="unbounded in coordinate 0"):
+        integer_box(box)
+
+
+def integral_forms(v):
+    """``v`` as an int, an integral ``Fraction`` and, where it is exact, an
+    integral float."""
+    return [v, Fraction(v)] + ([float(v)] if float(v) == v else [])
+
+
+SHAPES = [list, tuple, lambda values: (v for v in values)]
+
+
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30)), st.data())
+def test_any_form_of_an_integer_vector_reads_as_its_int_tuple(values, data):
+    forms = [data.draw(st.sampled_from(integral_forms(v))) for v in values]
+    for shape in SHAPES:
+        read = integers(shape(forms), "entry")
+        assert read == tuple(values)
+        assert type(read) is tuple and all(type(v) is int for v in read)
+
+
+@given(st.one_of(st.integers(), st.floats(), st.none(), st.fractions(),
+                 st.text()))
+def test_a_scalar_vector_is_an_input_error_naming_its_field(value):
+    for read in (integers, rationals):
+        with pytest.raises(InputError, match=r"^entry .*\bnot a sequence$"):
+            read(value, "entry")
+
+
+@given(st.lists(st.one_of(st.integers(), st.fractions(),
+                          st.floats(allow_nan=False, allow_infinity=False))))
+def test_a_rational_vector_keeps_each_exact_value(values):
+    for shape in SHAPES:
+        read = rationals(shape(values), "entry")
+        assert read == tuple(Fraction(v) for v in values)
+        assert all(type(v) is Fraction for v in read)
